@@ -27,6 +27,29 @@ type elector struct {
 	backoff *core.Backoff
 }
 
+// backupCandidate is the running maximum, by (power, id), over every
+// candidacy a node has heard from another node. It stands in for a map of
+// each peer's last announced power, of which only the maximum was ever
+// read, and selects the same node as long as no ID re-announces with a
+// LOWER power than before: a device's power is fixed at construction, and
+// a recycled slot can only pass from a departed User (power 1, the
+// minimum — Detach declines for Managers, the Central and the Backup) to
+// a tenant at least as strong. Under that invariant each ID's last power
+// is its highest, so the maximum over last powers is the maximum over all.
+type backupCandidate struct {
+	id    netsim.NodeID
+	power int
+}
+
+var noBackupCandidate = backupCandidate{id: netsim.NoNode, power: -1}
+
+// note folds in a candidacy from a node other than self.
+func (b *backupCandidate) note(self, from netsim.NodeID, power int) {
+	if from != self && (power > b.power || (power == b.power && from > b.id)) {
+		b.id, b.power = from, power
+	}
+}
+
 func newElector(nd *Node) *elector {
 	e := &elector{nd: nd}
 	e.window = sim.NewDeadline(nd.k, e.decide)
@@ -109,7 +132,7 @@ func (e *elector) announceCandidacy() {
 // itself by announcing immediately, so late candidates adopt it instead
 // of electing a rival.
 func (e *elector) onCandidate(from netsim.NodeID, power int) {
-	e.nd.known300D[from] = power
+	e.nd.backupPick.note(e.nd.n.ID, from, power)
 	if e.nd.IsCentral() {
 		e.nd.registry.announcer.AnnounceNow()
 		return

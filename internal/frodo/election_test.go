@@ -1,6 +1,7 @@
 package frodo
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/discovery"
@@ -189,5 +190,95 @@ func Test3CManagerRegistersButCannotBeUser(t *testing.T) {
 	}
 	if role.TwoParty() {
 		t.Error("3C manager must use 3-party subscription")
+	}
+}
+
+// backupByLastPower is the rule backupCandidate replaced, kept as the
+// reference: remember every peer's last announced power in a map, and at
+// appointment time take the maximum by (power, id), skipping self.
+func backupByLastPower(self netsim.NodeID, known map[netsim.NodeID]int) netsim.NodeID {
+	best, bestPow := netsim.NoNode, -1
+	for id, pow := range known {
+		if id == self {
+			continue
+		}
+		if pow > bestPow || (pow == bestPow && id > best) {
+			best, bestPow = id, pow
+		}
+	}
+	return best
+}
+
+// The running (power, id) maximum must pick the Backup the map rule
+// picked, after every prefix of any candidacy stream the harness can
+// produce: repeats, ties in power, the node's own ID turning up, and a
+// slot re-announcing under a new, stronger tenant. (A slot re-announcing
+// WEAKER is outside the invariant — see backupCandidate — and is where
+// the two rules would part.)
+func TestBackupCandidateMatchesLastPowerMap(t *testing.T) {
+	type candidacy struct {
+		from  netsim.NodeID
+		power int
+	}
+	check := func(t *testing.T, self netsim.NodeID, stream []candidacy) {
+		t.Helper()
+		known := map[netsim.NodeID]int{}
+		pick := noBackupCandidate
+		for i, c := range stream {
+			known[c.from] = c.power
+			pick.note(self, c.from, c.power)
+			if want := backupByLastPower(self, known); pick.id != want {
+				t.Fatalf("after %d candidacies %v: running pick %d, map rule %d", i+1, stream[:i+1], pick.id, want)
+			}
+		}
+	}
+	for name, stream := range map[string][]candidacy{
+		"none":             nil,
+		"only self":        {{4, 100}, {4, 100}},
+		"tie, higher id":   {{1, 5}, {3, 5}, {2, 5}},
+		"tie, repeat":      {{3, 5}, {1, 5}, {3, 5}, {1, 5}},
+		"stronger later":   {{7, 1}, {2, 50}, {9, 10}},
+		"slot upgraded":    {{6, 1}, {8, 1}, {6, 5}, {8, 1}},
+		"self is stronger": {{1, 10}, {4, 100}, {2, 10}},
+		"power zero":       {{1, 0}, {0, 0}},
+	} {
+		t.Run(name, func(t *testing.T) { check(t, 4, stream) })
+	}
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 500; trial++ {
+		ids := 1 + rng.Intn(12)
+		self := netsim.NodeID(rng.Intn(ids))
+		powers := make([]int, ids) // each slot's current tenant
+		for i := range powers {
+			powers[i] = []int{1, 1, 1, 5, 10, 50, 100}[rng.Intn(7)]
+		}
+		stream := make([]candidacy, rng.Intn(60))
+		for i := range stream {
+			id := rng.Intn(ids)
+			if rng.Intn(8) == 0 { // the slot changes hands, never to a weaker tenant
+				powers[id] += rng.Intn(3) * 4
+			}
+			stream[i] = candidacy{netsim.NodeID(id), powers[id]}
+		}
+		check(t, self, stream)
+	}
+}
+
+// Rearm must forget the previous run's Backup candidate, as it cleared
+// the map the candidate replaced: a reused workspace appoints from the
+// candidacies of its own run only.
+func TestRearmForgetsBackupCandidate(t *testing.T) {
+	r := newElectionRig(6, 80, 60, 10)
+	r.k.Run(120 * sim.Second)
+	if got := r.nodes[0].backupPick; got.id != r.nodes[1].ID() || got.power != 60 {
+		t.Fatalf("Central's Backup candidate is %+v, want the power-60 node %d", got, r.nodes[1].ID())
+	}
+	r.k.Reset(6)
+	r.nw.Rearm(r.k, netsim.DefaultConfig(), len(r.nodes))
+	for _, nd := range r.nodes {
+		nd.Rearm()
+		if nd.backupPick != noBackupCandidate {
+			t.Errorf("node %d kept Backup candidate %+v across Rearm", nd.ID(), nd.backupPick)
+		}
 	}
 }

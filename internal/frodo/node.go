@@ -38,9 +38,9 @@ type Node struct {
 	manager  *ManagerRole
 	user     *UserRole
 
-	// known300D records the power of other 300D nodes seen in election
-	// candidacies; the Central picks its Backup from it.
-	known300D map[netsim.NodeID]int
+	// backupPick is the strongest other 300D node heard in election
+	// candidacies; the Central appoints it Backup.
+	backupPick backupCandidate
 
 	// txDown/rxDown mirror the node's interface state under CentralRepair:
 	// the Registry announcer is gated on them so a Central with a failed
@@ -68,8 +68,8 @@ func NewNode(n *netsim.Node, cfg Config, class Class, power int) *Node {
 	nd := &Node{
 		cfg: cfg, class: class, power: power,
 		n: n, nw: n.Network(), k: n.Kernel(),
-		central:   netsim.NoNode,
-		known300D: map[netsim.NodeID]int{},
+		central:    netsim.NoNode,
+		backupPick: noBackupCandidate,
 	}
 	nd.centralLease = sim.NewDeadline(nd.k, nd.onCentralTimeout)
 	nd.nodeAnnounce = sim.NewTicker(nd.k, cfg.NodeAnnouncePeriod, nd.announcePresence)
@@ -113,7 +113,7 @@ func (nd *Node) Rearm() {
 	nd.centralPower = 0
 	nd.centralLease.Rearm()
 	nd.nodeAnnounce.Rearm()
-	clear(nd.known300D)
+	nd.backupPick = noBackupCandidate
 	if nd.registry != nil {
 		nd.registry.rearm()
 	}

@@ -256,21 +256,10 @@ func (r *RegistryRole) onAppointBackup(from netsim.NodeID, p AppointBackup) {
 // maybeAppointBackup appoints the most powerful other 300D node this node
 // has seen as Backup and syncs state to it.
 func (r *RegistryRole) maybeAppointBackup() {
-	best := netsim.NoNode
-	bestPow := -1
-	for id, pow := range r.nd.known300D {
-		if id == r.nd.n.ID {
-			continue
-		}
-		if pow > bestPow || (pow == bestPow && id > best) {
-			best = id
-			bestPow = pow
-		}
-	}
-	if best == netsim.NoNode {
+	if r.nd.backupPick.id == netsim.NoNode {
 		return
 	}
-	r.backupID = best
+	r.backupID = r.nd.backupPick.id
 	r.syncBackup()
 }
 

@@ -9,19 +9,17 @@ import (
 
 // BenchmarkMulticastFanout measures the multicast fast path at the group
 // sizes the scale scenarios produce: one wire transmission fanned out to
-// every member through the pooled delivery train. Steady state allocates
+// every member through the pooled delivery train (insertion-ordered at
+// 10, radix-ordered above fanInsertionMax). Steady state allocates
 // nothing per copy — -benchmem should report ~0 allocs/op.
 func BenchmarkMulticastFanout(b *testing.B) {
-	for _, members := range []int{10, 100, 1000} {
+	benchFanout(b, DefaultConfig(), 10, 100, 1000, 10000)
+}
+
+func benchFanout(b *testing.B, cfg Config, sizes ...int) {
+	for _, members := range sizes {
 		b.Run(fmt.Sprintf("members=%d", members), func(b *testing.B) {
-			k := sim.New(1)
-			nw := mustNew(k, DefaultConfig())
-			ep := &countingEndpoint{}
-			for i := 0; i < members; i++ {
-				n := nw.AddNode("")
-				n.SetEndpoint(ep)
-				nw.Join(n.ID, Group(1))
-			}
+			k, nw, _ := newFanoutNet(cfg, members)
 			out := Outgoing{Kind: "announce", Counted: true}
 			for i := 0; i < 4; i++ { // warm pools
 				nw.Multicast(0, Group(1), out, 1)
@@ -73,32 +71,9 @@ func benchUnicast(b *testing.B, cfg Config) {
 
 // BenchmarkMulticastFanoutPareto measures the multicast fast path with
 // heavy-tailed (Pareto table) delay draws — same pooled delivery train,
-// one table lookup per receiver.
+// one table lookup per receiver, and a wider key for the radix passes.
 func BenchmarkMulticastFanoutPareto(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Link.Delay = DelayConfig{Dist: DelayPareto}
-	for _, members := range []int{100} {
-		b.Run(fmt.Sprintf("members=%d", members), func(b *testing.B) {
-			k := sim.New(1)
-			nw := mustNew(k, cfg)
-			ep := &countingEndpoint{}
-			for i := 0; i < members; i++ {
-				n := nw.AddNode("")
-				n.SetEndpoint(ep)
-				nw.Join(n.ID, Group(1))
-			}
-			out := Outgoing{Kind: "announce", Counted: true}
-			for i := 0; i < 4; i++ {
-				nw.Multicast(0, Group(1), out, 1)
-				k.Run(k.Now() + sim.Second)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				nw.Multicast(0, Group(1), out, 1)
-				k.Run(k.Now() + sim.Second)
-			}
-			b.ReportMetric(float64(members-1), "deliveries/op")
-		})
-	}
+	benchFanout(b, cfg, 100, 1000)
 }

@@ -42,19 +42,33 @@ func TestUnicastAllocsPerFrame(t *testing.T) {
 }
 
 // Multicast fan-out must not allocate per receiver: one pooled fanout
-// record and one walking event serve the whole group, so a 100-member
-// fan-out stays within a few allocs per copy in steady state.
+// record, one walking event and the network's radix scratch serve the
+// whole group, so a fan-out stays within a few allocs per copy in steady
+// state — at 100 members as at the 10,000 of the scale runs.
 func TestMulticastFanoutAllocs(t *testing.T) {
+	for _, members := range []int{100, 10000} {
+		fanoutAllocs(t, "multicast", DefaultConfig(), members)
+	}
+}
+
+// newFanoutNet builds a network of members nodes, all in Group(1) and all
+// delivering to one counting endpoint.
+func newFanoutNet(cfg Config, members int) (*sim.Kernel, *Network, *countingEndpoint) {
 	k := sim.New(1)
-	nw := mustNew(k, DefaultConfig())
-	const members = 100
+	nw := mustNew(k, cfg)
 	ep := &countingEndpoint{}
 	for i := 0; i < members; i++ {
 		n := nw.AddNode("")
 		n.SetEndpoint(ep)
 		nw.Join(n.ID, Group(1))
 	}
-	out := Outgoing{Kind: "announce", Counted: false, Payload: nil}
+	return k, nw, ep
+}
+
+func fanoutAllocs(t *testing.T, what string, cfg Config, members int) {
+	t.Helper()
+	k, nw, ep := newFanoutNet(cfg, members)
+	out := Outgoing{Kind: "announce"}
 	for i := 0; i < 8; i++ {
 		nw.Multicast(0, Group(1), out, 1)
 		k.Run(k.Now() + sim.Second)
@@ -65,7 +79,7 @@ func TestMulticastFanoutAllocs(t *testing.T) {
 	})
 	// Budget: well under one alloc per receiver; steady state measures 0.
 	if allocs > 4 {
-		t.Errorf("multicast fan-out costs %.1f allocs/copy over %d members, want ≤ 4", allocs, members)
+		t.Errorf("%s fan-out costs %.1f allocs/copy over %d members, want ≤ 4", what, allocs, members)
 	}
 	if ep.n < members-1 {
 		t.Fatalf("fan-out delivered %d, want ≥ %d", ep.n, members-1)
@@ -103,33 +117,12 @@ func TestUnicastAllocsPerFrameGE(t *testing.T) {
 
 // The Pareto-delay multicast fan-out must stay within the ≤4 allocs/copy
 // gate: draws come from the precomputed quantile table, one index per
-// receiver.
+// receiver, and the wider arrival keys only add radix passes.
 func TestMulticastFanoutAllocsPareto(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Link.Delay = DelayConfig{Dist: DelayPareto}
-	k := sim.New(1)
-	nw := mustNew(k, cfg)
-	const members = 100
-	ep := &countingEndpoint{}
-	for i := 0; i < members; i++ {
-		n := nw.AddNode("")
-		n.SetEndpoint(ep)
-		nw.Join(n.ID, Group(1))
-	}
-	out := Outgoing{Kind: "announce"}
-	for i := 0; i < 8; i++ {
-		nw.Multicast(0, Group(1), out, 1)
-		k.Run(k.Now() + sim.Second)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		nw.Multicast(0, Group(1), out, 1)
-		k.Run(k.Now() + sim.Second)
-	})
-	if allocs > 4 {
-		t.Errorf("Pareto fan-out costs %.1f allocs/copy over %d members, want ≤ 4", allocs, members)
-	}
-	if ep.n < members-1 {
-		t.Fatalf("fan-out delivered %d, want ≥ %d", ep.n, members-1)
+	for _, members := range []int{100, 1000} {
+		fanoutAllocs(t, "Pareto", cfg, members)
 	}
 }
 

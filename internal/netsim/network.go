@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/sim"
 )
@@ -117,6 +116,9 @@ type Network struct {
 	freeDelivery *delivery
 	freeFanout   *fanout
 	freeMcopy    *mcopy
+	// fanScratch is armFanout's radix-sort buffer; like the pools it is
+	// kept across Reset and Rearm.
+	fanScratch []fanEntry
 	// spareNodes recycles Node structs across Reset cycles.
 	spareNodes []*Node
 	// outages is the arena of planned-outage records (ScheduleFailure);
@@ -638,45 +640,102 @@ func (nw *Network) multicastCopy(from NodeID, g Group, out Outgoing) {
 		}
 		f.entries = append(f.entries, fanEntry{at: now + nw.linkDelay(), to: to, gen: nw.Node(to).gen})
 	}
+	nw.armFanout(f)
+}
+
+// armFanout orders a freshly drawn train by arrival instant and schedules
+// its first batch; an empty train is released. Both fan-out paths (local
+// copy, cross-shard ingest) end here.
+func (nw *Network) armFanout(f *fanout) {
 	if len(f.entries) == 0 {
 		nw.releaseFanout(f)
 		return
 	}
-	// Stable by arrival time: same-instant receivers keep membership
-	// order, the order their delay draws were made in. SortStableFunc is
-	// generic (no reflection, no closure captures), so this allocates
-	// nothing.
-	slices.SortStableFunc(f.entries, func(a, b fanEntry) int {
-		switch {
-		case a.at < b.at:
-			return -1
-		case a.at > b.at:
-			return 1
-		default:
-			return 0
-		}
-	})
+	f.entries, nw.fanScratch = sortByArrival(f.entries, nw.fanScratch, nw.k.Now())
 	nw.k.AtArg(f.entries[0].at, deliverFanout, f)
 }
 
+// fanInsertionMax is the train length up to which sortByArrival orders by
+// insertion: paper-scale groups (a handful of members) never reach the
+// radix passes or their scratch buffer.
+const fanInsertionMax = 48
+
+// sortByArrival orders a by arrival instant, stably — same-instant
+// receivers keep membership order, the order their delay draws were made
+// in — and in linear time: an LSD radix sort on at-now (never negative:
+// delays are not, and a cross-shard arrival is clamped to now), one byte
+// per pass, as many passes as the largest delay has bytes (three for
+// Table 3's 10–100µs, more under a Pareto tail). Passes ping-pong between
+// a and tmp, so the result may live in either: it returns the sorted
+// slice and the other one, for the caller to keep as the next call's tmp.
+func sortByArrival(a, tmp []fanEntry, now sim.Time) (sorted, spare []fanEntry) {
+	n := len(a)
+	if n <= fanInsertionMax {
+		for i := 1; i < n; i++ {
+			e := a[i]
+			j := i
+			for ; j > 0 && a[j-1].at > e.at; j-- {
+				a[j] = a[j-1]
+			}
+			a[j] = e
+		}
+		return a, tmp
+	}
+	if cap(tmp) < n {
+		tmp = make([]fanEntry, n)
+	}
+	tmp = tmp[:n]
+	var span uint64
+	for i := range a {
+		span |= uint64(a[i].at - now)
+	}
+	for shift := 0; span>>shift != 0; shift += 8 {
+		var count [256]int
+		for i := range a {
+			count[uint8(uint64(a[i].at-now)>>shift)]++
+		}
+		if count[uint8(uint64(a[0].at-now)>>shift)] == n {
+			continue // every key has the same byte here
+		}
+		pos := 0
+		for d, c := range count {
+			count[d] = pos
+			pos += c
+		}
+		for i := range a {
+			d := uint8(uint64(a[i].at-now) >> shift)
+			tmp[count[d]] = a[i]
+			count[d]++
+		}
+		a, tmp = tmp, a
+	}
+	return a, tmp
+}
+
 // deliverFanout walks a fanout train: deliver every entry due now, then
-// re-arm for the next arrival instant.
+// move on to the next arrival instant — in place when the kernel has
+// nothing due first (Kernel.AdvanceTo), through a re-armed event otherwise.
 func deliverFanout(x any) {
 	f := x.(*fanout)
 	nw := f.nw
-	now := nw.k.Now()
-	for f.i < len(f.entries) && f.entries[f.i].at == now {
-		e := f.entries[f.i]
-		f.i++
-		f.scratch = f.wire
-		f.scratch.To = e.to
-		nw.deliverNow(&f.scratch, e.gen)
+	for {
+		now := nw.k.Now()
+		for f.i < len(f.entries) && f.entries[f.i].at == now {
+			e := f.entries[f.i]
+			f.i++
+			f.scratch = f.wire
+			f.scratch.To = e.to
+			nw.deliverNow(&f.scratch, e.gen)
+		}
+		if f.i == len(f.entries) {
+			nw.releaseFanout(f)
+			return
+		}
+		if next := f.entries[f.i].at; !nw.k.AdvanceTo(next) {
+			nw.k.AtArg(next, deliverFanout, f)
+			return
+		}
 	}
-	if f.i < len(f.entries) {
-		nw.k.AtArg(f.entries[f.i].at, deliverFanout, f)
-		return
-	}
-	nw.releaseFanout(f)
 }
 
 // accountSend records one wire transmission for the metrics.

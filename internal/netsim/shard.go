@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/sim"
 )
@@ -239,19 +238,5 @@ func (nw *Network) ingestCrossMulticast(cf *CrossFrame) {
 		}
 		f.entries = append(f.entries, fanEntry{at: nw.crossArrival(cf.SentAt), to: to, gen: nw.Node(to).gen})
 	}
-	if len(f.entries) == 0 {
-		nw.releaseFanout(f)
-		return
-	}
-	slices.SortStableFunc(f.entries, func(a, b fanEntry) int {
-		switch {
-		case a.at < b.at:
-			return -1
-		case a.at > b.at:
-			return 1
-		default:
-			return 0
-		}
-	})
-	nw.k.AtArg(f.entries[0].at, deliverFanout, f)
+	nw.armFanout(f)
 }

@@ -72,6 +72,9 @@ type Kernel struct {
 	rng     *rand.Rand
 	stopped bool
 	fired   uint64
+	// limit and draining describe the drain in progress, for AdvanceTo.
+	limit    Time
+	draining bool
 }
 
 // New creates a kernel whose random stream is derived from seed. Two
@@ -296,6 +299,7 @@ func (k *Kernel) NextEventTime() (Time, bool) {
 // drainTo fires events with at <= limit in (time, seq) order until the
 // heap drains, the limit is reached, or Stop is called.
 func (k *Kernel) drainTo(limit Time) {
+	k.limit, k.draining = limit, true
 	for len(k.heap) > 0 && !k.stopped {
 		e := k.heap[0]
 		if e.at > limit {
@@ -308,6 +312,39 @@ func (k *Kernel) drainTo(limit Time) {
 		}
 		k.fire(e)
 	}
+	k.draining = false
+}
+
+// AdvanceTo lets the running callback continue as the event it would
+// otherwise schedule for itself at t: it reports whether "AtArg(t, self)
+// and return" would be followed immediately by that event firing, and if
+// so performs the same state change without touching the heap — the
+// clock moves to t, and seq and fired each advance by one exactly as the
+// schedule-then-pop would have, so Fired() and every later event's
+// sequence number are unchanged. The caller then carries on with the work
+// of the would-be event; on false it must schedule normally.
+//
+// That is the case only inside a Run/RunUntil/RunWindow drain (Step fires
+// one event and returns), when Stop has not been called, when t is within
+// the drain's limit, and when no live pending event has at <= t. The
+// comparison is non-strict on purpose: an equal-time pending event was
+// scheduled earlier than the one being replaced, so it must fire first.
+// Canceled heap heads are discarded on the way, as the drain would have.
+//
+// It exists for walkers of a long pre-sorted schedule (the netsim
+// multicast delivery train), which would otherwise push and pop one heap
+// entry per distinct instant.
+func (k *Kernel) AdvanceTo(t Time) bool {
+	if !k.draining || k.stopped || t > k.limit || t < k.now {
+		return false
+	}
+	if next, ok := k.NextEventTime(); ok && next <= t {
+		return false
+	}
+	k.now = t
+	k.seq++
+	k.fired++
+	return true
 }
 
 // fire executes one event, clamping the clock monotonically: an event

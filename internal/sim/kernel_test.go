@@ -417,3 +417,147 @@ func TestRunReenterableAfterStop(t *testing.T) {
 	}
 }
 
+// walker is the shape AdvanceTo exists for: a callback that visits a
+// sorted list of instants, in place when the kernel allows it and through
+// a re-armed event when it does not (inPlace == false never asks, which
+// is the behaviour AdvanceTo must be indistinguishable from).
+type walker struct {
+	k       *Kernel
+	at      []Time
+	i       int
+	inPlace bool
+	visit   func(Time)
+	moved   int // instants reached through AdvanceTo
+}
+
+func walk(x any) {
+	w := x.(*walker)
+	for {
+		w.visit(w.k.Now())
+		w.i++
+		if w.i == len(w.at) {
+			return
+		}
+		if !w.inPlace || !w.k.AdvanceTo(w.at[w.i]) {
+			w.k.AtArg(w.at[w.i], walk, w)
+			return
+		}
+		w.moved++
+	}
+}
+
+// An AdvanceTo walk must be indistinguishable from the schedule-then-pop
+// walk it replaces: same visiting instants, same interleaving with other
+// events (including one a visit schedules between two instants and ones
+// at exactly a visited instant), same Fired(), and the same sequence
+// numbers handed to events scheduled afterwards.
+func TestAdvanceToMatchesRearm(t *testing.T) {
+	type step struct {
+		what  string
+		at    Time
+		fired uint64
+	}
+	run := func(inPlace bool) ([]step, uint64, uint64, int) {
+		k := New(1)
+		var log []step
+		note := func(what string) { log = append(log, step{what, k.Now(), k.Fired()}) }
+		w := &walker{k: k, inPlace: inPlace,
+			at: []Time{10, 20, 30, 30 + Second, 40 + Second, 50 + Second, 2 * Hour}}
+		w.visit = func(now Time) {
+			note("visit")
+			if now == 20 {
+				k.At(25, func() { note("between") }) // lands before the next instant
+				k.At(30, func() { note("equal, scheduled first") })
+			}
+		}
+		k.At(40+Second, func() { note("equal, pre-existing") })
+		k.At(45+Second, func() { note("canceled") }).Cancel()
+		k.AtArg(w.at[0], walk, w)
+		k.Run(Hour) // the last instant lies past the horizon
+		note("horizon")
+		k.Run(3 * Hour)
+		e := k.At(4*Hour, func() {})
+		return log, k.Fired(), e.seq, w.moved
+	}
+	want, wantFired, wantSeq, _ := run(false)
+	got, gotFired, gotSeq, moved := run(true)
+	if !slices.Equal(got, want) {
+		t.Errorf("in-place walk diverged from the re-armed walk:\n got %v\nwant %v", got, want)
+	}
+	if gotFired != wantFired || gotSeq != wantSeq {
+		t.Errorf("Fired/seq = %d/%d in place, %d/%d re-armed", gotFired, gotSeq, wantFired, wantSeq)
+	}
+	// 10→20, 30→30+1s and 40+1s→50+1s (across the canceled head) move in
+	// place; 20→30 (events due first), →40+1s (equal-time event) and →2h
+	// (past the horizon) must not.
+	if moved != 3 {
+		t.Errorf("%d instants reached in place, want 3", moved)
+	}
+}
+
+func TestAdvanceToRefusals(t *testing.T) {
+	k := New(1)
+	if k.AdvanceTo(Second) {
+		t.Error("AdvanceTo succeeded outside any drain")
+	}
+	// Step fires one event and returns, so it is no drain — not even for
+	// the one instant a finished Run leaves within its old limit.
+	var inStep bool
+	k.Run(1 * Second)
+	k.At(1*Second, func() { inStep = k.AdvanceTo(1 * Second) })
+	k.Step()
+	if inStep {
+		t.Error("AdvanceTo succeeded under Step, which fires a single event")
+	}
+
+	var equal, later, behind, ok bool
+	k.At(2*Second, func() {
+		k.At(5*Second, func() {})
+		equal = k.AdvanceTo(5 * Second)
+		later = k.AdvanceTo(6 * Second)
+		behind = k.AdvanceTo(1 * Second)
+		ok = k.AdvanceTo(4 * Second)
+		if k.Now() != 4*Second {
+			t.Errorf("after AdvanceTo(4s) the clock reads %v", k.Now())
+		}
+	})
+	k.RunUntil(10 * Second)
+	if equal || later || behind {
+		t.Errorf("AdvanceTo to/past a live pending event: %v/%v; behind the clock: %v", equal, later, behind)
+	}
+	if !ok {
+		t.Error("AdvanceTo(4s) refused with the next event at 5s")
+	}
+
+	// One tick past the limit of each drain call, and exactly on it.
+	drains := map[string]func(Time){
+		"Run":       k.Run,
+		"RunUntil":  k.RunUntil,
+		"RunWindow": func(limit Time) { k.RunWindow(limit) },
+	}
+	for name, drain := range drains {
+		var past, on bool
+		limit := k.Now() + 10*Second
+		k.At(k.Now()+Second, func() {
+			past = k.AdvanceTo(limit + 1)
+			on = k.AdvanceTo(limit)
+		})
+		drain(limit)
+		if past || !on {
+			t.Errorf("%s(limit): AdvanceTo(limit+1) = %v, AdvanceTo(limit) = %v", name, past, on)
+		}
+	}
+
+	var stopped bool
+	k.At(k.Now()+Second, func() {
+		k.Stop()
+		stopped = k.AdvanceTo(k.Now() + Second)
+	})
+	k.Run(k.Now() + 10*Second)
+	if stopped {
+		t.Error("AdvanceTo succeeded after Stop")
+	}
+	if k.AdvanceTo(k.Now() + Second) {
+		t.Error("AdvanceTo succeeded after the drain returned")
+	}
+}
