@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/experiment"
 	"repro/sdsim"
 )
 
@@ -147,6 +148,59 @@ func BenchmarkSingleRun(b *testing.B) {
 					Seed: int64(i + 1), Params: params})
 			}
 		})
+	}
+}
+
+// paperRunBudgets are the heap-allocation budgets of one warm paper-scale
+// run (N=5 Users, λ=0.30, a reused Workspace) for the three systems that
+// ride on the TCP transport. What is left is payload boxing in the
+// protocol handlers and one TCPConn per exchange; a frame, a timer or a
+// lease renewal that allocates again blows these several times over.
+var paperRunBudgets = []struct {
+	sys    experiment.System
+	allocs float64
+}{
+	{experiment.UPnP, 200},
+	{experiment.Jini1, 300},
+	{experiment.Jini2, 500},
+}
+
+// paperRun returns a function that performs the i-th warm paper-scale run
+// of sys on one Workspace.
+func paperRun(sys experiment.System) func(i int) {
+	ws := experiment.NewWorkspace()
+	params := experiment.DefaultParams()
+	run := func(i int) {
+		experiment.RunInto(ws, experiment.RunSpec{System: sys, Lambda: 0.30, Seed: int64(i + 1), Params: params})
+	}
+	for i := 0; i < 5; i++ {
+		run(-1 - i) // build cold, grow the pools
+	}
+	return run
+}
+
+// BenchmarkPaperRun measures the unit of work of a paper sweep: one
+// 5400-virtual-second run on a reused Workspace, per TCP-based system.
+func BenchmarkPaperRun(b *testing.B) {
+	for _, c := range paperRunBudgets {
+		b.Run(c.sys.Short(), func(b *testing.B) {
+			run := paperRun(c.sys)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run(i)
+			}
+		})
+	}
+}
+
+func TestPaperRunAllocBudgets(t *testing.T) {
+	for _, c := range paperRunBudgets {
+		run := paperRun(c.sys)
+		i := 0
+		if got := testing.AllocsPerRun(50, func() { run(i); i++ }); got > c.allocs {
+			t.Errorf("%s: %.0f allocs per warm paper-scale run, budget %.0f", c.sys.Short(), got, c.allocs)
+		}
 	}
 }
 

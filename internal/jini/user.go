@@ -1,6 +1,8 @@
 package jini
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/discovery"
 	"repro/internal/netsim"
@@ -37,8 +39,10 @@ type User struct {
 	// is unmet again and the User re-queries.
 	cache *discovery.LeaseTable[netsim.NodeID, discovery.ServiceRecord]
 	// subscribed records which event registrations the user believes it
-	// holds.
-	subscribed map[regMgrKey]bool
+	// holds, in the order they were opened: a User holds one or two, every
+	// announcement copy walks them, and the walk order fixes the order of
+	// equal-instant cache renewals, so it must not be a map's.
+	subscribed []regMgrKey
 	// monitors detects event sequence gaps per event registration (SRC2).
 	monitors map[regMgrKey]*core.SeqMonitor
 
@@ -60,8 +64,7 @@ func NewUser(node *netsim.Node, cfg Config, q discovery.Query, l discovery.Consi
 	u := &User{
 		cfg: cfg, node: node, nw: node.Network(), k: node.Kernel(),
 		query: q, listener: l,
-		subscribed: map[regMgrKey]bool{},
-		monitors:   map[regMgrKey]*core.SeqMonitor{},
+		monitors: map[regMgrKey]*core.SeqMonitor{},
 	}
 	u.registries = discovery.NewLeaseTable[netsim.NodeID, struct{}](u.k, u.onRegistryPurge)
 	u.cache = discovery.NewLeaseTable[netsim.NodeID, discovery.ServiceRecord](u.k, u.onCachePurge)
@@ -89,7 +92,7 @@ func (u *User) Rearm() {
 	if u.pollTick != nil {
 		u.pollTick.Rearm()
 	}
-	clear(u.subscribed)
+	u.subscribed = u.subscribed[:0]
 	clear(u.monitors)
 	u.stopped = false
 	u.bind()
@@ -145,7 +148,7 @@ func (u *User) Stop() {
 	}
 	u.registries.Clear()
 	u.cache.Clear()
-	clear(u.subscribed)
+	u.subscribed = u.subscribed[:0]
 	clear(u.monitors)
 }
 
@@ -207,7 +210,7 @@ func (u *User) onAnnounce(from netsim.NodeID, a discovery.Announce) {
 		// its announcements keep the cached records alive, so staleness
 		// is repaired by events, PR1 re-registrations and PR3 errors
 		// rather than by silent cache expiry.
-		for key := range u.subscribed {
+		for _, key := range u.subscribed {
 			if key.registry == from {
 				u.cache.Renew(key.manager, u.cfg.CacheLease)
 			}
@@ -265,10 +268,10 @@ func (u *User) onSearchReply(reg netsim.NodeID, p discovery.SearchReply) {
 // subscribe opens the event registration for one Manager at one Registry.
 func (u *User) subscribe(reg, manager netsim.NodeID) {
 	key := regMgrKey{registry: reg, manager: manager}
-	if u.subscribed[key] {
+	if slices.Contains(u.subscribed, key) {
 		return
 	}
-	u.subscribed[key] = true
+	u.subscribed = append(u.subscribed, key)
 	out := netsim.Outgoing{
 		Kind:    discovery.Kind(discovery.Subscribe{}),
 		Counted: true,
@@ -307,7 +310,7 @@ func (u *User) onEvent(reg netsim.NodeID, p discovery.Update) {
 func (u *User) renewAll() {
 	u.registries.Each(func(reg netsim.NodeID, _ struct{}) {
 		manager := netsim.NoNode
-		for key := range u.subscribed {
+		for _, key := range u.subscribed {
 			if key.registry == reg {
 				manager = key.manager
 				break
@@ -326,7 +329,7 @@ func (u *User) renewAll() {
 // acknowledging Registry: the subscription is alive, so the cached record
 // remains backed by a live lease chain.
 func (u *User) onRenewAck(reg netsim.NodeID) {
-	for key := range u.subscribed {
+	for _, key := range u.subscribed {
 		if key.registry == reg {
 			u.cache.Renew(key.manager, u.cfg.CacheLease)
 		}
@@ -347,22 +350,21 @@ func (u *User) onRegistryPurge(reg netsim.NodeID, _ struct{}) {
 }
 
 func (u *User) forgetRegistry(reg netsim.NodeID) {
-	for key := range u.subscribed {
-		if key.registry == reg {
-			delete(u.subscribed, key)
-			delete(u.monitors, key)
+	u.subscribed = slices.DeleteFunc(u.subscribed, func(key regMgrKey) bool {
+		if key.registry != reg {
+			return false
 		}
-	}
+		delete(u.monitors, key)
+		return true
+	})
 }
 
 // onCachePurge re-queries the known Registries: the requirement is
 // standing, so a purged service is searched for again.
 func (u *User) onCachePurge(manager netsim.NodeID, _ discovery.ServiceRecord) {
-	for key := range u.subscribed {
-		if key.manager == manager {
-			delete(u.subscribed, key)
-		}
-	}
+	u.subscribed = slices.DeleteFunc(u.subscribed, func(key regMgrKey) bool {
+		return key.manager == manager
+	})
 	u.registries.Each(func(reg netsim.NodeID, _ struct{}) { u.search(reg) })
 }
 

@@ -77,3 +77,39 @@ func BenchmarkMulticastFanoutPareto(b *testing.B) {
 	cfg.Link.Delay = DelayConfig{Dist: DelayPareto}
 	benchFanout(b, cfg, 100, 1000)
 }
+
+// newTCPExchangeNet builds the request/response pair every UPnP and Jini
+// unicast exchange is: node 0 sends over a fresh connection, node 1
+// answers over it. The returned function runs one whole exchange.
+func newTCPExchangeNet() (exchange func(), replies *countingEndpoint) {
+	k := sim.New(1)
+	nw := mustNew(k, DefaultConfig())
+	replies = &countingEndpoint{}
+	nw.AddNode("client").SetEndpoint(replies)
+	response := Outgoing{Kind: "response", Counted: true}
+	nw.AddNode("server").SetEndpoint(EndpointFunc(func(m *Message) { m.Conn.Reply(response, nil) }))
+	cfg := DefaultTCPConfig() // protocols hold theirs; the schedule slice is not per exchange
+	request := Outgoing{Kind: "request", Counted: true}
+	exchange = func() {
+		nw.SendTCPWith(cfg, 0, 1, request, nil)
+		k.Run(k.Now() + 10*sim.Second) // past the canceled setup and RTO timers
+	}
+	for i := 0; i < 16; i++ {
+		exchange() // warm the frame pool, the event pool and the counters
+	}
+	return exchange, replies
+}
+
+// BenchmarkTCPExchange measures one request/response over the simulated
+// TCP: eight frames (SYN, SYN-ACK, two data, two ACKs and the two
+// accounted sends), three timers. Frames and timers are pooled and moved
+// by static callbacks, so what -benchmem reports is the connection and the
+// reply's transfer record.
+func BenchmarkTCPExchange(b *testing.B) {
+	exchange, _ := newTCPExchangeNet()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		exchange()
+	}
+}

@@ -41,6 +41,23 @@ func TestUnicastAllocsPerFrame(t *testing.T) {
 	}
 }
 
+// A TCP request/response must stay within 3 allocs in steady state: the
+// connection (its first transfer embedded) and the reply's transfer
+// record, with one to spare. Frames, setup and retransmission timers are
+// pooled records behind static callbacks; before that an exchange cost
+// about 25 closures and Messages.
+func TestTCPExchangeAllocs(t *testing.T) {
+	exchange, replies := newTCPExchangeNet()
+	before := replies.n
+	allocs := testing.AllocsPerRun(200, exchange)
+	if allocs > 3 {
+		t.Errorf("TCP request + reply costs %.1f allocs, want ≤ 3", allocs)
+	}
+	if replies.n-before < 200 {
+		t.Fatalf("%d replies for 200 exchanges — measurement is vacuous", replies.n-before)
+	}
+}
+
 // Multicast fan-out must not allocate per receiver: one pooled fanout
 // record, one walking event and the network's radix scratch serve the
 // whole group, so a fan-out stays within a few allocs per copy in steady

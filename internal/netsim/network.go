@@ -116,6 +116,7 @@ type Network struct {
 	freeDelivery *delivery
 	freeFanout   *fanout
 	freeMcopy    *mcopy
+	freeTCPFrame *tcpFrame
 	// fanScratch is armFanout's radix-sort buffer; like the pools it is
 	// kept across Reset and Rearm.
 	fanScratch []fanEntry
@@ -147,13 +148,15 @@ type Network struct {
 
 	// Sharded-fabric state (see shard.go): the shard this network is,
 	// the NodeID base its table indexes from, the egress router for
-	// frames addressed to other shards, and the scratch message used to
-	// account cross-shard sends without allocating. router == nil is the
-	// unsharded fast path: a single nil check per send, no other change.
-	shard        int
-	idBase       int
-	router       *ShardRouter
-	crossScratch Message
+	// frames addressed to other shards. router == nil is the unsharded
+	// fast path: a single nil check per send, no other change.
+	shard  int
+	idBase int
+	router *ShardRouter
+	// acctScratch is the Message used to account sends that own no frame
+	// record (cross-shard sends, the discovery-layer send of a TCP
+	// transfer) without allocating one.
+	acctScratch Message
 }
 
 // New creates an empty network on the given kernel. An invalid
@@ -744,39 +747,6 @@ func (nw *Network) accountSend(m *Message) {
 	if nw.tracer != nil {
 		nw.tracer.MessageSent(nw.k.Now(), m)
 	}
-}
-
-// sendFrame models one frame on the wire: drop on Tx-down or random loss,
-// otherwise run onDelivered after a uniform delay if the receiver's Rx is
-// up on arrival. The TCP machinery uses it directly for control frames.
-func (nw *Network) sendFrame(m *Message, onDelivered func()) {
-	sender := nw.Node(m.From)
-	if !sender.txUp {
-		nw.drop(m, "tx down")
-		return
-	}
-	if nw.partitioned(m.From, m.To) {
-		nw.drop(m, "partitioned")
-		return
-	}
-	if nw.linkLose(m.To) {
-		nw.drop(m, "lost")
-		return
-	}
-	delay := nw.linkDelay()
-	gen := nw.Node(m.To).gen
-	nw.k.After(delay, func() {
-		recv := nw.Node(m.To)
-		if recv.gen != gen {
-			nw.drop(m, "slot recycled")
-			return
-		}
-		if !recv.rxUp {
-			nw.drop(m, "rx down")
-			return
-		}
-		onDelivered()
-	})
 }
 
 // Reachable reports whether a frame sent now from one node would arrive at

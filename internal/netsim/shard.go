@@ -131,25 +131,25 @@ func (nw *Network) Shard() int { return nw.shard }
 // the wire transmission and the Tx-down loss here (the counters and the
 // sender's interface state live on this shard), then buffer the frame
 // for the destination shard, which draws receiver-side loss and delay
-// at ingest. crossScratch keeps the accounting path allocation-free.
+// at ingest. acctScratch keeps the accounting path allocation-free.
 func (nw *Network) crossUnicast(from, to NodeID, out Outgoing) {
-	nw.crossScratch = Message{From: from, To: to, Kind: out.Kind, Counted: out.Counted,
+	nw.acctScratch = Message{From: from, To: to, Kind: out.Kind, Counted: out.Counted,
 		Payload: out.Payload, Transport: UDP, SentAt: nw.k.Now()}
-	nw.accountSend(&nw.crossScratch)
+	nw.accountSend(&nw.acctScratch)
 	if !nw.Node(from).txUp {
-		nw.drop(&nw.crossScratch, "tx down")
+		nw.drop(&nw.acctScratch, "tx down")
 		return
 	}
 	if nw.partitioned(from, to) {
 		// Exact send-time semantics, same as the local path: the fault
 		// coordinator arms the identical resolved partition on every
 		// shard, so the sender knows the remote peer's side (partRemoteB).
-		nw.drop(&nw.crossScratch, "partitioned")
+		nw.drop(&nw.acctScratch, "partitioned")
 		return
 	}
 	dest := to.Shard()
 	nw.router.outbox[dest] = append(nw.router.outbox[dest], CrossFrame{From: from, To: to,
-		Kind: out.Kind, Counted: out.Counted, Payload: out.Payload, SentAt: nw.crossScratch.SentAt})
+		Kind: out.Kind, Counted: out.Counted, Payload: out.Payload, SentAt: nw.acctScratch.SentAt})
 }
 
 // crossArrival draws the inter-shard delay for one receiver and anchors
@@ -180,15 +180,15 @@ func (nw *Network) IngestCross(frames []CrossFrame) {
 			// The slot changed hands while the frame crossed the barrier:
 			// the tenancy check the local path does via gen-at-send, done
 			// here via attach-time since the sender couldn't capture gen.
-			nw.crossScratch = Message{From: f.From, To: f.To, Kind: f.Kind, Counted: f.Counted,
+			nw.acctScratch = Message{From: f.From, To: f.To, Kind: f.Kind, Counted: f.Counted,
 				Payload: f.Payload, Transport: UDP, SentAt: f.SentAt}
-			nw.drop(&nw.crossScratch, "slot recycled")
+			nw.drop(&nw.acctScratch, "slot recycled")
 			continue
 		}
 		if nw.linkLose(f.To) {
-			nw.crossScratch = Message{From: f.From, To: f.To, Kind: f.Kind, Counted: f.Counted,
+			nw.acctScratch = Message{From: f.From, To: f.To, Kind: f.Kind, Counted: f.Counted,
 				Payload: f.Payload, Transport: UDP, SentAt: f.SentAt}
-			nw.drop(&nw.crossScratch, "lost")
+			nw.drop(&nw.acctScratch, "lost")
 			continue
 		}
 		d := nw.allocDelivery()

@@ -71,6 +71,11 @@ func DefaultTCPConfig() TCPConfig {
 // replies flowing back over the established connection. The whole
 // connection is simulated inside the network layer; the discovery layers
 // only see delivered payloads and REX results, as in the NIST models.
+//
+// A connection is one allocation — the transfer it was opened for is
+// embedded — and is never pooled, so the Conn of a delivered Message stays
+// valid for as long as the receiver keeps it. Its frames are pooled
+// records moved by static kernel callbacks (see tcpFrame).
 type TCPConn struct {
 	nw       *Network
 	cfg      TCPConfig
@@ -84,9 +89,19 @@ type TCPConn struct {
 	// can tell "this sender left" from "a new tenant reuses the slot".
 	fromGen uint32
 
-	setupAttempt int
+	// Setup runs on one timer that walks cfg.SetupRetransmits: setupStep
+	// counts the retransmissions made, setupDue is the instant of the
+	// pending step (the schedule is absolute from the first SYN), and the
+	// step after the last retransmission raises the REX. Establishment and
+	// Abort cancel the timer.
+	setupTimer *sim.Event
+	setupStep  int
+	setupDue   sim.Time
 
-	transfers []*tcpTransfer
+	// first is the transfer the connection was opened for and the head of
+	// the transfer list; replies are linked behind it in queue order.
+	first tcpTransfer
+	last  *tcpTransfer
 }
 
 // tcpTransfer is one payload moving across an established connection, in
@@ -99,9 +114,109 @@ type tcpTransfer struct {
 	onResult  func(error)
 	delivered bool // receiver got the payload (dedup for retransmissions)
 	acked     bool
-	timer     *sim.Event
+	timer     *sim.Event // pending retransmission, nil before start
 	rto       sim.Duration
 	sends     int
+	next      *tcpTransfer
+}
+
+// tcpFrameKind says what a TCP frame does when it arrives.
+type tcpFrameKind uint8
+
+const (
+	tcpSYN tcpFrameKind = iota
+	tcpSYNACK
+	tcpData
+	tcpACK
+)
+
+// tcpFrame is one TCP frame in flight: the Message plus what its arrival
+// drives. Like every pooled frame it is recycled (and zeroed) as soon as
+// its arrival has been handled, so the *Message an endpoint or Tracer is
+// handed is valid only during that call.
+type tcpFrame struct {
+	nw    *Network
+	m     Message
+	gen   uint32 // receiver-slot tenancy the frame was aimed at
+	kind  tcpFrameKind
+	conn  *TCPConn
+	tr    *tcpTransfer // data and ACK frames
+	synAt sim.Time     // SYN and SYN-ACK frames: when the SYN left, for the RTT
+	next  *tcpFrame
+}
+
+func (nw *Network) allocTCPFrame() *tcpFrame {
+	f := nw.freeTCPFrame
+	if f == nil {
+		return &tcpFrame{nw: nw}
+	}
+	nw.freeTCPFrame = f.next
+	f.next = nil
+	f.nw = nw
+	return f
+}
+
+func (nw *Network) releaseTCPFrame(f *tcpFrame) {
+	*f = tcpFrame{next: nw.freeTCPFrame}
+	nw.freeTCPFrame = f
+}
+
+// sendTCPFrame models one TCP frame on the wire: accounted as sent, then
+// dropped on Tx-down, partition or loss, otherwise handed to
+// tcpFrameArrive after the link delay — the checks and random draws of
+// every other frame, in the same order.
+func (nw *Network) sendTCPFrame(f *tcpFrame) {
+	m := &f.m
+	nw.accountSend(m)
+	reason := ""
+	switch {
+	case !nw.Node(m.From).txUp:
+		reason = "tx down"
+	case nw.partitioned(m.From, m.To):
+		reason = "partitioned"
+	case nw.linkLose(m.To):
+		reason = "lost"
+	}
+	if reason != "" {
+		nw.drop(m, reason)
+		nw.releaseTCPFrame(f)
+		return
+	}
+	delay := nw.linkDelay()
+	f.gen = nw.Node(m.To).gen
+	nw.k.AfterArg(delay, tcpFrameArrive, f)
+}
+
+// tcpFrameArrive is the static event callback for TCP frames whose delay
+// has elapsed: slot-tenancy and Rx checks, then the step the frame drives.
+func tcpFrameArrive(x any) {
+	f := x.(*tcpFrame)
+	nw := f.nw
+	recv := nw.Node(f.m.To)
+	switch {
+	case recv.gen != f.gen:
+		nw.drop(&f.m, "slot recycled")
+	case !recv.rxUp:
+		nw.drop(&f.m, "rx down")
+	case f.kind == tcpSYN:
+		// Receiver answers SYN-ACK; connection is up when it lands.
+		f.conn.sendControl(tcpSYNACK, "tcp/SYN-ACK", f.m.To, f.m.From, nil, f.synAt)
+	case f.kind == tcpSYNACK:
+		f.conn.establish(nw.k.Now() - f.synAt)
+	case f.kind == tcpData:
+		f.tr.arrived(&f.m)
+	default:
+		f.tr.acknowledged()
+	}
+	nw.releaseTCPFrame(f)
+}
+
+// sendControl transmits one setup or acknowledgement frame.
+func (c *TCPConn) sendControl(kind tcpFrameKind, name string, from, to NodeID, tr *tcpTransfer, synAt sim.Time) {
+	f := c.nw.allocTCPFrame()
+	f.kind, f.conn, f.tr, f.synAt = kind, c, tr, synAt
+	f.m = Message{From: from, To: to, Kind: name, Transport: TCPControl, SentAt: c.nw.k.Now()}
+	c.nw.sendTCPFrame(f)
 }
 
 // SendTCP opens a connection from one node to another and reliably
@@ -117,7 +232,10 @@ func (nw *Network) SendTCP(from, to NodeID, out Outgoing, onResult func(error)) 
 func (nw *Network) SendTCPWith(cfg TCPConfig, from, to NodeID, out Outgoing, onResult func(error)) *TCPConn {
 	c := &TCPConn{nw: nw, cfg: cfg, from: from, to: to, fromGen: nw.Node(from).gen}
 	c.queueTransfer(from, to, out, onResult)
-	c.connect()
+	c.sendSYN()
+	if !c.aborted {
+		c.armSetup(nw.k.Now())
+	}
 	return c
 }
 
@@ -147,15 +265,22 @@ func (c *TCPConn) Reply(out Outgoing, onResult func(error)) {
 // Abort abandons all outstanding transfers; their callbacks receive
 // ErrAborted. Delivered-and-acknowledged transfers are unaffected.
 func (c *TCPConn) Abort() {
-	if c.aborted {
-		return
+	if !c.aborted {
+		c.fail(ErrAborted)
 	}
+}
+
+// fail tears the connection down: setup stops, and every transfer not yet
+// acknowledged finishes with err.
+func (c *TCPConn) fail(err error) {
 	c.aborted = true
-	for _, tr := range c.transfers {
+	c.setupTimer.Cancel() // nil once established or fired
+	c.setupTimer = nil
+	for tr := &c.first; tr != nil; tr = tr.next {
 		if !tr.acked {
 			tr.timer.Cancel() // nil before start, else the pending retransmission
 			tr.timer = nil
-			tr.finish(ErrAborted)
+			tr.finish(err)
 		}
 	}
 }
@@ -170,82 +295,78 @@ func (c *TCPConn) From() NodeID { return c.from }
 func (c *TCPConn) To() NodeID { return c.to }
 
 func (c *TCPConn) queueTransfer(from, to NodeID, out Outgoing, onResult func(error)) {
+	nw := c.nw
 	// The discovery layer hands its message to the transport here; this
 	// is the send attempt the Update Efficiency metrics count, whether or
 	// not the connection ever comes up. (A NOTIFY whose connection REXes
 	// was still effort spent — and counting it here keeps failed runs
 	// from looking spuriously "efficient".)
-	c.nw.accountSend(&Message{From: from, To: to, Kind: out.Kind, Counted: out.Counted,
-		Payload: out.Payload, Transport: TCPData, SentAt: c.nw.k.Now()})
-	tr := &tcpTransfer{conn: c, from: from, to: to, fromGen: c.nw.Node(from).gen, out: out, onResult: onResult}
-	c.transfers = append(c.transfers, tr)
+	nw.acctScratch = Message{From: from, To: to, Kind: out.Kind, Counted: out.Counted,
+		Payload: out.Payload, Transport: TCPData, SentAt: nw.k.Now()}
+	nw.accountSend(&nw.acctScratch)
+	tr := &c.first
+	if c.last != nil {
+		tr = &tcpTransfer{}
+		c.last.next = tr
+	}
+	c.last = tr
+	*tr = tcpTransfer{conn: c, from: from, to: to, fromGen: nw.Node(from).gen, out: out, onResult: onResult}
 	if c.established {
 		tr.start()
 	}
 }
 
-// connect runs the setup state machine: SYN, wait, retransmit per the
-// configured schedule, REX when the schedule is exhausted.
-func (c *TCPConn) connect() {
-	start := c.nw.k.Now()
-	c.sendSYN()
-	var wait sim.Duration
-	for _, gap := range c.cfg.SetupRetransmits {
-		wait += gap
-		c.scheduleSetup(start+wait, c.sendSYN)
-	}
-	c.scheduleSetup(start+wait+c.cfg.SetupFinalWait, c.rex)
-}
-
-// scheduleSetup runs a setup step unless the connection has already been
-// established or torn down by the time it fires.
-func (c *TCPConn) scheduleSetup(at sim.Time, fn func()) {
-	c.nw.k.At(at, func() {
-		if c.established || c.aborted {
-			return
-		}
-		fn()
-	})
-}
-
+// sendSYN makes one connection-setup attempt.
 func (c *TCPConn) sendSYN() {
-	if c.established || c.aborted {
-		return
-	}
 	if c.senderGone() {
 		c.Abort() // retired initiator: stop the SYN train silently
 		return
 	}
-	c.setupAttempt++
-	sent := c.nw.k.Now()
-	syn := &Message{From: c.from, To: c.to, Kind: "tcp/SYN", Transport: TCPControl, SentAt: sent}
-	c.nw.accountSend(syn)
-	c.nw.sendFrame(syn, func() {
-		// Receiver answers SYN-ACK; connection is up when it lands.
-		synack := &Message{From: c.to, To: c.from, Kind: "tcp/SYN-ACK", Transport: TCPControl, SentAt: c.nw.k.Now()}
-		c.nw.accountSend(synack)
-		c.nw.sendFrame(synack, func() {
-			if c.established || c.aborted {
-				return
-			}
-			c.established = true
-			c.rtt = c.nw.k.Now() - sent
-			for _, tr := range c.transfers {
-				if !tr.acked {
-					tr.start()
-				}
-			}
-		})
-	})
+	c.sendControl(tcpSYN, "tcp/SYN", c.from, c.to, nil, c.nw.k.Now())
 }
 
-func (c *TCPConn) rex() {
+// armSetup schedules the next setup step — a retransmission per the
+// configured schedule, the REX when the schedule is exhausted — its gap
+// after the instant of the previous one.
+func (c *TCPConn) armSetup(prev sim.Time) {
+	gap := c.cfg.SetupFinalWait
+	if c.setupStep < len(c.cfg.SetupRetransmits) {
+		gap = c.cfg.SetupRetransmits[c.setupStep]
+	}
+	c.setupDue = prev + gap
+	c.setupTimer = c.nw.k.AtArg(c.setupDue, tcpSetupStep, c)
+}
+
+// tcpSetupStep is the static callback of the setup timer. It only ever
+// fires on a connection still in setup: establishment and Abort cancel it.
+func tcpSetupStep(x any) {
+	c := x.(*TCPConn)
+	c.setupTimer = nil // pooled-event ownership: the fired event is gone
+	if c.setupStep == len(c.cfg.SetupRetransmits) {
+		c.fail(ErrREX)
+		return
+	}
+	c.setupStep++
+	c.sendSYN()
+	if !c.aborted {
+		c.armSetup(c.setupDue)
+	}
+}
+
+// establish runs when a SYN-ACK lands at the initiator; later ones (of
+// retransmitted SYNs) and ones outliving an Abort change nothing.
+func (c *TCPConn) establish(rtt sim.Duration) {
 	if c.established || c.aborted {
 		return
 	}
-	c.aborted = true
-	for _, tr := range c.transfers {
-		tr.finish(ErrREX)
+	c.established = true
+	c.rtt = rtt
+	c.setupTimer.Cancel()
+	c.setupTimer = nil
+	for tr := &c.first; tr != nil; tr = tr.next {
+		if !tr.acked {
+			tr.start()
+		}
 	}
 }
 
@@ -267,6 +388,8 @@ func (tr *tcpTransfer) senderGone() bool {
 	return n.retired || n.gen != tr.fromGen
 }
 
+// send transmits the payload and arms the retransmission timer. It runs
+// from start and from the timer's own firing, so no timer is pending here.
 func (tr *tcpTransfer) send() {
 	if tr.acked || tr.conn.aborted {
 		return
@@ -285,28 +408,30 @@ func (tr *tcpTransfer) send() {
 	tr.sends++
 	// Every data frame is a transport transmission: the discovery-layer
 	// send was already accounted when the transfer was queued.
-	m := &Message{From: tr.from, To: tr.to, Kind: tr.out.Kind, Counted: false,
+	f := nw.allocTCPFrame()
+	f.kind, f.conn, f.tr = tcpData, tr.conn, tr
+	f.m = Message{From: tr.from, To: tr.to, Kind: tr.out.Kind, Counted: false,
 		Payload: tr.out.Payload, Transport: TCPData, Retransmit: true, SentAt: nw.k.Now()}
-	nw.accountSend(m)
-	nw.sendFrame(m, func() { tr.arrived(m) })
+	nw.sendTCPFrame(f)
 
 	// Arm the retransmission timer: "retransmit until success, increasing
-	// timeout by 25% on each retry". Ownership rule for pooled events: the
-	// callback nils tr.timer first thing — its event has fired and will be
-	// recycled, so the reference must not outlive the callback.
-	tr.timer.Cancel()
+	// timeout by 25% on each retry".
 	delay := tr.rto
 	if j := tr.conn.cfg.RTOJitter; j > 0 {
 		delay += nw.k.UniformDuration(0, sim.Duration(j*float64(tr.rto)))
 	}
-	tr.timer = nw.k.After(delay, func() {
-		tr.timer = nil
-		tr.rto = sim.Duration(float64(tr.rto) * tr.conn.cfg.Backoff)
-		if max := tr.conn.cfg.MaxRTO; max > 0 && tr.rto > max {
-			tr.rto = max
-		}
-		tr.send()
-	})
+	tr.timer = nw.k.AfterArg(delay, tcpRetransmit, tr)
+}
+
+// tcpRetransmit is the static callback of the retransmission timer.
+func tcpRetransmit(x any) {
+	tr := x.(*tcpTransfer)
+	tr.timer = nil // pooled-event ownership: the fired event is gone
+	tr.rto = sim.Duration(float64(tr.rto) * tr.conn.cfg.Backoff)
+	if max := tr.conn.cfg.MaxRTO; max > 0 && tr.rto > max {
+		tr.rto = max
+	}
+	tr.send()
 }
 
 // arrived runs at the receiver: deliver the payload once, always answer
@@ -325,16 +450,17 @@ func (tr *tcpTransfer) arrived(m *Message) {
 			recv.ep.Deliver(m)
 		}
 	}
-	ack := &Message{From: tr.to, To: tr.from, Kind: "tcp/ACK", Transport: TCPControl, SentAt: nw.k.Now()}
-	nw.accountSend(ack)
-	nw.sendFrame(ack, func() {
-		if tr.acked || tr.conn.aborted {
-			return
-		}
-		tr.timer.Cancel() // pending retransmission (send always re-arms)
-		tr.timer = nil
-		tr.finish(nil)
-	})
+	tr.conn.sendControl(tcpACK, "tcp/ACK", tr.to, tr.from, tr, 0)
+}
+
+// acknowledged runs at the sender when an ACK lands.
+func (tr *tcpTransfer) acknowledged() {
+	if tr.acked || tr.conn.aborted {
+		return
+	}
+	tr.timer.Cancel() // pending retransmission (send always re-arms)
+	tr.timer = nil
+	tr.finish(nil)
 }
 
 func (tr *tcpTransfer) finish(err error) {

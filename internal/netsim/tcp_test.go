@@ -142,12 +142,15 @@ func TestTCPReply(t *testing.T) {
 	// Request/response over one connection: UPnP GET + 200 OK.
 	h := newHarness(t, 2, DefaultConfig())
 	var conn *TCPConn
+	// TCP frames are pooled like every other: an endpoint keeps a copy,
+	// never the pointer, past Deliver.
 	var reply *Message
 	h.nodes[1].SetEndpoint(EndpointFunc(func(m *Message) {
-		h.inbox[1] = append(h.inbox[1], m)
+		cp := *m
+		h.inbox[1] = append(h.inbox[1], &cp)
 		conn.Reply(Outgoing{Kind: "response", Counted: true, Payload: "body"}, nil)
 	}))
-	h.nodes[0].SetEndpoint(EndpointFunc(func(m *Message) { reply = m }))
+	h.nodes[0].SetEndpoint(EndpointFunc(func(m *Message) { cp := *m; reply = &cp }))
 	conn = h.nw.SendTCP(0, 1, Outgoing{Kind: "get", Counted: true}, nil)
 	h.k.Run(10 * sim.Second)
 	if len(h.inbox[1]) != 1 {
@@ -155,6 +158,9 @@ func TestTCPReply(t *testing.T) {
 	}
 	if reply == nil || reply.Payload.(string) != "body" {
 		t.Fatalf("reply not delivered: %v", reply)
+	}
+	if reply.Conn != conn || h.inbox[1][0].Conn != conn {
+		t.Error("delivered messages do not carry the connection they arrived on")
 	}
 	if h.nw.Counters().Counted() != 2 {
 		t.Errorf("counted = %d, want 2 (request + response)", h.nw.Counters().Counted())
@@ -221,4 +227,22 @@ func TestTCPReplyPanicsBeforeEstablished(t *testing.T) {
 		}
 	}()
 	conn.Reply(Outgoing{Kind: "y"}, nil)
+}
+
+func TestTCPFrameZeroedAfterDeliver(t *testing.T) {
+	// A delivered TCP Message is a pooled frame's: once Deliver returns it
+	// is zeroed (so the pool pins no payload) and will be rewritten by a
+	// later frame. Only the copy an endpoint takes survives.
+	h := newHarness(t, 2, DefaultConfig())
+	var retained *Message
+	var copied Message
+	h.nodes[1].SetEndpoint(EndpointFunc(func(m *Message) { retained, copied = m, *m }))
+	conn := h.nw.SendTCP(0, 1, Outgoing{Kind: "notify", Payload: "sd"}, nil)
+	h.k.Run(10 * sim.Second)
+	if copied.Payload != "sd" || copied.Conn != conn {
+		t.Fatalf("copy taken during Deliver = %+v", copied)
+	}
+	if *retained != (Message{}) {
+		t.Errorf("released frame still holds %+v", *retained)
+	}
 }

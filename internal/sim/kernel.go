@@ -27,7 +27,11 @@ import (
 // currently owns the pooled slot. sim.Ticker, sim.Deadline, core.Retry
 // and the netsim TCP machinery all follow this rule; use them instead of
 // raw events where possible.
+//
+// The struct is exactly one 64-byte cache line (TestEventFitsCacheLine).
 type Event struct {
+	// at and seq are the event's true key; Postpone moves them ahead of
+	// the key its queue slot was sifted with.
 	at       Time
 	seq      uint64 // tie-breaker: same-time events fire in schedule order
 	fn       func()
@@ -54,19 +58,32 @@ func (e *Event) Cancel() {
 // Canceled reports whether Cancel was called on the event.
 func (e *Event) Canceled() bool { return e != nil && e.canceled }
 
+// heapSlot is one queue entry: the (time, seq) key the entry was sifted
+// into place with, and the event. Keeping the key in the slot lets sift
+// compare neighbouring slots without dereferencing their events, and lets
+// Postpone move an event's true key (Event.at, Event.seq) ahead of the
+// slot's: a slot whose seq differs from its event's is stale, and is
+// re-sifted under the true key when it reaches the head.
+type heapSlot struct {
+	at  Time
+	seq uint64
+	e   *Event
+}
+
 // Kernel is a single-threaded discrete-event scheduler. It is not safe for
 // concurrent use; the experiment harness runs many kernels in parallel, one
 // per goroutine, each fully owning its kernel.
 //
 // The event queue is a 4-ary min-heap of pooled events: fired and
 // canceled events go onto a free list and are reused by later schedule
-// calls, so steady-state scheduling allocates nothing. Cancellation is
-// lazy — a canceled event stays queued until its time comes and is then
-// discarded and recycled.
+// calls, so steady-state scheduling allocates nothing. Cancellation and
+// postponement are lazy — a canceled event stays queued until its time
+// comes and is then discarded and recycled; a postponed event stays where
+// it is until its old time comes and is then sifted to its new one.
 type Kernel struct {
 	now     Time
 	seq     uint64
-	heap    []*Event
+	heap    []heapSlot
 	free    *Event
 	src     splitmix64
 	rng     *rand.Rand
@@ -92,9 +109,10 @@ func New(seed int64) *Kernel {
 // discarded (and recycled). Events retained by the previous simulation
 // are invalid after Reset.
 func (k *Kernel) Reset(seed int64) {
-	for _, e := range k.heap {
-		k.release(e)
+	for i := range k.heap {
+		k.release(k.heap[i].e)
 	}
+	clear(k.heap)
 	k.heap = k.heap[:0]
 	k.now = 0
 	k.seq = 0
@@ -175,6 +193,31 @@ func (k *Kernel) schedule(t Time) *Event {
 	k.seq++
 	k.push(e)
 	return e
+}
+
+// Postpone moves the pending event e to the later instant t (t == e.At()
+// is allowed). It is exact: firing order, Fired() and every sequence
+// number come out as if the caller had canceled e and scheduled the same
+// callback at t — e takes a fresh sequence number, so it fires after
+// everything already scheduled for t — but e stays where it is in the
+// queue and is sifted to its new place only when its old instant comes
+// up, so a timer renewed many times per expiry (a lease) costs O(1) per
+// renewal and one queue entry in total, instead of one dead entry per
+// renewal.
+//
+// e must be pending: not canceled, and not the event whose callback is
+// running (that one has left the queue; schedule a new event instead).
+// Moving an event earlier is not supported — cancel and reschedule.
+func (k *Kernel) Postpone(e *Event, t Time) {
+	if e.canceled {
+		panic("sim: postponing a canceled event")
+	}
+	if t < e.at || t < k.now {
+		panic(fmt.Sprintf("sim: postponing event at %v to %v (now %v)", e.at, t, k.now))
+	}
+	e.at = t
+	e.seq = k.seq
+	k.seq++
 }
 
 // After schedules fn to run d from now. Negative d panics.
@@ -267,50 +310,67 @@ func (k *Kernel) RunWindow(target Time) (next Time, ok bool) {
 // re-entrancy invariant). It reports whether an event fired; false
 // means the queue held nothing but canceled events, which it discards.
 func (k *Kernel) Step() bool {
-	for len(k.heap) > 0 {
-		e := k.heap[0]
-		k.pop()
-		if e.canceled {
-			k.release(e)
-			continue
-		}
-		k.fire(e)
-		return true
+	e := k.head()
+	if e == nil {
+		return false
 	}
-	return false
+	k.pop()
+	k.fire(e)
+	return true
 }
 
 // NextEventTime reports the virtual time of the earliest pending
-// non-canceled event. Canceled heap heads are discarded on the way, so
-// the answer is exact, not an upper bound. The live driver uses it to
-// compute how long the event loop may sleep on the wall clock.
+// non-canceled event. Canceled heap heads are discarded and postponed
+// ones moved on the way, so the answer is exact, not a bound. The live
+// driver uses it to compute how long the event loop may sleep on the
+// wall clock.
 func (k *Kernel) NextEventTime() (Time, bool) {
-	for len(k.heap) > 0 {
-		e := k.heap[0]
-		if !e.canceled {
-			return e.at, true
-		}
-		k.pop()
-		k.release(e)
+	if e := k.head(); e != nil {
+		return e.at, true
 	}
 	return 0, false
 }
 
+// head settles the front of the queue and returns the next event to
+// fire, still queued, or nil for an empty queue.
+func (k *Kernel) head() *Event {
+	for len(k.heap) > 0 {
+		if e := k.heap[0].e; k.settled(e) {
+			return e
+		}
+	}
+	return nil
+}
+
+// settled reports whether the head slot, whose event is e, is the next
+// event to fire. If it is not it is dealt with — a canceled event is
+// discarded and recycled, a postponed one re-sifted under its true key —
+// and the caller looks at the new head. Neither is a fired event, and
+// neither consumes a sequence number.
+func (k *Kernel) settled(e *Event) bool {
+	switch {
+	case e.canceled:
+		k.pop()
+		k.release(e)
+		return false
+	case e.seq != k.heap[0].seq:
+		k.siftDown(0, heapSlot{at: e.at, seq: e.seq, e: e})
+		return false
+	}
+	return true
+}
+
 // drainTo fires events with at <= limit in (time, seq) order until the
-// heap drains, the limit is reached, or Stop is called.
+// heap drains, the limit is reached, or Stop is called. A slot's key never
+// exceeds its event's, so a head slot beyond the limit ends the drain
+// without being settled.
 func (k *Kernel) drainTo(limit Time) {
 	k.limit, k.draining = limit, true
-	for len(k.heap) > 0 && !k.stopped {
-		e := k.heap[0]
-		if e.at > limit {
-			break
+	for !k.stopped && len(k.heap) > 0 && k.heap[0].at <= limit {
+		if e := k.heap[0].e; k.settled(e) {
+			k.pop()
+			k.fire(e)
 		}
-		k.pop()
-		if e.canceled {
-			k.release(e)
-			continue
-		}
-		k.fire(e)
 	}
 	k.draining = false
 }
@@ -329,7 +389,8 @@ func (k *Kernel) drainTo(limit Time) {
 // the drain's limit, and when no live pending event has at <= t. The
 // comparison is non-strict on purpose: an equal-time pending event was
 // scheduled earlier than the one being replaced, so it must fire first.
-// Canceled heap heads are discarded on the way, as the drain would have.
+// Canceled heap heads are discarded and postponed ones moved on the way,
+// as the drain would have.
 //
 // It exists for walkers of a long pre-sorted schedule (the netsim
 // multicast delivery train), which would otherwise push and pop one heap
@@ -363,13 +424,14 @@ func (k *Kernel) fire(e *Event) {
 	k.release(e)
 }
 
-// Pending reports the number of queued events, including canceled events
-// that have not yet been discarded.
+// Pending reports the number of queued events: every live event once,
+// however often it was postponed, plus canceled events that have not yet
+// been discarded.
 func (k *Kernel) Pending() int { return len(k.heap) }
 
-// eventLess orders events by (time, seq): schedule order breaks ties, so
-// same-instant events fire in the order they were scheduled.
-func eventLess(a, b *Event) bool {
+// slotLess orders queue entries by (time, seq): schedule order breaks
+// ties, so same-instant events fire in the order they were scheduled.
+func slotLess(a, b *heapSlot) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -377,57 +439,59 @@ func eventLess(a, b *Event) bool {
 }
 
 // push inserts an event into the 4-ary min-heap. A 4-ary heap halves the
-// tree depth of the binary heap and keeps the four children of a node on
-// one cache line's worth of pointers, which measures faster on the
-// simulator's churn of push/pop pairs; it needs no per-event index
-// because lazy cancellation never removes from the middle.
+// tree depth of the binary heap and keeps the four children of a node
+// adjacent, which measures faster on the simulator's churn of push/pop
+// pairs; it needs no per-event index because lazy cancellation and
+// postponement never remove from the middle.
 func (k *Kernel) push(e *Event) {
-	h := append(k.heap, e)
+	s := heapSlot{at: e.at, seq: e.seq, e: e}
+	h := append(k.heap, s)
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !eventLess(e, h[p]) {
+		if !slotLess(&s, &h[p]) {
 			break
 		}
 		h[i] = h[p]
 		i = p
 	}
-	h[i] = e
+	h[i] = s
 	k.heap = h
 }
 
-// pop removes the minimum event (the caller has already read heap[0]).
+// pop removes the minimum entry (the caller has already read heap[0]).
 func (k *Kernel) pop() {
-	h := k.heap
-	n := len(h) - 1
-	last := h[n]
-	h[n] = nil
-	h = h[:n]
-	k.heap = h
-	if n == 0 {
-		return
+	n := len(k.heap) - 1
+	last := k.heap[n]
+	k.heap[n] = heapSlot{}
+	k.heap = k.heap[:n]
+	if n > 0 {
+		k.siftDown(0, last)
 	}
-	i := 0
+}
+
+// siftDown places s at index i or below, wherever the heap order puts it.
+func (k *Kernel) siftDown(i int, s heapSlot) {
+	h := k.heap
+	n := len(h)
 	for {
 		c := i<<2 + 1
 		if c >= n {
 			break
 		}
-		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
+		end := min(c+4, n)
+		// The least child, its key held in registers across the scan.
+		m, at, seq := c, h[c].at, h[c].seq
 		for j := c + 1; j < end; j++ {
-			if eventLess(h[j], h[m]) {
-				m = j
+			if a := h[j].at; a < at || (a == at && h[j].seq < seq) {
+				m, at, seq = j, a, h[j].seq
 			}
 		}
-		if !eventLess(h[m], last) {
+		if at > s.at || (at == s.at && seq > s.seq) {
 			break
 		}
 		h[i] = h[m]
 		i = m
 	}
-	h[i] = last
+	h[i] = s
 }

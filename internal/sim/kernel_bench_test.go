@@ -53,3 +53,40 @@ func BenchmarkKernelChurn(b *testing.B) {
 	}
 	b.ReportMetric(batch, "events/op")
 }
+
+// BenchmarkDeadlineRenew measures the lease pattern: a population of
+// deadlines, each renewed 15 times per expiry (an 1800 s lease refreshed
+// by a 120 s announcement train). One op is one renewal. Renewals move the
+// pending event in place, so -benchmem should report 0 allocs/op and the
+// queue should stay at one entry per live lease (entries/lease = 1).
+func BenchmarkDeadlineRenew(b *testing.B) {
+	const leases = 64
+	k := New(1)
+	ds := make([]*Deadline, leases)
+	for i := range ds {
+		ds[i] = NewDeadline(k, func() {})
+	}
+	renewals := 0
+	peak := 0
+	round := func() {
+		for _, d := range ds {
+			d.SetAfter(1800 * Second)
+		}
+		k.Run(k.Now() + 120*Second)
+		renewals++
+		if renewals%15 == 0 {
+			k.Run(k.Now() + 1800*Second) // every lease runs out
+		}
+		peak = max(peak, k.Pending())
+	}
+	for i := 0; i < 30; i++ {
+		round() // warm pool and heap
+	}
+	peak = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += leases {
+		round()
+	}
+	b.ReportMetric(float64(peak)/leases, "entries/lease")
+}

@@ -78,9 +78,10 @@ func (t *Ticker) SetPeriod(p Duration) {
 }
 
 // Deadline is a single-shot timer that can be pushed into the future, which
-// is exactly the behaviour of a lease: each renewal replaces the expiry
-// event. Like Ticker, it schedules through a static callback, so arming a
-// deadline allocates nothing.
+// is exactly the behaviour of a lease: each renewal moves the expiry event
+// (Kernel.Postpone), so a lease renewed many times per expiry still owns
+// one queue entry. Like Ticker, it schedules through a static callback, so
+// arming a deadline allocates nothing.
 type Deadline struct {
 	k       *Kernel
 	fn      func()
@@ -97,6 +98,11 @@ func deadlineFire(x any) { x.(*Deadline).fire() }
 
 // Set arms (or re-arms) the deadline to fire at absolute time t.
 func (d *Deadline) Set(t Time) {
+	// pending is non-nil only while the event is live: fire and Clear nil it.
+	if d.pending != nil && t >= d.pending.at {
+		d.k.Postpone(d.pending, t)
+		return
+	}
 	d.pending.Cancel()
 	d.pending = d.k.AtArg(t, deadlineFire, d)
 }
