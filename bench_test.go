@@ -257,7 +257,9 @@ func BenchmarkSingleRunScale(b *testing.B) {
 // multicast fanout is the bulk of the work, and 3s infrastructure boot
 // spacing so the Users come up after the Central election settles. On a
 // single-core runner the sharded win is the smaller per-shard event
-// heaps and delivery queues; the parallel speedup needs real cores.
+// heaps and delivery queues. No parallel speedup has been measured on
+// any host (at N=10k on 2 vCPUs two shards take 1.63× the single
+// kernel's wall, see DESIGN.md "Fabric"), so none is claimed.
 func BenchmarkSingleRunScaleSharded(b *testing.B) {
 	const n = 100_000
 	for _, shards := range []int{1, 8} {

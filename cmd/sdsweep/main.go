@@ -12,8 +12,7 @@
 //	sdsweep -figure all -runs 30 # everything, paper-sized
 //	sdsweep -figure loss         # extension: message-loss failure model
 //	sdsweep -figure adversarial  # extension: burst vs i.i.d. loss at equal rate
-//	sdsweep -figure shard -shards 8 -users 100000   # sharded-fabric speedup table
-//	sdsweep -figure shardprofile -users 10000       # per-shard busy/stall/ingest profile, S ∈ {1,2,4,8}
+//	sdsweep -figure shardprofile -users 10000       # per-shard busy/stall/ingest profile, wall s and F at S ∈ {1,2,4,8}
 //	sdsweep -figure hardening    # extension: baseline vs hardened under the hunted fault mix
 //	sdsweep -figure 4 -harden    # any figure with the protocol-hardening layer on
 //
@@ -37,7 +36,7 @@ import (
 
 func main() {
 	var (
-		figure  = flag.String("figure", "all", "figure to regenerate: 4|5|6|7|loss|polling|scale|shard|shardprofile|hardening|all")
+		figure  = flag.String("figure", "all", "figure to regenerate: 4|5|6|7|loss|polling|scale|shardprofile|hardening|all")
 		runs    = flag.Int("runs", 30, "runs per (system, λ) point (X in the paper)")
 		seed    = flag.Int64("seed", 1, "base seed for the whole sweep")
 		workers = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
@@ -55,9 +54,8 @@ func main() {
 		managers   = flag.Int("managers", 0, "Manager nodes; extras host background services (0 = 1)")
 		registries = flag.Int("registries", 0, "Registry nodes (0 = the system's Table 4 count)")
 		services   = flag.Int("services", 0, "distinct background service types (0 = one per extra Manager)")
-		shards     = flag.Int("shards", 0, "shard count S for -figure shard (the fabric is split across S parallel kernel/netsim pairs)")
-		crossMin   = flag.Float64("cross-min", 0, "inter-shard minimum link delay in seconds for -figure shard — the conservative lookahead (0 = the 0.2s default)")
-		crossMax   = flag.Float64("cross-max", 0, "inter-shard maximum link delay in seconds for -figure shard (0 = the 0.4s default)")
+		crossMin   = flag.Float64("cross-min", 0, "inter-shard minimum link delay in seconds for -figure shardprofile — the conservative lookahead (0 = the 0.2s default)")
+		crossMax   = flag.Float64("cross-max", 0, "inter-shard maximum link delay in seconds for -figure shardprofile (0 = the 0.4s default)")
 		churn      = flag.Float64("churn", 0, "expected departures per User over the run (Poisson; 0 = no churn)")
 		absence    = flag.Float64("absence", 0, "mean absence before rejoining, seconds (0 = departures are permanent)")
 		arrivals   = flag.Float64("arrivals", 0, "expected fresh User arrivals over the run (Poisson)")
@@ -77,23 +75,14 @@ func main() {
 	// not leave a started-but-unflushed (truncated) CPU profile behind.
 	switch *figure {
 	case "4", "5", "6", "7", "loss", "polling", "scale", "adversarial", "hardening", "shardprofile", "all":
-	case "shard":
-		if *shards < 2 {
-			fmt.Fprintf(os.Stderr, "-figure shard needs -shards ≥ 2, got %d\n", *shards)
-			os.Exit(2)
-		}
 	default:
 		fmt.Fprintf(os.Stderr, "unknown figure %q\n", *figure)
 		os.Exit(2)
 	}
-	if *shards != 0 && *figure != "shard" {
-		fmt.Fprintf(os.Stderr, "-shards applies to -figure shard only\n")
-		os.Exit(2)
-	}
 	var cross sdsim.CrossLink
 	if *crossMin != 0 || *crossMax != 0 {
-		if *figure != "shard" && *figure != "shardprofile" {
-			fmt.Fprintf(os.Stderr, "-cross-min/-cross-max apply to -figure shard and shardprofile only\n")
+		if *figure != "shardprofile" {
+			fmt.Fprintf(os.Stderr, "-cross-min/-cross-max apply to -figure shardprofile only\n")
 			os.Exit(2)
 		}
 		cross = sdsim.DefaultCrossLink()
@@ -309,8 +298,6 @@ func main() {
 		emit(pollingSweep(params, *workers, progress))
 	case "scale":
 		emit(scaleSweep(params, linkOpts, *workers, progress))
-	case "shard":
-		emit(shardTable(params, linkOpts, *shards, cross, *quiet))
 	case "shardprofile":
 		emit(shardProfileTable(params, linkOpts, cross, *quiet))
 	case "adversarial":
@@ -426,79 +413,16 @@ func scaleSweep(params sdsim.Params, opts sdsim.Options, workers int, progress f
 	return t
 }
 
-// shardTable is the sharded-fabric extension: the same single FRODO
-// two-party run (λ=0, one service change) executed on one fabric and on
-// S shards, timed against the wall clock. The sharded run is a
-// different — equally valid — timeline of the same scenario, so the
-// consistency score F is reported for both fabrics as the sanity
-// column. Use -users for one population size; the default charts the
-// trajectory the ROADMAP's single-run scale item tracks.
-func shardTable(params sdsim.Params, opts sdsim.Options, shards int, cross sdsim.CrossLink, quiet bool) sdsim.Table {
-	sizes := []int{1_000, 10_000, 100_000}
-	if params.Topology.Users > 0 {
-		sizes = []int{params.Topology.Users}
-	}
-	t := sdsim.Table{
-		Title: fmt.Sprintf("Extension: sharded-fabric wall clock, 1 vs %d shards (FRODO 2-party, λ=0)", shards),
-		Header: []string{"N", "1-shard s", fmt.Sprintf("%d-shard s", shards), "speedup",
-			"F(1)", fmt.Sprintf("F(%d)", shards)},
-	}
-	for _, n := range sizes {
-		p := params
-		p.Topology.Users = n
-		spec := sdsim.RunSpec{System: sdsim.Frodo2P, Lambda: 0, Seed: p.BaseSeed, Params: p, Opts: opts}
-		f := func(res sdsim.RunResult) float64 {
-			reached := 0
-			for _, u := range res.Users {
-				if u.Reached {
-					reached++
-				}
-			}
-			return float64(reached) / float64(len(res.Users))
-		}
-		if !quiet {
-			fmt.Fprintf(os.Stderr, "N=%d: single fabric...", n)
-		}
-		t0 := time.Now()
-		fBase := f(sdsim.Run(spec))
-		dBase := time.Since(t0).Seconds()
-		spec.Shards = shards
-		spec.Cross = cross
-		if err := spec.Validate(); err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(2)
-		}
-		if !quiet {
-			fmt.Fprintf(os.Stderr, " %.1fs, %d shards...", dBase, shards)
-		}
-		t0 = time.Now()
-		fShard := f(sdsim.Run(spec))
-		dShard := time.Since(t0).Seconds()
-		if !quiet {
-			fmt.Fprintf(os.Stderr, " %.1fs\n", dShard)
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", n),
-			fmt.Sprintf("%.1f", dBase),
-			fmt.Sprintf("%.1f", dShard),
-			fmt.Sprintf("%.2f×", dBase/dShard),
-			fmt.Sprintf("%.3f", fBase),
-			fmt.Sprintf("%.3f", fShard),
-		})
-	}
-	t.Notes = append(t.Notes,
-		fmt.Sprintf("this host exposes %d CPU(s); the parallel win needs as many cores as shards", runtime.NumCPU()),
-		"shards hold disjoint User subsets coupled by conservative lookahead windows; see DESIGN.md \"Sharded fabric\"")
-	return t
-}
-
-// shardProfileTable runs the same FRODO two-party scenario on S ∈
-// {1, 2, 4, 8} shards with the telemetry registry attached and reports
-// each shard's wall-clock busy time, barrier-stall time, cross-shard
-// frame ingest and occupancy (busy / (busy+stall)). On a host with
-// fewer cores than shards the stall column reads the scheduling queue,
-// not the barrier protocol — compare occupancy against NumCPU before
-// concluding the fabric is stall-bound.
+// shardProfileTable runs the same FRODO two-party scenario (λ=0, one
+// service change) on S ∈ {1, 2, 4, 8} shards with the telemetry registry
+// attached and reports each shard's wall-clock busy
+// time, barrier-stall time, cross-shard frame ingest and occupancy
+// (busy / (busy+stall)), plus the run's wall seconds and consistency
+// score F. A sharded run is a different — equally valid — timeline of
+// the same scenario, so F is the sanity column. On a host with fewer
+// cores than shards the stall column reads the scheduling queue, not the
+// barrier protocol — compare occupancy against NumCPU before concluding
+// the fabric is stall-bound.
 func shardProfileTable(params sdsim.Params, opts sdsim.Options, cross sdsim.CrossLink, quiet bool) sdsim.Table {
 	n := params.Topology.Users
 	if n == 0 {
@@ -506,7 +430,7 @@ func shardProfileTable(params sdsim.Params, opts sdsim.Options, cross sdsim.Cros
 	}
 	t := sdsim.Table{
 		Title:  fmt.Sprintf("Extension: per-shard fabric profile (FRODO 2-party, λ=0, N=%d)", n),
-		Header: []string{"S", "shard", "busy s", "stall s", "ingest", "occup%", "wall s"},
+		Header: []string{"S", "shard", "busy s", "stall s", "ingest", "occup%", "wall s", "F"},
 	}
 	for _, s := range []int{1, 2, 4, 8} {
 		p := params
@@ -517,19 +441,25 @@ func shardProfileTable(params sdsim.Params, opts sdsim.Options, cross sdsim.Cros
 		if s >= 2 {
 			spec.Shards = s
 			spec.Cross = cross
-			if err := spec.Validate(); err != nil {
-				fmt.Fprintf(os.Stderr, "%v\n", err)
-				os.Exit(2)
-			}
+		}
+		if err := spec.Validate(); err != nil {
+			fmt.Fprintf(os.Stderr, "%v\n", err)
+			os.Exit(2)
 		}
 		if !quiet {
 			fmt.Fprintf(os.Stderr, "S=%d...", s)
 		}
 		t0 := time.Now()
-		sdsim.Run(spec)
+		res := sdsim.Run(spec)
 		wall := time.Since(t0).Seconds()
 		if !quiet {
 			fmt.Fprintf(os.Stderr, " %.1fs\n", wall)
+		}
+		reached := 0
+		for _, u := range res.Users {
+			if u.Reached {
+				reached++
+			}
 		}
 		snap := reg.Snapshot()
 		series := func(name string, shard int) float64 {
@@ -541,8 +471,8 @@ func shardProfileTable(params sdsim.Params, opts sdsim.Options, cross sdsim.Cros
 			stall := series("sd_shard_barrier_stall_nanos_total", sh) / 1e9
 			ingest := series("sd_shard_cross_frames_in_total", sh)
 			if s == 1 {
-				// An unsharded fabric has no barrier: the whole run is one
-				// shard's busy time.
+				// A single-kernel fabric has no barrier: the whole run is
+				// one shard's busy time.
 				busy, stall, ingest = wall, 0, 0
 			}
 			occ := 100.0
@@ -557,12 +487,14 @@ func shardProfileTable(params sdsim.Params, opts sdsim.Options, cross sdsim.Cros
 				fmt.Sprintf("%.0f", ingest),
 				fmt.Sprintf("%.1f", occ),
 				fmt.Sprintf("%.2f", wall),
+				fmt.Sprintf("%.3f", float64(reached)/float64(len(res.Users))),
 			})
 		}
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("this host exposes %d CPU(s); occupancy below ~100·cores/S %% means shards time-slice, so stall measures the scheduler, not the barrier", runtime.NumCPU()),
-		"busy+stall covers a worker's windowed loop; shard 0 runs inline on the coordinator, its stall is the wait for the slowest worker")
+		"busy+stall covers a worker's windowed loop; shard 0 runs inline on the coordinator, its stall is the wait for the slowest worker",
+		"shards hold disjoint User subsets coupled by conservative lookahead windows; see DESIGN.md \"Fabric\"")
 	return t
 }
 

@@ -39,11 +39,16 @@ type Churn struct {
 // Enabled reports whether the model does anything.
 func (c Churn) Enabled() bool { return c.Departures > 0 || c.Arrivals > 0 }
 
-// ScheduleChurn pre-draws the whole churn schedule from the scenario's
-// kernel RNG and arms the events. Call it after BuildTopology and before
-// Kernel.Run; all randomness is consumed up front so runs stay
-// deterministic and independent of worker parallelism.
-func (s *Scenario) ScheduleChurn(c Churn, runDuration sim.Duration) {
+// scheduleChurn pre-draws the whole churn schedule and arms the events,
+// before the first window: all randomness is consumed up front so runs
+// stay deterministic and independent of worker parallelism. Departures
+// are drawn per shard from the owning shard's kernel over its own User
+// subset — shard-local randomness, and the departure events mutate only
+// the owning shard's node table. The arrival stream is drawn once, from
+// shard 0's kernel, so the global arrival order and naming are fixed by
+// (seed, S) alone; each arrival boots on the shard the arrival cursor
+// assigns it.
+func (f *Fabric) scheduleChurn(c Churn, runDuration sim.Duration) {
 	if !c.Enabled() || runDuration <= 0 {
 		return
 	}
@@ -51,23 +56,31 @@ func (s *Scenario) ScheduleChurn(c Churn, runDuration sim.Duration) {
 
 	if c.Departures > 0 {
 		meanUp := sim.Duration(float64(runDuration) / c.Departures)
-		for _, uid := range s.UserIDs {
-			s.scheduleUserChurn(uid, meanUp, c.MeanAbsence, horizon)
+		for _, st := range f.shards {
+			for _, uid := range st.sc.UserIDs {
+				st.sc.scheduleUserChurn(uid, meanUp, c.MeanAbsence, horizon)
+			}
 		}
 	}
 
 	if c.Arrivals > 0 {
 		meanGap := float64(runDuration) / c.Arrivals
-		next := len(s.UserIDs)
-		for t := s.expAfter(0, meanGap); t < horizon; t = s.expAfter(t, meanGap) {
-			name := userName(next)
-			next++
-			s.K.At(t, func() {
-				id := s.makeUser(name)
-				s.UserIDs = append(s.UserIDs, id)
-			})
+		sc0 := f.shards[0].sc
+		for t := sc0.expAfter(0, meanGap); t < horizon; t = sc0.expAfter(t, meanGap) {
+			f.scheduleArrival(t, userName(f.nextArrival))
 		}
 	}
+}
+
+// scheduleArrival arms one mid-run User arrival on the shard the
+// round-robin cursor assigns it: placement continues the boot
+// round-robin (global arrival index mod S), so where a given arrival
+// lands is a pure function of its position in the arrival order,
+// independent of timing.
+func (f *Fabric) scheduleArrival(at sim.Time, name string) {
+	sc := f.shards[f.nextArrival%len(f.shards)].sc
+	f.nextArrival++
+	sc.K.At(at, func() { sc.arrive(name) })
 }
 
 // scheduleUserChurn draws one User's alternating present/absent renewal
@@ -103,15 +116,14 @@ func (s *Scenario) scheduleUserChurn(uid netsim.NodeID, meanUp, meanAbsence sim.
 // dark like before, keeping its slot.
 func (s *Scenario) departForever(uid netsim.NodeID) {
 	s.setPresent(uid, false)
-	stop := s.stopUser[uid]
-	if stop == nil || !stop() {
+	if u := s.users[uid]; u == nil || !u.Stop() {
 		return
 	}
 	at, reached := s.rec.first[uid]
 	s.retired = append(s.retired, metrics.UserOutcome{User: uid, Reached: reached, At: at, Excluded: !reached})
 	delete(s.rec.first, uid)
 	delete(s.absent, uid)
-	delete(s.stopUser, uid)
+	delete(s.users, uid)
 	for i, id := range s.UserIDs {
 		if id == uid {
 			s.UserIDs = append(s.UserIDs[:i], s.UserIDs[i+1:]...)

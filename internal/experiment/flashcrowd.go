@@ -23,25 +23,17 @@ type FlashCrowd struct {
 	Window sim.Duration
 }
 
-// ScheduleFlashCrowds arms the arrival events of every spike. Call it
-// after BuildTopology (the arrival hook must exist) and after
-// ScheduleChurn, whose Poisson arrivals share the User namespace; flash
+// scheduleFlashCrowds arms the arrival events of every spike, after
+// scheduleChurn, whose Poisson arrivals share the arrival cursor; flash
 // arrivals get their own names so the two never collide.
-func (s *Scenario) ScheduleFlashCrowds(crowds []FlashCrowd) {
+func (f *Fabric) scheduleFlashCrowds(crowds []FlashCrowd) {
 	for ci, fc := range crowds {
-		if fc.Users <= 0 {
-			continue
-		}
 		for i := 0; i < fc.Users; i++ {
 			at := fc.At
 			if fc.Window > 0 {
 				at += sim.Time(int64(fc.Window) * int64(i) / int64(fc.Users))
 			}
-			name := flashUserName(ci, i)
-			s.K.At(at, func() {
-				id := s.makeUser(name)
-				s.UserIDs = append(s.UserIDs, id)
-			})
+			f.scheduleArrival(at, flashUserName(ci, i))
 		}
 	}
 }

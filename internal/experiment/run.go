@@ -1,8 +1,7 @@
 package experiment
 
 import (
-	"fmt"
-	"sort"
+	"strconv"
 
 	"repro/internal/discovery"
 	"repro/internal/metrics"
@@ -148,37 +147,33 @@ type RunSpec struct {
 	// ExplicitFailures, when non-nil, replaces the λ-drawn failure plan
 	// with a fixed schedule (used by the guarantee checker and the §6.2
 	// case studies). Node indices follow the Build order: Registries
-	// first, then the Manager, then the Users.
+	// first, then the Manager, then the Users; on a sharded run each
+	// outage goes to the shard its NodeID names.
 	ExplicitFailures []netsim.InterfaceFailure
-	// MakeTracer, when set, builds a tracer for the scenario's network
-	// (event logs).
+	// MakeTracer, when set, builds a tracer for each shard's network
+	// (event logs) — once on a single-kernel run. A sharded run's tracers
+	// fire on their shards' goroutines, so they must not share
+	// unsynchronized state.
 	MakeTracer func(*netsim.Network) netsim.Tracer
-	// Attach, when set, observes the built scenario before any schedule
-	// is drawn: the run-time consistency oracle hooks its taps (tracer
-	// tee, cache-write chain, change notification) here. Attach must not
-	// consume the kernel's random stream — the churn, failure and change
-	// schedules are drawn afterwards and must replay bit for bit with
-	// and without an observer.
+	// Attach, when set, observes each shard's built scenario — once on a
+	// single-kernel run — before any schedule is drawn: the run-time
+	// consistency oracle hooks its taps (tracer tee, cache-write chain,
+	// change notification) here. Attach must not consume any kernel's
+	// random stream — the churn, failure and change schedules are drawn
+	// afterwards and must replay bit for bit with and without an
+	// observer. Hooks on a remote shard's scenario fire on that shard's
+	// worker goroutine — see Fabric.ShardScenario.
 	Attach func(*Scenario)
 	// Shards, when ≥ 2, partitions the run's topology across that many
-	// kernel/network pairs advancing in parallel (see shard.go). 0 or 1
-	// is the classic single-fabric path, byte-identical to before the
-	// field existed. Sharded runs are deterministic in (Seed, Shards);
-	// they support the FRODO systems with churn, flash crowds,
-	// partitions, rack failures and per-shard tracers, but not explicit
-	// failure schedules or Attach observers (see Validate).
+	// kernel/network pairs advancing in parallel (see fabric.go). 0 or 1
+	// is the single-kernel fabric. Sharded runs are deterministic in
+	// (Seed, Shards) and support the FRODO systems only (see Validate).
 	Shards int
 	// Cross characterizes the inter-shard links of a sharded run: the
 	// minimum delay is the conservative lookahead bounding each parallel
-	// window. The zero value means netsim.DefaultCrossLink; ignored (and
-	// rejected by Validate) on unsharded runs.
+	// window. The zero value means netsim.DefaultCrossLink; rejected by
+	// Validate on unsharded runs.
 	Cross netsim.CrossLink
-	// AttachSharded is Attach's S ≥ 2 counterpart: it observes the built
-	// ShardSet before any schedule is drawn, under the same contract
-	// (must not consume any kernel's random stream). Hooks attached to
-	// remote shards' scenarios fire on those shards' worker goroutines —
-	// see ShardSet.ShardScenario.
-	AttachSharded func(*ShardSet)
 	// Telemetry, when set, routes this run's frame, kernel and fabric
 	// metrics into the given obs registry (tee'd tracers per shard,
 	// barrier busy/stall accounting, kernel depth gauges). Nil falls back
@@ -189,32 +184,14 @@ type RunSpec struct {
 }
 
 // Validate reports whether the spec names a runnable configuration,
-// rejecting unsupported combinations up front. Sweep-facing callers
+// rejecting fabric shapes that cannot be built: a negative shard count,
+// a non-FRODO system on a sharded fabric, cross-link options on an
+// unsharded run or with a non-positive lookahead. Sweep-facing callers
 // (sdsweep) print the error and exit before any run starts; Run itself
 // panics on an invalid spec, since reaching it unvalidated is a
 // programming error, not a user mistake.
 func (spec RunSpec) Validate() error {
-	if spec.Shards < 2 {
-		if spec.Cross != (netsim.CrossLink{}) {
-			return fmt.Errorf("experiment: cross-shard link configured on an unsharded run (set Shards ≥ 2, or drop the cross-link options)")
-		}
-		return nil
-	}
-	if spec.System != Frodo3P && spec.System != Frodo2P {
-		return fmt.Errorf("experiment: sharded fabric supports the FRODO systems only (%v uses TCP connections, which cannot span shards)", spec.System)
-	}
-	if spec.ExplicitFailures != nil {
-		return fmt.Errorf("experiment: sharded runs do not support explicit failure schedules (outage plans are drawn per shard); use Lambda or Params.RackFailures")
-	}
-	if spec.Attach != nil {
-		return fmt.Errorf("experiment: sharded runs do not support Attach (it observes one scenario); use AttachSharded")
-	}
-	if spec.Cross != (netsim.CrossLink{}) {
-		if err := spec.Cross.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return validateShards(spec.System, spec.Shards, spec.Cross)
 }
 
 // Run executes one full scenario and returns the raw observations. It
@@ -225,9 +202,6 @@ func (spec RunSpec) Validate() error {
 // next user rebuilds from a clean Reset, so a half-built scenario cannot
 // poison the pool.
 func Run(spec RunSpec) metrics.RunResult {
-	if spec.Shards >= 2 {
-		return runSharded(spec)
-	}
 	ws := wsPool.Get().(*Workspace)
 	defer wsPool.Put(ws)
 	res, _ := runInWorkspace(ws, spec)
@@ -239,17 +213,16 @@ func Run(spec RunSpec) metrics.RunResult {
 // goroutine. A sharded spec builds its own per-shard storage; the
 // workspace is untouched.
 func RunInto(ws *Workspace, spec RunSpec) metrics.RunResult {
-	if spec.Shards >= 2 {
-		return runSharded(spec)
-	}
 	res, _ := runInWorkspace(ws, spec)
 	return res
 }
 
 // RunLogged executes one run with a paper-style event log attached
 // (§6.2): interface transitions, protocol annotations and — when verbose
-// — every frame.
+// — every frame. The log follows one network, so the run is
+// single-kernel whatever spec.Shards says.
 func RunLogged(spec RunSpec, verbose bool) (metrics.RunResult, []string) {
+	spec.Shards, spec.Cross = 0, netsim.CrossLink{}
 	var rec *netsim.Recorder
 	spec.MakeTracer = func(nw *netsim.Network) netsim.Tracer {
 		rec = netsim.NewRecorder(nw)
@@ -270,18 +243,18 @@ func RunLogged(spec RunSpec, verbose bool) (metrics.RunResult, []string) {
 	return res, rec.Lines()
 }
 
-// run executes one run on fresh storage; the returned Scenario stays
-// valid indefinitely (RunLogged inspects it after the run).
+// run executes one run on fresh storage; the returned Scenario (shard
+// 0's) stays valid indefinitely (RunLogged inspects it after the run).
 func run(spec RunSpec) (metrics.RunResult, *Scenario) {
 	return runInWorkspace(nil, spec)
 }
 
+// runInWorkspace is the one run path (§5 Steps 1–5) for every fabric
+// shape: build, observe, schedule the dynamics and the fault plan,
+// advance to the deadline, assemble the result.
 func runInWorkspace(ws *Workspace, spec RunSpec) (metrics.RunResult, *Scenario) {
-	var k *sim.Kernel
-	if ws != nil {
-		k = ws.kernel(spec.Seed)
-	} else {
-		k = sim.New(spec.Seed)
+	if err := spec.Validate(); err != nil {
+		panic(err)
 	}
 	topo := spec.Params.Topology
 	if topo.Users <= 0 {
@@ -291,115 +264,73 @@ func runInWorkspace(ws *Workspace, spec RunSpec) (metrics.RunResult, *Scenario) 
 	if !opts.Harden.Enabled() {
 		opts.Harden = spec.Params.Hardening
 	}
-	sc := buildTopology(ws, spec.System, k, topo, opts)
+	f := buildFabric(ws, spec.System, topo, opts, spec.Seed, spec.Shards, spec.Cross)
+	defer f.Close()
 	if spec.MakeTracer != nil {
-		sc.Net.SetTracer(spec.MakeTracer(sc.Net))
+		for _, st := range f.shards {
+			st.sc.Net.SetTracer(spec.MakeTracer(st.sc.Net))
+		}
 	}
 	reg := spec.telemetry()
 	if reg != nil {
 		// Tee'd in, not installed: metering rides alongside any caller
 		// tracer and the oracle's tap, observing the same frames.
-		sc.AddTracer(reg.NetTracer(0))
+		f.Meter(reg)
 	}
 	if spec.Attach != nil {
-		spec.Attach(sc)
+		// Coordinator goroutine, workers parked at their barriers: remote
+		// scenarios are safe to hook here, and the first window's channel
+		// exchange publishes the writes.
+		for _, st := range f.shards {
+			spec.Attach(st.sc)
+		}
 	}
 	// Churn draws its whole schedule now, before the failure plan, so a
 	// given seed yields one fixed event timeline. Flash crowds draw no
 	// randomness and ride on the same arrival hook.
-	sc.ScheduleChurn(spec.Params.Churn, spec.Params.RunDuration)
-	sc.ScheduleFlashCrowds(spec.Params.FlashCrowds)
+	f.scheduleChurn(spec.Params.Churn, spec.Params.RunDuration)
+	f.scheduleFlashCrowds(spec.Params.FlashCrowds)
 
-	// Plan the interface failures (§5 Step 2): one outage per node — or
-	// use the caller's fixed schedule.
-	plan := spec.ExplicitFailures
-	if plan == nil {
-		plan = netsim.PlanInterfaceFailures(k, sc.AllNodeIDs(), netsim.FailurePlanConfig{
-			Lambda:      spec.Lambda,
-			WindowStart: spec.Params.FailureWindowStart,
-			WindowEnd:   spec.Params.FailureWindowEnd,
-			RunDuration: spec.Params.RunDuration,
-		})
+	// The interface failures (§5 Step 2): one outage per node, each
+	// shard's plan drawn from its own kernel — or the caller's fixed
+	// schedule.
+	if spec.ExplicitFailures != nil {
+		f.scheduleFailures(spec.ExplicitFailures)
+	} else {
+		for _, st := range f.shards {
+			st.sc.Net.ScheduleFailures(netsim.PlanInterfaceFailures(st.sc.K, st.sc.AllNodeIDs(), netsim.FailurePlanConfig{
+				Lambda:      spec.Lambda,
+				WindowStart: spec.Params.FailureWindowStart,
+				WindowEnd:   spec.Params.FailureWindowEnd,
+				RunDuration: spec.Params.RunDuration,
+			}))
+		}
 	}
-	sc.Net.ScheduleFailures(plan)
 	// Correlated rack outages draw after the λ plan and compose with it;
 	// a disabled config draws nothing, keeping default runs bit-identical.
+	// One plan from shard 0's kernel over the whole boot population —
+	// racks are physical, so a contiguous block may straddle shards.
 	if spec.Params.RackFailures.Enabled() {
-		sc.Net.ScheduleFailures(netsim.PlanRackFailures(k, sc.AllNodeIDs(), spec.Params.RackFailures))
+		f.scheduleFailures(netsim.PlanRackFailures(f.Scenario().K, f.allNodeIDs(), spec.Params.RackFailures))
 	}
 	// Transient partitions ride on top of the failure plan; scheduling
 	// them draws no randomness, so default runs replay unchanged.
-	sc.Net.SchedulePartitions(spec.Params.Partitions)
-
-	// Schedule the service change(s) at C ~ U[ChangeMin, ChangeMax]. With
-	// multiple changes (the frequent-update extension), consistency is
-	// measured against the final version, from the last change time.
-	nChanges := spec.Params.Changes
-	if nChanges < 1 {
-		nChanges = 1
-	}
-	changeTimes := make([]sim.Time, nChanges)
-	for i := range changeTimes {
-		changeTimes[i] = k.UniformTime(spec.Params.ChangeMin, spec.Params.ChangeMax)
-	}
-	sort.Slice(changeTimes, func(i, j int) bool { return changeTimes[i] < changeTimes[j] })
-	sc.SetTargetVersion(uint64(1 + nChanges))
-	for _, at := range changeTimes {
-		k.At(at, sc.fireChange)
-	}
-	changeAt := changeTimes[len(changeTimes)-1]
+	f.schedulePartitions(spec.Params.Partitions)
+	changeAt := f.scheduleChanges(spec.Params)
 
 	deadline := sim.Time(spec.Params.RunDuration)
-	k.Run(deadline)
+	f.RunUntil(deadline)
 
-	res := metrics.RunResult{
-		Lambda:   spec.Lambda,
-		Seed:     spec.Seed,
-		ChangeAt: changeAt,
-		Deadline: deadline,
-	}
-	allDone := changeAt
-	allReached := true
-	for _, uid := range sc.UserIDs {
-		at, ok := sc.ReachedAt(uid)
-		excluded := !ok && sc.AbsentAtEnd(uid)
-		res.Users = append(res.Users, metrics.UserOutcome{User: uid, Reached: ok, At: at, Excluded: excluded})
-		if excluded {
-			continue // churned out: no U(i,j) sample, no effort-window claim
-		}
-		if !ok {
-			allReached = false
-		} else if at > allDone {
-			allDone = at
-		}
-	}
-	// Permanently departed Users whose slots were recycled: outcomes were
-	// frozen at departure, same exclusion rule as live absent Users.
-	for _, o := range sc.RetiredOutcomes() {
-		res.Users = append(res.Users, o)
-		if o.Excluded {
-			continue
-		}
-		if o.At > allDone {
-			allDone = o.At
-		}
-	}
-	winEnd := deadline
-	if allReached {
-		winEnd = allDone + spec.Params.EffortPad
-		if winEnd > deadline {
-			winEnd = deadline
-		}
-	}
-	c := sc.Net.Counters()
-	res.Effort = c.CountedInWindow(changeAt, winEnd)
-	res.TotalDiscoverySends = c.DiscoverySends
-	res.TotalTransport = c.TransportFrames
+	res := f.result(spec, changeAt, deadline)
 	if reg != nil {
-		reg.Gauge("sd_kernel_events", "shard", "0").Set(int64(k.Fired()))
-		reg.Gauge("sd_kernel_pending", "shard", "0").Set(int64(k.Pending()))
+		for s, st := range f.shards {
+			shard := strconv.Itoa(s)
+			reg.Gauge("sd_kernel_events", "shard", shard).Set(int64(st.sc.K.Fired()))
+			reg.Gauge("sd_kernel_pending", "shard", shard).Set(int64(st.sc.K.Pending()))
+		}
 	}
-	if ws != nil {
+	sc := f.Scenario()
+	if ws != nil && ws.fab == f {
 		ws.adopt(sc)
 	}
 	return res, sc

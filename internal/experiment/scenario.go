@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/discovery"
 	"repro/internal/frodo"
-	"repro/internal/harden"
 	"repro/internal/jini"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
@@ -66,32 +65,24 @@ type Scenario struct {
 	ManagerID netsim.NodeID
 	UserIDs   []netsim.NodeID
 
-	// Change bumps the service version and starts update propagation.
-	Change func()
-	// TargetVersion is the version Users must reach after one change.
+	// TargetVersion is the version Users must reach: 1 + the number of
+	// scheduled changes.
 	TargetVersion uint64
 
 	rec *recorder
+	// measured is the Manager hosting the measured printer (nil on a
+	// remote shard, which holds no infrastructure).
+	measured manager
 
-	// makeUser spawns one more User of this system's kind, booting
-	// immediately; the churn engine uses it for Poisson arrivals.
-	makeUser func(name string) netsim.NodeID
-	// makeClient generalizes makeUser for the live gateway: a User with
-	// its own query and consistency listener. It returns the node ID and
-	// a visitor over the User's cached records, the gateway's read path
-	// into live protocol state. makeUser is makeClient specialized to
-	// the measured printer query and the run recorder.
-	makeClient func(name string, q discovery.Query, l discovery.ConsistencyListener) (netsim.NodeID, func(func(discovery.ServiceRecord)))
-	// makeManager spawns one more Manager hosting sd, booting
-	// immediately; it returns the node ID and the service's change
-	// closure. The live gateway uses it for external registrations.
-	makeManager func(name string, sd discovery.ServiceDescription) (netsim.NodeID, func(func(map[string]string)))
+	// kit holds the system's role constructors; mid-run spawns (churn
+	// arrivals, the live gateway's clients and registrations) build
+	// through it exactly as the boot population did.
+	kit kit
 	// absent tracks Users currently churned out of the network.
 	absent map[netsim.NodeID]bool
-	// stopUser quiesces one User's protocol instance so its node can be
-	// retired; it reports false when the node cannot be detached (e.g. a
-	// FRODO 300D node currently serving as Central or Backup).
-	stopUser map[netsim.NodeID]func() bool
+	// users indexes every live User-role instance by node, so a permanent
+	// departure can quiesce the instance before its slot is retired.
+	users map[netsim.NodeID]user
 	// retired freezes the outcomes of permanently departed Users whose
 	// node slots were recycled for later arrivals.
 	retired []metrics.UserOutcome
@@ -109,15 +100,6 @@ type Scenario struct {
 	// belong to churn arrivals and are released on rearm.
 	rearm     []func()
 	bootNodes int
-}
-
-// rearmable is the replay surface shared by every protocol instance the
-// rearm plan manages: reset to construction state, reschedule the boot,
-// report the node slot.
-type rearmable interface {
-	Rearm()
-	Start(sim.Duration)
-	ID() netsim.NodeID
 }
 
 // recorder observes User cache writes and keeps the first time each User
@@ -160,23 +142,14 @@ func (s *Scenario) ReachedAt(user netsim.NodeID) (sim.Time, bool) {
 // result appends them after the live Users.
 func (s *Scenario) RetiredOutcomes() []metrics.UserOutcome { return s.retired }
 
-// SetTargetVersion adjusts the version the consistency recorder waits
-// for (1 + number of changes).
-func (s *Scenario) SetTargetVersion(v uint64) {
-	s.TargetVersion = v
-	s.rec.target = v
-}
-
 // TapConsistency chains a listener onto the run's cache-write recorder.
 // The tap sees every User cache write unfiltered; one tap per run (a
 // second call replaces the first). The run-time oracle uses it to audit
 // the version-bound invariant online.
 func (s *Scenario) TapConsistency(l discovery.ConsistencyListener) { s.rec.chain = l }
 
-// TapChange registers fn to run after every scheduled service change —
-// the oracle's record of what the Manager has published. Direct calls to
-// s.Change (ablation harnesses) bypass the tap; the run driver always
-// goes through fireChange.
+// TapChange registers fn to run after every service change (FireChange)
+// — the oracle's record of what the Manager has published.
 func (s *Scenario) TapChange(fn func()) { s.onChange = fn }
 
 // AddTracer attaches t alongside any tracer already installed on the
@@ -185,20 +158,17 @@ func (s *Scenario) AddTracer(t netsim.Tracer) {
 	s.Net.SetTracer(netsim.TeeTracer(s.Net.Tracer(), t))
 }
 
-// fireChange applies one scheduled service change and notifies the
-// change tap.
-func (s *Scenario) fireChange() {
-	s.Change()
+// FireChange bumps the measured service's version, starting update
+// propagation, and notifies the change tap — what the run driver
+// schedules at each change time. The live gateway calls it for external
+// updates of the measured service, so an attached oracle sees the
+// publication before any User can cache the new version.
+func (s *Scenario) FireChange() {
+	s.measured.ChangeService(changePrinter)
 	if s.onChange != nil {
 		s.onChange()
 	}
 }
-
-// FireChange applies one service change through the change tap, exactly
-// as the run driver's scheduled changes do. The live gateway uses it
-// for external updates of the measured service, so an attached oracle
-// sees the publication before any User can cache the new version.
-func (s *Scenario) FireChange() { s.fireChange() }
 
 // printerSD is the example service of §4: a color printer.
 func printerSD() discovery.ServiceDescription {
@@ -241,15 +211,30 @@ func Build(sys System, k *sim.Kernel, nUsers int, opts Options) *Scenario {
 // Users) and its randomized per-node jitter, so default runs replay the
 // seed experiments bit-for-bit.
 func BuildTopology(sys System, k *sim.Kernel, topo Topology, opts Options) *Scenario {
-	return buildTopology(nil, sys, k, topo, opts)
+	return buildTopology(nil, sys, k, topo, opts, placement{})
 }
 
-// buildTopology is BuildTopology with an optional workspace: with ws set
-// the scenario borrows the workspace's network, recorder and ledgers
-// (reset, capacity retained) instead of allocating fresh ones — and,
-// when the workspace's cached scenario already has this exact shape, the
-// whole protocol-instance graph is rearmed in place instead of rebuilt.
-func buildTopology(ws *Workspace, sys System, k *sim.Kernel, topo Topology, opts Options) *Scenario {
+// placement says which slice of a topology one scenario holds: shard
+// `shard` of `of`, attached to the fabric's other shards through router.
+// Shard 0 holds all infrastructure (Registries, Managers) plus every
+// `of`th User; the other shards hold Users round-robin. The zero value
+// is the whole topology on one unsharded network.
+type placement struct {
+	shard, of int
+	router    *netsim.ShardRouter
+}
+
+func (p placement) infra() bool { return p.shard == 0 }
+
+func (p placement) user(i int) bool { return p.of <= 1 || i%p.of == p.shard }
+
+// buildTopology is BuildTopology for one placement, with an optional
+// workspace: with ws set the scenario borrows the workspace's network,
+// recorder and ledgers (reset, capacity retained) instead of allocating
+// fresh ones — and, when the workspace's cached scenario already has
+// this exact shape, the whole protocol-instance graph is rearmed in
+// place instead of rebuilt. Workspaces only ever hold whole topologies.
+func buildTopology(ws *Workspace, sys System, k *sim.Kernel, topo Topology, opts Options, place placement) *Scenario {
 	topo = topo.normalized(sys, 0)
 	// Invalid network options fail here, at build entry, before any
 	// simulation state is touched — never partway through a sweep.
@@ -268,18 +253,22 @@ func buildTopology(ws *Workspace, sys System, k *sim.Kernel, topo Topology, opts
 		ws.invalidate()
 	}
 
-	sc := &Scenario{System: sys, Topo: topo, K: k, TargetVersion: 2}
+	sc := &Scenario{System: sys, Topo: topo, K: k, TargetVersion: 2, kit: newKit(sys, opts)}
 	if ws != nil {
 		sc.Net = ws.network(k, netCfg)
-		sc.rec, sc.absent, sc.stopUser, sc.UserIDs, sc.retired = ws.scratch(topo.Users)
+		sc.rec, sc.absent, sc.users, sc.UserIDs, sc.retired = ws.scratch(topo.Users)
 	} else {
 		sc.Net, err = netsim.New(k, netCfg)
 		if err != nil {
 			panic(fmt.Sprintf("experiment: %v", err)) // unreachable: netConfig validated
 		}
-		sc.rec = &recorder{target: 2, manager: netsim.NoNode, first: make(map[netsim.NodeID]sim.Time, topo.Users)}
+		if place.router != nil {
+			sc.Net.SetShard(place.shard, place.router)
+		}
+		held := topo.Users/max(place.of, 1) + 1
+		sc.rec = &recorder{target: 2, manager: netsim.NoNode, first: make(map[netsim.NodeID]sim.Time, held)}
 		sc.absent = map[netsim.NodeID]bool{}
-		sc.stopUser = map[netsim.NodeID]func() bool{}
+		sc.users = map[netsim.NodeID]user{}
 	}
 	// Rearm closures are only worth recording when a workspace may reuse
 	// them.
@@ -288,7 +277,9 @@ func buildTopology(ws *Workspace, sys System, k *sim.Kernel, topo Topology, opts
 
 	// Nodes boot staggered inside the first seconds; discovery completes
 	// well within the failure-free first 100s. Infrastructure takes the
-	// first slots, Users follow on their own (usually denser) spacing.
+	// first slots, Users follow on their own (usually denser) spacing —
+	// by global index, so a sharded population boots as one staggered
+	// wave regardless of S.
 	infraBoot := func(slot int) sim.Duration {
 		return sim.Duration(slot)*topo.BootSpacing + k.UniformDuration(0, topo.BootJitter)
 	}
@@ -301,7 +292,8 @@ func buildTopology(ws *Workspace, sys System, k *sim.Kernel, topo Topology, opts
 	// what construction did — restore the slot name, reset the instance,
 	// re-draw the boot jitter and reschedule — in build order, so the
 	// kernel sees the same calls (and RNG draws) as a fresh build.
-	addInfraRearm := func(inst rearmable, name string, slot int) {
+	bootInfra := func(inst rearmable, name string, slot int) {
+		inst.Start(infraBoot(slot))
 		if !record {
 			return
 		}
@@ -311,190 +303,42 @@ func buildTopology(ws *Workspace, sys System, k *sim.Kernel, topo Topology, opts
 			inst.Start(infraBoot(slot))
 		})
 	}
-	addUserRearm := func(u rearmable, name string, i int, stop func() bool) {
-		if !record {
-			return
-		}
-		sc.rearm = append(sc.rearm, func() {
-			nw.Node(u.ID()).Name = name
-			u.Rearm()
-			u.Start(userBoot(i))
-			sc.UserIDs = append(sc.UserIDs, u.ID())
-			sc.stopUser[u.ID()] = stop
-		})
-	}
 
-	switch sys {
-	case UPnP:
-		cfg := upnp.DefaultConfig()
-		if opts.UPnP != nil {
-			opts.UPnP(&cfg)
-		}
-		harden.UPnP(&cfg, opts.Harden)
-		for j := 0; j < topo.Managers; j++ {
-			j := j
-			sd := printerSD()
-			if j > 0 {
-				sd = auxSD(topo, j)
-			}
-			name := managerName(j)
-			m := upnp.NewManager(nw.AddNode(name), cfg, sd)
-			m.Start(infraBoot(j))
-			if j == 0 {
-				sc.ManagerID = m.ID()
-				sc.Change = func() { m.ChangeService(changePrinter) }
-			}
-			addInfraRearm(m, name, j)
-		}
-		newUser := func(name string, q discovery.Query, l discovery.ConsistencyListener) *upnp.User {
-			u := upnp.NewUser(nw.AddNode(name), cfg, q, l)
-			sc.stopUser[u.ID()] = func() bool { u.Stop(); return true }
-			return u
-		}
-		sc.makeClient = func(name string, q discovery.Query, l discovery.ConsistencyListener) (netsim.NodeID, func(func(discovery.ServiceRecord))) {
-			u := newUser(name, q, l)
-			u.Start(0)
-			return u.ID(), u.EachCached
-		}
-		sc.makeManager = func(name string, sd discovery.ServiceDescription) (netsim.NodeID, func(func(map[string]string))) {
-			m := upnp.NewManager(nw.AddNode(name), cfg, sd)
-			m.Start(0)
-			return m.ID(), m.ChangeService
-		}
-		for i := 0; i < topo.Users; i++ {
-			i := i
-			name := userName(i)
-			u := newUser(name, printerQuery, sc.rec)
-			stop := sc.stopUser[u.ID()]
-			u.Start(userBoot(i))
-			sc.UserIDs = append(sc.UserIDs, u.ID())
-			addUserRearm(u, name, i, stop)
-		}
-
-	case Jini1, Jini2:
-		cfg := jini.DefaultConfig()
-		if opts.Jini != nil {
-			opts.Jini(&cfg)
-		}
-		harden.Jini(&cfg, opts.Harden)
+	if place.infra() {
 		for i := 0; i < topo.Registries; i++ {
-			i := i
 			name := registryName(sys, i)
-			reg := jini.NewRegistry(nw.AddNode(name), cfg)
-			reg.Start(infraBoot(i))
-			addInfraRearm(reg, name, i)
+			bootInfra(sc.kit.registry(nw.AddNode(name), i), name, i)
 		}
 		for j := 0; j < topo.Managers; j++ {
-			j := j
 			sd := printerSD()
 			if j > 0 {
 				sd = auxSD(topo, j)
 			}
 			name := managerName(j)
-			m := jini.NewManager(nw.AddNode(name), cfg, sd)
-			m.Start(infraBoot(topo.Registries + j))
+			m := sc.kit.manager(nw.AddNode(name), sd)
 			if j == 0 {
-				sc.ManagerID = m.ID()
-				sc.Change = func() { m.ChangeService(changePrinter) }
+				sc.ManagerID, sc.measured = m.ID(), m
 			}
-			addInfraRearm(m, name, topo.Registries+j)
+			bootInfra(m, name, topo.Registries+j)
 		}
-		newUser := func(name string, q discovery.Query, l discovery.ConsistencyListener) *jini.User {
-			u := jini.NewUser(nw.AddNode(name), cfg, q, l)
-			sc.stopUser[u.ID()] = func() bool { u.Stop(); return true }
-			return u
-		}
-		sc.makeClient = func(name string, q discovery.Query, l discovery.ConsistencyListener) (netsim.NodeID, func(func(discovery.ServiceRecord))) {
-			u := newUser(name, q, l)
-			u.Start(0)
-			return u.ID(), u.EachCached
-		}
-		sc.makeManager = func(name string, sd discovery.ServiceDescription) (netsim.NodeID, func(func(map[string]string))) {
-			m := jini.NewManager(nw.AddNode(name), cfg, sd)
-			m.Start(0)
-			return m.ID(), m.ChangeService
-		}
-		for i := 0; i < topo.Users; i++ {
-			i := i
-			name := userName(i)
-			u := newUser(name, printerQuery, sc.rec)
-			stop := sc.stopUser[u.ID()]
-			u.Start(userBoot(i))
-			sc.UserIDs = append(sc.UserIDs, u.ID())
-			addUserRearm(u, name, i, stop)
-		}
-
-	case Frodo3P, Frodo2P:
-		cfg := frodo.DefaultConfig()
-		mgrClass, mgrPower := frodo.Class3D, 5
-		userClass := frodo.Class3D
-		if sys == Frodo2P {
-			cfg = frodo.TwoPartyConfig()
-			mgrClass, mgrPower = frodo.Class300D, 5
-			userClass = frodo.Class300D
-		}
-		if opts.Frodo != nil {
-			opts.Frodo(&cfg)
-		}
-		harden.Frodo(&cfg, opts.Harden)
-		for i := 0; i < topo.Registries; i++ {
-			i := i
-			name := registryName(sys, i)
-			reg := frodo.NewNode(nw.AddNode(name), cfg, frodo.Class300D, registryPower(i))
-			reg.Start(infraBoot(i))
-			addInfraRearm(reg, name, i)
-		}
-		for j := 0; j < topo.Managers; j++ {
-			j := j
-			sd := printerSD()
-			if j > 0 {
-				sd = auxSD(topo, j)
-			}
-			name := managerName(j)
-			mn := frodo.NewNode(nw.AddNode(name), cfg, mgrClass, mgrPower)
-			m := mn.AttachManager(sd)
-			mn.Start(infraBoot(topo.Registries + j))
-			if j == 0 {
-				sc.ManagerID = m.ID()
-				sc.Change = func() { m.ChangeService(changePrinter) }
-			}
-			addInfraRearm(mn, name, topo.Registries+j)
-		}
-		newUser := func(name string, q discovery.Query, l discovery.ConsistencyListener) *frodo.Node {
-			un := frodo.NewNode(nw.AddNode(name), cfg, userClass, 1)
-			un.AttachUser(q, l)
-			sc.stopUser[un.ID()] = un.Detach
-			return un
-		}
-		sc.makeClient = func(name string, q discovery.Query, l discovery.ConsistencyListener) (netsim.NodeID, func(func(discovery.ServiceRecord))) {
-			un := newUser(name, q, l)
-			un.Start(0)
-			return un.ID(), un.User().EachCached
-		}
-		sc.makeManager = func(name string, sd discovery.ServiceDescription) (netsim.NodeID, func(func(map[string]string))) {
-			mn := frodo.NewNode(nw.AddNode(name), cfg, mgrClass, mgrPower)
-			m := mn.AttachManager(sd)
-			mn.Start(0)
-			return m.ID(), m.ChangeService
-		}
-		for i := 0; i < topo.Users; i++ {
-			i := i
-			name := userName(i)
-			un := newUser(name, printerQuery, sc.rec)
-			stop := sc.stopUser[un.ID()]
-			un.Start(userBoot(i))
-			sc.UserIDs = append(sc.UserIDs, un.ID())
-			addUserRearm(un, name, i, stop)
-		}
-
-	default:
-		panic("experiment: unknown system")
 	}
-	// The churn engine's arrival hook is the live-client spawner
-	// specialized to the measured requirement and the run recorder.
-	sc.makeUser = func(name string) netsim.NodeID {
-		id, _ := sc.makeClient(name, printerQuery, sc.rec)
-		return id
+	for i := 0; i < topo.Users; i++ {
+		if !place.user(i) {
+			continue
+		}
+		name := userName(i)
+		u := sc.newUser(name, printerQuery, sc.rec)
+		u.Start(userBoot(i))
+		sc.UserIDs = append(sc.UserIDs, u.ID())
+		if record {
+			sc.rearm = append(sc.rearm, func() {
+				nw.Node(u.ID()).Name = name
+				u.Rearm()
+				u.Start(userBoot(i))
+				sc.UserIDs = append(sc.UserIDs, u.ID())
+				sc.users[u.ID()] = u
+			})
+		}
 	}
 	sc.rec.manager = sc.ManagerID
 	sc.bootNodes = nw.Nodes()
@@ -518,7 +362,7 @@ func rearmTopology(ws *Workspace, k *sim.Kernel, netCfg netsim.Config) *Scenario
 	ws.invalidate()
 	sc.K = k
 	sc.Net.Rearm(k, netCfg, sc.bootNodes)
-	sc.rec, sc.absent, sc.stopUser, sc.UserIDs, sc.retired = ws.scratch(sc.Topo.Users)
+	sc.rec, sc.absent, sc.users, sc.UserIDs, sc.retired = ws.scratch(sc.Topo.Users)
 	sc.TargetVersion = 2
 	sc.onChange = nil
 	for _, replay := range sc.rearm {
@@ -529,6 +373,22 @@ func rearmTopology(ws *Workspace, k *sim.Kernel, netCfg netsim.Config) *Scenario
 	return sc
 }
 
+// newUser builds one User-role instance on a fresh (or recycled) node
+// slot and indexes it; the caller schedules its boot.
+func (s *Scenario) newUser(name string, q discovery.Query, l discovery.ConsistencyListener) user {
+	u := s.kit.user(s.Net.AddNode(name), q, l)
+	s.users[u.ID()] = u
+	return u
+}
+
+// arrive boots one more measured User immediately — a Poisson or
+// flash-crowd arrival: the measured printer query, the run recorder.
+func (s *Scenario) arrive(name string) {
+	u := s.newUser(name, printerQuery, s.rec)
+	u.Start(0)
+	s.UserIDs = append(s.UserIDs, u.ID())
+}
+
 // SpawnUser adds one more User of the scenario's system mid-run, with
 // its own query and consistency listener, booting immediately. It
 // returns the new node's ID and a visitor over the User's cached
@@ -537,7 +397,9 @@ func rearmTopology(ws *Workspace, k *sim.Kernel, netCfg netsim.Config) *Scenario
 // Metrics; like every scenario mutation, SpawnUser must run on the
 // kernel's goroutine (the live Driver serializes it).
 func (s *Scenario) SpawnUser(name string, q discovery.Query, l discovery.ConsistencyListener) (netsim.NodeID, func(func(discovery.ServiceRecord))) {
-	return s.makeClient(name, q, l)
+	u := s.newUser(name, q, l)
+	u.Start(0)
+	return u.ID(), u.EachCached
 }
 
 // SpawnManager adds one more Manager hosting sd mid-run, booting
@@ -545,7 +407,9 @@ func (s *Scenario) SpawnUser(name string, q discovery.Query, l discovery.Consist
 // closure (the live gateway's update path). Same concurrency contract
 // as SpawnUser.
 func (s *Scenario) SpawnManager(name string, sd discovery.ServiceDescription) (netsim.NodeID, func(mutate func(map[string]string))) {
-	return s.makeManager(name, sd)
+	m := s.kit.manager(s.Net.AddNode(name), sd)
+	m.Start(0)
+	return m.ID(), m.ChangeService
 }
 
 // RegistryIDs reports the node IDs of the Registry-role infrastructure:
@@ -564,7 +428,10 @@ func (s *Scenario) RegistryIDs() []netsim.NodeID {
 // into the IDs; unsharded networks are shard 0, where the encoding is
 // the plain table index.
 func (s *Scenario) AllNodeIDs() []netsim.NodeID {
-	ids := make([]netsim.NodeID, 0, s.Net.Nodes())
+	return s.appendNodeIDs(make([]netsim.NodeID, 0, s.Net.Nodes()))
+}
+
+func (s *Scenario) appendNodeIDs(ids []netsim.NodeID) []netsim.NodeID {
 	for i := 0; i < s.Net.Nodes(); i++ {
 		ids = append(ids, netsim.MakeNodeID(s.Net.Shard(), i))
 	}

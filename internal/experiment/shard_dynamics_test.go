@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/discovery"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
@@ -84,9 +85,9 @@ func TestShardedDynamicsDeterminism(t *testing.T) {
 }
 
 // TestRunSpecValidate pins the up-front validation that replaced the
-// mid-run panics: unsupported sharded features and misplaced cross-link
-// config come back as errors naming the problem, and supported shapes
-// validate clean.
+// mid-run panics: fabric shapes that cannot be built and misplaced
+// cross-link config come back as errors naming the problem, and
+// supported shapes validate clean.
 func TestRunSpecValidate(t *testing.T) {
 	base := shardSpec(4)
 	cases := []struct {
@@ -107,8 +108,9 @@ func TestRunSpecValidate(t *testing.T) {
 		{"explicit failures sharded", func(s *RunSpec) {
 			s.ExplicitFailures = []netsim.InterfaceFailure{}
 			s.ExplicitFailures = append(s.ExplicitFailures, netsim.InterfaceFailure{})
-		}, "explicit failure schedules"},
-		{"attach sharded", func(s *RunSpec) { s.Attach = func(*Scenario) {} }, "do not support Attach"},
+		}, ""},
+		{"attach sharded", func(s *RunSpec) { s.Attach = func(*Scenario) {} }, ""},
+		{"negative shards", func(s *RunSpec) { s.Shards = -1 }, "must not be negative"},
 		{"zero-lookahead cross", func(s *RunSpec) {
 			s.Cross = netsim.CrossLink{MinDelay: -sim.Second, MaxDelay: sim.Second}
 		}, "MinDelay"},
@@ -125,6 +127,89 @@ func TestRunSpecValidate(t *testing.T) {
 		}
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want substring %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestShardedExplicitFailures runs a fixed outage schedule on a sharded
+// fabric: each outage is dispatched to the shard its NodeID names, so
+// taking both interfaces of one remote shard's Users down across the
+// change window keeps exactly those Users from reaching consistency.
+func TestShardedExplicitFailures(t *testing.T) {
+	spec := shardSpec(2)
+	spec.Lambda = 0
+	const cut = 1 // the shard whose Users go dark
+	for local := 0; local < 20; local++ {
+		spec.ExplicitFailures = append(spec.ExplicitFailures, netsim.InterfaceFailure{
+			Node: netsim.MakeNodeID(cut, local), Mode: netsim.FailBoth,
+			Start: 50 * sim.Second, Duration: 850 * sim.Second,
+		})
+	}
+	res := Run(spec)
+	if len(res.Users) != 40 {
+		t.Fatalf("%d user outcomes, want 40", len(res.Users))
+	}
+	for i, u := range res.Users {
+		if want := u.User.Shard() != cut; u.Reached != want {
+			t.Errorf("user %d (shard %d): reached=%v, want %v", i, u.User.Shard(), u.Reached, want)
+		}
+	}
+}
+
+// TestShardedAttachPerShard pins the Attach contract at S > 1: one call
+// per shard scenario, in shard order, every scenario bound to the one
+// measured Manager — and observing changes nothing about the run.
+func TestShardedAttachPerShard(t *testing.T) {
+	for _, shards := range []int{1, 2, 4} {
+		spec := shardSpec(shards)
+		bare := Run(spec)
+		var seen []int
+		_, mgr, _ := PaperLayout(Frodo2P)
+		spec.Attach = func(sc *Scenario) {
+			seen = append(seen, sc.Net.Shard())
+			if sc.ManagerID != mgr {
+				t.Errorf("shards=%d: shard %d scenario bound to manager %d", shards, sc.Net.Shard(), sc.ManagerID)
+			}
+		}
+		observed := Run(spec)
+		if len(seen) != shards {
+			t.Fatalf("shards=%d: Attach called %d times (%v)", shards, len(seen), seen)
+		}
+		for s, got := range seen {
+			if got != s {
+				t.Errorf("shards=%d: call %d saw shard %d", shards, s, got)
+			}
+		}
+		if !reflect.DeepEqual(bare, observed) {
+			t.Errorf("shards=%d: Attach perturbed the run", shards)
+		}
+	}
+}
+
+// TestShardedRunHonoursHardening is the regression test of the sharded
+// builder's missing harden.Frodo call: with all four hardening flags a
+// spec whose single-kernel run differs from its baseline must differ at
+// S=2 too, and a remote shard's FRODO nodes carry the hardened config.
+func TestShardedRunHonoursHardening(t *testing.T) {
+	all := discovery.Hardening{StrictLease: true, JitterRetry: true, RetireBye: true, CentralRepair: true}
+	for _, shards := range []int{1, 2} {
+		spec := shardSpec(shards)
+		spec.Lambda, spec.Seed = 0.6, 7
+		base := Run(spec)
+		spec.Params.Hardening = all
+		if hard := Run(spec); reflect.DeepEqual(base, hard) {
+			t.Errorf("shards=%d: the hardened run equals the baseline run", shards)
+		}
+	}
+	f, err := BuildFabric(Frodo2P, Topology{Users: 8}, Options{Harden: all}, 7, 2, netsim.CrossLink{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	remote := f.ShardScenario(1)
+	for _, uid := range remote.UserIDs {
+		if h := remote.users[uid].(frodoUser).Config().Harden; h != all {
+			t.Errorf("remote shard node %d built with hardening %+v", uid, h)
 		}
 	}
 }

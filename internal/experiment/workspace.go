@@ -30,14 +30,15 @@ import (
 // Scenario returned by a run borrows the workspace's storage — it is
 // valid only until the workspace's next run.
 type Workspace struct {
-	k  *sim.Kernel
-	nw *netsim.Network
+	k   *sim.Kernel
+	nw  *netsim.Network
+	fab *Fabric
 
-	rec      recorder
-	absent   map[netsim.NodeID]bool
-	stopUser map[netsim.NodeID]func() bool
-	userIDs  []netsim.NodeID
-	retired  []metrics.UserOutcome
+	rec     recorder
+	absent  map[netsim.NodeID]bool
+	users   map[netsim.NodeID]user
+	userIDs []netsim.NodeID
+	retired []metrics.UserOutcome
 
 	// scen is the cached scenario; scenKey identifies the shape it was
 	// built for. trustOpts widens reuse to option sets with mutator
@@ -71,14 +72,34 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 // or sensitivity mutators instead of rebuilding them every run.
 func (ws *Workspace) TrustOptions() { ws.trustOpts = true }
 
-// kernel returns the workspace kernel reset to seed.
+// kernel returns the workspace kernel reset to seed; without a workspace,
+// a fresh kernel.
 func (ws *Workspace) kernel(seed int64) *sim.Kernel {
+	if ws == nil {
+		return sim.New(seed)
+	}
 	if ws.k == nil {
 		ws.k = sim.New(seed)
 	} else {
 		ws.k.Reset(seed)
 	}
 	return ws.k
+}
+
+// fabric returns a Fabric of n blank shards: the workspace's own
+// single-shard one, kept across runs, or without a workspace a fresh one.
+func (ws *Workspace) fabric(n int) *Fabric {
+	if ws != nil && ws.fab != nil {
+		return ws.fab
+	}
+	f := &Fabric{shards: make([]*shardState, n)}
+	for s := range f.shards {
+		f.shards[s] = &shardState{}
+	}
+	if ws != nil {
+		ws.fab = f
+	}
+	return f
 }
 
 // network returns the workspace network reset for kernel k. The config
@@ -100,13 +121,13 @@ func (ws *Workspace) network(k *sim.Kernel, cfg netsim.Config) *netsim.Network {
 // scratch hands the recorder, ledgers and slices to a new scenario,
 // cleared but with capacity intact.
 func (ws *Workspace) scratch(topoUsers int) (rec *recorder, absent map[netsim.NodeID]bool,
-	stopUser map[netsim.NodeID]func() bool, userIDs []netsim.NodeID, retired []metrics.UserOutcome) {
+	users map[netsim.NodeID]user, userIDs []netsim.NodeID, retired []metrics.UserOutcome) {
 	if ws.absent == nil {
 		ws.absent = make(map[netsim.NodeID]bool)
-		ws.stopUser = make(map[netsim.NodeID]func() bool)
+		ws.users = make(map[netsim.NodeID]user)
 	} else {
 		clear(ws.absent)
-		clear(ws.stopUser)
+		clear(ws.users)
 	}
 	if ws.rec.first == nil {
 		ws.rec.first = make(map[netsim.NodeID]sim.Time, topoUsers)
@@ -116,7 +137,7 @@ func (ws *Workspace) scratch(topoUsers int) (rec *recorder, absent map[netsim.No
 	ws.rec.target = 2
 	ws.rec.manager = netsim.NoNode
 	ws.rec.chain = nil
-	return &ws.rec, ws.absent, ws.stopUser, ws.userIDs[:0], ws.retired[:0]
+	return &ws.rec, ws.absent, ws.users, ws.userIDs[:0], ws.retired[:0]
 }
 
 // reusable reports whether the cached scenario matches the requested

@@ -214,6 +214,9 @@ func (nd *Node) ID() netsim.NodeID { return nd.n.ID }
 // Class reports the device class.
 func (nd *Node) Class() Class { return nd.class }
 
+// Config reports the configuration the node was built with.
+func (nd *Node) Config() Config { return nd.cfg }
+
 // Central reports the node currently believed to be the Central.
 func (nd *Node) Central() netsim.NodeID { return nd.central }
 

@@ -64,17 +64,17 @@ type Config struct {
 	// thousandfold faster, so second-scale protocol timers land on
 	// millisecond-scale wall latencies. 0 means 1.0.
 	Dilation float64
-	// Shards, when ≥ 2, serves the scenario from a sharded fabric
-	// (experiment.BuildSharded): Users spread round-robin across S
-	// kernel/network pairs advancing in parallel, infrastructure and
-	// gateway-facing spawns on shard 0. FRODO systems only. Remote
-	// shards' Users are measured (and audited by per-shard oracles) but
-	// not reachable through the gateway's subscribe/notify taps, which
-	// observe shard 0. 0 or 1 serves the classic single-kernel fabric.
+	// Shards, when ≥ 2, serves the scenario from a sharded fabric: Users
+	// spread round-robin across S kernel/network pairs advancing in
+	// parallel, infrastructure and gateway-facing spawns on shard 0.
+	// FRODO systems only. Remote shards' Users are measured (and audited
+	// by per-shard oracles) but not reachable through the gateway's
+	// subscribe/notify taps, which observe shard 0. 0 or 1 serves the
+	// single-kernel fabric.
 	Shards int
 	// CrossLink characterizes the inter-shard links of a sharded fabric
 	// (minimum delay = conservative lookahead). The zero value means
-	// netsim.DefaultCrossLink; ignored when Shards < 2.
+	// netsim.DefaultCrossLink; New rejects it when Shards < 2.
 	CrossLink netsim.CrossLink
 	// Oracle, when non-nil, attaches the run-time consistency oracle to
 	// the live driver via the tracer tee; zero fields take the system's
@@ -96,28 +96,17 @@ type Config struct {
 	FlightSize int
 }
 
-// fabric is what the event loop advances: a single kernel, or a
-// ShardSet whose coordinator runs on the loop goroutine. Both expose
-// the same resumable-RunUntil contract.
-type fabric interface {
-	RunUntil(sim.Time)
-	Now() sim.Time
-	NextEventTime() (sim.Time, bool)
-	Fired() uint64
-}
-
 // Driver runs one scenario in wall-clock time. Create with New,
 // customize (AttachOracle, AddListener, OnChange), then Start; after
 // Start all access to simulation state must go through Inject or Call.
 type Driver struct {
 	cfg Config
-	k   *sim.Kernel // shard 0's kernel on a sharded fabric
-	sc  *experiment.Scenario
-	fab fabric
-	ss  *experiment.ShardSet // nil on a single-kernel fabric
+	fab *experiment.Fabric
+	k   *sim.Kernel          // shard 0's kernel
+	sc  *experiment.Scenario // shard 0's scenario: infrastructure, gateway spawns, taps
 
-	// oracles holds every oracle AttachOracle hooked up — one on a
-	// single fabric, one per shard on a sharded one. Reports are merged.
+	// oracles holds every oracle AttachOracle hooked up, one per shard.
+	// Reports are merged.
 	oracles []*verify.Oracle
 
 	// reg is the telemetry registry (never nil after New); flights holds
@@ -177,9 +166,6 @@ func New(cfg Config) (*Driver, error) {
 	if err := cfg.Topology.Validate(); err != nil {
 		return nil, fmt.Errorf("live: %w", err)
 	}
-	if err := cfg.Options.Validate(); err != nil {
-		return nil, fmt.Errorf("live: %w", err)
-	}
 	topo := cfg.Topology
 	if topo.Users <= 0 {
 		topo.Users = 5
@@ -190,48 +176,28 @@ func New(cfg Config) (*Driver, error) {
 		stopCh: make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	if cfg.Shards >= 2 {
-		ss, err := experiment.BuildSharded(cfg.System, topo, cfg.Options, cfg.Seed, cfg.Shards, cfg.CrossLink)
-		if err != nil {
-			return nil, fmt.Errorf("live: %w", err)
-		}
-		d.ss = ss
-		d.fab = ss
-		d.sc = ss.Scenario()
-		d.k = d.sc.K
-	} else {
-		k := sim.New(cfg.Seed)
-		d.k = k
-		d.fab = k
-		d.sc = experiment.BuildTopology(cfg.System, k, topo, cfg.Options)
+	fab, err := experiment.BuildFabric(cfg.System, topo, cfg.Options, cfg.Seed, cfg.Shards, cfg.CrossLink)
+	if err != nil {
+		return nil, fmt.Errorf("live: %w", err)
 	}
-	// Telemetry: per-shard frame metering and flight recorders ride the
-	// tracer tee; the fabric's barrier accounting hooks into the ShardSet.
+	d.fab = fab
+	d.sc = fab.Scenario()
+	d.k = d.sc.K
+	// Telemetry: per-shard frame metering, barrier accounting and flight
+	// recorders ride the tracer tee.
 	d.reg = cfg.Telemetry
 	if d.reg == nil {
 		d.reg = obs.NewRegistry()
 	}
-	shards := 1
-	if d.ss != nil {
-		shards = d.ss.Shards()
-	}
-	for s := 0; s < shards; s++ {
-		ssc := d.sc
-		if d.ss != nil {
-			ssc = d.ss.ShardScenario(s)
-		}
-		ssc.AddTracer(d.reg.NetTracer(s))
-		if cfg.FlightSize >= 0 {
+	fab.Meter(d.reg)
+	if cfg.FlightSize >= 0 {
+		for s := 0; s < fab.Shards(); s++ {
 			fr := obs.NewFlightRecorder(s, cfg.FlightSize)
-			ssc.AddTracer(fr)
+			fab.ShardScenario(s).AddTracer(fr)
 			d.flights = append(d.flights, fr)
 		}
 	}
-	if d.ss != nil {
-		d.ss.SetMetrics(obs.NewFabricMetrics(d.reg, shards))
-	} else {
-		d.pending = d.reg.Gauge("sd_kernel_pending", "shard", "0")
-	}
+	d.pending = d.reg.Gauge("sd_kernel_pending", "shard", "0")
 	d.reg.GaugeFunc("sd_live_virtual_seconds", func() float64 {
 		return sim.Time(d.vnow.Load()).Sec()
 	})
@@ -260,9 +226,6 @@ func (d *Driver) Telemetry() *obs.Registry { return d.reg }
 // directly; afterwards only from functions run via Inject or Call.
 func (d *Driver) Scenario() *experiment.Scenario { return d.sc }
 
-// Kernel exposes the kernel under the same access contract as Scenario.
-func (d *Driver) Kernel() *sim.Kernel { return d.k }
-
 // Done is closed when the event loop has exited.
 func (d *Driver) Done() <-chan struct{} { return d.done }
 
@@ -281,11 +244,12 @@ func (d *Driver) OnChange(fn func()) {
 }
 
 // AttachOracle hooks a run-time consistency oracle onto the live
-// scenario: the tracer tee, the fanned-out cache-write tap and the
-// fanned-out change tap. On a sharded fabric every shard gets its own
-// oracle (a remote shard's frames fire on its worker goroutine), all
-// auditing against one shared publication counter; oracleReport merges
-// them. Before Start only; read reports via Call once the driver runs.
+// scenario. Every shard gets its own oracle on its tracer tee (a remote
+// shard's frames fire on its worker goroutine), all auditing against one
+// shared publication counter; oracleReport merges them. Shard 0's — the
+// one returned — listens through the driver's fanned-out cache-write and
+// change taps, which the gateway shares. Before Start only; read reports
+// via Call once the driver runs.
 func (d *Driver) AttachOracle(cfg verify.OracleConfig) *verify.Oracle {
 	d.mustNotBeStarted()
 	// The first violation freezes every flight recorder, preserving the
@@ -304,26 +268,23 @@ func (d *Driver) AttachOracle(cfg verify.OracleConfig) *verify.Oracle {
 			}
 		}
 	}
-	o := verify.NewOracle(d.k, d.sc.ManagerID, cfg)
-	o.MetricsInto(d.reg, 0)
-	d.sc.AddTracer(o)
-	d.listeners = append(d.listeners, o)
-	d.changeHooks = append(d.changeHooks, o.NotePublished)
-	d.oracles = append(d.oracles, o)
-	if d.ss != nil {
-		shared := new(atomic.Uint64)
+	first := len(d.oracles)
+	shared := new(atomic.Uint64)
+	for s := 0; s < d.fab.Shards(); s++ {
+		ssc := d.fab.ShardScenario(s)
+		o := verify.NewOracle(ssc.K, ssc.ManagerID, cfg)
 		o.SharePublished(shared)
-		for s := 1; s < d.ss.Shards(); s++ {
-			ssc := d.ss.ShardScenario(s)
-			os := verify.NewOracle(ssc.K, ssc.ManagerID, cfg)
-			os.SharePublished(shared)
-			os.MetricsInto(d.reg, s)
-			ssc.AddTracer(os)
-			ssc.TapConsistency(os)
-			d.oracles = append(d.oracles, os)
+		o.MetricsInto(d.reg, s)
+		ssc.AddTracer(o)
+		if s == 0 {
+			d.listeners = append(d.listeners, o)
+			d.changeHooks = append(d.changeHooks, o.NotePublished)
+		} else {
+			ssc.TapConsistency(o)
 		}
+		d.oracles = append(d.oracles, o)
 	}
-	return o
+	return d.oracles[first]
 }
 
 // FlightDump snapshots every shard's flight-recorder ring: through the
@@ -406,9 +367,7 @@ func (d *Driver) Stop() {
 			d.deadMu.Lock()
 			d.dead = true
 			d.deadMu.Unlock()
-			if d.ss != nil {
-				d.ss.Close()
-			}
+			d.fab.Close()
 			close(d.done)
 		}
 	})
@@ -492,9 +451,7 @@ func (d *Driver) run() {
 			case fn := <-d.inj:
 				fn()
 			default:
-				if d.ss != nil {
-					d.ss.Close()
-				}
+				d.fab.Close()
 				close(d.done)
 				return
 			}
@@ -512,11 +469,9 @@ func (d *Driver) run() {
 		d.fab.RunUntil(tm.vAt(time.Now()))
 		d.vnow.Store(int64(d.fab.Now()))
 		d.fired.Store(d.fab.Fired())
-		if d.pending != nil {
-			// Sharded fabrics publish per-shard depth at each barrier; the
-			// single-kernel path reads its queue here, on the loop goroutine.
-			d.pending.Set(int64(d.k.Pending()))
-		}
+		// Shard 0's queue depth, read here on the goroutine that owns it
+		// (a sharded fabric also publishes every shard's at each barrier).
+		d.pending.Set(int64(d.k.Pending()))
 		// Drain queued injections; each runs at the current instant and
 		// may schedule fresh events, picked up by the next pass.
 		for drained := false; !drained; {

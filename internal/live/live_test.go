@@ -247,7 +247,7 @@ func TestDriverStopBeforeStart(t *testing.T) {
 }
 
 // TestLiveServeSharded runs the gateway round trip against a sharded
-// fabric: the driver's event loop coordinates a 3-shard ShardSet while
+// fabric: the driver's event loop coordinates a 3-shard Fabric while
 // external registration, discovery, update and push notification all
 // land through shard 0 — and the per-shard oracles stay clean.
 func TestLiveServeSharded(t *testing.T) {

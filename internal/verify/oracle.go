@@ -294,11 +294,9 @@ type Oracle struct {
 	manager netsim.NodeID
 
 	// published is the highest version the measured Manager has ever
-	// published: 1 at boot, bumped on every scheduled change.
-	published uint64
-	// shared, when set, replaces published with a counter shared across
-	// the per-shard oracles of a sharded fabric (see SharePublished).
-	shared *atomic.Uint64
+	// published: 1 at boot, bumped on every scheduled change. The
+	// per-shard oracles of one fabric share a counter (SharePublished).
+	published *atomic.Uint64
 	// retiredAt records when each currently-retired node left; AddNode
 	// reuse clears the entry ("attached").
 	retiredAt map[netsim.NodeID]sim.Time
@@ -353,11 +351,12 @@ func NewOracle(k *sim.Kernel, manager netsim.NodeID, cfg OracleConfig) *Oracle {
 	}
 	o := &Oracle{
 		cfg: cfg, k: k, manager: manager,
-		published: 1,
+		published: new(atomic.Uint64),
 		retiredAt: map[netsim.NodeID]sim.Time{},
 		leases:    map[leaseKey]sim.Time{},
 		claims:    map[netsim.NodeID]sim.Time{},
 	}
+	o.published.Store(1)
 	if cfg.ExpectCentral {
 		for _, p := range cfg.Partitions {
 			at := p.End() + sim.Time(cfg.HealSlack)
@@ -371,7 +370,9 @@ func NewOracle(k *sim.Kernel, manager netsim.NodeID, cfg OracleConfig) *Oracle {
 // AttachOracle hooks an oracle onto a built Scenario: the network tracer
 // tee, the cache-write chain and the change tap. Call it from
 // RunSpec.Attach; the oracle stays valid after the run (its report is
-// plain data), while the Scenario itself may be recycled.
+// plain data), while the Scenario itself may be recycled. On a sharded
+// fabric Attach runs once per shard; the shards' oracles must then
+// SharePublished one counter (ObserveRun does).
 func AttachOracle(sc *experiment.Scenario, cfg OracleConfig) *Oracle {
 	o := NewOracle(sc.K, sc.ManagerID, cfg)
 	sc.AddTracer(o)
@@ -380,68 +381,35 @@ func AttachOracle(sc *experiment.Scenario, cfg OracleConfig) *Oracle {
 	return o
 }
 
-// AttachShardedOracles hooks one oracle per shard of a sharded fabric,
-// all bound to the measured Manager and sharing one publication counter
-// (the change fires on shard 0 while cache writes land everywhere).
-// Call it from RunSpec.AttachSharded; remote shards' oracles run on
-// their shards' worker goroutines, which is safe because each touches
-// only its own shard's state plus the shared atomic. Merge the reports
-// with MergeReports once the set is closed.
-func AttachShardedOracles(ss *experiment.ShardSet, cfg OracleConfig) []*Oracle {
-	shared := new(atomic.Uint64)
-	mgr := ss.Scenario().ManagerID
-	oracles := make([]*Oracle, ss.Shards())
-	for s := range oracles {
-		sc := ss.ShardScenario(s)
-		o := NewOracle(sc.K, mgr, cfg)
-		o.SharePublished(shared)
-		sc.AddTracer(o)
-		sc.TapConsistency(o)
-		if s == 0 {
-			sc.TapChange(o.NotePublished)
-		}
-		oracles[s] = o
-	}
-	return oracles
-}
-
-// ObserveRun executes one run with an oracle attached and returns its
+// ObserveRun executes one run with the oracle attached and returns its
 // report alongside the run's metrics. A nil cfg.Partitions inherits the
-// run's own partition schedule, so heal probes follow the spec. A
-// sharded spec (Shards ≥ 2) is audited by one oracle per shard; the
-// returned report is the fabric-wide merge.
+// run's own partition schedule, so heal probes follow the spec. Every
+// shard of the run's fabric gets its own oracle — one, on a
+// single-kernel run — all auditing against one shared publication
+// counter; the returned report is the fabric-wide merge.
 func ObserveRun(spec experiment.RunSpec, cfg OracleConfig) (OracleReport, metrics.RunResult) {
 	if cfg.Partitions == nil {
 		cfg.Partitions = spec.Params.Partitions
 	}
-	if spec.Shards >= 2 {
-		var oracles []*Oracle
-		prev := spec.AttachSharded
-		spec.AttachSharded = func(ss *experiment.ShardSet) {
-			if prev != nil {
-				prev(ss)
-			}
-			oracles = AttachShardedOracles(ss, cfg)
-		}
-		res := experiment.Run(spec)
-		// Run closed the ShardSet before returning, so every worker has
-		// joined and the per-shard reports are plain data.
-		reports := make([]OracleReport, len(oracles))
-		for i, o := range oracles {
-			reports[i] = o.Report()
-		}
-		return MergeReports(reports...), res
-	}
-	var o *Oracle
+	var oracles []*Oracle
+	shared := new(atomic.Uint64)
 	prev := spec.Attach
 	spec.Attach = func(sc *experiment.Scenario) {
 		if prev != nil {
 			prev(sc)
 		}
-		o = AttachOracle(sc, cfg)
+		o := AttachOracle(sc, cfg)
+		o.SharePublished(shared)
+		oracles = append(oracles, o)
 	}
 	res := experiment.Run(spec)
-	return o.Report(), res
+	// Run closed the fabric before returning, so every shard worker has
+	// joined and the per-shard reports are plain data.
+	reports := make([]OracleReport, len(oracles))
+	for i, o := range oracles {
+		reports[i] = o.Report()
+	}
+	return MergeReports(reports...), res
 }
 
 // Report summarizes the audit so far; call it after the run completes.
@@ -458,13 +426,7 @@ func (o *Oracle) Coverage() OracleCoverage { return o.cov }
 // version. The run driver wires it through Scenario.TapChange; the live
 // driver, which fans a single change tap out to several hooks, calls it
 // directly.
-func (o *Oracle) NotePublished() {
-	if o.shared != nil {
-		o.shared.Add(1)
-		return
-	}
-	o.published++
-}
+func (o *Oracle) NotePublished() { o.published.Add(1) }
 
 // SharePublished moves the oracle's publication counter to c, shared by
 // every shard's oracle of one sharded run: publications fire on shard 0
@@ -474,8 +436,8 @@ func (o *Oracle) NotePublished() {
 // write it enables by at least one window barrier, whose channel
 // exchange orders the Add before the Load.
 func (o *Oracle) SharePublished(c *atomic.Uint64) {
-	c.CompareAndSwap(0, o.published)
-	o.shared = c
+	c.CompareAndSwap(0, o.published.Load())
+	o.published = c
 }
 
 func (o *Oracle) violate(inv Invariant, node netsim.NodeID, format string, args ...any) {
@@ -535,10 +497,7 @@ func (o *Oracle) CacheUpdated(t sim.Time, user, manager netsim.NodeID, version u
 	if o.manager != netsim.NoNode && manager != o.manager {
 		return
 	}
-	published := o.published
-	if o.shared != nil {
-		published = o.shared.Load()
-	}
+	published := o.published.Load()
 	if version > published {
 		o.violate(InvVersionBound, user,
 			"User caches version %d of Manager %d, but only %d was ever published",

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"fmt"
 	"os"
 	"testing"
 
@@ -54,7 +55,47 @@ func TestObserveShardedRun(t *testing.T) {
 // announcements, so remote shards pass it through genuinely received
 // cross-shard announce traffic, not send-side bookkeeping.
 func TestObserveShardedChurnPartitionHeal(t *testing.T) {
-	spec := experiment.RunSpec{
+	spec := partitionHealSpec()
+	rep, res := ObserveRun(spec, DefaultOracleConfig(spec.System))
+	if !rep.Clean() {
+		t.Fatalf("sharded churn+partition oracle not clean: %v\n%v", rep, rep.Violations)
+	}
+	if rep.ProbesScheduled != spec.Shards {
+		t.Fatalf("%d heal probes scheduled, want one per shard (%d)", rep.ProbesScheduled, spec.Shards)
+	}
+	if rep.ProbesRun != rep.ProbesScheduled {
+		t.Fatalf("heal probes ran %d/%d", rep.ProbesRun, rep.ProbesScheduled)
+	}
+	if len(res.Users) <= 40 {
+		t.Fatalf("%d user outcomes, want > 40 (initial population plus churn arrivals)", len(res.Users))
+	}
+}
+
+// partitionHealOracleGolden is the merged per-shard oracle audit of
+// partitionHealSpec, RECORDED ON THE PARENT TREE of the one-fabric
+// refactor (verify.AttachShardedOracles + experiment.runSharded). Never
+// regenerate it from the code under test.
+const partitionHealOracleGolden = "total=0 by=[0 0 0 0] near=[101 0 4 0] slack=[[184 0 0 0 0 0 0 0] [0 0 0 0 0 0 0 170] [0 0 0 0 0 0 0 4] [0 0 0 0 0 0 0 0]] probes=4/4 waived=0 purgeLate=0 users=45 effort=245 sends=871"
+
+// TestShardedPartitionHealOracleGolden pins what the per-shard oracles
+// saw — violation and near-miss counts, the slack histograms, probe
+// counts, worst purge lateness — and the run's effort, so a refactor of
+// the oracle attachment or the sharded schedule shows up as a diff
+// rather than as "still clean".
+func TestShardedPartitionHealOracleGolden(t *testing.T) {
+	spec := partitionHealSpec()
+	rep, res := ObserveRun(spec, DefaultOracleConfig(spec.System))
+	got := fmt.Sprintf("total=%d by=%v near=%v slack=%v probes=%d/%d waived=%d purgeLate=%d users=%d effort=%d sends=%d",
+		rep.Total, rep.ByInvariant, rep.Coverage.NearMisses, rep.Coverage.Slack,
+		rep.ProbesRun, rep.ProbesScheduled, rep.Waived, rep.MaxPurgeLate,
+		len(res.Users), res.Effort, res.TotalDiscoverySends)
+	if got != partitionHealOracleGolden {
+		t.Errorf("merged oracle report moved:\n got  %s\n want %s", got, partitionHealOracleGolden)
+	}
+}
+
+func partitionHealSpec() experiment.RunSpec {
+	return experiment.RunSpec{
 		System: experiment.Frodo2P,
 		Lambda: 0,
 		Seed:   11,
@@ -72,19 +113,6 @@ func TestObserveShardedChurnPartitionHeal(t *testing.T) {
 				{Start: 3000 * sim.Second, Duration: 2000 * sim.Second, Bisect: true},
 			},
 		},
-	}
-	rep, res := ObserveRun(spec, DefaultOracleConfig(spec.System))
-	if !rep.Clean() {
-		t.Fatalf("sharded churn+partition oracle not clean: %v\n%v", rep, rep.Violations)
-	}
-	if rep.ProbesScheduled != spec.Shards {
-		t.Fatalf("%d heal probes scheduled, want one per shard (%d)", rep.ProbesScheduled, spec.Shards)
-	}
-	if rep.ProbesRun != rep.ProbesScheduled {
-		t.Fatalf("heal probes ran %d/%d", rep.ProbesRun, rep.ProbesScheduled)
-	}
-	if len(res.Users) <= 40 {
-		t.Fatalf("%d user outcomes, want > 40 (initial population plus churn arrivals)", len(res.Users))
 	}
 }
 
