@@ -24,10 +24,10 @@ func main() {
 	cfg := frodo.TwoPartyConfig()
 
 	// Four 300D devices with different capabilities.
-	tv := frodo.NewNode(nw.AddNode("SetTopBox"), cfg, frodo.Class300D, 100)
-	nas := frodo.NewNode(nw.AddNode("NAS"), cfg, frodo.Class300D, 80)
-	hub := frodo.NewNode(nw.AddNode("Hub"), cfg, frodo.Class300D, 60)
-	cam := frodo.NewNode(nw.AddNode("Camera"), cfg, frodo.Class300D, 20)
+	tv := frodo.NewNode(nw.AddNode("SetTopBox"), &cfg, frodo.Class300D, 100)
+	nas := frodo.NewNode(nw.AddNode("NAS"), &cfg, frodo.Class300D, 80)
+	hub := frodo.NewNode(nw.AddNode("Hub"), &cfg, frodo.Class300D, 60)
+	cam := frodo.NewNode(nw.AddNode("Camera"), &cfg, frodo.Class300D, 20)
 	cam.AttachManager(discovery.ServiceDescription{
 		DeviceType: "Camera", ServiceType: "VideoFeed",
 		Attributes: map[string]string{"resolution": "720p"},

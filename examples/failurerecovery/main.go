@@ -92,12 +92,12 @@ func runFrodo() {
 	}
 	cfg := frodo.TwoPartyConfig()
 
-	central := frodo.NewNode(nw.AddNode("Central"), cfg, frodo.Class300D, 100)
+	central := frodo.NewNode(nw.AddNode("Central"), &cfg, frodo.Class300D, 100)
 	central.Start(1 * sim.Second)
-	mn := frodo.NewNode(nw.AddNode("Manager"), cfg, frodo.Class300D, 5)
+	mn := frodo.NewNode(nw.AddNode("Manager"), &cfg, frodo.Class300D, 5)
 	mgr := mn.AttachManager(printerSD())
 	mn.Start(2 * sim.Second)
-	un := frodo.NewNode(nw.AddNode("User"), cfg, frodo.Class300D, 1)
+	un := frodo.NewNode(nw.AddNode("User"), &cfg, frodo.Class300D, 1)
 	user := un.AttachUser(query, consistencyPrinter("frodo"))
 	un.Start(3 * sim.Second)
 

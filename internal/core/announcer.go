@@ -16,7 +16,7 @@ type Announcer struct {
 	group  netsim.Group
 	copies int
 	make   func() netsim.Outgoing
-	tick   *sim.Ticker
+	tick   sim.Ticker
 	gate   func() bool
 }
 
@@ -24,7 +24,7 @@ type Announcer struct {
 func NewAnnouncer(nw *netsim.Network, from netsim.NodeID, group netsim.Group,
 	period sim.Duration, copies int, make func() netsim.Outgoing) *Announcer {
 	a := &Announcer{nw: nw, from: from, group: group, copies: copies, make: make}
-	a.tick = sim.NewTicker(nw.Kernel(), period, a.announce)
+	a.tick.Init(nw.Kernel(), period, announcerTick, a)
 	return a
 }
 
@@ -54,6 +54,9 @@ func (a *Announcer) Rearm() { a.tick.Rearm() }
 // so either way skipping the train keeps the node's advertised claim
 // honest. A nil gate (the default) never skips.
 func (a *Announcer) SetGate(gate func() bool) { a.gate = gate }
+
+// announcerTick is the static ticker callback shared by every announcer.
+func announcerTick(x any) { x.(*Announcer).announce() }
 
 func (a *Announcer) announce() {
 	if a.gate != nil && !a.gate() {

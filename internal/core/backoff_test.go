@@ -85,7 +85,7 @@ func TestRetryCapJitteredGaps(t *testing.T) {
 	gaps := func(seed int64) []sim.Duration {
 		k := sim.New(seed)
 		var times []sim.Time
-		r := NewRetry(k, RetryPolicy{Interval: 5 * sim.Second, Limit: 8, Cap: 30 * sim.Second},
+		r := newRetry(k, RetryPolicy{Interval: 5 * sim.Second, Limit: 8, Cap: 30 * sim.Second},
 			func(int) { times = append(times, k.Now()) }, nil)
 		r.Start()
 		k.Run(1000 * sim.Second)

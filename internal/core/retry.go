@@ -28,16 +28,18 @@ type RetryPolicy struct {
 
 // Retry drives one acknowledged transmission: it sends immediately on
 // Start and retransmits on the policy's schedule until stopped (ack
-// received, superseded, lease expired) or exhausted. A Retry can be
-// embedded by value and initialized with Init, so pooled owners (the
-// FRODO propagator) carry their schedule without a separate allocation;
-// the retransmission timer goes through a static kernel callback, so the
-// schedule itself allocates nothing per attempt.
+// received, superseded, lease expired) or exhausted. A Retry is a value
+// embedded in its owner and prepared once with Init: its callbacks are
+// static functions taking the owner, and the retransmission timer goes
+// through a static kernel callback, so neither the schedule nor an
+// attempt allocates. Like the sim timers it must not be copied once
+// started, and is Rearmed after a Kernel.Reset.
 type Retry struct {
 	k           *sim.Kernel
 	policy      RetryPolicy
-	send        func(attempt int)
-	onExhausted func()
+	send        func(owner any, attempt int)
+	onExhausted func(owner any)
+	owner       any
 
 	sent    int
 	timer   *sim.Event
@@ -45,17 +47,11 @@ type Retry struct {
 	prevGap sim.Duration // last jittered gap when policy.Cap > 0
 }
 
-// NewRetry builds a retry engine. send transmits one attempt (1-based);
-// onExhausted, which may be nil, runs when a finite policy runs out of
-// attempts — for FRODO this is the hand-off from SRN1 to SRN2.
-func NewRetry(k *sim.Kernel, policy RetryPolicy, send func(attempt int), onExhausted func()) *Retry {
-	r := &Retry{}
-	r.Init(k, policy, send, onExhausted)
-	return r
-}
-
-// Init prepares an embedded Retry in place; see NewRetry.
-func (r *Retry) Init(k *sim.Kernel, policy RetryPolicy, send func(attempt int), onExhausted func()) {
+// Init prepares the schedule in place. send(owner, attempt) transmits one
+// attempt (1-based); onExhausted(owner), which may be nil, runs when a
+// finite policy runs out of attempts — for FRODO this is the hand-off
+// from SRN1 to SRN2.
+func (r *Retry) Init(k *sim.Kernel, policy RetryPolicy, send func(owner any, attempt int), onExhausted func(owner any), owner any) {
 	if policy.Interval <= 0 {
 		panic("core: retry interval must be positive")
 	}
@@ -63,6 +59,7 @@ func (r *Retry) Init(k *sim.Kernel, policy RetryPolicy, send func(attempt int), 
 	r.policy = policy
 	r.send = send
 	r.onExhausted = onExhausted
+	r.owner = owner
 	r.sent = 0
 	r.timer = nil
 	r.active = false
@@ -125,12 +122,12 @@ func (r *Retry) attempt() {
 	if r.policy.Limit > 0 && r.sent >= r.policy.Limit {
 		r.active = false
 		if r.onExhausted != nil {
-			r.onExhausted()
+			r.onExhausted(r.owner)
 		}
 		return
 	}
 	r.sent++
-	r.send(r.sent)
+	r.send(r.owner, r.sent)
 	r.timer = r.k.AfterArg(r.nextGap(), retryFire, r)
 }
 

@@ -6,11 +6,29 @@ import (
 	"repro/internal/sim"
 )
 
+// retryFuncs carries a test's inline closures through the owner slot of
+// the static-callback form.
+type retryFuncs struct {
+	send      func(attempt int)
+	exhausted func()
+}
+
+func newRetry(k *sim.Kernel, policy RetryPolicy, send func(attempt int), onExhausted func()) *Retry {
+	r := &Retry{}
+	var exhausted func(any)
+	if onExhausted != nil {
+		exhausted = func(x any) { x.(*retryFuncs).exhausted() }
+	}
+	r.Init(k, policy, func(x any, attempt int) { x.(*retryFuncs).send(attempt) }, exhausted,
+		&retryFuncs{send: send, exhausted: onExhausted})
+	return r
+}
+
 func TestRetrySchedule(t *testing.T) {
 	k := sim.New(1)
 	var sends []sim.Time
 	exhausted := false
-	r := NewRetry(k, RetryPolicy{Interval: 10 * sim.Second, Limit: 3},
+	r := newRetry(k, RetryPolicy{Interval: 10 * sim.Second, Limit: 3},
 		func(attempt int) { sends = append(sends, k.Now()) },
 		func() { exhausted = true })
 	k.At(5*sim.Second, r.Start)
@@ -36,7 +54,7 @@ func TestRetryStopOnAck(t *testing.T) {
 	k := sim.New(1)
 	sends := 0
 	exhausted := false
-	r := NewRetry(k, RetryPolicy{Interval: 10 * sim.Second, Limit: 5},
+	r := newRetry(k, RetryPolicy{Interval: 10 * sim.Second, Limit: 5},
 		func(int) { sends++ }, func() { exhausted = true })
 	r.Start()
 	k.At(12*sim.Second, r.Stop) // "ack" arrives after the second send
@@ -52,7 +70,7 @@ func TestRetryStopOnAck(t *testing.T) {
 func TestRetryUnlimitedSRC1(t *testing.T) {
 	k := sim.New(1)
 	sends := 0
-	r := NewRetry(k, RetryPolicy{Interval: sim.Second, Limit: 0}, func(int) { sends++ }, nil)
+	r := newRetry(k, RetryPolicy{Interval: sim.Second, Limit: 0}, func(int) { sends++ }, nil)
 	r.Start()
 	k.Run(100 * sim.Second)
 	if sends != 101 { // t=0..100 inclusive
@@ -66,7 +84,7 @@ func TestRetryUnlimitedSRC1(t *testing.T) {
 func TestRetryRestartResetsCount(t *testing.T) {
 	k := sim.New(1)
 	attempts := []int{}
-	r := NewRetry(k, RetryPolicy{Interval: 10 * sim.Second, Limit: 2},
+	r := newRetry(k, RetryPolicy{Interval: 10 * sim.Second, Limit: 2},
 		func(a int) { attempts = append(attempts, a) }, nil)
 	r.Start()
 	k.At(25*sim.Second, r.Start) // restart after first schedule exhausted
@@ -91,5 +109,5 @@ func TestRetryRejectsBadInterval(t *testing.T) {
 			t.Error("zero interval accepted")
 		}
 	}()
-	NewRetry(sim.New(1), RetryPolicy{Interval: 0, Limit: 1}, func(int) {}, nil)
+	newRetry(sim.New(1), RetryPolicy{Interval: 0, Limit: 1}, func(int) {}, nil)
 }

@@ -13,7 +13,7 @@ import (
 // exactly as it was.
 func TestLeaseTableSharesSnapshotsWithoutAliasing(t *testing.T) {
 	k := sim.New(1)
-	cache := NewLeaseTable[int, ServiceRecord](k, nil)
+	cache := newTable[int, ServiceRecord](k, nil)
 
 	v1 := printerSD().Freeze()
 	cache.Put(7, ServiceRecord{Manager: 7, SD: v1}, 100*sim.Second)

@@ -15,12 +15,19 @@ import (
 // out while iterating, and a random order would draw network delays in a
 // different sequence on every run, breaking deterministic replay.
 //
-// Entries are pooled: Drop and expiry recycle the entry struct (and its
-// lease deadline) onto a free list for the next Put, so steady-state
-// membership churn allocates nothing.
+// Entries are pooled: Drop and expiry recycle the entry struct (and the
+// lease deadline embedded in it) onto a free list for the next Put, so
+// steady-state membership churn allocates nothing and a new lease costs
+// one object.
+//
+// A LeaseTable is a value embedded in its owner and prepared once with
+// Init; entries point back at it, so it must never be copied afterwards
+// (go vet's copylocks check enforces that through the noCopy marker).
 type LeaseTable[K comparable, V any] struct {
+	_        noCopy
 	k        *sim.Kernel
-	onExpire func(K, V)
+	onExpire func(owner any, key K, v V)
+	owner    any
 	entries  map[K]*leaseEntry[K, V]
 	order    []K
 	free     *leaseEntry[K, V]
@@ -32,26 +39,46 @@ type LeaseTable[K comparable, V any] struct {
 	iterating bool
 }
 
+// noCopy makes go vet reject copies of an initialised table; see
+// sim.Deadline for the idiom.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
 type leaseEntry[K comparable, V any] struct {
+	t        *LeaseTable[K, V]
 	key      K
 	value    V
-	deadline *sim.Deadline
+	deadline sim.Deadline
 	next     *leaseEntry[K, V] // free-list link while recycled
 }
 
-// NewLeaseTable creates a table on the given kernel. onExpire may be nil.
-func NewLeaseTable[K comparable, V any](k *sim.Kernel, onExpire func(K, V)) *LeaseTable[K, V] {
-	return &LeaseTable[K, V]{k: k, onExpire: onExpire, entries: make(map[K]*leaseEntry[K, V])}
+func (e *leaseEntry[K, V]) expire() { e.t.expire(e.key) }
+
+// leaseExpired is the static deadline callback shared by every entry of
+// every table. It reaches the entry through an interface because a
+// generic function value would carry its type dictionary in a closure —
+// one more object per entry.
+func leaseExpired(x any) { x.(interface{ expire() }).expire() }
+
+// Init prepares an empty table on the given kernel. On expiry the table
+// calls onExpire(owner, key, value) — a static function and the owning
+// protocol instance, so the callback costs no closure; onExpire may be
+// nil.
+func (t *LeaseTable[K, V]) Init(k *sim.Kernel, onExpire func(owner any, key K, v V), owner any) {
+	t.k, t.onExpire, t.owner = k, onExpire, owner
+	t.entries = make(map[K]*leaseEntry[K, V])
 }
 
 // alloc takes an entry from the free list or makes a new one. The entry's
-// deadline is created once, bound to the entry, and follows it through
-// every recycle: the expiry callback reads the entry's current key.
+// deadline is bound to the entry once and follows it through every
+// recycle: the expiry callback reads the entry's current key.
 func (t *LeaseTable[K, V]) alloc() *leaseEntry[K, V] {
 	e := t.free
 	if e == nil {
-		e = &leaseEntry[K, V]{}
-		e.deadline = sim.NewDeadline(t.k, func() { t.expire(e.key) })
+		e = &leaseEntry[K, V]{t: t}
+		e.deadline.Init(t.k, leaseExpired, e)
 		return e
 	}
 	t.free = e.next
@@ -217,6 +244,17 @@ func (t *LeaseTable[K, V]) Each(fn func(K, V)) {
 	}
 }
 
+// RenewIf extends the lease of every entry whose key satisfies want, in
+// insertion order. want must not touch the table: the walk reads the live
+// order with one lookup per entry, no snapshot.
+func (t *LeaseTable[K, V]) RenewIf(lease sim.Duration, want func(K) bool) {
+	for _, k := range t.order {
+		if want(k) {
+			t.entries[k].deadline.SetAfter(lease)
+		}
+	}
+}
+
 // EachKey calls fn for every live key in insertion order, with the same
 // mid-iteration mutation guarantees as Each and no value copies.
 func (t *LeaseTable[K, V]) EachKey(fn func(K)) {
@@ -241,7 +279,7 @@ func (t *LeaseTable[K, V]) expire(key K) {
 	value := e.value
 	t.release(e)
 	if t.onExpire != nil {
-		t.onExpire(key, value)
+		t.onExpire(t.owner, key, value)
 	}
 }
 

@@ -1,15 +1,29 @@
 package discovery
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/sim"
 )
 
+// newTable builds a table whose expiry callback is an inline closure: the
+// adapter passes it through the owner slot of the static-callback form.
+func newTable[K comparable, V any](k *sim.Kernel, onExpire func(K, V)) *LeaseTable[K, V] {
+	t := &LeaseTable[K, V]{}
+	if onExpire == nil {
+		t.Init(k, nil, nil)
+		return t
+	}
+	t.Init(k, func(fn any, key K, v V) { fn.(func(K, V))(key, v) }, onExpire)
+	return t
+}
+
 func TestLeaseTablePutGetDrop(t *testing.T) {
 	k := sim.New(1)
-	tbl := NewLeaseTable[string, int](k, nil)
+	tbl := newTable[string, int](k, nil)
 	tbl.Put("a", 1, 10*sim.Second)
 	if v, ok := tbl.Get("a"); !ok || v != 1 {
 		t.Fatalf("Get = %v,%v", v, ok)
@@ -30,7 +44,7 @@ func TestLeaseTablePutGetDrop(t *testing.T) {
 func TestLeaseTableExpiry(t *testing.T) {
 	k := sim.New(1)
 	var expired []string
-	tbl := NewLeaseTable[string, int](k, func(key string, v int) {
+	tbl := newTable[string, int](k, func(key string, v int) {
 		expired = append(expired, key)
 	})
 	tbl.Put("a", 1, 10*sim.Second)
@@ -54,7 +68,7 @@ func TestLeaseTableExpiry(t *testing.T) {
 func TestLeaseTableRenewExtends(t *testing.T) {
 	k := sim.New(1)
 	expired := 0
-	tbl := NewLeaseTable[string, int](k, func(string, int) { expired++ })
+	tbl := newTable[string, int](k, func(string, int) { expired++ })
 	tbl.Put("a", 1, 10*sim.Second)
 	k.At(8*sim.Second, func() {
 		if !tbl.Renew("a", 10*sim.Second) {
@@ -73,7 +87,7 @@ func TestLeaseTableRenewExtends(t *testing.T) {
 
 func TestLeaseTableRenewAbsentFails(t *testing.T) {
 	k := sim.New(1)
-	tbl := NewLeaseTable[string, int](k, nil)
+	tbl := newTable[string, int](k, nil)
 	if tbl.Renew("ghost", sim.Second) {
 		t.Error("renewal of absent entry succeeded — PR3/PR4 would never trigger")
 	}
@@ -81,7 +95,7 @@ func TestLeaseTableRenewAbsentFails(t *testing.T) {
 
 func TestLeaseTableUpdateKeepsLease(t *testing.T) {
 	k := sim.New(1)
-	tbl := NewLeaseTable[string, int](k, nil)
+	tbl := newTable[string, int](k, nil)
 	tbl.Put("a", 1, 10*sim.Second)
 	exp1, _ := tbl.Expiry("a")
 	k.At(5*sim.Second, func() {
@@ -105,7 +119,7 @@ func TestLeaseTableUpdateKeepsLease(t *testing.T) {
 func TestLeaseTablePutAfterExpiryReinserts(t *testing.T) {
 	k := sim.New(1)
 	expirations := 0
-	tbl := NewLeaseTable[string, int](k, func(string, int) { expirations++ })
+	tbl := newTable[string, int](k, func(string, int) { expirations++ })
 	tbl.Put("a", 1, 5*sim.Second)
 	k.Run(10 * sim.Second)
 	tbl.Put("a", 2, 5*sim.Second)
@@ -117,7 +131,7 @@ func TestLeaseTablePutAfterExpiryReinserts(t *testing.T) {
 
 func TestLeaseTableEachAndKeys(t *testing.T) {
 	k := sim.New(1)
-	tbl := NewLeaseTable[int, string](k, nil)
+	tbl := newTable[int, string](k, nil)
 	tbl.Put(1, "x", sim.Second)
 	tbl.Put(2, "y", sim.Second)
 	seen := map[int]string{}
@@ -133,7 +147,7 @@ func TestLeaseTableEachAndKeys(t *testing.T) {
 func TestLeaseTableRenewStrictJustBeforeExpiry(t *testing.T) {
 	k := sim.New(1)
 	expired := 0
-	tbl := NewLeaseTable[string, int](k, func(string, int) { expired++ })
+	tbl := newTable[string, int](k, func(string, int) { expired++ })
 	tbl.Put("a", 1, 10*sim.Second)
 	k.At(10*sim.Second-1, func() {
 		if !tbl.RenewStrict("a", 10*sim.Second) {
@@ -149,7 +163,7 @@ func TestLeaseTableRenewStrictJustBeforeExpiry(t *testing.T) {
 func TestLeaseTableRenewStrictAtExpiryRefused(t *testing.T) {
 	k := sim.New(1)
 	expired := 0
-	tbl := NewLeaseTable[string, int](k, func(string, int) { expired++ })
+	tbl := newTable[string, int](k, func(string, int) { expired++ })
 	// The renewal is scheduled before Put arms the deadline, so at t=10s
 	// the kernel's FIFO tie-break delivers it first: the entry is still
 	// present, but the lease is spent. Strict must refuse, and the purge
@@ -173,7 +187,7 @@ func TestLeaseTableRenewRacingPurge(t *testing.T) {
 	// lease-purge fixtures pin down — and what StrictLease turns off.
 	k := sim.New(1)
 	expired := 0
-	tbl := NewLeaseTable[string, int](k, func(string, int) { expired++ })
+	tbl := newTable[string, int](k, func(string, int) { expired++ })
 	lax := false
 	k.At(10*sim.Second, func() { lax = tbl.Renew("a", 10*sim.Second) })
 	tbl.Put("a", 1, 10*sim.Second)
@@ -192,7 +206,7 @@ func TestLeaseTableRenewRacingPurge(t *testing.T) {
 
 func TestLeaseTableRenewStrictAbsentFails(t *testing.T) {
 	k := sim.New(1)
-	tbl := NewLeaseTable[string, int](k, nil)
+	tbl := newTable[string, int](k, nil)
 	if tbl.RenewStrict("ghost", sim.Second) {
 		t.Error("strict renewal of an absent entry succeeded")
 	}
@@ -211,7 +225,7 @@ func TestQuickLeaseLifecycle(t *testing.T) {
 		k := sim.New(7)
 		expirations := 0
 		live := false
-		tbl := NewLeaseTable[string, int](k, func(string, int) {
+		tbl := newTable[string, int](k, func(string, int) {
 			expirations++
 			live = false
 		})
@@ -248,5 +262,37 @@ func TestQuickLeaseLifecycle(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// RenewIf is EachKey + Renew without the snapshot and the second lookup:
+// the same entries move, in the same insertion order, so two kernels
+// driven either way fire the same expiries at the same instants in the
+// same order.
+func TestRenewIfMatchesEachKeyRenew(t *testing.T) {
+	run := func(renew func(tbl *LeaseTable[string, int])) (log []string) {
+		k := sim.New(1)
+		tbl := newTable[string, int](k, func(key string, _ int) {
+			log = append(log, fmt.Sprintf("%s@%v", key, k.Now()))
+		})
+		for i, key := range []string{"a", "b", "c", "d"} {
+			tbl.Put(key, i, 100*sim.Second)
+		}
+		tbl.Drop("c")
+		k.At(50*sim.Second, func() { renew(tbl) })
+		k.Run(1000 * sim.Second)
+		return log
+	}
+	want := func(key string) bool { return key != "b" }
+	viaEachKey := run(func(tbl *LeaseTable[string, int]) {
+		tbl.EachKey(func(key string) {
+			if want(key) {
+				tbl.Renew(key, 100*sim.Second)
+			}
+		})
+	})
+	viaRenewIf := run(func(tbl *LeaseTable[string, int]) { tbl.RenewIf(100*sim.Second, want) })
+	if !reflect.DeepEqual(viaRenewIf, viaEachKey) || len(viaRenewIf) != 3 {
+		t.Errorf("RenewIf expiries %v, EachKey+Renew %v", viaRenewIf, viaEachKey)
 	}
 }

@@ -126,15 +126,15 @@ func newKit(sys System, opts Options) kit {
 		harden.Frodo(&cfg, opts.Harden)
 		return kit{
 			registry: func(n *netsim.Node, i int) rearmable {
-				return frodo.NewNode(n, cfg, frodo.Class300D, registryPower(i))
+				return frodo.NewNode(n, &cfg, frodo.Class300D, registryPower(i))
 			},
 			manager: func(n *netsim.Node, sd discovery.ServiceDescription) manager {
-				mn := frodo.NewNode(n, cfg, mgrClass, 5)
+				mn := frodo.NewNode(n, &cfg, mgrClass, 5)
 				mn.AttachManager(sd)
 				return frodoManager{mn}
 			},
 			user: func(n *netsim.Node, q discovery.Query, l discovery.ConsistencyListener) user {
-				un := frodo.NewNode(n, cfg, userClass, 1)
+				un := frodo.NewNode(n, &cfg, userClass, 1)
 				un.AttachUser(q, l)
 				return frodoUser{un}
 			},

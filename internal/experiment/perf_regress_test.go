@@ -63,3 +63,33 @@ func TestSweepFingerprintN100Churn(t *testing.T) {
 		t.Errorf("sweep fingerprint %s does not match golden %s — the event schedule or random stream changed; if intentional, update pr2SweepGolden", serial, pr2SweepGolden)
 	}
 }
+
+// TestBuildAllocBudgets bounds what one node of a cold build costs in
+// heap objects, per system: a protocol instance is one allocation per
+// role (timers, lease tables and retry schedules are embedded; FRODO's
+// Registry capability waits for an election), so the population term of
+// a build is the node slot, its label, the boot event, the role objects,
+// the cache map and the boxed query. N = 1,000 makes the infrastructure
+// and the amortised slice/map growth a rounding error.
+func TestBuildAllocBudgets(t *testing.T) {
+	const users = 1000
+	for _, c := range []struct {
+		sys    System
+		budget float64 // objects per User; measured value alongside
+	}{
+		{UPnP, 10},    // measures 6.1 (was 14.9)
+		{Jini1, 11},   // measures 7.1 (was 13.9)
+		{Jini2, 11},   // measures 7.1 (was 13.9)
+		{Frodo3P, 11}, // measures 7.1 (was 21.9)
+		{Frodo2P, 11}, // measures 7.1 (was 48.0)
+	} {
+		allocs := testing.AllocsPerRun(3, func() {
+			BuildTopology(c.sys, sim.New(1), Topology{Users: users}, Options{})
+		})
+		perUser := allocs / users
+		t.Logf("%s: %.1f objects per User", c.sys.Short(), perUser)
+		if perUser > c.budget {
+			t.Errorf("%s: a cold build allocates %.1f objects per User, budget %.0f", c.sys.Short(), perUser, c.budget)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/sim"
 )
@@ -143,13 +144,21 @@ func (t Topology) normalized(sys System, fallbackUsers int) Topology {
 // (churn arrivals come on top).
 func (t Topology) Nodes() int { return t.Registries + t.Managers + t.Users }
 
-func userName(i int) string { return fmt.Sprintf("User%d", i+1) }
+// numbered returns prefix followed by n in decimal, in one allocation: a
+// node label is built for every node of every cold build and only logs
+// read it.
+func numbered(prefix string, n int) string {
+	var buf [32]byte
+	return string(strconv.AppendInt(append(buf[:0], prefix...), int64(n), 10))
+}
+
+func userName(i int) string { return numbered("User", i+1) }
 
 func managerName(j int) string {
 	if j == 0 {
 		return "Manager"
 	}
-	return fmt.Sprintf("Manager%d", j+1)
+	return numbered("Manager", j+1)
 }
 
 func registryName(sys System, i int) string {
@@ -159,7 +168,7 @@ func registryName(sys System, i int) string {
 	if sys == Frodo2P && i == 1 {
 		return "Backup"
 	}
-	return fmt.Sprintf("Registry%d", i+1)
+	return numbered("Registry", i+1)
 }
 
 // registryPower orders FRODO 300D Registry-capable nodes for the Central

@@ -58,6 +58,29 @@ func TestUserNamesAtScale(t *testing.T) {
 	}
 }
 
+// The strconv-built labels are byte for byte what fmt.Sprintf produced,
+// at one allocation each.
+func TestNodeNamesMatchSprintf(t *testing.T) {
+	for _, i := range []int{0, 1, 8, 9, 98, 99, 12344, 1 << 40} {
+		if got, want := userName(i), fmt.Sprintf("User%d", i+1); got != want {
+			t.Errorf("userName(%d) = %q, want %q", i, got, want)
+		}
+		if i == 0 {
+			continue // slot 0 is the unnumbered "Manager" / "Registry"
+		}
+		if got, want := managerName(i), fmt.Sprintf("Manager%d", i+1); got != want {
+			t.Errorf("managerName(%d) = %q, want %q", i, got, want)
+		}
+		if got, want := registryName(Jini2, i), fmt.Sprintf("Registry%d", i+1); got != want {
+			t.Errorf("registryName(%d) = %q, want %q", i, got, want)
+		}
+	}
+	i := 12344
+	if allocs := testing.AllocsPerRun(100, func() { _ = userName(i); i++ }); allocs > 1 {
+		t.Errorf("userName allocates %.0f objects, want 1", allocs)
+	}
+}
+
 // Background Managers must not disturb the measured metrics: the printer
 // stays on Manager 0 and the recorder ignores background services.
 func TestBackgroundManagersKeepMetricsClean(t *testing.T) {

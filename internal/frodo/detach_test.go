@@ -17,7 +17,7 @@ func TestDetachBeforeBootStaysQuiet(t *testing.T) {
 	k := sim.New(1)
 	nw := netsim.MustNew(k, netsim.DefaultConfig())
 	n := nw.AddNode("u")
-	nd := NewNode(n, TwoPartyConfig(), Class300D, 1)
+	nd := NewNode(n, shared(TwoPartyConfig()), Class300D, 1)
 	nd.AttachUser(discovery.Query{ServiceType: "X"}, nil)
 	nd.Start(5 * sim.Second)
 	k.At(1*sim.Second, func() {
@@ -38,7 +38,7 @@ func TestDetachRefusedForCentral(t *testing.T) {
 	k := sim.New(1)
 	nw := netsim.MustNew(k, netsim.DefaultConfig())
 	n := nw.AddNode("c")
-	nd := NewNode(n, TwoPartyConfig(), Class300D, 9)
+	nd := NewNode(n, shared(TwoPartyConfig()), Class300D, 9)
 	nd.Start(0)
 	k.Run(2 * sim.Minute) // alone on the LAN: wins the election
 	if !nd.IsCentral() {

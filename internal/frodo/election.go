@@ -1,30 +1,23 @@
 package frodo
 
 import (
-	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
-// elector runs the Central election among 300D nodes: every candidate
-// multicasts its power, collects competing candidacies for the election
-// window, and the most powerful node (ties broken by highest ID) declares
-// itself Central. "The 300D nodes elect the most powerful node as the
-// Registry" (§3).
+// elector is the state of the Central election among 300D nodes: every
+// candidate multicasts its power, collects competing candidacies for the
+// election window, and the most powerful node (ties broken by highest ID)
+// declares itself Central. "The 300D nodes elect the most powerful node as
+// the Registry" (§3).
+//
+// It is embedded in the Node (a 3C/3D node's stays idle forever) and holds
+// only what a received candidacy reads; the election timers live with the
+// Node's other timers (electWindow, electWait, electBackoff).
 type elector struct {
-	nd *Node
-
-	running bool
 	bestID  netsim.NodeID
 	bestPow int
-	window  *sim.Deadline
-	waitWin *sim.Deadline
-
-	// backoff (CentralRepair only) paces repeated elections that keep
-	// finding no reachable Central: a fixed retry keeps the whole cohort
-	// hammering in lockstep through a long outage, while decorrelated
-	// jitter spreads the candidacies and caps the re-arm gap.
-	backoff *core.Backoff
+	running bool
 }
 
 // backupCandidate is the running maximum, by (power, id), over every
@@ -50,93 +43,89 @@ func (b *backupCandidate) note(self, from netsim.NodeID, power int) {
 	}
 }
 
-func newElector(nd *Node) *elector {
-	e := &elector{nd: nd}
-	e.window = sim.NewDeadline(nd.k, e.decide)
-	e.waitWin = sim.NewDeadline(nd.k, e.waitExpired)
+// Static kernel callbacks for the election timers and the jittered
+// candidacy transmission.
+func electionDecide(x any)      { x.(*Node).decide() }
+func electionWaitExpired(x any) { x.(*Node).waitExpired() }
+func electionAnnounce(x any)    { x.(*Node).announceCandidacy() }
+
+// initElection binds the election timers. The backoff (CentralRepair
+// only) paces repeated elections that keep finding no reachable Central:
+// a fixed retry keeps the whole cohort hammering in lockstep through a
+// long outage, while decorrelated jitter spreads the candidacies and caps
+// the re-arm gap.
+func (nd *Node) initElection() {
+	nd.electWindow.Init(nd.k, electionDecide, nd)
+	nd.electWait.Init(nd.k, electionWaitExpired, nd)
 	if nd.cfg.Harden.CentralRepair {
-		e.backoff = core.NewBackoff(nd.k, nd.cfg.ElectionRetry, 8*nd.cfg.ElectionRetry)
+		nd.electBackoff.Init(nd.k, nd.cfg.ElectionRetry, 8*nd.cfg.ElectionRetry)
 	}
-	return e
 }
 
-// start begins an election at boot.
-func (e *elector) start() { e.startElection() }
-
-// centralLost restarts the election when the Central was purged. The
-// Backup does not run elections — it takes over on its own shorter
+// electionCentralLost restarts the election when the Central was purged.
+// The Backup does not run elections — it takes over on its own shorter
 // timeout — but a Backup whose takeover state was lost participates like
 // everyone else.
-func (e *elector) centralLost() {
-	if e.nd.IsBackup() {
+func (nd *Node) electionCentralLost() {
+	if nd.IsBackup() {
 		return
 	}
-	e.startElection()
+	nd.startElection()
 }
 
-// centralKnown stops any election in progress: somebody claimed the role.
-func (e *elector) centralKnown() {
-	e.running = false
-	e.window.Clear()
-	e.waitWin.Clear()
-	if e.backoff != nil {
-		e.backoff.Reset()
-	}
+// electionCentralKnown stops any election in progress: somebody claimed
+// the role. It also disarms the elector for good on node retirement; the
+// jittered candidacy event may still fire but checks running and does
+// nothing.
+func (nd *Node) electionCentralKnown() {
+	nd.elector.running = false
+	nd.electWindow.Clear()
+	nd.electWait.Clear()
+	nd.electBackoff.Reset()
 }
 
-// stop disarms the elector for good (node retirement). The jittered
-// candidacy event may still fire but checks running and does nothing.
-func (e *elector) stop() { e.centralKnown() }
-
-// rearm resets the elector for workspace reuse after a Kernel.Reset.
-func (e *elector) rearm() {
-	e.running = false
-	e.bestID = netsim.NoNode
-	e.bestPow = 0
-	e.window.Rearm()
-	e.waitWin.Rearm()
-	if e.backoff != nil {
-		e.backoff.Reset()
-	}
+// rearmElection resets the elector for workspace reuse after a
+// Kernel.Reset.
+func (nd *Node) rearmElection() {
+	nd.elector = elector{bestID: netsim.NoNode}
+	nd.electWindow.Rearm()
+	nd.electWait.Rearm()
+	nd.electBackoff.Reset()
 }
 
-func (e *elector) startElection() {
-	if e.running || e.nd.IsCentral() || e.nd.central != netsim.NoNode {
+func (nd *Node) startElection() {
+	if nd.elector.running || nd.IsCentral() || nd.central != netsim.NoNode {
 		return
 	}
-	e.running = true
-	e.bestID = e.nd.n.ID
-	e.bestPow = e.nd.power
+	nd.elector = elector{bestID: nd.n.ID, bestPow: nd.power, running: true}
 	// Small jitter decorrelates candidacies of simultaneously booting
 	// nodes.
-	e.nd.k.AfterArg(e.nd.k.UniformDuration(0, sim.Second), electorAnnounce, e)
-	e.window.SetAfter(e.nd.cfg.ElectionWindow)
+	nd.k.AfterArg(nd.k.UniformDuration(0, sim.Second), electionAnnounce, nd)
+	nd.electWindow.SetAfter(nd.cfg.ElectionWindow)
 }
 
-// electorAnnounce is the static kernel callback for the jittered
-// candidacy transmission.
-func electorAnnounce(x any) { x.(*elector).announceCandidacy() }
-
-func (e *elector) announceCandidacy() {
-	if !e.running {
+func (nd *Node) announceCandidacy() {
+	if !nd.elector.running {
 		return
 	}
-	e.nd.nw.Multicast(e.nd.n.ID, DiscoveryGroup, netsim.Outgoing{
+	nd.nw.Multicast(nd.n.ID, DiscoveryGroup, netsim.Outgoing{
 		Kind:    kindOf(ElectionAnnounce{}),
 		Counted: true,
-		Payload: ElectionAnnounce{Power: e.nd.power},
+		Payload: ElectionAnnounce{Power: nd.power},
 	}, 1)
 }
 
 // onCandidate processes a competing candidacy. A sitting Central asserts
 // itself by announcing immediately, so late candidates adopt it instead
-// of electing a rival.
-func (e *elector) onCandidate(from netsim.NodeID, power int) {
-	e.nd.backupPick.note(e.nd.n.ID, from, power)
-	if e.nd.IsCentral() {
-		e.nd.registry.announcer.AnnounceNow()
+// of electing a rival. A 3C/3D node lands here too: it never runs an
+// election, so beyond the (unused) Backup pick this is a no-op for it.
+func (nd *Node) onCandidate(from netsim.NodeID, power int) {
+	nd.backupPick.note(nd.n.ID, from, power)
+	if nd.IsCentral() {
+		nd.registry.announcer.AnnounceNow()
 		return
 	}
+	e := &nd.elector
 	if !e.running {
 		return
 	}
@@ -149,25 +138,25 @@ func (e *elector) onCandidate(from netsim.NodeID, power int) {
 // decide closes the election window: the best candidate becomes Central;
 // everyone else waits for the winner's announcement and re-runs the
 // election if it never comes (the winner may have failed mid-election).
-func (e *elector) decide() {
-	if !e.running {
+func (nd *Node) decide() {
+	if !nd.elector.running {
 		return
 	}
-	e.running = false
-	if e.bestID == e.nd.n.ID {
-		e.nd.registry.activate()
+	nd.elector.running = false
+	if nd.elector.bestID == nd.n.ID {
+		nd.ensureRegistry().activate()
 		return
 	}
-	wait := e.nd.cfg.ElectionRetry
-	if e.backoff != nil {
-		wait = e.backoff.Next()
+	wait := nd.cfg.ElectionRetry
+	if nd.cfg.Harden.CentralRepair {
+		wait = nd.electBackoff.Next()
 	}
-	e.waitWin.SetAfter(wait)
+	nd.electWait.SetAfter(wait)
 }
 
-func (e *elector) waitExpired() {
-	if e.nd.central != netsim.NoNode || e.nd.IsCentral() {
+func (nd *Node) waitExpired() {
+	if nd.central != netsim.NoNode || nd.IsCentral() {
 		return
 	}
-	e.startElection()
+	nd.startElection()
 }

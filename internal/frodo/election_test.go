@@ -22,7 +22,7 @@ func newElectionRig(seed int64, powers ...int) *electionRig {
 	r.nw = netsim.MustNew(r.k, netsim.DefaultConfig())
 	cfg := TwoPartyConfig()
 	for _, p := range powers {
-		nd := NewNode(r.nw.AddNode(""), cfg, Class300D, p)
+		nd := NewNode(r.nw.AddNode(""), &cfg, Class300D, p)
 		r.nodes = append(r.nodes, nd)
 	}
 	for i, nd := range r.nodes {
@@ -93,7 +93,7 @@ func TestLateJoinerAdoptsSittingCentral(t *testing.T) {
 	// A more powerful node joins later: the sitting Central asserts
 	// itself in response to the candidacy; the newcomer adopts rather
 	// than usurps (stability over strict power order once elected).
-	late := NewNode(r.nw.AddNode(""), TwoPartyConfig(), Class300D, 99)
+	late := NewNode(r.nw.AddNode(""), shared(TwoPartyConfig()), Class300D, 99)
 	r.nodes = append(r.nodes, late)
 	late.Start(0)
 	r.k.Run(180 * sim.Second)
@@ -111,7 +111,7 @@ func TestLateJoinerAdoptsSittingCentral(t *testing.T) {
 func TestBackupAppointmentAndStateSync(t *testing.T) {
 	r := newElectionRig(6, 80, 60, 10)
 	// Give the future Central a registration to sync.
-	mgr := NewNode(r.nw.AddNode(""), TwoPartyConfig(), Class3D, 1)
+	mgr := NewNode(r.nw.AddNode(""), shared(TwoPartyConfig()), Class3D, 1)
 	mgrRole := mgr.AttachManager(discovery.ServiceDescription{
 		DeviceType: "Printer", ServiceType: "ColorPrinter",
 		Attributes: map[string]string{"a": "b"},
@@ -175,7 +175,7 @@ func TestDemotedCentralStopsAnnouncing(t *testing.T) {
 
 func Test3CManagerRegistersButCannotBeUser(t *testing.T) {
 	r := newElectionRig(8, 80)
-	sensor := NewNode(r.nw.AddNode("Sensor"), DefaultConfig(), Class3C, 0)
+	sensor := NewNode(r.nw.AddNode("Sensor"), shared(DefaultConfig()), Class3C, 0)
 	role := sensor.AttachManager(discovery.ServiceDescription{
 		DeviceType: "Sensor", ServiceType: "Temperature",
 		Attributes: map[string]string{},

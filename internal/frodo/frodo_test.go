@@ -28,6 +28,10 @@ type rig struct {
 	consistentAt map[netsim.NodeID]map[uint64]sim.Time
 }
 
+// shared hands a one-off configuration to NewNode, which shares rather
+// than copies it.
+func shared(cfg Config) *Config { return &cfg }
+
 func printerSD() discovery.ServiceDescription {
 	return discovery.ServiceDescription{
 		DeviceType: "Printer", ServiceType: "ColorPrinter",
@@ -48,14 +52,14 @@ func newRig(t *testing.T, seed int64, twoParty bool, nUsers int, cfg Config) *ri
 		}
 	})
 
-	r.registryNode = NewNode(r.nw.AddNode("Registry"), cfg, Class300D, 100)
+	r.registryNode = NewNode(r.nw.AddNode("Registry"), &cfg, Class300D, 100)
 	r.registryNode.Start(1 * sim.Second)
 
 	mgrClass := Class3D
 	if twoParty {
 		mgrClass = Class300D
 	}
-	r.managerNode = NewNode(r.nw.AddNode("Manager"), cfg, mgrClass, 5)
+	r.managerNode = NewNode(r.nw.AddNode("Manager"), &cfg, mgrClass, 5)
 	r.manager = r.managerNode.AttachManager(printerSD())
 	r.managerNode.Start(2 * sim.Second)
 
@@ -64,14 +68,14 @@ func newRig(t *testing.T, seed int64, twoParty bool, nUsers int, cfg Config) *ri
 		userClass = Class300D
 	}
 	for i := 0; i < nUsers; i++ {
-		un := NewNode(r.nw.AddNode("User"), cfg, userClass, 1)
+		un := NewNode(r.nw.AddNode("User"), &cfg, userClass, 1)
 		r.users = append(r.users, un.AttachUser(discovery.Query{ServiceType: "ColorPrinter"}, listener))
 		un.Start(sim.Duration(i+3) * sim.Second)
 		r.userNodes = append(r.userNodes, un)
 	}
 
 	if twoParty {
-		r.backupNode = NewNode(r.nw.AddNode("Backup"), cfg, Class300D, 50)
+		r.backupNode = NewNode(r.nw.AddNode("Backup"), &cfg, Class300D, 50)
 		r.backupNode.Start(1500 * sim.Millisecond)
 	}
 	return r
@@ -383,7 +387,7 @@ func TestCentralRecoveryWinsBack(t *testing.T) {
 func TestThreeCCannotBeUser(t *testing.T) {
 	k := sim.New(1)
 	nw := netsim.MustNew(k, netsim.DefaultConfig())
-	nd := NewNode(nw.AddNode(""), DefaultConfig(), Class3C, 1)
+	nd := NewNode(nw.AddNode(""), shared(DefaultConfig()), Class3C, 1)
 	defer func() {
 		if recover() == nil {
 			t.Error("3C user attachment did not panic")

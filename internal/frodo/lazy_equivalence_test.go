@@ -1,0 +1,120 @@
+package frodo_test
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"repro/internal/discovery"
+	"repro/internal/experiment"
+	"repro/internal/frodo"
+	"repro/internal/netsim"
+	"repro/internal/sim"
+)
+
+// eachFrodoNode visits every FRODO device of a built scenario.
+func eachFrodoNode(sc *experiment.Scenario, fn func(*frodo.Node)) {
+	for _, id := range sc.AllNodeIDs() {
+		if nd, ok := sc.Net.Node(id).Endpoint().(*frodo.Node); ok {
+			fn(nd)
+		}
+	}
+}
+
+// eagerRegistries is construction as it was before the Registry
+// capability became lazy, kept as a test-only reference: every 300D node
+// of the freshly built (or rearmed) boot population gets its RegistryRole
+// up front, elected or not.
+func eagerRegistries(sc *experiment.Scenario) {
+	eachFrodoNode(sc, func(nd *frodo.Node) {
+		if nd.Class() == frodo.Class300D {
+			nd.EnsureRegistry()
+		}
+	})
+}
+
+// lazySpec is the paper's 5400 s design with 40 Users under λ interface
+// failures. "takeover" raises λ to 0.6, where an outage (3240 s) outlasts
+// the Backup timeout and the Central lease, so Backups take over and
+// elections re-run; the dynamics arms add churn, then a flash crowd, a
+// bisect partition and rack failures on top.
+func lazySpec(sys experiment.System, dynamics string, shards int, seed int64, harden bool) experiment.RunSpec {
+	p := experiment.DefaultParams()
+	p.Users = 40
+	if harden {
+		p.Hardening = discovery.HardenAll()
+	}
+	spec := experiment.RunSpec{System: sys, Lambda: 0.30, Seed: seed, Shards: shards}
+	switch dynamics {
+	case "takeover":
+		spec.Lambda = 0.60
+	case "churn", "churn+flash+bisect+racks":
+		p.Churn = experiment.Churn{Departures: 1.5, MeanAbsence: 600 * sim.Second, Arrivals: 8}
+	}
+	if dynamics == "churn+flash+bisect+racks" {
+		p.FlashCrowds = []experiment.FlashCrowd{{At: 1500 * sim.Second, Users: 12, Window: 60 * sim.Second}}
+		p.Partitions = []netsim.Partition{{Start: 800 * sim.Second, Duration: 300 * sim.Second, Bisect: true}}
+		p.RackFailures = netsim.RackPlanConfig{
+			Racks: 8, Fail: 2,
+			WindowStart: 150 * sim.Second, WindowEnd: 2400 * sim.Second,
+			Duration: 300 * sim.Second, Spread: 5 * sim.Second,
+		}
+	}
+	spec.Params = p
+	return spec
+}
+
+// TestLazyRegistryMatchesEager: materialising the Registry capability on
+// first need gives the RunResult that building it into every 300D node
+// gave — both FRODO systems, baseline and hardened, static and dynamic
+// populations, one kernel and two shards, through a cold build and a
+// Workspace rearm (a sharded fabric builds cold every time).
+func TestLazyRegistryMatchesEager(t *testing.T) {
+	for _, sys := range []experiment.System{experiment.Frodo3P, experiment.Frodo2P} {
+		for _, harden := range []bool{false, true} {
+			for _, dynamics := range []string{"static", "takeover", "churn", "churn+flash+bisect+racks"} {
+				for _, shards := range []int{1, 2} {
+					for seed := int64(42); seed <= 44; seed++ {
+						name := fmt.Sprintf("%s/harden=%v/%s/S%d/seed%d", sys.Short(), harden, dynamics, shards, seed)
+						lazy := lazySpec(sys, dynamics, shards, seed, harden)
+						eager := lazy
+						eager.Attach = eagerRegistries
+						// atBuild counts the capabilities that exist when a run
+						// starts: none on a cold build; on a rearm, what the
+						// previous run's elections and failures materialised.
+						atBuild := 0
+						lazy.Attach = func(sc *experiment.Scenario) {
+							eachFrodoNode(sc, func(nd *frodo.Node) {
+								if nd.Registry() != nil {
+									atBuild++
+								}
+							})
+						}
+
+						lazyWS, eagerWS := experiment.NewWorkspace(), experiment.NewWorkspace()
+						want := experiment.RunInto(eagerWS, eager)
+						check := func(how string, got any) {
+							if !reflect.DeepEqual(got, want) {
+								t.Errorf("%s: %s differs from the eager cold build:\n got  %+v\n want %+v", name, how, got, want)
+							}
+						}
+						check("eager rearmed", experiment.RunInto(eagerWS, eager))
+						check("lazy cold", experiment.RunInto(lazyWS, lazy))
+						if atBuild != 0 {
+							t.Errorf("%s: %d Registry capabilities exist before the first election", name, atBuild)
+						}
+						check("lazy rearmed", experiment.RunInto(lazyWS, lazy))
+						// A sharded fabric builds cold every time; a rearmed
+						// single kernel keeps the capabilities of whoever held the
+						// role — under λ = 0.3 the Central, the Backup and a few
+						// nodes that elected themselves while deaf, never the
+						// population's.
+						if shards == 1 && (atBuild < 1 || dynamics == "static" && atBuild > 10) {
+							t.Errorf("%s: %d of the 43 boot nodes carry a Registry capability into the rearm", name, atBuild)
+						}
+					}
+				}
+			}
+		}
+	}
+}

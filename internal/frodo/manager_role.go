@@ -20,17 +20,25 @@ type ManagerRole struct {
 	sd      *discovery.Snapshot
 	initial *discovery.Snapshot
 
-	registered     bool
-	regRetry       *core.Retry
-	regRetryWait   *sim.Event
-	renewTick      *sim.Ticker
-	centralRetry   *core.Retry
+	registered bool
+	// regRetry sends the full record to regCentral, the Central this
+	// registration attempt is addressed to; regRetryWait is the back-off
+	// after an exhausted attempt.
+	regRetry     core.Retry
+	regCentral   netsim.NodeID
+	regRetryWait *sim.Event
+	renewTick    sim.Ticker
+	// centralRetry pushes centralOut, the boxed repository update for
+	// centralVersion, to updCentral.
+	centralRetry   core.Retry
+	updCentral     netsim.NodeID
+	centralOut     netsim.Outgoing
 	centralVersion uint64
 	centralAcked   uint64
 	regVersion     uint64
 
 	// 2-party state (300D Managers).
-	subs         *discovery.LeaseTable[netsim.NodeID, struct{}]
+	subs         discovery.LeaseTable[netsim.NodeID, struct{}]
 	prop         *propagator
 	inconsistent *core.InconsistentSet
 
@@ -44,8 +52,21 @@ type ManagerRole struct {
 	ackVersion uint64
 }
 
+// Static timer, lease and retry callbacks shared by every Manager role.
+func managerRenewRegistration(x any) { x.(*ManagerRole).renewRegistration() }
+func managerSubscriptionExpired(x any, user netsim.NodeID, _ struct{}) {
+	x.(*ManagerRole).onSubscriptionExpired(user)
+}
+func managerSendRegister(x any, _ int) { x.(*ManagerRole).sendRegister() }
+func managerRegisterExhausted(x any)   { x.(*ManagerRole).registerExhausted() }
+func managerRegisterRetry(x any)       { x.(*ManagerRole).registerRetry() }
+func managerSendCentralUpdate(x any, _ int) {
+	m := x.(*ManagerRole)
+	m.nd.nw.SendUDP(m.nd.n.ID, m.updCentral, m.centralOut)
+}
+
 func newManagerRole(nd *Node, sd discovery.ServiceDescription) *ManagerRole {
-	m := &ManagerRole{nd: nd}
+	m := &ManagerRole{nd: nd, regCentral: netsim.NoNode, updCentral: netsim.NoNode}
 	sd = sd.Clone()
 	if sd.Attributes == nil {
 		sd.Attributes = map[string]string{}
@@ -53,7 +74,7 @@ func newManagerRole(nd *Node, sd discovery.ServiceDescription) *ManagerRole {
 	sd.Attributes[ClassAttr] = nd.class.String()
 	m.initial = sd.Freeze()
 	m.sd = m.initial
-	m.subs = discovery.NewLeaseTable[netsim.NodeID, struct{}](nd.k, m.onSubscriptionExpired)
+	m.subs.Init(nd.k, managerSubscriptionExpired, m)
 	retry := nd.cfg.NotifyRetry
 	if nd.cfg.CriticalUpdates {
 		retry = core.FrodoCriticalRetry
@@ -61,7 +82,9 @@ func newManagerRole(nd *Node, sd discovery.ServiceDescription) *ManagerRole {
 	m.prop = newPropagator(nd.k, nd.nw, nd.n.ID, retry, m.onNotifyExhausted)
 	m.inconsistent = core.NewInconsistentSet()
 	m.history = core.NewUpdateHistory()
-	m.renewTick = sim.NewTicker(nd.k, core.RenewInterval(nd.cfg.RegistrationLease), m.renewRegistration)
+	m.renewTick.Init(nd.k, core.RenewInterval(nd.cfg.RegistrationLease), managerRenewRegistration, m)
+	m.regRetry.Init(nd.k, nd.cfg.ControlRetry, managerSendRegister, managerRegisterExhausted, m)
+	m.centralRetry.Init(nd.k, retry, managerSendCentralUpdate, nil, m)
 	return m
 }
 
@@ -70,10 +93,13 @@ func newManagerRole(nd *Node, sd discovery.ServiceDescription) *ManagerRole {
 func (m *ManagerRole) rearm() {
 	m.sd = m.initial
 	m.registered = false
-	m.regRetry = nil
+	m.regRetry.Rearm()
+	m.regCentral = netsim.NoNode
 	m.regRetryWait = nil
 	m.renewTick.Rearm()
-	m.centralRetry = nil
+	m.centralRetry.Rearm()
+	m.updCentral = netsim.NoNode
+	m.centralOut = netsim.Outgoing{}
 	m.centralVersion = 0
 	m.centralAcked = 0
 	m.regVersion = 0
@@ -132,15 +158,11 @@ func (m *ManagerRole) centralChanged(central netsim.NodeID) {
 // centralLost stops registration upkeep; the Node resumes discovery.
 func (m *ManagerRole) centralLost() {
 	m.registered = false
-	if m.regRetry != nil {
-		m.regRetry.Stop()
-	}
+	m.regRetry.Stop()
 	m.regRetryWait.Cancel()
 	m.regRetryWait = nil // pooled events: drop after cancel, never cancel twice
 	m.renewTick.Stop()
-	if m.centralRetry != nil {
-		m.centralRetry.Stop()
-	}
+	m.centralRetry.Stop()
 }
 
 // register sends the full record with the control retransmission
@@ -151,30 +173,36 @@ func (m *ManagerRole) register() {
 	if central == netsim.NoNode || central == m.nd.n.ID {
 		return
 	}
-	if m.regRetry != nil {
-		m.regRetry.Stop()
-	}
+	m.regRetry.Stop()
 	m.regRetryWait.Cancel()
 	m.regRetryWait = nil
 	m.regVersion = m.sd.Version()
-	m.regRetry = core.NewRetry(m.nd.k, m.nd.cfg.ControlRetry, func(int) {
-		m.nd.nw.SendUDP(m.nd.n.ID, central, netsim.Outgoing{
-			Kind:    discovery.Kind(discovery.Register{}),
-			Counted: true,
-			Payload: discovery.Register{Rec: m.record(), Lease: m.nd.cfg.RegistrationLease},
-		})
-	}, func() {
-		m.regRetryWait = m.nd.k.After(m.nd.cfg.NodeAnnouncePeriod, func() {
-			// Pooled-event ownership: this event has fired; drop the
-			// reference before re-registering so centralLost/register
-			// never Cancel a recycled event.
-			m.regRetryWait = nil
-			if !m.registered && m.nd.central != netsim.NoNode {
-				m.register()
-			}
-		})
-	})
+	m.regCentral = central
 	m.regRetry.Start()
+}
+
+// sendRegister transmits one registration attempt, carrying the record as
+// it stands now.
+func (m *ManagerRole) sendRegister() {
+	m.nd.nw.SendUDP(m.nd.n.ID, m.regCentral, netsim.Outgoing{
+		Kind:    discovery.Kind(discovery.Register{}),
+		Counted: true,
+		Payload: discovery.Register{Rec: m.record(), Lease: m.nd.cfg.RegistrationLease},
+	})
+}
+
+func (m *ManagerRole) registerExhausted() {
+	m.regRetryWait = m.nd.k.AfterArg(m.nd.cfg.NodeAnnouncePeriod, managerRegisterRetry, m)
+}
+
+func (m *ManagerRole) registerRetry() {
+	// Pooled-event ownership: this event has fired; drop the reference
+	// before re-registering so centralLost/register never Cancel a
+	// recycled event.
+	m.regRetryWait = nil
+	if !m.registered && m.nd.central != netsim.NoNode {
+		m.register()
+	}
 }
 
 // onRegisterAck confirms the registration and starts lease upkeep. A
@@ -188,9 +216,7 @@ func (m *ManagerRole) onRegisterAck(from netsim.NodeID) {
 	if m.regVersion > m.centralAcked {
 		m.centralAcked = m.regVersion
 	}
-	if m.regRetry != nil {
-		m.regRetry.Stop()
-	}
+	m.regRetry.Stop()
 	m.regRetryWait.Cancel()
 	m.regRetryWait = nil
 	m.renewTick.Start(m.renewTick.Period())
@@ -207,7 +233,7 @@ func (m *ManagerRole) renewRegistration() {
 	if central == netsim.NoNode || !m.registered {
 		return
 	}
-	if m.centralRetry != nil && m.centralRetry.Active() {
+	if m.centralRetry.Active() {
 		// Repository update still unacknowledged; the retry schedule is
 		// already running, the renewal may proceed alongside.
 		m.sendRenew(central)
@@ -268,19 +294,14 @@ func (m *ManagerRole) updateCentral() {
 	if central == netsim.NoNode || central == m.nd.n.ID {
 		return
 	}
-	if m.centralRetry != nil {
-		m.centralRetry.Stop()
-	}
+	m.centralRetry.Stop()
 	m.centralVersion = m.sd.Version()
-	rec := m.record()
-	seq := m.sd.Version()
-	m.centralRetry = core.NewRetry(m.nd.k, m.prop.policy, func(int) {
-		m.nd.nw.SendUDP(m.nd.n.ID, central, netsim.Outgoing{
-			Kind:    discovery.Kind(discovery.Update{}),
-			Counted: true,
-			Payload: discovery.Update{Rec: rec, Seq: seq, ForRegistry: true},
-		})
-	}, nil)
+	m.updCentral = central
+	m.centralOut = netsim.Outgoing{
+		Kind:    discovery.Kind(discovery.Update{}),
+		Counted: true,
+		Payload: discovery.Update{Rec: m.record(), Seq: m.sd.Version(), ForRegistry: true},
+	}
 	m.centralRetry.Start()
 }
 
@@ -289,7 +310,7 @@ func (m *ManagerRole) onCentralUpdateAck(p discovery.UpdateAck) {
 	if p.Version > m.centralAcked {
 		m.centralAcked = p.Version
 	}
-	if p.Version >= m.centralVersion && m.centralRetry != nil {
+	if p.Version >= m.centralVersion {
 		m.centralRetry.Stop()
 	}
 }
@@ -367,12 +388,12 @@ func (m *ManagerRole) onSubscriberAck(from netsim.NodeID, p discovery.UpdateAck)
 // SRN2 state should outlive it (the hunted zombie class).
 func (m *ManagerRole) onBye(from netsim.NodeID) {
 	m.subs.Drop(from)
-	m.onSubscriptionExpired(from, struct{}{})
+	m.onSubscriptionExpired(from)
 }
 
 // onSubscriptionExpired forgets the User entirely: SRN2 state is only
 // kept while the subscription is valid.
-func (m *ManagerRole) onSubscriptionExpired(user netsim.NodeID, _ struct{}) {
+func (m *ManagerRole) onSubscriptionExpired(user netsim.NodeID) {
 	m.prop.Cancel(user)
 	m.inconsistent.Forget(user)
 	if m.nd.cfg.CriticalUpdates {

@@ -16,17 +16,17 @@ func TestMultiManagerRouting(t *testing.T) {
 	nw := netsim.MustNew(k, netsim.DefaultConfig())
 	cfg := DefaultConfig()
 
-	central := NewNode(nw.AddNode("Central"), cfg, Class300D, 100)
+	central := NewNode(nw.AddNode("Central"), &cfg, Class300D, 100)
 	central.Start(1 * sim.Second)
 
-	printerNode := NewNode(nw.AddNode("Printer"), cfg, Class3D, 5)
+	printerNode := NewNode(nw.AddNode("Printer"), &cfg, Class3D, 5)
 	printer := printerNode.AttachManager(discovery.ServiceDescription{
 		DeviceType: "Printer", ServiceType: "ColorPrinter",
 		Attributes: map[string]string{"tray": "full"},
 	})
 	printerNode.Start(2 * sim.Second)
 
-	camNode := NewNode(nw.AddNode("Camera"), cfg, Class3D, 5)
+	camNode := NewNode(nw.AddNode("Camera"), &cfg, Class3D, 5)
 	cam := camNode.AttachManager(discovery.ServiceDescription{
 		DeviceType: "Camera", ServiceType: "VideoFeed",
 		Attributes: map[string]string{"res": "720p"},
@@ -43,10 +43,10 @@ func TestMultiManagerRouting(t *testing.T) {
 		}
 	})
 
-	puNode := NewNode(nw.AddNode("PrintUser"), cfg, Class3D, 1)
+	puNode := NewNode(nw.AddNode("PrintUser"), &cfg, Class3D, 1)
 	pu := puNode.AttachUser(discovery.Query{ServiceType: "ColorPrinter"}, listener)
 	puNode.Start(3 * sim.Second)
-	cuNode := NewNode(nw.AddNode("CamUser"), cfg, Class3D, 1)
+	cuNode := NewNode(nw.AddNode("CamUser"), &cfg, Class3D, 1)
 	cu := cuNode.AttachUser(discovery.Query{ServiceType: "VideoFeed"}, listener)
 	cuNode.Start(4 * sim.Second)
 

@@ -3,6 +3,7 @@ package frodo
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/discovery"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -12,36 +13,49 @@ import (
 // class and attached roles: every node tracks the Central; 3C/3D nodes
 // announce their presence until the Central is found; 300D nodes carry
 // Registry capability and take part in the Central election.
+//
+// A Node is one allocation: the election state and every timer are
+// embedded, the configuration is shared with every other node of the
+// build, and the Registry capability materialises only on the nodes that
+// come to need it (ensureRegistry).
 type Node struct {
-	cfg   Config
-	class Class
-	power int
+	// The first cache line holds what the two O(N²) receive paths read —
+	// an election candidacy (n for the own ID, backupPick, registry,
+	// elector) and a multicast search (manager) — so a delivery that ends
+	// in "not for me" touches this line and nothing else
+	// (TestNodeReceivePathFitsCacheLine).
+	n *netsim.Node
 
-	n  *netsim.Node
-	nw *netsim.Network
-	k  *sim.Kernel
+	// registry is the 300D Registry capability. It stays nil until the
+	// node first becomes Central or is appointed Backup: nil ⇔ never
+	// Central nor Backup, and every Registry-only handler is a no-op on
+	// nil. Once created it is kept (a demoted Central keeps its tables).
+	registry *RegistryRole
+	manager  *ManagerRole
 
+	// backupPick is the strongest other 300D node heard in election
+	// candidacies; the Central appoints it Backup.
+	backupPick backupCandidate
+	elector    elector
+
+	// The second line serves the Central's announcement train.
+	user *UserRole
 	// central is the node currently believed to be the Central, NoNode if
 	// unknown; centralPower orders competing claims; centralLease purges
 	// a silent Central.
 	central      netsim.NodeID
 	centralPower int
-	centralLease *sim.Deadline
+	power        int
+	cfg          *Config
+	nw           *netsim.Network
+	k            *sim.Kernel
+	class        Class
 
-	// nodeAnnounce is the 3C/3D presence train that runs until the
-	// Central is discovered ("FRODO also requires 3D Managers to announce
-	// their presence periodically until the Registry is discovered").
-	nodeAnnounce *sim.Ticker
-
-	registry *RegistryRole // 300D only; active only while elected
-	elector  *elector      // 300D only
-	manager  *ManagerRole
-	user     *UserRole
-
-	// backupPick is the strongest other 300D node heard in election
-	// candidacies; the Central appoints it Backup.
-	backupPick backupCandidate
-
+	started bool
+	// detached marks a quiesced device (Detach): late events — notably a
+	// boot still pending when the device permanently departed — must not
+	// restart the protocol on a retired (possibly recycled) node slot.
+	detached bool
 	// txDown/rxDown mirror the node's interface state under CentralRepair:
 	// the Registry announcer is gated on them so a Central with a failed
 	// interface stops advertising a claim it cannot honour. A dead
@@ -54,44 +68,70 @@ type Node struct {
 	rxDown    bool
 	ifaceHook func(txUp, rxUp bool)
 
-	started bool
-	// detached marks a quiesced device (Detach): late events — notably a
-	// boot still pending when the device permanently departed — must not
-	// restart the protocol on a retired (possibly recycled) node slot.
-	detached bool
+	centralLease sim.Deadline
+	// nodeAnnounce is the 3C/3D presence train that runs until the
+	// Central is discovered ("FRODO also requires 3D Managers to announce
+	// their presence periodically until the Registry is discovered").
+	nodeAnnounce sim.Ticker
+	// The election timers (300D only; see election.go).
+	electWindow  sim.Deadline
+	electWait    sim.Deadline
+	electBackoff core.Backoff
 }
+
+// Static timer callbacks shared by every node.
+func nodeCentralTimeout(x any)   { x.(*Node).onCentralTimeout() }
+func nodeAnnouncePresence(x any) { x.(*Node).announcePresence() }
 
 // NewNode attaches a FRODO device of the given class to a network node.
 // Power orders 300D nodes in the Central election; it is ignored for
-// other classes.
-func NewNode(n *netsim.Node, cfg Config, class Class, power int) *Node {
+// other classes. The configuration is shared, not copied: it must not
+// change once a node has been built from it.
+func NewNode(n *netsim.Node, cfg *Config, class Class, power int) *Node {
 	nd := &Node{
 		cfg: cfg, class: class, power: power,
 		n: n, nw: n.Network(), k: n.Kernel(),
 		central:    netsim.NoNode,
 		backupPick: noBackupCandidate,
 	}
-	nd.centralLease = sim.NewDeadline(nd.k, nd.onCentralTimeout)
-	nd.nodeAnnounce = sim.NewTicker(nd.k, cfg.NodeAnnouncePeriod, nd.announcePresence)
+	nd.centralLease.Init(nd.k, nodeCentralTimeout, nd)
+	nd.nodeAnnounce.Init(nd.k, cfg.NodeAnnouncePeriod, nodeAnnouncePresence, nd)
 	if class == Class300D {
-		nd.registry = newRegistryRole(nd)
-		nd.elector = newElector(nd)
+		nd.initElection()
 		if cfg.Harden.CentralRepair {
-			nd.ifaceHook = func(txUp, rxUp bool) {
-				wasGated := nd.txDown || nd.rxDown
-				nd.txDown = !txUp
-				nd.rxDown = !rxUp
-				if wasGated && txUp && rxUp && nd.IsCentral() {
-					// Fully back on the air: reassert the claim immediately
-					// so peers that elected around the silence demote.
-					nd.registry.announcer.AnnounceNow()
-				}
-			}
-			nd.registry.announcer.SetGate(func() bool { return !nd.txDown && !nd.rxDown })
+			nd.ifaceHook = nd.onInterfaceChange
 		}
 	}
 	nd.bind()
 	return nd
+}
+
+// onInterfaceChange tracks the interface state for the announcer gate
+// (CentralRepair only).
+func (nd *Node) onInterfaceChange(txUp, rxUp bool) {
+	wasGated := !nd.onAir()
+	nd.txDown = !txUp
+	nd.rxDown = !rxUp
+	if wasGated && txUp && rxUp && nd.IsCentral() {
+		// Fully back on the air: reassert the claim immediately
+		// so peers that elected around the silence demote.
+		nd.registry.announcer.AnnounceNow()
+	}
+}
+
+// onAir reports whether both interfaces are up as far as the node knows.
+func (nd *Node) onAir() bool { return !nd.txDown && !nd.rxDown }
+
+// ensureRegistry materialises the Registry capability the first time the
+// node is elected Central or appointed Backup.
+func (nd *Node) ensureRegistry() *RegistryRole {
+	if nd.registry == nil {
+		nd.registry = newRegistryRole(nd)
+		if nd.cfg.Harden.CentralRepair {
+			nd.registry.announcer.SetGate(nd.onAir)
+		}
+	}
+	return nd.registry
 }
 
 // bind attaches the device to its node slot; construction and Rearm
@@ -107,7 +147,8 @@ func (nd *Node) bind() {
 // Rearm resets the whole device to its construction-time state for
 // workspace reuse: every role, table and timer returns to pristine with
 // its event references dropped (the kernel has been reset), capacity
-// kept, and the node slot re-bound.
+// kept, and the node slot re-bound. A Registry capability that an earlier
+// run materialised is kept, pristine, for the next election.
 func (nd *Node) Rearm() {
 	nd.central = netsim.NoNode
 	nd.centralPower = 0
@@ -117,8 +158,8 @@ func (nd *Node) Rearm() {
 	if nd.registry != nil {
 		nd.registry.rearm()
 	}
-	if nd.elector != nil {
-		nd.elector.rearm()
+	if nd.class == Class300D {
+		nd.rearmElection()
 	}
 	if nd.manager != nil {
 		nd.manager.rearm()
@@ -170,7 +211,7 @@ func nodeBoot(x any) {
 	}
 	nd.started = true
 	if nd.class == Class300D {
-		nd.elector.start()
+		nd.startElection()
 	} else if nd.central == netsim.NoNode {
 		nd.nodeAnnounce.Start(nd.k.UniformDuration(0, sim.Second))
 	}
@@ -192,8 +233,8 @@ func (nd *Node) Detach() bool {
 	if nd.registry != nil && (nd.registry.active || nd.registry.backup) {
 		return false
 	}
-	if nd.elector != nil {
-		nd.elector.stop()
+	if nd.class == Class300D {
+		nd.electionCentralKnown()
 	}
 	nd.nodeAnnounce.Stop()
 	nd.centralLease.Clear()
@@ -215,7 +256,7 @@ func (nd *Node) ID() netsim.NodeID { return nd.n.ID }
 func (nd *Node) Class() Class { return nd.class }
 
 // Config reports the configuration the node was built with.
-func (nd *Node) Config() Config { return nd.cfg }
+func (nd *Node) Config() Config { return *nd.cfg }
 
 // Central reports the node currently believed to be the Central.
 func (nd *Node) Central() netsim.NodeID { return nd.central }
@@ -232,7 +273,8 @@ func (nd *Node) Manager() *ManagerRole { return nd.manager }
 // User returns the attached User role, nil if none.
 func (nd *Node) User() *UserRole { return nd.user }
 
-// Registry returns the 300D Registry capability, nil for other classes.
+// Registry returns the 300D Registry capability: nil for other classes,
+// and for a 300D node that has never been Central or Backup.
 func (nd *Node) Registry() *RegistryRole { return nd.registry }
 
 // announcePresence multicasts a presence announcement. The Central
@@ -259,8 +301,8 @@ func (nd *Node) setCentral(id netsim.NodeID, power int) {
 		nd.centralPower = power
 		nd.centralLease.SetAfter(nd.cfg.CentralTimeout)
 		nd.nodeAnnounce.Stop()
-		if nd.elector != nil {
-			nd.elector.centralKnown()
+		if nd.class == Class300D {
+			nd.electionCentralKnown()
 		}
 		return
 	}
@@ -286,8 +328,8 @@ func (nd *Node) setCentral(id netsim.NodeID, power int) {
 		// Registry; the strongest claim wins).
 		nd.registry.deactivate()
 	}
-	if nd.elector != nil {
-		nd.elector.centralKnown()
+	if nd.class == Class300D {
+		nd.electionCentralKnown()
 	}
 	if nd.manager != nil {
 		nd.manager.centralChanged(id)
@@ -324,7 +366,7 @@ func (nd *Node) centralGone() {
 		return
 	}
 	if nd.class == Class300D {
-		nd.elector.centralLost()
+		nd.electionCentralLost()
 	} else {
 		nd.nodeAnnounce.Start(nd.k.UniformDuration(0, sim.Second))
 	}
@@ -334,12 +376,10 @@ func (nd *Node) centralGone() {
 func (nd *Node) Deliver(msg *netsim.Message) {
 	switch p := msg.Payload.(type) {
 	case ElectionAnnounce:
-		if nd.elector != nil {
-			nd.elector.onCandidate(msg.From, p.Power)
-		}
+		nd.onCandidate(msg.From, p.Power)
 	case AppointBackup:
-		if nd.registry != nil {
-			nd.registry.onAppointBackup(msg.From, p)
+		if nd.class == Class300D {
+			nd.ensureRegistry().onAppointBackup(msg.From, p)
 		}
 	case discovery.Announce:
 		nd.onAnnounce(msg, p)

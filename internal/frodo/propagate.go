@@ -14,10 +14,10 @@ import (
 // enables it. Both the Central (3-party) and 300D Managers (2-party) use
 // it.
 //
-// Notification state is pooled: each pendingNotify embeds its retry
-// schedule and two bound callbacks built once, and recycled entries are
-// reused for later notifications, so steady-state fan-out allocates only
-// the wire payloads. The record carried by a notification shares the
+// Notification state is pooled: each pendingNotify is one object
+// embedding its retry schedule, and recycled entries are reused for later
+// notifications, so steady-state fan-out allocates only the wire
+// payloads. The record carried by a notification shares the
 // immutable description snapshot — no copies.
 type propagator struct {
 	k      *sim.Kernel
@@ -41,10 +41,25 @@ type pendingNotify struct {
 	// retransmission schedule reuses it across attempts.
 	out netsim.Outgoing
 
-	retry     core.Retry
-	sendFn    func(attempt int)
-	exhaustFn func()
-	next      *pendingNotify // free-list link while recycled
+	retry core.Retry
+	next  *pendingNotify // free-list link while recycled
+}
+
+// Static retry callbacks shared by every notification.
+func notifySend(x any, _ int) {
+	pn := x.(*pendingNotify)
+	pn.p.nw.SendUDP(pn.p.from, pn.user, pn.out)
+}
+
+func notifyExhausted(x any) {
+	pn := x.(*pendingNotify)
+	pp := pn.p
+	delete(pp.pending, pn.user)
+	user, rec := pn.user, pn.rec
+	pp.release(pn)
+	if pp.onExhausted != nil {
+		pp.onExhausted(user, rec)
+	}
 }
 
 func newPropagator(k *sim.Kernel, nw *netsim.Network, from netsim.NodeID,
@@ -54,7 +69,7 @@ func newPropagator(k *sim.Kernel, nw *netsim.Network, from netsim.NodeID,
 }
 
 // alloc takes a notification record from the free list, or builds a new
-// one with its bound callbacks and embedded retry schedule.
+// one with its embedded retry schedule.
 func (p *propagator) alloc() *pendingNotify {
 	pn := p.free
 	if pn != nil {
@@ -63,19 +78,7 @@ func (p *propagator) alloc() *pendingNotify {
 		return pn
 	}
 	pn = &pendingNotify{p: p}
-	pn.sendFn = func(int) {
-		pn.p.nw.SendUDP(pn.p.from, pn.user, pn.out)
-	}
-	pn.exhaustFn = func() {
-		pp := pn.p
-		delete(pp.pending, pn.user)
-		user, rec := pn.user, pn.rec
-		pp.release(pn)
-		if pp.onExhausted != nil {
-			pp.onExhausted(user, rec)
-		}
-	}
-	pn.retry.Init(p.k, p.policy, pn.sendFn, pn.exhaustFn)
+	pn.retry.Init(p.k, p.policy, notifySend, notifyExhausted, pn)
 	return pn
 }
 

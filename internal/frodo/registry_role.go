@@ -32,12 +32,12 @@ type RegistryRole struct {
 	appointedBy   netsim.NodeID
 	backupID      netsim.NodeID
 	backupRecs    []discovery.ServiceRecord
-	backupMonitor *sim.Deadline
+	backupMonitor sim.Deadline
 
 	announcer *core.Announcer
 
-	registrations *discovery.LeaseTable[netsim.NodeID, discovery.ServiceRecord]
-	subs          *discovery.LeaseTable[subKey, struct{}]
+	registrations discovery.LeaseTable[netsim.NodeID, discovery.ServiceRecord]
+	subs          discovery.LeaseTable[subKey, struct{}]
 	// provisional marks registrations seeded from Backup sync rather than
 	// established by a Register on the wire (StrictLease only). They serve
 	// queries, but renewals are refused until the Manager re-registers:
@@ -49,7 +49,7 @@ type RegistryRole struct {
 	// requesting for service notification, when they first establish
 	// contact with the Registry"); unlike Jini, FRODO also serves
 	// existing registrations via the immediate query reply.
-	interests *discovery.LeaseTable[netsim.NodeID, discovery.Query]
+	interests discovery.LeaseTable[netsim.NodeID, discovery.Query]
 
 	// Search-reply cache, content-addressed: replies are rebuilt into a
 	// reusable scratch and only boxed afresh when the match set actually
@@ -71,12 +71,21 @@ type RegistryRole struct {
 	inconsistent map[netsim.NodeID]*core.InconsistentSet
 }
 
+// Static timer and lease callbacks shared by every Registry capability.
+func registryTakeover(x any) { x.(*RegistryRole).takeover() }
+func registryRegistrationExpired(x any, manager netsim.NodeID, _ discovery.ServiceRecord) {
+	x.(*RegistryRole).onRegistrationExpired(manager)
+}
+func registrySubscriptionExpired(x any, k subKey, _ struct{}) {
+	x.(*RegistryRole).onSubscriptionExpired(k)
+}
+
 func newRegistryRole(nd *Node) *RegistryRole {
 	r := &RegistryRole{nd: nd, backupID: netsim.NoNode, appointedBy: netsim.NoNode}
-	r.backupMonitor = sim.NewDeadline(nd.k, r.takeover)
-	r.registrations = discovery.NewLeaseTable[netsim.NodeID, discovery.ServiceRecord](nd.k, r.onRegistrationExpired)
-	r.subs = discovery.NewLeaseTable[subKey, struct{}](nd.k, r.onSubscriptionExpired)
-	r.interests = discovery.NewLeaseTable[netsim.NodeID, discovery.Query](nd.k, nil)
+	r.backupMonitor.Init(nd.k, registryTakeover, r)
+	r.registrations.Init(nd.k, registryRegistrationExpired, r)
+	r.subs.Init(nd.k, registrySubscriptionExpired, r)
+	r.interests.Init(nd.k, nil, nil)
 	announceOut := netsim.Outgoing{
 		Kind:    discovery.Kind(discovery.Announce{}),
 		Counted: true,
@@ -533,7 +542,7 @@ func (r *RegistryRole) renewError(from netsim.NodeID) {
 // onRegistrationExpired is the purge half of PR5 in 3-party mode: "the
 // Registry notifies the User when it purges the Manager." Subscribers
 // are told the Manager is gone and their subscriptions dropped.
-func (r *RegistryRole) onRegistrationExpired(manager netsim.NodeID, _ discovery.ServiceRecord) {
+func (r *RegistryRole) onRegistrationExpired(manager netsim.NodeID) {
 	delete(r.provisional, manager)
 	if !r.active {
 		return
@@ -556,7 +565,7 @@ func (r *RegistryRole) onRegistrationExpired(manager netsim.NodeID, _ discovery.
 // onSubscriptionExpired abandons any outstanding notification to the
 // purged subscriber and drops its SRN2 state ("the status of the
 // inconsistent User is cached until the subscription expires").
-func (r *RegistryRole) onSubscriptionExpired(k subKey, _ struct{}) {
+func (r *RegistryRole) onSubscriptionExpired(k subKey) {
 	r.prop.Cancel(k.user)
 	if set, ok := r.inconsistent[k.manager]; ok {
 		set.Forget(k.user)

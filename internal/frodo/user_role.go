@@ -17,9 +17,9 @@ type UserRole struct {
 	query    discovery.Query
 	listener discovery.ConsistencyListener
 
-	cache *discovery.LeaseTable[netsim.NodeID, discovery.ServiceRecord]
+	cache discovery.LeaseTable[netsim.NodeID, discovery.ServiceRecord]
 
-	searchTick   *sim.Ticker
+	searchTick   sim.Ticker
 	searchesLeft int
 
 	// Subscription state: lessee is who holds our lease (the Central in
@@ -32,18 +32,18 @@ type UserRole struct {
 	subMgr    netsim.NodeID
 	subActive bool
 	subRetry  core.Retry
-	renewTick *sim.Ticker
+	renewTick sim.Ticker
 
 	// interestTick maintains the standing notification request at the
 	// Central while the requirement is unmet: the User explicitly asked
 	// to be notified of matching registrations, and that request is a
 	// lease like any other. Without upkeep, a long Manager outage
 	// outlives the interest and the PR1 push finds nobody to tell.
-	interestTick *sim.Ticker
+	interestTick sim.Ticker
 
-	// pollTick drives CM2 when configured: persistent periodic Get
-	// requests for every cached service.
-	pollTick *sim.Ticker
+	// pollTick drives CM2 when configured (cfg.PollPeriod > 0):
+	// persistent periodic Get requests for every cached service.
+	pollTick sim.Ticker
 
 	// monitor detects missed sequenced updates (SRC2, critical mode).
 	monitor core.SeqMonitor
@@ -56,19 +56,33 @@ type UserRole struct {
 	subOut    netsim.Outgoing
 }
 
+// Static timer, lease and retry callbacks shared by every User role.
+func userSearch(x any)        { x.(*UserRole).search() }
+func userRenew(x any)         { x.(*UserRole).renew() }
+func userRenewInterest(x any) { x.(*UserRole).renewInterest() }
+func userPoll(x any)          { x.(*UserRole).poll() }
+
+// userCachePurge is PR5 by lease expiry: the service went silent.
+func userCachePurge(x any, manager netsim.NodeID, _ discovery.ServiceRecord) {
+	x.(*UserRole).purgeManager(manager)
+}
+
+func userSendSubscribe(x any, _ int) { x.(*UserRole).sendSubscribe() }
+func userSubscribeExhausted(x any)   { x.(*UserRole).subscribeExhausted() }
+
 func newUserRole(nd *Node, q discovery.Query, l discovery.ConsistencyListener) *UserRole {
 	if l == nil {
 		l = discovery.NopListener{}
 	}
 	u := &UserRole{nd: nd, query: q, listener: l, lessee: netsim.NoNode, subMgr: netsim.NoNode}
-	u.cache = discovery.NewLeaseTable[netsim.NodeID, discovery.ServiceRecord](nd.k, u.onCachePurge)
-	u.searchTick = sim.NewTicker(nd.k, nd.cfg.SearchRetryPeriod, u.search)
-	u.renewTick = sim.NewTicker(nd.k, core.RenewInterval(nd.cfg.SubscriptionLease), u.renew)
-	u.interestTick = sim.NewTicker(nd.k, core.RenewInterval(nd.cfg.SubscriptionLease), u.renewInterest)
+	u.cache.Init(nd.k, userCachePurge, u)
+	u.searchTick.Init(nd.k, nd.cfg.SearchRetryPeriod, userSearch, u)
+	u.renewTick.Init(nd.k, core.RenewInterval(nd.cfg.SubscriptionLease), userRenew, u)
+	u.interestTick.Init(nd.k, core.RenewInterval(nd.cfg.SubscriptionLease), userRenewInterest, u)
 	if nd.cfg.PollPeriod > 0 {
-		u.pollTick = sim.NewTicker(nd.k, nd.cfg.PollPeriod, u.poll)
+		u.pollTick.Init(nd.k, nd.cfg.PollPeriod, userPoll, u)
 	}
-	u.subRetry.Init(nd.k, nd.cfg.ControlRetry, u.sendSubscribe, u.subscribeExhausted)
+	u.subRetry.Init(nd.k, nd.cfg.ControlRetry, userSendSubscribe, userSubscribeExhausted, u)
 	u.searchOut = netsim.Outgoing{
 		Kind:    discovery.Kind(discovery.Search{}),
 		Counted: true,
@@ -84,9 +98,7 @@ func (u *UserRole) rearm() {
 	u.searchTick.Rearm()
 	u.renewTick.Rearm()
 	u.interestTick.Rearm()
-	if u.pollTick != nil {
-		u.pollTick.Rearm()
-	}
+	u.pollTick.Rearm()
 	u.subRetry.Rearm()
 	u.searchesLeft = 0
 	u.lessee = netsim.NoNode
@@ -149,7 +161,7 @@ func (u *UserRole) start() {
 		u.startSearchBurst()
 	}
 	u.interestTick.Start(u.interestTick.Period())
-	if u.pollTick != nil {
+	if u.nd.cfg.PollPeriod > 0 {
 		u.pollTick.Start(u.pollTick.Period())
 	}
 }
@@ -177,9 +189,7 @@ func (u *UserRole) stop() {
 	u.searchTick.Stop()
 	u.renewTick.Stop()
 	u.interestTick.Stop()
-	if u.pollTick != nil {
-		u.pollTick.Stop()
-	}
+	u.pollTick.Stop()
 	u.subRetry.Stop()
 	u.cache.Clear()
 	u.subActive = false
@@ -291,8 +301,8 @@ func (u *UserRole) subscribe(lessee, manager netsim.NodeID) {
 	u.subRetry.Start()
 }
 
-// sendSubscribe is the subscription retry's bound transmission callback.
-func (u *UserRole) sendSubscribe(int) {
+// sendSubscribe is the subscription retry's transmission callback.
+func (u *UserRole) sendSubscribe() {
 	u.nd.nw.SendUDP(u.nd.n.ID, u.lessee, u.subOut)
 }
 
@@ -353,11 +363,8 @@ func (u *UserRole) onRenewAck(from netsim.NodeID, p discovery.RenewAck) {
 // fall back to rediscovery through the Registry, the weaker PR5 the
 // paper describes.
 func (u *UserRole) onCentralAnnounce() {
-	u.cache.EachKey(func(mgr netsim.NodeID) {
-		if u.subActive && u.lessee == mgr {
-			return // 2-party: vouched by the Manager itself
-		}
-		u.cache.Renew(mgr, u.nd.cfg.CacheLease)
+	u.cache.RenewIf(u.nd.cfg.CacheLease, func(mgr netsim.NodeID) bool {
+		return !(u.subActive && u.lessee == mgr) // 2-party: vouched by the Manager itself
 	})
 }
 
@@ -411,11 +418,6 @@ func (u *UserRole) onManagerGone(from netsim.NodeID, p discovery.ManagerGone) {
 	}
 	u.cache.Drop(p.Manager)
 	u.purgeManager(p.Manager)
-}
-
-// onCachePurge is PR5 by lease expiry: the service went silent.
-func (u *UserRole) onCachePurge(manager netsim.NodeID, _ discovery.ServiceRecord) {
-	u.purgeManager(manager)
 }
 
 func (u *UserRole) purgeManager(manager netsim.NodeID) {

@@ -24,17 +24,21 @@ type Manager struct {
 
 	// registries tracks discovered lookup services; the lease is
 	// refreshed by their announcements.
-	registries *discovery.LeaseTable[netsim.NodeID, struct{}]
-	renewTick  *sim.Ticker
+	registries discovery.LeaseTable[netsim.NodeID, struct{}]
+	renewTick  sim.Ticker
 }
+
+// managerRenewAll is the static renewal-ticker callback shared by every
+// Jini Manager.
+func managerRenewAll(x any) { x.(*Manager).renewAll() }
 
 // NewManager attaches a Manager to a node.
 func NewManager(node *netsim.Node, cfg Config, sd discovery.ServiceDescription) *Manager {
 	m := &Manager{cfg: cfg, node: node, nw: node.Network(), k: node.Kernel()}
 	m.initial = sd.Freeze()
 	m.sd = m.initial
-	m.registries = discovery.NewLeaseTable[netsim.NodeID, struct{}](m.k, nil)
-	m.renewTick = sim.NewTicker(m.k, core.RenewInterval(cfg.RegistrationLease), m.renewAll)
+	m.registries.Init(m.k, nil, nil)
+	m.renewTick.Init(m.k, core.RenewInterval(cfg.RegistrationLease), managerRenewAll, m)
 	m.bind()
 	return m
 }

@@ -26,14 +26,14 @@ type Registry struct {
 	announcer *core.Announcer
 
 	// registrations maps Manager to its registered record.
-	registrations *discovery.LeaseTable[netsim.NodeID, discovery.ServiceRecord]
+	registrations discovery.LeaseTable[netsim.NodeID, discovery.ServiceRecord]
 	// subs holds event subscriptions with their per-registration event
 	// sequence counters (Jini numbers remote events per event
 	// registration — the protocol's SRC2 hook).
-	subs *discovery.LeaseTable[subKey, *subState]
+	subs discovery.LeaseTable[subKey, *subState]
 	// notifyReqs holds requests for notification of future service
 	// registrations, keyed by User.
-	notifyReqs *discovery.LeaseTable[netsim.NodeID, discovery.Query]
+	notifyReqs discovery.LeaseTable[netsim.NodeID, discovery.Query]
 }
 
 // subState carries one event registration's sequence counter.
@@ -44,9 +44,9 @@ type subState struct {
 // NewRegistry attaches a lookup service to a node.
 func NewRegistry(node *netsim.Node, cfg Config) *Registry {
 	r := &Registry{cfg: cfg, node: node, nw: node.Network(), k: node.Kernel()}
-	r.registrations = discovery.NewLeaseTable[netsim.NodeID, discovery.ServiceRecord](r.k, nil)
-	r.subs = discovery.NewLeaseTable[subKey, *subState](r.k, nil)
-	r.notifyReqs = discovery.NewLeaseTable[netsim.NodeID, discovery.Query](r.k, nil)
+	r.registrations.Init(r.k, nil, nil)
+	r.subs.Init(r.k, nil, nil)
+	r.notifyReqs.Init(r.k, nil, nil)
 	announceOut := netsim.Outgoing{
 		Kind:    discovery.Kind(discovery.Announce{}),
 		Counted: true,

@@ -32,12 +32,12 @@ type User struct {
 
 	// registries tracks discovered lookup services; the lease is
 	// refreshed by their announcements.
-	registries *discovery.LeaseTable[netsim.NodeID, struct{}]
+	registries discovery.LeaseTable[netsim.NodeID, struct{}]
 	// cache holds the discovered service records. Its lease is refreshed
 	// by events and by successful renewals: a healthy subscription attests
 	// that the Registry still serves us. When it expires the requirement
 	// is unmet again and the User re-queries.
-	cache *discovery.LeaseTable[netsim.NodeID, discovery.ServiceRecord]
+	cache discovery.LeaseTable[netsim.NodeID, discovery.ServiceRecord]
 	// subscribed records which event registrations the user believes it
 	// holds, in the order they were opened: a User holds one or two, every
 	// announcement copy walks them, and the walk order fixes the order of
@@ -46,14 +46,24 @@ type User struct {
 	// monitors detects event sequence gaps per event registration (SRC2).
 	monitors map[regMgrKey]*core.SeqMonitor
 
-	renewTick *sim.Ticker
-	// pollTick drives CM2 when configured: persistent periodic
-	// re-queries of the known Registries.
-	pollTick *sim.Ticker
+	renewTick sim.Ticker
+	// pollTick drives CM2 when configured (cfg.PollPeriod > 0):
+	// persistent periodic re-queries of the known Registries.
+	pollTick sim.Ticker
 
 	// stopped marks a quiesced client (Stop): a boot event still pending
 	// when the device permanently departed must not restart it.
 	stopped bool
+}
+
+// Static timer and lease callbacks shared by every Jini client.
+func userRenewAll(x any) { x.(*User).renewAll() }
+func userPoll(x any)     { x.(*User).poll() }
+func userRegistryPurge(x any, reg netsim.NodeID, _ struct{}) {
+	x.(*User).onRegistryPurge(reg)
+}
+func userCachePurge(x any, manager netsim.NodeID, _ discovery.ServiceRecord) {
+	x.(*User).onCachePurge(manager)
 }
 
 // NewUser attaches a Jini client to a node.
@@ -66,11 +76,11 @@ func NewUser(node *netsim.Node, cfg Config, q discovery.Query, l discovery.Consi
 		query: q, listener: l,
 		monitors: map[regMgrKey]*core.SeqMonitor{},
 	}
-	u.registries = discovery.NewLeaseTable[netsim.NodeID, struct{}](u.k, u.onRegistryPurge)
-	u.cache = discovery.NewLeaseTable[netsim.NodeID, discovery.ServiceRecord](u.k, u.onCachePurge)
-	u.renewTick = sim.NewTicker(u.k, core.RenewInterval(cfg.SubscriptionLease), u.renewAll)
+	u.registries.Init(u.k, userRegistryPurge, u)
+	u.cache.Init(u.k, userCachePurge, u)
+	u.renewTick.Init(u.k, core.RenewInterval(cfg.SubscriptionLease), userRenewAll, u)
 	if cfg.PollPeriod > 0 {
-		u.pollTick = sim.NewTicker(u.k, cfg.PollPeriod, u.poll)
+		u.pollTick.Init(u.k, cfg.PollPeriod, userPoll, u)
 	}
 	u.bind()
 	return u
@@ -89,9 +99,7 @@ func (u *User) Rearm() {
 	u.registries.Rearm()
 	u.cache.Rearm()
 	u.renewTick.Rearm()
-	if u.pollTick != nil {
-		u.pollTick.Rearm()
-	}
+	u.pollTick.Rearm()
 	u.subscribed = u.subscribed[:0]
 	clear(u.monitors)
 	u.stopped = false
@@ -116,7 +124,7 @@ func userBoot(x any) {
 		return // departed permanently before the boot completed
 	}
 	u.renewTick.Start(u.renewTick.Period())
-	if u.pollTick != nil {
+	if u.cfg.PollPeriod > 0 {
 		u.pollTick.Start(u.pollTick.Period())
 	}
 }
@@ -143,9 +151,7 @@ func (u *User) Stop() {
 	}
 	u.stopped = true
 	u.renewTick.Stop()
-	if u.pollTick != nil {
-		u.pollTick.Stop()
-	}
+	u.pollTick.Stop()
 	u.registries.Clear()
 	u.cache.Clear()
 	u.subscribed = u.subscribed[:0]
@@ -345,7 +351,7 @@ func (u *User) onRenewError(reg netsim.NodeID) {
 
 // onRegistryPurge drops a silent Registry; announcements will trigger a
 // fresh join (PR2a: rediscovery through the periodic announcements).
-func (u *User) onRegistryPurge(reg netsim.NodeID, _ struct{}) {
+func (u *User) onRegistryPurge(reg netsim.NodeID) {
 	u.forgetRegistry(reg)
 }
 
@@ -361,7 +367,7 @@ func (u *User) forgetRegistry(reg netsim.NodeID) {
 
 // onCachePurge re-queries the known Registries: the requirement is
 // standing, so a purged service is searched for again.
-func (u *User) onCachePurge(manager netsim.NodeID, _ discovery.ServiceRecord) {
+func (u *User) onCachePurge(manager netsim.NodeID) {
 	u.subscribed = slices.DeleteFunc(u.subscribed, func(key regMgrKey) bool {
 		return key.manager == manager
 	})

@@ -314,6 +314,13 @@ func (gw *Gateway) fail(w http.ResponseWriter, code int, format string, args ...
 	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// numbered returns prefix followed by n in decimal, in one allocation —
+// the label of a spawned node, which only logs read.
+func numbered(prefix string, n int) string {
+	var buf [32]byte
+	return string(strconv.AppendInt(append(buf[:0], prefix...), int64(n), 10))
+}
+
 func (gw *Gateway) handleAttach(w http.ResponseWriter, r *http.Request) {
 	req, ok := decode[attachRequest](w, r)
 	if !ok {
@@ -322,7 +329,7 @@ func (gw *Gateway) handleAttach(w http.ResponseWriter, r *http.Request) {
 	var id netsim.NodeID
 	err := gw.d.Call(func() {
 		gw.nextID++
-		uid, each := gw.d.sc.SpawnUser(fmt.Sprintf("live-client-%d", gw.nextID), req.Query.toQuery(), discovery.ListenerFunc(gw.clientCacheUpdated))
+		uid, each := gw.d.sc.SpawnUser(numbered("live-client-", gw.nextID), req.Query.toQuery(), discovery.ListenerFunc(gw.clientCacheUpdated))
 		gw.users[uid] = &clientUser{id: uid, each: each}
 		id = uid
 	})
@@ -347,7 +354,7 @@ func (gw *Gateway) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var id netsim.NodeID
 	err := gw.d.Call(func() {
 		gw.nextID++
-		mid, change := gw.d.sc.SpawnManager(fmt.Sprintf("live-manager-%d", gw.nextID), req.Spec.toSD())
+		mid, change := gw.d.sc.SpawnManager(numbered("live-manager-", gw.nextID), req.Spec.toSD())
 		gw.managers[mid] = &managerState{change: change, version: 1}
 		id = mid
 	})

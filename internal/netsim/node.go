@@ -52,6 +52,9 @@ func (n *Node) Up() bool { return n.txUp && n.rxUp }
 // traffic. It must be called before any message can be delivered.
 func (n *Node) SetEndpoint(ep Endpoint) { n.ep = ep }
 
+// Endpoint returns the attached protocol instance, nil if none.
+func (n *Node) Endpoint() Endpoint { return n.ep }
+
 // OnInterfaceChange registers a callback invoked after every Tx/Rx state
 // change.
 func (n *Node) OnInterfaceChange(fn func(txUp, rxUp bool)) { n.onInterfaceChange = fn }

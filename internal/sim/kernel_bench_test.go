@@ -64,7 +64,7 @@ func BenchmarkDeadlineRenew(b *testing.B) {
 	k := New(1)
 	ds := make([]*Deadline, leases)
 	for i := range ds {
-		ds[i] = NewDeadline(k, func() {})
+		ds[i] = newDeadline(k, func() {})
 	}
 	renewals := 0
 	peak := 0

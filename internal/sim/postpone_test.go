@@ -351,7 +351,7 @@ func TestDeadlineSetLaterEarlierAndFromItsOwnCallback(t *testing.T) {
 	var fires []int64
 	var d *Deadline
 	rearmInCallback := false
-	d = NewDeadline(k, func() {
+	d = newDeadline(k, func() {
 		fires = append(fires, int64(k.Now()))
 		if rearmInCallback {
 			rearmInCallback = false
@@ -397,7 +397,7 @@ func TestDeadlineSetLaterEarlierAndFromItsOwnCallback(t *testing.T) {
 func TestDeadlineSetAfterRearm(t *testing.T) {
 	k := New(1)
 	var fires []int64
-	d := NewDeadline(k, func() { fires = append(fires, int64(k.Now())) })
+	d := newDeadline(k, func() { fires = append(fires, int64(k.Now())) })
 	d.Set(100)
 	// Workspace reuse: the kernel is reset (the old event is recycled and
 	// may already belong to somebody else), the deadline rearmed.
@@ -425,7 +425,7 @@ func TestDeadlineRenewSteadyState(t *testing.T) {
 	const timers, renewals = 8, 15
 	ds := make([]*Deadline, timers)
 	for i := range ds {
-		ds[i] = NewDeadline(k, func() {})
+		ds[i] = newDeadline(k, func() {})
 	}
 	cycle := func() {
 		for r := 0; r < renewals; r++ {

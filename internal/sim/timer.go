@@ -1,26 +1,41 @@
 package sim
 
+// noCopy marks a type that must not be copied after first use: `go vet`'s
+// copylocks check flags any assignment, argument or range copy of a value
+// containing one. Embedded timers are armed with a pointer to themselves
+// (the kernel event's argument), so a copy would leave the pending event
+// aimed at the original while the copy believes it owns it.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
 // Ticker fires a callback periodically. Protocol models use tickers for
 // announcement trains, lease renewals and retransmission schedules; all of
 // them need to be stoppable and restartable when interface state changes.
 //
-// Scheduling goes through a static callback with the ticker itself as the
-// argument (AfterArg), so arming and re-arming never allocates a closure:
-// a ticker costs its construction and nothing per firing.
+// A Ticker is a value embedded in its owner and prepared once with Init:
+// the callback is a static function taking the owner as its argument, and
+// scheduling goes through a static kernel callback with the ticker itself
+// as the argument, so neither construction nor firing allocates. Init
+// once, never copy, Rearm after Kernel.Reset.
 type Ticker struct {
+	_       noCopy
 	k       *Kernel
 	period  Duration
-	fn      func()
+	fn      func(any)
+	arg     any
 	pending *Event
 	running bool
 }
 
-// NewTicker creates a stopped ticker; call Start to arm it.
-func NewTicker(k *Kernel, period Duration, fn func()) *Ticker {
+// Init prepares a stopped ticker that calls fn(arg) every period; call
+// Start to arm it.
+func (t *Ticker) Init(k *Kernel, period Duration, fn func(any), arg any) {
 	if period <= 0 {
 		panic("sim: ticker period must be positive")
 	}
-	return &Ticker{k: k, period: period, fn: fn}
+	t.k, t.period, t.fn, t.arg = k, period, fn, arg
 }
 
 // tickerFire is the static kernel callback shared by every ticker.
@@ -44,7 +59,7 @@ func (t *Ticker) tick() {
 	// Stop/Start never cancel a recycled event. (A stopped ticker never
 	// reaches here — Stop cancels the pending event.)
 	t.pending = t.k.AfterArg(t.period, tickerFire, t)
-	t.fn()
+	t.fn(t.arg)
 }
 
 // Stop disarms the ticker. A stopped ticker can be started again.
@@ -80,17 +95,20 @@ func (t *Ticker) SetPeriod(p Duration) {
 // Deadline is a single-shot timer that can be pushed into the future, which
 // is exactly the behaviour of a lease: each renewal moves the expiry event
 // (Kernel.Postpone), so a lease renewed many times per expiry still owns
-// one queue entry. Like Ticker, it schedules through a static callback, so
-// arming a deadline allocates nothing.
+// one queue entry. Like Ticker it is an embedded value prepared once with
+// Init — never copied, Rearm after Kernel.Reset — and arming it allocates
+// nothing.
 type Deadline struct {
+	_       noCopy
 	k       *Kernel
-	fn      func()
+	fn      func(any)
+	arg     any
 	pending *Event
 }
 
-// NewDeadline creates an unarmed deadline that runs fn when it expires.
-func NewDeadline(k *Kernel, fn func()) *Deadline {
-	return &Deadline{k: k, fn: fn}
+// Init prepares an unarmed deadline that runs fn(arg) when it expires.
+func (d *Deadline) Init(k *Kernel, fn func(any), arg any) {
+	d.k, d.fn, d.arg = k, fn, arg
 }
 
 // deadlineFire is the static kernel callback shared by every deadline.
@@ -135,5 +153,5 @@ func (d *Deadline) fire() {
 	// Pooled-event ownership: drop the fired event before fn, so a
 	// Set/Clear from inside the callback never cancels a recycled event.
 	d.pending = nil
-	d.fn()
+	d.fn(d.arg)
 }

@@ -2,10 +2,26 @@ package sim
 
 import "testing"
 
+// callFunc adapts a closure to the timers' static-callback signature, so
+// tests can keep writing their callbacks inline.
+func callFunc(x any) { x.(func())() }
+
+func newTicker(k *Kernel, period Duration, fn func()) *Ticker {
+	t := &Ticker{}
+	t.Init(k, period, callFunc, fn)
+	return t
+}
+
+func newDeadline(k *Kernel, fn func()) *Deadline {
+	d := &Deadline{}
+	d.Init(k, callFunc, fn)
+	return d
+}
+
 func TestTickerFiresPeriodically(t *testing.T) {
 	k := New(1)
 	var fired []Time
-	tk := NewTicker(k, 10*Second, func() { fired = append(fired, k.Now()) })
+	tk := newTicker(k, 10*Second, func() { fired = append(fired, k.Now()) })
 	tk.Start(5 * Second)
 	k.Run(36 * Second)
 	want := []Time{5 * Second, 15 * Second, 25 * Second, 35 * Second}
@@ -22,7 +38,7 @@ func TestTickerFiresPeriodically(t *testing.T) {
 func TestTickerStopAndRestart(t *testing.T) {
 	k := New(1)
 	count := 0
-	tk := NewTicker(k, 10*Second, func() { count++ })
+	tk := newTicker(k, 10*Second, func() { count++ })
 	tk.Start(0)
 	k.After(25*Second, tk.Stop)
 	k.Run(60 * Second)
@@ -43,7 +59,7 @@ func TestTickerStopInsideCallback(t *testing.T) {
 	k := New(1)
 	count := 0
 	var tk *Ticker
-	tk = NewTicker(k, Second, func() {
+	tk = newTicker(k, Second, func() {
 		count++
 		if count == 2 {
 			tk.Stop()
@@ -60,7 +76,7 @@ func TestTickerSetPeriod(t *testing.T) {
 	k := New(1)
 	var fired []Time
 	var tk *Ticker
-	tk = NewTicker(k, 10*Second, func() {
+	tk = newTicker(k, 10*Second, func() {
 		fired = append(fired, k.Now())
 		tk.SetPeriod(20 * Second)
 	})
@@ -82,7 +98,7 @@ func TestTickerSetPeriod(t *testing.T) {
 func TestDeadlineRenewal(t *testing.T) {
 	k := New(1)
 	var expired []Time
-	d := NewDeadline(k, func() { expired = append(expired, k.Now()) })
+	d := newDeadline(k, func() { expired = append(expired, k.Now()) })
 	d.SetAfter(10 * Second)                                // would expire at 10
 	k.After(5*Second, func() { d.SetAfter(10 * Second) })  // push to 15
 	k.After(12*Second, func() { d.SetAfter(10 * Second) }) // push to 22
@@ -98,7 +114,7 @@ func TestDeadlineRenewal(t *testing.T) {
 func TestDeadlineClear(t *testing.T) {
 	k := New(1)
 	fired := false
-	d := NewDeadline(k, func() { fired = true })
+	d := newDeadline(k, func() { fired = true })
 	d.SetAfter(10 * Second)
 	if !d.Armed() {
 		t.Fatal("deadline not armed after Set")
@@ -120,5 +136,5 @@ func TestTickerRejectsBadPeriod(t *testing.T) {
 			t.Error("zero period did not panic")
 		}
 	}()
-	NewTicker(k, 0, func() {})
+	newTicker(k, 0, func() {})
 }

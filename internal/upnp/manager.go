@@ -25,7 +25,7 @@ type Manager struct {
 
 	// subs holds the eventing subscriptions keyed by subscriber; UPnP has
 	// no Registry, so the Manager is the lessee (2-party subscription).
-	subs *discovery.LeaseTable[netsim.NodeID, struct{}]
+	subs discovery.LeaseTable[netsim.NodeID, struct{}]
 
 	// announceOut is the pre-built announcement payload (contents never
 	// change, so one boxed payload serves every train); ifaceHook is the
@@ -45,7 +45,7 @@ func NewManager(node *netsim.Node, cfg Config, sd discovery.ServiceDescription) 
 	}
 	m.initial = sd.Freeze()
 	m.sd = m.initial
-	m.subs = discovery.NewLeaseTable[netsim.NodeID, struct{}](m.k, nil)
+	m.subs.Init(m.k, nil, nil)
 	m.announceOut = netsim.Outgoing{
 		Kind:    discovery.Kind(discovery.Announce{}),
 		Counted: true,

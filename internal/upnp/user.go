@@ -22,33 +22,42 @@ type User struct {
 
 	// cache holds the discovered service; its lease is refreshed by
 	// announcements (CACHE-CONTROL) and expires into PR5 rediscovery.
-	cache *discovery.LeaseTable[netsim.NodeID, discovery.ServiceRecord]
+	cache discovery.LeaseTable[netsim.NodeID, discovery.ServiceRecord]
 
 	// subscribedTo is the Manager the user holds an eventing subscription
 	// with (NoNode when unsubscribed); renewTick refreshes the lease.
 	subscribedTo netsim.NodeID
-	renewTick    *sim.Ticker
+	renewTick    sim.Ticker
 
 	// searchTick repeats M-SEARCH while the requirement is unmet (PR5).
-	searchTick *sim.Ticker
+	searchTick sim.Ticker
 
 	// staleVersion is nonzero when an invalidation announced a version the
 	// user has not fetched yet; getTick retries the fetch.
 	staleVersion uint64
-	getTick      *sim.Ticker
+	getTick      sim.Ticker
 	getting      bool
 
 	// stopped marks a quiesced control point (Stop): a boot event still
 	// pending when the device permanently departed must not restart it.
 	stopped bool
 
-	// pollTick drives CM2 when configured: a persistent periodic re-fetch
-	// of the cached description.
-	pollTick *sim.Ticker
+	// pollTick drives CM2 when configured (cfg.PollPeriod > 0): a
+	// persistent periodic re-fetch of the cached description.
+	pollTick sim.Ticker
 
 	// searchOut is the pre-built M-SEARCH payload: the query never
 	// changes, so one boxed payload serves every transmission.
 	searchOut netsim.Outgoing
+}
+
+// Static timer and lease callbacks shared by every control point.
+func userRenew(x any)    { x.(*User).renew() }
+func userSearch(x any)   { x.(*User).search() }
+func userRetryGet(x any) { x.(*User).retryGet() }
+func userPoll(x any)     { x.(*User).poll() }
+func userCachePurge(x any, manager netsim.NodeID, _ discovery.ServiceRecord) {
+	x.(*User).onCachePurge(manager)
 }
 
 // NewUser attaches a control point to a node.
@@ -65,12 +74,12 @@ func NewUser(node *netsim.Node, cfg Config, q discovery.Query, l discovery.Consi
 		listener:     l,
 		subscribedTo: netsim.NoNode,
 	}
-	u.cache = discovery.NewLeaseTable[netsim.NodeID, discovery.ServiceRecord](u.k, u.onCachePurge)
-	u.renewTick = sim.NewTicker(u.k, core.RenewInterval(cfg.SubscriptionLease), u.renew)
-	u.searchTick = sim.NewTicker(u.k, cfg.SearchRetryPeriod, u.search)
-	u.getTick = sim.NewTicker(u.k, cfg.GetRetryPeriod, u.retryGet)
+	u.cache.Init(u.k, userCachePurge, u)
+	u.renewTick.Init(u.k, core.RenewInterval(cfg.SubscriptionLease), userRenew, u)
+	u.searchTick.Init(u.k, cfg.SearchRetryPeriod, userSearch, u)
+	u.getTick.Init(u.k, cfg.GetRetryPeriod, userRetryGet, u)
 	if cfg.PollPeriod > 0 {
-		u.pollTick = sim.NewTicker(u.k, cfg.PollPeriod, u.poll)
+		u.pollTick.Init(u.k, cfg.PollPeriod, userPoll, u)
 	}
 	u.searchOut = netsim.Outgoing{
 		Kind:    discovery.Kind(discovery.Search{}),
@@ -96,9 +105,7 @@ func (u *User) Rearm() {
 	u.renewTick.Rearm()
 	u.searchTick.Rearm()
 	u.getTick.Rearm()
-	if u.pollTick != nil {
-		u.pollTick.Rearm()
-	}
+	u.pollTick.Rearm()
 	u.subscribedTo = netsim.NoNode
 	u.staleVersion = 0
 	u.getting = false
@@ -131,7 +138,7 @@ func userBoot(x any) {
 	if u.cache.Len() == 0 {
 		u.searchTick.Start(0)
 	}
-	if u.pollTick != nil {
+	if u.cfg.PollPeriod > 0 {
 		u.pollTick.Start(u.pollTick.Period())
 	}
 }
@@ -158,9 +165,7 @@ func (u *User) Stop() {
 	u.searchTick.Stop()
 	u.renewTick.Stop()
 	u.getTick.Stop()
-	if u.pollTick != nil {
-		u.pollTick.Stop()
-	}
+	u.pollTick.Stop()
 	u.cache.Clear()
 	u.subscribedTo = netsim.NoNode
 	u.staleVersion = 0
@@ -340,7 +345,7 @@ func (u *User) retryGet() {
 // onCachePurge is PR5: the Manager disappeared (no announcements within
 // the cache lease). Drop the subscription — "the User purges the Manager
 // when the service lease expires" — and return to active search.
-func (u *User) onCachePurge(manager netsim.NodeID, _ discovery.ServiceRecord) {
+func (u *User) onCachePurge(manager netsim.NodeID) {
 	if u.subscribedTo == manager {
 		u.subscribedTo = netsim.NoNode
 		u.renewTick.Stop()
