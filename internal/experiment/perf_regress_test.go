@@ -93,3 +93,22 @@ func TestBuildAllocBudgets(t *testing.T) {
 		}
 	}
 }
+
+// TestScopedDeliveryBudget bounds how many frames a large run hands to
+// endpoints, per User: a multicast frame goes only to the members that
+// listen for its topic, so a FRODO 2-party boot's searches reach the
+// Manager and not the whole population. N = 1,000, λ = 0, one fixed seed:
+// the count is exact, the budget leaves ~10 % for protocol changes. With
+// everyone listening to everything the same run hands over 70.1 frames
+// per User.
+func TestScopedDeliveryBudget(t *testing.T) {
+	const users, budget = 1000, 53.0 // measures 48.1
+	p := DefaultParams()
+	p.Users = users
+	_, sc := runInWorkspace(NewWorkspace(), RunSpec{System: Frodo2P, Seed: 1, Params: p})
+	perUser := float64(sc.Net.Counters().Delivered) / users
+	t.Logf("%.1f deliveries per User", perUser)
+	if perUser > budget {
+		t.Errorf("a FRODO 2-party run at N=%d delivers %.1f frames per User, budget %.0f", users, perUser, budget)
+	}
+}

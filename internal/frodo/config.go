@@ -28,6 +28,22 @@ import (
 // DiscoveryGroup is the multicast group all FRODO nodes join.
 const DiscoveryGroup netsim.Group = 1
 
+// The topics of DiscoveryGroup: who acts on which multicast kind
+// (Node.topics declares them per device). The Central's Registry
+// Announce and its hardened Bye are unscoped — every node tracks the
+// Central.
+const (
+	// TopicSearch carries a multicast Search (PR5a); nodes with a Manager
+	// role answer it.
+	TopicSearch netsim.Topic = 1 + iota
+	// TopicElection carries ElectionAnnounce candidacies; 300D nodes run
+	// the election and pick the Backup from them.
+	TopicElection
+	// TopicPresence carries the 3C/3D presence Announce, which the
+	// Central — a 300D node — answers with unicast Registry info.
+	TopicPresence
+)
+
 // Class is the FRODO device class (§3).
 type Class uint8
 

@@ -111,6 +111,7 @@ func (nd *Node) announceCandidacy() {
 	nd.nw.Multicast(nd.n.ID, DiscoveryGroup, netsim.Outgoing{
 		Kind:    kindOf(ElectionAnnounce{}),
 		Counted: true,
+		Topic:   TopicElection,
 		Payload: ElectionAnnounce{Power: nd.power},
 	}, 1)
 }

@@ -138,10 +138,25 @@ func (nd *Node) ensureRegistry() *RegistryRole {
 // share it.
 func (nd *Node) bind() {
 	nd.n.SetEndpoint(nd)
-	nd.nw.Join(nd.n.ID, DiscoveryGroup)
+	nd.nw.JoinTopics(nd.n.ID, DiscoveryGroup, nd.topics())
 	if nd.ifaceHook != nil {
 		nd.n.OnInterfaceChange(nd.ifaceHook)
 	}
+}
+
+// topics is what Deliver does something with, given the device's class
+// and the roles attached so far: anything else it is handed falls through
+// to a no-op (TestDeclinedTopicsAreNoOps), so the network need not hand
+// it over at all.
+func (nd *Node) topics() netsim.TopicSet {
+	ts := netsim.Topics()
+	if nd.manager != nil {
+		ts |= netsim.Topics(TopicSearch)
+	}
+	if nd.class == Class300D {
+		ts |= netsim.Topics(TopicElection, TopicPresence)
+	}
+	return ts
 }
 
 // Rearm resets the whole device to its construction-time state for
@@ -182,6 +197,7 @@ func (nd *Node) AttachManager(sd discovery.ServiceDescription) *ManagerRole {
 		panic("frodo: manager role already attached")
 	}
 	nd.manager = newManagerRole(nd, sd)
+	nd.nw.JoinTopics(nd.n.ID, DiscoveryGroup, nd.topics()) // now also answers searches
 	return nd.manager
 }
 
@@ -288,6 +304,7 @@ func (nd *Node) announcePresence() {
 	nd.nw.Multicast(nd.n.ID, DiscoveryGroup, netsim.Outgoing{
 		Kind:    discovery.Kind(discovery.Announce{}),
 		Counted: true,
+		Topic:   TopicPresence,
 		Payload: discovery.Announce{Role: role, Power: nd.power},
 	}, 1)
 }

@@ -86,6 +86,7 @@ func newUserRole(nd *Node, q discovery.Query, l discovery.ConsistencyListener) *
 	u.searchOut = netsim.Outgoing{
 		Kind:    discovery.Kind(discovery.Search{}),
 		Counted: true,
+		Topic:   TopicSearch, // for the multicast fallback; unicast ignores it
 		Payload: discovery.Search{Q: u.query},
 	}
 	return u

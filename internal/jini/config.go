@@ -23,6 +23,12 @@ import (
 // DiscoveryGroup is the multicast group used for Registry announcements.
 const DiscoveryGroup netsim.Group = 1
 
+// TopicAnnounce is DiscoveryGroup's one topic, the Registry announcement:
+// Users and Managers listen for it. Registries are members of the group
+// and listen to nothing — a lookup service does not act on another's
+// announcement.
+const TopicAnnounce netsim.Topic = 1
+
 // Config collects the model parameters; DefaultConfig reproduces §5.
 type Config struct {
 	// AnnouncePeriod and AnnounceCopies drive each Registry's multicast

@@ -47,7 +47,7 @@ func NewManager(node *netsim.Node, cfg Config, sd discovery.ServiceDescription) 
 // share it.
 func (m *Manager) bind() {
 	m.node.SetEndpoint(m)
-	m.nw.Join(m.node.ID, DiscoveryGroup)
+	m.nw.JoinTopics(m.node.ID, DiscoveryGroup, netsim.Topics(TopicAnnounce))
 }
 
 // Rearm resets the Manager to its construction-time state for workspace

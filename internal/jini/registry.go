@@ -50,6 +50,7 @@ func NewRegistry(node *netsim.Node, cfg Config) *Registry {
 	announceOut := netsim.Outgoing{
 		Kind:    discovery.Kind(discovery.Announce{}),
 		Counted: true,
+		Topic:   TopicAnnounce,
 		Payload: discovery.Announce{Role: discovery.RoleRegistry, CacheLease: cfg.CacheLease},
 	}
 	r.announcer = core.NewAnnouncer(r.nw, node.ID, DiscoveryGroup,
@@ -62,7 +63,7 @@ func NewRegistry(node *netsim.Node, cfg Config) *Registry {
 // share it.
 func (r *Registry) bind() {
 	r.node.SetEndpoint(r)
-	r.nw.Join(r.node.ID, DiscoveryGroup)
+	r.nw.JoinTopics(r.node.ID, DiscoveryGroup, netsim.Topics())
 }
 
 // Rearm resets the lookup service to its construction-time state for

@@ -90,7 +90,7 @@ func NewUser(node *netsim.Node, cfg Config, q discovery.Query, l discovery.Consi
 // share it.
 func (u *User) bind() {
 	u.node.SetEndpoint(u)
-	u.nw.Join(u.node.ID, DiscoveryGroup)
+	u.nw.JoinTopics(u.node.ID, DiscoveryGroup, netsim.Topics(TopicAnnounce))
 }
 
 // Rearm resets the client to its construction-time state for workspace

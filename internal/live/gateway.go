@@ -501,6 +501,7 @@ func (gw *Gateway) sendLookup(q discovery.Query) {
 	out := netsim.Outgoing{
 		Kind:    discovery.Kind(discovery.Search{}),
 		Counted: true,
+		Topic:   upnp.TopicSearch, // for the M-SEARCH arm; unicast ignores it
 		Payload: discovery.Search{Q: q},
 	}
 	regs := gw.d.sc.RegistryIDs()

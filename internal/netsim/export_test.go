@@ -1,0 +1,74 @@
+package netsim
+
+import "repro/internal/sim"
+
+// everyoneListens is the fan-out as it was before topics, kept as a
+// test-only reference: every member of every group is handed every frame,
+// whatever it declared. It rides as the network's tracer — MessageSent
+// runs before a copy's fan-out reads the declarations, so widening them
+// there also catches members that joined mid-run — and passes on to the
+// handled tracer what a scoped network would have shown it: everything
+// except the deliveries and drops of frames whose receiver declined the
+// topic.
+type everyoneListens struct {
+	nw       *Network
+	handled  Tracer
+	declined map[NodeID]TopicSet // what each widened member had declared
+	withheld int                 // deliveries and drops not passed on
+}
+
+// ListenToEverything turns nw into the everyone-listens reference and
+// returns the tracer to install on it. (A member that joins between two
+// multicast sends of its own network is scoped until the second; a frame
+// ingested from another shard in between sees its real declaration.)
+func ListenToEverything(nw *Network, handled Tracer) Tracer {
+	r := &everyoneListens{nw: nw, handled: handled, declined: make(map[NodeID]TopicSet)}
+	r.widen()
+	return r
+}
+
+func (r *everyoneListens) widen() {
+	for _, gs := range r.nw.groups {
+		for i, id := range gs.members {
+			if gs.listens[i] != AllTopics {
+				r.declined[id] = ^gs.listens[i]
+				gs.listens[i] = AllTopics
+			}
+		}
+	}
+}
+
+func (r *everyoneListens) scopedOut(m *Message) bool {
+	if m.Multicast && r.declined[m.To].Has(m.Topic) {
+		r.withheld++
+		return true
+	}
+	return false
+}
+
+// Withheld reports how many deliveries and drops the reference tracer
+// kept from its handled tracer: the frames scoping removes.
+func Withheld(t Tracer) int { return t.(*everyoneListens).withheld }
+
+func (r *everyoneListens) MessageSent(t sim.Time, m *Message) {
+	if m.Multicast {
+		r.widen()
+	}
+	r.handled.MessageSent(t, m)
+}
+
+func (r *everyoneListens) MessageDelivered(t sim.Time, m *Message) {
+	if !r.scopedOut(m) {
+		r.handled.MessageDelivered(t, m)
+	}
+}
+
+func (r *everyoneListens) MessageDropped(t sim.Time, m *Message, reason string) {
+	if !r.scopedOut(m) {
+		r.handled.MessageDropped(t, m, reason)
+	}
+}
+
+func (r *everyoneListens) NodeEvent(t sim.Time, node NodeID, event string) {
+	r.handled.NodeEvent(t, node, event)
+}

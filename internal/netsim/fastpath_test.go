@@ -177,9 +177,10 @@ func TestGroupSetSemantics(t *testing.T) {
 		t.Error("Members returned live storage")
 	}
 	// The internal no-copy accessor sees the same membership.
-	for i, id := range nw.members(g) {
+	live, _ := nw.members(g)
+	for i, id := range live {
 		if id != want[i] {
-			t.Fatalf("members() = %v, want %v", nw.members(g), want)
+			t.Fatalf("members() = %v, want %v", live, want)
 		}
 	}
 	nw.Leave(1, g) // leaving a non-member is a no-op

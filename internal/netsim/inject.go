@@ -17,10 +17,11 @@ import "fmt"
 
 // checkNode validates one injection endpoint.
 func (nw *Network) checkNode(id NodeID, role string) error {
-	if int(id) < 0 || int(id) >= len(nw.nodes) {
+	i := nw.local(id)
+	if i < 0 || i >= len(nw.nodes) {
 		return fmt.Errorf("netsim: inject: unknown %s node %d", role, id)
 	}
-	if nw.nodes[id].retired {
+	if nw.nodes[i].retired {
 		return fmt.Errorf("netsim: inject: %s node %d is retired", role, id)
 	}
 	return nil

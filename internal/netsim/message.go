@@ -36,6 +36,45 @@ func (id NodeID) Local() int { return int(id) & (1<<shardShift - 1) }
 // Group identifies a multicast group.
 type Group int
 
+// Topic scopes a multicast frame within its group: the frame reaches only
+// the members whose endpoint declared the topic when it joined
+// (Network.JoinTopics). The zero Topic is unscoped and reaches every
+// member, so protocols that never name a topic behave as before. Topic
+// ids are small (below MaxTopics) and private to a protocol, declared
+// next to its discovery group.
+type Topic uint8
+
+// MaxTopics bounds topic ids: a TopicSet is one word.
+const MaxTopics = 32
+
+// TopicSet is the set of topics a group member listens for. Every set
+// contains the unscoped Topic 0.
+type TopicSet uint32
+
+// AllTopics is what a plain Join declares: the endpoint handles (or
+// harmlessly ignores) whatever the group carries.
+const AllTopics = ^TopicSet(0)
+
+// Topics builds the set holding the given topics; Topics() is a member
+// that hears unscoped frames only.
+func Topics(ts ...Topic) TopicSet {
+	set := Topic(0).bit()
+	for _, t := range ts {
+		set |= t.bit()
+	}
+	return set
+}
+
+// Has reports whether the set holds the topic.
+func (s TopicSet) Has(t Topic) bool { return s&t.bit() != 0 }
+
+func (t Topic) bit() TopicSet {
+	if t >= MaxTopics {
+		panic("netsim: topic id out of range")
+	}
+	return 1 << t
+}
+
 // Transport classifies a frame for the accounting rules of §4.5: Update
 // Efficiency counts discovery-layer messages only, never transport frames
 // ("the Efficiency Degradation metric ... do[es] not take into account the
@@ -72,6 +111,7 @@ type Message struct {
 	From      NodeID
 	To        NodeID // receiver; for multicast, the member this copy goes to
 	Multicast bool
+	Topic     Topic  // multicast only: the scope the frame was sent under
 	Kind      string // human-readable type, e.g. "ServiceUpdate"
 	// Counted marks a discovery-layer send that contributes to the update
 	// effort y of the Update Efficiency metrics. See counters.go for the
@@ -93,6 +133,9 @@ type Message struct {
 type Outgoing struct {
 	Kind    string
 	Counted bool
+	// Topic scopes a multicast to the members listening for it; zero
+	// reaches the whole group. Unicast ignores it.
+	Topic   Topic
 	Payload any
 }
 

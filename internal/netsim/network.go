@@ -63,9 +63,12 @@ func DefaultConfig() Config {
 // of scanning. Removal swap-deletes, so membership order is a
 // deterministic function of the join/leave sequence (which is all the
 // simulation needs — fan-out draws randomness in membership order, and
-// replays only have to match themselves).
+// replays only have to match themselves). listens[i] is the topic set
+// members[i] declared, kept in a parallel slice so the fan-out loop reads
+// it sequentially and a member that leaves takes its declaration along.
 type groupSet struct {
 	members []NodeID
+	listens []TopicSet
 	index   map[NodeID]int
 }
 
@@ -73,12 +76,17 @@ func newGroupSet() *groupSet {
 	return &groupSet{index: make(map[NodeID]int)}
 }
 
-func (gs *groupSet) add(id NodeID) {
-	if _, ok := gs.index[id]; ok {
+// add joins id, or re-declares what a current member listens for; its
+// place in the membership order is that of its first join either way.
+func (gs *groupSet) add(id NodeID, listens TopicSet) {
+	listens |= Topic(0).bit()
+	if i, ok := gs.index[id]; ok {
+		gs.listens[i] = listens
 		return
 	}
 	gs.index[id] = len(gs.members)
 	gs.members = append(gs.members, id)
+	gs.listens = append(gs.listens, listens)
 }
 
 func (gs *groupSet) remove(id NodeID) {
@@ -89,13 +97,16 @@ func (gs *groupSet) remove(id NodeID) {
 	last := len(gs.members) - 1
 	moved := gs.members[last]
 	gs.members[i] = moved
+	gs.listens[i] = gs.listens[last]
 	gs.index[moved] = i
 	gs.members = gs.members[:last]
+	gs.listens = gs.listens[:last]
 	delete(gs.index, id)
 }
 
 func (gs *groupSet) reset() {
 	gs.members = gs.members[:0]
+	gs.listens = gs.listens[:0]
 	clear(gs.index)
 }
 
@@ -296,7 +307,7 @@ func (nw *Network) AddNode(name string) *Node {
 	if n := len(nw.retired); n > 0 {
 		id := nw.retired[n-1]
 		nw.retired = nw.retired[:n-1]
-		local := int(id) - nw.idBase
+		local := nw.local(id)
 		node := nw.nodes[local]
 		*node = Node{ID: id, Name: name, txUp: true, rxUp: true, net: nw,
 			gen: node.gen + 1, attachedAt: nw.k.Now()}
@@ -357,12 +368,17 @@ func (nw *Network) Retire(id NodeID) {
 // shard falls outside [idBase, idBase+len) and hits the same panic as a
 // plain unknown ID — wrong-shard lookups cost nothing extra to catch.
 func (nw *Network) Node(id NodeID) *Node {
-	i := int(id) - nw.idBase
+	i := nw.local(id)
 	if i < 0 || i >= len(nw.nodes) {
 		panic(fmt.Sprintf("netsim: unknown node %d (shard %d)", id, nw.shard))
 	}
 	return nw.nodes[i]
 }
+
+// local maps a NodeID to its index in this network's per-node tables
+// (nodes, geState, partSideB). It is outside [0, len(nodes)) for an ID
+// this shard does not own; callers that can meet one check the range.
+func (nw *Network) local(id NodeID) int { return int(id) - nw.idBase }
 
 // Nodes reports how many nodes are attached (including retired slots).
 func (nw *Network) Nodes() int { return len(nw.nodes) }
@@ -376,8 +392,21 @@ func (nw *Network) group(g Group) *groupSet {
 	return gs
 }
 
-// Join subscribes a node to a multicast group. Joining twice is a no-op.
-func (nw *Network) Join(id NodeID, g Group) { nw.group(g).add(id) }
+// Join subscribes a node to a multicast group as a listener to everything
+// the group carries — always correct, whatever the endpoint handles.
+func (nw *Network) Join(id NodeID, g Group) { nw.JoinTopics(id, g, AllTopics) }
+
+// JoinTopics subscribes a node to a multicast group and declares the
+// topics its endpoint handles: a frame sent under any other topic is
+// never handed to it (unscoped frames always are). Calling it again
+// re-declares, keeping the node's place in the membership order — a
+// protocol instance does so whenever the set of kinds it acts on changes.
+// The declaration is a promise that Deliver is a no-op for the declined
+// topics' frames; it lasts until the node leaves the group (Leave,
+// Retire, Reset, Rearm).
+func (nw *Network) JoinTopics(id NodeID, g Group, listens TopicSet) {
+	nw.group(g).add(id, listens)
+}
 
 // Leave removes a node from a multicast group.
 func (nw *Network) Leave(id NodeID, g Group) {
@@ -390,20 +419,21 @@ func (nw *Network) Leave(id NodeID, g Group) {
 // For tests and diagnostics; the fan-out path iterates the membership
 // in place via members.
 func (nw *Network) Members(g Group) []NodeID {
-	members := nw.members(g)
+	members, _ := nw.members(g)
 	out := make([]NodeID, len(members))
 	copy(out, members)
 	return out
 }
 
-// members is the no-copy accessor behind Members: it returns the live
-// membership slice, valid only until the next Join/Leave/Retire, and
-// must not be mutated.
-func (nw *Network) members(g Group) []NodeID {
+// members is the no-copy accessor behind Members and the fan-out paths:
+// the live membership slice and, index for index, what each member
+// listens for. Valid only until the next Join/Leave/Retire; must not be
+// mutated.
+func (nw *Network) members(g Group) ([]NodeID, []TopicSet) {
 	if gs := nw.groups[g]; gs != nil {
-		return gs.members
+		return gs.members, gs.listens
 	}
-	return nil
+	return nil, nil
 }
 
 // delivery is one in-flight unicast frame: the Message plus its pool
@@ -549,7 +579,13 @@ func (nw *Network) Multicast(from NodeID, g Group, out Outgoing, copies int) {
 }
 
 // fanEntry is one receiver of a multicast copy, its arrival instant,
-// and the receiver slot's tenancy at send time.
+// and the receiver slot's tenancy at send time. On a sharded network a
+// member that does not listen for the frame's topic keeps its place in
+// the train as a receiver-less step (to == NoNode): the fabric's window
+// bound reads every kernel's next pending event, so there the instants a
+// train steps through are part of the timeline even when nobody is
+// handed anything at them. A single kernel has no such reader and the
+// entry is dropped outright.
 type fanEntry struct {
 	at  sim.Time
 	to  NodeID
@@ -593,16 +629,21 @@ func (nw *Network) releaseFanout(f *fanout) {
 }
 
 // multicastCopy sends one wire transmission of a multicast message and
-// arms its delivery train. Loss and delay are drawn per receiver in
-// membership order, exactly as if each receiver's frame were scheduled
-// individually.
+// arms its delivery train. Loss and delay are drawn per member in
+// membership order, exactly as if each member's frame were scheduled
+// individually — for every member, including those that do not listen
+// for the frame's topic. A frame exists only for listeners: a
+// non-listener gets no drop record and no tracer callback, its endpoint
+// is never touched, and its train entry is dropped (or, on a sharded
+// network, kept as a receiver-less step: see fanEntry).
 func (nw *Network) multicastCopy(from NodeID, g Group, out Outgoing) {
 	f := nw.allocFanout()
-	f.wire = Message{From: from, To: NoNode, Multicast: true, Kind: out.Kind,
+	f.wire = Message{From: from, To: NoNode, Multicast: true, Topic: out.Topic, Kind: out.Kind,
 		Counted: out.Counted, Payload: out.Payload, Transport: UDP, SentAt: nw.k.Now()}
 	nw.accountSend(&f.wire)
 
-	members := nw.members(g)
+	members, listens := nw.members(g)
+	topic := out.Topic.bit()
 	if nw.router != nil && nw.Node(from).txUp {
 		// One wire copy reaches every shard's segment of the group: hand
 		// each remote shard one CrossFrame; it re-fans over its own local
@@ -610,40 +651,56 @@ func (nw *Network) multicastCopy(from NodeID, g Group, out Outgoing) {
 		nw.router.egressMulticast(nw.shard, from, g, &f.wire)
 	}
 	if !nw.Node(from).txUp {
-		// The transmitter is down: every receiver's frame is lost on the
+		// The transmitter is down: every listener's frame is lost on the
 		// wire, one drop per would-be receiver (matching the per-frame
 		// accounting of the unbatched path).
-		for _, to := range members {
-			if to == from {
+		for i, to := range members {
+			if to == from || listens[i]&topic == 0 {
 				continue
 			}
-			f.scratch = f.wire
-			f.scratch.To = to
-			nw.drop(&f.scratch, "tx down")
+			nw.dropCopy(f, to, "tx down")
 		}
 		nw.releaseFanout(f)
 		return
 	}
-	now := nw.k.Now()
-	for _, to := range members {
+	now, sharded := nw.k.Now(), nw.router != nil
+	for i, to := range members {
 		if to == from {
 			continue
 		}
+		heard := listens[i]&topic != 0
 		if nw.partitioned(from, to) {
-			f.scratch = f.wire
-			f.scratch.To = to
-			nw.drop(&f.scratch, "partitioned")
+			if heard {
+				nw.dropCopy(f, to, "partitioned")
+			}
 			continue
 		}
 		if nw.linkLose(to) {
-			f.scratch = f.wire
-			f.scratch.To = to
-			nw.drop(&f.scratch, "lost")
+			if heard {
+				nw.dropCopy(f, to, "lost")
+			}
 			continue
 		}
-		f.entries = append(f.entries, fanEntry{at: now + nw.linkDelay(), to: to, gen: nw.Node(to).gen})
+		// The sample-path anchor: a non-listener's loss and delay draws
+		// are made and discarded, so scoping a frame shifts nobody's
+		// random stream and every timeline replays the everyone-listens
+		// one bit for bit. ROADMAP item 2(b)'s single re-baseline deletes
+		// exactly this — `if !heard { continue }` moves above the draws.
+		at := now + nw.linkDelay()
+		if heard {
+			f.entries = append(f.entries, fanEntry{at: at, to: to, gen: nw.Node(to).gen})
+		} else if sharded {
+			f.entries = append(f.entries, fanEntry{at: at, to: NoNode})
+		}
 	}
 	nw.armFanout(f)
+}
+
+// dropCopy reports one listener's copy of a multicast frame as dropped.
+func (nw *Network) dropCopy(f *fanout, to NodeID, reason string) {
+	f.scratch = f.wire
+	f.scratch.To = to
+	nw.drop(&f.scratch, reason)
 }
 
 // armFanout orders a freshly drawn train by arrival instant and schedules
@@ -726,6 +783,9 @@ func deliverFanout(x any) {
 		for f.i < len(f.entries) && f.entries[f.i].at == now {
 			e := f.entries[f.i]
 			f.i++
+			if e.to == NoNode {
+				continue // a receiver-less step of a sharded network's train
+			}
 			f.scratch = f.wire
 			f.scratch.To = e.to
 			nw.deliverNow(&f.scratch, e.gen)

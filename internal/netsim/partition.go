@@ -93,7 +93,7 @@ func (nw *Network) activatePartition(p Partition) {
 	clear(nw.partRemoteB)
 	if p.SideB != nil {
 		for _, id := range p.SideB {
-			if i := int(id) - nw.idBase; i >= 0 && i < need {
+			if i := nw.local(id); i >= 0 && i < need {
 				nw.partSideB[i] = true
 			} else if nw.router != nil {
 				// A side-B node owned by another shard: the fault
@@ -126,7 +126,7 @@ func (nw *Network) partitioned(from, to NodeID) bool {
 }
 
 func (nw *Network) side(id NodeID) bool {
-	i := int(id) - nw.idBase
+	i := nw.local(id)
 	if i >= 0 && i < len(nw.nodes) {
 		return i < len(nw.partSideB) && nw.partSideB[i]
 	}

@@ -53,6 +53,7 @@ type CrossFrame struct {
 	From      NodeID
 	To        NodeID // NoNode for multicast
 	Group     Group  // multicast only
+	Topic     Topic  // multicast only
 	Multicast bool
 	Kind      string
 	Counted   bool
@@ -105,7 +106,7 @@ func (r *ShardRouter) egressMulticast(shard int, from NodeID, g Group, wire *Mes
 		if s == shard {
 			continue
 		}
-		r.outbox[s] = append(r.outbox[s], CrossFrame{From: from, Group: g, Multicast: true,
+		r.outbox[s] = append(r.outbox[s], CrossFrame{From: from, Group: g, Topic: wire.Topic, Multicast: true,
 			To: NoNode, Kind: wire.Kind, Counted: wire.Counted, Payload: wire.Payload, SentAt: wire.SentAt})
 	}
 }
@@ -201,16 +202,18 @@ func (nw *Network) IngestCross(frames []CrossFrame) {
 
 // ingestCrossMulticast re-fans one remote wire copy over this shard's
 // segment of the group, one loss and delay draw per member in membership
-// order — the same shape as the local fan-out train.
+// order — the same shape as the local fan-out train, with the same
+// listener test after the draws.
 func (nw *Network) ingestCrossMulticast(cf *CrossFrame) {
-	members := nw.members(cf.Group)
+	members, listens := nw.members(cf.Group)
 	if len(members) == 0 {
 		return
 	}
+	topic := cf.Topic.bit()
 	f := nw.allocFanout()
-	f.wire = Message{From: cf.From, To: NoNode, Multicast: true, Kind: cf.Kind,
+	f.wire = Message{From: cf.From, To: NoNode, Multicast: true, Topic: cf.Topic, Kind: cf.Kind,
 		Counted: cf.Counted, Payload: cf.Payload, Transport: UDP, SentAt: cf.SentAt}
-	for _, to := range members {
+	for i, to := range members {
 		if nw.Node(to).attachedAt > cf.SentAt {
 			// This member joined (or its slot was recycled) after the
 			// remote copy hit the wire: it was not a receiver of that
@@ -219,24 +222,32 @@ func (nw *Network) ingestCrossMulticast(cf *CrossFrame) {
 			// time never had a frame to lose.
 			continue
 		}
+		heard := listens[i]&topic != 0
 		if nw.partitioned(cf.From, to) {
 			// Checked at ingest: the remote sender cannot enumerate this
 			// shard's segment of the group at send time. Split/heal edges
 			// therefore act on cross-shard multicast with up to one
 			// lookahead window of skew — deterministic, and bounded by
 			// CrossLink.MinDelay.
-			f.scratch = f.wire
-			f.scratch.To = to
-			nw.drop(&f.scratch, "partitioned")
+			if heard {
+				nw.dropCopy(f, to, "partitioned")
+			}
 			continue
 		}
 		if nw.linkLose(to) {
-			f.scratch = f.wire
-			f.scratch.To = to
-			nw.drop(&f.scratch, "lost")
+			if heard {
+				nw.dropCopy(f, to, "lost")
+			}
 			continue
 		}
-		f.entries = append(f.entries, fanEntry{at: nw.crossArrival(cf.SentAt), to: to, gen: nw.Node(to).gen})
+		// Drawn for non-listeners too: the sample-path anchor, see
+		// multicastCopy.
+		at := nw.crossArrival(cf.SentAt)
+		if heard {
+			f.entries = append(f.entries, fanEntry{at: at, to: to, gen: nw.Node(to).gen})
+		} else {
+			f.entries = append(f.entries, fanEntry{at: at, to: NoNode})
+		}
 	}
 	nw.armFanout(f)
 }

@@ -21,6 +21,15 @@ import (
 // DiscoveryGroup is the SSDP multicast group all UPnP nodes join.
 const DiscoveryGroup netsim.Group = 1
 
+// The topics of DiscoveryGroup, SSDP's two multicast methods: who acts
+// on which.
+const (
+	// TopicSearch carries M-SEARCH; Managers answer it.
+	TopicSearch netsim.Topic = 1 + iota
+	// TopicAlive carries the ssdp:alive announcement; Users listen for it.
+	TopicAlive
+)
+
 // Config collects the model parameters; DefaultConfig reproduces §5.
 type Config struct {
 	// AnnouncePeriod and AnnounceCopies drive the Manager's ssdp:alive

@@ -49,6 +49,7 @@ func NewManager(node *netsim.Node, cfg Config, sd discovery.ServiceDescription) 
 	m.announceOut = netsim.Outgoing{
 		Kind:    discovery.Kind(discovery.Announce{}),
 		Counted: true,
+		Topic:   TopicAlive,
 		Payload: discovery.Announce{Role: discovery.RoleManager, CacheLease: cfg.CacheLease},
 	}
 	m.announcer = core.NewAnnouncer(m.nw, node.ID, DiscoveryGroup,
@@ -72,7 +73,7 @@ func NewManager(node *netsim.Node, cfg Config, sd discovery.ServiceDescription) 
 // a rearmed instance touches the network exactly as a fresh one does.
 func (m *Manager) bind() {
 	m.node.SetEndpoint(m)
-	m.nw.Join(m.node.ID, DiscoveryGroup)
+	m.nw.JoinTopics(m.node.ID, DiscoveryGroup, netsim.Topics(TopicSearch))
 	m.node.OnInterfaceChange(m.ifaceHook)
 }
 

@@ -84,6 +84,7 @@ func NewUser(node *netsim.Node, cfg Config, q discovery.Query, l discovery.Consi
 	u.searchOut = netsim.Outgoing{
 		Kind:    discovery.Kind(discovery.Search{}),
 		Counted: true,
+		Topic:   TopicSearch,
 		Payload: discovery.Search{Q: u.query},
 	}
 	u.bind()
@@ -94,7 +95,7 @@ func NewUser(node *netsim.Node, cfg Config, q discovery.Query, l discovery.Consi
 // share it.
 func (u *User) bind() {
 	u.node.SetEndpoint(u)
-	u.nw.Join(u.node.ID, DiscoveryGroup)
+	u.nw.JoinTopics(u.node.ID, DiscoveryGroup, netsim.Topics(TopicAlive))
 }
 
 // Rearm resets the control point to its construction-time state for
