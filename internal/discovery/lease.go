@@ -1,6 +1,8 @@
 package discovery
 
 import (
+	"slices"
+
 	"repro/internal/sim"
 )
 
@@ -15,10 +17,14 @@ import (
 // out while iterating, and a random order would draw network delays in a
 // different sequence on every run, breaking deterministic replay.
 //
-// Entries are pooled: Drop and expiry recycle the entry struct (and the
-// lease deadline embedded in it) onto a free list for the next Put, so
-// steady-state membership churn allocates nothing and a new lease costs
-// one object.
+// A table costs what it holds. Most tables in a large run hold one or two
+// leases (a User's cache, a Jini User's Registries): those entries live
+// inline in the table, which is then a linear scan and builds no map.
+// Only a table that grows past inlineLeases indexes its keys in a map,
+// and takes further entries from chunks it allocates itself. Drop and
+// expiry recycle an entry (and the lease deadline embedded in it) onto
+// the table's free list for the next Put, so steady-state membership
+// churn allocates nothing.
 //
 // A LeaseTable is a value embedded in its owner and prepared once with
 // Init; entries point back at it, so it must never be copied afterwards
@@ -28,9 +34,15 @@ type LeaseTable[K comparable, V any] struct {
 	k        *sim.Kernel
 	onExpire func(owner any, key K, v V)
 	owner    any
-	entries  map[K]*leaseEntry[K, V]
-	order    []K
-	free     *leaseEntry[K, V]
+	// live holds the entries in insertion order (backed by liveBuf while
+	// it fits); index maps keys to them, nil until live first outgrows
+	// the inline entries.
+	live    []*leaseEntry[K, V]
+	liveBuf [inlineLeases]*leaseEntry[K, V]
+	index   map[K]*leaseEntry[K, V]
+	inline  [inlineLeases]leaseEntry[K, V]
+	free    *leaseEntry[K, V]
+	grown   int // length of the last entry chunk; 0 until the first Put
 
 	// scratch snapshots the key order for Each/EachKey so callbacks may
 	// mutate the table mid-iteration; iterating marks it in use so a
@@ -38,6 +50,10 @@ type LeaseTable[K comparable, V any] struct {
 	scratch   []K
 	iterating bool
 }
+
+// A table holds inlineLeases entries without a map or a chunk of its
+// own; past that, its entry chunks grow from 8 to 256 entries.
+const inlineLeases = 2
 
 // noCopy makes go vet reject copies of an initialised table; see
 // sim.Deadline for the idiom.
@@ -54,7 +70,7 @@ type leaseEntry[K comparable, V any] struct {
 	next     *leaseEntry[K, V] // free-list link while recycled
 }
 
-func (e *leaseEntry[K, V]) expire() { e.t.expire(e.key) }
+func (e *leaseEntry[K, V]) expire() { e.t.expire(e) }
 
 // leaseExpired is the static deadline callback shared by every entry of
 // every table. It reaches the entry through an interface because a
@@ -68,22 +84,74 @@ func leaseExpired(x any) { x.(interface{ expire() }).expire() }
 // nil.
 func (t *LeaseTable[K, V]) Init(k *sim.Kernel, onExpire func(owner any, key K, v V), owner any) {
 	t.k, t.onExpire, t.owner = k, onExpire, owner
-	t.entries = make(map[K]*leaseEntry[K, V])
 }
 
-// alloc takes an entry from the free list or makes a new one. The entry's
-// deadline is bound to the entry once and follows it through every
-// recycle: the expiry callback reads the entry's current key.
-func (t *LeaseTable[K, V]) alloc() *leaseEntry[K, V] {
-	e := t.free
-	if e == nil {
-		e = &leaseEntry[K, V]{t: t}
+// pool threads a chunk of entries onto the free list, first entry first.
+// Each entry's deadline is bound to the entry once and follows it through
+// every recycle: the expiry callback reads the entry's current key.
+func (t *LeaseTable[K, V]) pool(chunk []leaseEntry[K, V]) {
+	for i := len(chunk) - 1; i >= 0; i-- {
+		e := &chunk[i]
+		e.t = t
 		e.deadline.Init(t.k, leaseExpired, e)
-		return e
+		e.next = t.free
+		t.free = e
 	}
+}
+
+// alloc takes an entry from the free list. The first one pools the
+// inline entries; once they are taken, the table grows by chunks.
+func (t *LeaseTable[K, V]) alloc() *leaseEntry[K, V] {
+	switch {
+	case t.free != nil:
+	case t.grown == 0:
+		t.grown = inlineLeases
+		t.live = t.liveBuf[:0]
+		t.pool(t.inline[:])
+	default:
+		t.pool(sim.Chunk[leaseEntry[K, V]](&t.grown, 8, 256))
+	}
+	e := t.free
 	t.free = e.next
 	e.next = nil
 	return e
+}
+
+// lookup finds the live entry for key, nil if there is none.
+func (t *LeaseTable[K, V]) lookup(key K) *leaseEntry[K, V] {
+	if t.index != nil {
+		return t.index[key]
+	}
+	for _, e := range t.live {
+		if e.key == key {
+			return e
+		}
+	}
+	return nil
+}
+
+// insert appends a fresh entry to the order, indexing the table once it
+// holds more than the inline entries.
+func (t *LeaseTable[K, V]) insert(e *leaseEntry[K, V]) {
+	t.live = append(t.live, e)
+	switch {
+	case t.index != nil:
+		t.index[e.key] = e
+	case len(t.live) > inlineLeases:
+		t.index = make(map[K]*leaseEntry[K, V], 2*len(t.live))
+		for _, le := range t.live {
+			t.index[le.key] = le
+		}
+	}
+}
+
+// remove takes a live entry out of the order and the index.
+func (t *LeaseTable[K, V]) remove(e *leaseEntry[K, V]) {
+	if t.index != nil {
+		delete(t.index, e.key)
+	}
+	i := slices.Index(t.live, e)
+	t.live = slices.Delete(t.live, i, i+1)
 }
 
 // release returns an entry to the free list, dropping its value so the
@@ -99,12 +167,11 @@ func (t *LeaseTable[K, V]) release(e *leaseEntry[K, V]) {
 
 // Put inserts or replaces the entry and (re)starts its lease.
 func (t *LeaseTable[K, V]) Put(key K, v V, lease sim.Duration) {
-	e, ok := t.entries[key]
-	if !ok {
+	e := t.lookup(key)
+	if e == nil {
 		e = t.alloc()
 		e.key = key
-		t.entries[key] = e
-		t.order = append(t.order, key)
+		t.insert(e)
 	}
 	e.value = v
 	e.deadline.SetAfter(lease)
@@ -114,8 +181,8 @@ func (t *LeaseTable[K, V]) Put(key K, v V, lease sim.Duration) {
 // present. A renewal of an absent (purged) entry fails — that failure is
 // what triggers PR3/PR4 resubscription flows.
 func (t *LeaseTable[K, V]) Renew(key K, lease sim.Duration) bool {
-	e, ok := t.entries[key]
-	if !ok {
+	e := t.lookup(key)
+	if e == nil {
 		return false
 	}
 	e.deadline.SetAfter(lease)
@@ -130,8 +197,8 @@ func (t *LeaseTable[K, V]) Renew(key K, lease sim.Duration) bool {
 // renewal/purge race always resolves toward re-registration, keeping the
 // holder's view and the oracle's lease ledger in lockstep.
 func (t *LeaseTable[K, V]) RenewStrict(key K, lease sim.Duration) bool {
-	e, ok := t.entries[key]
-	if !ok || t.k.Now() >= e.deadline.When() {
+	e := t.lookup(key)
+	if e == nil || t.k.Now() >= e.deadline.When() {
 		return false
 	}
 	e.deadline.SetAfter(lease)
@@ -140,8 +207,8 @@ func (t *LeaseTable[K, V]) RenewStrict(key K, lease sim.Duration) bool {
 
 // Get returns the live value for key.
 func (t *LeaseTable[K, V]) Get(key K) (V, bool) {
-	e, ok := t.entries[key]
-	if !ok {
+	e := t.lookup(key)
+	if e == nil {
 		var zero V
 		return zero, false
 	}
@@ -152,8 +219,8 @@ func (t *LeaseTable[K, V]) Get(key K) (V, bool) {
 // the entry existed. Registries use it to refresh a registration's SD
 // from an Update without extending the registration lease.
 func (t *LeaseTable[K, V]) Update(key K, v V) bool {
-	e, ok := t.entries[key]
-	if !ok {
+	e := t.lookup(key)
+	if e == nil {
 		return false
 	}
 	e.value = v
@@ -165,56 +232,64 @@ func (t *LeaseTable[K, V]) Update(key K, v V) bool {
 // node is being retired: afterwards the table owns no pending kernel
 // events.
 func (t *LeaseTable[K, V]) Clear() {
-	for _, e := range t.entries {
+	for _, e := range t.live {
 		e.deadline.Clear()
-		t.release(e)
 	}
-	clear(t.entries)
-	t.order = t.order[:0]
+	t.releaseAll()
 }
 
 // Rearm resets the table for workspace reuse after a Kernel.Reset: every
 // entry is recycled and its deadline's event reference dropped without
 // touching the kernel (the old events no longer exist). Capacity — the
-// map, the order slice and the pooled entries — survives into the next
+// index, the order slice and the pooled entries — survives into the next
 // run.
 func (t *LeaseTable[K, V]) Rearm() {
-	for _, e := range t.entries {
+	for _, e := range t.live {
 		e.deadline.Rearm()
+	}
+	t.releaseAll()
+	t.iterating = false
+}
+
+// releaseAll recycles every live entry, in order, leaving the table empty.
+func (t *LeaseTable[K, V]) releaseAll() {
+	for _, e := range t.live {
 		t.release(e)
 	}
-	clear(t.entries)
-	t.order = t.order[:0]
-	t.iterating = false
+	clear(t.live)
+	t.live = t.live[:0]
+	clear(t.index)
 }
 
 // Drop removes the entry without invoking the expiry callback.
 func (t *LeaseTable[K, V]) Drop(key K) {
-	if e, ok := t.entries[key]; ok {
+	if e := t.lookup(key); e != nil {
 		e.deadline.Clear()
-		delete(t.entries, key)
-		t.unorder(key)
+		t.remove(e)
 		t.release(e)
 	}
 }
 
 // Expiry reports when the entry's lease runs out.
 func (t *LeaseTable[K, V]) Expiry(key K) (sim.Time, bool) {
-	e, ok := t.entries[key]
-	if !ok {
+	e := t.lookup(key)
+	if e == nil {
 		return 0, false
 	}
 	return e.deadline.When(), true
 }
 
 // Len reports the number of live entries.
-func (t *LeaseTable[K, V]) Len() int { return len(t.entries) }
+func (t *LeaseTable[K, V]) Len() int { return len(t.live) }
 
 // Keys returns the live keys in insertion order as a fresh slice.
-func (t *LeaseTable[K, V]) Keys() []K {
-	out := make([]K, len(t.order))
-	copy(out, t.order)
-	return out
+func (t *LeaseTable[K, V]) Keys() []K { return t.appendKeys(make([]K, 0, len(t.live))) }
+
+func (t *LeaseTable[K, V]) appendKeys(keys []K) []K {
+	for _, e := range t.live {
+		keys = append(keys, e.key)
+	}
+	return keys
 }
 
 // snapshotOrder captures the current key order into the reusable scratch
@@ -225,7 +300,7 @@ func (t *LeaseTable[K, V]) snapshotOrder() (keys []K, scratch bool) {
 		return t.Keys(), false
 	}
 	t.iterating = true
-	t.scratch = append(t.scratch[:0], t.order...)
+	t.scratch = t.appendKeys(t.scratch[:0])
 	return t.scratch, true
 }
 
@@ -235,7 +310,7 @@ func (t *LeaseTable[K, V]) snapshotOrder() (keys []K, scratch bool) {
 func (t *LeaseTable[K, V]) Each(fn func(K, V)) {
 	keys, scratch := t.snapshotOrder()
 	for _, k := range keys {
-		if e, ok := t.entries[k]; ok {
+		if e := t.lookup(k); e != nil {
 			fn(k, e.value)
 		}
 	}
@@ -246,11 +321,11 @@ func (t *LeaseTable[K, V]) Each(fn func(K, V)) {
 
 // RenewIf extends the lease of every entry whose key satisfies want, in
 // insertion order. want must not touch the table: the walk reads the live
-// order with one lookup per entry, no snapshot.
+// order directly, no snapshot, no lookups.
 func (t *LeaseTable[K, V]) RenewIf(lease sim.Duration, want func(K) bool) {
-	for _, k := range t.order {
-		if want(k) {
-			t.entries[k].deadline.SetAfter(lease)
+	for _, e := range t.live {
+		if want(e.key) {
+			e.deadline.SetAfter(lease)
 		}
 	}
 }
@@ -260,7 +335,7 @@ func (t *LeaseTable[K, V]) RenewIf(lease sim.Duration, want func(K) bool) {
 func (t *LeaseTable[K, V]) EachKey(fn func(K)) {
 	keys, scratch := t.snapshotOrder()
 	for _, k := range keys {
-		if _, ok := t.entries[k]; ok {
+		if t.lookup(k) != nil {
 			fn(k)
 		}
 	}
@@ -269,25 +344,13 @@ func (t *LeaseTable[K, V]) EachKey(fn func(K)) {
 	}
 }
 
-func (t *LeaseTable[K, V]) expire(key K) {
-	e, ok := t.entries[key]
-	if !ok {
-		return
-	}
-	delete(t.entries, key)
-	t.unorder(key)
-	value := e.value
+// expire purges an entry whose deadline fired: only a live entry's
+// deadline is ever armed.
+func (t *LeaseTable[K, V]) expire(e *leaseEntry[K, V]) {
+	key, value := e.key, e.value
+	t.remove(e)
 	t.release(e)
 	if t.onExpire != nil {
 		t.onExpire(t.owner, key, value)
-	}
-}
-
-func (t *LeaseTable[K, V]) unorder(key K) {
-	for i, k := range t.order {
-		if k == key {
-			t.order = append(t.order[:i], t.order[i+1:]...)
-			return
-		}
 	}
 }

@@ -67,21 +67,22 @@ func TestSweepFingerprintN100Churn(t *testing.T) {
 // TestBuildAllocBudgets bounds what one node of a cold build costs in
 // heap objects, per system: a protocol instance is one allocation per
 // role (timers, lease tables and retry schedules are embedded; FRODO's
-// Registry capability waits for an election), so the population term of
-// a build is the node slot, its label, the boot event, the role objects,
-// the cache map and the boxed query. N = 1,000 makes the infrastructure
-// and the amortised slice/map growth a rounding error.
+// Registry capability waits for an election; a cache of one or two leases
+// holds them inline), so the population term of a build is the node slot,
+// its label, the role objects and the boxed query — the boot event comes
+// from a chunk of the kernel's pool. N = 1,000 makes the infrastructure
+// and the amortised slice/map/chunk growth a rounding error.
 func TestBuildAllocBudgets(t *testing.T) {
 	const users = 1000
 	for _, c := range []struct {
 		sys    System
 		budget float64 // objects per User; measured value alongside
 	}{
-		{UPnP, 10},    // measures 6.1 (was 14.9)
-		{Jini1, 11},   // measures 7.1 (was 13.9)
-		{Jini2, 11},   // measures 7.1 (was 13.9)
-		{Frodo3P, 11}, // measures 7.1 (was 21.9)
-		{Frodo2P, 11}, // measures 7.1 (was 48.0)
+		{UPnP, 10},   // measures 4.1 (was 14.9, then 6.1)
+		{Jini1, 11},  // measures 4.1 (was 13.9, then 7.1)
+		{Jini2, 11},  // measures 4.1 (was 13.9, then 7.1)
+		{Frodo3P, 6}, // measures 5.1 (was 21.9, then 7.1)
+		{Frodo2P, 6}, // measures 5.1 (was 48.0, then 7.1)
 	} {
 		allocs := testing.AllocsPerRun(3, func() {
 			BuildTopology(c.sys, sim.New(1), Topology{Users: users}, Options{})
@@ -90,6 +91,33 @@ func TestBuildAllocBudgets(t *testing.T) {
 		t.Logf("%s: %.1f objects per User", c.sys.Short(), perUser)
 		if perUser > c.budget {
 			t.Errorf("%s: a cold build allocates %.1f objects per User, budget %.0f", c.sys.Short(), perUser, c.budget)
+		}
+	}
+}
+
+// TestRunAllocBudgets bounds what one User costs in heap objects over a
+// whole run, FRODO 2-party at N = 1,000 and λ = 0: cold on a fresh
+// Workspace (the build plus every pool's growth), and rearmed on the
+// same Workspace, where the pools are warm and only payloads whose
+// content is new are boxed — one UpdateAck per User per change.
+func TestRunAllocBudgets(t *testing.T) {
+	const users = 1000
+	p := DefaultParams()
+	p.Users = users
+	spec := RunSpec{System: Frodo2P, Seed: 1, Params: p}
+	var ws *Workspace
+	for _, c := range []struct {
+		name   string
+		run    func()
+		budget float64 // objects per User; measured value alongside
+	}{
+		{"cold", func() { ws = NewWorkspace(); RunInto(ws, spec) }, 9.7}, // measures 8.4 (was 27.5)
+		{"rearmed", func() { RunInto(ws, spec) }, 1.2},                   // measures 1.04 (was 6.1)
+	} {
+		perUser := testing.AllocsPerRun(3, c.run) / users
+		t.Logf("%s run: %.2f objects per User", c.name, perUser)
+		if perUser > c.budget {
+			t.Errorf("a %s FRODO 2-party run at N=%d allocates %.2f objects per User, budget %.1f", c.name, users, perUser, c.budget)
 		}
 	}
 }

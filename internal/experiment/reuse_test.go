@@ -2,7 +2,9 @@ package experiment
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
+	"weak"
 
 	"repro/internal/frodo"
 	"repro/internal/metrics"
@@ -117,4 +119,30 @@ func TestWorkspaceMutatorOptionsNeedTrust(t *testing.T) {
 	if trusted.scen != tfirst {
 		t.Error("trusted workspace rebuilt instead of rearming")
 	}
+}
+
+// TestWorkspaceReleasesPreviousScenario pins what a workspace keeps of a
+// scenario it has moved on from: capacity, never protocol state. A large
+// FRODO run followed by a tiny UPnP run on the same workspace leaves most
+// of the network's node structs parked for reuse; a parked node that
+// still held its endpoint would keep the first run's whole protocol
+// graph reachable until its slot was taken again.
+func TestWorkspaceReleasesPreviousScenario(t *testing.T) {
+	ws := NewWorkspace()
+	p := DefaultParams()
+	p.Topology = Topology{Users: 2000}
+	_, sc := runInWorkspace(ws, RunSpec{System: Frodo2P, Seed: 1, Params: p})
+	first := weak.Make(sc.Net.Node(sc.UserIDs[0]).Endpoint().(*frodo.Node))
+	sc = nil
+
+	small := DefaultParams()
+	small.Topology = Topology{Users: 5}
+	RunInto(ws, RunSpec{System: UPnP, Seed: 1, Params: small})
+	for i := 0; i < 5; i++ {
+		runtime.GC()
+	}
+	if first.Value() != nil {
+		t.Error("the previous scenario's first User is still reachable from the workspace after a different-shape run")
+	}
+	runtime.KeepAlive(ws)
 }

@@ -92,14 +92,49 @@ type Scenario struct {
 	// build and rearm, so a tap never leaks into the workspace's next run.
 	onChange func()
 
-	// rearm replays construction for workspace reuse: one closure per
-	// boot entity in build order, each restoring the node slot's name,
-	// rearming the protocol instance and re-scheduling its boot with the
-	// same kernel calls (and RNG draws) the fresh build made. bootNodes
-	// is the node-slot count at the end of construction — slots beyond it
-	// belong to churn arrivals and are released on rearm.
-	rearm     []func()
+	// boot replays construction for workspace reuse: one entry per boot
+	// entity in build order, from which rearm restores the node slot's
+	// name, rearms the protocol instance and re-schedules its boot with
+	// the same kernel calls (and RNG draws) the fresh build made.
+	// bootNodes is the node-slot count at the end of construction — slots
+	// beyond it belong to churn arrivals and are released on rearm.
+	boot      []bootEntry
 	bootNodes int
+}
+
+// bootEntry is one boot entity of a scenario: the protocol instance, its
+// node slot's name, and its place in the boot schedule — the slot index
+// among the infrastructure, or the User index. u is the instance's User
+// interface, nil for infrastructure.
+type bootEntry struct {
+	inst rearmable
+	u    user
+	name string
+	slot int
+}
+
+// bootDelay draws an entity's boot delay. Nodes boot staggered inside the
+// first seconds; discovery completes well within the failure-free first
+// 100s. Infrastructure takes the first slots, Users follow on their own
+// (usually denser) spacing — by global index, so a sharded population
+// boots as one staggered wave regardless of S.
+func (s *Scenario) bootDelay(b bootEntry) sim.Duration {
+	t := s.Topo
+	base, spacing := sim.Duration(0), t.BootSpacing
+	if b.u != nil {
+		base, spacing = sim.Duration(t.Registries+t.Managers)*t.BootSpacing, t.UserBootSpacing
+	}
+	return base + sim.Duration(b.slot)*spacing + s.K.UniformDuration(0, t.BootJitter)
+}
+
+// start boots one entity and, for a User, lists it as a measured User;
+// both the cold build and the rearm replay go through it, so they make
+// the same kernel calls in the same order.
+func (s *Scenario) start(b bootEntry) {
+	b.inst.Start(s.bootDelay(b))
+	if b.u != nil {
+		s.UserIDs = append(s.UserIDs, b.u.ID())
+	}
 }
 
 // recorder observes User cache writes and keeps the first time each User
@@ -270,44 +305,21 @@ func buildTopology(ws *Workspace, sys System, k *sim.Kernel, topo Topology, opts
 		sc.absent = map[netsim.NodeID]bool{}
 		sc.users = map[netsim.NodeID]user{}
 	}
-	// Rearm closures are only worth recording when a workspace may reuse
-	// them.
+	// The rearm plan is only worth recording when a workspace may reuse
+	// it.
 	record := ws != nil
 	nw := sc.Net
-
-	// Nodes boot staggered inside the first seconds; discovery completes
-	// well within the failure-free first 100s. Infrastructure takes the
-	// first slots, Users follow on their own (usually denser) spacing —
-	// by global index, so a sharded population boots as one staggered
-	// wave regardless of S.
-	infraBoot := func(slot int) sim.Duration {
-		return sim.Duration(slot)*topo.BootSpacing + k.UniformDuration(0, topo.BootJitter)
-	}
-	userBase := sim.Duration(topo.Registries+topo.Managers) * topo.BootSpacing
-	userBoot := func(i int) sim.Duration {
-		return userBase + sim.Duration(i)*topo.UserBootSpacing + k.UniformDuration(0, topo.BootJitter)
-	}
-
-	// The recorded rearm closures: one per boot entity, replaying exactly
-	// what construction did — restore the slot name, reset the instance,
-	// re-draw the boot jitter and reschedule — in build order, so the
-	// kernel sees the same calls (and RNG draws) as a fresh build.
-	bootInfra := func(inst rearmable, name string, slot int) {
-		inst.Start(infraBoot(slot))
-		if !record {
-			return
+	boot := func(b bootEntry) {
+		sc.start(b)
+		if record {
+			sc.boot = append(sc.boot, b)
 		}
-		sc.rearm = append(sc.rearm, func() {
-			nw.Node(inst.ID()).Name = name
-			inst.Rearm()
-			inst.Start(infraBoot(slot))
-		})
 	}
 
 	if place.infra() {
 		for i := 0; i < topo.Registries; i++ {
 			name := registryName(sys, i)
-			bootInfra(sc.kit.registry(nw.AddNode(name), i), name, i)
+			boot(bootEntry{inst: sc.kit.registry(nw.AddNode(name), i), name: name, slot: i})
 		}
 		for j := 0; j < topo.Managers; j++ {
 			sd := printerSD()
@@ -319,7 +331,7 @@ func buildTopology(ws *Workspace, sys System, k *sim.Kernel, topo Topology, opts
 			if j == 0 {
 				sc.ManagerID, sc.measured = m.ID(), m
 			}
-			bootInfra(m, name, topo.Registries+j)
+			boot(bootEntry{inst: m, name: name, slot: topo.Registries + j})
 		}
 	}
 	for i := 0; i < topo.Users; i++ {
@@ -328,17 +340,7 @@ func buildTopology(ws *Workspace, sys System, k *sim.Kernel, topo Topology, opts
 		}
 		name := userName(i)
 		u := sc.newUser(name, printerQuery, sc.rec)
-		u.Start(userBoot(i))
-		sc.UserIDs = append(sc.UserIDs, u.ID())
-		if record {
-			sc.rearm = append(sc.rearm, func() {
-				nw.Node(u.ID()).Name = name
-				u.Rearm()
-				u.Start(userBoot(i))
-				sc.UserIDs = append(sc.UserIDs, u.ID())
-				sc.users[u.ID()] = u
-			})
-		}
+		boot(bootEntry{inst: u, u: u, name: name, slot: i})
 	}
 	sc.rec.manager = sc.ManagerID
 	sc.bootNodes = nw.Nodes()
@@ -351,7 +353,7 @@ func buildTopology(ws *Workspace, sys System, k *sim.Kernel, topo Topology, opts
 // rearmTopology replays the cached scenario's construction on the reset
 // kernel: the network keeps the boot node slots (endpoints re-bound by
 // each instance's rearm), the workspace ledgers are cleared, and the
-// recorded rearm closures re-run the boot schedule in build order — the
+// recorded boot entries re-run the boot schedule in build order — the
 // same kernel calls, the same RNG draws, the same event sequence numbers
 // as a fresh build, with ~no allocation.
 func rearmTopology(ws *Workspace, k *sim.Kernel, netCfg netsim.Config) *Scenario {
@@ -365,8 +367,13 @@ func rearmTopology(ws *Workspace, k *sim.Kernel, netCfg netsim.Config) *Scenario
 	sc.rec, sc.absent, sc.users, sc.UserIDs, sc.retired = ws.scratch(sc.Topo.Users)
 	sc.TargetVersion = 2
 	sc.onChange = nil
-	for _, replay := range sc.rearm {
-		replay()
+	for _, b := range sc.boot {
+		sc.Net.Node(b.inst.ID()).Name = b.name
+		b.inst.Rearm()
+		if b.u != nil {
+			sc.users[b.u.ID()] = b.u
+		}
+		sc.start(b)
 	}
 	sc.rec.manager = sc.ManagerID
 	ws.cache(sc, key)

@@ -45,11 +45,14 @@ type ManagerRole struct {
 	// Critical-update state (SRC2).
 	history *core.UpdateHistory
 
-	// ackOut caches the boxed subscription acknowledgement for ackVersion:
-	// its content only changes when the service does, and 2-party boots
-	// send one per subscriber attempt.
-	ackOut     netsim.Outgoing
-	ackVersion uint64
+	// ackOut and replyOut cache the boxed subscription acknowledgement
+	// and multicast search reply for ackVersion and replyVersion: their
+	// content only changes when the service does, and 2-party boots send
+	// one per subscriber attempt and per early search.
+	ackOut       netsim.Outgoing
+	ackVersion   uint64
+	replyOut     netsim.Outgoing
+	replyVersion uint64
 }
 
 // Static timer, lease and retry callbacks shared by every Manager role.
@@ -109,6 +112,8 @@ func (m *ManagerRole) rearm() {
 	m.history.Reset()
 	m.ackOut = netsim.Outgoing{}
 	m.ackVersion = 0
+	m.replyOut = netsim.Outgoing{}
+	m.replyVersion = 0
 }
 
 // subscribeAck returns the (cached) boxed acknowledgement carrying the
@@ -406,11 +411,15 @@ func (m *ManagerRole) onMulticastSearch(from netsim.NodeID, s discovery.Search) 
 	if !s.Q.Matches(m.sd) {
 		return
 	}
-	m.nd.nw.SendUDP(m.nd.n.ID, from, netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.SearchReply{}),
-		Counted: true,
-		Payload: discovery.SearchReply{Recs: []discovery.ServiceRecord{m.record()}},
-	})
+	if m.replyOut.Payload == nil || m.replyVersion != m.sd.Version() {
+		m.replyOut = netsim.Outgoing{
+			Kind:    discovery.Kind(discovery.SearchReply{}),
+			Counted: true,
+			Payload: discovery.SearchReply{Recs: []discovery.ServiceRecord{m.record()}},
+		}
+		m.replyVersion = m.sd.Version()
+	}
+	m.nd.nw.SendUDP(m.nd.n.ID, from, m.replyOut)
 }
 
 // onGet serves the current description (SRC2 missed-update requests).

@@ -14,11 +14,12 @@ import (
 // enables it. Both the Central (3-party) and 300D Managers (2-party) use
 // it.
 //
-// Notification state is pooled: each pendingNotify is one object
-// embedding its retry schedule, and recycled entries are reused for later
-// notifications, so steady-state fan-out allocates only the wire
-// payloads. The record carried by a notification shares the
-// immutable description snapshot — no copies.
+// Notification state is pooled: each pendingNotify embeds its retry
+// schedule, records come from chunks the propagator allocates itself, and
+// recycled ones are reused for later notifications. The wire payload is
+// boxed once per change, not once per User: consecutive Notify calls for
+// the same record and sequence number share one boxed Update, which
+// carries the immutable description snapshot — no copies.
 type propagator struct {
 	k      *sim.Kernel
 	nw     *netsim.Network
@@ -30,6 +31,13 @@ type propagator struct {
 
 	pending map[netsim.NodeID]*pendingNotify
 	free    *pendingNotify
+	grown   int // length of the last record chunk
+
+	// out is the boxed Update for (outRec, outSeq), reused while Notify is
+	// called for the same change.
+	out    netsim.Outgoing
+	outRec discovery.ServiceRecord
+	outSeq uint64
 }
 
 type pendingNotify struct {
@@ -37,8 +45,8 @@ type pendingNotify struct {
 	user netsim.NodeID
 	rec  discovery.ServiceRecord
 	seq  uint64
-	// out is the boxed wire payload, built once per Notify so the
-	// retransmission schedule reuses it across attempts.
+	// out is the boxed wire payload, shared by every attempt and by every
+	// User notified of the same change.
 	out netsim.Outgoing
 
 	retry core.Retry
@@ -68,17 +76,22 @@ func newPropagator(k *sim.Kernel, nw *netsim.Network, from netsim.NodeID,
 		onExhausted: onExhausted, pending: map[netsim.NodeID]*pendingNotify{}}
 }
 
-// alloc takes a notification record from the free list, or builds a new
-// one with its embedded retry schedule.
+// alloc takes a notification record from the free list, growing the pool
+// by a chunk of records with their retry schedules bound when it is empty.
 func (p *propagator) alloc() *pendingNotify {
-	pn := p.free
-	if pn != nil {
-		p.free = pn.next
-		pn.next = nil
-		return pn
+	if p.free == nil {
+		chunk := sim.Chunk[pendingNotify](&p.grown, 8, 256)
+		for i := len(chunk) - 1; i >= 0; i-- {
+			pn := &chunk[i]
+			pn.p = p
+			pn.retry.Init(p.k, p.policy, notifySend, notifyExhausted, pn)
+			pn.next = p.free
+			p.free = pn
+		}
 	}
-	pn = &pendingNotify{p: p}
-	pn.retry.Init(p.k, p.policy, notifySend, notifyExhausted, pn)
+	pn := p.free
+	p.free = pn.next
+	pn.next = nil
 	return pn
 }
 
@@ -104,11 +117,15 @@ func (p *propagator) Notify(user netsim.NodeID, rec discovery.ServiceRecord, seq
 	}
 	pn.rec = rec
 	pn.seq = seq
-	pn.out = netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.Update{}),
-		Counted: true,
-		Payload: discovery.Update{Rec: rec, Seq: seq},
+	if p.out.Payload == nil || p.outRec != rec || p.outSeq != seq {
+		p.out = netsim.Outgoing{
+			Kind:    discovery.Kind(discovery.Update{}),
+			Counted: true,
+			Payload: discovery.Update{Rec: rec, Seq: seq},
+		}
+		p.outRec, p.outSeq = rec, seq
 	}
+	pn.out = p.out
 	pn.retry.SetPolicy(p.policy)
 	pn.retry.Start()
 }
@@ -155,6 +172,7 @@ func (p *propagator) Rearm() {
 		delete(p.pending, user)
 		p.release(pn)
 	}
+	p.out, p.outRec, p.outSeq = netsim.Outgoing{}, discovery.ServiceRecord{}, 0
 }
 
 // Outstanding reports how many notifications are still unacknowledged.

@@ -49,11 +49,15 @@ type UserRole struct {
 	monitor core.SeqMonitor
 
 	// searchOut is the pre-built query payload (the requirement never
-	// changes); one boxed payload serves every search. subOut is the
-	// boxed subscription request, rebuilt per subscribe target so the
-	// retransmission schedule reuses it across attempts.
+	// changes); one boxed payload serves every search. subBox and
+	// renewBox are the boxed Subscribe and Renew for subMgr: boxed when a
+	// subscription names a different Manager, shared by every attempt and
+	// renewal after that. Being immutable and a pure function of subMgr,
+	// they are kept across rearm. (Payloads only, not Outgoings: that
+	// keeps UserRole in the 768-byte size class.)
 	searchOut netsim.Outgoing
-	subOut    netsim.Outgoing
+	subBox    any
+	renewBox  any
 }
 
 // Static timer, lease and retry callbacks shared by every User role.
@@ -294,17 +298,21 @@ func (u *UserRole) subscribe(lessee, manager netsim.NodeID) {
 	u.subActive = false
 	u.lessee = lessee
 	u.subMgr = manager
-	u.subOut = netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.Subscribe{}),
-		Counted: true,
-		Payload: discovery.Subscribe{Manager: manager, Lease: u.nd.cfg.SubscriptionLease},
+	sub := discovery.Subscribe{Manager: manager, Lease: u.nd.cfg.SubscriptionLease}
+	if p, ok := u.subBox.(discovery.Subscribe); !ok || p != sub {
+		u.subBox = sub
+		u.renewBox = discovery.Renew{Manager: manager, Lease: sub.Lease}
 	}
 	u.subRetry.Start()
 }
 
 // sendSubscribe is the subscription retry's transmission callback.
 func (u *UserRole) sendSubscribe() {
-	u.nd.nw.SendUDP(u.nd.n.ID, u.lessee, u.subOut)
+	u.nd.nw.SendUDP(u.nd.n.ID, u.lessee, netsim.Outgoing{
+		Kind:    discovery.Kind(discovery.Subscribe{}),
+		Counted: true,
+		Payload: u.subBox,
+	})
 }
 
 // subscribeExhausted backs off for a node-announce period and retries
@@ -341,7 +349,7 @@ func (u *UserRole) renew() {
 	u.nd.nw.SendUDP(u.nd.n.ID, u.lessee, netsim.Outgoing{
 		Kind:    discovery.Kind(discovery.Renew{}),
 		Counted: false, // lease upkeep, excluded from update effort
-		Payload: discovery.Renew{Manager: u.subMgr, Lease: u.nd.cfg.SubscriptionLease},
+		Payload: u.renewBox,
 	})
 }
 

@@ -123,11 +123,14 @@ type Network struct {
 	counters Counters
 
 	// Free lists for the per-frame scratch records of the fast path. All
-	// single-threaded, like everything else here.
-	freeDelivery *delivery
-	freeFanout   *fanout
-	freeMcopy    *mcopy
-	freeTCPFrame *tcpFrame
+	// single-threaded, like everything else here. Unicast deliveries come
+	// from chunks the network keeps listed, for reclaimDeliveries.
+	freeDelivery   *delivery
+	deliveryChunks [][]delivery
+	deliveryGrown  int
+	freeFanout     *fanout
+	freeMcopy      *mcopy
+	freeTCPFrame   *tcpFrame
 	// fanScratch is armFanout's radix-sort buffer; like the pools it is
 	// kept across Reset and Rearm.
 	fanScratch []fanEntry
@@ -198,14 +201,15 @@ func MustNew(k *sim.Kernel, cfg Config) *Network {
 // storage, counter slices and the frame-record pools — so a worker
 // goroutine can run many simulations back to back without rebuilding the
 // network from scratch. Any *Node, *TCPConn or Tracer from the previous
-// simulation is invalid afterwards.
+// simulation is invalid afterwards, and so is the previous kernel's event
+// queue: the frames it still held in flight are reclaimed.
 func (nw *Network) Reset(k *sim.Kernel, cfg Config) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	nw.k = k
 	nw.cfg = cfg
-	nw.spareNodes = append(nw.spareNodes, nw.nodes...)
+	nw.park(nw.nodes)
 	nw.nodes = nw.nodes[:0]
 	nw.retired = nw.retired[:0]
 	for _, gs := range nw.groups {
@@ -213,6 +217,7 @@ func (nw *Network) Reset(k *sim.Kernel, cfg Config) {
 	}
 	nw.tracer = nil
 	nw.counters.reset()
+	nw.reclaimDeliveries()
 	nw.outageNext = 0
 	nw.partActive = false
 	nw.partOwner = nil
@@ -253,12 +258,8 @@ func (nw *Network) Rearm(k *sim.Kernel, cfg Config, keep int) {
 	}
 	nw.k = k
 	nw.cfg = cfg
-	for _, n := range nw.nodes[keep:] {
-		nw.spareNodes = append(nw.spareNodes, n)
-	}
-	for i := keep; i < len(nw.nodes); i++ {
-		nw.nodes[i] = nil
-	}
+	nw.park(nw.nodes[keep:])
+	clear(nw.nodes[keep:])
 	nw.nodes = nw.nodes[:keep]
 	nw.retired = nw.retired[:0]
 	for _, n := range nw.nodes {
@@ -275,12 +276,23 @@ func (nw *Network) Rearm(k *sim.Kernel, cfg Config, keep int) {
 	}
 	nw.tracer = nil
 	nw.counters.reset()
+	nw.reclaimDeliveries()
 	nw.outageNext = 0
 	nw.partActive = false
 	nw.partOwner = nil
 	nw.partNext = 0
 	clear(nw.partRemoteB)
 	nw.prepareLink()
+}
+
+// park zeroes node structs and keeps them for later AddNode calls: a
+// parked node's endpoint would otherwise keep the previous run's whole
+// protocol graph reachable until the slot is reused.
+func (nw *Network) park(nodes []*Node) {
+	for _, n := range nodes {
+		*n = Node{}
+	}
+	nw.spareNodes = append(nw.spareNodes, nodes...)
 }
 
 // Kernel reports the owning simulation kernel.
@@ -448,13 +460,17 @@ type delivery struct {
 }
 
 func (nw *Network) allocDelivery() *delivery {
-	d := nw.freeDelivery
-	if d == nil {
-		return &delivery{nw: nw}
+	if nw.freeDelivery == nil {
+		c := sim.Chunk[delivery](&nw.deliveryGrown, 16, 1024)
+		nw.deliveryChunks = append(nw.deliveryChunks, c)
+		for i := len(c) - 1; i >= 0; i-- {
+			c[i].nw = nw
+			nw.releaseDelivery(&c[i])
+		}
 	}
+	d := nw.freeDelivery
 	nw.freeDelivery = d.next
 	d.next = nil
-	d.nw = nw
 	return d
 }
 
@@ -462,6 +478,18 @@ func (nw *Network) releaseDelivery(d *delivery) {
 	d.m = Message{}
 	d.next = nw.freeDelivery
 	nw.freeDelivery = d
+}
+
+// reclaimDeliveries returns every record to the free list once the
+// kernel has been reset: one still in flight would otherwise be lost to
+// the pool, its payload pinned by its chunk, for the network's lifetime.
+func (nw *Network) reclaimDeliveries() {
+	nw.freeDelivery = nil
+	for _, c := range nw.deliveryChunks {
+		for i := range c {
+			nw.releaseDelivery(&c[i])
+		}
+	}
 }
 
 // deliverUDP is the static event callback for pooled unicast deliveries

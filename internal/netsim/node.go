@@ -69,7 +69,9 @@ func (n *Node) SetTx(up bool) {
 		return
 	}
 	n.txUp = up
-	n.net.traceNode(n.ID, ifaceEvent("Tx", up))
+	if n.net.tracer != nil { // the label is built only for a reader
+		n.net.traceNode(n.ID, ifaceEvent("Tx", up))
+	}
 	if n.onInterfaceChange != nil {
 		n.onInterfaceChange(n.txUp, n.rxUp)
 	}
@@ -81,7 +83,9 @@ func (n *Node) SetRx(up bool) {
 		return
 	}
 	n.rxUp = up
-	n.net.traceNode(n.ID, ifaceEvent("Rx", up))
+	if n.net.tracer != nil { // the label is built only for a reader
+		n.net.traceNode(n.ID, ifaceEvent("Rx", up))
+	}
 	if n.onInterfaceChange != nil {
 		n.onInterfaceChange(n.txUp, n.rxUp)
 	}

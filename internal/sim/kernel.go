@@ -76,7 +76,8 @@ type heapSlot struct {
 //
 // The event queue is a 4-ary min-heap of pooled events: fired and
 // canceled events go onto a free list and are reused by later schedule
-// calls, so steady-state scheduling allocates nothing. Cancellation and
+// calls, so steady-state scheduling allocates nothing; the pool grows in
+// chunks (see alloc), not one event per miss. Cancellation and
 // postponement are lazy — a canceled event stays queued until its time
 // comes and is then discarded and recycled; a postponed event stays where
 // it is until its old time comes and is then sifted to its new one.
@@ -85,6 +86,8 @@ type Kernel struct {
 	seq     uint64
 	heap    []heapSlot
 	free    *Event
+	spare   []Event // the unused tail of the event pool's last chunk
+	grown   int     // length of that chunk
 	src     splitmix64
 	rng     *rand.Rand
 	stopped bool
@@ -136,14 +139,20 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 // complexity measure used by tests and benchmarks.
 func (k *Kernel) Fired() uint64 { return k.fired }
 
-// alloc takes an event from the free list, or makes a new one. The
-// canceled flag is cleared here, on reuse, rather than on release, so a
-// caller that retained a canceled event's pointer still reads
+// alloc takes an event from the free list, or else the next unused one
+// of the pool's last chunk, growing the pool by a chunk of 16 to 1,024
+// events when both are empty (a paper-scale kernel stays in its first).
+// The canceled flag is cleared here, on reuse, rather than on release, so
+// a caller that retained a canceled event's pointer still reads
 // Canceled() == true until the slot is actually handed out again.
 func (k *Kernel) alloc() *Event {
 	e := k.free
 	if e == nil {
-		return &Event{}
+		if len(k.spare) == 0 {
+			k.spare = Chunk[Event](&k.grown, 16, 1024)
+		}
+		e, k.spare = &k.spare[0], k.spare[1:]
+		return e
 	}
 	k.free = e.next
 	e.next = nil

@@ -288,6 +288,36 @@ func TestKernelZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// The event pool grows in chunks: filling a fresh kernel with 10,000
+// pending events costs at most one allocation per 16 events (the chunks
+// plus the heap slice's doublings), and refilling it after Reset, which
+// returns every pending event to the pool, costs nothing.
+func TestKernelEventPoolGrowsInChunks(t *testing.T) {
+	const events = 10000
+	fn := func() {}
+	var k *Kernel
+	fill := func() {
+		for i := 0; i < events; i++ {
+			k.At(Time(i+1), fn)
+		}
+	}
+	cold := testing.AllocsPerRun(5, func() {
+		k = New(1)
+		fill()
+	})
+	if perEvent := cold / events; perEvent > 1.0/16 {
+		t.Errorf("filling a fresh kernel: %.0f allocations for %d events (%.4f per event), budget 1 per 16", cold, events, perEvent)
+	}
+	refill := testing.AllocsPerRun(5, func() {
+		k.Reset(1)
+		fill()
+	})
+	if refill != 0 {
+		t.Errorf("refilling after Reset: %.0f allocations, want 0", refill)
+	}
+	t.Logf("fresh fill: %.0f allocations for %d events", cold, events)
+}
+
 // Reset reuses the kernel: same seed, identical stream and scheduling as
 // a fresh kernel, with pending events of the previous run discarded.
 func TestKernelReset(t *testing.T) {

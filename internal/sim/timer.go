@@ -25,8 +25,7 @@ type Ticker struct {
 	period  Duration
 	fn      func(any)
 	arg     any
-	pending *Event
-	running bool
+	pending *Event // nil ⇔ stopped
 }
 
 // Init prepares a stopped ticker that calls fn(arg) every period; call
@@ -46,13 +45,12 @@ func tickerFire(x any) { x.(*Ticker).tick() }
 // from now.
 func (t *Ticker) Start(initialDelay Duration) {
 	t.pending.Cancel()
-	t.running = true
 	t.pending = t.k.AfterArg(initialDelay, tickerFire, t)
 }
 
 func (t *Ticker) tick() {
-	if !t.running {
-		return
+	if t.pending == nil {
+		return // rearmed without a Kernel.Reset: a stale event
 	}
 	// Pooled-event ownership: the event that invoked us has fired and
 	// will be recycled; overwrite the reference before running fn so
@@ -64,7 +62,6 @@ func (t *Ticker) tick() {
 
 // Stop disarms the ticker. A stopped ticker can be started again.
 func (t *Ticker) Stop() {
-	t.running = false
 	t.pending.Cancel()
 	t.pending = nil
 }
@@ -72,13 +69,10 @@ func (t *Ticker) Stop() {
 // Rearm resets the ticker for workspace reuse after a Kernel.Reset: the
 // retained event reference is dropped without touching the kernel (the
 // event no longer exists) and the ticker returns to its stopped state.
-func (t *Ticker) Rearm() {
-	t.running = false
-	t.pending = nil
-}
+func (t *Ticker) Rearm() { t.pending = nil }
 
 // Running reports whether the ticker is armed.
-func (t *Ticker) Running() bool { return t.running }
+func (t *Ticker) Running() bool { return t.pending != nil }
 
 // Period reports the ticker's firing interval.
 func (t *Ticker) Period() Duration { return t.period }

@@ -39,8 +39,8 @@ func FigureHardening(base experiment.Params, runs, workers int, progress func(do
 	hostile.Churn = experiment.Churn{Departures: 1, Arrivals: 2}
 	hostileOpts := experiment.Options{
 		Link: netsim.LinkConfig{
-			Burst:        netsim.BurstForAverage(0.15, 8),
-			Delay:        netsim.DelayConfig{Dist: netsim.DelayPareto},
+			Burst:   netsim.BurstForAverage(0.15, 8),
+			Delay:   netsim.DelayConfig{Dist: netsim.DelayPareto},
 			Reorder: netsim.ReorderConfig{Prob: 0.2, Extra: sim.Duration(0.25 * float64(sim.Second))},
 		},
 	}
