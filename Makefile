@@ -14,7 +14,7 @@ BENCH_PR ?= 6
 BENCH_BASELINE ?= BENCH_5.json
 COVER_FLOOR ?= 70
 
-.PHONY: check vet build test race loc bench bench-all bench-scale bench-gate cover-floor live-smoke shard-smoke hunt-smoke harden-smoke obs-smoke clean
+.PHONY: check vet build test race loc bench bench-all bench-scale bench-gate cover-floor live-smoke hunt-smoke harden-smoke obs-smoke clean
 
 check: vet build race
 
@@ -42,8 +42,7 @@ loc:
 # microbenchmarks, with allocation stats, written to BENCH_<pr>.json.
 bench:
 	{ $(GO) test -bench 'BenchmarkKernel$$|BenchmarkMulticastFanout|BenchmarkUnicastFrame' -benchtime 200000x -benchmem -run xxx ./internal/sim ./internal/netsim && \
-	  $(GO) test -bench 'BenchmarkSingleRunScale$$|BenchmarkSweepScale' -benchtime 5x -benchmem -run xxx . && \
-	  $(GO) test -timeout 0 -bench 'BenchmarkSingleRunScaleSharded$$|BenchmarkSingleRunScaleShardedChurn' -benchtime 1x -benchmem -run xxx . ; } | tee /dev/stderr | \
+	  $(GO) test -bench 'BenchmarkSingleRunScale$$|BenchmarkSweepScale' -benchtime 5x -benchmem -run xxx . ; } | tee /dev/stderr | \
 	  $(GO) run ./cmd/benchjson -pr $(BENCH_PR) -baseline $(BENCH_BASELINE) > BENCH_$(BENCH_PR).json
 
 # Regression gate: re-run the hot-path microbenchmarks and fail if
@@ -99,8 +98,8 @@ hunt-smoke:
 # Hardening smoke test (CI-enforced): replay the committed fixture sets
 # race-built — the hunted baselines must still exhibit their recorded
 # violations AND their hardened counterparts must replay clean — then
-# one hardened 4-shard live pass: sdlived with the full hardening layer
-# on, driven by sdload with per-request timeouts and jittered retries,
+# one hardened live pass: sdlived with the full hardening layer on,
+# driven by sdload with per-request timeouts and jittered retries,
 # failing on any client error, race or oracle violation.
 harden-smoke:
 	@set -e; tmp=$$(mktemp -d); \
@@ -109,38 +108,37 @@ harden-smoke:
 	$$tmp/sdhunt -replay internal/hunt/testdata; \
 	$(GO) build -race -o $$tmp/sdlived ./cmd/sdlived; \
 	$(GO) build -race -o $$tmp/sdload ./cmd/sdload; \
-	$$tmp/sdlived -system frodo2p -harden -shards 4 -users 1000 -dilation 0.002 -addr 127.0.0.1:0 -addr-file $$tmp/addr & pid=$$!; \
+	$$tmp/sdlived -system frodo2p -harden -users 1000 -dilation 0.002 -addr 127.0.0.1:0 -addr-file $$tmp/addr & pid=$$!; \
 	for i in $$(seq 1 100); do [ -s $$tmp/addr ] && break; sleep 0.1; done; \
 	[ -s $$tmp/addr ] || { echo "sdlived never published its address"; exit 1; }; \
 	$$tmp/sdload -addr $$(cat $$tmp/addr) -clients 100 -duration 5s -retries 4 -retry-base 50ms -oracle -quiet; \
 	kill $$pid; \
 	wait $$pid || { echo "sdlived exited nonzero (race detected or oracle violation)"; exit 1; }
 
-# Telemetry smoke test (CI-enforced): boot a race-built 2-shard sdlived,
-# scrape /metrics under a short sdload burst, and assert the mandatory
-# series are present and the frame counters are monotone between two
-# scrapes taken across the load window.
+# Telemetry smoke test (CI-enforced): boot a race-built sdlived, scrape
+# /metrics under a short sdload burst, and assert the mandatory series
+# are present and the frame, gateway and event counters are monotone
+# between two scrapes taken across the load window.
 obs-smoke:
 	@set -e; tmp=$$(mktemp -d); \
 	trap 'kill $$pid 2>/dev/null || true; rm -rf $$tmp' EXIT; \
 	$(GO) build -race -o $$tmp/sdlived ./cmd/sdlived; \
 	$(GO) build -race -o $$tmp/sdload ./cmd/sdload; \
-	$$tmp/sdlived -system frodo2p -shards 2 -users 200 -dilation 0.002 -addr 127.0.0.1:0 -addr-file $$tmp/addr & pid=$$!; \
+	$$tmp/sdlived -system frodo2p -users 200 -dilation 0.002 -addr 127.0.0.1:0 -addr-file $$tmp/addr & pid=$$!; \
 	for i in $$(seq 1 100); do [ -s $$tmp/addr ] && break; sleep 0.1; done; \
 	[ -s $$tmp/addr ] || { echo "sdlived never published its address"; exit 1; }; \
 	addr=$$(cat $$tmp/addr); \
 	curl -fsS "http://$$addr/metrics" > $$tmp/scrape1; \
-	for series in 'sd_frames_sent_total{shard="0"}' 'sd_frames_sent_total{shard="1"}' \
-	              'sd_shard_barrier_stall_nanos_total{shard="1"}' 'sd_shard_busy_nanos_total{shard="0"}' \
-	              'sd_frames_dropped_total{shard="0"}' 'sd_fabric_windows_total' \
-	              'sd_kernel_pending{shard="0"}' 'sd_gateway_ops_total' 'sd_live_virtual_seconds'; do \
+	for series in 'sd_frames_sent_total{shard="0"}' 'sd_frames_dropped_total{shard="0"}' \
+	              'sd_kernel_pending{shard="0"}' 'sd_gateway_ops_total' 'sd_live_virtual_seconds' \
+	              'sd_live_events_fired'; do \
 	  grep -qF "$$series" $$tmp/scrape1 || { echo "/metrics missing $$series"; cat $$tmp/scrape1; exit 1; }; \
 	done; \
 	grep -q '^# TYPE sd_frames_sent_total counter' $$tmp/scrape1 || { echo "missing TYPE line"; exit 1; }; \
 	$$tmp/sdload -addr $$addr -clients 50 -duration 3s -oracle -quiet -telemetry $$tmp/load.json; \
 	grep -q 'sdload_ops_total' $$tmp/load.json || { echo "sdload -telemetry dump missing its series"; exit 1; }; \
 	curl -fsS "http://$$addr/metrics" > $$tmp/scrape2; \
-	for series in 'sd_frames_sent_total{shard="0"}' 'sd_gateway_ops_total' 'sd_fabric_windows_total'; do \
+	for series in 'sd_frames_sent_total{shard="0"}' 'sd_gateway_ops_total' 'sd_live_events_fired'; do \
 	  v1=$$(grep -v '^#' $$tmp/scrape1 | grep -F "$$series" | head -1 | awk '{print $$NF}'); \
 	  v2=$$(grep -v '^#' $$tmp/scrape2 | grep -F "$$series" | head -1 | awk '{print $$NF}'); \
 	  awk -v a="$$v1" -v b="$$v2" 'BEGIN { exit !(b+0 >= a+0 && b+0 > 0) }' || \
@@ -150,15 +148,6 @@ obs-smoke:
 	grep -q '"shard"' $$tmp/flight.json || { echo "/debug/flight returned no rings"; exit 1; }; \
 	kill $$pid; \
 	wait $$pid || { echo "sdlived exited nonzero (race detected or oracle violation)"; exit 1; }
-
-# Sharded-fabric smoke test (CI-enforced): a 4-shard N=10k FRODO run
-# under the race detector with Poisson churn, a healing bisect
-# partition, and the per-shard consistency oracles attached; fails on
-# any data race, oracle violation, unrun heal probe or propagation
-# collapse. A few minutes of wall time (the horizon must outlast the
-# heal probe at heal + CentralTimeout + AnnouncePeriod + slack).
-shard-smoke:
-	SHARD_SMOKE=1 $(GO) test -race -run TestShardSmoke -v ./internal/verify
 
 # Full benchmark suite (slow: full-scale sweeps per iteration).
 bench-all:

@@ -250,89 +250,6 @@ func BenchmarkSingleRunScale(b *testing.B) {
 	}
 }
 
-// BenchmarkSingleRunScaleSharded is the sharded-fabric trajectory
-// point: one N=100k FRODO two-party run, single fabric versus 8 shards
-// (BENCH_5 in EXPERIMENTS.md). The workload makes the parallelizable
-// part dominate — λ=0, a 20s announcement period so the per-receiver
-// multicast fanout is the bulk of the work, and 3s infrastructure boot
-// spacing so the Users come up after the Central election settles. On a
-// single-core runner the sharded win is the smaller per-shard event
-// heaps and delivery queues. No parallel speedup has been measured on
-// any host (at N=10k on 2 vCPUs two shards take 1.63× the single
-// kernel's wall, see DESIGN.md "Fabric"), so none is claimed.
-func BenchmarkSingleRunScaleSharded(b *testing.B) {
-	const n = 100_000
-	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("users=%d/shards=%d", n, shards), func(b *testing.B) {
-			if testing.Short() {
-				b.Skip("scale benchmark skipped in short mode")
-			}
-			p := sdsim.DefaultParams()
-			p.Topology = sdsim.Topology{Users: n, BootSpacing: 3 * sdsim.Second}
-			p.RunDuration = 2400 * sdsim.Second
-			p.ChangeMin, p.ChangeMax = 100*sdsim.Second, 600*sdsim.Second
-			opts := sdsim.WithFrodoAnnouncePeriod(20 * sdsim.Second)
-			reached := 0
-			for i := 0; i < b.N; i++ {
-				res := sdsim.Run(sdsim.RunSpec{System: sdsim.Frodo2P, Lambda: 0,
-					Seed: int64(i + 1), Params: p, Opts: opts, Shards: shards})
-				reached = 0
-				for _, u := range res.Users {
-					if u.Reached {
-						reached++
-					}
-				}
-			}
-			b.ReportMetric(float64(reached)/float64(n), "F")
-		})
-	}
-}
-
-// BenchmarkSingleRunScaleShardedChurn is the sharded-churn trajectory
-// point (BENCH_6 in EXPERIMENTS.md): the N=100k fabric of the sharded
-// point above with the population in motion — Poisson churn (rejoining
-// departures plus a 2k-arrival stream) and a bisect partition that
-// splits the fabric at 400s and heals at 700s — single fabric versus
-// 8 shards. This prices the dynamic dimensions the sharded fabric
-// supports: per-shard churn plans, the round-robin arrival cursor and
-// the replicated partition arenas.
-func BenchmarkSingleRunScaleShardedChurn(b *testing.B) {
-	const n = 100_000
-	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("users=%d/shards=%d", n, shards), func(b *testing.B) {
-			if testing.Short() {
-				b.Skip("scale benchmark skipped in short mode")
-			}
-			p := sdsim.DefaultParams()
-			p.Topology = sdsim.Topology{Users: n, BootSpacing: 3 * sdsim.Second}
-			p.RunDuration = 2400 * sdsim.Second
-			p.ChangeMin, p.ChangeMax = 100*sdsim.Second, 600*sdsim.Second
-			p.Churn = sdsim.Churn{Departures: 0.2, MeanAbsence: 200 * sdsim.Second,
-				Arrivals: float64(n) / 50}
-			p.Partitions = []sdsim.Partition{
-				{Start: 400 * sdsim.Second, Duration: 300 * sdsim.Second, Bisect: true},
-			}
-			opts := sdsim.WithFrodoAnnouncePeriod(20 * sdsim.Second)
-			reached, measured := 0, 0
-			for i := 0; i < b.N; i++ {
-				res := sdsim.Run(sdsim.RunSpec{System: sdsim.Frodo2P, Lambda: 0,
-					Seed: int64(i + 1), Params: p, Opts: opts, Shards: shards})
-				reached, measured = 0, 0
-				for _, u := range res.Users {
-					if u.Excluded {
-						continue
-					}
-					measured++
-					if u.Reached {
-						reached++
-					}
-				}
-			}
-			b.ReportMetric(float64(reached)/float64(measured), "F")
-		})
-	}
-}
-
 // BenchmarkAblationSRN2 quantifies the paper's headline technique: FRODO
 // 2-party with and without SRN2 at low failure rates, where the paper
 // shows SRN2 dominating (Fig. 4(i)).

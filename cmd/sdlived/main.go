@@ -13,8 +13,8 @@
 // and exits nonzero if any invariant was violated. The full telemetry
 // registry is served as Prometheus text on /metrics, as expvar under
 // /debug/vars, and profiled under /debug/pprof, all on the same
-// listener; SIGUSR1 dumps the per-shard flight-recorder rings to
-// stderr, and a dirty oracle report at shutdown dumps them too.
+// listener; SIGUSR1 dumps the flight-recorder ring to stderr, and a
+// dirty oracle report at shutdown dumps it too.
 package main
 
 import (
@@ -28,9 +28,7 @@ import (
 	"repro/internal/discovery"
 	"repro/internal/experiment"
 	"repro/internal/live"
-	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/verify"
 )
 
@@ -43,9 +41,6 @@ func main() {
 		dilation = flag.Float64("dilation", 0.001, "wall seconds per virtual second (0.001 = 1000× faster than real time)")
 		loss     = flag.Float64("loss", 0, "i.i.d. per-frame loss probability")
 		harden   = flag.Bool("harden", false, "serve with the full protocol-hardening layer on")
-		shards   = flag.Int("shards", 0, "partition the fabric across this many parallel shards (0/1 = single fabric; ≥2 is FRODO-only)")
-		crossMin = flag.Float64("cross-min", 0, "inter-shard minimum link delay in virtual seconds — the conservative lookahead (0 = the 0.2s default; needs -shards ≥ 2)")
-		crossMax = flag.Float64("cross-max", 0, "inter-shard maximum link delay in virtual seconds (0 = the 0.4s default; needs -shards ≥ 2)")
 		noOracle = flag.Bool("no-oracle", false, "serve without the consistency oracle attached")
 
 		users      = flag.Int("users", 5, "scenario Users built at boot (clients come on top)")
@@ -75,41 +70,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sdlived: -dilation must be positive, got %v\n", *dilation)
 		os.Exit(2)
 	}
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "sdlived: -shards must not be negative, got %d\n", *shards)
-		os.Exit(2)
-	}
-	var cross netsim.CrossLink
-	if *crossMin != 0 || *crossMax != 0 {
-		if *shards < 2 {
-			fmt.Fprintf(os.Stderr, "sdlived: -cross-min/-cross-max need -shards ≥ 2\n")
-			os.Exit(2)
-		}
-		cross = netsim.DefaultCrossLink()
-		if *crossMin != 0 {
-			cross.MinDelay = sim.Duration(*crossMin * float64(sim.Second))
-		}
-		if *crossMax != 0 {
-			cross.MaxDelay = sim.Duration(*crossMax * float64(sim.Second))
-		}
-		if err := cross.Validate(); err != nil {
-			fmt.Fprintf(os.Stderr, "sdlived: %v\n", err)
-			os.Exit(2)
-		}
-	}
-
 	opts := experiment.Options{Loss: *loss}
 	if *harden {
 		opts.Harden = discovery.HardenAll()
 	}
 	cfg := live.Config{
-		System:    sys,
-		Topology:  topo,
-		Options:   opts,
-		Seed:      *seed,
-		Dilation:  *dilation,
-		Shards:    *shards,
-		CrossLink: cross,
+		System:   sys,
+		Topology: topo,
+		Options:  opts,
+		Seed:     *seed,
+		Dilation: *dilation,
 	}
 	if !*noOracle {
 		ocfg := verify.DefaultOracleConfig(sys)
@@ -123,12 +93,8 @@ func main() {
 
 	expvar.Publish("sdlived", expvar.Func(func() any { return srv.Gateway.Stats() }))
 	expvar.Publish("sdlived_metrics", expvar.Func(func() any { return srv.Driver.Telemetry().Snapshot() }))
-	fabric := "single fabric"
-	if *shards >= 2 {
-		fabric = fmt.Sprintf("%d shards", *shards)
-	}
-	fmt.Printf("sdlived: %v serving on %s (%s, dilation %g, oracle %v)\n",
-		sys, srv.Addr(), fabric, *dilation, !*noOracle)
+	fmt.Printf("sdlived: %v serving on %s (dilation %g, oracle %v)\n",
+		sys, srv.Addr(), *dilation, !*noOracle)
 	if *addrFile != "" {
 		if err := os.WriteFile(*addrFile, []byte(srv.Addr()), 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "sdlived: -addr-file: %v\n", err)
@@ -144,8 +110,8 @@ func main() {
 	for serving := true; serving; {
 		select {
 		case <-dump:
-			// Operator-requested flight dump: the recent trace tail of every
-			// shard, without stopping the daemon.
+			// Operator-requested flight dump: the recent trace tail, without
+			// stopping the daemon.
 			fmt.Fprintln(os.Stderr, "sdlived: SIGUSR1 flight dump")
 			dumpFlight(srv.Driver.FlightDump())
 		case <-sig:

@@ -12,7 +12,6 @@
 //	sdsweep -figure all -runs 30 # everything, paper-sized
 //	sdsweep -figure loss         # extension: message-loss failure model
 //	sdsweep -figure adversarial  # extension: burst vs i.i.d. loss at equal rate
-//	sdsweep -figure shardprofile -users 10000       # per-shard busy/stall/ingest profile, wall s and F at S ∈ {1,2,4,8}
 //	sdsweep -figure hardening    # extension: baseline vs hardened under the hunted fault mix
 //	sdsweep -figure 4 -harden    # any figure with the protocol-hardening layer on
 //
@@ -29,14 +28,13 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"time"
 
 	"repro/sdsim"
 )
 
 func main() {
 	var (
-		figure  = flag.String("figure", "all", "figure to regenerate: 4|5|6|7|loss|polling|scale|shardprofile|hardening|all")
+		figure  = flag.String("figure", "all", "figure to regenerate: 4|5|6|7|loss|polling|scale|hardening|all")
 		runs    = flag.Int("runs", 30, "runs per (system, λ) point (X in the paper)")
 		seed    = flag.Int64("seed", 1, "base seed for the whole sweep")
 		workers = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
@@ -54,8 +52,6 @@ func main() {
 		managers   = flag.Int("managers", 0, "Manager nodes; extras host background services (0 = 1)")
 		registries = flag.Int("registries", 0, "Registry nodes (0 = the system's Table 4 count)")
 		services   = flag.Int("services", 0, "distinct background service types (0 = one per extra Manager)")
-		crossMin   = flag.Float64("cross-min", 0, "inter-shard minimum link delay in seconds for -figure shardprofile — the conservative lookahead (0 = the 0.2s default)")
-		crossMax   = flag.Float64("cross-max", 0, "inter-shard maximum link delay in seconds for -figure shardprofile (0 = the 0.4s default)")
 		churn      = flag.Float64("churn", 0, "expected departures per User over the run (Poisson; 0 = no churn)")
 		absence    = flag.Float64("absence", 0, "mean absence before rejoining, seconds (0 = departures are permanent)")
 		arrivals   = flag.Float64("arrivals", 0, "expected fresh User arrivals over the run (Poisson)")
@@ -74,28 +70,10 @@ func main() {
 	// Validate before the profilers start: an os.Exit on a bad flag must
 	// not leave a started-but-unflushed (truncated) CPU profile behind.
 	switch *figure {
-	case "4", "5", "6", "7", "loss", "polling", "scale", "adversarial", "hardening", "shardprofile", "all":
+	case "4", "5", "6", "7", "loss", "polling", "scale", "adversarial", "hardening", "all":
 	default:
 		fmt.Fprintf(os.Stderr, "unknown figure %q\n", *figure)
 		os.Exit(2)
-	}
-	var cross sdsim.CrossLink
-	if *crossMin != 0 || *crossMax != 0 {
-		if *figure != "shardprofile" {
-			fmt.Fprintf(os.Stderr, "-cross-min/-cross-max apply to -figure shardprofile only\n")
-			os.Exit(2)
-		}
-		cross = sdsim.DefaultCrossLink()
-		if *crossMin != 0 {
-			cross.MinDelay = sdsim.Duration(*crossMin * float64(sdsim.Second))
-		}
-		if *crossMax != 0 {
-			cross.MaxDelay = sdsim.Duration(*crossMax * float64(sdsim.Second))
-		}
-		if err := cross.Validate(); err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(2)
-		}
 	}
 	if *hardenOn && *figure == "hardening" {
 		fmt.Fprintf(os.Stderr, "-figure hardening already runs both modes; drop -harden\n")
@@ -298,8 +276,6 @@ func main() {
 		emit(pollingSweep(params, *workers, progress))
 	case "scale":
 		emit(scaleSweep(params, linkOpts, *workers, progress))
-	case "shardprofile":
-		emit(shardProfileTable(params, linkOpts, cross, *quiet))
 	case "adversarial":
 		emit(sdsim.FigureAdversarial(params, *workers, progress))
 	case "hardening":
@@ -410,91 +386,6 @@ func scaleSweep(params sdsim.Params, opts sdsim.Options, workers int, progress f
 	}
 	t.Notes = append(t.Notes,
 		"streaming per-cell aggregation keeps sweep memory flat in N; combine with -churn/-managers/-registries for populated-network scenarios")
-	return t
-}
-
-// shardProfileTable runs the same FRODO two-party scenario (λ=0, one
-// service change) on S ∈ {1, 2, 4, 8} shards with the telemetry registry
-// attached and reports each shard's wall-clock busy
-// time, barrier-stall time, cross-shard frame ingest and occupancy
-// (busy / (busy+stall)), plus the run's wall seconds and consistency
-// score F. A sharded run is a different — equally valid — timeline of
-// the same scenario, so F is the sanity column. On a host with fewer
-// cores than shards the stall column reads the scheduling queue, not the
-// barrier protocol — compare occupancy against NumCPU before concluding
-// the fabric is stall-bound.
-func shardProfileTable(params sdsim.Params, opts sdsim.Options, cross sdsim.CrossLink, quiet bool) sdsim.Table {
-	n := params.Topology.Users
-	if n == 0 {
-		n = 10_000
-	}
-	t := sdsim.Table{
-		Title:  fmt.Sprintf("Extension: per-shard fabric profile (FRODO 2-party, λ=0, N=%d)", n),
-		Header: []string{"S", "shard", "busy s", "stall s", "ingest", "occup%", "wall s", "F"},
-	}
-	for _, s := range []int{1, 2, 4, 8} {
-		p := params
-		p.Topology.Users = n
-		reg := sdsim.NewRegistry()
-		spec := sdsim.RunSpec{System: sdsim.Frodo2P, Lambda: 0, Seed: p.BaseSeed,
-			Params: p, Opts: opts, Telemetry: reg}
-		if s >= 2 {
-			spec.Shards = s
-			spec.Cross = cross
-		}
-		if err := spec.Validate(); err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(2)
-		}
-		if !quiet {
-			fmt.Fprintf(os.Stderr, "S=%d...", s)
-		}
-		t0 := time.Now()
-		res := sdsim.Run(spec)
-		wall := time.Since(t0).Seconds()
-		if !quiet {
-			fmt.Fprintf(os.Stderr, " %.1fs\n", wall)
-		}
-		reached := 0
-		for _, u := range res.Users {
-			if u.Reached {
-				reached++
-			}
-		}
-		snap := reg.Snapshot()
-		series := func(name string, shard int) float64 {
-			v, _ := snap[fmt.Sprintf("%s{shard=%q}", name, fmt.Sprint(shard))].(uint64)
-			return float64(v)
-		}
-		for sh := 0; sh < s; sh++ {
-			busy := series("sd_shard_busy_nanos_total", sh) / 1e9
-			stall := series("sd_shard_barrier_stall_nanos_total", sh) / 1e9
-			ingest := series("sd_shard_cross_frames_in_total", sh)
-			if s == 1 {
-				// A single-kernel fabric has no barrier: the whole run is
-				// one shard's busy time.
-				busy, stall, ingest = wall, 0, 0
-			}
-			occ := 100.0
-			if busy+stall > 0 {
-				occ = 100 * busy / (busy + stall)
-			}
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprintf("%d", s),
-				fmt.Sprintf("%d", sh),
-				fmt.Sprintf("%.2f", busy),
-				fmt.Sprintf("%.2f", stall),
-				fmt.Sprintf("%.0f", ingest),
-				fmt.Sprintf("%.1f", occ),
-				fmt.Sprintf("%.2f", wall),
-				fmt.Sprintf("%.3f", float64(reached)/float64(len(res.Users))),
-			})
-		}
-	}
-	t.Notes = append(t.Notes,
-		fmt.Sprintf("this host exposes %d CPU(s); occupancy below ~100·cores/S %% means shards time-slice, so stall measures the scheduler, not the barrier", runtime.NumCPU()),
-		"busy+stall covers a worker's windowed loop; shard 0 runs inline on the coordinator, its stall is the wait for the slowest worker",
-		"shards hold disjoint User subsets coupled by conservative lookahead windows; see DESIGN.md \"Fabric\"")
 	return t
 }
 

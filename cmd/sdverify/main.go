@@ -99,9 +99,9 @@ func auditScenario(path string, harden, listViolations bool) int {
 			fmt.Fprintf(os.Stderr, "%v\n", err)
 			return 2
 		}
-		// Replay with flight recorders attached: on a dirty or failing
-		// replay the per-shard rings — frozen at the first violation —
-		// are the trace tail a diagnosis starts from.
+		// Replay with a flight recorder attached: on a dirty or failing
+		// replay its ring — frozen at the first violation — is the trace
+		// tail a diagnosis starts from.
 		rep, flight, err := hunt.ReplayTraced(fx, 0)
 		if err != nil {
 			fmt.Printf("FAIL  %s\n", err)

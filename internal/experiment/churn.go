@@ -39,16 +39,12 @@ type Churn struct {
 // Enabled reports whether the model does anything.
 func (c Churn) Enabled() bool { return c.Departures > 0 || c.Arrivals > 0 }
 
-// scheduleChurn pre-draws the whole churn schedule and arms the events,
-// before the first window: all randomness is consumed up front so runs
-// stay deterministic and independent of worker parallelism. Departures
-// are drawn per shard from the owning shard's kernel over its own User
-// subset — shard-local randomness, and the departure events mutate only
-// the owning shard's node table. The arrival stream is drawn once, from
-// shard 0's kernel, so the global arrival order and naming are fixed by
-// (seed, S) alone; each arrival boots on the shard the arrival cursor
-// assigns it.
-func (f *Fabric) scheduleChurn(c Churn, runDuration sim.Duration) {
+// scheduleChurn pre-draws the whole churn schedule and arms the events
+// before the run starts: all randomness is consumed up front so runs stay
+// deterministic and independent of worker parallelism. Departures are
+// drawn per initial User; arrivals are numbered on from the boot Users,
+// in arrival order.
+func (s *Scenario) scheduleChurn(c Churn, runDuration sim.Duration) {
 	if !c.Enabled() || runDuration <= 0 {
 		return
 	}
@@ -56,31 +52,24 @@ func (f *Fabric) scheduleChurn(c Churn, runDuration sim.Duration) {
 
 	if c.Departures > 0 {
 		meanUp := sim.Duration(float64(runDuration) / c.Departures)
-		for _, st := range f.shards {
-			for _, uid := range st.sc.UserIDs {
-				st.sc.scheduleUserChurn(uid, meanUp, c.MeanAbsence, horizon)
-			}
+		for _, uid := range s.UserIDs {
+			s.scheduleUserChurn(uid, meanUp, c.MeanAbsence, horizon)
 		}
 	}
 
 	if c.Arrivals > 0 {
 		meanGap := float64(runDuration) / c.Arrivals
-		sc0 := f.shards[0].sc
-		for t := sc0.expAfter(0, meanGap); t < horizon; t = sc0.expAfter(t, meanGap) {
-			f.scheduleArrival(t, userName(f.nextArrival))
+		next := s.Topo.Users
+		for t := s.expAfter(0, meanGap); t < horizon; t = s.expAfter(t, meanGap) {
+			s.scheduleArrival(t, userName(next))
+			next++
 		}
 	}
 }
 
-// scheduleArrival arms one mid-run User arrival on the shard the
-// round-robin cursor assigns it: placement continues the boot
-// round-robin (global arrival index mod S), so where a given arrival
-// lands is a pure function of its position in the arrival order,
-// independent of timing.
-func (f *Fabric) scheduleArrival(at sim.Time, name string) {
-	sc := f.shards[f.nextArrival%len(f.shards)].sc
-	f.nextArrival++
-	sc.K.At(at, func() { sc.arrive(name) })
+// scheduleArrival arms one mid-run User arrival.
+func (s *Scenario) scheduleArrival(at sim.Time, name string) {
+	s.K.At(at, func() { s.arrive(name) })
 }
 
 // scheduleUserChurn draws one User's alternating present/absent renewal

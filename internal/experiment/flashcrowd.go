@@ -23,17 +23,16 @@ type FlashCrowd struct {
 	Window sim.Duration
 }
 
-// scheduleFlashCrowds arms the arrival events of every spike, after
-// scheduleChurn, whose Poisson arrivals share the arrival cursor; flash
-// arrivals get their own names so the two never collide.
-func (f *Fabric) scheduleFlashCrowds(crowds []FlashCrowd) {
+// scheduleFlashCrowds arms the arrival events of every spike. Flash
+// arrivals get their own names, so they never collide with Poisson ones.
+func (s *Scenario) scheduleFlashCrowds(crowds []FlashCrowd) {
 	for ci, fc := range crowds {
 		for i := 0; i < fc.Users; i++ {
 			at := fc.At
 			if fc.Window > 0 {
 				at += sim.Time(int64(fc.Window) * int64(i) / int64(fc.Users))
 			}
-			f.scheduleArrival(at, flashUserName(ci, i))
+			s.scheduleArrival(at, flashUserName(ci, i))
 		}
 	}
 }

@@ -76,10 +76,9 @@ func (m frodoManager) ChangeService(mutate func(map[string]string)) {
 // newKit resolves a system's configuration — defaults, then the options'
 // mutator hook, then the hardening layer — and returns its constructors.
 // This is the only place a mutator or the hardening toggle set is
-// applied, for every scenario of every fabric shape. It runs once per
-// cold build (once per shard on a sharded fabric) on identical defaults,
-// so mutators must be deterministic — the contract workspace reuse
-// already sets.
+// applied, for every scenario. It runs once per cold build on identical
+// defaults, so mutators must be deterministic — the contract workspace
+// reuse already sets.
 func newKit(sys System, opts Options) kit {
 	switch sys {
 	case UPnP:

@@ -1,7 +1,7 @@
 package experiment
 
 import (
-	"strconv"
+	"sort"
 
 	"repro/internal/discovery"
 	"repro/internal/metrics"
@@ -147,51 +147,28 @@ type RunSpec struct {
 	// ExplicitFailures, when non-nil, replaces the λ-drawn failure plan
 	// with a fixed schedule (used by the guarantee checker and the §6.2
 	// case studies). Node indices follow the Build order: Registries
-	// first, then the Manager, then the Users; on a sharded run each
-	// outage goes to the shard its NodeID names.
+	// first, then the Manager, then the Users.
 	ExplicitFailures []netsim.InterfaceFailure
-	// MakeTracer, when set, builds a tracer for each shard's network
-	// (event logs) — once on a single-kernel run. A sharded run's tracers
-	// fire on their shards' goroutines, so they must not share
-	// unsynchronized state.
+	// MakeTracer, when set, builds a tracer for the run's network (event
+	// logs).
 	MakeTracer func(*netsim.Network) netsim.Tracer
-	// Attach, when set, observes each shard's built scenario — once on a
-	// single-kernel run — before any schedule is drawn: the run-time
-	// consistency oracle hooks its taps (tracer tee, cache-write chain,
-	// change notification) here. Attach must not consume any kernel's
-	// random stream — the churn, failure and change schedules are drawn
-	// afterwards and must replay bit for bit with and without an
-	// observer. Hooks on a remote shard's scenario fire on that shard's
-	// worker goroutine — see Fabric.ShardScenario.
+	// Attach, when set, observes the built scenario before any schedule
+	// is drawn: the run-time consistency oracle hooks its taps (tracer
+	// tee, cache-write chain, change notification) here. Attach must not
+	// consume the kernel's random stream — the churn, failure and change
+	// schedules are drawn afterwards and must replay bit for bit with and
+	// without an observer.
 	Attach func(*Scenario)
-	// Shards, when ≥ 2, partitions the run's topology across that many
-	// kernel/network pairs advancing in parallel (see fabric.go). 0 or 1
-	// is the single-kernel fabric. Sharded runs are deterministic in
-	// (Seed, Shards) and support the FRODO systems only (see Validate).
+	// Shards is ignored: every run is one kernel on one network. The
+	// field is kept so callers that still set it compile and get the
+	// single-kernel run.
 	Shards int
-	// Cross characterizes the inter-shard links of a sharded run: the
-	// minimum delay is the conservative lookahead bounding each parallel
-	// window. The zero value means netsim.DefaultCrossLink; rejected by
-	// Validate on unsharded runs.
-	Cross netsim.CrossLink
-	// Telemetry, when set, routes this run's frame, kernel and fabric
-	// metrics into the given obs registry (tee'd tracers per shard,
-	// barrier busy/stall accounting, kernel depth gauges). Nil falls back
-	// to the process default installed with SetTelemetry; nil both ways
-	// meters nothing. Metering is passive — same schedules, same results,
-	// zero allocations on the frame path.
+	// Telemetry, when set, routes this run's frame and kernel metrics
+	// into the given obs registry (a tee'd frame tracer, kernel gauges).
+	// Nil falls back to the process default installed with SetTelemetry;
+	// nil both ways meters nothing. Metering is passive — same schedules,
+	// same results, zero allocations on the frame path.
 	Telemetry *obs.Registry
-}
-
-// Validate reports whether the spec names a runnable configuration,
-// rejecting fabric shapes that cannot be built: a negative shard count,
-// a non-FRODO system on a sharded fabric, cross-link options on an
-// unsharded run or with a non-positive lookahead. Sweep-facing callers
-// (sdsweep) print the error and exit before any run starts; Run itself
-// panics on an invalid spec, since reaching it unvalidated is a
-// programming error, not a user mistake.
-func (spec RunSpec) Validate() error {
-	return validateShards(spec.System, spec.Shards, spec.Cross)
 }
 
 // Run executes one full scenario and returns the raw observations. It
@@ -210,8 +187,7 @@ func Run(spec RunSpec) metrics.RunResult {
 
 // RunInto executes one run on the caller's workspace. Sweep workers use
 // it to reuse simulation scratch across consecutive runs on one
-// goroutine. A sharded spec builds its own per-shard storage; the
-// workspace is untouched.
+// goroutine.
 func RunInto(ws *Workspace, spec RunSpec) metrics.RunResult {
 	res, _ := runInWorkspace(ws, spec)
 	return res
@@ -219,10 +195,8 @@ func RunInto(ws *Workspace, spec RunSpec) metrics.RunResult {
 
 // RunLogged executes one run with a paper-style event log attached
 // (§6.2): interface transitions, protocol annotations and — when verbose
-// — every frame. The log follows one network, so the run is
-// single-kernel whatever spec.Shards says.
+// — every frame.
 func RunLogged(spec RunSpec, verbose bool) (metrics.RunResult, []string) {
-	spec.Shards, spec.Cross = 0, netsim.CrossLink{}
 	var rec *netsim.Recorder
 	spec.MakeTracer = func(nw *netsim.Network) netsim.Tracer {
 		rec = netsim.NewRecorder(nw)
@@ -243,19 +217,16 @@ func RunLogged(spec RunSpec, verbose bool) (metrics.RunResult, []string) {
 	return res, rec.Lines()
 }
 
-// run executes one run on fresh storage; the returned Scenario (shard
-// 0's) stays valid indefinitely (RunLogged inspects it after the run).
+// run executes one run on fresh storage; the returned Scenario stays
+// valid indefinitely (RunLogged inspects it after the run).
 func run(spec RunSpec) (metrics.RunResult, *Scenario) {
 	return runInWorkspace(nil, spec)
 }
 
-// runInWorkspace is the one run path (§5 Steps 1–5) for every fabric
-// shape: build, observe, schedule the dynamics and the fault plan,
-// advance to the deadline, assemble the result.
+// runInWorkspace is the one run path (§5 Steps 1–5): build, observe,
+// schedule the dynamics and the fault plan, advance to the deadline,
+// assemble the result.
 func runInWorkspace(ws *Workspace, spec RunSpec) (metrics.RunResult, *Scenario) {
-	if err := spec.Validate(); err != nil {
-		panic(err)
-	}
 	topo := spec.Params.Topology
 	if topo.Users <= 0 {
 		topo.Users = spec.Params.Users
@@ -264,76 +235,121 @@ func runInWorkspace(ws *Workspace, spec RunSpec) (metrics.RunResult, *Scenario) 
 	if !opts.Harden.Enabled() {
 		opts.Harden = spec.Params.Hardening
 	}
-	f := buildFabric(ws, spec.System, topo, opts, spec.Seed, spec.Shards, spec.Cross)
-	defer f.Close()
+	sc := buildTopology(ws, spec.System, ws.kernel(spec.Seed), topo, opts)
 	if spec.MakeTracer != nil {
-		for _, st := range f.shards {
-			st.sc.Net.SetTracer(spec.MakeTracer(st.sc.Net))
-		}
+		sc.Net.SetTracer(spec.MakeTracer(sc.Net))
 	}
 	reg := spec.telemetry()
 	if reg != nil {
 		// Tee'd in, not installed: metering rides alongside any caller
 		// tracer and the oracle's tap, observing the same frames.
-		f.Meter(reg)
+		sc.AddTracer(reg.NetTracer(0))
 	}
 	if spec.Attach != nil {
-		// Coordinator goroutine, workers parked at their barriers: remote
-		// scenarios are safe to hook here, and the first window's channel
-		// exchange publishes the writes.
-		for _, st := range f.shards {
-			spec.Attach(st.sc)
-		}
+		spec.Attach(sc)
 	}
 	// Churn draws its whole schedule now, before the failure plan, so a
 	// given seed yields one fixed event timeline. Flash crowds draw no
 	// randomness and ride on the same arrival hook.
-	f.scheduleChurn(spec.Params.Churn, spec.Params.RunDuration)
-	f.scheduleFlashCrowds(spec.Params.FlashCrowds)
+	sc.scheduleChurn(spec.Params.Churn, spec.Params.RunDuration)
+	sc.scheduleFlashCrowds(spec.Params.FlashCrowds)
 
-	// The interface failures (§5 Step 2): one outage per node, each
-	// shard's plan drawn from its own kernel — or the caller's fixed
-	// schedule.
+	// The interface failures (§5 Step 2): one outage per node, or the
+	// caller's fixed schedule.
 	if spec.ExplicitFailures != nil {
-		f.scheduleFailures(spec.ExplicitFailures)
+		sc.Net.ScheduleFailures(spec.ExplicitFailures)
 	} else {
-		for _, st := range f.shards {
-			st.sc.Net.ScheduleFailures(netsim.PlanInterfaceFailures(st.sc.K, st.sc.AllNodeIDs(), netsim.FailurePlanConfig{
-				Lambda:      spec.Lambda,
-				WindowStart: spec.Params.FailureWindowStart,
-				WindowEnd:   spec.Params.FailureWindowEnd,
-				RunDuration: spec.Params.RunDuration,
-			}))
-		}
+		sc.Net.ScheduleFailures(netsim.PlanInterfaceFailures(sc.K, sc.AllNodeIDs(), netsim.FailurePlanConfig{
+			Lambda:      spec.Lambda,
+			WindowStart: spec.Params.FailureWindowStart,
+			WindowEnd:   spec.Params.FailureWindowEnd,
+			RunDuration: spec.Params.RunDuration,
+		}))
 	}
 	// Correlated rack outages draw after the λ plan and compose with it;
 	// a disabled config draws nothing, keeping default runs bit-identical.
-	// One plan from shard 0's kernel over the whole boot population —
-	// racks are physical, so a contiguous block may straddle shards.
 	if spec.Params.RackFailures.Enabled() {
-		f.scheduleFailures(netsim.PlanRackFailures(f.Scenario().K, f.allNodeIDs(), spec.Params.RackFailures))
+		sc.Net.ScheduleFailures(netsim.PlanRackFailures(sc.K, sc.AllNodeIDs(), spec.Params.RackFailures))
 	}
 	// Transient partitions ride on top of the failure plan; scheduling
 	// them draws no randomness, so default runs replay unchanged.
-	f.schedulePartitions(spec.Params.Partitions)
-	changeAt := f.scheduleChanges(spec.Params)
+	sc.Net.SchedulePartitions(spec.Params.Partitions)
+	changeAt := sc.scheduleChanges(spec.Params)
 
 	deadline := sim.Time(spec.Params.RunDuration)
-	f.RunUntil(deadline)
+	sc.K.RunUntil(deadline)
 
-	res := f.result(spec, changeAt, deadline)
+	res := sc.result(spec, changeAt, deadline)
 	if reg != nil {
-		for s, st := range f.shards {
-			shard := strconv.Itoa(s)
-			reg.Gauge("sd_kernel_events", "shard", shard).Set(int64(st.sc.K.Fired()))
-			reg.Gauge("sd_kernel_pending", "shard", shard).Set(int64(st.sc.K.Pending()))
-		}
+		reg.Gauge("sd_kernel_events", "shard", "0").Set(int64(sc.K.Fired()))
+		reg.Gauge("sd_kernel_pending", "shard", "0").Set(int64(sc.K.Pending()))
 	}
-	sc := f.Scenario()
-	if ws != nil && ws.fab == f {
+	if ws != nil {
 		ws.adopt(sc)
 	}
 	return res, sc
+}
+
+// scheduleChanges draws the service change time(s) C ~ U[ChangeMin,
+// ChangeMax] and arms them. With multiple changes (the frequent-update
+// extension), consistency is measured against the final version, from
+// the last change time, which is returned.
+func (s *Scenario) scheduleChanges(p Params) sim.Time {
+	n := max(p.Changes, 1)
+	times := make([]sim.Time, n)
+	for i := range times {
+		times[i] = s.K.UniformTime(p.ChangeMin, p.ChangeMax)
+	}
+	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
+	s.TargetVersion, s.rec.target = uint64(1+n), uint64(1+n)
+	for _, at := range times {
+		s.K.At(at, s.FireChange)
+	}
+	return times[n-1]
+}
+
+// result assembles the run's observations at the deadline: per-User
+// outcomes — the live Users in UserIDs order (the boot order, on a static
+// population), then the permanently departed ones whose slots were
+// recycled, with the outcomes frozen at departure — and the update
+// effort.
+func (s *Scenario) result(spec RunSpec, changeAt, deadline sim.Time) metrics.RunResult {
+	res := metrics.RunResult{
+		Lambda:   spec.Lambda,
+		Seed:     spec.Seed,
+		ChangeAt: changeAt,
+		Deadline: deadline,
+	}
+	allDone := changeAt
+	allReached := true
+	for _, uid := range s.UserIDs {
+		at, ok := s.ReachedAt(uid)
+		excluded := !ok && s.AbsentAtEnd(uid)
+		res.Users = append(res.Users, metrics.UserOutcome{User: uid, Reached: ok, At: at, Excluded: excluded})
+		switch {
+		case excluded:
+			// Churned out: no U(i,j) sample, no effort-window claim.
+		case !ok:
+			allReached = false
+		case at > allDone:
+			allDone = at
+		}
+	}
+	for _, o := range s.RetiredOutcomes() {
+		res.Users = append(res.Users, o)
+		if !o.Excluded && o.At > allDone {
+			allDone = o.At
+		}
+	}
+	winEnd := deadline
+	if allReached {
+		winEnd = min(allDone+spec.Params.EffortPad, deadline)
+	}
+	c := s.Net.Counters()
+	res.Effort = c.CountedInWindow(changeAt, winEnd)
+	res.TotalDiscoverySends = c.DiscoverySends
+	res.TotalTransport = c.TransportFrames
+	return res
 }
 
 // SeedFor derives the deterministic seed of one run.

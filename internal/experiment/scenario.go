@@ -70,8 +70,7 @@ type Scenario struct {
 	TargetVersion uint64
 
 	rec *recorder
-	// measured is the Manager hosting the measured printer (nil on a
-	// remote shard, which holds no infrastructure).
+	// measured is the Manager hosting the measured printer.
 	measured manager
 
 	// kit holds the system's role constructors; mid-run spawns (churn
@@ -116,8 +115,7 @@ type bootEntry struct {
 // bootDelay draws an entity's boot delay. Nodes boot staggered inside the
 // first seconds; discovery completes well within the failure-free first
 // 100s. Infrastructure takes the first slots, Users follow on their own
-// (usually denser) spacing — by global index, so a sharded population
-// boots as one staggered wave regardless of S.
+// (usually denser) spacing.
 func (s *Scenario) bootDelay(b bootEntry) sim.Duration {
 	t := s.Topo
 	base, spacing := sim.Duration(0), t.BootSpacing
@@ -246,30 +244,15 @@ func Build(sys System, k *sim.Kernel, nUsers int, opts Options) *Scenario {
 // Users) and its randomized per-node jitter, so default runs replay the
 // seed experiments bit-for-bit.
 func BuildTopology(sys System, k *sim.Kernel, topo Topology, opts Options) *Scenario {
-	return buildTopology(nil, sys, k, topo, opts, placement{})
+	return buildTopology(nil, sys, k, topo, opts)
 }
 
-// placement says which slice of a topology one scenario holds: shard
-// `shard` of `of`, attached to the fabric's other shards through router.
-// Shard 0 holds all infrastructure (Registries, Managers) plus every
-// `of`th User; the other shards hold Users round-robin. The zero value
-// is the whole topology on one unsharded network.
-type placement struct {
-	shard, of int
-	router    *netsim.ShardRouter
-}
-
-func (p placement) infra() bool { return p.shard == 0 }
-
-func (p placement) user(i int) bool { return p.of <= 1 || i%p.of == p.shard }
-
-// buildTopology is BuildTopology for one placement, with an optional
-// workspace: with ws set the scenario borrows the workspace's network,
-// recorder and ledgers (reset, capacity retained) instead of allocating
-// fresh ones — and, when the workspace's cached scenario already has
-// this exact shape, the whole protocol-instance graph is rearmed in
-// place instead of rebuilt. Workspaces only ever hold whole topologies.
-func buildTopology(ws *Workspace, sys System, k *sim.Kernel, topo Topology, opts Options, place placement) *Scenario {
+// buildTopology is BuildTopology with an optional workspace: with ws set
+// the scenario borrows the workspace's network, recorder and ledgers
+// (reset, capacity retained) instead of allocating fresh ones — and, when
+// the workspace's cached scenario already has this exact shape, the whole
+// protocol-instance graph is rearmed in place instead of rebuilt.
+func buildTopology(ws *Workspace, sys System, k *sim.Kernel, topo Topology, opts Options) *Scenario {
 	topo = topo.normalized(sys, 0)
 	// Invalid network options fail here, at build entry, before any
 	// simulation state is touched — never partway through a sweep.
@@ -297,11 +280,7 @@ func buildTopology(ws *Workspace, sys System, k *sim.Kernel, topo Topology, opts
 		if err != nil {
 			panic(fmt.Sprintf("experiment: %v", err)) // unreachable: netConfig validated
 		}
-		if place.router != nil {
-			sc.Net.SetShard(place.shard, place.router)
-		}
-		held := topo.Users/max(place.of, 1) + 1
-		sc.rec = &recorder{target: 2, manager: netsim.NoNode, first: make(map[netsim.NodeID]sim.Time, held)}
+		sc.rec = &recorder{target: 2, manager: netsim.NoNode, first: make(map[netsim.NodeID]sim.Time, topo.Users+1)}
 		sc.absent = map[netsim.NodeID]bool{}
 		sc.users = map[netsim.NodeID]user{}
 	}
@@ -316,28 +295,23 @@ func buildTopology(ws *Workspace, sys System, k *sim.Kernel, topo Topology, opts
 		}
 	}
 
-	if place.infra() {
-		for i := 0; i < topo.Registries; i++ {
-			name := registryName(sys, i)
-			boot(bootEntry{inst: sc.kit.registry(nw.AddNode(name), i), name: name, slot: i})
+	for i := 0; i < topo.Registries; i++ {
+		name := registryName(sys, i)
+		boot(bootEntry{inst: sc.kit.registry(nw.AddNode(name), i), name: name, slot: i})
+	}
+	for j := 0; j < topo.Managers; j++ {
+		sd := printerSD()
+		if j > 0 {
+			sd = auxSD(topo, j)
 		}
-		for j := 0; j < topo.Managers; j++ {
-			sd := printerSD()
-			if j > 0 {
-				sd = auxSD(topo, j)
-			}
-			name := managerName(j)
-			m := sc.kit.manager(nw.AddNode(name), sd)
-			if j == 0 {
-				sc.ManagerID, sc.measured = m.ID(), m
-			}
-			boot(bootEntry{inst: m, name: name, slot: topo.Registries + j})
+		name := managerName(j)
+		m := sc.kit.manager(nw.AddNode(name), sd)
+		if j == 0 {
+			sc.ManagerID, sc.measured = m.ID(), m
 		}
+		boot(bootEntry{inst: m, name: name, slot: topo.Registries + j})
 	}
 	for i := 0; i < topo.Users; i++ {
-		if !place.user(i) {
-			continue
-		}
 		name := userName(i)
 		u := sc.newUser(name, printerQuery, sc.rec)
 		boot(bootEntry{inst: u, u: u, name: name, slot: i})
@@ -430,17 +404,11 @@ func (s *Scenario) RegistryIDs() []netsim.NodeID {
 	return ids
 }
 
-// AllNodeIDs lists every node for the failure planner. On a sharded
-// fabric each shard's scenario lists its own nodes with the shard baked
-// into the IDs; unsharded networks are shard 0, where the encoding is
-// the plain table index.
+// AllNodeIDs lists every node for the failure planner.
 func (s *Scenario) AllNodeIDs() []netsim.NodeID {
-	return s.appendNodeIDs(make([]netsim.NodeID, 0, s.Net.Nodes()))
-}
-
-func (s *Scenario) appendNodeIDs(ids []netsim.NodeID) []netsim.NodeID {
-	for i := 0; i < s.Net.Nodes(); i++ {
-		ids = append(ids, netsim.MakeNodeID(s.Net.Shard(), i))
+	ids := make([]netsim.NodeID, s.Net.Nodes())
+	for i := range ids {
+		ids[i] = netsim.NodeID(i)
 	}
 	return ids
 }

@@ -4,13 +4,19 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/discovery"
+	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
-// shardSpec is a compact FRODO two-party run used by the sharding
-// tests: short horizon, mid-sweep failure rate, enough Users that every
-// shard of a 4-way split holds several.
-func shardSpec(shards int) RunSpec {
+// RunSpec.Shards is a compatibility field that every run ignores:
+// whatever it says, the run is the single kernel. These tests pin that a
+// spec carrying it gets that run — deterministic, reaching everyone,
+// honouring observers, hardening and explicit failure plans.
+
+// compactSpec is a short FRODO two-party run at a mid-sweep failure rate
+// with the given Shards value.
+func compactSpec(shards int) RunSpec {
 	return RunSpec{
 		System: Frodo2P,
 		Lambda: 0.30,
@@ -28,56 +34,175 @@ func shardSpec(shards int) RunSpec {
 	}
 }
 
-// TestShardedRunSingleShardIdentity pins the shards ∈ {0,1} contract:
-// both take the classic single-fabric path, so the results are equal
-// field for field. (The byte-level guarantee for that path is the
-// golden sweep fingerprint in perf_regress_test.go.)
+// churnSpec adds Poisson churn to compactSpec: departures with rejoin
+// plus a stream of fresh arrivals.
+func churnSpec(shards int) RunSpec {
+	spec := compactSpec(shards)
+	spec.Params.Churn = Churn{Departures: 1.5, MeanAbsence: 120 * sim.Second, Arrivals: 8}
+	return spec
+}
+
+// TestShardedRunSingleShardIdentity: a spec asking for shards runs the
+// single kernel, equal field for field to the spec that does not ask.
 func TestShardedRunSingleShardIdentity(t *testing.T) {
-	a := Run(shardSpec(0))
-	b := Run(shardSpec(1))
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("shards=1 diverged from the unsharded run:\n  shards=0: %+v\n  shards=1: %+v", a, b)
+	a := Run(compactSpec(0))
+	for _, shards := range []int{1, 2} {
+		if b := Run(compactSpec(shards)); !reflect.DeepEqual(a, b) {
+			t.Fatalf("shards=%d diverged from the unset run:\n  shards=0: %+v\n  shards=%d: %+v", shards, a, shards, b)
+		}
 	}
 }
 
-// TestShardedRunDeterminism runs the same (seed, S) twice for S = 2 and
-// S = 4 and requires identical results — the sharded fabric's windowed
-// exchange must be a deterministic function of the spec, independent of
-// goroutine scheduling.
+// TestShardedChurnSingleShardIdentity is the same contract under churn.
+func TestShardedChurnSingleShardIdentity(t *testing.T) {
+	a := Run(churnSpec(0))
+	for _, shards := range []int{1, 2} {
+		if b := Run(churnSpec(shards)); !reflect.DeepEqual(a, b) {
+			t.Fatalf("shards=%d churning run diverged from the unset run:\n  shards=0: %+v\n  shards=%d: %+v", shards, a, shards, b)
+		}
+	}
+}
+
+// TestShardedRunDeterminism runs the same spec twice and requires
+// identical results, one outcome per User.
 func TestShardedRunDeterminism(t *testing.T) {
 	for _, shards := range []int{2, 4} {
-		a := Run(shardSpec(shards))
-		b := Run(shardSpec(shards))
+		a := Run(compactSpec(shards))
+		b := Run(compactSpec(shards))
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("shards=%d: two runs of the same spec diverged:\n  first:  %+v\n  second: %+v", shards, a, b)
 		}
 		if len(a.Users) != 40 {
 			t.Fatalf("shards=%d: %d user outcomes, want 40", shards, len(a.Users))
 		}
-		for i, u := range a.Users {
-			if want := i % shards; u.User.Shard() != want {
-				t.Fatalf("shards=%d: user %d reported from shard %d, want %d", shards, i, u.User.Shard(), want)
-			}
-		}
 	}
 }
 
 // TestShardedRunPropagatesAcrossShards drops the failure rate to zero
-// and requires every User — on every shard — to reach consistency: the
-// service change is published on shard 0, so a remote User can only
-// become consistent if update propagation genuinely crossed the
-// fabric's shard boundaries.
+// and requires every User to reach consistency.
 func TestShardedRunPropagatesAcrossShards(t *testing.T) {
-	spec := shardSpec(4)
+	spec := compactSpec(4)
 	spec.Lambda = 0
 	res := Run(spec)
 	if res.Effort == 0 {
-		t.Fatalf("sharded run recorded zero update effort")
+		t.Fatalf("run recorded zero update effort")
 	}
 	for i, u := range res.Users {
 		if !u.Reached {
-			t.Fatalf("user %d (node %d, shard %d) never reached consistency in a failure-free run",
-				i, u.User, u.User.Shard())
+			t.Fatalf("user %d (node %d) never reached consistency in a failure-free run", i, u.User)
+		}
+	}
+}
+
+// TestShardedChurnDeterminism runs the same churning spec twice: the
+// whole dynamic population must be a pure function of the spec.
+func TestShardedChurnDeterminism(t *testing.T) {
+	for _, shards := range []int{2, 4} {
+		a := Run(churnSpec(shards))
+		b := Run(churnSpec(shards))
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("shards=%d: two churning runs of the same spec diverged:\n  first:  %+v\n  second: %+v", shards, a, b)
+		}
+		// Every User — initial, arrived, or retired — yields exactly one
+		// outcome, so anything past the initial 40 is a churn arrival.
+		if len(a.Users) <= 40 {
+			t.Fatalf("shards=%d: %d user outcomes, want > 40 (initial population plus arrivals)", shards, len(a.Users))
+		}
+	}
+}
+
+// TestShardedDynamicsDeterminism piles every dynamic dimension onto one
+// run — churn, a flash crowd, a healing bisect partition and correlated
+// rack failures — and requires two runs to agree exactly.
+func TestShardedDynamicsDeterminism(t *testing.T) {
+	spec := churnSpec(4)
+	spec.Params.FlashCrowds = []FlashCrowd{{At: 300 * sim.Second, Users: 12, Window: 60 * sim.Second}}
+	spec.Params.Partitions = []netsim.Partition{{Start: 400 * sim.Second, Duration: 200 * sim.Second, Bisect: true}}
+	spec.Params.RackFailures = netsim.RackPlanConfig{
+		Racks: 8, Fail: 2,
+		WindowStart: 150 * sim.Second, WindowEnd: 700 * sim.Second,
+		Duration: 120 * sim.Second, Spread: 5 * sim.Second,
+	}
+	a := Run(spec)
+	b := Run(spec)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("two runs with churn+flash+partition+racks diverged:\n  first:  %+v\n  second: %+v", a, b)
+	}
+	if len(a.Users) < 52 {
+		t.Fatalf("%d user outcomes, want ≥ 52 (40 initial + 12 flash arrivals)", len(a.Users))
+	}
+}
+
+// TestShardedExplicitFailures runs a fixed outage schedule: each outage
+// goes to the node its NodeID names, so taking both interfaces of every
+// other User down across the change window keeps exactly those Users
+// from reaching consistency.
+func TestShardedExplicitFailures(t *testing.T) {
+	spec := compactSpec(2)
+	spec.Lambda = 0
+	_, _, first := PaperLayout(Frodo2P)
+	dark := map[netsim.NodeID]bool{}
+	for i := 1; i < 40; i += 2 {
+		id := first + netsim.NodeID(i)
+		dark[id] = true
+		spec.ExplicitFailures = append(spec.ExplicitFailures, netsim.InterfaceFailure{
+			Node: id, Mode: netsim.FailBoth, Start: 50 * sim.Second, Duration: 850 * sim.Second,
+		})
+	}
+	res := Run(spec)
+	if len(res.Users) != 40 {
+		t.Fatalf("%d user outcomes, want 40", len(res.Users))
+	}
+	for i, u := range res.Users {
+		if u.Reached == dark[u.User] {
+			t.Errorf("user %d (node %d): reached=%v, dark=%v", i, u.User, u.Reached, dark[u.User])
+		}
+	}
+}
+
+// TestShardedAttachPerShard pins the Attach contract: one call on the one
+// scenario, bound to the measured Manager — and observing changes
+// nothing about the run.
+func TestShardedAttachPerShard(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		spec := compactSpec(shards)
+		bare := Run(spec)
+		calls := 0
+		_, mgr, _ := PaperLayout(Frodo2P)
+		spec.Attach = func(sc *Scenario) {
+			calls++
+			if sc.ManagerID != mgr {
+				t.Errorf("shards=%d: scenario bound to manager %d, want %d", shards, sc.ManagerID, mgr)
+			}
+		}
+		observed := Run(spec)
+		if calls != 1 {
+			t.Fatalf("shards=%d: Attach called %d times", shards, calls)
+		}
+		if !reflect.DeepEqual(bare, observed) {
+			t.Errorf("shards=%d: Attach perturbed the run", shards)
+		}
+	}
+}
+
+// TestShardedRunHonoursHardening: with all four hardening flags a spec
+// whose run differs from its baseline differs whatever Shards says, and
+// every built FRODO User carries the hardened config.
+func TestShardedRunHonoursHardening(t *testing.T) {
+	all := discovery.Hardening{StrictLease: true, JitterRetry: true, RetireBye: true, CentralRepair: true}
+	for _, shards := range []int{0, 2} {
+		spec := compactSpec(shards)
+		spec.Lambda, spec.Seed = 0.6, 7
+		base := Run(spec)
+		spec.Params.Hardening = all
+		if hard := Run(spec); reflect.DeepEqual(base, hard) {
+			t.Errorf("shards=%d: the hardened run equals the baseline run", shards)
+		}
+	}
+	sc := BuildTopology(Frodo2P, sim.New(7), Topology{Users: 8}, Options{Harden: all})
+	for _, uid := range sc.UserIDs {
+		if h := sc.users[uid].(frodoUser).Config().Harden; h != all {
+			t.Errorf("node %d built with hardening %+v", uid, h)
 		}
 	}
 }

@@ -59,14 +59,6 @@ type ScenarioSpec struct {
 	// (discovery.HardenAll); hunted fixtures commit a hardened
 	// counterpart that must replay clean.
 	Hardened bool `json:"hardened,omitempty"`
-	// Shards partitions the run across this many parallel kernel/netsim
-	// pairs (FRODO systems only); 0 or 1 is the single-fabric path.
-	Shards int `json:"shards,omitempty"`
-	// CrossMinSec/CrossMaxSec bound the inter-shard link delay of a
-	// sharded run (min is the conservative lookahead); 0 means the
-	// 0.2s/0.4s defaults. Only meaningful with shards ≥ 2.
-	CrossMinSec float64 `json:"cross_min_sec,omitempty"`
-	CrossMaxSec float64 `json:"cross_max_sec,omitempty"`
 }
 
 // SpecWindow is a [start, end) time window in seconds.
@@ -237,43 +229,12 @@ func (s *ScenarioSpec) Validate() error {
 			return fmt.Errorf("scenario: rack_failures: %w", err)
 		}
 	}
-	if s.Shards < 0 {
-		return fmt.Errorf("scenario: shards %d must not be negative", s.Shards)
-	}
-	if s.CrossMinSec < 0 || s.CrossMaxSec < 0 {
-		return fmt.Errorf("scenario: cross_min_sec/cross_max_sec must not be negative")
-	}
-	if (s.CrossMinSec > 0 || s.CrossMaxSec > 0) && s.Shards < 2 {
-		return fmt.Errorf("scenario: cross_min_sec/cross_max_sec need shards ≥ 2, got %d", s.Shards)
-	}
-	if c := s.crossLink(); c != (netsim.CrossLink{}) {
-		if err := c.Validate(); err != nil {
-			return fmt.Errorf("scenario: %w", err)
-		}
-	}
 	// The assembled options must produce a valid network configuration
 	// (catches e.g. loss+burst set together).
 	if err := s.Options().Validate(); err != nil {
 		return fmt.Errorf("scenario: link: %w", err)
 	}
 	return nil
-}
-
-// crossLink assembles the inter-shard link the spec describes; an unset
-// field inherits its DefaultCrossLink half, the all-zero spec stays the
-// zero value (meaning "defaults" downstream).
-func (s *ScenarioSpec) crossLink() netsim.CrossLink {
-	if s.CrossMinSec == 0 && s.CrossMaxSec == 0 {
-		return netsim.CrossLink{}
-	}
-	c := netsim.DefaultCrossLink()
-	if s.CrossMinSec > 0 {
-		c.MinDelay = secsDur(s.CrossMinSec)
-	}
-	if s.CrossMaxSec > 0 {
-		c.MaxDelay = secsDur(s.CrossMaxSec)
-	}
-	return c
 }
 
 func (l SpecLink) validate() error {
@@ -403,7 +364,5 @@ func (s *ScenarioSpec) RunSpec(sys System) RunSpec {
 		Seed:   s.Seed,
 		Params: s.Params(),
 		Opts:   s.Options(),
-		Shards: s.Shards,
-		Cross:  s.crossLink(),
 	}
 }

@@ -70,6 +70,9 @@ func TestSpecValidateFieldPaths(t *testing.T) {
 		{"racks", `{"rack_failures": {"racks": 2, "fail": 5, "duration_sec": 10}}`, "rack"},
 		{"failure window", `{"failure_window": {"start_sec": 100, "end_sec": 50}}`, "failure_window"},
 		{"changes", `{"changes": -1}`, "changes"},
+		{"shards", `{"shards": 2}`, "shards"},
+		{"cross_min_sec", `{"cross_min_sec": 0.5}`, "cross_min_sec"},
+		{"cross_max_sec", `{"cross_max_sec": 0.5}`, "cross_max_sec"},
 	}
 	for _, c := range cases {
 		_, err := ParseSpec(strings.NewReader(c.json))

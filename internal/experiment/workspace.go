@@ -30,9 +30,8 @@ import (
 // Scenario returned by a run borrows the workspace's storage — it is
 // valid only until the workspace's next run.
 type Workspace struct {
-	k   *sim.Kernel
-	nw  *netsim.Network
-	fab *Fabric
+	k  *sim.Kernel
+	nw *netsim.Network
 
 	rec     recorder
 	absent  map[netsim.NodeID]bool
@@ -84,22 +83,6 @@ func (ws *Workspace) kernel(seed int64) *sim.Kernel {
 		ws.k.Reset(seed)
 	}
 	return ws.k
-}
-
-// fabric returns a Fabric of n blank shards: the workspace's own
-// single-shard one, kept across runs, or without a workspace a fresh one.
-func (ws *Workspace) fabric(n int) *Fabric {
-	if ws != nil && ws.fab != nil {
-		return ws.fab
-	}
-	f := &Fabric{shards: make([]*shardState, n)}
-	for s := range f.shards {
-		f.shards[s] = &shardState{}
-	}
-	if ws != nil {
-		ws.fab = f
-	}
-	return f
 }
 
 // network returns the workspace network reset for kernel k. The config

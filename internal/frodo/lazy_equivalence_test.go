@@ -38,13 +38,13 @@ func eagerRegistries(sc *experiment.Scenario) {
 // the Backup timeout and the Central lease, so Backups take over and
 // elections re-run; the dynamics arms add churn, then a flash crowd, a
 // bisect partition and rack failures on top.
-func lazySpec(sys experiment.System, dynamics string, shards int, seed int64, harden bool) experiment.RunSpec {
+func lazySpec(sys experiment.System, dynamics string, seed int64, harden bool) experiment.RunSpec {
 	p := experiment.DefaultParams()
 	p.Users = 40
 	if harden {
 		p.Hardening = discovery.HardenAll()
 	}
-	spec := experiment.RunSpec{System: sys, Lambda: 0.30, Seed: seed, Shards: shards}
+	spec := experiment.RunSpec{System: sys, Lambda: 0.30, Seed: seed}
 	switch dynamics {
 	case "takeover":
 		spec.Lambda = 0.60
@@ -67,51 +67,49 @@ func lazySpec(sys experiment.System, dynamics string, shards int, seed int64, ha
 // TestLazyRegistryMatchesEager: materialising the Registry capability on
 // first need gives the RunResult that building it into every 300D node
 // gave — both FRODO systems, baseline and hardened, static and dynamic
-// populations, one kernel and two shards, through a cold build and a
-// Workspace rearm (a sharded fabric builds cold every time).
+// populations, through a cold build and a Workspace rearm. Six seeds,
+// because a skipped AppointBackup on a node without the capability shows
+// in only a few cells per seed (15 of the 96 here).
 func TestLazyRegistryMatchesEager(t *testing.T) {
 	for _, sys := range []experiment.System{experiment.Frodo3P, experiment.Frodo2P} {
 		for _, harden := range []bool{false, true} {
 			for _, dynamics := range []string{"static", "takeover", "churn", "churn+flash+bisect+racks"} {
-				for _, shards := range []int{1, 2} {
-					for seed := int64(42); seed <= 44; seed++ {
-						name := fmt.Sprintf("%s/harden=%v/%s/S%d/seed%d", sys.Short(), harden, dynamics, shards, seed)
-						lazy := lazySpec(sys, dynamics, shards, seed, harden)
-						eager := lazy
-						eager.Attach = eagerRegistries
-						// atBuild counts the capabilities that exist when a run
-						// starts: none on a cold build; on a rearm, what the
-						// previous run's elections and failures materialised.
-						atBuild := 0
-						lazy.Attach = func(sc *experiment.Scenario) {
-							eachFrodoNode(sc, func(nd *frodo.Node) {
-								if nd.Registry() != nil {
-									atBuild++
-								}
-							})
-						}
-
-						lazyWS, eagerWS := experiment.NewWorkspace(), experiment.NewWorkspace()
-						want := experiment.RunInto(eagerWS, eager)
-						check := func(how string, got any) {
-							if !reflect.DeepEqual(got, want) {
-								t.Errorf("%s: %s differs from the eager cold build:\n got  %+v\n want %+v", name, how, got, want)
+				for seed := int64(42); seed <= 47; seed++ {
+					name := fmt.Sprintf("%s/harden=%v/%s/seed%d", sys.Short(), harden, dynamics, seed)
+					lazy := lazySpec(sys, dynamics, seed, harden)
+					eager := lazy
+					eager.Attach = eagerRegistries
+					// atBuild counts the capabilities that exist when a run
+					// starts: none on a cold build; on a rearm, what the
+					// previous run's elections and failures materialised.
+					atBuild := 0
+					lazy.Attach = func(sc *experiment.Scenario) {
+						eachFrodoNode(sc, func(nd *frodo.Node) {
+							if nd.Registry() != nil {
+								atBuild++
 							}
+						})
+					}
+
+					lazyWS, eagerWS := experiment.NewWorkspace(), experiment.NewWorkspace()
+					want := experiment.RunInto(eagerWS, eager)
+					check := func(how string, got any) {
+						if !reflect.DeepEqual(got, want) {
+							t.Errorf("%s: %s differs from the eager cold build:\n got  %+v\n want %+v", name, how, got, want)
 						}
-						check("eager rearmed", experiment.RunInto(eagerWS, eager))
-						check("lazy cold", experiment.RunInto(lazyWS, lazy))
-						if atBuild != 0 {
-							t.Errorf("%s: %d Registry capabilities exist before the first election", name, atBuild)
-						}
-						check("lazy rearmed", experiment.RunInto(lazyWS, lazy))
-						// A sharded fabric builds cold every time; a rearmed
-						// single kernel keeps the capabilities of whoever held the
-						// role — under λ = 0.3 the Central, the Backup and a few
-						// nodes that elected themselves while deaf, never the
-						// population's.
-						if shards == 1 && (atBuild < 1 || dynamics == "static" && atBuild > 10) {
-							t.Errorf("%s: %d of the 43 boot nodes carry a Registry capability into the rearm", name, atBuild)
-						}
+					}
+					check("eager rearmed", experiment.RunInto(eagerWS, eager))
+					check("lazy cold", experiment.RunInto(lazyWS, lazy))
+					if atBuild != 0 {
+						t.Errorf("%s: %d Registry capabilities exist before the first election", name, atBuild)
+					}
+					check("lazy rearmed", experiment.RunInto(lazyWS, lazy))
+					// A rearmed kernel keeps the capabilities of whoever held
+					// the role — under λ = 0.3 the Central, the Backup and a
+					// few nodes that elected themselves while deaf, never the
+					// population's.
+					if atBuild < 1 || dynamics == "static" && atBuild > 10 {
+						t.Errorf("%s: %d of the 43 boot nodes carry a Registry capability into the rearm", name, atBuild)
 					}
 				}
 			}

@@ -100,11 +100,10 @@ func Replay(f *Fixture) (verify.OracleReport, error) {
 	return rep, err
 }
 
-// ReplayTraced is Replay with flight recorders riding along: one
-// ring of ringSize recent trace events per shard (one total on an
-// unsharded fixture), frozen at the oracle's first violation so the
-// rings hold the lead-up, not the aftermath. sdverify dumps the
-// returned snapshots when a fixture replays dirty. ringSize ≤ 0 means
+// ReplayTraced is Replay with a flight recorder riding along: a ring of
+// ringSize recent trace events, frozen at the oracle's first violation
+// so it holds the lead-up, not the aftermath. sdverify dumps the
+// returned snapshot when a fixture replays dirty. ringSize ≤ 0 means
 // obs.DefaultFlightSize.
 func ReplayTraced(f *Fixture, ringSize int) (verify.OracleReport, []obs.FlightSnapshot, error) {
 	if ringSize <= 0 {
@@ -120,27 +119,15 @@ func replay(f *Fixture, ringSize int) (verify.OracleReport, []obs.FlightSnapshot
 	}
 	spec := f.Scenario.RunSpec(sys)
 	cfg := verify.DefaultOracleConfig(sys)
-	var recorders []*obs.FlightRecorder
+	var snaps []obs.FlightSnapshot
+	var fr *obs.FlightRecorder
 	if ringSize > 0 {
-		// MakeTracer runs once per shard's network (and exactly once on an
-		// unsharded run), so the recorder list matches the fabric shape.
-		// Freeze is an atomic flag flip, safe from whichever shard's worker
-		// goroutine detects the violation; the rings are read only after
-		// the run joins every worker.
-		spec.MakeTracer = func(nw *netsim.Network) netsim.Tracer {
-			fr := obs.NewFlightRecorder(len(recorders), ringSize)
-			recorders = append(recorders, fr)
-			return fr
-		}
-		cfg.OnViolation = func(v verify.OracleViolation) {
-			for _, fr := range recorders {
-				fr.Freeze(v.String())
-			}
-		}
+		fr = obs.NewFlightRecorder(0, ringSize)
+		spec.MakeTracer = func(*netsim.Network) netsim.Tracer { return fr }
+		cfg.OnViolation = func(v verify.OracleViolation) { fr.Freeze(v.String()) }
 	}
 	rep, _ := verify.ObserveRun(spec, cfg)
-	var snaps []obs.FlightSnapshot
-	for _, fr := range recorders {
+	if fr != nil {
 		snaps = append(snaps, fr.Snapshot())
 	}
 	if err := checkExpect(f, rep); err != nil {

@@ -60,22 +60,10 @@ type Config struct {
 	// Seed derives the kernel's random stream. 0 means 1.
 	Seed int64
 	// Dilation maps virtual onto wall-clock time: wall seconds per
-	// virtual second. 1.0 serves in real time; 0.001 runs the fabric a
-	// thousandfold faster, so second-scale protocol timers land on
+	// virtual second. 1.0 serves in real time; 0.001 runs the simulation
+	// a thousandfold faster, so second-scale protocol timers land on
 	// millisecond-scale wall latencies. 0 means 1.0.
 	Dilation float64
-	// Shards, when ≥ 2, serves the scenario from a sharded fabric: Users
-	// spread round-robin across S kernel/network pairs advancing in
-	// parallel, infrastructure and gateway-facing spawns on shard 0.
-	// FRODO systems only. Remote shards' Users are measured (and audited
-	// by per-shard oracles) but not reachable through the gateway's
-	// subscribe/notify taps, which observe shard 0. 0 or 1 serves the
-	// single-kernel fabric.
-	Shards int
-	// CrossLink characterizes the inter-shard links of a sharded fabric
-	// (minimum delay = conservative lookahead). The zero value means
-	// netsim.DefaultCrossLink; New rejects it when Shards < 2.
-	CrossLink netsim.CrossLink
 	// Oracle, when non-nil, attaches the run-time consistency oracle to
 	// the live driver via the tracer tee; zero fields take the system's
 	// defaults. The gateway exposes the report at /v1/oracle.
@@ -83,16 +71,16 @@ type Config struct {
 	// Attach, when set, observes the built scenario before the clock
 	// starts (extra tracers, test instrumentation).
 	Attach func(*experiment.Scenario)
-	// Telemetry is the metrics registry the driver feeds (frame counters
-	// per shard, barrier accounting, kernel gauges, oracle near-misses).
+	// Telemetry is the metrics registry the driver feeds (frame counters,
+	// kernel gauges, oracle near-misses).
 	// Nil means a fresh private registry — deliberately NOT the
 	// experiment package's process default, so a daemon's live series
 	// never interleave with a sweep's. Read it back with
 	// Driver.Telemetry; the gateway serves it at /metrics.
 	Telemetry *obs.Registry
-	// FlightSize is the per-shard flight-recorder ring capacity (recent
-	// trace events, dumped on oracle violation or operator signal).
-	// 0 means obs.DefaultFlightSize; negative disables the recorders.
+	// FlightSize is the flight-recorder ring capacity (recent trace
+	// events, dumped on oracle violation or operator signal).
+	// 0 means obs.DefaultFlightSize; negative disables the recorder.
 	FlightSize int
 }
 
@@ -101,20 +89,15 @@ type Config struct {
 // Start all access to simulation state must go through Inject or Call.
 type Driver struct {
 	cfg Config
-	fab *experiment.Fabric
-	k   *sim.Kernel          // shard 0's kernel
-	sc  *experiment.Scenario // shard 0's scenario: infrastructure, gateway spawns, taps
+	k   *sim.Kernel
+	sc  *experiment.Scenario
 
-	// oracles holds every oracle AttachOracle hooked up, one per shard.
-	// Reports are merged.
-	oracles []*verify.Oracle
-
-	// reg is the telemetry registry (never nil after New); flights holds
-	// one flight recorder per shard, nil when disabled. Ring memory is
-	// plain; snapshot via FlightDump (event loop or post-stop only).
+	// reg is the telemetry registry (never nil after New); flight is the
+	// flight recorder, nil when disabled. Ring memory is plain; snapshot
+	// via FlightDump (event loop or post-stop only).
 	reg     *obs.Registry
-	flights []*obs.FlightRecorder
-	pending *obs.Gauge // shard 0 kernel queue depth, set each loop pass
+	flight  *obs.FlightRecorder
+	pending *obs.Gauge // kernel queue depth, set each loop pass
 
 	inj      chan func()
 	stopCh   chan struct{}
@@ -176,26 +159,21 @@ func New(cfg Config) (*Driver, error) {
 		stopCh: make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	fab, err := experiment.BuildFabric(cfg.System, topo, cfg.Options, cfg.Seed, cfg.Shards, cfg.CrossLink)
-	if err != nil {
+	if err := cfg.Options.Validate(); err != nil {
 		return nil, fmt.Errorf("live: %w", err)
 	}
-	d.fab = fab
-	d.sc = fab.Scenario()
-	d.k = d.sc.K
-	// Telemetry: per-shard frame metering, barrier accounting and flight
-	// recorders ride the tracer tee.
+	d.k = sim.New(cfg.Seed)
+	d.sc = experiment.BuildTopology(cfg.System, d.k, topo, cfg.Options)
+	// Telemetry: frame metering and the flight recorder ride the tracer
+	// tee.
 	d.reg = cfg.Telemetry
 	if d.reg == nil {
 		d.reg = obs.NewRegistry()
 	}
-	fab.Meter(d.reg)
+	d.sc.AddTracer(d.reg.NetTracer(0))
 	if cfg.FlightSize >= 0 {
-		for s := 0; s < fab.Shards(); s++ {
-			fr := obs.NewFlightRecorder(s, cfg.FlightSize)
-			fab.ShardScenario(s).AddTracer(fr)
-			d.flights = append(d.flights, fr)
-		}
+		d.flight = obs.NewFlightRecorder(0, cfg.FlightSize)
+		d.sc.AddTracer(d.flight)
 	}
 	d.pending = d.reg.Gauge("sd_kernel_pending", "shard", "0")
 	d.reg.GaugeFunc("sd_live_virtual_seconds", func() float64 {
@@ -244,81 +222,46 @@ func (d *Driver) OnChange(fn func()) {
 }
 
 // AttachOracle hooks a run-time consistency oracle onto the live
-// scenario. Every shard gets its own oracle on its tracer tee (a remote
-// shard's frames fire on its worker goroutine), all auditing against one
-// shared publication counter; oracleReport merges them. Shard 0's — the
-// one returned — listens through the driver's fanned-out cache-write and
-// change taps, which the gateway shares. Before Start only; read reports
-// via Call once the driver runs.
+// scenario: the tracer tee plus the driver's fanned-out cache-write and
+// change taps, which the gateway shares. Before Start only; read its
+// report via Call once the driver runs.
 func (d *Driver) AttachOracle(cfg verify.OracleConfig) *verify.Oracle {
 	d.mustNotBeStarted()
-	// The first violation freezes every flight recorder, preserving the
-	// lead-up in the rings. Freeze is an atomic flag flip, safe from a
-	// remote shard's worker goroutine; the hook composes with any caller
-	// hook already in cfg.
-	if len(d.flights) > 0 {
+	// The first violation freezes the flight recorder, preserving the
+	// lead-up in the ring; the hook composes with any caller hook
+	// already in cfg.
+	if fr := d.flight; fr != nil {
 		prev := cfg.OnViolation
-		flights := d.flights
 		cfg.OnViolation = func(v verify.OracleViolation) {
-			for _, fr := range flights {
-				fr.Freeze(v.String())
-			}
+			fr.Freeze(v.String())
 			if prev != nil {
 				prev(v)
 			}
 		}
 	}
-	first := len(d.oracles)
-	shared := new(atomic.Uint64)
-	for s := 0; s < d.fab.Shards(); s++ {
-		ssc := d.fab.ShardScenario(s)
-		o := verify.NewOracle(ssc.K, ssc.ManagerID, cfg)
-		o.SharePublished(shared)
-		o.MetricsInto(d.reg, s)
-		ssc.AddTracer(o)
-		if s == 0 {
-			d.listeners = append(d.listeners, o)
-			d.changeHooks = append(d.changeHooks, o.NotePublished)
-		} else {
-			ssc.TapConsistency(o)
-		}
-		d.oracles = append(d.oracles, o)
-	}
-	return d.oracles[first]
+	o := verify.NewOracle(d.k, d.sc.ManagerID, cfg)
+	o.MetricsInto(d.reg, 0)
+	d.sc.AddTracer(o)
+	d.listeners = append(d.listeners, o)
+	d.changeHooks = append(d.changeHooks, o.NotePublished)
+	return o
 }
 
-// FlightDump snapshots every shard's flight-recorder ring: through the
-// event loop while the driver runs (every worker parked at its
-// barrier), directly once it has stopped. Nil when recorders are
-// disabled.
+// FlightDump snapshots the flight-recorder ring: through the event loop
+// while the driver runs, directly once it has stopped. Nil when the
+// recorder is disabled.
 func (d *Driver) FlightDump() []obs.FlightSnapshot {
-	if len(d.flights) == 0 {
+	if d.flight == nil {
 		return nil
 	}
-	var snaps []obs.FlightSnapshot
-	take := func() {
-		for _, fr := range d.flights {
-			snaps = append(snaps, fr.Snapshot())
-		}
-	}
+	var snap obs.FlightSnapshot
+	take := func() { snap = d.flight.Snapshot() }
 	if err := d.Call(take); err != nil {
-		// Stopped: the loop is gone and every shard worker has joined, so
-		// the rings' plain memory is safe to read directly.
+		// Stopped: the loop is gone, so the ring's plain memory is safe
+		// to read directly.
 		take()
 	}
-	return snaps
-}
-
-// oracleReport merges every attached oracle's report. It touches
-// per-shard oracle state, so it must run on the event-loop goroutine
-// between windows (via Call) or after the driver has stopped — both
-// points where every shard worker is parked at its barrier.
-func (d *Driver) oracleReport() verify.OracleReport {
-	reps := make([]verify.OracleReport, len(d.oracles))
-	for i, o := range d.oracles {
-		reps[i] = o.Report()
-	}
-	return verify.MergeReports(reps...)
+	return []obs.FlightSnapshot{snap}
 }
 
 func (d *Driver) mustNotBeStarted() {
@@ -367,7 +310,6 @@ func (d *Driver) Stop() {
 			d.deadMu.Lock()
 			d.dead = true
 			d.deadMu.Unlock()
-			d.fab.Close()
 			close(d.done)
 		}
 	})
@@ -378,7 +320,7 @@ func (d *Driver) Stop() {
 // current virtual instant, after all events due before it. Safe from
 // any goroutine. Injection order is preserved (one FIFO channel), and
 // a full queue blocks the caller — natural backpressure against a
-// gateway outrunning the fabric. A nil return means fn has run or is
+// gateway outrunning the simulation. A nil return means fn has run or is
 // guaranteed to run (the shutdown drain executes whatever was
 // accepted); ErrStopped means it was not accepted.
 func (d *Driver) Inject(fn func()) error {
@@ -436,7 +378,7 @@ func (d *Driver) Stats() Stats {
 
 // run is the event loop: advance the kernel to the wall clock's virtual
 // position, drain injections, sleep until the next event is due or an
-// injection arrives. When the fabric falls behind the wall clock (a
+// injection arrives. When the kernel falls behind the wall clock (a
 // burst of events at small dilation), it catches up as fast as the CPU
 // allows — time dilation is a target, not a guarantee.
 func (d *Driver) run() {
@@ -451,13 +393,12 @@ func (d *Driver) run() {
 			case fn := <-d.inj:
 				fn()
 			default:
-				d.fab.Close()
 				close(d.done)
 				return
 			}
 		}
 	}()
-	tm := newTimeMap(time.Now(), d.fab.Now(), d.cfg.Dilation)
+	tm := newTimeMap(time.Now(), d.k.Now(), d.cfg.Dilation)
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
 	for {
@@ -466,11 +407,10 @@ func (d *Driver) run() {
 			return
 		default:
 		}
-		d.fab.RunUntil(tm.vAt(time.Now()))
-		d.vnow.Store(int64(d.fab.Now()))
-		d.fired.Store(d.fab.Fired())
-		// Shard 0's queue depth, read here on the goroutine that owns it
-		// (a sharded fabric also publishes every shard's at each barrier).
+		d.k.RunUntil(tm.vAt(time.Now()))
+		d.vnow.Store(int64(d.k.Now()))
+		d.fired.Store(d.k.Fired())
+		// The queue depth, read here on the goroutine that owns it.
 		d.pending.Set(int64(d.k.Pending()))
 		// Drain queued injections; each runs at the current instant and
 		// may schedule fresh events, picked up by the next pass.
@@ -484,13 +424,13 @@ func (d *Driver) run() {
 			}
 		}
 		var wait time.Duration
-		if next, ok := d.fab.NextEventTime(); ok {
+		if next, ok := d.k.NextEventTime(); ok {
 			wait = time.Until(tm.wallAt(next))
 			if wait <= 0 {
 				continue
 			}
 		} else {
-			// Idle fabric (cannot normally happen — leases and announce
+			// Idle kernel (cannot normally happen — leases and announce
 			// trains are always pending): poll for injections.
 			wait = 100 * time.Millisecond
 		}
@@ -532,7 +472,7 @@ func newTimeMap(t0 time.Time, v0 sim.Time, dilation float64) timeMap {
 	return timeMap{t0: t0, v0: v0, num: uint64(num)}
 }
 
-// vAt maps a wall instant to the virtual time the fabric should have
+// vAt maps a wall instant to the virtual time the kernel should have
 // reached. Instants before t0 clamp to v0: the mapping never goes
 // backwards, preserving the non-decreasing RunUntil targets the kernel's
 // resumable drain relies on.

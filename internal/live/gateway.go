@@ -574,7 +574,7 @@ func (gw *Gateway) handleOracle(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var rep verify.OracleReport
-	if err := gw.d.Call(func() { rep = gw.d.oracleReport() }); err != nil {
+	if err := gw.d.Call(func() { rep = gw.oracle.Report() }); err != nil {
 		gw.fail(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}

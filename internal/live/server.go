@@ -48,10 +48,10 @@ func (s *Server) OracleReport() (verify.OracleReport, bool) {
 		return verify.OracleReport{}, false
 	}
 	var rep verify.OracleReport
-	if err := s.Driver.Call(func() { rep = s.Driver.oracleReport() }); err != nil {
-		// Driver stopped: the loop is gone (and every shard worker is
-		// parked), so single-threaded access is safe again.
-		rep = s.Driver.oracleReport()
+	if err := s.Driver.Call(func() { rep = s.oracle.Report() }); err != nil {
+		// Driver stopped: the loop is gone, so single-threaded access is
+		// safe again.
+		rep = s.oracle.Report()
 	}
 	return rep, true
 }

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/experiment"
 	"repro/internal/obs"
-	"repro/internal/verify"
 )
 
 func scrape(t *testing.T, addr, path string) (int, string) {
@@ -74,8 +73,8 @@ func TestGatewayMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// The flight endpoint dumps one ring per shard as JSON; pprof serves
-// its index from the gateway mux.
+// The flight endpoint dumps the ring as JSON; pprof serves its index
+// from the gateway mux.
 func TestGatewayFlightAndPprof(t *testing.T) {
 	srv, cl := serveTest(t, experiment.Frodo2P)
 	if _, err := cl.Attach(ServiceQuery{Service: "Printer"}); err != nil {
@@ -91,7 +90,7 @@ func TestGatewayFlightAndPprof(t *testing.T) {
 		t.Fatalf("/debug/flight not JSON: %v", err)
 	}
 	if len(snaps) != 1 {
-		t.Fatalf("snapshots = %d, want 1 (single fabric)", len(snaps))
+		t.Fatalf("snapshots = %d, want 1", len(snaps))
 	}
 	if snaps[0].Total == 0 {
 		t.Error("flight ring recorded nothing on a live fabric")
@@ -147,45 +146,5 @@ func TestGatewayCounterSnapshotNotTorn(t *testing.T) {
 	// Stats mirrors the registry once quiesced.
 	if s := gw.Stats(); s.Ops != workers*per || s.NotifySent != workers*per {
 		t.Fatalf("Stats() = %+v after %d ops", s, workers*per)
-	}
-}
-
-// A sharded live driver populates per-shard fabric series and dumps one
-// flight ring per shard.
-func TestLiveShardedTelemetry(t *testing.T) {
-	ocfg := verify.DefaultOracleConfig(experiment.Frodo2P)
-	srv, err := Serve(Config{
-		System:   experiment.Frodo2P,
-		Topology: experiment.Topology{Users: 6},
-		Seed:     7,
-		Dilation: 1e-5,
-		Shards:   2,
-		Oracle:   &ocfg,
-	}, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cl := NewClient(srv.Addr())
-	waitVirtual(t, cl, 600)
-	_, body := scrape(t, srv.Addr(), "/metrics")
-	for _, want := range []string{
-		`sd_frames_sent_total{shard="1"}`,
-		`sd_shard_busy_nanos_total{shard="1"}`,
-		`sd_shard_barrier_stall_nanos_total{shard="0"}`,
-		"sd_fabric_windows_total",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("sharded /metrics missing %q", want)
-		}
-	}
-	snaps := srv.Driver.FlightDump()
-	if len(snaps) != 2 {
-		t.Fatalf("flight snapshots = %d, want one per shard", len(snaps))
-	}
-	for _, s := range snaps {
-		if s.Total == 0 {
-			t.Errorf("shard %d flight ring empty", s.Shard)
-		}
 	}
 }

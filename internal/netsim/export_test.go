@@ -19,8 +19,7 @@ type everyoneListens struct {
 
 // ListenToEverything turns nw into the everyone-listens reference and
 // returns the tracer to install on it. (A member that joins between two
-// multicast sends of its own network is scoped until the second; a frame
-// ingested from another shard in between sees its real declaration.)
+// multicast sends is scoped until the second.)
 func ListenToEverything(nw *Network, handled Tracer) Tracer {
 	r := &everyoneListens{nw: nw, handled: handled, declined: make(map[NodeID]TopicSet)}
 	r.widen()

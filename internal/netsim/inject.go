@@ -17,11 +17,10 @@ import "fmt"
 
 // checkNode validates one injection endpoint.
 func (nw *Network) checkNode(id NodeID, role string) error {
-	i := nw.local(id)
-	if i < 0 || i >= len(nw.nodes) {
+	if !nw.known(id) {
 		return fmt.Errorf("netsim: inject: unknown %s node %d", role, id)
 	}
-	if nw.nodes[i].retired {
+	if nw.nodes[id].retired {
 		return fmt.Errorf("netsim: inject: %s node %d is retired", role, id)
 	}
 	return nil

@@ -306,7 +306,7 @@ func (nw *Network) linkLose(to NodeID) bool {
 // geLose advances the receiver's Gilbert–Elliott chain by one frame.
 func (nw *Network) geLose(to NodeID) bool {
 	b := nw.cfg.Link.Burst
-	st := &nw.geState[nw.local(to)]
+	st := &nw.geState[to]
 	var lost bool
 	if *st == geBad {
 		lost = nw.k.Rand().Float64() < b.BadLoss

@@ -7,31 +7,12 @@ package netsim
 
 import "repro/internal/sim"
 
-// NodeID identifies a node on the simulated LAN. In a sharded fabric the
-// upper bits carry the owning shard and the lower shardShift bits the
-// node's index in that shard's table; an unsharded network is shard 0,
-// where the encoding degenerates to the plain table index, so IDs (and
-// every stream derived from them) are unchanged for single-fabric runs.
+// NodeID identifies a node on the simulated LAN: its index in the
+// network's node table.
 type NodeID int
 
 // NoNode is the zero NodeID, used where a sender or receiver is absent.
 const NoNode NodeID = -1
-
-// shardShift splits a NodeID into (shard, local): 4 billion nodes per
-// shard, with shard 0 encoding identical to the unsharded scheme.
-const shardShift = 32
-
-// MakeNodeID composes a NodeID from a shard and a per-shard node index.
-func MakeNodeID(shard, local int) NodeID {
-	return NodeID(shard<<shardShift | local)
-}
-
-// Shard reports the shard that owns the node. NoNode reports -1 (the
-// arithmetic shift keeps it out of every real shard).
-func (id NodeID) Shard() int { return int(id >> shardShift) }
-
-// Local reports the node's index in its shard's table.
-func (id NodeID) Local() int { return int(id) & (1<<shardShift - 1) }
 
 // Group identifies a multicast group.
 type Group int

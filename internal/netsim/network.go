@@ -150,26 +150,17 @@ type Network struct {
 	delayTable []sim.Duration
 	delayKey   delayTableKey
 	// Partition state (see partition.go): the side bitmap of the active
-	// split, the activation record that owns it, the arena of scheduled
-	// transitions, and — on sharded networks only — the side-B membership
-	// of nodes owned by other shards, which the local bitmap cannot index.
-	partActive  bool
-	partOwner   *partEvent
-	partSideB   []bool
-	partRemoteB map[NodeID]bool
-	partEvents  []*partEvent
-	partNext    int
+	// split, the activation record that owns it, and the arena of
+	// scheduled transitions.
+	partActive bool
+	partOwner  *partEvent
+	partSideB  []bool
+	partEvents []*partEvent
+	partNext   int
 
-	// Sharded-fabric state (see shard.go): the shard this network is,
-	// the NodeID base its table indexes from, the egress router for
-	// frames addressed to other shards. router == nil is the unsharded
-	// fast path: a single nil check per send, no other change.
-	shard  int
-	idBase int
-	router *ShardRouter
 	// acctScratch is the Message used to account sends that own no frame
-	// record (cross-shard sends, the discovery-layer send of a TCP
-	// transfer) without allocating one.
+	// record (the discovery-layer send of a TCP transfer) without
+	// allocating one.
 	acctScratch Message
 }
 
@@ -222,10 +213,6 @@ func (nw *Network) Reset(k *sim.Kernel, cfg Config) {
 	nw.partActive = false
 	nw.partOwner = nil
 	nw.partNext = 0
-	clear(nw.partRemoteB)
-	nw.shard = 0
-	nw.idBase = 0
-	nw.router = nil
 	nw.prepareLink()
 }
 
@@ -250,12 +237,6 @@ func (nw *Network) Rearm(k *sim.Kernel, cfg Config, keep int) {
 	if keep > len(nw.nodes) {
 		panic("netsim: Rearm keep exceeds node count")
 	}
-	if nw.router != nil {
-		// The kept slots' IDs encode the shard, but the router and its
-		// peers are gone after the run; sharded workspaces are invalidated
-		// instead of reused, so a rearm here is a caller bug.
-		panic("netsim: sharded networks cannot be rearmed")
-	}
 	nw.k = k
 	nw.cfg = cfg
 	nw.park(nw.nodes[keep:])
@@ -267,7 +248,6 @@ func (nw *Network) Rearm(k *sim.Kernel, cfg Config, keep int) {
 		n.txUp = true
 		n.rxUp = true
 		n.retired = false
-		n.attachedAt = 0 // kept slots are boot-time nodes of the new run
 		n.ep = nil
 		n.onInterfaceChange = nil
 	}
@@ -281,7 +261,6 @@ func (nw *Network) Rearm(k *sim.Kernel, cfg Config, keep int) {
 	nw.partActive = false
 	nw.partOwner = nil
 	nw.partNext = 0
-	clear(nw.partRemoteB)
 	nw.prepareLink()
 }
 
@@ -319,18 +298,16 @@ func (nw *Network) AddNode(name string) *Node {
 	if n := len(nw.retired); n > 0 {
 		id := nw.retired[n-1]
 		nw.retired = nw.retired[:n-1]
-		local := nw.local(id)
-		node := nw.nodes[local]
-		*node = Node{ID: id, Name: name, txUp: true, rxUp: true, net: nw,
-			gen: node.gen + 1, attachedAt: nw.k.Now()}
+		node := nw.nodes[id]
+		*node = Node{ID: id, Name: name, txUp: true, rxUp: true, net: nw, gen: node.gen + 1}
 		if nw.burstOn {
-			nw.geState[local] = geGood // a fresh tenant starts a fresh chain
+			nw.geState[id] = geGood // a fresh tenant starts a fresh chain
 		}
-		if local < len(nw.partSideB) {
+		if int(id) < len(nw.partSideB) {
 			// A recycled slot's new tenant is a fresh arrival: it lands on
 			// side A of any active partition, like every post-activation
 			// attach, instead of inheriting its predecessor's side.
-			nw.partSideB[local] = false
+			nw.partSideB[id] = false
 		}
 		nw.traceNode(id, "attached")
 		return node
@@ -343,8 +320,7 @@ func (nw *Network) AddNode(name string) *Node {
 	} else {
 		n = &Node{}
 	}
-	*n = Node{ID: MakeNodeID(nw.shard, len(nw.nodes)), Name: name,
-		txUp: true, rxUp: true, net: nw, attachedAt: nw.k.Now()}
+	*n = Node{ID: NodeID(len(nw.nodes)), Name: name, txUp: true, rxUp: true, net: nw}
 	nw.nodes = append(nw.nodes, n)
 	if nw.burstOn {
 		nw.geState = append(nw.geState, geGood)
@@ -376,21 +352,17 @@ func (nw *Network) Retire(id NodeID) {
 	nw.traceNode(id, "retired")
 }
 
-// Node returns the node with the given ID. An ID owned by a different
-// shard falls outside [idBase, idBase+len) and hits the same panic as a
-// plain unknown ID — wrong-shard lookups cost nothing extra to catch.
+// Node returns the node with the given ID.
 func (nw *Network) Node(id NodeID) *Node {
-	i := nw.local(id)
-	if i < 0 || i >= len(nw.nodes) {
-		panic(fmt.Sprintf("netsim: unknown node %d (shard %d)", id, nw.shard))
+	if !nw.known(id) {
+		panic(fmt.Sprintf("netsim: unknown node %d", id))
 	}
-	return nw.nodes[i]
+	return nw.nodes[id]
 }
 
-// local maps a NodeID to its index in this network's per-node tables
-// (nodes, geState, partSideB). It is outside [0, len(nodes)) for an ID
-// this shard does not own; callers that can meet one check the range.
-func (nw *Network) local(id NodeID) int { return int(id) - nw.idBase }
+// known reports whether id indexes this network's per-node tables (nodes,
+// geState, partSideB).
+func (nw *Network) known(id NodeID) bool { return id >= 0 && int(id) < len(nw.nodes) }
 
 // Nodes reports how many nodes are attached (including retired slots).
 func (nw *Network) Nodes() int { return len(nw.nodes) }
@@ -531,10 +503,6 @@ func (nw *Network) deliverNow(m *Message, gen uint32) {
 // transmitter is down — the device cannot know its interface has failed —
 // and the frame is then silently lost.
 func (nw *Network) SendUDP(from, to NodeID, out Outgoing) {
-	if nw.router != nil && to.Shard() != nw.shard {
-		nw.crossUnicast(from, to, out)
-		return
-	}
 	d := nw.allocDelivery()
 	d.m = Message{From: from, To: to, Kind: out.Kind, Counted: out.Counted,
 		Payload: out.Payload, Transport: UDP, SentAt: nw.k.Now()}
@@ -607,13 +575,7 @@ func (nw *Network) Multicast(from NodeID, g Group, out Outgoing, copies int) {
 }
 
 // fanEntry is one receiver of a multicast copy, its arrival instant,
-// and the receiver slot's tenancy at send time. On a sharded network a
-// member that does not listen for the frame's topic keeps its place in
-// the train as a receiver-less step (to == NoNode): the fabric's window
-// bound reads every kernel's next pending event, so there the instants a
-// train steps through are part of the timeline even when nobody is
-// handed anything at them. A single kernel has no such reader and the
-// entry is dropped outright.
+// and the receiver slot's tenancy at send time.
 type fanEntry struct {
 	at  sim.Time
 	to  NodeID
@@ -661,9 +623,8 @@ func (nw *Network) releaseFanout(f *fanout) {
 // membership order, exactly as if each member's frame were scheduled
 // individually — for every member, including those that do not listen
 // for the frame's topic. A frame exists only for listeners: a
-// non-listener gets no drop record and no tracer callback, its endpoint
-// is never touched, and its train entry is dropped (or, on a sharded
-// network, kept as a receiver-less step: see fanEntry).
+// non-listener gets no drop record, no tracer callback and no train
+// entry, and its endpoint is never touched.
 func (nw *Network) multicastCopy(from NodeID, g Group, out Outgoing) {
 	f := nw.allocFanout()
 	f.wire = Message{From: from, To: NoNode, Multicast: true, Topic: out.Topic, Kind: out.Kind,
@@ -672,12 +633,6 @@ func (nw *Network) multicastCopy(from NodeID, g Group, out Outgoing) {
 
 	members, listens := nw.members(g)
 	topic := out.Topic.bit()
-	if nw.router != nil && nw.Node(from).txUp {
-		// One wire copy reaches every shard's segment of the group: hand
-		// each remote shard one CrossFrame; it re-fans over its own local
-		// membership with its own loss and delay draws at ingest.
-		nw.router.egressMulticast(nw.shard, from, g, &f.wire)
-	}
 	if !nw.Node(from).txUp {
 		// The transmitter is down: every listener's frame is lost on the
 		// wire, one drop per would-be receiver (matching the per-frame
@@ -691,7 +646,7 @@ func (nw *Network) multicastCopy(from NodeID, g Group, out Outgoing) {
 		nw.releaseFanout(f)
 		return
 	}
-	now, sharded := nw.k.Now(), nw.router != nil
+	now := nw.k.Now()
 	for i, to := range members {
 		if to == from {
 			continue
@@ -717,8 +672,6 @@ func (nw *Network) multicastCopy(from NodeID, g Group, out Outgoing) {
 		at := now + nw.linkDelay()
 		if heard {
 			f.entries = append(f.entries, fanEntry{at: at, to: to, gen: nw.Node(to).gen})
-		} else if sharded {
-			f.entries = append(f.entries, fanEntry{at: at, to: NoNode})
 		}
 	}
 	nw.armFanout(f)
@@ -732,8 +685,7 @@ func (nw *Network) dropCopy(f *fanout, to NodeID, reason string) {
 }
 
 // armFanout orders a freshly drawn train by arrival instant and schedules
-// its first batch; an empty train is released. Both fan-out paths (local
-// copy, cross-shard ingest) end here.
+// its first batch; an empty train is released.
 func (nw *Network) armFanout(f *fanout) {
 	if len(f.entries) == 0 {
 		nw.releaseFanout(f)
@@ -751,11 +703,11 @@ const fanInsertionMax = 48
 // sortByArrival orders a by arrival instant, stably — same-instant
 // receivers keep membership order, the order their delay draws were made
 // in — and in linear time: an LSD radix sort on at-now (never negative:
-// delays are not, and a cross-shard arrival is clamped to now), one byte
-// per pass, as many passes as the largest delay has bytes (three for
-// Table 3's 10–100µs, more under a Pareto tail). Passes ping-pong between
-// a and tmp, so the result may live in either: it returns the sorted
-// slice and the other one, for the caller to keep as the next call's tmp.
+// delays are not), one byte per pass, as many passes as the largest delay
+// has bytes (three for Table 3's 10–100µs, more under a Pareto tail).
+// Passes ping-pong between a and tmp, so the result may live in either:
+// it returns the sorted slice and the other one, for the caller to keep
+// as the next call's tmp.
 func sortByArrival(a, tmp []fanEntry, now sim.Time) (sorted, spare []fanEntry) {
 	n := len(a)
 	if n <= fanInsertionMax {
@@ -811,9 +763,6 @@ func deliverFanout(x any) {
 		for f.i < len(f.entries) && f.entries[f.i].at == now {
 			e := f.entries[f.i]
 			f.i++
-			if e.to == NoNode {
-				continue // a receiver-less step of a sharded network's train
-			}
 			f.scratch = f.wire
 			f.scratch.To = e.to
 			nw.deliverNow(&f.scratch, e.gen)

@@ -23,12 +23,6 @@ type Node struct {
 	// changed hands since — a recycled slot's new tenant must never
 	// inherit its predecessor's traffic or outages.
 	gen uint32
-	// attachedAt is when this tenancy began (zero for boot-time nodes).
-	// Cross-shard frames cannot capture the receiver's gen at send time —
-	// the receiver lives on another shard — so their tenancy check
-	// compares SentAt against attachedAt at ingest instead: a frame sent
-	// before the current tenant attached was aimed at its predecessor.
-	attachedAt sim.Time
 
 	ep  Endpoint
 	net *Network

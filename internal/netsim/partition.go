@@ -90,20 +90,10 @@ func (nw *Network) activatePartition(p Partition) {
 		nw.partSideB = nw.partSideB[:need]
 		clear(nw.partSideB)
 	}
-	clear(nw.partRemoteB)
 	if p.SideB != nil {
 		for _, id := range p.SideB {
-			if i := nw.local(id); i >= 0 && i < need {
-				nw.partSideB[i] = true
-			} else if nw.router != nil {
-				// A side-B node owned by another shard: the fault
-				// coordinator schedules the same resolved plan on every
-				// shard, and cross-shard sends must see the remote peer's
-				// side to drop split-crossing frames at the sender.
-				if nw.partRemoteB == nil {
-					nw.partRemoteB = make(map[NodeID]bool)
-				}
-				nw.partRemoteB[id] = true
+			if nw.known(id) {
+				nw.partSideB[id] = true
 			}
 		}
 	} else {
@@ -126,11 +116,7 @@ func (nw *Network) partitioned(from, to NodeID) bool {
 }
 
 func (nw *Network) side(id NodeID) bool {
-	i := nw.local(id)
-	if i >= 0 && i < len(nw.nodes) {
-		return i < len(nw.partSideB) && nw.partSideB[i]
-	}
-	return nw.partRemoteB[id] // a peer on another shard of the fabric
+	return id >= 0 && int(id) < len(nw.partSideB) && nw.partSideB[id]
 }
 
 // SchedulePartition arms the split and heal transitions for one planned

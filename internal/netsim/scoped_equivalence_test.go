@@ -3,7 +3,6 @@ package netsim_test
 import (
 	"fmt"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/discovery"
@@ -61,11 +60,11 @@ func (d *traceDigest) NodeEvent(t sim.Time, node netsim.NodeID, event string) {
 }
 
 // observed is everything a run shows an observer: the metrics, the
-// oracle's audit, and per shard the digest of the handled frames.
+// oracle's audit, and the digest of the handled frames.
 type observed struct {
 	Result metrics.RunResult
 	Report verify.OracleReport
-	Trace  []traceDigest
+	Trace  traceDigest
 	// Withheld counts, on the reference, the deliveries and drops that
 	// exist only because everyone listens.
 	Withheld int
@@ -75,50 +74,30 @@ type observed struct {
 // reference, every node listens to everything (ListenToEverything) and
 // the digest sees only what a scoped network would have shown it.
 func observe(ws *experiment.Workspace, spec experiment.RunSpec, reference bool) observed {
-	var digests []*traceDigest
-	var references []netsim.Tracer
+	digest := &traceDigest{h: 14695981039346656037}
+	var widened netsim.Tracer
 	spec.MakeTracer = func(nw *netsim.Network) netsim.Tracer {
-		d := &traceDigest{h: 14695981039346656037}
-		digests = append(digests, d)
 		if reference {
-			references = append(references, netsim.ListenToEverything(nw, d))
-			return references[len(references)-1]
+			widened = netsim.ListenToEverything(nw, digest)
+			return widened
 		}
-		return d
+		return digest
 	}
 	cfg := verify.DefaultOracleConfig(spec.System)
 	cfg.Partitions = spec.Params.Partitions
-	var oracles []*verify.Oracle
-	published := new(atomic.Uint64)
+	var o *verify.Oracle
 	mutate := spec.Attach
 	spec.Attach = func(sc *experiment.Scenario) {
 		if mutate != nil {
 			mutate(sc)
 		}
-		o := verify.AttachOracle(sc, cfg)
-		o.SharePublished(published)
-		oracles = append(oracles, o)
+		o = verify.AttachOracle(sc, cfg)
 	}
 	out := observed{Result: experiment.RunInto(ws, spec)}
-	reports := make([]verify.OracleReport, len(oracles))
-	for i, o := range oracles {
-		reports[i] = o.Report()
-	}
-	out.Report = verify.MergeReports(reports...)
-	// A split-brain violation names whichever claimant the oracle's map
-	// walk visited last; blank it so equal audits compare equal.
-	for _, list := range [][]verify.OracleViolation{out.Report.Violations, out.Report.WaivedDetails} {
-		for i := range list {
-			if list[i].Invariant == verify.InvSingleCentral {
-				list[i].Node = netsim.NoNode
-			}
-		}
-	}
-	for _, d := range digests {
-		out.Trace = append(out.Trace, *d)
-	}
-	for _, r := range references {
-		out.Withheld += netsim.Withheld(r)
+	out.Report = o.Report()
+	out.Trace = *digest
+	if widened != nil {
+		out.Withheld = netsim.Withheld(widened)
 	}
 	return out
 }
@@ -128,13 +107,13 @@ func observe(ws *experiment.Workspace, spec experiment.RunSpec, reference bool) 
 // Registry lease, so Backups take over, elections re-run and Users fall
 // back to multicast search), churn, and churn with a flash crowd, a
 // bisecting partition and rack failures on top.
-func scopedSpec(sys experiment.System, dynamics string, shards int, seed int64, harden bool) experiment.RunSpec {
+func scopedSpec(sys experiment.System, dynamics string, seed int64, harden bool) experiment.RunSpec {
 	p := experiment.DefaultParams()
 	p.Users = 40
 	if harden {
 		p.Hardening = discovery.HardenAll()
 	}
-	spec := experiment.RunSpec{System: sys, Seed: seed, Shards: shards}
+	spec := experiment.RunSpec{System: sys, Seed: seed}
 	switch dynamics {
 	case "lambda=0.3":
 		spec.Lambda = 0.30
@@ -159,20 +138,15 @@ func scopedSpec(sys experiment.System, dynamics string, shards int, seed int64, 
 
 var scopedDynamics = []string{"lambda=0", "lambda=0.3", "takeover", "churn", "churn+flash+bisect+racks"}
 
-// eachScopedCell visits the equivalence matrix: five systems (the FRODO
-// ones also on two shards) × baseline/hardened × the dynamics × 3 seeds.
+// eachScopedCell visits the equivalence matrix: five systems ×
+// baseline/hardened × the dynamics × 3 seeds.
 func eachScopedCell(fn func(name string, spec experiment.RunSpec)) {
 	for _, sys := range experiment.Systems() {
-		for _, shards := range []int{1, 2} {
-			if shards > 1 && sys != experiment.Frodo3P && sys != experiment.Frodo2P {
-				continue // UPnP and Jini run on one kernel only
-			}
-			for _, harden := range []bool{false, true} {
-				for _, dynamics := range scopedDynamics {
-					for seed := int64(42); seed <= 44; seed++ {
-						fn(fmt.Sprintf("%s/harden=%v/%s/S%d/seed%d", sys.Short(), harden, dynamics, shards, seed),
-							scopedSpec(sys, dynamics, shards, seed, harden))
-					}
+		for _, harden := range []bool{false, true} {
+			for _, dynamics := range scopedDynamics {
+				for seed := int64(42); seed <= 44; seed++ {
+					fn(fmt.Sprintf("%s/harden=%v/%s/seed%d", sys.Short(), harden, dynamics, seed),
+						scopedSpec(sys, dynamics, seed, harden))
 				}
 			}
 		}
@@ -206,7 +180,7 @@ func differs(spec experiment.RunSpec) (diff string, withheld int) {
 			return fmt.Sprintf("%s: handled frames differ from the reference's cold run: %+v, want %+v", run.how, run.got.Trace, want.Trace), want.Withheld
 		}
 	}
-	if want.Trace[0].events == 0 {
+	if want.Trace.events == 0 {
 		return "the trace digest saw no frames", want.Withheld
 	}
 	return "", want.Withheld
@@ -217,7 +191,7 @@ func differs(spec experiment.RunSpec) (diff string, withheld int) {
 // handing it to everyone gave — same RunResult, same oracle audit, and
 // the same send, delivery and drop of every frame somebody handles, to
 // the nanosecond — for every system, hardened or not, static or churning,
-// on one kernel or two shards, through a cold build and a rearm.
+// through a cold build and a rearm.
 func TestScopedFanoutMatchesEveryoneListening(t *testing.T) {
 	withheld := map[experiment.System]int{}
 	eachScopedCell(func(name string, spec experiment.RunSpec) {

@@ -251,49 +251,3 @@ func TestScopedFanoutKeepsSamplePath(t *testing.T) {
 		}
 	}
 }
-
-// The cross-shard edge: the frame carries its topic over the barrier and
-// ingest applies the listener test after its draws, so the receiving
-// shard's stream and its listeners' arrivals match everyone-listening.
-func TestCrossShardIngestScopesByTopic(t *testing.T) {
-	type world struct {
-		kB  *sim.Kernel
-		log []string
-		ctr *Counters
-	}
-	run := func(everyone bool) *world {
-		_, kB, nwA, nwB, rA, _ := twoShardFabric(t)
-		w := &world{kB: kB, ctr: nwB.Counters()}
-		sender := nwA.AddNode("sender")
-		for i := 0; i < 9; i++ {
-			n := nwB.AddNode("")
-			hearing(kB, n, &w.log)
-			if everyone || i%3 == 0 {
-				nwB.JoinTopics(n.ID, Group(1), Topics(1))
-			} else {
-				nwB.JoinTopics(n.ID, Group(1), Topics())
-			}
-		}
-		nwA.Multicast(sender.ID, Group(1), Outgoing{Kind: "x", Topic: 1}, 1)
-		frames := rA.Drain(1, nil)
-		if len(frames) != 1 || frames[0].Topic != 1 {
-			t.Fatalf("router buffered %+v, want one frame under topic 1", frames)
-		}
-		nwB.IngestCross(frames)
-		kB.Run(sim.Second)
-		return w
-	}
-	ref, got := run(true), run(false)
-	if len(ref.log) != 9 || len(got.log) != 3 || got.ctr.Delivered != 3 || got.ctr.Drops != 0 {
-		t.Fatalf("heard %d frames with everyone listening, %d scoped (counters %+v); want 9 and 3",
-			len(ref.log), len(got.log), got.ctr)
-	}
-	for _, l := range got.log {
-		if !slices.Contains(ref.log, l) {
-			t.Errorf("scoped arrival %s is not one of the reference's %v", l, ref.log)
-		}
-	}
-	if a, b := got.kB.Rand().Int63(), ref.kB.Rand().Int63(); a != b {
-		t.Errorf("the receiving shard's random stream moved: next draw %d, reference %d", a, b)
-	}
-}

@@ -31,7 +31,7 @@ type TraceEvent struct {
 }
 
 // FlightRecorder is a fixed-size ring of the most recent trace events
-// on one shard's network: a netsim.Tracer tee, attached exactly like
+// on one network: a netsim.Tracer tee, attached exactly like
 // the oracle's tap. Appends are plain stores by the single goroutine
 // that owns the network (the Tracer contract), so the hot path is one
 // atomic load (the freeze flag) plus a struct copy — no locks, no
@@ -41,9 +41,9 @@ type TraceEvent struct {
 // context of whatever triggered it (the oracle's first violation). It
 // is an atomic flag flip, callable from any goroutine. Snapshot reads
 // the ring's plain memory, so it must be synchronized with the owning
-// goroutine: after the run completes, at a shard barrier (the live
-// driver reads via Call while every worker is parked), or any time
-// after Freeze has been observed by the owner.
+// goroutine: after the run completes, on the owner (the live driver
+// reads via Call), or any time after Freeze has been observed by the
+// owner.
 type FlightRecorder struct {
 	shard  int
 	buf    []TraceEvent
@@ -53,12 +53,12 @@ type FlightRecorder struct {
 	reason atomic.Pointer[string]
 }
 
-// DefaultFlightSize is the per-shard ring capacity used when callers
-// pass size ≤ 0.
+// DefaultFlightSize is the ring capacity used when callers pass
+// size ≤ 0.
 const DefaultFlightSize = 256
 
-// NewFlightRecorder builds a recorder for one shard; size is rounded
-// up to a power of two (minimum 16).
+// NewFlightRecorder builds a recorder whose snapshots carry the given
+// shard label; size is rounded up to a power of two (minimum 16).
 func NewFlightRecorder(shard, size int) *FlightRecorder {
 	if size <= 0 {
 		size = DefaultFlightSize
@@ -69,9 +69,6 @@ func NewFlightRecorder(shard, size int) *FlightRecorder {
 	}
 	return &FlightRecorder{shard: shard, buf: make([]TraceEvent, cap), mask: uint64(cap - 1)}
 }
-
-// Shard reports which shard this recorder observes.
-func (fr *FlightRecorder) Shard() int { return fr.shard }
 
 func (fr *FlightRecorder) append(ev TraceEvent) {
 	if fr.frozen.Load() {

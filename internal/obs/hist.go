@@ -90,8 +90,8 @@ func (h *Histogram) Count() uint64 {
 	return n
 }
 
-// Merge folds src's samples into h (sweep shards, per-shard series
-// folded for a report). Concurrent observers on either side keep the
+// Merge folds src's samples into h (several runs' series folded for a
+// report). Concurrent observers on either side keep the
 // result approximate but never torn below bucket granularity.
 func (h *Histogram) Merge(src *Histogram) {
 	for i := range h.counts {

@@ -9,8 +9,6 @@
 //   - No randomness. Nothing in this package draws from any kernel's
 //     random stream or perturbs the event schedule; golden sweep
 //     fingerprints are byte-identical with telemetry on or off.
-//     Wall-clock reads (shard busy/stall accounting) are fine — they
-//     never feed back into virtual time.
 //   - No allocation on the hot path. Counter increments are single
 //     atomic adds, histogram observations index a fixed bucket array,
 //     and flight-recorder appends copy one struct into a preallocated
@@ -20,9 +18,8 @@
 //     0 allocs/op, the same way netsim's fast-path gates do.
 //
 // Ownership: hot-path structures are fed from the goroutine that owns
-// them (a netsim.Tracer fires on its network's goroutine; a shard's
-// metrics are written by its worker) and read either through atomics
-// (counters, gauges, histograms — safe from any goroutine) or under
-// the shard barrier's happens-before (flight-recorder rings, which are
-// plain memory).
+// them (a netsim.Tracer fires on its network's goroutine) and read
+// either through atomics (counters, gauges, histograms — safe from any
+// goroutine) or from that owning goroutine (flight-recorder rings, which
+// are plain memory).
 package obs

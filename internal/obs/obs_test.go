@@ -390,26 +390,6 @@ func TestNetTracerLeaseCounting(t *testing.T) {
 	}
 }
 
-func TestShardMetricsOccupancy(t *testing.T) {
-	r := NewRegistry()
-	fm := NewFabricMetrics(r, 2)
-	if len(fm.Shards) != 2 {
-		t.Fatalf("shards = %d", len(fm.Shards))
-	}
-	sm := fm.Shards[1]
-	if sm.Occupancy() != 0 {
-		t.Fatalf("empty occupancy = %v", sm.Occupancy())
-	}
-	sm.Busy.Add(300)
-	sm.Stall.Add(100)
-	if got := sm.Occupancy(); got != 0.75 {
-		t.Fatalf("occupancy = %v, want 0.75", got)
-	}
-	if sm.BusyDur() != 300 || sm.StallDur() != 100 {
-		t.Fatalf("durs = %v/%v", sm.BusyDur(), sm.StallDur())
-	}
-}
-
 func TestWriteFlightJSON(t *testing.T) {
 	fr := NewFlightRecorder(1, 16)
 	fr.MessageSent(5, msg("Probe", 1, 2))

@@ -305,15 +305,6 @@ func (k *Kernel) RunUntil(target Time) {
 	}
 }
 
-// RunWindow advances to target like RunUntil and reports the next
-// pending event time (ok == false for an empty queue). It is the
-// sharded fabric's per-window drain: advancing and peeking in one call
-// keeps the barrier round-trip to a single exchange per shard.
-func (k *Kernel) RunWindow(target Time) (next Time, ok bool) {
-	k.RunUntil(target)
-	return k.NextEventTime()
-}
-
 // Step executes the single next pending event, advancing the clock to
 // its time (or holding the clock if the event is overdue — see Run's
 // re-entrancy invariant). It reports whether an event fired; false
@@ -393,7 +384,7 @@ func (k *Kernel) drainTo(limit Time) {
 // sequence number are unchanged. The caller then carries on with the work
 // of the would-be event; on false it must schedule normally.
 //
-// That is the case only inside a Run/RunUntil/RunWindow drain (Step fires
+// That is the case only inside a Run/RunUntil drain (Step fires
 // one event and returns), when Stop has not been called, when t is within
 // the drain's limit, and when no live pending event has at <= t. The
 // comparison is non-strict on purpose: an equal-time pending event was

@@ -561,9 +561,8 @@ func TestAdvanceToRefusals(t *testing.T) {
 
 	// One tick past the limit of each drain call, and exactly on it.
 	drains := map[string]func(Time){
-		"Run":       k.Run,
-		"RunUntil":  k.RunUntil,
-		"RunWindow": func(limit Time) { k.RunWindow(limit) },
+		"Run":      k.Run,
+		"RunUntil": k.RunUntil,
 	}
 	for name, drain := range drains {
 		var past, on bool

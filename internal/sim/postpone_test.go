@@ -26,7 +26,6 @@ type scheduler interface {
 	Fired() uint64
 	Run(Time)
 	RunUntil(Time)
-	RunWindow(Time) (Time, bool)
 	Step() bool
 	Stop()
 	NextEventTime() (Time, bool)
@@ -173,10 +172,6 @@ func kernelProgram(s scheduler, seed int64, steps int) []string {
 			h := s.Now() + Time(rng.Intn(15)) - 3 // sometimes behind the clock: fires nothing
 			s.RunUntil(h)
 			logf("rununtil %d", h)
-		case r < 15:
-			h := s.Now() + Time(rng.Intn(15))
-			next, ok := s.RunWindow(h)
-			logf("runwindow %d: next %d %v", h, next, ok)
 		case r < 17:
 			logf("step: %v", s.Step())
 		case r < 19:

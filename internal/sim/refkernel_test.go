@@ -109,11 +109,6 @@ func (k *refKernel) RunUntil(target Time) {
 	}
 }
 
-func (k *refKernel) RunWindow(target Time) (next Time, ok bool) {
-	k.RunUntil(target)
-	return k.NextEventTime()
-}
-
 func (k *refKernel) Step() bool {
 	for len(k.heap) > 0 {
 		e := k.heap[0]

@@ -2,7 +2,6 @@ package verify
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/discovery"
 	"repro/internal/experiment"
@@ -112,8 +111,8 @@ type OracleConfig struct {
 	// Bounds are the fault-conditional waivers in force for this run.
 	Bounds []FaultBound
 	// OnViolation, when set, fires synchronously on every non-waived
-	// violation, on the goroutine that detected it (a shard's worker for
-	// a remote shard's oracle). The live driver and traced fixture
+	// violation, on the goroutine that detected it. The live driver and
+	// traced fixture
 	// replays use it to freeze flight recorders at the first breach, so
 	// the rings hold the events leading up to it, not the aftermath. The
 	// hook must not touch any kernel or draw randomness.
@@ -157,7 +156,7 @@ type OracleCoverage struct {
 	Slack [numInvariants][CoverageBuckets]int
 }
 
-// Merge accumulates other into c, for sharded or multi-run aggregation.
+// Merge accumulates other into c, for multi-run aggregation.
 func (c *OracleCoverage) Merge(other OracleCoverage) {
 	for i := range c.NearMisses {
 		c.NearMisses[i] += other.NearMisses[i]
@@ -237,29 +236,6 @@ type OracleReport struct {
 // scheduled heal probe actually ran.
 func (r OracleReport) Clean() bool { return r.Total == 0 && r.ProbesRun == r.ProbesScheduled }
 
-// MergeReports combines per-shard oracle reports into one fabric-wide
-// report: counts and probe tallies sum, violation details concatenate
-// in shard order.
-func MergeReports(reports ...OracleReport) OracleReport {
-	var out OracleReport
-	for _, r := range reports {
-		out.Total += r.Total
-		for i := range r.ByInvariant {
-			out.ByInvariant[i] += r.ByInvariant[i]
-		}
-		out.Violations = append(out.Violations, r.Violations...)
-		out.Coverage.Merge(r.Coverage)
-		out.ProbesScheduled += r.ProbesScheduled
-		out.ProbesRun += r.ProbesRun
-		out.Waived += r.Waived
-		out.WaivedDetails = append(out.WaivedDetails, r.WaivedDetails...)
-		if r.MaxPurgeLate > out.MaxPurgeLate {
-			out.MaxPurgeLate = r.MaxPurgeLate
-		}
-	}
-	return out
-}
-
 func (r OracleReport) String() string {
 	if pending := r.ProbesScheduled - r.ProbesRun; pending > 0 {
 		return fmt.Sprintf("oracle: %d violations, %d heal probes never ran (deadline before heal+HealSlack — extend RunDuration)",
@@ -294,9 +270,8 @@ type Oracle struct {
 	manager netsim.NodeID
 
 	// published is the highest version the measured Manager has ever
-	// published: 1 at boot, bumped on every scheduled change. The
-	// per-shard oracles of one fabric share a counter (SharePublished).
-	published *atomic.Uint64
+	// published: 1 at boot, bumped on every scheduled change.
+	published uint64
 	// retiredAt records when each currently-retired node left; AddNode
 	// reuse clears the entry ("attached").
 	retiredAt map[netsim.NodeID]sim.Time
@@ -351,12 +326,11 @@ func NewOracle(k *sim.Kernel, manager netsim.NodeID, cfg OracleConfig) *Oracle {
 	}
 	o := &Oracle{
 		cfg: cfg, k: k, manager: manager,
-		published: new(atomic.Uint64),
+		published: 1,
 		retiredAt: map[netsim.NodeID]sim.Time{},
 		leases:    map[leaseKey]sim.Time{},
 		claims:    map[netsim.NodeID]sim.Time{},
 	}
-	o.published.Store(1)
 	if cfg.ExpectCentral {
 		for _, p := range cfg.Partitions {
 			at := p.End() + sim.Time(cfg.HealSlack)
@@ -370,9 +344,7 @@ func NewOracle(k *sim.Kernel, manager netsim.NodeID, cfg OracleConfig) *Oracle {
 // AttachOracle hooks an oracle onto a built Scenario: the network tracer
 // tee, the cache-write chain and the change tap. Call it from
 // RunSpec.Attach; the oracle stays valid after the run (its report is
-// plain data), while the Scenario itself may be recycled. On a sharded
-// fabric Attach runs once per shard; the shards' oracles must then
-// SharePublished one counter (ObserveRun does).
+// plain data), while the Scenario itself may be recycled.
 func AttachOracle(sc *experiment.Scenario, cfg OracleConfig) *Oracle {
 	o := NewOracle(sc.K, sc.ManagerID, cfg)
 	sc.AddTracer(o)
@@ -383,33 +355,21 @@ func AttachOracle(sc *experiment.Scenario, cfg OracleConfig) *Oracle {
 
 // ObserveRun executes one run with the oracle attached and returns its
 // report alongside the run's metrics. A nil cfg.Partitions inherits the
-// run's own partition schedule, so heal probes follow the spec. Every
-// shard of the run's fabric gets its own oracle — one, on a
-// single-kernel run — all auditing against one shared publication
-// counter; the returned report is the fabric-wide merge.
+// run's own partition schedule, so heal probes follow the spec.
 func ObserveRun(spec experiment.RunSpec, cfg OracleConfig) (OracleReport, metrics.RunResult) {
 	if cfg.Partitions == nil {
 		cfg.Partitions = spec.Params.Partitions
 	}
-	var oracles []*Oracle
-	shared := new(atomic.Uint64)
+	var o *Oracle
 	prev := spec.Attach
 	spec.Attach = func(sc *experiment.Scenario) {
 		if prev != nil {
 			prev(sc)
 		}
-		o := AttachOracle(sc, cfg)
-		o.SharePublished(shared)
-		oracles = append(oracles, o)
+		o = AttachOracle(sc, cfg)
 	}
 	res := experiment.Run(spec)
-	// Run closed the fabric before returning, so every shard worker has
-	// joined and the per-shard reports are plain data.
-	reports := make([]OracleReport, len(oracles))
-	for i, o := range oracles {
-		reports[i] = o.Report()
-	}
-	return MergeReports(reports...), res
+	return o.Report(), res
 }
 
 // Report summarizes the audit so far; call it after the run completes.
@@ -426,19 +386,7 @@ func (o *Oracle) Coverage() OracleCoverage { return o.cov }
 // version. The run driver wires it through Scenario.TapChange; the live
 // driver, which fans a single change tap out to several hooks, calls it
 // directly.
-func (o *Oracle) NotePublished() { o.published.Add(1) }
-
-// SharePublished moves the oracle's publication counter to c, shared by
-// every shard's oracle of one sharded run: publications fire on shard 0
-// while cache writes land on every shard, so the version-bound check
-// must read one fabric-wide count. The first oracle to share seeds c
-// with the boot count; a publication is separated from any remote cache
-// write it enables by at least one window barrier, whose channel
-// exchange orders the Add before the Load.
-func (o *Oracle) SharePublished(c *atomic.Uint64) {
-	c.CompareAndSwap(0, o.published.Load())
-	o.published = c
-}
+func (o *Oracle) NotePublished() { o.published++ }
 
 func (o *Oracle) violate(inv Invariant, node netsim.NodeID, format string, args ...any) {
 	now := o.k.Now()
@@ -497,7 +445,7 @@ func (o *Oracle) CacheUpdated(t sim.Time, user, manager netsim.NodeID, version u
 	if o.manager != netsim.NoNode && manager != o.manager {
 		return
 	}
-	published := o.published.Load()
+	published := o.published
 	if version > published {
 		o.violate(InvVersionBound, user,
 			"User caches version %d of Manager %d, but only %d was ever published",
@@ -609,19 +557,21 @@ func (o *Oracle) NodeEvent(t sim.Time, node netsim.NodeID, event string) {
 }
 
 // probeCentral runs HealSlack after a partition heals: the set of nodes
-// with a live Registry claim must be exactly one.
+// with a live Registry claim must be exactly one. A split brain is
+// reported against the freshest live claimant, the lowest NodeID among
+// equally fresh ones, so identical runs name the same node whatever
+// order the claim map is walked in.
 func (o *Oracle) probeCentral() {
 	o.probesRun++
 	now := o.k.Now()
 	live := 0
-	var last netsim.NodeID = netsim.NoNode
+	named := netsim.NoNode
 	var freshest sim.Time
 	for id, at := range o.claims {
 		if now-at <= sim.Time(o.cfg.CentralWindow) {
 			live++
-			last = id
-			if at > freshest {
-				freshest = at
+			if live == 1 || at > freshest || at == freshest && id < named {
+				named, freshest = id, at
 			}
 		}
 	}
@@ -636,7 +586,7 @@ func (o *Oracle) probeCentral() {
 	}
 	switch {
 	case live > 1:
-		o.violate(InvSingleCentral, last,
+		o.violate(InvSingleCentral, named,
 			"%d simultaneous Central claims %.0fs after partition heal (split-brain persists)",
 			live, o.cfg.HealSlack.Sec())
 	case live == 0:

@@ -179,6 +179,33 @@ func TestOracleFiresOnSingleCentral(t *testing.T) {
 	}
 }
 
+// A split brain names one node however the claim ledger is walked: the
+// freshest live claimant, the lowest NodeID among equally fresh ones.
+// Fifty fresh oracles fed the same claims must all agree.
+func TestSplitBrainNamesFreshestClaimant(t *testing.T) {
+	claims := []struct {
+		id netsim.NodeID
+		at sim.Time
+	}{{9, 20 * sim.Second}, {7, 30 * sim.Second}, {3, 30 * sim.Second}, {5, 25 * sim.Second}, {4, 10 * sim.Second}}
+	for i := 0; i < 50; i++ {
+		k := sim.New(1)
+		o := NewOracle(k, netsim.NoNode, OracleConfig{
+			ExpectCentral: true,
+			HealSlack:     30 * sim.Second,
+			CentralWindow: 50 * sim.Second,
+			Partitions:    []netsim.Partition{{Start: 0, Duration: 10 * sim.Second, SideB: []netsim.NodeID{1}}},
+		})
+		for _, c := range claims {
+			o.MessageDelivered(c.at, &netsim.Message{From: c.id, To: netsim.NoNode,
+				Payload: discovery.Announce{Role: discovery.RoleRegistry}})
+		}
+		k.Run(60 * sim.Second)
+		if v := o.Report().Violations; len(v) != 1 || v[0].Invariant != InvSingleCentral || v[0].Node != 3 {
+			t.Fatalf("oracle %d: violations %v, want one single-central naming node 3", i, v)
+		}
+	}
+}
+
 // A zombie timer transmitting from a retired node slot must trip
 // retired-silence; frames within the grace window (the pending
 // redundancy train) must not.

@@ -93,14 +93,7 @@ type (
 	DelayDist = netsim.DelayDist
 	// Partition is one scheduled transient network split.
 	Partition = netsim.Partition
-	// CrossLink characterizes the inter-shard links of a sharded run;
-	// its MinDelay is the conservative lookahead (RunSpec.Cross).
-	CrossLink = netsim.CrossLink
 )
-
-// DefaultCrossLink returns the campus-scale inter-shard link a sharded
-// run uses when RunSpec.Cross is left zero.
-func DefaultCrossLink() CrossLink { return netsim.DefaultCrossLink() }
 
 // The delay distributions.
 const (
