@@ -1,20 +1,20 @@
 # Development targets. `make check` is the CI gate: vet + build + race
-# tests. Benchmarks (including the N=100/N=1000 scale sweeps) only run
-# via `make bench`; they are additionally guarded with testing.Short()
-# so `go test -short -bench ...` skips the expensive ones.
+# tests. The expensive scale tests are guarded with testing.Short(), so
+# `go test -short ./...` skips them.
 #
-# `make bench` also records the perf trajectory: it runs the scale
-# benchmarks plus the kernel/netsim microbenchmarks with -benchmem and
-# writes BENCH_$(BENCH_PR).json (see EXPERIMENTS.md, "Perf trajectory").
-# Bump BENCH_PR in the PR that changes the hot path, pass the previous
-# snapshot as BENCH_BASELINE, and commit the refreshed file.
+# `make bench` records the perf trajectory: the repository benchmark
+# (`./benchmark`) over its four workloads at seed 1, untraced (end-to-end
+# metrics) and traced (per-layer metrics), every report appended as one
+# JSON line to BENCH_$(BENCH_PR).jsonl. Each report records its host
+# (nproc, GOMAXPROCS, Go version, CPU, commit). Set BENCH_PR to the PR
+# that records the point and commit the file; BENCH_1..6.json are the
+# older, historical ledger (EXPERIMENTS.md, "Perf trajectory").
 
 GO ?= go
-BENCH_PR ?= 6
-BENCH_BASELINE ?= BENCH_5.json
+BENCH_PR ?= 29
 COVER_FLOOR ?= 70
 
-.PHONY: check vet build test race loc bench bench-all bench-scale bench-gate cover-floor live-smoke hunt-smoke harden-smoke obs-smoke clean
+.PHONY: check vet build test race loc bench cover-floor live-smoke hunt-smoke harden-smoke obs-smoke clean
 
 check: vet build race
 
@@ -38,21 +38,19 @@ loc:
 	  awk '$$2 != "total" { n = split($$2, p, "/"); d = n > 2 ? p[2] : "."; if (n > 3) d = d "/" p[3]; loc[d] += $$1; sum += $$1 } \
 	       END { for (d in loc) printf "%7d  %s\n", loc[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", sum }'
 
-# Record the perf trajectory: scale benchmarks + hot-path
-# microbenchmarks, with allocation stats, written to BENCH_<pr>.json.
+# Record the perf trajectory (see the header): one untraced and one
+# traced report per workload, in a fresh BENCH_$(BENCH_PR).jsonl. The
+# program is built, not `go run`, so each report's env names the commit
+# it measured; run it on a committed tree.
 bench:
-	{ $(GO) test -bench 'BenchmarkKernel$$|BenchmarkMulticastFanout|BenchmarkUnicastFrame' -benchtime 200000x -benchmem -run xxx ./internal/sim ./internal/netsim && \
-	  $(GO) test -bench 'BenchmarkSingleRunScale$$|BenchmarkSweepScale' -benchtime 5x -benchmem -run xxx . ; } | tee /dev/stderr | \
-	  $(GO) run ./cmd/benchjson -pr $(BENCH_PR) -baseline $(BENCH_BASELINE) > BENCH_$(BENCH_PR).json
-
-# Regression gate: re-run the hot-path microbenchmarks and fail if
-# allocs/op regressed against the committed BENCH_$(BENCH_PR).json
-# snapshot (ns/op is not gated by default — CI runners are noisy).
-# 5000 iterations suffice: the gated metric, allocs/op, is deterministic
-# for these pooled paths, so this stays seconds-fast on every CI push.
-bench-gate:
-	$(GO) test -bench 'BenchmarkKernel$$|BenchmarkMulticastFanout|BenchmarkUnicastFrame' -benchtime 5000x -benchmem -run xxx ./internal/sim ./internal/netsim | \
-	  $(GO) run ./cmd/benchjson -check -baseline BENCH_$(BENCH_PR).json
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
+	$(GO) build -o $$tmp/benchmark ./benchmark; \
+	rm -f BENCH_$(BENCH_PR).jsonl; \
+	for w in paper_sweep scale_static scale_dynamics live_serve; do \
+	  for t in 0 1; do \
+	    $$tmp/benchmark -workload $$w -seed 1 -trace $$t -out BENCH_$(BENCH_PR).jsonl; \
+	  done; \
+	done
 
 # Coverage floor for the oracle, the conditioned network, the trace
 # layer, the chaos hunter and the hardening layer: the packages whose
@@ -148,14 +146,6 @@ obs-smoke:
 	grep -q '"shard"' $$tmp/flight.json || { echo "/debug/flight returned no rings"; exit 1; }; \
 	kill $$pid; \
 	wait $$pid || { echo "sdlived exited nonzero (race detected or oracle violation)"; exit 1; }
-
-# Full benchmark suite (slow: full-scale sweeps per iteration).
-bench-all:
-	$(GO) test -bench . -benchtime 1x -run xxx .
-
-# Just the scale trajectory points recorded in EXPERIMENTS.md.
-bench-scale:
-	$(GO) test -bench 'Scale' -benchtime 1x -benchmem -run xxx .
 
 clean:
 	$(GO) clean ./...

@@ -10,9 +10,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
-	"repro/sdsim"
+	"repro/internal/experiment"
+	"repro/internal/metrics"
+	"repro/internal/netsim"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -27,20 +31,20 @@ func main() {
 	)
 	flag.Parse()
 
-	sys, err := sdsim.ParseSystem(*system)
+	sys, err := check(*system, *lambda, *loss)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	spec := sdsim.RunSpec{
+	spec := experiment.RunSpec{
 		System: sys,
 		Lambda: *lambda,
 		Seed:   *seed,
-		Params: sdsim.DefaultParams(),
-		Opts:   sdsim.Options{Loss: *loss},
+		Params: experiment.DefaultParams(),
+		Opts:   experiment.Options{Loss: *loss},
 	}
 
-	var res sdsim.RunResult
+	var res metrics.RunResult
 	var log []string
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
@@ -48,7 +52,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		res, err = sdsim.RunTraced(spec, f)
+		res, err = runTraced(spec, f)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -59,7 +63,7 @@ func main() {
 		}
 		fmt.Printf("trace written to %s\n", *traceFile)
 	} else {
-		res, log = sdsim.RunLogged(spec, *verbose)
+		res, log = experiment.RunLogged(spec, *verbose)
 	}
 	if *showLog {
 		for _, line := range log {
@@ -82,4 +86,33 @@ func main() {
 	fmt.Printf("  effectiveness: %d/%d users\n", reached, len(res.Users))
 	fmt.Printf("  update effort y = %d discovery messages (transport frames in run: %d)\n",
 		res.Effort, res.TotalTransport)
+}
+
+// check resolves the system and rejects out-of-range flags up front, as
+// one line, rather than as a panic from deep inside scenario
+// construction.
+func check(system string, lambda, loss float64) (experiment.System, error) {
+	sys, err := experiment.ParseSystem(system)
+	if err != nil {
+		return sys, err
+	}
+	if lambda < 0 || lambda > 1 {
+		return sys, fmt.Errorf("-lambda %v out of [0,1]", lambda)
+	}
+	if err := (experiment.Options{Loss: loss}).Validate(); err != nil {
+		return sys, fmt.Errorf("-loss: %w", err)
+	}
+	return sys, nil
+}
+
+// runTraced executes one scenario while streaming a structured JSONL
+// trace of every frame and interface transition to w.
+func runTraced(spec experiment.RunSpec, w io.Writer) (metrics.RunResult, error) {
+	var tw *trace.Writer
+	spec.MakeTracer = func(*netsim.Network) netsim.Tracer {
+		tw = trace.NewWriter(w)
+		return tw
+	}
+	res := experiment.Run(spec)
+	return res, tw.Flush()
 }

@@ -1,5 +1,5 @@
-// Command sdsweep regenerates the paper's figures: it runs the full
-// interface-failure sweep (λ = 0.00 … 0.90, X runs per point, five
+// Command sdsweep regenerates the paper's figures and tables: it runs the
+// full interface-failure sweep (λ = 0.00 … 0.90, X runs per point, five
 // systems) on a parallel worker pool and prints the requested figure's
 // data series as an aligned table or CSV.
 //
@@ -9,7 +9,9 @@
 //	sdsweep -figure 5            # Median Update Responsiveness (Fig. 5)
 //	sdsweep -figure 6            # Efficiency Degradation (Fig. 6)
 //	sdsweep -figure 7            # PR1 ablation on FRODO (Fig. 7)
-//	sdsweep -figure all -runs 30 # everything, paper-sized
+//	sdsweep -figure table2       # update message counts at zero failure (Table 2)
+//	sdsweep -figure table5       # metric averages across failure rates (Table 5)
+//	sdsweep -figure all -runs 30 # every figure and table, paper-sized
 //	sdsweep -figure loss         # extension: message-loss failure model
 //	sdsweep -figure adversarial  # extension: burst vs i.i.d. loss at equal rate
 //	sdsweep -figure hardening    # extension: baseline vs hardened under the hunted fault mix
@@ -29,129 +31,75 @@ import (
 	"runtime"
 	"runtime/pprof"
 
-	"repro/sdsim"
+	"repro/internal/discovery"
+	"repro/internal/experiment"
+	"repro/internal/frodo"
+	"repro/internal/jini"
+	"repro/internal/netsim"
+	"repro/internal/obs"
+	"repro/internal/sim"
+	"repro/internal/upnp"
+	"repro/internal/verify"
 )
 
+// config is the part of the command line that fixes what runs; design
+// checks it and resolves it into the sweep's parameters.
+type config struct {
+	figure, scenario, delayDist, partition string
+
+	runs   int
+	seed   int64
+	harden bool
+	topo   experiment.Topology
+
+	churn, absence, arrivals, burstLoss, burstLen, delaySigma, delayAlpha float64
+
+	set map[string]bool // the flags given on the command line
+}
+
 func main() {
+	var c config
+	flag.StringVar(&c.figure, "figure", "all", "figure or table to regenerate: 4|5|6|7|table2|table5|loss|polling|scale|adversarial|hardening|all")
+	flag.IntVar(&c.runs, "runs", 30, "runs per (system, λ) point (X in the paper)")
+	flag.Int64Var(&c.seed, "seed", 1, "base seed for the whole sweep")
 	var (
-		figure  = flag.String("figure", "all", "figure to regenerate: 4|5|6|7|loss|polling|scale|hardening|all")
-		runs    = flag.Int("runs", 30, "runs per (system, λ) point (X in the paper)")
-		seed    = flag.Int64("seed", 1, "base seed for the whole sweep")
 		workers = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 		asCSV   = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		telem   = flag.String("telemetry", "", "meter every run into one registry and write it as JSON to this file at exit (- for stdout)")
 		asPlot  = flag.Bool("plot", false, "render figures 4-6 as ASCII charts too")
 		quiet   = flag.Bool("quiet", false, "suppress progress output")
 
-		scenario = flag.String("scenario", "", "sweep over this scenario spec JSON as the base design (strictly validated; its λ is replaced by the sweep grid)")
-
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 		memProfile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
-
-		users      = flag.Int("users", 0, "number of Users N (0 = the paper's 5)")
-		managers   = flag.Int("managers", 0, "Manager nodes; extras host background services (0 = 1)")
-		registries = flag.Int("registries", 0, "Registry nodes (0 = the system's Table 4 count)")
-		services   = flag.Int("services", 0, "distinct background service types (0 = one per extra Manager)")
-		churn      = flag.Float64("churn", 0, "expected departures per User over the run (Poisson; 0 = no churn)")
-		absence    = flag.Float64("absence", 0, "mean absence before rejoining, seconds (0 = departures are permanent)")
-		arrivals   = flag.Float64("arrivals", 0, "expected fresh User arrivals over the run (Poisson)")
-
-		burstLoss  = flag.Float64("burst-loss", 0, "Gilbert–Elliott burst loss at this average rate (0 = off)")
-		burstLen   = flag.Float64("burst-len", 8, "mean burst length in frames for -burst-loss")
-		delayDist  = flag.String("delay-dist", "uniform", "one-way delay distribution: uniform|lognormal|pareto")
-		delaySigma = flag.Float64("delay-sigma", 0, "lognormal shape for -delay-dist lognormal (0 = 1.0)")
-		delayAlpha = flag.Float64("delay-alpha", 0, "Pareto tail exponent for -delay-dist pareto (0 = 1.5)")
-		partition  = flag.String("partition", "", "bisect the population: start:duration in virtual seconds, e.g. 3000:4000")
-
-		hardenOn = flag.Bool("harden", false, "enable the full protocol-hardening layer for every run")
 	)
+	flag.StringVar(&c.scenario, "scenario", "", "sweep over this scenario spec JSON as the base design (strictly validated; its λ is replaced by the sweep grid)")
+
+	flag.IntVar(&c.topo.Users, "users", 0, "number of Users N (0 = the paper's 5)")
+	flag.IntVar(&c.topo.Managers, "managers", 0, "Manager nodes; extras host background services (0 = 1)")
+	flag.IntVar(&c.topo.Registries, "registries", 0, "Registry nodes (0 = the system's Table 4 count)")
+	flag.IntVar(&c.topo.Services, "services", 0, "distinct background service types (0 = one per extra Manager)")
+	flag.Float64Var(&c.churn, "churn", 0, "expected departures per User over the run (Poisson; 0 = no churn)")
+	flag.Float64Var(&c.absence, "absence", 0, "mean absence before rejoining, seconds (0 = departures are permanent)")
+	flag.Float64Var(&c.arrivals, "arrivals", 0, "expected fresh User arrivals over the run (Poisson)")
+
+	flag.Float64Var(&c.burstLoss, "burst-loss", 0, "Gilbert–Elliott burst loss at this average rate (0 = off)")
+	flag.Float64Var(&c.burstLen, "burst-len", 8, "mean burst length in frames for -burst-loss")
+	flag.StringVar(&c.delayDist, "delay-dist", "uniform", "one-way delay distribution: uniform|lognormal|pareto")
+	flag.Float64Var(&c.delaySigma, "delay-sigma", 0, "lognormal shape for -delay-dist lognormal (0 = 1.0)")
+	flag.Float64Var(&c.delayAlpha, "delay-alpha", 0, "Pareto tail exponent for -delay-dist pareto (0 = 1.5)")
+	flag.StringVar(&c.partition, "partition", "", "bisect the population: start:duration in virtual seconds, e.g. 3000:4000")
+
+	flag.BoolVar(&c.harden, "harden", false, "enable the full protocol-hardening layer for every run")
 	flag.Parse()
+	c.set = map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { c.set[f.Name] = true })
 
-	// Validate before the profilers start: an os.Exit on a bad flag must
+	// Check before the profilers start: an os.Exit on a bad flag must
 	// not leave a started-but-unflushed (truncated) CPU profile behind.
-	switch *figure {
-	case "4", "5", "6", "7", "loss", "polling", "scale", "adversarial", "hardening", "all":
-	default:
-		fmt.Fprintf(os.Stderr, "unknown figure %q\n", *figure)
-		os.Exit(2)
-	}
-	if *hardenOn && *figure == "hardening" {
-		fmt.Fprintf(os.Stderr, "-figure hardening already runs both modes; drop -harden\n")
-		os.Exit(2)
-	}
-
-	// A scenario spec fixes the same dimensions the ad-hoc flags do;
-	// mixing the two would make the effective design ambiguous.
-	if *scenario != "" {
-		specOwned := map[string]bool{
-			"users": true, "managers": true, "registries": true, "services": true,
-			"churn": true, "absence": true, "arrivals": true,
-			"burst-loss": true, "burst-len": true, "delay-dist": true,
-			"delay-sigma": true, "delay-alpha": true, "partition": true,
-		}
-		conflict := ""
-		flag.Visit(func(f *flag.Flag) {
-			if specOwned[f.Name] {
-				conflict = f.Name
-			}
-		})
-		if conflict != "" {
-			fmt.Fprintf(os.Stderr, "-scenario already fixes the design; drop -%s or edit the spec\n", conflict)
-			os.Exit(2)
-		}
-	}
-
-	// Topology flags too: a friendly error up front, not a panic from
-	// deep inside scenario construction (and not silently: normalized()
-	// would otherwise paper a negative -users over with the default 5).
-	topoFlags := sdsim.Topology{
-		Users:      *users,
-		Managers:   *managers,
-		Registries: *registries,
-		Services:   *services,
-	}
-	if err := topoFlags.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "%v\n", err)
-		os.Exit(2)
-	}
-	if *churn < 0 || *absence < 0 || *arrivals < 0 {
-		fmt.Fprintf(os.Stderr, "-churn, -absence and -arrivals must not be negative\n")
-		os.Exit(2)
-	}
-
-	var link sdsim.LinkConfig
-	if *burstLoss > 0 {
-		if *burstLoss >= 1 || *burstLen < 1 {
-			fmt.Fprintf(os.Stderr, "-burst-loss needs a rate in (0,1) and -burst-len ≥ 1\n")
-			os.Exit(2)
-		}
-		if *burstLoss/(1-*burstLoss) > *burstLen {
-			fmt.Fprintf(os.Stderr, "-burst-loss %v is unreachable with -burst-len %v: needs ≥ %.3f\n",
-				*burstLoss, *burstLen, *burstLoss/(1-*burstLoss))
-			os.Exit(2)
-		}
-		link.Burst = sdsim.BurstForAverage(*burstLoss, *burstLen)
-	}
-	dist, err := sdsim.ParseDelayDist(*delayDist)
+	params, linkOpts, err := c.design()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "%v\n", err)
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	link.Delay = sdsim.DelayConfig{Dist: dist, Sigma: *delaySigma, Alpha: *delayAlpha}
-	linkOpts := sdsim.Options{Link: link}
-
-	var partitions []sdsim.Partition
-	if *partition != "" {
-		var startSec, durSec float64
-		if _, err := fmt.Sscanf(*partition, "%f:%f", &startSec, &durSec); err != nil || durSec <= 0 {
-			fmt.Fprintf(os.Stderr, "-partition wants start:duration in seconds, got %q\n", *partition)
-			os.Exit(2)
-		}
-		partitions = append(partitions, sdsim.Partition{
-			Start:    sdsim.Time(startSec * float64(sdsim.Second)),
-			Duration: sdsim.Duration(durSec * float64(sdsim.Second)),
-			Bisect:   true,
-		})
 	}
 
 	if *cpuProfile != "" {
@@ -185,40 +133,7 @@ func main() {
 	}
 
 	if *telem != "" {
-		sdsim.SetTelemetry(sdsim.NewRegistry())
-	}
-
-	params := sdsim.DefaultParams()
-	params.Runs = *runs
-	params.BaseSeed = *seed
-	params.Topology = topoFlags
-	params.Churn = sdsim.Churn{
-		Departures:  *churn,
-		MeanAbsence: sdsim.Duration(*absence * float64(sdsim.Second)),
-		Arrivals:    *arrivals,
-	}
-	params.Partitions = partitions
-	if *hardenOn {
-		params.Hardening = sdsim.HardenAll()
-	}
-
-	if *scenario != "" {
-		// The shared spec codec: strict decoding, field-path validation.
-		// The spec supplies every design dimension except the sweep's own
-		// axes — the λ grid, the run count and the base seed stay flags.
-		spec, err := sdsim.LoadSpec(*scenario)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(2)
-		}
-		params = spec.Params()
-		params.Runs = *runs
-		params.BaseSeed = *seed
-		params.Lambdas = sdsim.DefaultLambdas()
-		linkOpts = spec.Options()
-		if *hardenOn {
-			params.Hardening = sdsim.HardenAll()
-		}
+		experiment.SetTelemetry(obs.NewRegistry())
 	}
 
 	progress := func(done, total int) {
@@ -233,7 +148,7 @@ func main() {
 		}
 	}
 
-	emit := func(t sdsim.Table) {
+	emit := func(t experiment.Table) {
 		if *asCSV {
 			fmt.Print(t.CSV())
 		} else {
@@ -241,35 +156,39 @@ func main() {
 		}
 	}
 
-	needMain := map[string]bool{"4": true, "5": true, "6": true, "all": true}
-	var main sdsim.SweepResult
-	if needMain[*figure] {
+	needMain := map[string]bool{"4": true, "5": true, "6": true, "table5": true, "all": true}
+	var main experiment.SweepResult
+	if needMain[c.figure] {
 		// The link-conditioning flags apply to the main sweep, so figures
 		// 4–6 can be regenerated under adversarial networks directly.
-		main = sdsim.Sweep(sdsim.SweepConfig{
+		main = experiment.Sweep(experiment.SweepConfig{
 			Params: params, Workers: *workers, Progress: progress, Opts: linkOpts,
 		})
 	}
 
-	chart := func(m sdsim.Metric) {
+	chart := func(m experiment.Metric) {
 		if *asPlot {
-			fmt.Println(sdsim.Chart(main, m))
+			fmt.Println(experiment.Chart(main, m))
 		}
 	}
 
-	switch *figure {
+	switch c.figure {
 	case "4":
-		emit(sdsim.Figure4(main))
-		chart(sdsim.MetricEffectiveness)
+		emit(experiment.Figure4(main))
+		chart(experiment.MetricEffectiveness)
 	case "5":
-		emit(sdsim.Figure5(main))
-		chart(sdsim.MetricResponsiveness)
+		emit(experiment.Figure5(main))
+		chart(experiment.MetricResponsiveness)
 	case "6":
-		emit(sdsim.Figure6(main))
-		chart(sdsim.MetricDegradation)
+		emit(experiment.Figure6(main))
+		chart(experiment.MetricDegradation)
 	case "7":
-		with, without := sdsim.Figure7Sweep(params, *workers, progress)
-		emit(sdsim.Figure7(with, without))
+		with, without := experiment.Figure7Sweep(params, *workers, progress)
+		emit(experiment.Figure7(with, without))
+	case "table2":
+		emit(experiment.Table2(params))
+	case "table5":
+		emit(experiment.Table5(main))
 	case "loss":
 		emit(lossSweep(params, *workers, progress))
 	case "polling":
@@ -277,37 +196,125 @@ func main() {
 	case "scale":
 		emit(scaleSweep(params, linkOpts, *workers, progress))
 	case "adversarial":
-		emit(sdsim.FigureAdversarial(params, *workers, progress))
+		emit(experiment.FigureAdversarial(params, *workers, progress))
 	case "hardening":
-		emit(sdsim.FigureHardening(params, *runs, *workers, progress))
+		emit(verify.FigureHardening(params, c.runs, *workers, progress))
 	case "all":
-		emit(sdsim.Figure4(main))
-		chart(sdsim.MetricEffectiveness)
-		emit(sdsim.Figure5(main))
-		chart(sdsim.MetricResponsiveness)
-		emit(sdsim.Figure6(main))
-		chart(sdsim.MetricDegradation)
-		emit(sdsim.Table5(main))
-		with, without := sdsim.Figure7Sweep(params, *workers, progress)
-		emit(sdsim.Figure7(with, without))
+		emit(experiment.Table2(params))
+		emit(experiment.Figure4(main))
+		chart(experiment.MetricEffectiveness)
+		emit(experiment.Figure5(main))
+		chart(experiment.MetricResponsiveness)
+		emit(experiment.Figure6(main))
+		chart(experiment.MetricDegradation)
+		emit(experiment.Table5(main))
+		with, without := experiment.Figure7Sweep(params, *workers, progress)
+		emit(experiment.Figure7(with, without))
 	default:
-		// Unreachable: the up-front validation rejected unknown figures
-		// before the profilers started. Panic (not os.Exit) so that if the
-		// two lists ever diverge, the deferred profile teardown still runs.
-		panic(fmt.Sprintf("figure %q passed validation but has no dispatch case", *figure))
+		// Unreachable: design rejected unknown figures before the
+		// profilers started. Panic (not os.Exit) so that if the two lists
+		// ever diverge, the deferred profile teardown still runs.
+		panic(fmt.Sprintf("figure %q passed validation but has no dispatch case", c.figure))
 	}
 
 	if *telem != "" {
-		if err := dumpTelemetry(sdsim.Telemetry(), *telem); err != nil {
+		if err := dumpTelemetry(experiment.Telemetry(), *telem); err != nil {
 			fmt.Fprintf(os.Stderr, "sdsweep: -telemetry: %v\n", err)
 			os.Exit(1)
 		}
 	}
 }
 
+// design checks the command line and resolves it into the sweep's
+// parameters and link options. Each error is one line: a friendly
+// message up front, not a panic from deep inside scenario construction
+// (nor silence: normalized() would paper a negative -users over with
+// the default 5, and Params would turn -runs 0 into the paper's 30).
+func (c config) design() (p experiment.Params, o experiment.Options, err error) {
+	switch c.figure {
+	case "4", "5", "6", "7", "table2", "table5", "loss", "polling", "scale", "adversarial", "hardening", "all":
+	default:
+		return p, o, fmt.Errorf("unknown figure %q", c.figure)
+	}
+	if c.harden && c.figure == "hardening" {
+		return p, o, fmt.Errorf("-figure hardening already runs both modes; drop -harden")
+	}
+	if c.runs < 1 {
+		return p, o, fmt.Errorf("-runs must be at least 1, got %d", c.runs)
+	}
+
+	p = experiment.DefaultParams()
+	if c.scenario != "" {
+		// A scenario spec fixes the same dimensions the ad-hoc flags do;
+		// mixing the two would make the effective design ambiguous.
+		for _, name := range []string{"users", "managers", "registries", "services",
+			"churn", "absence", "arrivals", "burst-loss", "burst-len", "delay-dist",
+			"delay-sigma", "delay-alpha", "partition"} {
+			if c.set[name] {
+				return p, o, fmt.Errorf("-scenario already fixes the design; drop -%s or edit the spec", name)
+			}
+		}
+		// The shared spec codec: strict decoding, field-path validation.
+		// The spec supplies every design dimension except the sweep's own
+		// axes — the λ grid, the run count and the base seed stay flags.
+		spec, err := experiment.LoadSpec(c.scenario)
+		if err != nil {
+			return p, o, err
+		}
+		p = spec.Params()
+		p.Lambdas = experiment.DefaultLambdas()
+		o = spec.Options()
+	} else {
+		if err := c.topo.Validate(); err != nil {
+			return p, o, err
+		}
+		if c.churn < 0 || c.absence < 0 || c.arrivals < 0 {
+			return p, o, fmt.Errorf("-churn, -absence and -arrivals must not be negative")
+		}
+		if c.burstLoss > 0 {
+			if c.burstLoss >= 1 || c.burstLen < 1 {
+				return p, o, fmt.Errorf("-burst-loss needs a rate in (0,1) and -burst-len ≥ 1")
+			}
+			if c.burstLoss/(1-c.burstLoss) > c.burstLen {
+				return p, o, fmt.Errorf("-burst-loss %v is unreachable with -burst-len %v: needs ≥ %.3f",
+					c.burstLoss, c.burstLen, c.burstLoss/(1-c.burstLoss))
+			}
+			o.Link.Burst = netsim.BurstForAverage(c.burstLoss, c.burstLen)
+		}
+		dist, err := netsim.ParseDelayDist(c.delayDist)
+		if err != nil {
+			return p, o, err
+		}
+		o.Link.Delay = netsim.DelayConfig{Dist: dist, Sigma: c.delaySigma, Alpha: c.delayAlpha}
+		if c.partition != "" {
+			var startSec, durSec float64
+			if _, err := fmt.Sscanf(c.partition, "%f:%f", &startSec, &durSec); err != nil || durSec <= 0 {
+				return p, o, fmt.Errorf("-partition wants start:duration in seconds, got %q", c.partition)
+			}
+			p.Partitions = []netsim.Partition{{
+				Start:    sim.Time(startSec * float64(sim.Second)),
+				Duration: sim.Duration(durSec * float64(sim.Second)),
+				Bisect:   true,
+			}}
+		}
+		p.Topology = c.topo
+		p.Churn = experiment.Churn{
+			Departures:  c.churn,
+			MeanAbsence: sim.Duration(c.absence * float64(sim.Second)),
+			Arrivals:    c.arrivals,
+		}
+	}
+	p.Runs = c.runs
+	p.BaseSeed = c.seed
+	if c.harden {
+		p.Hardening = discovery.HardenAll()
+	}
+	return p, o, nil
+}
+
 // dumpTelemetry writes the process registry as indented JSON to path,
 // or to stdout for "-".
-func dumpTelemetry(reg *sdsim.Registry, path string) error {
+func dumpTelemetry(reg *obs.Registry, path string) error {
 	if path == "-" {
 		return reg.WriteJSON(os.Stdout)
 	}
@@ -326,21 +333,25 @@ func dumpTelemetry(reg *sdsim.Registry, path string) error {
 // notification-plus-persistent-polling, quantifying the §4.2 trade-off
 // (polling is the more effective method if persistent, but slower and
 // redundant for rarely-changing services).
-func pollingSweep(params sdsim.Params, workers int, progress func(int, int)) sdsim.Table {
+func pollingSweep(params experiment.Params, workers int, progress func(int, int)) experiment.Table {
 	params.Lambdas = []float64{0, 0.15, 0.30, 0.45, 0.60, 0.75, 0.90}
-	base := sdsim.Sweep(sdsim.SweepConfig{Params: params, Workers: workers, Progress: progress})
-	polled := sdsim.Sweep(sdsim.SweepConfig{Params: params, Workers: workers, Progress: progress,
-		Opts: sdsim.WithPolling(600 * sdsim.Second)})
-	t := sdsim.Table{
+	base := experiment.Sweep(experiment.SweepConfig{Params: params, Workers: workers, Progress: progress})
+	polled := experiment.Sweep(experiment.SweepConfig{Params: params, Workers: workers, Progress: progress,
+		Opts: experiment.Options{
+			UPnP:  func(c *upnp.Config) { c.PollPeriod = 600 * sim.Second },
+			Jini:  func(c *jini.Config) { c.PollPeriod = 600 * sim.Second },
+			Frodo: func(c *frodo.Config) { c.PollPeriod = 600 * sim.Second },
+		}})
+	t := experiment.Table{
 		Title:  "Extension: CM1 (notification) vs CM1+CM2 (adding 600s persistent polling) — Update Effectiveness",
 		Header: []string{"failure%"},
 	}
-	for _, sys := range sdsim.Systems() {
+	for _, sys := range experiment.Systems() {
 		t.Header = append(t.Header, sys.Short(), sys.Short()+"+poll")
 	}
 	for li, l := range params.Lambdas {
 		row := []string{fmt.Sprintf("%.0f", l*100)}
-		for _, sys := range sdsim.Systems() {
+		for _, sys := range experiment.Systems() {
 			row = append(row,
 				fmt.Sprintf("%.3f", base.Curves[sys].Points[li].Effectiveness),
 				fmt.Sprintf("%.3f", polled.Curves[sys].Points[li].Effectiveness))
@@ -357,23 +368,23 @@ func pollingSweep(params sdsim.Params, workers int, progress func(int, int)) sds
 // Effectiveness and per-run effort respond to growing N. The -churn,
 // -managers and -registries flags apply to every column, as do the
 // link-conditioning flags via opts.
-func scaleSweep(params sdsim.Params, opts sdsim.Options, workers int, progress func(int, int)) sdsim.Table {
+func scaleSweep(params experiment.Params, opts experiment.Options, workers int, progress func(int, int)) experiment.Table {
 	sizes := []int{5, 25, 100, 500, 1000}
 	params.Lambdas = []float64{0, 0.30}
-	t := sdsim.Table{
+	t := experiment.Table{
 		Title:  "Extension: Update Effectiveness and zero-failure effort vs population size N",
 		Header: []string{"system"},
 	}
 	for _, n := range sizes {
 		t.Header = append(t.Header, fmt.Sprintf("F@N=%d(0%%)", n), fmt.Sprintf("F@N=%d(30%%)", n), fmt.Sprintf("m'@N=%d", n))
 	}
-	for _, sys := range sdsim.Systems() {
+	for _, sys := range experiment.Systems() {
 		row := []string{sys.Short()}
 		for _, n := range sizes {
 			p := params
 			p.Topology.Users = n
-			res := sdsim.Sweep(sdsim.SweepConfig{
-				Systems: []sdsim.System{sys}, Params: p, Workers: workers, Progress: progress,
+			res := experiment.Sweep(experiment.SweepConfig{
+				Systems: []experiment.System{sys}, Params: p, Workers: workers, Progress: progress,
 				Opts: opts,
 			})
 			pts := res.Curves[sys].Points
@@ -392,23 +403,23 @@ func scaleSweep(params sdsim.Params, opts sdsim.Options, workers int, progress f
 // lossSweep is the extension experiment: the message-loss failure model
 // of the companion study [25], with λ reinterpreted as the per-frame
 // drop probability.
-func lossSweep(params sdsim.Params, workers int, progress func(int, int)) sdsim.Table {
+func lossSweep(params experiment.Params, workers int, progress func(int, int)) experiment.Table {
 	lambdas := []float64{0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4}
-	t := sdsim.Table{
+	t := experiment.Table{
 		Title:  "Extension: Average Update Effectiveness vs message loss (%) [25]",
 		Header: []string{"loss%"},
 	}
-	curves := map[sdsim.System][]float64{}
-	for _, sys := range sdsim.Systems() {
+	curves := map[experiment.System][]float64{}
+	for _, sys := range experiment.Systems() {
 		t.Header = append(t.Header, sys.Short())
 		for _, l := range lambdas {
 			p := params
 			p.Lambdas = []float64{0} // no interface failures
-			res := sdsim.Sweep(sdsim.SweepConfig{
-				Systems:  []sdsim.System{sys},
+			res := experiment.Sweep(experiment.SweepConfig{
+				Systems:  []experiment.System{sys},
 				Params:   p,
 				Workers:  workers,
-				Opts:     sdsim.Options{Loss: l},
+				Opts:     experiment.Options{Loss: l},
 				Progress: progress,
 			})
 			curves[sys] = append(curves[sys], res.Curves[sys].Points[0].Effectiveness)
@@ -416,7 +427,7 @@ func lossSweep(params sdsim.Params, workers int, progress func(int, int)) sdsim.
 	}
 	for i, l := range lambdas {
 		row := []string{fmt.Sprintf("%.0f", l*100)}
-		for _, sys := range sdsim.Systems() {
+		for _, sys := range experiment.Systems() {
 			row = append(row, fmt.Sprintf("%.3f", curves[sys][i]))
 		}
 		t.Rows = append(t.Rows, row)

@@ -27,9 +27,11 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/discovery"
+	"repro/internal/experiment"
 	"repro/internal/hunt"
 	"repro/internal/obs"
-	"repro/sdsim"
+	"repro/internal/verify"
 )
 
 func main() {
@@ -42,17 +44,17 @@ func main() {
 		os.Exit(auditScenario(*scenario, *harden, *listViolations))
 	}
 
-	grid := sdsim.DefaultGuaranteeGrid()
+	grid := verify.DefaultGrid()
 	if *harden {
-		grid.Harden = sdsim.HardenAll()
+		grid.Harden = discovery.HardenAll()
 	}
 	fmt.Println("Configuration Update Principles — single-outage scenario grid")
 	fmt.Printf("(change at %.0fs, horizon %.0fs, %.0fs recovery slack)\n\n",
 		grid.ChangeAt.Sec(), float64(grid.Horizon)/1e9, float64(grid.RecoverySlack)/1e9)
 	fmt.Printf("%-34s  %-10s  %-10s  %s\n", "system", "scenarios", "violations", "verdict")
 
-	for _, sys := range sdsim.Systems() {
-		res := sdsim.CheckGuarantees(sys, grid)
+	for _, sys := range experiment.Systems() {
+		res := verify.Check(sys, grid)
 		verdict := "HOLDS"
 		if !res.Holds() {
 			verdict = "VIOLATED"
@@ -119,7 +121,7 @@ func auditScenario(path string, harden, listViolations bool) int {
 		return 0
 	}
 
-	spec, err := sdsim.LoadSpec(path)
+	spec, err := experiment.LoadSpec(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		return 2
@@ -130,8 +132,8 @@ func auditScenario(path string, harden, listViolations bool) int {
 	fmt.Printf("Run-time consistency oracle — scenario %s (seed %d)\n\n", path, spec.Seed)
 	fmt.Printf("%-34s  %s\n", "system", "oracle report")
 	status := 0
-	for _, sys := range sdsim.Systems() {
-		rep, _ := sdsim.ObserveRun(spec.RunSpec(sys), sdsim.DefaultOracleConfig(sys))
+	for _, sys := range experiment.Systems() {
+		rep, _ := verify.ObserveRun(spec.RunSpec(sys), verify.DefaultOracleConfig(sys))
 		fmt.Printf("%-34s  %s\n", sys, rep)
 		printViolations(rep, listViolations)
 		if rep.Total > 0 {
@@ -152,7 +154,7 @@ func dumpFlight(snaps []obs.FlightSnapshot) {
 	}
 }
 
-func printViolations(rep sdsim.OracleReport, list bool) {
+func printViolations(rep verify.OracleReport, list bool) {
 	if !list {
 		return
 	}

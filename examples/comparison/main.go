@@ -7,24 +7,24 @@ package main
 import (
 	"fmt"
 
-	"repro/sdsim"
+	"repro/internal/experiment"
 )
 
 func main() {
-	params := sdsim.DefaultParams()
+	params := experiment.DefaultParams()
 	params.Runs = 10
 	params.Lambdas = []float64{0, 0.15, 0.30, 0.60, 0.90}
 
 	fmt.Println("Sweeping 5 systems x 5 failure rates x 10 runs on all cores...")
-	res := sdsim.Sweep(sdsim.SweepConfig{Params: params})
+	res := experiment.Sweep(experiment.SweepConfig{Params: params})
 
 	fmt.Println()
-	fmt.Println(sdsim.Figure4(res))
-	fmt.Println(sdsim.Figure5(res))
-	fmt.Println(sdsim.Figure6(res))
+	fmt.Println(experiment.Figure4(res))
+	fmt.Println(experiment.Figure5(res))
+	fmt.Println(experiment.Figure6(res))
 
 	fmt.Println("Averages across the sampled failure rates:")
-	for _, sys := range sdsim.Systems() {
+	for _, sys := range experiment.Systems() {
 		r, f, g := res.Curves[sys].Average()
 		fmt.Printf("  %-34s R=%.3f  F=%.3f  G=%.3f  (m'=%d)\n",
 			sys.String(), r, f, g, res.MPrime[sys])

@@ -12,7 +12,9 @@ import (
 	"log"
 	"time"
 
-	"repro/sdsim"
+	"repro/internal/experiment"
+	"repro/internal/live"
+	"repro/internal/verify"
 )
 
 func main() {
@@ -20,10 +22,10 @@ func main() {
 	// Manager and two Users — plus whatever we attach from outside.
 	// Dilation 0.0005 runs the fabric 2000× faster than the wall clock,
 	// so second-scale protocol timers answer in milliseconds.
-	ocfg := sdsim.DefaultOracleConfig(sdsim.Frodo2P)
-	srv, err := sdsim.Serve(sdsim.LiveConfig{
-		System:   sdsim.Frodo2P,
-		Topology: sdsim.Topology{Users: 2},
+	ocfg := verify.DefaultOracleConfig(experiment.Frodo2P)
+	srv, err := live.Serve(live.Config{
+		System:   experiment.Frodo2P,
+		Topology: experiment.Topology{Users: 2},
 		Seed:     42,
 		Dilation: 0.0005,
 		Oracle:   &ocfg,
@@ -34,12 +36,12 @@ func main() {
 	defer srv.Close()
 	fmt.Printf("live FRODO 2-party fabric serving on %s\n", srv.Addr())
 
-	cl := sdsim.NewLiveClient(srv.Addr())
+	cl := live.NewClient(srv.Addr())
 
 	// 1. Register a service: the gateway spawns a real FRODO Manager
 	// node that registers with the live Central, exactly as the printer
 	// did at boot.
-	mgr, err := cl.Register(sdsim.LiveServiceSpec{
+	mgr, err := cl.Register(live.ServiceSpec{
 		Device: "Thermostat", Service: "Climate",
 		Attrs: map[string]string{"Target": "21C"},
 	})
@@ -50,11 +52,11 @@ func main() {
 
 	// 2. Attach a User requiring that service, and subscribe to pushed
 	// notifications of its cache writes.
-	user, err := cl.Attach(sdsim.LiveServiceQuery{Service: "Climate"})
+	user, err := cl.Attach(live.ServiceQuery{Service: "Climate"})
 	if err != nil {
 		log.Fatal(err)
 	}
-	hub, err := sdsim.NewLiveNotifyHub()
+	hub, err := live.NewNotifyHub()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,7 +69,7 @@ func main() {
 	// 3. Wait for the protocol to discover the service (search burst to
 	// the Central, subscription to the 300D Manager — all on the
 	// simulated fabric, just on the wall clock now).
-	var rec sdsim.LiveRecord
+	var rec live.Record
 	for deadline := time.Now().Add(30 * time.Second); ; {
 		recs, err := cl.Query(user)
 		if err != nil {

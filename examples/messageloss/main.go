@@ -9,29 +9,29 @@ package main
 import (
 	"fmt"
 
-	"repro/sdsim"
+	"repro/internal/experiment"
 )
 
 func main() {
-	params := sdsim.DefaultParams()
+	params := experiment.DefaultParams()
 	params.Runs = 10
 	params.Lambdas = []float64{0} // no interface failures; loss only
 
 	fmt.Println("Update Effectiveness under i.i.d. message loss (10 runs/point):")
 	fmt.Println()
 	fmt.Printf("%-8s", "loss%")
-	for _, sys := range sdsim.Systems() {
+	for _, sys := range experiment.Systems() {
 		fmt.Printf("  %-8s", sys.Short())
 	}
 	fmt.Println()
 
 	for _, loss := range []float64{0, 0.05, 0.10, 0.20, 0.30, 0.40} {
 		fmt.Printf("%-8.0f", loss*100)
-		for _, sys := range sdsim.Systems() {
-			res := sdsim.Sweep(sdsim.SweepConfig{
-				Systems: []sdsim.System{sys},
+		for _, sys := range experiment.Systems() {
+			res := experiment.Sweep(experiment.SweepConfig{
+				Systems: []experiment.System{sys},
 				Params:  params,
-				Opts:    sdsim.WithLoss(loss),
+				Opts:    experiment.Options{Loss: loss},
 			})
 			fmt.Printf("  %-8.3f", res.Curves[sys].Points[0].Effectiveness)
 		}

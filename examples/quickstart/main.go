@@ -7,20 +7,20 @@ package main
 import (
 	"fmt"
 
-	"repro/sdsim"
+	"repro/internal/experiment"
 )
 
 func main() {
 	// The paper's scenario: 5 Users discover a color printer within the
 	// first 100s; at a random time the printer's service description
 	// changes; the protocol propagates the update.
-	spec := sdsim.RunSpec{
-		System: sdsim.Frodo2P,
+	spec := experiment.RunSpec{
+		System: experiment.Frodo2P,
 		Lambda: 0, // no failures: the happy path of Fig. 1
 		Seed:   42,
-		Params: sdsim.DefaultParams(),
+		Params: experiment.DefaultParams(),
 	}
-	res, log := sdsim.RunLogged(spec, true)
+	res, log := experiment.RunLogged(spec, true)
 
 	fmt.Println("=== FRODO with 2-party subscription, no failures ===")
 	fmt.Println()

@@ -4,7 +4,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/frodo"
+	"repro/internal/jini"
+	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/upnp"
 )
 
 func fastParams(runs int, lambdas []float64) Params {
@@ -201,4 +206,69 @@ func TestProgressCallback(t *testing.T) {
 	if calls != 2 || lastDone != 2 || lastTotal != 2 {
 		t.Errorf("progress: calls=%d done=%d total=%d", calls, lastDone, lastTotal)
 	}
+}
+
+// Each protocol option reaches the run and changes it the way its
+// mechanism says it must.
+func TestOptionsReachTheRun(t *testing.T) {
+	reached := func(res metrics.RunResult) int {
+		n := 0
+		for _, u := range res.Users {
+			if u.Reached {
+				n++
+			}
+		}
+		return n
+	}
+	threeChanges := DefaultParams()
+	threeChanges.Changes = 3
+
+	t.Run("multi-change", func(t *testing.T) {
+		res := Run(RunSpec{System: Frodo2P, Lambda: 0, Seed: 5, Params: threeChanges})
+		if n := reached(res); n != len(res.Users) {
+			t.Errorf("%d/%d users reached version 4 after 3 changes", n, len(res.Users))
+		}
+	})
+	t.Run("critical-updates", func(t *testing.T) {
+		res := Run(RunSpec{System: Frodo2P, Lambda: 0, Seed: 5, Params: threeChanges,
+			Opts: Options{Frodo: func(c *frodo.Config) { c.CriticalUpdates = true }}})
+		if n := reached(res); n != len(res.Users) {
+			t.Errorf("critical mode: %d/%d users consistent", n, len(res.Users))
+		}
+	})
+	t.Run("loss", func(t *testing.T) {
+		res := Run(RunSpec{System: Frodo2P, Lambda: 0, Seed: 5, Params: DefaultParams(),
+			Opts: Options{Loss: 0.2}})
+		if n := reached(res); n < 4 {
+			t.Errorf("only %d/5 users consistent at 20%% loss; SRN1 should carry FRODO", n)
+		}
+	})
+	t.Run("polling", func(t *testing.T) {
+		spec := RunSpec{System: UPnP, Lambda: 0, Seed: 2, Params: DefaultParams()}
+		base := Run(spec)
+		spec.Opts = Options{
+			UPnP:  func(c *upnp.Config) { c.PollPeriod = 600 * sim.Second },
+			Jini:  func(c *jini.Config) { c.PollPeriod = 600 * sim.Second },
+			Frodo: func(c *frodo.Config) { c.PollPeriod = 600 * sim.Second },
+		}
+		polled := Run(spec)
+		if n := reached(polled); n != len(polled.Users) {
+			t.Errorf("polling run: %d/%d users consistent at λ=0", n, len(polled.Users))
+		}
+		if polled.TotalDiscoverySends <= base.TotalDiscoverySends {
+			t.Errorf("polling sends (%d) not above notification-only (%d)",
+				polled.TotalDiscoverySends, base.TotalDiscoverySends)
+		}
+	})
+	t.Run("ablation", func(t *testing.T) {
+		cfg := SweepConfig{Systems: []System{Frodo2P}, Params: fastParams(6, []float64{0.15})}
+		fb := Sweep(cfg).Curves[Frodo2P].Points[0].Effectiveness
+		cfg.Opts = Options{Frodo: func(c *frodo.Config) {
+			c.Techniques = c.Techniques.Without(core.SRN2 | core.PR4 | core.PR1)
+		}}
+		fa := Sweep(cfg).Curves[Frodo2P].Points[0].Effectiveness
+		if fa > fb {
+			t.Errorf("ablating SRN2+PR4+PR1 improved effectiveness: %v > %v", fa, fb)
+		}
+	})
 }

@@ -43,6 +43,9 @@ func TestFigure7TableShape(t *testing.T) {
 	if len(tab.Header) != 5 {
 		t.Fatalf("header = %v", tab.Header)
 	}
+	if !strings.Contains(tab.String(), "frodo3p-noPR1") {
+		t.Error("ablation column missing")
+	}
 }
 
 func TestAverageWindowShrinksWithHealth(t *testing.T) {
@@ -81,13 +84,19 @@ func TestTopologyMatchesBuild(t *testing.T) {
 	}
 }
 
+// The event log annotates the change and the effort, and shows the
+// interface transitions (at λ ≥ 0.2 every node fails once).
 func TestRunLoggedAnnotations(t *testing.T) {
-	_, log := RunLogged(RunSpec{System: Frodo2P, Lambda: 0.2, Seed: 3,
-		Params: DefaultParams()}, false)
-	joined := strings.Join(log, "\n")
-	for _, want := range []string{"service changed at", "update effort"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("log missing %q", want)
+	for _, spec := range []RunSpec{
+		{System: Frodo2P, Lambda: 0.2, Seed: 3, Params: DefaultParams()},
+		{System: UPnP, Lambda: 0.3, Seed: 9, Params: DefaultParams()},
+	} {
+		_, log := RunLogged(spec, false)
+		joined := strings.Join(log, "\n")
+		for _, want := range []string{"service changed at", "update effort", "down"} {
+			if !strings.Contains(joined, want) {
+				t.Errorf("%v: log missing %q", spec.System, want)
+			}
 		}
 	}
 }
