@@ -43,6 +43,16 @@ func TestFigure7TableShape(t *testing.T) {
 	if len(tab.Header) != 5 {
 		t.Fatalf("header = %v", tab.Header)
 	}
+}
+
+// A one-λ Figure 7 sweep yields one row and carries the FRODO 3-party
+// column without PR1.
+func TestFigure7SweepHasAblationColumn(t *testing.T) {
+	with, without := Figure7Sweep(fastParams(3, []float64{0.3}), 2, nil)
+	tab := Figure7(with, without)
+	if len(tab.Rows) != 1 {
+		t.Fatalf("rows = %d", len(tab.Rows))
+	}
 	if !strings.Contains(tab.String(), "frodo3p-noPR1") {
 		t.Error("ablation column missing")
 	}
@@ -84,19 +94,29 @@ func TestTopologyMatchesBuild(t *testing.T) {
 	}
 }
 
-// The event log annotates the change and the effort, and shows the
-// interface transitions (at λ ≥ 0.2 every node fails once).
 func TestRunLoggedAnnotations(t *testing.T) {
-	for _, spec := range []RunSpec{
-		{System: Frodo2P, Lambda: 0.2, Seed: 3, Params: DefaultParams()},
-		{System: UPnP, Lambda: 0.3, Seed: 9, Params: DefaultParams()},
-	} {
-		_, log := RunLogged(spec, false)
-		joined := strings.Join(log, "\n")
-		for _, want := range []string{"service changed at", "update effort", "down"} {
-			if !strings.Contains(joined, want) {
-				t.Errorf("%v: log missing %q", spec.System, want)
-			}
+	_, log := RunLogged(RunSpec{System: Frodo2P, Lambda: 0.2, Seed: 3,
+		Params: DefaultParams()}, false)
+	joined := strings.Join(log, "\n")
+	for _, want := range []string{"service changed at", "update effort"} {
+		if !strings.Contains(joined, want) {
+			t.Errorf("log missing %q", want)
+		}
+	}
+}
+
+// The event log annotates the change and the effort, and shows the
+// interface transitions (at λ=0.3 every node fails once).
+func TestRunLoggedShowsInterfaceFailures(t *testing.T) {
+	_, log := RunLogged(RunSpec{System: UPnP, Lambda: 0.3, Seed: 9,
+		Params: DefaultParams()}, false)
+	if len(log) == 0 {
+		t.Fatal("empty event log")
+	}
+	joined := strings.Join(log, "\n")
+	for _, want := range []string{"service changed at", "update effort", "down"} {
+		if !strings.Contains(joined, want) {
+			t.Errorf("log missing %q", want)
 		}
 	}
 }
