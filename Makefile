@@ -53,11 +53,11 @@ bench:
 	done
 
 # Coverage floor for the oracle, the conditioned network, the trace
-# layer, the chaos hunter and the hardening layer: the packages whose
-# correctness everything else leans on must stay ≥ $(COVER_FLOOR)%
-# statement coverage (CI-enforced).
+# layer, the chaos hunter and telemetry: the packages whose correctness
+# everything else leans on must stay ≥ $(COVER_FLOOR)% statement
+# coverage (CI-enforced).
 cover-floor:
-	@set -e; for pkg in ./internal/verify ./internal/netsim ./internal/trace ./internal/hunt ./internal/harden ./internal/obs; do \
+	@set -e; for pkg in ./internal/verify ./internal/netsim ./internal/trace ./internal/hunt ./internal/obs; do \
 	  pct=$$($(GO) test -cover $$pkg | grep -o 'coverage: [0-9.]*%' | grep -o '[0-9.]*'); \
 	  echo "$$pkg coverage: $$pct%"; \
 	  awk -v p="$$pct" -v f="$(COVER_FLOOR)" 'BEGIN { exit !(p+0 >= f+0) }' || \
@@ -83,7 +83,9 @@ live-smoke:
 # Chaos-hunter smoke test (CI-enforced): a race-built sdhunt with a
 # 60-second deterministic budget (the budget is a cost model, so the
 # hunt is identical on every machine), then a replay of every committed
-# fixture under internal/hunt/testdata. The hunt exits 1 when it finds
+# fixture under internal/hunt/testdata: the hunted baselines must still
+# exhibit their recorded violations AND their hardened twins must replay
+# clean. The hunt exits 1 when it finds
 # violations — that is its job, not a failure, so only a usage error
 # (exit 2) fails the hunt step; the replay must be fully green.
 hunt-smoke:
@@ -93,17 +95,13 @@ hunt-smoke:
 	$$tmp/sdhunt -budget 60s -seed 1 -out $$tmp/hunted -report $$tmp/report.json || [ $$? -eq 1 ]; \
 	$$tmp/sdhunt -replay internal/hunt/testdata
 
-# Hardening smoke test (CI-enforced): replay the committed fixture sets
-# race-built — the hunted baselines must still exhibit their recorded
-# violations AND their hardened counterparts must replay clean — then
-# one hardened live pass: sdlived with the full hardening layer on,
-# driven by sdload with per-request timeouts and jittered retries,
-# failing on any client error, race or oracle violation.
+# Hardening smoke test (CI-enforced): one hardened live pass — sdlived
+# with the hardening layer on, driven by sdload with per-request timeouts
+# and jittered retries, failing on any client error, race or oracle
+# violation. The hardened fixtures replay in hunt-smoke.
 harden-smoke:
 	@set -e; tmp=$$(mktemp -d); \
 	trap 'kill $$pid 2>/dev/null || true; rm -rf $$tmp' EXIT; \
-	$(GO) build -race -o $$tmp/sdhunt ./cmd/sdhunt; \
-	$$tmp/sdhunt -replay internal/hunt/testdata; \
 	$(GO) build -race -o $$tmp/sdlived ./cmd/sdlived; \
 	$(GO) build -race -o $$tmp/sdload ./cmd/sdload; \
 	$$tmp/sdlived -system frodo2p -harden -users 1000 -dilation 0.002 -addr 127.0.0.1:0 -addr-file $$tmp/addr & pid=$$!; \

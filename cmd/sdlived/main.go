@@ -25,7 +25,6 @@ import (
 	"os/signal"
 	"syscall"
 
-	"repro/internal/discovery"
 	"repro/internal/experiment"
 	"repro/internal/live"
 	"repro/internal/obs"
@@ -70,14 +69,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sdlived: -dilation must be positive, got %v\n", *dilation)
 		os.Exit(2)
 	}
-	opts := experiment.Options{Loss: *loss}
-	if *harden {
-		opts.Harden = discovery.HardenAll()
-	}
 	cfg := live.Config{
 		System:   sys,
 		Topology: topo,
-		Options:  opts,
+		Options:  experiment.Options{Loss: *loss, Hardened: *harden},
 		Seed:     *seed,
 		Dilation: *dilation,
 	}

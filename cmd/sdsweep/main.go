@@ -31,7 +31,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 
-	"repro/internal/discovery"
 	"repro/internal/experiment"
 	"repro/internal/frodo"
 	"repro/internal/jini"
@@ -236,9 +235,6 @@ func (c config) design() (p experiment.Params, o experiment.Options, err error) 
 	default:
 		return p, o, fmt.Errorf("unknown figure %q", c.figure)
 	}
-	if c.harden && c.figure == "hardening" {
-		return p, o, fmt.Errorf("-figure hardening already runs both modes; drop -harden")
-	}
 	if c.runs < 1 {
 		return p, o, fmt.Errorf("-runs must be at least 1, got %d", c.runs)
 	}
@@ -306,8 +302,10 @@ func (c config) design() (p experiment.Params, o experiment.Options, err error) 
 	}
 	p.Runs = c.runs
 	p.BaseSeed = c.seed
-	if c.harden {
-		p.Hardening = discovery.HardenAll()
+	p.Hardened = p.Hardened || c.harden
+	if p.Hardened && c.figure == "hardening" {
+		// A hardened scenario spec would turn the baseline column hardened.
+		return p, o, fmt.Errorf("-figure hardening already runs both modes; drop -harden or the spec's \"hardened\"")
 	}
 	return p, o, nil
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -8,9 +10,19 @@ import (
 	"repro/internal/netsim"
 )
 
+// hardenedSpec writes a scenario spec that turns hardening on.
+func hardenedSpec(t *testing.T) string {
+	path := filepath.Join(t.TempDir(), "hardened.json")
+	if err := os.WriteFile(path, []byte(`{"seed": 1, "hardened": true}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 func TestDesignChecksFlags(t *testing.T) {
 	// The command line's defaults.
 	def := config{figure: "all", runs: 30, seed: 1, burstLen: 8, delayDist: "uniform"}
+	hardened := hardenedSpec(t)
 	for _, tc := range []struct {
 		name string
 		edit func(*config)
@@ -24,6 +36,7 @@ func TestDesignChecksFlags(t *testing.T) {
 		{"zero runs", func(c *config) { c.runs = 0 }, "-runs must be at least 1, got 0"},
 		{"negative runs", func(c *config) { c.runs = -1; c.figure = "4" }, "-runs must be at least 1, got -1"},
 		{"hardening twice", func(c *config) { c.figure = "hardening"; c.harden = true }, "drop -harden"},
+		{"hardened spec", func(c *config) { c.figure = "hardening"; c.scenario = hardened }, "drop -harden"},
 		{"negative users", func(c *config) { c.topo.Users = -3 }, "-users must not be negative"},
 		{"negative churn", func(c *config) { c.churn = -1 }, "must not be negative"},
 		{"burst rate", func(c *config) { c.burstLoss = 1 }, "-burst-loss needs a rate in (0,1)"},
@@ -59,10 +72,17 @@ func TestDesignResolvesFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Runs != 2 || p.BaseSeed != 7 || p.Topology.Users != 9 || len(p.Partitions) != 1 || !p.Hardening.StrictLease {
+	if p.Runs != 2 || p.BaseSeed != 7 || p.Topology.Users != 9 || len(p.Partitions) != 1 || !p.Hardened {
 		t.Errorf("params = %+v", p)
 	}
 	if o.Link.Delay.Dist != netsim.DelayPareto {
 		t.Errorf("link = %+v", o.Link)
+	}
+
+	// A hardened spec hardens every figure, not only those fed the
+	// spec's Options.
+	c = config{figure: "7", runs: 2, seed: 1, scenario: hardenedSpec(t)}
+	if p, _, err = c.design(); err != nil || !p.Hardened {
+		t.Errorf("hardened spec: hardened = %v, err = %v", p.Hardened, err)
 	}
 }

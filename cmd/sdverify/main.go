@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/discovery"
 	"repro/internal/experiment"
 	"repro/internal/hunt"
 	"repro/internal/obs"
@@ -45,9 +44,7 @@ func main() {
 	}
 
 	grid := verify.DefaultGrid()
-	if *harden {
-		grid.Harden = discovery.HardenAll()
-	}
+	grid.Harden = *harden
 	fmt.Println("Configuration Update Principles — single-outage scenario grid")
 	fmt.Printf("(change at %.0fs, horizon %.0fs, %.0fs recovery slack)\n\n",
 		grid.ChangeAt.Sec(), float64(grid.Horizon)/1e9, float64(grid.RecoverySlack)/1e9)

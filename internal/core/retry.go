@@ -21,10 +21,14 @@ type RetryPolicy struct {
 	// decorrelated jitter (see Backoff): the first gap stays near
 	// Interval, later gaps spread out in [Interval, min(Cap, 3·prev)),
 	// drawn from the kernel RNG. Zero keeps the paper's periodic
-	// schedule and draws nothing — the hardening layer is the only
-	// code that sets it.
+	// schedule and draws nothing; only a hardened run sets it, to
+	// HardenedRetryCap.
 	Cap sim.Duration
 }
+
+// HardenedRetryCap is the Cap a hardened run gives FRODO's notification
+// and control retry schedules.
+const HardenedRetryCap = 120 * sim.Second
 
 // Retry drives one acknowledged transmission: it sends immediately on
 // Start and retransmits on the policy's schedule until stopped (ack

@@ -49,6 +49,8 @@ type LeaseTable[K comparable, V any] struct {
 	// nested iteration falls back to a private copy.
 	scratch   []K
 	iterating bool
+	// strict makes Renew refuse a lease that is already spent (SetStrict).
+	strict bool
 }
 
 // A table holds inlineLeases entries without a map or a chunk of its
@@ -85,6 +87,15 @@ func leaseExpired(x any) { x.(interface{ expire() }).expire() }
 func (t *LeaseTable[K, V]) Init(k *sim.Kernel, onExpire func(owner any, key K, v V), owner any) {
 	t.k, t.onExpire, t.owner = k, onExpire, owner
 }
+
+// SetStrict marks a lease holder's table strict, right after Init: its
+// Renew then refuses a renewal processed at or after the expiry instant,
+// even if the purge has not fired yet (the kernel can deliver a renewal
+// and the expiry at the same timestamp in either order). The renewal/purge
+// race then always resolves toward re-registration, keeping the holder's
+// view and the oracle's lease ledger in lockstep. Put and RenewIf are
+// unaffected, and Rearm keeps the mark.
+func (t *LeaseTable[K, V]) SetStrict(strict bool) { t.strict = strict }
 
 // pool threads a chunk of entries onto the free list, first entry first.
 // Each entry's deadline is bound to the entry once and follows it through
@@ -179,26 +190,11 @@ func (t *LeaseTable[K, V]) Put(key K, v V, lease sim.Duration) {
 
 // Renew extends an existing entry's lease, reporting whether the entry was
 // present. A renewal of an absent (purged) entry fails — that failure is
-// what triggers PR3/PR4 resubscription flows.
+// what triggers PR3/PR4 resubscription flows — and so does, on a strict
+// table, a renewal of a spent lease.
 func (t *LeaseTable[K, V]) Renew(key K, lease sim.Duration) bool {
 	e := t.lookup(key)
-	if e == nil {
-		return false
-	}
-	e.deadline.SetAfter(lease)
-	return true
-}
-
-// RenewStrict extends an existing entry's lease only while the lease is
-// still live: a renewal processed at or after the expiry instant is
-// refused even if the purge callback has not fired yet (kernel event
-// ordering can deliver a renewal and the expiry at the same timestamp in
-// either order). Hardened holders use this instead of Renew so the
-// renewal/purge race always resolves toward re-registration, keeping the
-// holder's view and the oracle's lease ledger in lockstep.
-func (t *LeaseTable[K, V]) RenewStrict(key K, lease sim.Duration) bool {
-	e := t.lookup(key)
-	if e == nil || t.k.Now() >= e.deadline.When() {
+	if e == nil || t.strict && t.k.Now() >= e.deadline.When() {
 		return false
 	}
 	e.deadline.SetAfter(lease)

@@ -144,13 +144,20 @@ func TestLeaseTableEachAndKeys(t *testing.T) {
 	}
 }
 
+// newStrictTable is newTable marked strict, as a hardened lease holder's.
+func newStrictTable[K comparable, V any](k *sim.Kernel, onExpire func(K, V)) *LeaseTable[K, V] {
+	t := newTable(k, onExpire)
+	t.SetStrict(true)
+	return t
+}
+
 func TestLeaseTableRenewStrictJustBeforeExpiry(t *testing.T) {
 	k := sim.New(1)
 	expired := 0
-	tbl := newTable[string, int](k, func(string, int) { expired++ })
+	tbl := newStrictTable[string, int](k, func(string, int) { expired++ })
 	tbl.Put("a", 1, 10*sim.Second)
 	k.At(10*sim.Second-1, func() {
-		if !tbl.RenewStrict("a", 10*sim.Second) {
+		if !tbl.Renew("a", 10*sim.Second) {
 			t.Error("strict renewal one tick before expiry refused")
 		}
 	})
@@ -161,30 +168,41 @@ func TestLeaseTableRenewStrictJustBeforeExpiry(t *testing.T) {
 }
 
 func TestLeaseTableRenewStrictAtExpiryRefused(t *testing.T) {
-	k := sim.New(1)
-	expired := 0
-	tbl := newTable[string, int](k, func(string, int) { expired++ })
-	// The renewal is scheduled before Put arms the deadline, so at t=10s
-	// the kernel's FIFO tie-break delivers it first: the entry is still
-	// present, but the lease is spent. Strict must refuse, and the purge
-	// must still fire at the same instant.
-	renewed := true
-	k.At(10*sim.Second, func() { renewed = tbl.RenewStrict("a", 10*sim.Second) })
-	tbl.Put("a", 1, 10*sim.Second)
-	k.Run(20 * sim.Second)
-	if renewed {
-		t.Error("strict renewal at the expiry instant succeeded")
-	}
-	if expired != 1 {
-		t.Errorf("expirations = %d, want 1 — a refused renewal must not keep the entry alive", expired)
+	for _, tc := range []struct {
+		strict      bool
+		wantRenewed bool
+		wantPurgeAt sim.Time
+	}{
+		{strict: true, wantRenewed: false, wantPurgeAt: 10 * sim.Second},
+		// A lax table still renews at that instant (TestLeaseTableRenewRacingPurge).
+		{strict: false, wantRenewed: true, wantPurgeAt: 20 * sim.Second},
+	} {
+		k := sim.New(1)
+		var purges []sim.Time
+		tbl := newTable[string, int](k, func(string, int) { purges = append(purges, k.Now()) })
+		tbl.SetStrict(tc.strict)
+		// The renewal is scheduled before Put arms the deadline, so at t=10s
+		// the kernel's FIFO tie-break delivers it first: the entry is still
+		// present, but the lease is spent. Strict must refuse, and the purge
+		// must still fire at the same instant.
+		renewed := !tc.wantRenewed
+		k.At(10*sim.Second, func() { renewed = tbl.Renew("a", 10*sim.Second) })
+		tbl.Put("a", 1, 10*sim.Second)
+		k.Run(30 * sim.Second)
+		if renewed != tc.wantRenewed {
+			t.Errorf("strict=%v: renewal at the expiry instant = %v, want %v", tc.strict, renewed, tc.wantRenewed)
+		}
+		if len(purges) != 1 || purges[0] != tc.wantPurgeAt {
+			t.Errorf("strict=%v: purges at %v, want one at %v", tc.strict, purges, tc.wantPurgeAt)
+		}
 	}
 }
 
 func TestLeaseTableRenewRacingPurge(t *testing.T) {
-	// The same race through the un-hardened Renew: delivered at the
-	// expiry instant ahead of the purge event, it extends the lease and
-	// the purge never fires. This is the baseline behavior the hunted
-	// lease-purge fixtures pin down — and what StrictLease turns off.
+	// The same race through a lax table's Renew: delivered at the expiry
+	// instant ahead of the purge event, it extends the lease and the purge
+	// never fires. This is the baseline behavior the hunted lease-purge
+	// fixtures pin down — and what a strict table turns off.
 	k := sim.New(1)
 	expired := 0
 	tbl := newTable[string, int](k, func(string, int) { expired++ })
@@ -206,8 +224,8 @@ func TestLeaseTableRenewRacingPurge(t *testing.T) {
 
 func TestLeaseTableRenewStrictAbsentFails(t *testing.T) {
 	k := sim.New(1)
-	tbl := newTable[string, int](k, nil)
-	if tbl.RenewStrict("ghost", sim.Second) {
+	tbl := newStrictTable[string, int](k, nil)
+	if tbl.Renew("ghost", sim.Second) {
 		t.Error("strict renewal of an absent entry succeeded")
 	}
 }

@@ -164,7 +164,7 @@ type ManagerGone struct {
 	Manager netsim.NodeID
 }
 
-// Bye is a best-effort goodbye, only emitted under Hardening: a retiring
+// Bye is a best-effort goodbye, only emitted by hardened nodes: a retiring
 // node deregisters itself (peers evict its leases immediately instead of
 // waiting for expiry), and a demoted FRODO Central retracts its Announce
 // claim (Role == RoleRegistry). Receivers handle Bye unconditionally —

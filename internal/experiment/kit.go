@@ -1,9 +1,9 @@
 package experiment
 
 import (
+	"repro/internal/core"
 	"repro/internal/discovery"
 	"repro/internal/frodo"
-	"repro/internal/harden"
 	"repro/internal/jini"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -75,10 +75,11 @@ func (m frodoManager) ChangeService(mutate func(map[string]string)) {
 
 // newKit resolves a system's configuration — defaults, then the options'
 // mutator hook, then the hardening layer — and returns its constructors.
-// This is the only place a mutator or the hardening toggle set is
-// applied, for every scenario. It runs once per cold build on identical
-// defaults, so mutators must be deterministic — the contract workspace
-// reuse already sets.
+// This is the only place a mutator or hardening is applied, for every
+// scenario: a hardened configuration is marked Hardened, and gets the
+// bounded TCP transport (UPnP, Jini) or the capped retry schedules
+// (FRODO). It runs once per cold build on identical defaults, so mutators
+// must be deterministic — the contract workspace reuse already sets.
 func newKit(sys System, opts Options) kit {
 	switch sys {
 	case UPnP:
@@ -86,7 +87,10 @@ func newKit(sys System, opts Options) kit {
 		if opts.UPnP != nil {
 			opts.UPnP(&cfg)
 		}
-		harden.UPnP(&cfg, opts.Harden)
+		if opts.Hardened {
+			cfg.Hardened = true
+			hardenTCP(&cfg.TCP)
+		}
 		return kit{
 			manager: func(n *netsim.Node, sd discovery.ServiceDescription) manager {
 				return upnp.NewManager(n, cfg, sd)
@@ -101,7 +105,10 @@ func newKit(sys System, opts Options) kit {
 		if opts.Jini != nil {
 			opts.Jini(&cfg)
 		}
-		harden.Jini(&cfg, opts.Harden)
+		if opts.Hardened {
+			cfg.Hardened = true
+			hardenTCP(&cfg.TCP)
+		}
 		return kit{
 			registry: func(n *netsim.Node, _ int) rearmable { return jini.NewRegistry(n, cfg) },
 			manager: func(n *netsim.Node, sd discovery.ServiceDescription) manager {
@@ -122,7 +129,11 @@ func newKit(sys System, opts Options) kit {
 		if opts.Frodo != nil {
 			opts.Frodo(&cfg)
 		}
-		harden.Frodo(&cfg, opts.Harden)
+		if opts.Hardened {
+			cfg.Hardened = true
+			cfg.NotifyRetry.Cap = core.HardenedRetryCap
+			cfg.ControlRetry.Cap = core.HardenedRetryCap
+		}
 		return kit{
 			registry: func(n *netsim.Node, i int) rearmable {
 				return frodo.NewNode(n, &cfg, frodo.Class300D, registryPower(i))
@@ -142,4 +153,13 @@ func newKit(sys System, opts Options) kit {
 	default:
 		panic("experiment: unknown system")
 	}
+}
+
+// hardenTCP bounds a hardened run's transport: capped, jittered data
+// retransmission, and no transmission once the sender has retired.
+func hardenTCP(cfg *netsim.TCPConfig) {
+	cfg.DataRetransmits = netsim.HardenedDataRetransmits
+	cfg.MaxRTO = netsim.HardenedMaxRTO
+	cfg.RTOJitter = netsim.HardenedRTOJitter
+	cfg.AbortOnRetire = true
 }

@@ -3,7 +3,6 @@ package experiment
 import (
 	"sort"
 
-	"repro/internal/discovery"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -63,11 +62,11 @@ type Params struct {
 	// exchange still in flight when the last User turns consistent are
 	// counted (see DESIGN.md).
 	EffortPad sim.Duration
-	// Hardening enables the protocol-hardening layer for every run built
+	// Hardened turns the protocol-hardening layer on for every run built
 	// from these params; it is merged into the run's Options before the
-	// topology is built (an explicit Opts.Harden wins). Zero keeps the
-	// paper-faithful baseline bit-identical.
-	Hardening discovery.Hardening
+	// topology is built. False keeps the paper-faithful baseline
+	// bit-identical.
+	Hardened bool
 }
 
 // DefaultParams returns the paper's experiment design: 5 Users, 5400s
@@ -232,9 +231,7 @@ func runInWorkspace(ws *Workspace, spec RunSpec) (metrics.RunResult, *Scenario) 
 		topo.Users = spec.Params.Users
 	}
 	opts := spec.Opts
-	if !opts.Harden.Enabled() {
-		opts.Harden = spec.Params.Hardening
-	}
+	opts.Hardened = opts.Hardened || spec.Params.Hardened
 	sc := buildTopology(ws, spec.System, ws.kernel(spec.Seed), topo, opts)
 	if spec.MakeTracer != nil {
 		sc.Net.SetTracer(spec.MakeTracer(sc.Net))

@@ -28,10 +28,10 @@ type Options struct {
 	// heavy-tailed delay, reordering); the zero value keeps the paper's
 	// idealized network. Burst loss and Loss are alternatives.
 	Link netsim.LinkConfig
-	// Harden enables the protocol-hardening layer (internal/harden) on
-	// every system built from these options. The zero value keeps the
+	// Hardened turns the protocol-hardening layer on for every system
+	// built from these options (see newKit). False keeps the
 	// paper-faithful baseline bit-identical.
-	Harden discovery.Hardening
+	Hardened bool
 }
 
 // netConfig resolves the network configuration the options produce.
@@ -260,7 +260,7 @@ func buildTopology(ws *Workspace, sys System, k *sim.Kernel, topo Topology, opts
 	if err != nil {
 		panic(fmt.Sprintf("experiment: invalid network options: %v", err))
 	}
-	key := scenarioKey{sys: sys, topo: topo, loss: opts.Loss, link: opts.Link, hasMutators: opts.hasMutators(), harden: opts.Harden}
+	key := scenarioKey{sys: sys, topo: topo, loss: opts.Loss, link: opts.Link, hasMutators: opts.hasMutators(), hardened: opts.Hardened}
 	if ws != nil && ws.reusable(key) {
 		return rearmTopology(ws, k, netCfg)
 	}

@@ -4,7 +4,7 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/discovery"
+	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
@@ -185,24 +185,25 @@ func TestShardedAttachPerShard(t *testing.T) {
 	}
 }
 
-// TestShardedRunHonoursHardening: with all four hardening flags a spec
-// whose run differs from its baseline differs whatever Shards says, and
-// every built FRODO User carries the hardened config.
+// TestShardedRunHonoursHardening: a hardened spec whose run differs from
+// its baseline differs whatever Shards says, and every built FRODO User
+// carries the hardened config with its capped retry schedules.
 func TestShardedRunHonoursHardening(t *testing.T) {
-	all := discovery.Hardening{StrictLease: true, JitterRetry: true, RetireBye: true, CentralRepair: true}
 	for _, shards := range []int{0, 2} {
 		spec := compactSpec(shards)
 		spec.Lambda, spec.Seed = 0.6, 7
 		base := Run(spec)
-		spec.Params.Hardening = all
+		spec.Params.Hardened = true
 		if hard := Run(spec); reflect.DeepEqual(base, hard) {
 			t.Errorf("shards=%d: the hardened run equals the baseline run", shards)
 		}
 	}
-	sc := BuildTopology(Frodo2P, sim.New(7), Topology{Users: 8}, Options{Harden: all})
+	sc := BuildTopology(Frodo2P, sim.New(7), Topology{Users: 8}, Options{Hardened: true})
 	for _, uid := range sc.UserIDs {
-		if h := sc.users[uid].(frodoUser).Config().Harden; h != all {
-			t.Errorf("node %d built with hardening %+v", uid, h)
+		cfg := sc.users[uid].(frodoUser).Config()
+		if !cfg.Hardened || cfg.NotifyRetry.Cap != core.HardenedRetryCap || cfg.ControlRetry.Cap != core.HardenedRetryCap {
+			t.Errorf("node %d built with hardened=%v notify=%+v control=%+v",
+				uid, cfg.Hardened, cfg.NotifyRetry, cfg.ControlRetry)
 		}
 	}
 }

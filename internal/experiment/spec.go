@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/discovery"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
@@ -55,9 +54,9 @@ type ScenarioSpec struct {
 	FlashCrowds []SpecFlashCrowd `json:"flash_crowds,omitempty"`
 	// RackFailures adds correlated rack-level outages.
 	RackFailures SpecRacks `json:"rack_failures,omitempty"`
-	// Hardened runs the scenario with the full protocol-hardening layer
-	// (discovery.HardenAll); hunted fixtures commit a hardened
-	// counterpart that must replay clean.
+	// Hardened runs the scenario with the protocol-hardening layer on
+	// (Params.Hardened); hunted fixtures commit a hardened counterpart
+	// that must replay clean.
 	Hardened bool `json:"hardened,omitempty"`
 }
 
@@ -290,7 +289,8 @@ func (s *ScenarioSpec) rackConfig() netsim.RackPlanConfig {
 // Params assembles the experiment parameters the spec describes, fully
 // resolved: zero spec fields take the paper defaults here (Run, unlike
 // Sweep, uses its Params verbatim). Runs is 1 and Lambdas is the single
-// spec λ — a spec names one scenario, not a sweep grid.
+// spec λ — a spec names one scenario, not a sweep grid. Hardened rides
+// here, so every figure swept over the spec runs hardened.
 func (s *ScenarioSpec) Params() Params {
 	p := Params{
 		RunDuration: secsDur(s.DurationSec),
@@ -312,6 +312,7 @@ func (s *ScenarioSpec) Params() Params {
 			Arrivals:    s.Churn.Arrivals,
 		},
 		RackFailures: s.rackConfig(),
+		Hardened:     s.Hardened,
 	}
 	if w := s.FailureWindow; w != nil {
 		p.FailureWindowSet = true
@@ -348,11 +349,7 @@ func (s *ScenarioSpec) Options() Options {
 	dist, _ := netsim.ParseDelayDist(s.Link.DelayDist)
 	link.Delay = netsim.DelayConfig{Dist: dist, Sigma: s.Link.DelaySigma, Alpha: s.Link.DelayAlpha}
 	link.Reorder = netsim.ReorderConfig{Prob: s.Link.ReorderProb, Extra: secsDur(s.Link.ReorderExtraSec)}
-	opts := Options{Loss: s.Link.Loss, Link: link}
-	if s.Hardened {
-		opts.Harden = discovery.HardenAll()
-	}
-	return opts
+	return Options{Loss: s.Link.Loss, Link: link}
 }
 
 // RunSpec assembles one runnable spec for a system. The run inherits

@@ -3,7 +3,6 @@ package experiment
 import (
 	"sync"
 
-	"repro/internal/discovery"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -58,7 +57,7 @@ type scenarioKey struct {
 	loss        float64
 	link        netsim.LinkConfig
 	hasMutators bool
-	harden      discovery.Hardening
+	hardened    bool
 }
 
 // NewWorkspace returns an empty workspace; capacity accretes over runs.

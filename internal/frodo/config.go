@@ -20,7 +20,6 @@ package frodo
 
 import (
 	"repro/internal/core"
-	"repro/internal/discovery"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
@@ -129,11 +128,11 @@ type Config struct {
 	CriticalUpdates bool
 	// Techniques enables recovery techniques; ablations flip bits.
 	Techniques core.TechniqueSet
-	// Harden enables the protocol-hardening mechanisms (strict lease
-	// enforcement, Central claim retraction and liveness repair,
-	// retire-time Bye frames); set via internal/harden. The zero value
-	// is the paper-faithful baseline.
-	Harden discovery.Hardening
+	// Hardened turns the protocol-hardening layer on: strict holder
+	// lease tables, Central claim retraction and liveness repair, and
+	// retire-time Bye frames. The experiment kit sets it together with
+	// the retry caps; false is the paper-faithful baseline.
+	Hardened bool
 }
 
 // DefaultConfig returns the paper's FRODO parameters for 3-party

@@ -49,15 +49,15 @@ func electionDecide(x any)      { x.(*Node).decide() }
 func electionWaitExpired(x any) { x.(*Node).waitExpired() }
 func electionAnnounce(x any)    { x.(*Node).announceCandidacy() }
 
-// initElection binds the election timers. The backoff (CentralRepair
-// only) paces repeated elections that keep finding no reachable Central:
+// initElection binds the election timers. The backoff (hardened only)
+// paces repeated elections that keep finding no reachable Central:
 // a fixed retry keeps the whole cohort hammering in lockstep through a
 // long outage, while decorrelated jitter spreads the candidacies and caps
 // the re-arm gap.
 func (nd *Node) initElection() {
 	nd.electWindow.Init(nd.k, electionDecide, nd)
 	nd.electWait.Init(nd.k, electionWaitExpired, nd)
-	if nd.cfg.Harden.CentralRepair {
+	if nd.cfg.Hardened {
 		nd.electBackoff.Init(nd.k, nd.cfg.ElectionRetry, 8*nd.cfg.ElectionRetry)
 	}
 }
@@ -149,7 +149,7 @@ func (nd *Node) decide() {
 		return
 	}
 	wait := nd.cfg.ElectionRetry
-	if nd.cfg.Harden.CentralRepair {
+	if nd.cfg.Hardened {
 		wait = nd.electBackoff.Next()
 	}
 	nd.electWait.SetAfter(wait)

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/discovery"
 	"repro/internal/experiment"
 	"repro/internal/frodo"
 	"repro/internal/netsim"
@@ -41,9 +40,7 @@ func eagerRegistries(sc *experiment.Scenario) {
 func lazySpec(sys experiment.System, dynamics string, seed int64, harden bool) experiment.RunSpec {
 	p := experiment.DefaultParams()
 	p.Users = 40
-	if harden {
-		p.Hardening = discovery.HardenAll()
-	}
+	p.Hardened = harden
 	spec := experiment.RunSpec{System: sys, Lambda: 0.30, Seed: seed}
 	switch dynamics {
 	case "takeover":

@@ -78,6 +78,7 @@ func newManagerRole(nd *Node, sd discovery.ServiceDescription) *ManagerRole {
 	m.initial = sd.Freeze()
 	m.sd = m.initial
 	m.subs.Init(nd.k, managerSubscriptionExpired, m)
+	m.subs.SetStrict(nd.cfg.Hardened)
 	retry := nd.cfg.NotifyRetry
 	if nd.cfg.CriticalUpdates {
 		retry = core.FrodoCriticalRetry
@@ -344,21 +345,14 @@ func (m *ManagerRole) onSubscribe(from netsim.NodeID, p discovery.Subscribe) {
 
 // onSubscriptionRenew extends a live subscription and, crucially, runs
 // SRN2: a renewal from a User marked inconsistent triggers a fresh
-// notification attempt. A renewal for a purged subscription triggers PR4.
+// notification attempt. A renewal for a purged subscription triggers PR4,
+// and so, on a hardened (strict) table, does one racing the purge.
 func (m *ManagerRole) onSubscriptionRenew(from netsim.NodeID, p discovery.Renew) {
 	lease := p.Lease
 	if lease <= 0 {
 		lease = m.nd.cfg.SubscriptionLease
 	}
-	renewed := false
-	if m.nd.cfg.Harden.StrictLease {
-		// Hardened holders refuse a renewal racing (or trailing) the
-		// purge; the User resubscribes via PR4 with fresh state.
-		renewed = m.subs.RenewStrict(from, lease)
-	} else {
-		renewed = m.subs.Renew(from, lease)
-	}
-	if renewed {
+	if m.subs.Renew(from, lease) {
 		m.nd.nw.SendUDP(m.nd.n.ID, from, netsim.Outgoing{
 			Kind:    discovery.Kind(discovery.RenewAck{}),
 			Counted: false, // lease upkeep, excluded from update effort

@@ -56,14 +56,13 @@ type Node struct {
 	// boot still pending when the device permanently departed — must not
 	// restart the protocol on a retired (possibly recycled) node slot.
 	detached bool
-	// txDown/rxDown mirror the node's interface state under CentralRepair:
+	// txDown/rxDown mirror the node's interface state when hardened:
 	// the Registry announcer is gated on them so a Central with a failed
 	// interface stops advertising a claim it cannot honour. A dead
 	// transmitter makes the claim a lie outright; a dead receiver is
 	// subtler — the node can still shout, but it cannot hear renewals,
 	// requests, or a stronger rival, so its advertisement only prolongs
-	// split-brain. ifaceHook is registered on every bind when
-	// CentralRepair is on.
+	// split-brain. ifaceHook is registered on every bind when hardened.
 	txDown    bool
 	rxDown    bool
 	ifaceHook func(txUp, rxUp bool)
@@ -98,7 +97,7 @@ func NewNode(n *netsim.Node, cfg *Config, class Class, power int) *Node {
 	nd.nodeAnnounce.Init(nd.k, cfg.NodeAnnouncePeriod, nodeAnnouncePresence, nd)
 	if class == Class300D {
 		nd.initElection()
-		if cfg.Harden.CentralRepair {
+		if cfg.Hardened {
 			nd.ifaceHook = nd.onInterfaceChange
 		}
 	}
@@ -107,7 +106,7 @@ func NewNode(n *netsim.Node, cfg *Config, class Class, power int) *Node {
 }
 
 // onInterfaceChange tracks the interface state for the announcer gate
-// (CentralRepair only).
+// (hardened only).
 func (nd *Node) onInterfaceChange(txUp, rxUp bool) {
 	wasGated := !nd.onAir()
 	nd.txDown = !txUp
@@ -127,7 +126,7 @@ func (nd *Node) onAir() bool { return !nd.txDown && !nd.rxDown }
 func (nd *Node) ensureRegistry() *RegistryRole {
 	if nd.registry == nil {
 		nd.registry = newRegistryRole(nd)
-		if nd.cfg.Harden.CentralRepair {
+		if nd.cfg.Hardened {
 			nd.registry.announcer.SetGate(nd.onAir)
 		}
 	}
@@ -326,7 +325,7 @@ func (nd *Node) setCentral(id netsim.NodeID, power int) {
 	// Competing claim: keep the more powerful Central (ties: higher ID).
 	if nd.central != netsim.NoNode {
 		if power < nd.centralPower || (power == nd.centralPower && id < nd.central) {
-			if nd.cfg.Harden.CentralRepair && nd.IsCentral() {
+			if nd.cfg.Hardened && nd.IsCentral() {
 				// Split-brain heal: a weaker rival Central just reached us.
 				// Baseline stays silent until the next periodic train, so
 				// both claims persist for up to an announce period;

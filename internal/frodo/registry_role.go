@@ -39,7 +39,7 @@ type RegistryRole struct {
 	registrations discovery.LeaseTable[netsim.NodeID, discovery.ServiceRecord]
 	subs          discovery.LeaseTable[subKey, struct{}]
 	// provisional marks registrations seeded from Backup sync rather than
-	// established by a Register on the wire (StrictLease only). They serve
+	// established by a Register on the wire (hardened only). They serve
 	// queries, but renewals are refused until the Manager re-registers:
 	// the lease the Backup inherited was granted by the old Central, and a
 	// strict holder does not extend leases it never granted.
@@ -86,6 +86,9 @@ func newRegistryRole(nd *Node) *RegistryRole {
 	r.registrations.Init(nd.k, registryRegistrationExpired, r)
 	r.subs.Init(nd.k, registrySubscriptionExpired, r)
 	r.interests.Init(nd.k, nil, nil)
+	r.registrations.SetStrict(nd.cfg.Hardened)
+	r.subs.SetStrict(nd.cfg.Hardened)
+	r.interests.SetStrict(nd.cfg.Hardened)
 	announceOut := netsim.Outgoing{
 		Kind:    discovery.Kind(discovery.Announce{}),
 		Counted: true,
@@ -168,7 +171,7 @@ func (r *RegistryRole) activate() {
 	for _, rec := range r.backupRecs {
 		if _, ok := r.registrations.Get(rec.Manager); !ok {
 			r.registrations.Put(rec.Manager, rec, r.nd.cfg.RegistrationLease)
-			if r.nd.cfg.Harden.StrictLease {
+			if r.nd.cfg.Hardened {
 				r.provisional[rec.Manager] = true
 			}
 		}
@@ -192,7 +195,7 @@ func (r *RegistryRole) deactivate() {
 	r.active = false
 	r.announcer.Stop()
 	r.prop.CancelAll()
-	if r.nd.cfg.Harden.CentralRepair {
+	if r.nd.cfg.Hardened {
 		r.nd.nw.Multicast(r.nd.n.ID, DiscoveryGroup, netsim.Outgoing{
 			Kind:    discovery.Kind(discovery.Bye{}),
 			Counted: true,
@@ -344,7 +347,7 @@ func (r *RegistryRole) notifyInterested(rec discovery.ServiceRecord) {
 func (r *RegistryRole) onUpdate(from netsim.NodeID, p discovery.Update) {
 	healed := false
 	if !r.registrations.Update(from, p.Rec) {
-		if r.nd.cfg.Harden.StrictLease {
+		if r.nd.cfg.Hardened {
 			// Hardened registries never heal the repository silently: the
 			// registration lease expired, so the Manager must re-register
 			// on the wire (its RenewError handler does exactly that). A
@@ -458,16 +461,10 @@ func (r *RegistryRole) onSubscriptionRenew(from netsim.NodeID, p discovery.Renew
 	if lease <= 0 {
 		lease = r.nd.cfg.SubscriptionLease
 	}
-	renewInterest := r.interests.Renew
-	renewSub := r.subs.Renew
-	if r.nd.cfg.Harden.StrictLease {
-		renewInterest = r.interests.RenewStrict
-		renewSub = r.subs.RenewStrict
-	}
 	if p.Manager == netsim.NoNode {
 		// Interest-only renewal: the User maintains its standing
 		// notification request while its requirement is unmet.
-		if renewInterest(from, lease) {
+		if r.interests.Renew(from, lease) {
 			return
 		}
 		r.nd.nw.SendUDP(r.nd.n.ID, from, netsim.Outgoing{
@@ -477,8 +474,8 @@ func (r *RegistryRole) onSubscriptionRenew(from netsim.NodeID, p discovery.Renew
 		})
 		return
 	}
-	renewInterest(from, lease)
-	if renewSub(subKey{user: from, manager: p.Manager}, lease) {
+	r.interests.Renew(from, lease)
+	if r.subs.Renew(subKey{user: from, manager: p.Manager}, lease) {
 		r.nd.nw.SendUDP(r.nd.n.ID, from, netsim.Outgoing{
 			Kind:    discovery.Kind(discovery.RenewAck{}),
 			Counted: false, // lease upkeep, excluded from update effort
@@ -504,21 +501,16 @@ func (r *RegistryRole) onSubscriptionRenew(from netsim.NodeID, p discovery.Renew
 
 // onRegistrationRenew extends a Manager's registration lease. Renewals
 // carry no service data; a renewal for a purged registration is answered
-// with an error so the Manager re-registers in full (PR1).
+// with an error so the Manager re-registers in full (PR1). Hardened
+// registries also refuse renewals racing the purge (a strict table) and
+// renewals of Backup-seeded registrations no Register ever established
+// (provisional is empty unless hardened).
 func (r *RegistryRole) onRegistrationRenew(from netsim.NodeID, p discovery.Renew) {
 	lease := p.Lease
 	if lease <= 0 {
 		lease = r.nd.cfg.RegistrationLease
 	}
-	renewed := false
-	if r.nd.cfg.Harden.StrictLease {
-		// Strict holders refuse renewals racing the purge, and renewals
-		// of Backup-seeded registrations no Register ever established.
-		renewed = !r.provisional[from] && r.registrations.RenewStrict(from, lease)
-	} else {
-		renewed = r.registrations.Renew(from, lease)
-	}
-	if renewed {
+	if !r.provisional[from] && r.registrations.Renew(from, lease) {
 		r.nd.nw.SendUDP(r.nd.n.ID, from, netsim.Outgoing{
 			Kind:    discovery.Kind(discovery.RenewAck{}),
 			Counted: false, // lease upkeep, excluded from update effort

@@ -188,7 +188,7 @@ func (u *UserRole) ID() netsim.NodeID { return u.nd.n.ID }
 // event armed by subscribe's exhaustion handler (if any) fires into a
 // cleared cache and does nothing.
 func (u *UserRole) stop() {
-	if u.nd.cfg.Harden.RetireBye {
+	if u.nd.cfg.Hardened {
 		u.sendByes()
 	}
 	u.searchTick.Stop()

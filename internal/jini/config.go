@@ -15,7 +15,6 @@ package jini
 
 import (
 	"repro/internal/core"
-	"repro/internal/discovery"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
@@ -52,11 +51,11 @@ type Config struct {
 	PollPeriod sim.Duration
 	// Techniques enables recovery techniques; ablations flip bits.
 	Techniques core.TechniqueSet
-	// Harden enables the protocol-hardening mechanisms (strict lease
-	// enforcement, refusal of silent repository heals, retire-time Bye
-	// frames); set via internal/harden. The zero value is the
-	// paper-faithful baseline.
-	Harden discovery.Hardening
+	// Hardened turns the protocol-hardening layer on: the Registry's
+	// lease tables are strict, it refuses silent repository heals, and a
+	// retiring User sends a Bye. The experiment kit sets it together with
+	// the bounded TCP transport; false is the paper-faithful baseline.
+	Hardened bool
 }
 
 // DefaultConfig returns the paper's Jini parameters.

@@ -47,6 +47,9 @@ func NewRegistry(node *netsim.Node, cfg Config) *Registry {
 	r.registrations.Init(r.k, nil, nil)
 	r.subs.Init(r.k, nil, nil)
 	r.notifyReqs.Init(r.k, nil, nil)
+	r.registrations.SetStrict(cfg.Hardened)
+	r.subs.SetStrict(cfg.Hardened)
+	r.notifyReqs.SetStrict(cfg.Hardened)
 	announceOut := netsim.Outgoing{
 		Kind:    discovery.Kind(discovery.Announce{}),
 		Counted: true,
@@ -172,7 +175,7 @@ func (r *Registry) notifyRegistration(rec discovery.ServiceRecord) {
 // an acknowledgement").
 func (r *Registry) onUpdate(msg *netsim.Message, p discovery.Update) {
 	if !r.registrations.Update(p.Rec.Manager, p.Rec) {
-		if r.cfg.Harden.StrictLease {
+		if r.cfg.Hardened {
 			// Hardened registries never heal the repository silently: the
 			// registration lease expired, so the Manager must re-register
 			// on the wire (its RenewError handler does exactly that).
@@ -227,7 +230,8 @@ func (r *Registry) onSearch(msg *netsim.Message, p discovery.Search) {
 
 // onSubscribe stores a notification request (Manager == NoNode) or an
 // event subscription. Jini event registration does not deliver current
-// state — that is exactly why Users must query (PR2).
+// state — that is exactly why Users must query (PR2). Resubscribing
+// restarts the lease even on a strict table.
 func (r *Registry) onSubscribe(msg *netsim.Message, p discovery.Subscribe) {
 	lease := p.Lease
 	if lease <= 0 {
@@ -241,11 +245,11 @@ func (r *Registry) onSubscribe(msg *netsim.Message, p discovery.Subscribe) {
 		r.notifyReqs.Put(msg.From, q, lease)
 	} else {
 		key := subKey{user: msg.From, manager: p.Manager}
-		if _, exists := r.subs.Get(key); !exists {
-			r.subs.Put(key, &subState{}, lease)
-		} else {
-			r.subs.Renew(key, lease)
+		s, exists := r.subs.Get(key)
+		if !exists {
+			s = &subState{}
 		}
+		r.subs.Put(key, s, lease)
 	}
 	r.reply(msg, netsim.Outgoing{
 		Kind:    discovery.Kind(discovery.SubscribeAck{}),
@@ -257,39 +261,24 @@ func (r *Registry) onSubscribe(msg *netsim.Message, p discovery.Subscribe) {
 // onRenew extends a Manager's registration (Renew.Manager == sender) or a
 // User's leases (notification request plus any event subscriptions). A
 // renewal with nothing live behind it gets Jini's PR3 answer: a bare
-// error that sends the node back through discovery.
+// error that sends the node back through discovery. Hardened (strict)
+// tables also refuse renewals racing the purge.
 func (r *Registry) onRenew(msg *netsim.Message, p discovery.Renew) {
 	lease := p.Lease
 	if lease <= 0 {
 		lease = r.cfg.SubscriptionLease
 	}
-	strict := r.cfg.Harden.StrictLease
 	if p.Manager == msg.From {
-		ok := false
-		if strict {
-			ok = r.registrations.RenewStrict(msg.From, lease)
-		} else {
-			ok = r.registrations.Renew(msg.From, lease)
-		}
-		if ok {
+		if r.registrations.Renew(msg.From, lease) {
 			r.ack(msg, p.Manager)
 			return
 		}
 		r.renewError(msg, p.Manager)
 		return
 	}
-	alive := false
-	renewReq := r.notifyReqs.Renew
-	renewSub := r.subs.Renew
-	if strict {
-		renewReq = r.notifyReqs.RenewStrict
-		renewSub = r.subs.RenewStrict
-	}
-	if renewReq(msg.From, lease) {
-		alive = true
-	}
+	alive := r.notifyReqs.Renew(msg.From, lease)
 	r.subs.Each(func(k subKey, _ *subState) {
-		if k.user == msg.From && renewSub(k, lease) {
+		if k.user == msg.From && r.subs.Renew(k, lease) {
 			alive = true
 		}
 	})

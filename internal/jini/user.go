@@ -137,7 +137,7 @@ func (u *User) ID() netsim.NodeID { return u.node.ID }
 // permanent churn departure without leaving zombie events in the
 // kernel. The User must not be used afterwards.
 func (u *User) Stop() {
-	if u.cfg.Harden.RetireBye {
+	if u.cfg.Hardened {
 		// Hardened retirement: deregister from every known Registry with
 		// a best-effort UDP Bye so our notification request and event
 		// subscriptions are evicted now instead of at lease expiry.

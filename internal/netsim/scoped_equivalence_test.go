@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/discovery"
 	"repro/internal/experiment"
 	"repro/internal/frodo"
 	"repro/internal/metrics"
@@ -110,9 +109,7 @@ func observe(ws *experiment.Workspace, spec experiment.RunSpec, reference bool) 
 func scopedSpec(sys experiment.System, dynamics string, seed int64, harden bool) experiment.RunSpec {
 	p := experiment.DefaultParams()
 	p.Users = 40
-	if harden {
-		p.Hardening = discovery.HardenAll()
-	}
+	p.Hardened = harden
 	spec := experiment.RunSpec{System: sys, Seed: seed}
 	switch dynamics {
 	case "lambda=0.3":

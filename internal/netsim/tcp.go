@@ -34,8 +34,8 @@ type TCPConfig struct {
 	// Table 3: "increasing timeout by 25% on each retry".
 	Backoff float64
 
-	// The remaining knobs are zero in the paper-faithful Table 3 model
-	// and are only set by the hardening layer (internal/harden).
+	// The remaining knobs are zero in the paper-faithful Table 3 model;
+	// a hardened run sets them to the Hardened* bounds below.
 
 	// DataRetransmits, when positive, caps how many times an
 	// unacknowledged data frame is retransmitted; the transfer then
@@ -55,6 +55,17 @@ type TCPConfig struct {
 	// departed device never transmits again.
 	AbortOnRetire bool
 }
+
+// The transport bounds of a hardened run. Eight data retransmissions from
+// the 1s MinRTO at 1.25 backoff under a 60s RTO ceiling end a transfer
+// within ~3min — far inside the oracle's lease-purge tolerance — where
+// the Table 3 model retransmits forever and can deliver a stale RenewAck
+// hours late.
+const (
+	HardenedDataRetransmits = 8
+	HardenedMaxRTO          = 60 * sim.Second
+	HardenedRTOJitter       = 0.5
+)
 
 // DefaultTCPConfig returns the Table 3 TCP failure response.
 func DefaultTCPConfig() TCPConfig {

@@ -6,7 +6,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Hardened-transport knobs (internal/harden sets these; the Table 3
+// Hardened-transport knobs (a hardened run sets these; the Table 3
 // baseline leaves them zero).
 
 func TestTCPDataRetransmitsCapRaisesREX(t *testing.T) {

@@ -13,7 +13,6 @@ package upnp
 
 import (
 	"repro/internal/core"
-	"repro/internal/discovery"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
@@ -58,10 +57,11 @@ type Config struct {
 	TCP netsim.TCPConfig
 	// Techniques enables recovery techniques; ablations flip bits.
 	Techniques core.TechniqueSet
-	// Harden enables the protocol-hardening mechanisms (strict lease
-	// enforcement, retire-time Bye frames); set via internal/harden. The
-	// zero value is the paper-faithful baseline.
-	Harden discovery.Hardening
+	// Hardened turns the protocol-hardening layer on: the Manager's
+	// subscription table is strict and a retiring User sends a Bye. The
+	// experiment kit sets it together with the bounded TCP transport;
+	// false is the paper-faithful baseline.
+	Hardened bool
 }
 
 // DefaultConfig returns the paper's UPnP parameters.

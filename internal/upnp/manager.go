@@ -46,6 +46,7 @@ func NewManager(node *netsim.Node, cfg Config, sd discovery.ServiceDescription) 
 	m.initial = sd.Freeze()
 	m.sd = m.initial
 	m.subs.Init(m.k, nil, nil)
+	m.subs.SetStrict(cfg.Hardened)
 	m.announceOut = netsim.Outgoing{
 		Kind:    discovery.Kind(discovery.Announce{}),
 		Counted: true,
@@ -189,18 +190,10 @@ func (m *Manager) onSubscribe(msg *netsim.Message) {
 // onRenew extends a live subscription. A renewal for a purged
 // subscription triggers PR4 when enabled: "the Manager requests purged
 // Users to resubscribe"; with PR4 ablated the renewal is silently
-// rejected.
+// rejected. A hardened (strict) table also refuses a renewal racing the
+// purge, so the User resubscribes.
 func (m *Manager) onRenew(msg *netsim.Message) {
-	renewed := false
-	if m.cfg.Harden.StrictLease {
-		// Hardened holders refuse a renewal racing (or trailing) the
-		// purge: the User must resubscribe, keeping holder state and the
-		// oracle's lease ledger in lockstep.
-		renewed = m.subs.RenewStrict(msg.From, m.cfg.SubscriptionLease)
-	} else {
-		renewed = m.subs.Renew(msg.From, m.cfg.SubscriptionLease)
-	}
-	if renewed {
+	if m.subs.Renew(msg.From, m.cfg.SubscriptionLease) {
 		m.respond(msg, netsim.Outgoing{
 			Kind:    discovery.Kind(discovery.RenewAck{}),
 			Counted: false, // lease upkeep, excluded from update effort

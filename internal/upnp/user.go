@@ -152,7 +152,7 @@ func (u *User) ID() netsim.NodeID { return u.node.ID }
 // permanent churn departure without leaving zombie events in the kernel.
 // The User must not be used afterwards.
 func (u *User) Stop() {
-	if u.cfg.Harden.RetireBye && u.subscribedTo != netsim.NoNode {
+	if u.cfg.Hardened && u.subscribedTo != netsim.NoNode {
 		// Hardened retirement: deregister from the Manager with a
 		// best-effort UDP Bye so the subscription is evicted now instead
 		// of lingering until lease expiry.

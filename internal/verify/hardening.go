@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/discovery"
 	"repro/internal/experiment"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -52,7 +51,6 @@ func FigureHardening(base experiment.Params, runs, workers int, progress func(do
 		included int
 		effort   int
 		viol     int
-		waived   int
 		maxLate  sim.Duration
 	}
 	cells := [2]map[experiment.System]*cell{}
@@ -96,9 +94,7 @@ func FigureHardening(base experiment.Params, runs, workers int, progress func(do
 					spec = experiment.RunSpec{System: j.sys, Lambda: hostileLambda, Seed: j.seed,
 						Params: hostile, Opts: hostileOpts}
 				}
-				if j.mode == 1 {
-					spec.Opts.Harden = discovery.HardenAll()
-				}
+				spec.Opts.Hardened = j.mode == 1
 				rep, res := ObserveRun(spec, DefaultOracleConfig(j.sys))
 				mu.Lock()
 				c := cells[j.mode][j.sys]
@@ -116,7 +112,6 @@ func FigureHardening(base experiment.Params, runs, workers int, progress func(do
 					}
 					c.effort += res.Effort
 					c.viol += rep.Total
-					c.waived += rep.Waived
 					if rep.MaxPurgeLate > c.maxLate {
 						c.maxLate = rep.MaxPurgeLate
 					}

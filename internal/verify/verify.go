@@ -15,7 +15,6 @@ package verify
 import (
 	"fmt"
 
-	"repro/internal/discovery"
 	"repro/internal/experiment"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -69,10 +68,9 @@ type GridConfig struct {
 	Targets []Target
 	// Seed feeds the (otherwise deterministic) run.
 	Seed int64
-	// Harden runs every grid scenario with the given hardening
-	// mechanisms enabled; the zero value checks the paper-faithful
-	// baseline.
-	Harden discovery.Hardening
+	// Harden runs every grid scenario with the protocol-hardening layer
+	// on; false checks the paper-faithful baseline.
+	Harden bool
 }
 
 // DefaultGrid covers outages across the change with all modes and
@@ -124,7 +122,7 @@ func Check(sys experiment.System, grid GridConfig) Result {
 	params := experiment.DefaultParams()
 	params.RunDuration = grid.Horizon
 	params.ChangeMin, params.ChangeMax = grid.ChangeAt, grid.ChangeAt
-	params.Hardening = grid.Harden
+	params.Hardened = grid.Harden
 
 	for _, target := range grid.Targets {
 		node, ok := targetNode(sys, target)
