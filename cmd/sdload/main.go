@@ -127,7 +127,7 @@ func main() {
 		reqTimeout = flag.Duration("req-timeout", 30*time.Second, "per-request timeout (classified as a timeout error when it fires)")
 		retries    = flag.Int("retries", 3, "attempts per request before giving up (1 = no retry)")
 		retryBase  = flag.Duration("retry-base", 100*time.Millisecond, "initial retry backoff; jittered, capped at 32x")
-		oracle     = flag.Bool("oracle", false, "fetch /v1/oracle at the end and fail on violations")
+		oracle     = flag.Bool("oracle", false, "fetch /v1/oracle at the end and fail unless it is attached and clean")
 		telemetry  = flag.String("telemetry", "", "write the full metrics registry as JSON to this file at exit (- for stdout)")
 		quiet      = flag.Bool("quiet", false, "suppress progress output")
 	)
@@ -217,7 +217,10 @@ func main() {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sdload: oracle fetch: %v\n", err)
 			fail = true
-		} else if rep.Attached && !rep.Clean {
+		} else if !rep.Attached {
+			fmt.Fprintln(os.Stderr, "sdload: -oracle, but the daemon has no oracle attached")
+			fail = true
+		} else if !rep.Clean {
 			fmt.Fprintf(os.Stderr, "sdload: ORACLE VIOLATIONS: %d\n", rep.Total)
 			for _, v := range rep.Violations {
 				fmt.Fprintf(os.Stderr, "  %s\n", v)

@@ -78,6 +78,8 @@ type updateResponse struct {
 type queryRequest struct {
 	User int `json:"user"`
 }
+
+// queryResponse answers a query and a lookup alike.
 type queryResponse struct {
 	Records []Record `json:"records"`
 }
@@ -89,12 +91,10 @@ type queryResponse struct {
 type lookupRequest struct {
 	Query ServiceQuery `json:"query"`
 }
-type lookupResponse struct {
-	Records []Record `json:"records"`
-}
 
 // subscribeRequest asks for UDP push notifications of a User's cache
-// writes; Addr is the client's listening address ("127.0.0.1:port").
+// writes; Addr is the client's listening address as a literal IP and
+// port ("127.0.0.1:port").
 type subscribeRequest struct {
 	User int    `json:"user"`
 	Addr string `json:"addr"`

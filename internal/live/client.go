@@ -1,13 +1,13 @@
 package live
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -15,9 +15,17 @@ import (
 // external participant; sdload runs thousands of them concurrently
 // against one gateway (they may share a Transport via NewClientWith).
 type Client struct {
-	base string
 	hc   *http.Client
+	urls map[string]*url.URL // per gateway path, built once
 }
+
+var clientPaths = []string{"/v1/attach", "/v1/register", "/v1/update", "/v1/query",
+	"/v1/lookup", "/v1/subscribe", "/v1/stats", "/v1/oracle"}
+
+// jsonHeader is the header of every request with a body. Requests share
+// it read-only; net/http writes to a request's header only to add a
+// cookie jar's cookies.
+var jsonHeader = http.Header{"Content-Type": jsonContentType}
 
 // NewClient returns a client for a gateway at addr ("127.0.0.1:port").
 func NewClient(addr string) *Client {
@@ -28,34 +36,75 @@ func NewClient(addr string) *Client {
 // across many Clients — essential when a load generator runs more
 // clients than the OS grants file descriptors.
 func NewClientWith(addr string, hc *http.Client) *Client {
-	return &Client{base: "http://" + addr, hc: hc}
+	c := &Client{hc: hc, urls: make(map[string]*url.URL, len(clientPaths))}
+	for _, path := range clientPaths {
+		c.urls[path] = &url.URL{Scheme: "http", Host: addr, Path: path}
+	}
+	return c
 }
 
-func (c *Client) post(path string, req, resp any) error {
-	buf, err := json.Marshal(req)
+// reqBody is one request body over a pooled buffer. The transport
+// closes a request body when it is done with it, possibly after Do has
+// returned, so the buffer goes back to the pool from Close alone, once.
+type reqBody struct {
+	jb     *jsonBuf
+	closed atomic.Bool
+}
+
+func (b *reqBody) Read(p []byte) (int, error) { return b.jb.Read(p) }
+
+func (b *reqBody) Close() error {
+	if b.closed.CompareAndSwap(false, true) {
+		jsonBufs.Put(b.jb)
+	}
+	return nil
+}
+
+// do sends one request, with in as its JSON body unless nil, and
+// decodes a 200 reply into out unless nil; any other status is an error
+// carrying the gateway's message.
+func (c *Client) do(method, path string, in, out any) error {
+	req := &http.Request{Method: method, URL: c.urls[path]}
+	if in != nil {
+		jb := getJSONBuf()
+		if err := jb.enc.Encode(in); err != nil {
+			jsonBufs.Put(jb)
+			return err
+		}
+		req.Header, req.Body, req.ContentLength = jsonHeader, &reqBody{jb: jb}, int64(jb.Len())
+		if c.hc.Jar != nil {
+			req.Header = jsonHeader.Clone()
+		}
+	}
+	hr, err := c.hc.Do(req)
 	if err != nil {
 		return err
 	}
-	hr, err := c.hc.Post(c.base+path, "application/json", bytes.NewReader(buf))
+	jb := getJSONBuf()
+	defer jsonBufs.Put(jb)
+	_, err = jb.ReadFrom(hr.Body)
+	hr.Body.Close()
 	if err != nil {
 		return err
 	}
-	defer func() {
-		io.Copy(io.Discard, hr.Body)
-		hr.Body.Close()
-	}()
 	if hr.StatusCode != http.StatusOK {
 		var er errorResponse
-		if json.NewDecoder(hr.Body).Decode(&er) == nil && er.Error != "" {
+		if json.Unmarshal(jb.Bytes(), &er) == nil && er.Error != "" {
 			return fmt.Errorf("live: %s: %s", path, er.Error)
 		}
 		return fmt.Errorf("live: %s: HTTP %d", path, hr.StatusCode)
 	}
-	if resp == nil {
+	switch out := out.(type) {
+	case nil:
 		return nil
+	case wireObject:
+		return decodeWire(jb.Bytes(), out)
+	default:
+		return json.Unmarshal(jb.Bytes(), out)
 	}
-	return json.NewDecoder(hr.Body).Decode(resp)
 }
+
+func (c *Client) post(path string, in, out any) error { return c.do(http.MethodPost, path, in, out) }
 
 // Attach spawns a protocol User with the given requirement and returns
 // its node ID — the client's identity for Query and Subscribe.
@@ -99,7 +148,7 @@ func (c *Client) Query(user int) ([]Record, error) {
 // Lookup searches the fabric with real frames from the gateway's port
 // node and returns what the live Registries and Managers answered.
 func (c *Client) Lookup(q ServiceQuery) ([]Record, error) {
-	var resp lookupResponse
+	var resp queryResponse
 	if err := c.post("/v1/lookup", lookupRequest{Query: q}, &resp); err != nil {
 		return nil, err
 	}
@@ -115,23 +164,16 @@ func (c *Client) Subscribe(user int, addr string) error {
 // Stats reads the gateway's progress counters.
 func (c *Client) Stats() (StatsResponse, error) {
 	var resp StatsResponse
-	hr, err := c.hc.Get(c.base + "/v1/stats")
-	if err != nil {
-		return resp, err
-	}
-	defer hr.Body.Close()
-	return resp, json.NewDecoder(hr.Body).Decode(&resp)
+	err := c.do(http.MethodGet, "/v1/stats", nil, &resp)
+	return resp, err
 }
 
-// Oracle reads the gateway's consistency-oracle report.
+// Oracle reads the gateway's consistency-oracle report; a gateway that
+// cannot produce one (its driver stopped) is an error.
 func (c *Client) Oracle() (OracleResponse, error) {
 	var resp OracleResponse
-	hr, err := c.hc.Get(c.base + "/v1/oracle")
-	if err != nil {
-		return resp, err
-	}
-	defer hr.Body.Close()
-	return resp, json.NewDecoder(hr.Body).Decode(&resp)
+	err := c.do(http.MethodGet, "/v1/oracle", nil, &resp)
+	return resp, err
 }
 
 // NotifyHub receives pushed notifications on one shared UDP socket and
@@ -181,13 +223,14 @@ func (h *NotifyHub) Close() {
 func (h *NotifyHub) loop() {
 	defer close(h.done)
 	buf := make([]byte, 64<<10)
+	var note Notification
 	for {
-		n, _, err := h.conn.ReadFromUDP(buf)
+		n, _, err := h.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return
 		}
-		var note Notification
-		if json.Unmarshal(buf[:n], &note) != nil {
+		note = Notification{}
+		if decodeWire(buf[:n], &note) != nil {
 			continue
 		}
 		h.mu.Lock()

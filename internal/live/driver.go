@@ -99,7 +99,7 @@ type Driver struct {
 	flight  *obs.FlightRecorder
 	pending *obs.Gauge // kernel queue depth, set each loop pass
 
-	inj      chan func()
+	inj      chan injection
 	stopCh   chan struct{}
 	done     chan struct{}
 	stopOnce sync.Once
@@ -155,7 +155,7 @@ func New(cfg Config) (*Driver, error) {
 	}
 	d := &Driver{
 		cfg:    cfg,
-		inj:    make(chan func(), 1024),
+		inj:    make(chan injection, 1024),
 		stopCh: make(chan struct{}),
 		done:   make(chan struct{}),
 	}
@@ -316,6 +316,25 @@ func (d *Driver) Stop() {
 	<-d.done
 }
 
+// injection is one queued unit of external work: fn, plus for a Call
+// the buffered done channel the loop signals once fn has run.
+type injection struct {
+	fn   func()
+	done chan struct{}
+}
+
+// donePool recycles Call's done channels (capacity 1, so the loop never
+// blocks signalling one). A channel goes back only once drained.
+var donePool = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
+
+// exec runs one injection on the event loop.
+func (in injection) exec() {
+	in.fn()
+	if in.done != nil {
+		in.done <- struct{}{}
+	}
+}
+
 // Inject serializes fn into the event loop; it runs at the kernel's
 // current virtual instant, after all events due before it. Safe from
 // any goroutine. Injection order is preserved (one FIFO channel), and
@@ -323,7 +342,9 @@ func (d *Driver) Stop() {
 // gateway outrunning the simulation. A nil return means fn has run or is
 // guaranteed to run (the shutdown drain executes whatever was
 // accepted); ErrStopped means it was not accepted.
-func (d *Driver) Inject(fn func()) error {
+func (d *Driver) Inject(fn func()) error { return d.inject(injection{fn: fn}) }
+
+func (d *Driver) inject(in injection) error {
 	d.deadMu.RLock()
 	defer d.deadMu.RUnlock()
 	if d.dead {
@@ -333,11 +354,11 @@ func (d *Driver) Inject(fn func()) error {
 	// the exiting loop (which acquires deadMu exclusively before the
 	// final drain).
 	select {
-	case d.inj <- fn:
+	case d.inj <- in:
 		return nil
 	case <-d.stopCh:
 		select {
-		case d.inj <- fn:
+		case d.inj <- in:
 			return nil
 		default:
 			return ErrStopped
@@ -345,26 +366,29 @@ func (d *Driver) Inject(fn func()) error {
 	}
 }
 
-// Call injects fn and waits until it has executed. It must not be
-// called from inside the event loop (a tap or timer callback): the
-// loop would wait on itself.
+// Call injects fn and waits until it has executed. It allocates
+// nothing: the queue carries fn by value and the done channel is
+// pooled. It must not be called from inside the event loop (a tap or
+// timer callback): the loop would wait on itself.
 func (d *Driver) Call(fn func()) error {
-	ran := make(chan struct{})
-	if err := d.Inject(func() { fn(); close(ran) }); err != nil {
+	done := donePool.Get().(chan struct{})
+	if err := d.inject(injection{fn: fn, done: done}); err != nil {
+		donePool.Put(done)
 		return err
 	}
 	select {
-	case <-ran:
-		return nil
+	case <-done:
 	case <-d.done:
-		// The final drain may still have run it.
+		// The final drain runs every accepted injection before the loop
+		// reports done — except on a driver stopped before it started.
 		select {
-		case <-ran:
-			return nil
+		case <-done:
 		default:
 			return ErrStopped
 		}
 	}
+	donePool.Put(done)
+	return nil
 }
 
 // Stats reports driver progress.
@@ -390,8 +414,8 @@ func (d *Driver) run() {
 		d.deadMu.Unlock()
 		for {
 			select {
-			case fn := <-d.inj:
-				fn()
+			case in := <-d.inj:
+				in.exec()
 			default:
 				close(d.done)
 				return
@@ -416,8 +440,8 @@ func (d *Driver) run() {
 		// may schedule fresh events, picked up by the next pass.
 		for drained := false; !drained; {
 			select {
-			case fn := <-d.inj:
-				fn()
+			case in := <-d.inj:
+				in.exec()
 				d.injections.Add(1)
 			default:
 				drained = true
@@ -439,9 +463,9 @@ func (d *Driver) run() {
 		case <-d.stopCh:
 			stopTimer(timer)
 			return
-		case fn := <-d.inj:
+		case in := <-d.inj:
 			stopTimer(timer)
-			fn()
+			in.exec()
 			d.injections.Add(1)
 		case <-timer.C:
 		}

@@ -1,14 +1,20 @@
 package live
 
 import (
+	"bytes"
 	"encoding/json"
 	"expvar"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"net/netip"
+	"slices"
 	"strconv"
+	"sync"
+	"time"
 
 	"repro/internal/discovery"
 	"repro/internal/netsim"
@@ -24,11 +30,22 @@ import (
 // handshake, and costs LookupWindow×Dilation wall time per lookup.
 const LookupWindow = 250 * sim.Millisecond
 
+// Input bounds of the gateway's HTTP face. A request body over maxBody
+// is refused with 413; the timeouts cut off clients that stall
+// mid-header or hold an idle keep-alive connection. (A whole-request
+// ReadTimeout would also cancel long pprof captures on this listener.)
+const (
+	maxBody           = 64 << 10
+	maxHeaderBytes    = 16 << 10
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // Gateway serves the running scenario over loopback HTTP, pushing
-// update notifications over UDP. All simulation state it owns (client
-// users, registered managers, pending lookups) is touched only on the
-// driver goroutine, via Call — handlers are just JSON shims around
-// injected functions.
+// update notifications over UDP. Every request becomes a pooled op that
+// apply runs on the driver goroutine via Call, so all simulation state
+// the gateway owns (client users, registered managers, pending lookups)
+// is touched only there.
 type Gateway struct {
 	d   *Driver
 	srv *http.Server
@@ -44,6 +61,7 @@ type Gateway struct {
 	measured uint64 // version of the measured printer service
 
 	oracle *verify.Oracle // nil when not attached
+	opPool sync.Pool      // *op, made by newOp
 
 	notifyCh   chan notifyFrame
 	senderDone chan struct{}
@@ -62,9 +80,8 @@ type Gateway struct {
 }
 
 type clientUser struct {
-	id     netsim.NodeID
 	each   func(func(discovery.ServiceRecord))
-	notify *net.UDPAddr // nil until subscribed
+	notify netip.AddrPort // invalid until subscribed
 }
 
 type managerState struct {
@@ -72,9 +89,12 @@ type managerState struct {
 	version uint64
 }
 
+// notifyFrame is one pushed datagram, formatted in place: the sender
+// queue holds frames by value, so a cache write allocates nothing.
 type notifyFrame struct {
-	addr *net.UDPAddr
-	buf  []byte
+	addr netip.AddrPort
+	n    int
+	buf  [128]byte // the longest Notification is 121 bytes
 }
 
 // lookup is one in-flight fabric search at the port node.
@@ -176,6 +196,7 @@ func OpenGateway(d *Driver, addr string, oracle *verify.Oracle) (*Gateway, error
 		userCount:     reg.Gauge("sd_gateway_users"),
 		managerCount:  reg.Gauge("sd_gateway_managers"),
 	}
+	gw.opPool.New = gw.newOp
 	// The port node: the gateway's own presence on the fabric, through
 	// which lookups travel as real frames.
 	if err := d.Call(func() {
@@ -188,14 +209,14 @@ func OpenGateway(d *Driver, addr string, oracle *verify.Oracle) (*Gateway, error
 		return nil, err
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/attach", gw.handleAttach)
-	mux.HandleFunc("POST /v1/register", gw.handleRegister)
-	mux.HandleFunc("POST /v1/update", gw.handleUpdate)
-	mux.HandleFunc("POST /v1/query", gw.handleQuery)
-	mux.HandleFunc("POST /v1/lookup", gw.handleLookup)
-	mux.HandleFunc("POST /v1/subscribe", gw.handleSubscribe)
+	mux.HandleFunc("POST /v1/attach", gw.handle(opAttach))
+	mux.HandleFunc("POST /v1/register", gw.handle(opRegister))
+	mux.HandleFunc("POST /v1/update", gw.handle(opUpdate))
+	mux.HandleFunc("POST /v1/query", gw.handle(opQuery))
+	mux.HandleFunc("POST /v1/lookup", gw.handle(opLookup))
+	mux.HandleFunc("POST /v1/subscribe", gw.handle(opSubscribe))
+	mux.HandleFunc("GET /v1/oracle", gw.handle(opOracle))
 	mux.HandleFunc("GET /v1/stats", gw.handleStats)
-	mux.HandleFunc("GET /v1/oracle", gw.handleOracle)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		w.Write([]byte("ok\n"))
@@ -213,7 +234,8 @@ func OpenGateway(d *Driver, addr string, oracle *verify.Oracle) (*Gateway, error
 	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-	gw.srv = &http.Server{Handler: mux}
+	gw.srv = &http.Server{Handler: mux, MaxHeaderBytes: maxHeaderBytes,
+		ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	go gw.srv.Serve(ln)
 	go gw.sendNotifications()
 	return gw, nil
@@ -262,17 +284,15 @@ func (gw *Gateway) clientCacheUpdated(t sim.Time, user, manager netsim.NodeID, v
 // notification tap for subscribed client Users.
 func (gw *Gateway) CacheUpdated(t sim.Time, user, manager netsim.NodeID, version uint64) {
 	cu := gw.users[user]
-	if cu == nil || cu.notify == nil {
+	if cu == nil || !cu.notify.IsValid() {
 		return
 	}
-	buf, err := json.Marshal(Notification{
+	f := notifyFrame{addr: cu.notify}
+	f.n = len(appendNotification(f.buf[:0], Notification{
 		User: int(user), Manager: int(manager), Version: version, Virtual: t.Sec(),
-	})
-	if err != nil {
-		return
-	}
+	}))
 	select {
-	case gw.notifyCh <- notifyFrame{addr: cu.notify, buf: buf}:
+	case gw.notifyCh <- f:
 	default:
 		gw.notifyDropped.Add(1)
 	}
@@ -281,7 +301,7 @@ func (gw *Gateway) CacheUpdated(t sim.Time, user, manager netsim.NodeID, version
 func (gw *Gateway) sendNotifications() {
 	defer close(gw.senderDone)
 	for f := range gw.notifyCh {
-		if _, err := gw.udp.WriteToUDP(f.buf, f.addr); err == nil {
+		if _, err := gw.udp.WriteToUDPAddrPort(f.buf[:f.n], f.addr); err == nil {
 			gw.notifySent.Add(1)
 		} else {
 			gw.notifyDropped.Add(1)
@@ -289,25 +309,276 @@ func (gw *Gateway) sendNotifications() {
 	}
 }
 
+// --- Ops ------------------------------------------------------------
+
+// opKind names a gateway request.
+type opKind uint8
+
+const (
+	opAttach opKind = iota
+	opRegister
+	opUpdate
+	opQuery
+	opLookup
+	opSubscribe
+	opOracle
+)
+
+// op is one gateway request as a value: the decoded request, and the
+// reply apply fills in on the driver goroutine. Ops are pooled with
+// their body buffer and their callbacks bound once, so a request hands
+// the driver no fresh closure.
+type op struct {
+	kind  opKind
+	body  bytes.Buffer
+	limit io.LimitedReader // reads the body; in the op so it does not escape per request
+	req   requests
+
+	code    int // reply status and body
+	reply   any
+	updated updateResponse
+	found   queryResponse // query and lookup records
+	window  chan struct{} // closed when a lookup's window ends
+
+	run    func()                        // gw.apply(o)
+	mutate func(map[string]string)       // the update's attribute change
+	visit  func(discovery.ServiceRecord) // collects a query's records
+}
+
+// requests holds one decoded request of each kind.
+type requests struct {
+	attach    attachRequest
+	register  registerRequest
+	update    updateRequest
+	query     queryRequest
+	lookup    lookupRequest
+	subscribe subscribeRequest
+}
+
+func (gw *Gateway) newOp() any {
+	o := new(op)
+	o.run = func() { gw.apply(o) }
+	o.mutate = func(attrs map[string]string) {
+		for k, v := range o.req.update.Attrs {
+			attrs[k] = v
+		}
+		if len(o.req.update.Attrs) == 0 {
+			attrs["Rev"] = strconv.FormatUint(o.updated.Version, 10)
+		}
+	}
+	o.visit = func(rec discovery.ServiceRecord) {
+		o.found.Records = append(o.found.Records, toRecord(rec))
+	}
+	return o
+}
+
+// decode readies o for a request of kind and decodes r's body into it;
+// a failure carries its HTTP status.
+func (o *op) decode(kind opKind, r *http.Request) (int, error) {
+	o.kind, o.window, o.found.Records = kind, nil, o.found.Records[:0]
+	// The update's attrs map is kept: the body merges into it, and
+	// apply only copies out of it.
+	clear(o.req.update.Attrs)
+	o.req = requests{update: updateRequest{Attrs: o.req.update.Attrs}}
+	q := &o.req
+	shape := [...]wireObject{&q.attach, &q.register, &q.update, &q.query, &q.lookup, &q.subscribe, nil}[kind]
+	if shape == nil {
+		return 0, nil
+	}
+	o.body.Reset()
+	var err error
+	if r.ContentLength <= maxBody { // a declared oversize is refused unread
+		o.limit = io.LimitedReader{R: r.Body, N: maxBody + 1}
+		_, err = o.body.ReadFrom(&o.limit)
+		o.limit.R = nil
+	}
+	if r.ContentLength > maxBody || o.body.Len() > maxBody {
+		return http.StatusRequestEntityTooLarge, fmt.Errorf("bad request: body over %d bytes", maxBody)
+	}
+	if err == nil {
+		// Closing the drained body spares the server its post-handler
+		// drain of it.
+		r.Body.Close()
+		err = decodeWire(o.body.Bytes(), shape)
+	}
+	if err != nil {
+		return http.StatusBadRequest, fmt.Errorf("bad request: %w", err)
+	}
+	return 0, nil
+}
+
+func (o *op) fail(code int, format string, args ...any) {
+	o.code, o.reply = code, errorResponse{Error: fmt.Sprintf(format, args...)}
+}
+
+// replyRecords answers with the collected records; none encode as null.
+func (o *op) replyRecords() {
+	if len(o.found.Records) == 0 {
+		o.found.Records = nil
+	}
+	o.reply = &o.found
+}
+
+// apply runs one op on the driver goroutine: the only place a gateway
+// request touches simulation state.
+func (gw *Gateway) apply(o *op) {
+	sc, q := gw.d.sc, &o.req
+	o.code, o.reply = http.StatusOK, struct{}{}
+	switch o.kind {
+	case opAttach:
+		gw.nextID++
+		uid, each := sc.SpawnUser(numbered("live-client-", gw.nextID), q.attach.Query.toQuery(), discovery.ListenerFunc(gw.clientCacheUpdated))
+		gw.users[uid] = &clientUser{each: each}
+		gw.userCount.Add(1)
+		o.reply = attachResponse{User: int(uid)}
+	case opRegister:
+		if q.register.Spec.Service == "" {
+			o.fail(http.StatusBadRequest, "register: empty service type")
+			return
+		}
+		gw.nextID++
+		mid, change := sc.SpawnManager(numbered("live-manager-", gw.nextID), q.register.Spec.toSD())
+		gw.managers[mid] = &managerState{change: change, version: 1}
+		gw.managerCount.Add(1)
+		o.reply = registerResponse{Manager: int(mid), Version: 1}
+	case opUpdate:
+		id := netsim.NodeID(q.update.Manager)
+		ms := gw.managers[id]
+		switch {
+		case id == sc.ManagerID && len(q.update.Attrs) > 0:
+			// The measured printer's change is the paper's canonical
+			// mutation; client attrs cannot be merged into it, so
+			// reject them instead of silently dropping them.
+			o.fail(http.StatusBadRequest, "update: the measured printer's change is fixed; update it without attrs")
+			return
+		case id == sc.ManagerID:
+			// Through the change tap, so an attached oracle records
+			// the publication.
+			gw.measured++
+			o.updated.Version = gw.measured
+			sc.FireChange()
+		case ms == nil:
+			o.fail(http.StatusNotFound, "update: unknown manager %d", q.update.Manager)
+			return
+		default:
+			ms.version++
+			o.updated.Version = ms.version
+			ms.change(o.mutate)
+		}
+		o.reply = &o.updated
+	case opQuery:
+		cu := gw.users[netsim.NodeID(q.query.User)]
+		if cu == nil {
+			o.fail(http.StatusNotFound, "query: unknown user %d", q.query.User)
+			return
+		}
+		cu.each(o.visit)
+		o.replyRecords()
+	case opLookup:
+		lk := &lookup{q: q.lookup.Query.toQuery(), seen: map[netsim.NodeID]uint64{}}
+		gw.pending = append(gw.pending, lk)
+		gw.sendLookup(lk.q)
+		o.window = make(chan struct{})
+		gw.d.k.After(LookupWindow, func() {
+			gw.pending = slices.DeleteFunc(gw.pending, func(p *lookup) bool { return p == lk })
+			for _, rec := range lk.recs {
+				o.visit(rec)
+			}
+			o.replyRecords()
+			close(o.window)
+		})
+	case opSubscribe:
+		// A literal IP and port: the loop never waits on a resolver.
+		addr, err := netip.ParseAddrPort(q.subscribe.Addr)
+		cu := gw.users[netsim.NodeID(q.subscribe.User)]
+		switch {
+		case err != nil:
+			o.fail(http.StatusBadRequest, "subscribe: bad addr %q: %v", q.subscribe.Addr, err)
+			return
+		case cu == nil:
+			o.fail(http.StatusNotFound, "subscribe: unknown user %d", q.subscribe.User)
+			return
+		}
+		cu.notify = netip.AddrPortFrom(addr.Addr().Unmap(), addr.Port())
+	case opOracle:
+		if gw.oracle == nil {
+			o.reply = OracleResponse{Attached: false, Clean: true}
+			return
+		}
+		rep := gw.oracle.Report()
+		resp := OracleResponse{Attached: true, Total: rep.Total, Clean: rep.Clean()}
+		for _, v := range rep.Violations {
+			resp.Violations = append(resp.Violations, v.String())
+		}
+		o.reply = resp
+		return
+	}
+	gw.ops.Add(1)
+}
+
 // --- HTTP handlers -------------------------------------------------
 
-func decode[T any](w http.ResponseWriter, r *http.Request) (T, bool) {
-	var req T
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request: " + err.Error()})
-		return req, false
+// handle serves one op kind: decode the request into a pooled op, apply
+// it on the driver goroutine, encode its reply.
+func (gw *Gateway) handle(kind opKind) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		o := gw.opPool.Get().(*op)
+		defer gw.opPool.Put(o)
+		if code, err := o.decode(kind, r); err != nil {
+			gw.fail(w, code, "%v", err)
+			return
+		}
+		if err := gw.d.Call(o.run); err != nil {
+			gw.fail(w, http.StatusServiceUnavailable, "%v", err)
+			return
+		}
+		if o.window != nil {
+			select {
+			case <-o.window:
+			case <-gw.d.Done():
+				// The loop is gone, and with it the window's timer.
+				gw.fail(w, http.StatusServiceUnavailable, "%v", ErrStopped)
+				return
+			}
+		}
+		writeJSON(w, o.code, o.reply)
 	}
-	return req, true
+}
+
+// jsonContentType is every JSON reply's Content-Type header value,
+// shared rather than allocated per reply.
+var jsonContentType = []string{"application/json"}
+
+// jsonBuf is a pooled buffer with a JSON encoder writing into it: the
+// gateway encodes replies into one, the Client request bodies.
+type jsonBuf struct {
+	bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonBufs = sync.Pool{New: func() any {
+	jb := new(jsonBuf)
+	jb.enc = json.NewEncoder(&jb.Buffer)
+	return jb
+}}
+
+func getJSONBuf() *jsonBuf {
+	jb := jsonBufs.Get().(*jsonBuf)
+	jb.Reset()
+	return jb
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// The status line is already on the wire, so the client sees a
-		// half-written body; log it instead of failing silently.
+	jb := getJSONBuf()
+	defer jsonBufs.Put(jb)
+	if err := jb.enc.Encode(v); err != nil {
 		log.Printf("live: gateway response encode failed (status %d): %v", code, err)
+		http.Error(w, "live: response encode failed", http.StatusInternalServerError)
+		return
 	}
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(code)
+	w.Write(jb.Bytes())
 }
 
 func (gw *Gateway) fail(w http.ResponseWriter, code int, format string, args ...any) {
@@ -319,175 +590,6 @@ func (gw *Gateway) fail(w http.ResponseWriter, code int, format string, args ...
 func numbered(prefix string, n int) string {
 	var buf [32]byte
 	return string(strconv.AppendInt(append(buf[:0], prefix...), int64(n), 10))
-}
-
-func (gw *Gateway) handleAttach(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[attachRequest](w, r)
-	if !ok {
-		return
-	}
-	var id netsim.NodeID
-	err := gw.d.Call(func() {
-		gw.nextID++
-		uid, each := gw.d.sc.SpawnUser(numbered("live-client-", gw.nextID), req.Query.toQuery(), discovery.ListenerFunc(gw.clientCacheUpdated))
-		gw.users[uid] = &clientUser{id: uid, each: each}
-		id = uid
-	})
-	if err != nil {
-		gw.fail(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	gw.ops.Add(1)
-	gw.userCount.Add(1)
-	writeJSON(w, http.StatusOK, attachResponse{User: int(id)})
-}
-
-func (gw *Gateway) handleRegister(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[registerRequest](w, r)
-	if !ok {
-		return
-	}
-	if req.Spec.Service == "" {
-		gw.fail(w, http.StatusBadRequest, "register: empty service type")
-		return
-	}
-	var id netsim.NodeID
-	err := gw.d.Call(func() {
-		gw.nextID++
-		mid, change := gw.d.sc.SpawnManager(numbered("live-manager-", gw.nextID), req.Spec.toSD())
-		gw.managers[mid] = &managerState{change: change, version: 1}
-		id = mid
-	})
-	if err != nil {
-		gw.fail(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	gw.ops.Add(1)
-	gw.managerCount.Add(1)
-	writeJSON(w, http.StatusOK, registerResponse{Manager: int(id), Version: 1})
-}
-
-func (gw *Gateway) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[updateRequest](w, r)
-	if !ok {
-		return
-	}
-	if netsim.NodeID(req.Manager) == gw.d.sc.ManagerID && len(req.Attrs) > 0 {
-		// The measured printer's change is the paper's canonical
-		// mutation (applied via FireChange below); client attrs cannot
-		// be merged into it, so reject them instead of silently
-		// dropping them.
-		gw.fail(w, http.StatusBadRequest,
-			"update: the measured printer's change is fixed; update it without attrs")
-		return
-	}
-	var version uint64
-	var unknown bool
-	err := gw.d.Call(func() {
-		id := netsim.NodeID(req.Manager)
-		mutate := func(attrs map[string]string) {
-			for k, v := range req.Attrs {
-				attrs[k] = v
-			}
-			if len(req.Attrs) == 0 {
-				attrs["Rev"] = strconv.FormatUint(version, 10)
-			}
-		}
-		if id == gw.d.sc.ManagerID {
-			// The measured printer: go through the change tap so an
-			// attached oracle records the publication.
-			gw.measured++
-			version = gw.measured
-			gw.d.sc.FireChange()
-			return
-		}
-		ms := gw.managers[id]
-		if ms == nil {
-			unknown = true
-			return
-		}
-		ms.version++
-		version = ms.version
-		ms.change(mutate)
-	})
-	if err != nil {
-		gw.fail(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	if unknown {
-		gw.fail(w, http.StatusNotFound, "update: unknown manager %d", req.Manager)
-		return
-	}
-	gw.ops.Add(1)
-	writeJSON(w, http.StatusOK, updateResponse{Version: version})
-}
-
-func (gw *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[queryRequest](w, r)
-	if !ok {
-		return
-	}
-	var recs []Record
-	var unknown bool
-	err := gw.d.Call(func() {
-		cu := gw.users[netsim.NodeID(req.User)]
-		if cu == nil {
-			unknown = true
-			return
-		}
-		cu.each(func(rec discovery.ServiceRecord) {
-			recs = append(recs, toRecord(rec))
-		})
-	})
-	if err != nil {
-		gw.fail(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	if unknown {
-		gw.fail(w, http.StatusNotFound, "query: unknown user %d", req.User)
-		return
-	}
-	gw.ops.Add(1)
-	writeJSON(w, http.StatusOK, queryResponse{Records: recs})
-}
-
-func (gw *Gateway) handleLookup(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[lookupRequest](w, r)
-	if !ok {
-		return
-	}
-	q := req.Query.toQuery()
-	done := make(chan struct{})
-	var recs []Record
-	err := gw.d.Call(func() {
-		lk := &lookup{q: q, seen: map[netsim.NodeID]uint64{}}
-		gw.pending = append(gw.pending, lk)
-		gw.sendLookup(q)
-		gw.d.k.After(LookupWindow, func() {
-			for i, p := range gw.pending {
-				if p == lk {
-					gw.pending = append(gw.pending[:i], gw.pending[i+1:]...)
-					break
-				}
-			}
-			for _, rec := range lk.recs {
-				recs = append(recs, toRecord(rec))
-			}
-			close(done)
-		})
-	})
-	if err != nil {
-		gw.fail(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	select {
-	case <-done:
-	case <-gw.d.Done():
-		gw.fail(w, http.StatusServiceUnavailable, "%v", ErrStopped)
-		return
-	}
-	gw.ops.Add(1)
-	writeJSON(w, http.StatusOK, lookupResponse{Records: recs})
 }
 
 // sendLookup puts the search on the fabric: unicast to every Registry
@@ -518,37 +620,6 @@ func (gw *Gateway) sendLookup(q discovery.Query) {
 	}
 }
 
-func (gw *Gateway) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[subscribeRequest](w, r)
-	if !ok {
-		return
-	}
-	addr, err := net.ResolveUDPAddr("udp", req.Addr)
-	if err != nil {
-		gw.fail(w, http.StatusBadRequest, "subscribe: bad addr %q: %v", req.Addr, err)
-		return
-	}
-	var unknown bool
-	err = gw.d.Call(func() {
-		cu := gw.users[netsim.NodeID(req.User)]
-		if cu == nil {
-			unknown = true
-			return
-		}
-		cu.notify = addr
-	})
-	if err != nil {
-		gw.fail(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	if unknown {
-		gw.fail(w, http.StatusNotFound, "subscribe: unknown user %d", req.User)
-		return
-	}
-	gw.ops.Add(1)
-	writeJSON(w, http.StatusOK, struct{}{})
-}
-
 func (gw *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, gw.Stats())
 }
@@ -566,21 +637,4 @@ func (gw *Gateway) handleFlight(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	obs.WriteFlightJSON(w, snaps)
-}
-
-func (gw *Gateway) handleOracle(w http.ResponseWriter, r *http.Request) {
-	if gw.oracle == nil {
-		writeJSON(w, http.StatusOK, OracleResponse{Attached: false, Clean: true})
-		return
-	}
-	var rep verify.OracleReport
-	if err := gw.d.Call(func() { rep = gw.oracle.Report() }); err != nil {
-		gw.fail(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	resp := OracleResponse{Attached: true, Total: rep.Total, Clean: rep.Clean()}
-	for _, v := range rep.Violations {
-		resp.Violations = append(resp.Violations, v.String())
-	}
-	writeJSON(w, http.StatusOK, resp)
 }

@@ -1,6 +1,12 @@
 package live
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -215,20 +221,51 @@ func TestLiveLookup(t *testing.T) {
 	}
 }
 
-// Gateway validation: unknown users and managers are 404s, not panics.
+// Gateway validation: unknown users and managers are 404s, not panics;
+// malformed, oversized or over-long bodies are refused before they
+// reach the driver.
 func TestGatewayValidation(t *testing.T) {
-	_, cl := serveTest(t, experiment.Jini1)
-	if _, err := cl.Query(9999); err == nil {
-		t.Error("query of unknown user succeeded")
+	srv, _ := serveTest(t, experiment.Jini1)
+	huge := `{"spec":{"service":"Big","attrs":{"Blob":"` + strings.Repeat("x", maxBody) + `"}}}`
+	for _, tc := range []struct {
+		name, path, body string
+		want             int
+	}{
+		{"query of unknown user", "/v1/query", `{"user":9999}`, http.StatusNotFound},
+		{"update of unknown manager", "/v1/update", `{"manager":9999}`, http.StatusNotFound},
+		{"subscribe of unknown user", "/v1/subscribe", `{"user":9999,"addr":"127.0.0.1:1"}`, http.StatusNotFound},
+		{"register with empty service type", "/v1/register", `{"spec":{}}`, http.StatusBadRequest},
+		{"body over the cap", "/v1/register", huge, http.StatusRequestEntityTooLarge},
+		{"unknown field", "/v1/attach", `{"query":{"service":"Printer"},"priority":1}`, http.StatusBadRequest},
+		{"trailing garbage", "/v1/attach", `{"query":{"service":"Printer"}} garbage`, http.StatusBadRequest},
+		{"subscribe without an IP", "/v1/subscribe", `{"user":9999,"addr":":1"}`, http.StatusBadRequest},
+	} {
+		resp, err := http.Post("http://"+srv.Addr()+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var er errorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil || er.Error == "" {
+			t.Errorf("%s: no error message in the reply (%v)", tc.name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: HTTP %d, want %d (%s)", tc.name, resp.StatusCode, tc.want, er.Error)
+		}
 	}
-	if _, err := cl.Update(9999, nil); err == nil {
-		t.Error("update of unknown manager succeeded")
+	if got := srv.Gateway.Stats().Ops; got != 0 {
+		t.Errorf("refused requests counted as %d ops", got)
 	}
-	if err := cl.Subscribe(9999, "127.0.0.1:1"); err == nil {
-		t.Error("subscribe of unknown user succeeded")
-	}
-	if _, err := cl.Register(ServiceSpec{}); err == nil {
-		t.Error("register with empty service type succeeded")
+}
+
+// A gateway that cannot produce the oracle report (its driver stopped)
+// answers 503, and the Client surfaces that as an error rather than a
+// zero report.
+func TestClientOracleAfterStop(t *testing.T) {
+	srv, cl := serveTest(t, experiment.Frodo2P)
+	srv.Driver.Stop()
+	if rep, err := cl.Oracle(); err == nil {
+		t.Fatalf("Oracle() after the driver stopped = %+v, nil error", rep)
 	}
 }
 
@@ -248,5 +285,97 @@ func TestDriverStopBeforeStart(t *testing.T) {
 	}
 	if err := d.Inject(func() {}); err != ErrStopped {
 		t.Fatalf("Inject after Stop = %v; want ErrStopped", err)
+	}
+}
+
+// raceBuild is set by race_test.go in -race builds.
+var raceBuild bool
+
+// replayBody is a request body that can be rewound, so one request
+// value serves every run of an allocation measurement.
+type replayBody struct{ bytes.Reader }
+
+func (*replayBody) Close() error { return nil }
+
+// discardWriter is a reusable http.ResponseWriter that keeps only the
+// status code.
+type discardWriter struct {
+	h    http.Header
+	code int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) WriteHeader(code int)        { w.code = code }
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+
+// The request path's allocation budget: update and query driven through
+// the gateway's handlers (mux, body read, decode, Driver.Call, apply,
+// encode) against a started driver, and Driver.Call itself. The driver
+// runs at a dilation that freezes virtual time, so only the requests
+// allocate; the client's service is discovered by advancing the kernel
+// from inside the loop. The budgets are the values measured when the
+// path became pooled ops (Go 1.24, linux/amd64); a change that adds an
+// allocation per request fails here.
+func TestGatewayRequestAllocs(t *testing.T) {
+	if raceBuild {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const (
+		updateBudget = 7
+		queryBudget  = 8
+	)
+	srv, err := Serve(Config{System: experiment.Frodo2P, Topology: experiment.Topology{Users: 2},
+		Seed: 7, Dilation: 1e6}, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	cl := NewClient(srv.Addr())
+	mgr, err := cl.Register(ServiceSpec{Device: "Dev", Service: "Svc", Attrs: map[string]string{"Seq": "1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	user, err := cl.Attach(ServiceQuery{Service: "Svc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := srv.Driver
+	if err := d.Call(func() { d.k.RunUntil(d.k.Now() + 120*sim.Second) }); err != nil {
+		t.Fatal(err)
+	}
+	if recs, err := cl.Query(user); err != nil || len(recs) != 1 {
+		t.Fatalf("query after discovery = %v, %v; want the one service", recs, err)
+	}
+
+	handler := srv.Gateway.srv.Handler
+	measure := func(path, payload string) float64 {
+		body := new(replayBody)
+		req := httptest.NewRequest(http.MethodPost, path, nil)
+		w := &discardWriter{h: http.Header{}}
+		return testing.AllocsPerRun(500, func() {
+			body.Reset([]byte(payload))
+			req.Body, req.ContentLength = body, int64(len(payload))
+			handler.ServeHTTP(w, req)
+			if w.code != http.StatusOK {
+				t.Fatalf("%s %s: HTTP %d", path, payload, w.code)
+			}
+		})
+	}
+	for _, tc := range []struct {
+		path, payload string
+		budget        float64
+	}{
+		{"/v1/update", fmt.Sprintf(`{"manager":%d,"attrs":{"Seq":"2"}}`, mgr), updateBudget},
+		{"/v1/query", fmt.Sprintf(`{"user":%d}`, user), queryBudget},
+	} {
+		if got := measure(tc.path, tc.payload); got > tc.budget {
+			t.Errorf("%s: %.0f allocations per request, budget %.0f", tc.path, got, tc.budget)
+		} else {
+			t.Logf("%s: %.0f allocations per request (budget %.0f)", tc.path, got, tc.budget)
+		}
+	}
+	noop := func() {}
+	if got := testing.AllocsPerRun(1000, func() { d.Call(noop) }); got != 0 {
+		t.Errorf("Driver.Call: %.0f allocations per call, want 0", got)
 	}
 }
