@@ -37,17 +37,18 @@ import (
 )
 
 func main() {
+	// -seed seeds the hunt's mutations; -harden hardens every candidate.
+	design := experiment.Flags{Spec: experiment.ScenarioSpec{Seed: 1}}
+	design.Register(flag.CommandLine, "seed", "harden")
 	var (
 		budget  = flag.Duration("budget", 0, "hunt budget as a wall-clock-shaped duration (charged deterministically; 0 = use -iters)")
 		iters   = flag.Int("iters", 0, "cap on mutated candidates (0 = budget-bounded only)")
-		seed    = flag.Int64("seed", 1, "hunt seed: drives mutations and candidate selection")
 		systems = flag.String("systems", "", "comma-separated systems to audit (default: all five)")
 		out     = flag.String("out", "", "directory to write finding fixtures and the corpus into")
 		report  = flag.String("report", "", "also write the JSON report to this file (always printed to stdout)")
 		replay  = flag.String("replay", "", "replay every *.json fixture in this directory instead of hunting")
-		corpus  = flag.String("corpus", "", "seed the hunt with every *.json spec in this directory (resume from a committed corpus)")
-		harden  = flag.Bool("harden", false, "hunt with the full protocol-hardening layer on (find what the layer does NOT close)")
-		telem   = flag.String("telemetry", "", "meter every candidate run into one registry and write it as JSON to this file at exit (- for stdout)")
+		corpus  = flag.String("corpus", "", "seed the hunt with every *.json spec or fixture scenario in this directory (resume from a committed corpus)")
+		telem   = flag.String("telemetry", "", "write the metrics registry as JSON to this file at exit (- for stdout)")
 		verbose = flag.Bool("v", false, "log hunt progress to stderr")
 	)
 	flag.Parse()
@@ -63,9 +64,7 @@ func main() {
 
 	if *replay != "" {
 		code := replayDir(*replay)
-		if reg != nil {
-			dumpTelemetry(reg, *telem)
-		}
+		dumpTelemetry(reg, *telem)
 		os.Exit(code)
 	}
 	if *budget <= 0 && *iters <= 0 {
@@ -74,13 +73,13 @@ func main() {
 	}
 
 	cfg := hunt.Config{
-		Seed:   *seed,
+		Seed:   design.Spec.Seed,
 		Budget: int64(budget.Seconds() * hunt.CostPerWallSecond),
 		Iters:  *iters,
-		Harden: *harden,
+		Harden: design.Spec.Hardened,
 	}
 	if *corpus != "" {
-		specs, err := loadCorpus(*corpus)
+		specs, err := hunt.LoadCorpus(*corpus)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sdhunt: %v\n", err)
 			os.Exit(2)
@@ -125,32 +124,19 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	if reg != nil {
-		dumpTelemetry(reg, *telem)
-	}
+	dumpTelemetry(reg, *telem)
 	if !rep.Clean() {
 		os.Exit(1)
 	}
 }
 
-// dumpTelemetry writes the registry as indented JSON to path, or to
-// stdout for "-".
+// dumpTelemetry writes the registry, if metering is on, to path;
+// failing is a usage error.
 func dumpTelemetry(reg *obs.Registry, path string) {
-	err := func() error {
-		if path == "-" {
-			return reg.WriteJSON(os.Stdout)
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := reg.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}()
-	if err != nil {
+	if reg == nil {
+		return
+	}
+	if err := reg.WriteJSONFile(path); err != nil {
 		fmt.Fprintf(os.Stderr, "sdhunt: -telemetry: %v\n", err)
 		os.Exit(2)
 	}
@@ -190,28 +176,6 @@ func writeOutputs(h *hunt.Hunter, dir string, rep *hunt.Report) error {
 		}
 	}
 	return nil
-}
-
-// loadCorpus reads every *.json bare spec under dir (the layout -out
-// writes to <out>/corpus/), in sorted order for determinism.
-func loadCorpus(dir string) ([]*experiment.ScenarioSpec, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(paths)
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("no corpus specs under %s", dir)
-	}
-	var specs []*experiment.ScenarioSpec
-	for _, path := range paths {
-		spec, err := experiment.LoadSpec(path)
-		if err != nil {
-			return nil, err
-		}
-		specs = append(specs, spec)
-	}
-	return specs, nil
 }
 
 // replayDir loads and replays every fixture under dir, reporting each

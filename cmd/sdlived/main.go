@@ -7,7 +7,7 @@
 // Usage:
 //
 //	sdlived -system frodo2p -dilation 0.001 -addr 127.0.0.1:8460
-//	sdlived -system upnp -users 100 -burst... (see -help)
+//	sdlived -system upnp -users 100 -loss 0.05 -harden
 //
 // The daemon serves until SIGINT/SIGTERM, then prints the oracle report
 // and exits nonzero if any invariant was violated. The full telemetry
@@ -32,36 +32,18 @@ import (
 )
 
 func main() {
+	design := experiment.Flags{System: experiment.Frodo2P,
+		Spec: experiment.ScenarioSpec{Seed: 1, Topology: experiment.SpecTopology{Users: 5}}}
+	design.Register(flag.CommandLine, "system", "seed", "loss", "harden", "users", "managers", "registries", "services")
 	var (
-		system   = flag.String("system", "frodo2p", "system to serve: upnp|jini1|jini2|frodo3p|frodo2p")
 		addr     = flag.String("addr", "127.0.0.1:8460", "HTTP listen address (port 0 picks one)")
 		addrFile = flag.String("addr-file", "", "write the bound address to this file once listening")
-		seed     = flag.Int64("seed", 1, "kernel seed")
 		dilation = flag.Float64("dilation", 0.001, "wall seconds per virtual second (0.001 = 1000× faster than real time)")
-		loss     = flag.Float64("loss", 0, "i.i.d. per-frame loss probability")
-		harden   = flag.Bool("harden", false, "serve with the full protocol-hardening layer on")
 		noOracle = flag.Bool("no-oracle", false, "serve without the consistency oracle attached")
-
-		users      = flag.Int("users", 5, "scenario Users built at boot (clients come on top)")
-		managers   = flag.Int("managers", 0, "Manager nodes; extras host background services (0 = 1)")
-		registries = flag.Int("registries", 0, "Registry nodes (0 = the system's Table 4 count)")
-		services   = flag.Int("services", 0, "distinct background service types (0 = one per extra Manager)")
 	)
 	flag.Parse()
 
-	sys, err := experiment.ParseSystem(*system)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sdlived: %v\n", err)
-		os.Exit(2)
-	}
-	if *users <= 0 {
-		fmt.Fprintf(os.Stderr, "sdlived: -users must be positive, got %d\n", *users)
-		os.Exit(2)
-	}
-	topo := experiment.Topology{Users: *users, Managers: *managers, Registries: *registries, Services: *services}
-	// Validate the topology flags up front with a friendly message —
-	// never a panic from deep inside scenario construction.
-	if err := topo.Validate(); err != nil {
+	if err := design.Spec.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "sdlived: %v\n", err)
 		os.Exit(2)
 	}
@@ -69,11 +51,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sdlived: -dilation must be positive, got %v\n", *dilation)
 		os.Exit(2)
 	}
+	sys, p := design.System, design.Spec.Params()
 	cfg := live.Config{
 		System:   sys,
-		Topology: topo,
-		Options:  experiment.Options{Loss: *loss, Hardened: *harden},
-		Seed:     *seed,
+		Topology: p.Topology,
+		Options:  design.Spec.Options(),
+		Seed:     p.BaseSeed,
 		Dilation: *dilation,
 	}
 	if !*noOracle {

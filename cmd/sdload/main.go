@@ -128,7 +128,7 @@ func main() {
 		retries    = flag.Int("retries", 3, "attempts per request before giving up (1 = no retry)")
 		retryBase  = flag.Duration("retry-base", 100*time.Millisecond, "initial retry backoff; jittered, capped at 32x")
 		oracle     = flag.Bool("oracle", false, "fetch /v1/oracle at the end and fail unless it is attached and clean")
-		telemetry  = flag.String("telemetry", "", "write the full metrics registry as JSON to this file at exit (- for stdout)")
+		telemetry  = flag.String("telemetry", "", "write the metrics registry as JSON to this file at exit (- for stdout)")
 		quiet      = flag.Bool("quiet", false, "suppress progress output")
 	)
 	flag.Parse()
@@ -202,7 +202,7 @@ func main() {
 	fmt.Printf("  update→notify %s\n", c.notify.Summary())
 
 	if *telemetry != "" {
-		if err := dumpTelemetry(reg, *telemetry); err != nil {
+		if err := reg.WriteJSONFile(*telemetry); err != nil {
 			fmt.Fprintf(os.Stderr, "sdload: telemetry: %v\n", err)
 			os.Exit(1)
 		}
@@ -233,23 +233,6 @@ func main() {
 	if fail {
 		os.Exit(1)
 	}
-}
-
-// dumpTelemetry writes the registry as indented JSON to path, or to
-// stdout for "-".
-func dumpTelemetry(reg *obs.Registry, path string) error {
-	if path == "-" {
-		return reg.WriteJSON(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := reg.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // runClient is one external participant's life: register, attach,

@@ -20,29 +20,20 @@ import (
 )
 
 func main() {
+	design := experiment.Flags{System: experiment.Frodo2P, Spec: experiment.ScenarioSpec{Seed: 1, Lambda: 0.15}}
+	design.Register(flag.CommandLine, "system", "lambda", "seed", "loss")
 	var (
-		system    = flag.String("system", "frodo2p", "system to simulate: upnp|jini1|jini2|frodo3p|frodo2p")
-		lambda    = flag.Float64("lambda", 0.15, "interface failure rate λ in [0,1]")
-		seed      = flag.Int64("seed", 1, "random seed (same seed replays the identical run)")
-		loss      = flag.Float64("loss", 0, "i.i.d. message loss probability (companion model [25])")
 		showLog   = flag.Bool("log", false, "print the event log")
 		verbose   = flag.Bool("verbose", false, "include every frame in the event log")
 		traceFile = flag.String("trace", "", "write a structured JSONL trace to this file")
 	)
 	flag.Parse()
 
-	sys, err := check(*system, *lambda, *loss)
-	if err != nil {
+	if err := design.Spec.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	spec := experiment.RunSpec{
-		System: sys,
-		Lambda: *lambda,
-		Seed:   *seed,
-		Params: experiment.DefaultParams(),
-		Opts:   experiment.Options{Loss: *loss},
-	}
+	spec := design.Spec.RunSpec(design.System)
 
 	var res metrics.RunResult
 	var log []string
@@ -72,7 +63,7 @@ func main() {
 		fmt.Println()
 	}
 
-	fmt.Printf("%s at λ=%.2f (seed %d)\n", sys, *lambda, *seed)
+	fmt.Printf("%s at λ=%.2f (seed %d)\n", spec.System, spec.Lambda, spec.Seed)
 	fmt.Printf("  service changed at %.0fs, deadline %.0fs\n", res.ChangeAt.Sec(), res.Deadline.Sec())
 	reached := 0
 	for _, u := range res.Users {
@@ -86,23 +77,6 @@ func main() {
 	fmt.Printf("  effectiveness: %d/%d users\n", reached, len(res.Users))
 	fmt.Printf("  update effort y = %d discovery messages (transport frames in run: %d)\n",
 		res.Effort, res.TotalTransport)
-}
-
-// check resolves the system and rejects out-of-range flags up front, as
-// one line, rather than as a panic from deep inside scenario
-// construction.
-func check(system string, lambda, loss float64) (experiment.System, error) {
-	sys, err := experiment.ParseSystem(system)
-	if err != nil {
-		return sys, err
-	}
-	if lambda < 0 || lambda > 1 {
-		return sys, fmt.Errorf("-lambda %v out of [0,1]", lambda)
-	}
-	if err := (experiment.Options{Loss: loss}).Validate(); err != nil {
-		return sys, fmt.Errorf("-loss: %w", err)
-	}
-	return sys, nil
 }
 
 // runTraced executes one scenario while streaming a structured JSONL

@@ -16,8 +16,10 @@
 //	sdsweep -figure adversarial  # extension: burst vs i.i.d. loss at equal rate
 //	sdsweep -figure hardening    # extension: baseline vs hardened under the hunted fault mix
 //	sdsweep -figure 4 -harden    # any figure with the protocol-hardening layer on
+//	sdsweep -scenario f.json     # a spec or hunted fixture as the design; λ stays the sweep grid
 //
-// Adversarial network knobs (apply to figures 4-6 and scale):
+// Adversarial network knobs (apply to every figure but adversarial, loss
+// and hardening, which fix their own link model and refuse them):
 //
 //	sdsweep -figure 4 -burst-loss 0.2 -burst-len 8   # Gilbert–Elliott loss
 //	sdsweep -figure 4 -delay-dist pareto             # heavy-tailed delay
@@ -33,6 +35,7 @@ import (
 
 	"repro/internal/experiment"
 	"repro/internal/frodo"
+	"repro/internal/hunt"
 	"repro/internal/jini"
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -41,61 +44,41 @@ import (
 	"repro/internal/verify"
 )
 
-// config is the part of the command line that fixes what runs; design
-// checks it and resolves it into the sweep's parameters.
+// config is the part of the command line that fixes what runs; resolve
+// checks it and turns it into the sweep's parameters.
 type config struct {
-	figure, scenario, delayDist, partition string
+	figure, scenario string
+	runs             int
+	design           experiment.Flags
+}
 
-	runs   int
-	seed   int64
-	harden bool
-	topo   experiment.Topology
-
-	churn, absence, arrivals, burstLoss, burstLen, delaySigma, delayAlpha float64
-
-	set map[string]bool // the flags given on the command line
+func (c *config) register(fs *flag.FlagSet) {
+	fs.StringVar(&c.figure, "figure", "all", "figure or table to regenerate: 4|5|6|7|table2|table5|loss|polling|scale|adversarial|hardening|all")
+	fs.IntVar(&c.runs, "runs", 30, "runs per (system, λ) point (X in the paper)")
+	fs.StringVar(&c.scenario, "scenario", "", "run this scenario spec or hunted fixture (strictly validated) in place of the default design")
+	c.design.Spec = experiment.ScenarioSpec{Seed: 1, Link: experiment.SpecLink{BurstLen: 8, DelayDist: "uniform"}}
+	c.design.Register(fs, "seed", "users", "managers", "registries", "services", "churn", "absence", "arrivals",
+		"burst-loss", "burst-len", "delay-dist", "delay-sigma", "delay-alpha", "partition", "harden")
 }
 
 func main() {
 	var c config
-	flag.StringVar(&c.figure, "figure", "all", "figure or table to regenerate: 4|5|6|7|table2|table5|loss|polling|scale|adversarial|hardening|all")
-	flag.IntVar(&c.runs, "runs", 30, "runs per (system, λ) point (X in the paper)")
-	flag.Int64Var(&c.seed, "seed", 1, "base seed for the whole sweep")
+	c.register(flag.CommandLine)
 	var (
 		workers = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 		asCSV   = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		telem   = flag.String("telemetry", "", "meter every run into one registry and write it as JSON to this file at exit (- for stdout)")
+		telem   = flag.String("telemetry", "", "write the metrics registry as JSON to this file at exit (- for stdout)")
 		asPlot  = flag.Bool("plot", false, "render figures 4-6 as ASCII charts too")
 		quiet   = flag.Bool("quiet", false, "suppress progress output")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 		memProfile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
-	flag.StringVar(&c.scenario, "scenario", "", "sweep over this scenario spec JSON as the base design (strictly validated; its λ is replaced by the sweep grid)")
-
-	flag.IntVar(&c.topo.Users, "users", 0, "number of Users N (0 = the paper's 5)")
-	flag.IntVar(&c.topo.Managers, "managers", 0, "Manager nodes; extras host background services (0 = 1)")
-	flag.IntVar(&c.topo.Registries, "registries", 0, "Registry nodes (0 = the system's Table 4 count)")
-	flag.IntVar(&c.topo.Services, "services", 0, "distinct background service types (0 = one per extra Manager)")
-	flag.Float64Var(&c.churn, "churn", 0, "expected departures per User over the run (Poisson; 0 = no churn)")
-	flag.Float64Var(&c.absence, "absence", 0, "mean absence before rejoining, seconds (0 = departures are permanent)")
-	flag.Float64Var(&c.arrivals, "arrivals", 0, "expected fresh User arrivals over the run (Poisson)")
-
-	flag.Float64Var(&c.burstLoss, "burst-loss", 0, "Gilbert–Elliott burst loss at this average rate (0 = off)")
-	flag.Float64Var(&c.burstLen, "burst-len", 8, "mean burst length in frames for -burst-loss")
-	flag.StringVar(&c.delayDist, "delay-dist", "uniform", "one-way delay distribution: uniform|lognormal|pareto")
-	flag.Float64Var(&c.delaySigma, "delay-sigma", 0, "lognormal shape for -delay-dist lognormal (0 = 1.0)")
-	flag.Float64Var(&c.delayAlpha, "delay-alpha", 0, "Pareto tail exponent for -delay-dist pareto (0 = 1.5)")
-	flag.StringVar(&c.partition, "partition", "", "bisect the population: start:duration in virtual seconds, e.g. 3000:4000")
-
-	flag.BoolVar(&c.harden, "harden", false, "enable the full protocol-hardening layer for every run")
 	flag.Parse()
-	c.set = map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { c.set[f.Name] = true })
 
 	// Check before the profilers start: an os.Exit on a bad flag must
 	// not leave a started-but-unflushed (truncated) CPU profile behind.
-	params, linkOpts, err := c.design()
+	params, linkOpts, err := c.resolve()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -158,8 +141,6 @@ func main() {
 	needMain := map[string]bool{"4": true, "5": true, "6": true, "table5": true, "all": true}
 	var main experiment.SweepResult
 	if needMain[c.figure] {
-		// The link-conditioning flags apply to the main sweep, so figures
-		// 4–6 can be regenerated under adversarial networks directly.
 		main = experiment.Sweep(experiment.SweepConfig{
 			Params: params, Workers: *workers, Progress: progress, Opts: linkOpts,
 		})
@@ -182,16 +163,16 @@ func main() {
 		emit(experiment.Figure6(main))
 		chart(experiment.MetricDegradation)
 	case "7":
-		with, without := experiment.Figure7Sweep(params, *workers, progress)
+		with, without := experiment.Figure7Sweep(params, linkOpts, *workers, progress)
 		emit(experiment.Figure7(with, without))
 	case "table2":
-		emit(experiment.Table2(params))
+		emit(experiment.Table2(params, linkOpts))
 	case "table5":
 		emit(experiment.Table5(main))
 	case "loss":
 		emit(lossSweep(params, *workers, progress))
 	case "polling":
-		emit(pollingSweep(params, *workers, progress))
+		emit(pollingSweep(params, linkOpts, *workers, progress))
 	case "scale":
 		emit(scaleSweep(params, linkOpts, *workers, progress))
 	case "adversarial":
@@ -199,7 +180,7 @@ func main() {
 	case "hardening":
 		emit(verify.FigureHardening(params, c.runs, *workers, progress))
 	case "all":
-		emit(experiment.Table2(params))
+		emit(experiment.Table2(params, linkOpts))
 		emit(experiment.Figure4(main))
 		chart(experiment.MetricEffectiveness)
 		emit(experiment.Figure5(main))
@@ -207,29 +188,28 @@ func main() {
 		emit(experiment.Figure6(main))
 		chart(experiment.MetricDegradation)
 		emit(experiment.Table5(main))
-		with, without := experiment.Figure7Sweep(params, *workers, progress)
+		with, without := experiment.Figure7Sweep(params, linkOpts, *workers, progress)
 		emit(experiment.Figure7(with, without))
 	default:
-		// Unreachable: design rejected unknown figures before the
+		// Unreachable: resolve rejected unknown figures before the
 		// profilers started. Panic (not os.Exit) so that if the two lists
 		// ever diverge, the deferred profile teardown still runs.
 		panic(fmt.Sprintf("figure %q passed validation but has no dispatch case", c.figure))
 	}
 
 	if *telem != "" {
-		if err := dumpTelemetry(experiment.Telemetry(), *telem); err != nil {
+		if err := experiment.Telemetry().WriteJSONFile(*telem); err != nil {
 			fmt.Fprintf(os.Stderr, "sdsweep: -telemetry: %v\n", err)
 			os.Exit(1)
 		}
 	}
 }
 
-// design checks the command line and resolves it into the sweep's
-// parameters and link options. Each error is one line: a friendly
-// message up front, not a panic from deep inside scenario construction
-// (nor silence: normalized() would paper a negative -users over with
-// the default 5, and Params would turn -runs 0 into the paper's 30).
-func (c config) design() (p experiment.Params, o experiment.Options, err error) {
+// resolve checks the command line and turns it into the sweep's
+// parameters and link options through the spec's Validate, Params and
+// Options. Each error is one line, up front: never a panic mid-run, nor
+// silence (Params would turn -runs 0 into the paper's 30).
+func (c *config) resolve() (p experiment.Params, o experiment.Options, err error) {
 	switch c.figure {
 	case "4", "5", "6", "7", "table2", "table5", "loss", "polling", "scale", "adversarial", "hardening", "all":
 	default:
@@ -238,108 +218,50 @@ func (c config) design() (p experiment.Params, o experiment.Options, err error) 
 	if c.runs < 1 {
 		return p, o, fmt.Errorf("-runs must be at least 1, got %d", c.runs)
 	}
-
-	p = experiment.DefaultParams()
 	if c.scenario != "" {
-		// A scenario spec fixes the same dimensions the ad-hoc flags do;
-		// mixing the two would make the effective design ambiguous.
-		for _, name := range []string{"users", "managers", "registries", "services",
-			"churn", "absence", "arrivals", "burst-loss", "burst-len", "delay-dist",
-			"delay-sigma", "delay-alpha", "partition"} {
-			if c.set[name] {
-				return p, o, fmt.Errorf("-scenario already fixes the design; drop -%s or edit the spec", name)
-			}
-		}
-		// The shared spec codec: strict decoding, field-path validation.
-		// The spec supplies every design dimension except the sweep's own
-		// axes — the λ grid, the run count and the base seed stay flags.
-		spec, err := experiment.LoadSpec(c.scenario)
+		spec, _, err := hunt.Load(c.scenario)
 		if err != nil {
 			return p, o, err
 		}
-		p = spec.Params()
-		p.Lambdas = experiment.DefaultLambdas()
-		o = spec.Options()
-	} else {
-		if err := c.topo.Validate(); err != nil {
+		if err := c.design.SetSpec(spec); err != nil {
 			return p, o, err
-		}
-		if c.churn < 0 || c.absence < 0 || c.arrivals < 0 {
-			return p, o, fmt.Errorf("-churn, -absence and -arrivals must not be negative")
-		}
-		if c.burstLoss > 0 {
-			if c.burstLoss >= 1 || c.burstLen < 1 {
-				return p, o, fmt.Errorf("-burst-loss needs a rate in (0,1) and -burst-len ≥ 1")
-			}
-			if c.burstLoss/(1-c.burstLoss) > c.burstLen {
-				return p, o, fmt.Errorf("-burst-loss %v is unreachable with -burst-len %v: needs ≥ %.3f",
-					c.burstLoss, c.burstLen, c.burstLoss/(1-c.burstLoss))
-			}
-			o.Link.Burst = netsim.BurstForAverage(c.burstLoss, c.burstLen)
-		}
-		dist, err := netsim.ParseDelayDist(c.delayDist)
-		if err != nil {
-			return p, o, err
-		}
-		o.Link.Delay = netsim.DelayConfig{Dist: dist, Sigma: c.delaySigma, Alpha: c.delayAlpha}
-		if c.partition != "" {
-			var startSec, durSec float64
-			if _, err := fmt.Sscanf(c.partition, "%f:%f", &startSec, &durSec); err != nil || durSec <= 0 {
-				return p, o, fmt.Errorf("-partition wants start:duration in seconds, got %q", c.partition)
-			}
-			p.Partitions = []netsim.Partition{{
-				Start:    sim.Time(startSec * float64(sim.Second)),
-				Duration: sim.Duration(durSec * float64(sim.Second)),
-				Bisect:   true,
-			}}
-		}
-		p.Topology = c.topo
-		p.Churn = experiment.Churn{
-			Departures:  c.churn,
-			MeanAbsence: sim.Duration(c.absence * float64(sim.Second)),
-			Arrivals:    c.arrivals,
 		}
 	}
-	p.Runs = c.runs
-	p.BaseSeed = c.seed
-	p.Hardened = p.Hardened || c.harden
-	if p.Hardened && c.figure == "hardening" {
-		// A hardened scenario spec would turn the baseline column hardened.
+	spec := &c.design.Spec
+	if err := spec.Validate(); err != nil {
+		return p, o, err
+	}
+	if spec.Hardened && c.figure == "hardening" {
+		// A hardened design would turn the baseline column hardened.
 		return p, o, fmt.Errorf("-figure hardening already runs both modes; drop -harden or the spec's \"hardened\"")
 	}
+	o = spec.Options()
+	switch c.figure {
+	case "adversarial", "loss", "hardening":
+		// These sweep their own link models: a link design would be dropped.
+		if o.Loss != 0 || o.Link != (netsim.LinkConfig{}) {
+			return p, o, fmt.Errorf("-figure %s fixes its own link model; drop the link flags or the spec's \"link\"", c.figure)
+		}
+	}
+	// The spec fixes the design; the sweep's own axes — the λ grid, the
+	// run count and the base seed — stay flags.
+	p = spec.Params()
+	p.Lambdas = experiment.DefaultLambdas()
+	p.Runs, p.BaseSeed = c.runs, spec.Seed
 	return p, o, nil
-}
-
-// dumpTelemetry writes the process registry as indented JSON to path,
-// or to stdout for "-".
-func dumpTelemetry(reg *obs.Registry, path string) error {
-	if path == "-" {
-		return reg.WriteJSON(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := reg.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // pollingSweep is the CM2 extension experiment: notification-only versus
 // notification-plus-persistent-polling, quantifying the §4.2 trade-off
 // (polling is the more effective method if persistent, but slower and
 // redundant for rarely-changing services).
-func pollingSweep(params experiment.Params, workers int, progress func(int, int)) experiment.Table {
+func pollingSweep(params experiment.Params, opts experiment.Options, workers int, progress func(int, int)) experiment.Table {
 	params.Lambdas = []float64{0, 0.15, 0.30, 0.45, 0.60, 0.75, 0.90}
-	base := experiment.Sweep(experiment.SweepConfig{Params: params, Workers: workers, Progress: progress})
-	polled := experiment.Sweep(experiment.SweepConfig{Params: params, Workers: workers, Progress: progress,
-		Opts: experiment.Options{
-			UPnP:  func(c *upnp.Config) { c.PollPeriod = 600 * sim.Second },
-			Jini:  func(c *jini.Config) { c.PollPeriod = 600 * sim.Second },
-			Frodo: func(c *frodo.Config) { c.PollPeriod = 600 * sim.Second },
-		}})
+	base := experiment.Sweep(experiment.SweepConfig{Params: params, Workers: workers, Progress: progress, Opts: opts})
+	opts.UPnP = func(c *upnp.Config) { c.PollPeriod = 600 * sim.Second }
+	opts.Jini = func(c *jini.Config) { c.PollPeriod = 600 * sim.Second }
+	opts.Frodo = func(c *frodo.Config) { c.PollPeriod = 600 * sim.Second }
+	polled := experiment.Sweep(experiment.SweepConfig{Params: params, Workers: workers, Progress: progress, Opts: opts})
 	t := experiment.Table{
 		Title:  "Extension: CM1 (notification) vs CM1+CM2 (adding 600s persistent polling) — Update Effectiveness",
 		Header: []string{"failure%"},

@@ -1,57 +1,77 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/experiment"
+	"repro/internal/hunt"
 	"repro/internal/netsim"
 )
 
-// hardenedSpec writes a scenario spec that turns hardening on.
-func hardenedSpec(t *testing.T) string {
-	path := filepath.Join(t.TempDir(), "hardened.json")
-	if err := os.WriteFile(path, []byte(`{"seed": 1, "hardened": true}`), 0o644); err != nil {
+// writeSpec writes a scenario spec file.
+func writeSpec(t *testing.T, json string) string {
+	path := filepath.Join(t.TempDir(), "spec.json")
+	if err := os.WriteFile(path, []byte(json), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
 }
 
+const fixture = "../../internal/hunt/testdata/hunted-frodo2p-lease-purge.json"
+
+// resolveArgs runs a command line through sdsweep's flag set and resolve.
+func resolveArgs(args ...string) (experiment.Params, experiment.Options, error) {
+	var c config
+	fs := flag.NewFlagSet("sdsweep", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	c.register(fs)
+	if err := fs.Parse(args); err != nil {
+		return experiment.Params{}, experiment.Options{}, err
+	}
+	return c.resolve()
+}
+
 func TestDesignChecksFlags(t *testing.T) {
-	// The command line's defaults.
-	def := config{figure: "all", runs: 30, seed: 1, burstLen: 8, delayDist: "uniform"}
-	hardened := hardenedSpec(t)
+	hardened := writeSpec(t, `{"seed": 1, "hardened": true}`)
+	linked := writeSpec(t, `{"seed": 1, "link": {"delay_dist": "pareto"}}`)
 	for _, tc := range []struct {
 		name string
-		edit func(*config)
+		args []string
 		want string // error substring; "" = accepted
 	}{
-		{"defaults", func(c *config) {}, ""},
-		{"table2", func(c *config) { c.figure = "table2" }, ""},
-		{"table5", func(c *config) { c.figure = "table5" }, ""},
-		{"one run", func(c *config) { c.runs = 1 }, ""},
-		{"unknown figure", func(c *config) { c.figure = "8" }, `unknown figure "8"`},
-		{"zero runs", func(c *config) { c.runs = 0 }, "-runs must be at least 1, got 0"},
-		{"negative runs", func(c *config) { c.runs = -1; c.figure = "4" }, "-runs must be at least 1, got -1"},
-		{"hardening twice", func(c *config) { c.figure = "hardening"; c.harden = true }, "drop -harden"},
-		{"hardened spec", func(c *config) { c.figure = "hardening"; c.scenario = hardened }, "drop -harden"},
-		{"negative users", func(c *config) { c.topo.Users = -3 }, "-users must not be negative"},
-		{"negative churn", func(c *config) { c.churn = -1 }, "must not be negative"},
-		{"burst rate", func(c *config) { c.burstLoss = 1 }, "-burst-loss needs a rate in (0,1)"},
-		{"burst unreachable", func(c *config) { c.burstLoss = 0.9; c.burstLen = 2 }, "unreachable"},
-		{"delay dist", func(c *config) { c.delayDist = "cauchy" }, "cauchy"},
-		{"partition", func(c *config) { c.partition = "3000" }, "-partition wants start:duration"},
-		{"scenario and flag", func(c *config) {
-			c.scenario = "spec.json"
-			c.set = map[string]bool{"users": true}
-		}, "drop -users"},
-		{"missing scenario", func(c *config) { c.scenario = "no-such-spec.json" }, "no-such-spec.json"},
+		{"defaults", nil, ""},
+		{"table2", []string{"-figure", "table2"}, ""},
+		{"table5", []string{"-figure", "table5"}, ""},
+		{"one run", []string{"-runs", "1"}, ""},
+		{"unknown figure", []string{"-figure", "8"}, `unknown figure "8"`},
+		{"zero runs", []string{"-runs", "0"}, "-runs must be at least 1, got 0"},
+		{"negative runs", []string{"-runs", "-1", "-figure", "4"}, "-runs must be at least 1, got -1"},
+		{"hardening twice", []string{"-figure", "hardening", "-harden"}, "drop -harden"},
+		{"hardened spec", []string{"-figure", "hardening", "-scenario", hardened}, "drop -harden"},
+		{"negative users", []string{"-users", "-3"}, "-users must not be negative"},
+		{"negative churn", []string{"-churn", "-1"}, "must not be negative"},
+		{"churn NaN", []string{"-churn", "NaN"}, "churn.departures NaN is not a finite number"},
+		{"absence overflow", []string{"-absence", "1e10"}, "churn.mean_absence_sec"},
+		{"burst rate", []string{"-burst-loss", "1"}, "burst_avg 1 out of [0,1)"},
+		{"burst unreachable", []string{"-burst-loss", "0.9", "-burst-len", "2"}, "unreachable"},
+		{"delay dist", []string{"-delay-dist", "cauchy"}, "cauchy"},
+		{"partition", []string{"-partition", "3000"}, "-partition"},
+		{"partition overflow", []string{"-figure", "table2", "-partition", "1e19:1"}, "partitions[0].start_sec"},
+		{"scenario and flag", []string{"-scenario", hardened, "-users", "3"}, "drop -users"},
+		{"missing scenario", []string{"-scenario", "no-such-spec.json"}, "no-such-spec.json"},
+		{"fixture as scenario", []string{"-scenario", fixture}, ""},
+		{"adversarial link", []string{"-figure", "adversarial", "-burst-loss", "0.2"}, "-figure adversarial fixes its own link"},
+		{"loss link", []string{"-figure", "loss", "-delay-dist", "pareto"}, "-figure loss fixes its own link"},
+		{"hardening spec link", []string{"-figure", "hardening", "-scenario", linked}, "-figure hardening fixes its own link"},
+		{"idle link flag", []string{"-figure", "loss", "-burst-len", "4"}, ""},
 	} {
-		c := def
-		tc.edit(&c)
-		_, _, err := c.design()
+		_, _, err := resolveArgs(tc.args...)
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%s: %v, want accepted", tc.name, err)
@@ -64,16 +84,18 @@ func TestDesignChecksFlags(t *testing.T) {
 }
 
 // The flags land in the sweep's parameters; -runs in particular is never
-// replaced by the paper's default.
+// replaced by the paper's default, and the sweep's axes win over a spec.
 func TestDesignResolvesFlags(t *testing.T) {
-	c := config{figure: "4", runs: 2, seed: 7, burstLen: 8, delayDist: "pareto",
-		partition: "3000:4000", harden: true, topo: experiment.Topology{Users: 9}}
-	p, o, err := c.design()
+	p, o, err := resolveArgs("-figure", "4", "-runs", "2", "-seed", "7", "-delay-dist", "pareto",
+		"-partition", "3000:4000", "-harden", "-users", "9")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Runs != 2 || p.BaseSeed != 7 || p.Topology.Users != 9 || len(p.Partitions) != 1 || !p.Hardened {
 		t.Errorf("params = %+v", p)
+	}
+	if len(p.Lambdas) != len(experiment.DefaultLambdas()) {
+		t.Errorf("λ grid = %v", p.Lambdas)
 	}
 	if o.Link.Delay.Dist != netsim.DelayPareto {
 		t.Errorf("link = %+v", o.Link)
@@ -81,8 +103,26 @@ func TestDesignResolvesFlags(t *testing.T) {
 
 	// A hardened spec hardens every figure, not only those fed the
 	// spec's Options.
-	c = config{figure: "7", runs: 2, seed: 1, scenario: hardenedSpec(t)}
-	if p, _, err = c.design(); err != nil || !p.Hardened {
+	if p, _, err = resolveArgs("-figure", "7", "-runs", "2", "-scenario", writeSpec(t, `{"seed": 3, "hardened": true}`)); err != nil || !p.Hardened {
 		t.Errorf("hardened spec: hardened = %v, err = %v", p.Hardened, err)
+	}
+	// The sweep's seed axis wins over the spec's seed, given or not.
+	if p.BaseSeed != 1 {
+		t.Errorf("base seed = %d, want the -seed default 1", p.BaseSeed)
+	}
+
+	// A hunted fixture is read through to its scenario.
+	fx, err := hunt.LoadFixture(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, o, err = resolveArgs("-figure", "4", "-scenario", fixture, "-seed", "5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fx.Scenario.Params()
+	if p.BaseSeed != 5 || !reflect.DeepEqual(p.Partitions, want.Partitions) || p.Churn != want.Churn ||
+		p.RackFailures != want.RackFailures || o.Link != fx.Scenario.Options().Link {
+		t.Errorf("fixture design lost: params %+v, link %+v", p, o.Link)
 	}
 }

@@ -22,7 +22,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -34,17 +33,18 @@ import (
 )
 
 func main() {
+	var design experiment.Flags
+	design.Register(flag.CommandLine, "harden")
 	listViolations := flag.Bool("violations", false, "list every violating scenario")
-	scenario := flag.String("scenario", "", "audit this scenario spec or hunted fixture instead of the outage grid")
-	harden := flag.Bool("harden", false, "enable the full protocol-hardening layer")
+	scenario := flag.String("scenario", "", "run this scenario spec or hunted fixture (strictly validated) in place of the default design")
 	flag.Parse()
 
 	if *scenario != "" {
-		os.Exit(auditScenario(*scenario, *harden, *listViolations))
+		os.Exit(auditScenario(&design, *scenario, *listViolations))
 	}
 
 	grid := verify.DefaultGrid()
-	grid.Harden = *harden
+	grid.Harden = design.Spec.Hardened
 	fmt.Println("Configuration Update Principles — single-outage scenario grid")
 	fmt.Printf("(change at %.0fs, horizon %.0fs, %.0fs recovery slack)\n\n",
 		grid.ChangeAt.Sec(), float64(grid.Horizon)/1e9, float64(grid.RecoverySlack)/1e9)
@@ -70,32 +70,18 @@ func main() {
 
 // auditScenario runs one spec (or hunted fixture) through the oracle.
 // Exit status mirrors the grid checker: 0 all clean, 1 violations.
-func auditScenario(path string, harden, listViolations bool) int {
-	// A fixture wraps its spec under "scenario"; a bare spec has no such
-	// key. Peek instead of guessing from the error message.
-	raw, err := os.ReadFile(path)
+func auditScenario(design *experiment.Flags, path string, listViolations bool) int {
+	spec, fx, err := hunt.Load(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		return 2
 	}
-	var probe struct {
-		Scenario *json.RawMessage `json:"scenario"`
-	}
-	if err := json.Unmarshal(raw, &probe); err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
-		return 2
-	}
 
-	if probe.Scenario != nil {
-		if harden {
+	if fx != nil {
+		if design.Spec.Hardened {
 			// A fixture pins its own hardened flag — its expectation was
 			// recorded for that mode and means nothing under another.
 			fmt.Fprintf(os.Stderr, "%s is a fixture; it pins its own hardened flag, drop -harden\n", path)
-			return 2
-		}
-		fx, err := hunt.LoadFixture(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
 			return 2
 		}
 		// Replay with a flight recorder attached: on a dirty or failing
@@ -118,14 +104,11 @@ func auditScenario(path string, harden, listViolations bool) int {
 		return 0
 	}
 
-	spec, err := experiment.LoadSpec(path)
-	if err != nil {
+	if err := design.SetSpec(spec); err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		return 2
 	}
-	if harden {
-		spec.Hardened = true
-	}
+	spec = &design.Spec
 	fmt.Printf("Run-time consistency oracle — scenario %s (seed %d)\n\n", path, spec.Seed)
 	fmt.Printf("%-34s  %s\n", "system", "oracle report")
 	status := 0

@@ -182,7 +182,7 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestTable2Rendering(t *testing.T) {
-	tab := Table2(DefaultParams())
+	tab := Table2(DefaultParams(), Options{})
 	if len(tab.Rows) != 5 {
 		t.Fatalf("Table2 has %d rows", len(tab.Rows))
 	}

@@ -97,19 +97,14 @@ func Table5(res SweepResult) Table {
 // Figure7Sweep runs the PR1 control experiment: both FRODO systems with
 // and without PR1 ("A control experiment with and without PR1 ...
 // demonstrates the impact of PR1 on the Update Effectiveness of both
-// FRODO systems").
-func Figure7Sweep(params Params, workers int, progress func(done, total int)) (with, without SweepResult) {
+// FRODO systems"). Both arms run under opts, so a conditioned link
+// conditions the ablation too; the ablation replaces any opts.Frodo.
+func Figure7Sweep(params Params, opts Options, workers int, progress func(done, total int)) (with, without SweepResult) {
 	systems := []System{Frodo3P, Frodo2P}
-	with = Sweep(SweepConfig{Systems: systems, Params: params, Workers: workers, Progress: progress})
-	without = Sweep(SweepConfig{
-		Systems: systems,
-		Params:  params,
-		Workers: workers,
-		Opts: Options{Frodo: func(c *frodo.Config) {
-			c.Techniques = c.Techniques.Without(core.PR1)
-		}},
-		Progress: progress,
-	})
+	with = Sweep(SweepConfig{Systems: systems, Params: params, Workers: workers, Progress: progress, Opts: opts})
+	noPR1 := opts
+	noPR1.Frodo = func(c *frodo.Config) { c.Techniques = c.Techniques.Without(core.PR1) }
+	without = Sweep(SweepConfig{Systems: systems, Params: params, Workers: workers, Progress: progress, Opts: noPR1})
 	return with, without
 }
 
@@ -176,8 +171,9 @@ func FigureAdversarial(params Params, workers int, progress func(done, total int
 // Table2 measures the zero-failure update message counts of every system
 // — the paper's Table 2 / Fig. 6 legend values — by running one
 // failure-free scenario each and reporting the effort window counts plus
-// the transport frames the paper excludes.
-func Table2(params Params) Table {
+// the transport frames the paper excludes. The runs use opts, so the
+// table follows the design's link model like every other figure.
+func Table2(params Params, opts Options) Table {
 	t := Table{
 		Title: "Table 2: update messages to make N Users consistent (no failures)",
 		Header: []string{"system", "discovery msgs (y at λ=0)", "paper m'",
@@ -191,7 +187,7 @@ func Table2(params Params) Table {
 		Frodo2P: "N+2",
 	}
 	for _, sys := range Systems() {
-		spec := RunSpec{System: sys, Lambda: 0, Seed: params.BaseSeed, Params: params}
+		spec := RunSpec{System: sys, Lambda: 0, Seed: params.BaseSeed, Params: params, Opts: opts}
 		res := Run(spec)
 		t.Rows = append(t.Rows, []string{
 			sys.String(),

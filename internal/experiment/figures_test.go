@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -35,7 +36,7 @@ func TestChartRendersAllSystems(t *testing.T) {
 
 func TestFigure7TableShape(t *testing.T) {
 	p := fastParams(2, []float64{0, 0.5})
-	with, without := Figure7Sweep(p, 4, nil)
+	with, without := Figure7Sweep(p, Options{}, 4, nil)
 	tab := Figure7(with, without)
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tab.Rows))
@@ -45,10 +46,29 @@ func TestFigure7TableShape(t *testing.T) {
 	}
 }
 
+// Figure 7 and Table 2 run under the design's link model, as figures
+// 4–6 do: a burst-loss design must move both arms of the ablation and
+// the zero-failure counts.
+func TestFiguresKeepTheLinkDesign(t *testing.T) {
+	p := fastParams(2, []float64{0.3})
+	burst := Options{Link: netsim.LinkConfig{Burst: netsim.BurstForAverage(0.3, 8)}}
+	with, without := Figure7Sweep(p, Options{}, 2, nil)
+	lossyWith, lossyWithout := Figure7Sweep(p, burst, 2, nil)
+	if reflect.DeepEqual(with.Curves, lossyWith.Curves) {
+		t.Error("Figure 7's PR1 arm ignores the burst-loss design")
+	}
+	if reflect.DeepEqual(without.Curves, lossyWithout.Curves) {
+		t.Error("Figure 7's no-PR1 arm ignores the burst-loss design")
+	}
+	if Table2(p, Options{}).String() == Table2(p, burst).String() {
+		t.Error("Table 2 ignores the burst-loss design")
+	}
+}
+
 // A one-λ Figure 7 sweep yields one row and carries the FRODO 3-party
 // column without PR1.
 func TestFigure7SweepHasAblationColumn(t *testing.T) {
-	with, without := Figure7Sweep(fastParams(3, []float64{0.3}), 2, nil)
+	with, without := Figure7Sweep(fastParams(3, []float64{0.3}), Options{}, 2, nil)
 	tab := Figure7(with, without)
 	if len(tab.Rows) != 1 {
 		t.Fatalf("rows = %d", len(tab.Rows))

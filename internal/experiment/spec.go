@@ -1,11 +1,12 @@
 package experiment
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
+	"math"
+	"reflect"
+	"strings"
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -140,19 +141,6 @@ func ParseSpec(r io.Reader) (*ScenarioSpec, error) {
 	return &s, nil
 }
 
-// LoadSpec reads and parses a spec file.
-func LoadSpec(path string) (*ScenarioSpec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	s, err := ParseSpec(bytes.NewReader(data))
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
-}
-
 // Encode renders the spec as committable indented JSON.
 func (s *ScenarioSpec) Encode() ([]byte, error) {
 	out, err := json.MarshalIndent(s, "", "  ")
@@ -164,14 +152,11 @@ func (s *ScenarioSpec) Encode() ([]byte, error) {
 
 // Validate checks every field and reports the first offender by path.
 func (s *ScenarioSpec) Validate() error {
+	if err := checkFloats(reflect.ValueOf(*s), ""); err != nil {
+		return err
+	}
 	if s.Lambda < 0 || s.Lambda > 1 {
 		return fmt.Errorf("scenario: lambda %v out of [0,1]", s.Lambda)
-	}
-	if s.DurationSec < 0 {
-		return fmt.Errorf("scenario: duration_sec %v must not be negative", s.DurationSec)
-	}
-	if s.ChangeMinSec < 0 || s.ChangeMaxSec < 0 {
-		return fmt.Errorf("scenario: change_min_sec/change_max_sec must not be negative")
 	}
 	if s.ChangeMaxSec > 0 && s.ChangeMinSec > s.ChangeMaxSec {
 		return fmt.Errorf("scenario: change_min_sec %v exceeds change_max_sec %v", s.ChangeMinSec, s.ChangeMaxSec)
@@ -180,26 +165,17 @@ func (s *ScenarioSpec) Validate() error {
 		return fmt.Errorf("scenario: changes %d must not be negative", s.Changes)
 	}
 	if w := s.FailureWindow; w != nil {
-		if w.StartSec < 0 || w.EndSec < w.StartSec {
+		if w.EndSec < w.StartSec {
 			return fmt.Errorf("scenario: failure_window [%v, %v] invalid", w.StartSec, w.EndSec)
 		}
 	}
-	topo := Topology{
-		Users:      s.Topology.Users,
-		Managers:   s.Topology.Managers,
-		Registries: s.Topology.Registries,
-		Services:   s.Topology.Services,
+	if err := s.Topology.topology().Validate(); err != nil {
+		return fmt.Errorf("scenario: %w", err)
 	}
-	if err := topo.Validate(); err != nil {
-		return fmt.Errorf("scenario: topology: %w", err)
-	}
-	if c := s.Churn; c.Departures < 0 || c.MeanAbsenceSec < 0 || c.Arrivals < 0 {
+	if c := s.Churn; c.Departures < 0 || c.Arrivals < 0 {
 		return fmt.Errorf("scenario: churn fields must not be negative")
 	}
 	for i, p := range s.Partitions {
-		if p.StartSec < 0 {
-			return fmt.Errorf("scenario: partitions[%d].start_sec %v must not be negative", i, p.StartSec)
-		}
 		if p.DurationSec <= 0 {
 			return fmt.Errorf("scenario: partitions[%d].duration_sec %v must be positive", i, p.DurationSec)
 		}
@@ -213,9 +189,6 @@ func (s *ScenarioSpec) Validate() error {
 		return err
 	}
 	for i, fc := range s.FlashCrowds {
-		if fc.AtSec < 0 || fc.WindowSec < 0 {
-			return fmt.Errorf("scenario: flash_crowds[%d] times must not be negative", i)
-		}
 		if fc.Users < 0 {
 			return fmt.Errorf("scenario: flash_crowds[%d].users %d must not be negative", i, fc.Users)
 		}
@@ -268,10 +241,47 @@ func (l SpecLink) validate() error {
 	if l.ReorderProb < 0 || l.ReorderProb > 1 {
 		return fmt.Errorf("scenario: link.reorder_prob %v out of [0,1]", l.ReorderProb)
 	}
-	if l.ReorderExtraSec < 0 {
-		return fmt.Errorf("scenario: link.reorder_extra_sec %v must not be negative", l.ReorderExtraSec)
+	return nil
+}
+
+// maxSpecSec bounds every *_sec field: 1e9 s keeps secs/secsDur, and
+// sums of a few such times, far inside sim.Time's ±9.2e9 s.
+const maxSpecSec = 1e9
+
+// checkFloats names, by JSON path, the first float at any depth of v
+// that is not finite (a flag can pass one) or is a *_sec field outside
+// [0, maxSpecSec].
+func checkFloats(v reflect.Value, path string) error {
+	switch v = reflect.Indirect(v); v.Kind() {
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			if err := checkFloats(v.Index(i), fmt.Sprintf("%s[%d]", path, i)); err != nil {
+				return err
+			}
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			name, _, _ := strings.Cut(v.Type().Field(i).Tag.Get("json"), ",")
+			if path != "" {
+				name = path + "." + name
+			}
+			if err := checkFloats(v.Field(i), name); err != nil {
+				return err
+			}
+		}
+	case reflect.Float64:
+		switch x := v.Float(); {
+		case math.IsNaN(x) || math.IsInf(x, 0):
+			return fmt.Errorf("scenario: %s %v is not a finite number", path, x)
+		case strings.HasSuffix(path, "_sec") && (x < 0 || x > maxSpecSec):
+			return fmt.Errorf("scenario: %s %v out of [0, %g] seconds", path, x, maxSpecSec)
+		}
 	}
 	return nil
+}
+
+func (t SpecTopology) topology() Topology {
+	return Topology{Users: t.Users, Managers: t.Managers, Registries: t.Registries, Services: t.Services}
 }
 
 func (s *ScenarioSpec) rackConfig() netsim.RackPlanConfig {
@@ -300,12 +310,7 @@ func (s *ScenarioSpec) Params() Params {
 		Runs:        1,
 		Lambdas:     []float64{s.Lambda},
 		BaseSeed:    s.Seed,
-		Topology: Topology{
-			Users:      s.Topology.Users,
-			Managers:   s.Topology.Managers,
-			Registries: s.Topology.Registries,
-			Services:   s.Topology.Services,
-		},
+		Topology:    s.Topology.topology(),
 		Churn: Churn{
 			Departures:  s.Churn.Departures,
 			MeanAbsence: secsDur(s.Churn.MeanAbsenceSec),
@@ -336,7 +341,8 @@ func (s *ScenarioSpec) Params() Params {
 	return p.withDefaults()
 }
 
-// Options assembles the link-conditioning options the spec describes.
+// Options assembles the link-conditioning options the spec describes,
+// and its hardening (which Params carries too).
 func (s *ScenarioSpec) Options() Options {
 	var link netsim.LinkConfig
 	if s.Link.BurstAvg > 0 {
@@ -349,7 +355,7 @@ func (s *ScenarioSpec) Options() Options {
 	dist, _ := netsim.ParseDelayDist(s.Link.DelayDist)
 	link.Delay = netsim.DelayConfig{Dist: dist, Sigma: s.Link.DelaySigma, Alpha: s.Link.DelayAlpha}
 	link.Reorder = netsim.ReorderConfig{Prob: s.Link.ReorderProb, Extra: secsDur(s.Link.ReorderExtraSec)}
-	return Options{Loss: s.Link.Loss, Link: link}
+	return Options{Loss: s.Link.Loss, Link: link, Hardened: s.Hardened}
 }
 
 // RunSpec assembles one runnable spec for a system. The run inherits

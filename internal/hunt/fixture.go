@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
 
 	"repro/internal/experiment"
 	"repro/internal/netsim"
@@ -73,23 +76,65 @@ func (f *Fixture) Encode() ([]byte, error) {
 	return append(out, '\n'), nil
 }
 
-// LoadFixture reads one fixture strictly: unknown fields anywhere in
-// the file — envelope or embedded scenario — are errors.
-func LoadFixture(path string) (*Fixture, error) {
+// Load reads one scenario file strictly, in either form: a bare
+// ScenarioSpec, or a Fixture, which yields its scenario. fx is nil for
+// a bare spec. This is the one loader behind every -scenario flag.
+func Load(path string) (spec *experiment.ScenarioSpec, fx *Fixture, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	// One strict pass over the union of both forms' fields: a key that
+	// belongs to neither is an error, and the fixture keys present tell
+	// the forms apart.
+	var doc struct {
+		experiment.ScenarioSpec
+		Fixture
 	}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	var f Fixture
-	if err := dec.Decode(&f); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	if err := dec.Decode(&doc); err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if err := f.Validate(); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	if reflect.DeepEqual(doc.Fixture, Fixture{}) {
+		spec, err = experiment.ParseSpec(bytes.NewReader(data)) // the spec codec itself
+	} else if !reflect.DeepEqual(doc.ScenarioSpec, experiment.ScenarioSpec{}) {
+		err = fmt.Errorf("fixture: its design belongs under \"scenario\"")
+	} else {
+		spec, fx, err = &doc.Fixture.Scenario, &doc.Fixture, doc.Fixture.Validate()
 	}
-	return &f, nil
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return spec, fx, nil
+}
+
+// LoadFixture reads one fixture through Load; a bare spec is an error.
+func LoadFixture(path string) (*Fixture, error) {
+	_, fx, err := Load(path)
+	if err == nil && fx == nil {
+		err = fmt.Errorf("%s: a bare scenario spec, not a fixture", path)
+	}
+	return fx, err
+}
+
+// LoadCorpus reads every *.json file under dir through Load, in sorted
+// order, and returns their specs; a fixture contributes its scenario.
+func LoadCorpus(dir string) ([]*experiment.ScenarioSpec, error) {
+	paths, _ := filepath.Glob(filepath.Join(dir, "*.json")) // errs only on a bad pattern
+	sort.Strings(paths)
+	if len(paths) == 0 {
+		return nil, fmt.Errorf("no scenario files under %s", dir)
+	}
+	specs := make([]*experiment.ScenarioSpec, len(paths))
+	for i, path := range paths {
+		spec, _, err := Load(path)
+		if err != nil {
+			return nil, err
+		}
+		specs[i] = spec
+	}
+	return specs, nil
 }
 
 // Replay runs the fixture under the default oracle tolerances and

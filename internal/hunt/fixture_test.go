@@ -86,3 +86,48 @@ func TestFixtureValidation(t *testing.T) {
 		t.Errorf("unknown nested field not rejected: %v", err)
 	}
 }
+
+// Load reads both scenario forms strictly: a bare spec, or a fixture
+// read through to its scenario. Anything else fails by name.
+func TestLoadReadsSpecOrFixture(t *testing.T) {
+	write := func(body string) string {
+		path := filepath.Join(t.TempDir(), "scenario.json")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	spec, fx, err := Load(write(`{"seed": 3, "lambda": 0.2}`))
+	if err != nil || fx != nil || spec.Seed != 3 || spec.Lambda != 0.2 {
+		t.Errorf("bare spec: %+v, fixture %v, err %v", spec, fx, err)
+	}
+	spec, fx, err = Load("testdata/hunted-frodo2p-lease-purge.json")
+	if err != nil || fx == nil || fx.System != "frodo2p" || spec != &fx.Scenario || spec.Seed != 2 {
+		t.Errorf("fixture: %+v, fixture %+v, err %v", spec, fx, err)
+	}
+	for _, tc := range []struct{ name, body, want string }{
+		{"spec typo", `{"seed": 1, "lamda": 0.3}`, "lamda"},
+		{"invalid spec", `{"seed": 1, "lambda": 3}`, "lambda"},
+		{"fixture typo", `{"system": "upnp", "scenario": {"seed": 1}, "expect": {"clean": true}, "note": "x"}`, "note"},
+		{"invalid fixture", `{"system": "bonjour", "scenario": {"seed": 1}, "expect": {"clean": true}}`, "unknown system"},
+		{"scenario without envelope", `{"scenario": {"seed": 1}}`, "unknown system"},
+		{"mixed forms", `{"seed": 1, "system": "upnp", "scenario": {"seed": 1}, "expect": {"clean": true}}`, `belongs under "scenario"`},
+	} {
+		if _, _, err := Load(write(tc.body)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want an error naming %q", tc.name, err, tc.want)
+		}
+	}
+	if _, err := LoadFixture(write(`{"seed": 1}`)); err == nil || !strings.Contains(err.Error(), "not a fixture") {
+		t.Errorf("LoadFixture on a bare spec: %v", err)
+	}
+
+	// A corpus directory may hold either form.
+	files, _ := filepath.Glob("testdata/*.json")
+	specs, err := LoadCorpus("testdata")
+	if err != nil || len(specs) != len(files) {
+		t.Fatalf("LoadCorpus(testdata) = %d specs, %v", len(specs), err)
+	}
+	if _, err := LoadCorpus(t.TempDir()); err == nil {
+		t.Error("an empty corpus directory loaded")
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -369,6 +371,18 @@ func TestSnapshotAndJSON(t *testing.T) {
 	}
 	if _, ok := back["lat"].(map[string]any); !ok {
 		t.Fatalf("lat not a summary object: %v", back["lat"])
+	}
+
+	// The file sink writes the same bytes, and reports a failed create.
+	path := filepath.Join(t.TempDir(), "telemetry.json")
+	if err := r.WriteJSONFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, buf.Bytes()) {
+		t.Errorf("WriteJSONFile wrote %q (%v), want %q", got, err, buf.Bytes())
+	}
+	if err := r.WriteJSONFile(filepath.Join(path, "sub.json")); err == nil {
+		t.Error("WriteJSONFile under a regular file succeeded")
 	}
 }
 

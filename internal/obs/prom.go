@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strings"
 	"time"
@@ -154,4 +155,21 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r.Snapshot())
+}
+
+// WriteJSONFile writes the WriteJSON dump to the file at path, or to
+// stdout for "-": the one -telemetry sink of every binary.
+func (r *Registry) WriteJSONFile(path string) error {
+	if path == "-" {
+		return r.WriteJSON(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := r.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

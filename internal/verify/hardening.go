@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/experiment"
-	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
@@ -30,20 +29,16 @@ func FigureHardening(base experiment.Params, runs, workers int, progress func(do
 	// reordered delivery, churn (retired-silence), and a high interface
 	// failure rate. Duration leaves HealSlack after the heal so the probe
 	// always runs.
-	hostile := base
-	hostile.RunDuration = 9300 * sim.Second
-	hostile.Partitions = []netsim.Partition{{
-		Start: 3000 * sim.Time(sim.Second), Duration: 2000 * sim.Second, Bisect: true,
-	}}
-	hostile.Churn = experiment.Churn{Departures: 1, Arrivals: 2}
-	hostileOpts := experiment.Options{
-		Link: netsim.LinkConfig{
-			Burst:   netsim.BurstForAverage(0.15, 8),
-			Delay:   netsim.DelayConfig{Dist: netsim.DelayPareto},
-			Reorder: netsim.ReorderConfig{Prob: 0.2, Extra: sim.Duration(0.25 * float64(sim.Second))},
-		},
+	mix := experiment.ScenarioSpec{
+		Lambda:      0.6,
+		DurationSec: 9300,
+		Partitions:  []experiment.SpecPartition{{StartSec: 3000, DurationSec: 2000}},
+		Churn:       experiment.SpecChurn{Departures: 1, Arrivals: 2},
+		Link: experiment.SpecLink{BurstAvg: 0.15, BurstLen: 8, DelayDist: "pareto",
+			ReorderProb: 0.2, ReorderExtraSec: 0.25},
 	}
-	const hostileLambda = 0.6
+	hostile, mp, hostileOpts := base, mix.Params(), mix.Options()
+	hostile.RunDuration, hostile.Partitions, hostile.Churn = mp.RunDuration, mp.Partitions, mp.Churn
 
 	type cell struct {
 		mprime   int
@@ -91,7 +86,7 @@ func FigureHardening(base experiment.Params, runs, workers int, progress func(do
 					// m′: the zero-failure, fault-free effort of §4.5.
 					spec = experiment.RunSpec{System: j.sys, Lambda: 0, Seed: j.seed, Params: base}
 				} else {
-					spec = experiment.RunSpec{System: j.sys, Lambda: hostileLambda, Seed: j.seed,
+					spec = experiment.RunSpec{System: j.sys, Lambda: mix.Lambda, Seed: j.seed,
 						Params: hostile, Opts: hostileOpts}
 				}
 				spec.Opts.Hardened = j.mode == 1
@@ -132,7 +127,7 @@ func FigureHardening(base experiment.Params, runs, workers int, progress func(do
 
 	t := experiment.Table{
 		Title: fmt.Sprintf("Hardening layer: baseline vs hardened under the hunted fault mix (λ=%.2f, %d runs)",
-			hostileLambda, runs),
+			mix.Lambda, runs),
 		Header: []string{"system", "m'", "m'(hard)", "F", "F(hard)", "ȳ", "ȳ(hard)",
 			"viol", "viol(hard)", "purge-late s", "purge-late s(hard)"},
 	}
