@@ -52,33 +52,47 @@ bench:
 	  done; \
 	done
 
-# Coverage floor for the oracle, the conditioned network, the trace
-# layer, the chaos hunter and telemetry: the packages whose correctness
-# everything else leans on must stay ≥ $(COVER_FLOOR)% statement
-# coverage (CI-enforced).
+# Coverage floor for the oracle, the conditioned network, the chaos
+# hunter and telemetry (trace records included): the packages whose
+# correctness everything else leans on must stay ≥ $(COVER_FLOOR)%
+# statement coverage (CI-enforced).
 cover-floor:
-	@set -e; for pkg in ./internal/verify ./internal/netsim ./internal/trace ./internal/hunt ./internal/obs; do \
+	@set -e; for pkg in ./internal/verify ./internal/netsim ./internal/hunt ./internal/obs; do \
 	  pct=$$($(GO) test -cover $$pkg | grep -o 'coverage: [0-9.]*%' | grep -o '[0-9.]*'); \
 	  echo "$$pkg coverage: $$pct%"; \
 	  awk -v p="$$pct" -v f="$(COVER_FLOOR)" 'BEGIN { exit !(p+0 >= f+0) }' || \
 	    { echo "$$pkg below the $(COVER_FLOOR)% coverage floor"; exit 1; }; \
 	done
 
+# The live smoke targets' one boot prelude, $(call boot_sdlived,<flags>):
+# build race-enabled sdlived and sdload into a temporary directory, boot
+# sdlived with the flags, and wait for it to publish its address into
+# $$addr. The trap reaps the daemon on any exit; reap_sdlived stops it
+# and fails on a nonzero exit (a detected race or an oracle violation).
+define boot_sdlived
+@set -e; tmp=$$(mktemp -d); \
+trap 'kill $$pid 2>/dev/null || true; rm -rf $$tmp' EXIT; \
+$(GO) build -race -o $$tmp/sdlived ./cmd/sdlived; \
+$(GO) build -race -o $$tmp/sdload ./cmd/sdload; \
+$$tmp/sdlived $(1) -addr 127.0.0.1:0 -addr-file $$tmp/addr & pid=$$!; \
+for i in $$(seq 1 100); do [ -s $$tmp/addr ] && break; sleep 0.1; done; \
+[ -s $$tmp/addr ] || { echo "sdlived never published its address"; exit 1; }; \
+addr=$$(cat $$tmp/addr);
+endef
+
+define reap_sdlived
+kill $$pid; \
+wait $$pid || { echo "sdlived exited nonzero (race detected or oracle violation)"; exit 1; }
+endef
+
 # Live-serving smoke test (CI-enforced): boot sdlived under the race
 # detector with the consistency oracle attached, drive 200 concurrent
 # sdload clients against it for 5 seconds of wall time, and fail on any
 # client error, undiscovered service or oracle violation.
 live-smoke:
-	@set -e; tmp=$$(mktemp -d); \
-	trap 'kill $$pid 2>/dev/null || true; rm -rf $$tmp' EXIT; \
-	$(GO) build -race -o $$tmp/sdlived ./cmd/sdlived; \
-	$(GO) build -race -o $$tmp/sdload ./cmd/sdload; \
-	$$tmp/sdlived -system frodo2p -dilation 0.002 -addr 127.0.0.1:0 -addr-file $$tmp/addr & pid=$$!; \
-	for i in $$(seq 1 100); do [ -s $$tmp/addr ] && break; sleep 0.1; done; \
-	[ -s $$tmp/addr ] || { echo "sdlived never published its address"; exit 1; }; \
-	$$tmp/sdload -addr $$(cat $$tmp/addr) -clients 200 -duration 5s -oracle -quiet; \
-	kill $$pid; \
-	wait $$pid || { echo "sdlived exited nonzero (race detected or oracle violation)"; exit 1; }
+	$(call boot_sdlived,-system frodo2p -dilation 0.002) \
+	$$tmp/sdload -addr $$addr -clients 200 -duration 5s -oracle -quiet; \
+	$(reap_sdlived)
 
 # Chaos-hunter smoke test (CI-enforced): a race-built sdhunt with a
 # 60-second deterministic budget (the budget is a cost model, so the
@@ -100,30 +114,16 @@ hunt-smoke:
 # and jittered retries, failing on any client error, race or oracle
 # violation. The hardened fixtures replay in hunt-smoke.
 harden-smoke:
-	@set -e; tmp=$$(mktemp -d); \
-	trap 'kill $$pid 2>/dev/null || true; rm -rf $$tmp' EXIT; \
-	$(GO) build -race -o $$tmp/sdlived ./cmd/sdlived; \
-	$(GO) build -race -o $$tmp/sdload ./cmd/sdload; \
-	$$tmp/sdlived -system frodo2p -harden -users 1000 -dilation 0.002 -addr 127.0.0.1:0 -addr-file $$tmp/addr & pid=$$!; \
-	for i in $$(seq 1 100); do [ -s $$tmp/addr ] && break; sleep 0.1; done; \
-	[ -s $$tmp/addr ] || { echo "sdlived never published its address"; exit 1; }; \
-	$$tmp/sdload -addr $$(cat $$tmp/addr) -clients 100 -duration 5s -retries 4 -retry-base 50ms -oracle -quiet; \
-	kill $$pid; \
-	wait $$pid || { echo "sdlived exited nonzero (race detected or oracle violation)"; exit 1; }
+	$(call boot_sdlived,-system frodo2p -harden -users 1000 -dilation 0.002) \
+	$$tmp/sdload -addr $$addr -clients 100 -duration 5s -retries 4 -retry-base 50ms -oracle -quiet; \
+	$(reap_sdlived)
 
 # Telemetry smoke test (CI-enforced): boot a race-built sdlived, scrape
 # /metrics under a short sdload burst, and assert the mandatory series
 # are present and the frame, gateway and event counters are monotone
 # between two scrapes taken across the load window.
 obs-smoke:
-	@set -e; tmp=$$(mktemp -d); \
-	trap 'kill $$pid 2>/dev/null || true; rm -rf $$tmp' EXIT; \
-	$(GO) build -race -o $$tmp/sdlived ./cmd/sdlived; \
-	$(GO) build -race -o $$tmp/sdload ./cmd/sdload; \
-	$$tmp/sdlived -system frodo2p -users 200 -dilation 0.002 -addr 127.0.0.1:0 -addr-file $$tmp/addr & pid=$$!; \
-	for i in $$(seq 1 100); do [ -s $$tmp/addr ] && break; sleep 0.1; done; \
-	[ -s $$tmp/addr ] || { echo "sdlived never published its address"; exit 1; }; \
-	addr=$$(cat $$tmp/addr); \
+	$(call boot_sdlived,-system frodo2p -users 200 -dilation 0.002) \
 	curl -fsS "http://$$addr/metrics" > $$tmp/scrape1; \
 	for series in 'sd_frames_sent_total{shard="0"}' 'sd_frames_dropped_total{shard="0"}' \
 	              'sd_kernel_pending{shard="0"}' 'sd_gateway_ops_total' 'sd_live_virtual_seconds' \
@@ -142,8 +142,7 @@ obs-smoke:
 	done; \
 	curl -fsS "http://$$addr/debug/flight" > $$tmp/flight.json; \
 	grep -q '"shard"' $$tmp/flight.json || { echo "/debug/flight returned no rings"; exit 1; }; \
-	kill $$pid; \
-	wait $$pid || { echo "sdlived exited nonzero (race detected or oracle violation)"; exit 1; }
+	$(reap_sdlived)
 
 clean:
 	$(GO) clean ./...

@@ -200,7 +200,7 @@ func replayDir(dir string) int {
 			failed++
 			continue
 		}
-		rep, err := hunt.Replay(fx)
+		rep, _, err := hunt.Replay(fx)
 		if err != nil {
 			fmt.Printf("FAIL  %s: %v\n", path, err)
 			failed++

@@ -114,10 +114,6 @@ func main() {
 }
 
 func dumpFlight(snaps []obs.FlightSnapshot) {
-	if len(snaps) == 0 {
-		fmt.Fprintln(os.Stderr, "sdlived: flight recorders disabled")
-		return
-	}
 	if err := obs.WriteFlightJSON(os.Stderr, snaps); err != nil {
 		fmt.Fprintf(os.Stderr, "sdlived: flight dump: %v\n", err)
 	}

@@ -1,10 +1,12 @@
 // Command sdsim runs a single service discovery scenario and prints the
-// outcome, optionally with the paper-style event log of §6.2.
+// outcome, optionally with the paper-style event log of §6.2 and a
+// JSONL stream of every trace record (the flight recorder's record).
 //
 // Usage:
 //
 //	sdsim -system upnp -lambda 0.15 -seed 7 -log
 //	sdsim -system frodo2p -lambda 0.15 -seed 7 -log -verbose
+//	sdsim -system jini1 -trace run.jsonl
 package main
 
 import (
@@ -15,78 +17,86 @@ import (
 
 	"repro/internal/experiment"
 	"repro/internal/metrics"
-	"repro/internal/netsim"
-	"repro/internal/trace"
+	"repro/internal/obs"
 )
 
-func main() {
+func main() { os.Exit(sdsim(os.Args[1:], os.Stdout)) }
+
+// sdsim runs one command line, writing the report to stdout, and
+// returns the exit status.
+func sdsim(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	design := experiment.Flags{System: experiment.Frodo2P, Spec: experiment.ScenarioSpec{Seed: 1, Lambda: 0.15}}
-	design.Register(flag.CommandLine, "system", "lambda", "seed", "loss")
+	design.Register(fs, "system", "lambda", "seed", "loss")
 	var (
-		showLog   = flag.Bool("log", false, "print the event log")
-		verbose   = flag.Bool("verbose", false, "include every frame in the event log")
-		traceFile = flag.String("trace", "", "write a structured JSONL trace to this file")
+		showLog   = fs.Bool("log", false, "print the event log")
+		verbose   = fs.Bool("verbose", false, "include every frame in the event log")
+		traceFile = fs.String("trace", "", "write a structured JSONL trace to this file")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	if err := design.Spec.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 2
 	}
 	spec := design.Spec.RunSpec(design.System)
 
-	var res metrics.RunResult
-	var log []string
+	var trace io.WriteCloser
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
-		res, err = runTraced(spec, f)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		trace = f
+	}
+	res, log, err := run(spec, *verbose, trace)
+	if trace != nil {
+		if cerr := trace.Close(); err == nil {
+			err = cerr
 		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("trace written to %s\n", *traceFile)
-	} else {
-		res, log = experiment.RunLogged(spec, *verbose)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	if trace != nil {
+		fmt.Fprintf(stdout, "trace written to %s\n", *traceFile)
 	}
 	if *showLog {
 		for _, line := range log {
-			fmt.Println(line)
+			fmt.Fprintln(stdout, line)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
-	fmt.Printf("%s at λ=%.2f (seed %d)\n", spec.System, spec.Lambda, spec.Seed)
-	fmt.Printf("  service changed at %.0fs, deadline %.0fs\n", res.ChangeAt.Sec(), res.Deadline.Sec())
+	fmt.Fprintf(stdout, "%s at λ=%.2f (seed %d)\n", spec.System, spec.Lambda, spec.Seed)
+	fmt.Fprintf(stdout, "  service changed at %.0fs, deadline %.0fs\n", res.ChangeAt.Sec(), res.Deadline.Sec())
 	reached := 0
 	for _, u := range res.Users {
 		if u.Reached {
 			reached++
-			fmt.Printf("  user %d consistent at %.3fs\n", u.User, u.At.Sec())
+			fmt.Fprintf(stdout, "  user %d consistent at %.3fs\n", u.User, u.At.Sec())
 		} else {
-			fmt.Printf("  user %d NEVER regained consistency\n", u.User)
+			fmt.Fprintf(stdout, "  user %d NEVER regained consistency\n", u.User)
 		}
 	}
-	fmt.Printf("  effectiveness: %d/%d users\n", reached, len(res.Users))
-	fmt.Printf("  update effort y = %d discovery messages (transport frames in run: %d)\n",
+	fmt.Fprintf(stdout, "  effectiveness: %d/%d users\n", reached, len(res.Users))
+	fmt.Fprintf(stdout, "  update effort y = %d discovery messages (transport frames in run: %d)\n",
 		res.Effort, res.TotalTransport)
+	return 0
 }
 
-// runTraced executes one scenario while streaming a structured JSONL
-// trace of every frame and interface transition to w.
-func runTraced(spec experiment.RunSpec, w io.Writer) (metrics.RunResult, error) {
-	var tw *trace.Writer
-	spec.MakeTracer = func(*netsim.Network) netsim.Tracer {
-		tw = trace.NewWriter(w)
-		return tw
+// run executes one scenario with the §6.2 event log and, when trace is
+// set, a JSONL stream of every frame and interface transition tee'd
+// alongside it.
+func run(spec experiment.RunSpec, verbose bool, trace io.Writer) (metrics.RunResult, []string, error) {
+	if trace == nil {
+		res, log := experiment.RunLogged(spec, verbose)
+		return res, log, nil
 	}
-	res := experiment.Run(spec)
-	return res, tw.Flush()
+	tw := obs.NewTraceWriter(trace)
+	spec.Attach = func(sc *experiment.Scenario) { sc.AddTracer(tw) }
+	res, log := experiment.RunLogged(spec, verbose)
+	return res, log, tw.Flush()
 }

@@ -87,7 +87,7 @@ func auditScenario(design *experiment.Flags, path string, listViolations bool) i
 		// Replay with a flight recorder attached: on a dirty or failing
 		// replay its ring — frozen at the first violation — is the trace
 		// tail a diagnosis starts from.
-		rep, flight, err := hunt.ReplayTraced(fx, 0)
+		rep, flight, err := hunt.Replay(fx)
 		if err != nil {
 			fmt.Printf("FAIL  %s\n", err)
 			printViolations(rep, listViolations)
@@ -123,13 +123,10 @@ func auditScenario(design *experiment.Flags, path string, listViolations bool) i
 	return status
 }
 
-// dumpFlight writes the flight-recorder snapshots to stderr.
-func dumpFlight(snaps []obs.FlightSnapshot) {
-	if len(snaps) == 0 {
-		return
-	}
+// dumpFlight writes the flight-recorder snapshot to stderr.
+func dumpFlight(snap obs.FlightSnapshot) {
 	fmt.Fprintln(os.Stderr, "flight-recorder state at first violation:")
-	if err := obs.WriteFlightJSON(os.Stderr, snaps); err != nil {
+	if err := obs.WriteFlightJSON(os.Stderr, []obs.FlightSnapshot{snap}); err != nil {
 		fmt.Fprintf(os.Stderr, "flight dump: %v\n", err)
 	}
 }

@@ -153,7 +153,7 @@ type RunSpec struct {
 	MakeTracer func(*netsim.Network) netsim.Tracer
 	// Attach, when set, observes the built scenario before any schedule
 	// is drawn: the run-time consistency oracle hooks its taps (tracer
-	// tee, cache-write chain, change notification) here. Attach must not
+	// tee, cache-write and change taps) here. Attach must not
 	// consume the kernel's random stream — the churn, failure and change
 	// schedules are drawn afterwards and must replay bit for bit with and
 	// without an observer.
@@ -240,7 +240,7 @@ func runInWorkspace(ws *Workspace, spec RunSpec) (metrics.RunResult, *Scenario) 
 	if reg != nil {
 		// Tee'd in, not installed: metering rides alongside any caller
 		// tracer and the oracle's tap, observing the same frames.
-		sc.AddTracer(reg.NetTracer(0))
+		sc.Meter(reg)
 	}
 	if spec.Attach != nil {
 		spec.Attach(sc)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/jini"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/upnp"
 )
@@ -86,10 +87,13 @@ type Scenario struct {
 	// node slots were recycled for later arrivals.
 	retired []metrics.UserOutcome
 
-	// onChange, when set, runs after every scheduled service change —
-	// the consistency oracle's publication tap. It is cleared on every
-	// build and rearm, so a tap never leaks into the workspace's next run.
-	onChange func()
+	// changeTaps run, in order, after every service change — the
+	// consistency oracle's publication tap among them. reg is the
+	// registry the run meters into (nil when unmetered). Both are
+	// cleared on every build and rearm, so an observer never leaks into
+	// the workspace's next run.
+	changeTaps []func()
+	reg        *obs.Registry
 
 	// boot replays construction for workspace reuse: one entry per boot
 	// entity in build order, from which rearm restores the node slot's
@@ -143,15 +147,21 @@ type recorder struct {
 	target  uint64
 	manager netsim.NodeID // NoNode until the measured Manager is built
 	first   map[netsim.NodeID]sim.Time
-	// chain, when set, observes every cache write unfiltered (before the
-	// measured-Manager and version gates) — the oracle's consistency tap.
-	chain discovery.ConsistencyListener
+	// taps observe every cache write unfiltered (before the
+	// measured-Manager and version gates), in the order they were
+	// added — the oracle's consistency tap among them.
+	taps []discovery.ConsistencyListener
+}
+
+// tap feeds one cache write to every consistency tap.
+func (r *recorder) tap(t sim.Time, user, manager netsim.NodeID, version uint64) {
+	for _, l := range r.taps {
+		l.CacheUpdated(t, user, manager, version)
+	}
 }
 
 func (r *recorder) CacheUpdated(t sim.Time, user, manager netsim.NodeID, version uint64) {
-	if r.chain != nil {
-		r.chain.CacheUpdated(t, user, manager, version)
-	}
+	r.tap(t, user, manager, version)
 	if r.manager != netsim.NoNode && manager != r.manager {
 		return
 	}
@@ -175,31 +185,44 @@ func (s *Scenario) ReachedAt(user netsim.NodeID) (sim.Time, bool) {
 // result appends them after the live Users.
 func (s *Scenario) RetiredOutcomes() []metrics.UserOutcome { return s.retired }
 
-// TapConsistency chains a listener onto the run's cache-write recorder.
-// The tap sees every User cache write unfiltered; one tap per run (a
-// second call replaces the first). The run-time oracle uses it to audit
-// the version-bound invariant online.
-func (s *Scenario) TapConsistency(l discovery.ConsistencyListener) { s.rec.chain = l }
+// TapConsistency adds a listener to the run's cache-write taps. Every
+// tap sees every User cache write unfiltered — spawned Users' included
+// — in the order the taps were added. The run-time oracle uses it to
+// audit the version-bound invariant online.
+func (s *Scenario) TapConsistency(l discovery.ConsistencyListener) {
+	s.rec.taps = append(s.rec.taps, l)
+}
 
-// TapChange registers fn to run after every service change (FireChange)
-// — the oracle's record of what the Manager has published.
-func (s *Scenario) TapChange(fn func()) { s.onChange = fn }
+// TapChange adds fn to the hooks run after every service change
+// (FireChange) — the oracle's record of what the Manager has published.
+func (s *Scenario) TapChange(fn func()) { s.changeTaps = append(s.changeTaps, fn) }
 
-// AddTracer attaches t alongside any tracer already installed on the
+// AddTracer attaches t alongside the tracers already installed on the
 // scenario's network, so an observer never displaces the event log.
 func (s *Scenario) AddTracer(t netsim.Tracer) {
 	s.Net.SetTracer(netsim.TeeTracer(s.Net.Tracer(), t))
 }
 
+// Meter makes reg the registry the run meters into: its frame tracer
+// joins the network's tracers, and observers attached afterwards (the
+// oracle) mirror their counts into it.
+func (s *Scenario) Meter(reg *obs.Registry) {
+	s.reg = reg
+	s.AddTracer(reg.NetTracer())
+}
+
+// Telemetry reports the registry the run meters into, nil when none.
+func (s *Scenario) Telemetry() *obs.Registry { return s.reg }
+
 // FireChange bumps the measured service's version, starting update
-// propagation, and notifies the change tap — what the run driver
+// propagation, and runs the change taps — what the run driver
 // schedules at each change time. The live gateway calls it for external
 // updates of the measured service, so an attached oracle sees the
 // publication before any User can cache the new version.
 func (s *Scenario) FireChange() {
 	s.measured.ChangeService(changePrinter)
-	if s.onChange != nil {
-		s.onChange()
+	for _, fn := range s.changeTaps {
+		fn()
 	}
 }
 
@@ -340,7 +363,8 @@ func rearmTopology(ws *Workspace, k *sim.Kernel, netCfg netsim.Config) *Scenario
 	sc.Net.Rearm(k, netCfg, sc.bootNodes)
 	sc.rec, sc.absent, sc.users, sc.UserIDs, sc.retired = ws.scratch(sc.Topo.Users)
 	sc.TargetVersion = 2
-	sc.onChange = nil
+	clear(sc.changeTaps)
+	sc.changeTaps, sc.reg = sc.changeTaps[:0], nil
 	for _, b := range sc.boot {
 		sc.Net.Node(b.inst.ID()).Name = b.name
 		b.inst.Rearm()
@@ -371,14 +395,19 @@ func (s *Scenario) arrive(name string) {
 }
 
 // SpawnUser adds one more User of the scenario's system mid-run, with
-// its own query and consistency listener, booting immediately. It
-// returns the new node's ID and a visitor over the User's cached
-// service records — the live gateway's read path into protocol state.
-// Spawned Users are not part of UserIDs and never enter the Update
-// Metrics; like every scenario mutation, SpawnUser must run on the
-// kernel's goroutine (the live Driver serializes it).
+// its own query, booting immediately. Its cache writes reach the
+// scenario's consistency taps first and then l. It returns the new
+// node's ID and a visitor over the User's cached service records — the
+// live gateway's read path into protocol state. Spawned Users are not
+// part of UserIDs and never enter the Update Metrics; like every
+// scenario mutation, SpawnUser must run on the kernel's goroutine (the
+// live Driver serializes it).
 func (s *Scenario) SpawnUser(name string, q discovery.Query, l discovery.ConsistencyListener) (netsim.NodeID, func(func(discovery.ServiceRecord))) {
-	u := s.newUser(name, q, l)
+	rec := s.rec
+	u := s.newUser(name, q, discovery.ListenerFunc(func(t sim.Time, user, manager netsim.NodeID, version uint64) {
+		rec.tap(t, user, manager, version)
+		l.CacheUpdated(t, user, manager, version)
+	}))
 	u.Start(0)
 	return u.ID(), u.EachCached
 }

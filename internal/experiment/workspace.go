@@ -118,7 +118,8 @@ func (ws *Workspace) scratch(topoUsers int) (rec *recorder, absent map[netsim.No
 	}
 	ws.rec.target = 2
 	ws.rec.manager = netsim.NoNode
-	ws.rec.chain = nil
+	clear(ws.rec.taps)
+	ws.rec.taps = ws.rec.taps[:0]
 	return &ws.rec, ws.absent, ws.users, ws.userIDs[:0], ws.retired[:0]
 }
 

@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"repro/internal/experiment"
-	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/verify"
 )
@@ -137,48 +136,23 @@ func LoadCorpus(dir string) ([]*experiment.ScenarioSpec, error) {
 	return specs, nil
 }
 
-// Replay runs the fixture under the default oracle tolerances and
-// checks its expectation. The report is returned either way, so a
-// failing replay can be diagnosed from the violations it did produce.
-func Replay(f *Fixture) (verify.OracleReport, error) {
-	rep, _, err := replay(f, 0)
-	return rep, err
-}
-
-// ReplayTraced is Replay with a flight recorder riding along: a ring of
-// ringSize recent trace events, frozen at the oracle's first violation
-// so it holds the lead-up, not the aftermath. sdverify dumps the
-// returned snapshot when a fixture replays dirty. ringSize ≤ 0 means
-// obs.DefaultFlightSize.
-func ReplayTraced(f *Fixture, ringSize int) (verify.OracleReport, []obs.FlightSnapshot, error) {
-	if ringSize <= 0 {
-		ringSize = obs.DefaultFlightSize
-	}
-	return replay(f, ringSize)
-}
-
-func replay(f *Fixture, ringSize int) (verify.OracleReport, []obs.FlightSnapshot, error) {
+// Replay runs the fixture under the default oracle tolerances with a
+// flight recorder riding along, and checks its expectation. It returns
+// the report and the recorder's ring — frozen at the oracle's first
+// violation, so it holds the lead-up, not the aftermath — either way,
+// so a failing replay can be diagnosed from what it did produce.
+func Replay(f *Fixture) (verify.OracleReport, obs.FlightSnapshot, error) {
 	sys, err := experiment.ParseSystem(f.System)
 	if err != nil {
-		return verify.OracleReport{}, nil, err
+		return verify.OracleReport{}, obs.FlightSnapshot{}, err
 	}
 	spec := f.Scenario.RunSpec(sys)
+	fr := obs.NewFlightRecorder(obs.DefaultFlightSize)
+	spec.Attach = func(sc *experiment.Scenario) { sc.AddTracer(fr) }
 	cfg := verify.DefaultOracleConfig(sys)
-	var snaps []obs.FlightSnapshot
-	var fr *obs.FlightRecorder
-	if ringSize > 0 {
-		fr = obs.NewFlightRecorder(0, ringSize)
-		spec.MakeTracer = func(*netsim.Network) netsim.Tracer { return fr }
-		cfg.OnViolation = func(v verify.OracleViolation) { fr.Freeze(v.String()) }
-	}
+	cfg.OnViolation = func(v verify.OracleViolation) { fr.Freeze(v.String()) }
 	rep, _ := verify.ObserveRun(spec, cfg)
-	if fr != nil {
-		snaps = append(snaps, fr.Snapshot())
-	}
-	if err := checkExpect(f, rep); err != nil {
-		return rep, snaps, err
-	}
-	return rep, snaps, nil
+	return rep, fr.Snapshot(), checkExpect(f, rep)
 }
 
 func checkExpect(f *Fixture, rep verify.OracleReport) error {

@@ -36,7 +36,7 @@ func TestFixtureRoundTripAndReplayClean(t *testing.T) {
 	if back.System != "upnp" || back.Scenario.Seed != 5 || !back.Expect.Clean {
 		t.Errorf("round trip lost fields: %+v", back)
 	}
-	rep, err := Replay(back)
+	rep, _, err := Replay(back)
 	if err != nil {
 		t.Errorf("clean fixture failed replay: %v", err)
 	}
@@ -46,7 +46,7 @@ func TestFixtureRoundTripAndReplayClean(t *testing.T) {
 
 	// A violation expectation the run does not meet must fail replay.
 	f.Expect = Expect{Invariant: "lease-purge"}
-	if _, err := Replay(f); err == nil || !strings.Contains(err.Error(), "lease-purge") {
+	if _, _, err := Replay(f); err == nil || !strings.Contains(err.Error(), "lease-purge") {
 		t.Errorf("unmet violation expectation not reported: %v", err)
 	}
 }

@@ -4,59 +4,48 @@ import (
 	"testing"
 )
 
-// A hunted (dirty-by-construction) fixture replayed with tracing must
-// freeze its flight recorder at the first violation: the snapshot
-// carries the freeze reason and a non-empty ring of the events leading
-// up to the breach.
+// A hunted (dirty-by-construction) fixture's replay must freeze its
+// flight recorder at the first violation: the snapshot carries the
+// freeze reason and a non-empty ring of the events leading up to the
+// breach.
 func TestReplayTracedFreezesOnViolation(t *testing.T) {
 	f, err := LoadFixture("testdata/hunted-frodo2p-lease-purge.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, snaps, err := ReplayTraced(f, 64)
+	rep, snap, err := Replay(f)
 	if err != nil {
 		t.Fatalf("hunted fixture no longer reproduces: %v", err)
 	}
 	if rep.Total == 0 {
 		t.Fatal("hunted fixture replayed clean")
 	}
-	if len(snaps) == 0 {
-		t.Fatal("no flight snapshots returned")
+	if snap.Frozen == "" {
+		t.Fatal("violation did not freeze the recorder")
 	}
-	frozen := false
-	for _, s := range snaps {
-		if s.Frozen != "" {
-			frozen = true
-			if len(s.Events) == 0 {
-				t.Errorf("shard %d froze with an empty ring", s.Shard)
-			}
-		}
-	}
-	if !frozen {
-		t.Fatal("violation did not freeze any recorder")
+	if len(snap.Events) == 0 {
+		t.Error("recorder froze with an empty ring")
 	}
 }
 
-// A clean fixture replayed with tracing returns unfrozen snapshots and
-// the same verdict as the plain replay.
+// A clean fixture's replay returns an unfrozen ring that recorded the
+// run.
 func TestReplayTracedCleanFixture(t *testing.T) {
 	f, err := LoadFixture("testdata/clean-flashcrowd-racks.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, snaps, err := ReplayTraced(f, 0)
+	rep, snap, err := Replay(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Clean() {
 		t.Fatalf("clean fixture reported %s", rep)
 	}
-	for _, s := range snaps {
-		if s.Frozen != "" {
-			t.Errorf("clean replay froze shard %d: %s", s.Shard, s.Frozen)
-		}
-		if s.Total == 0 {
-			t.Errorf("shard %d recorded no events", s.Shard)
-		}
+	if snap.Frozen != "" {
+		t.Errorf("clean replay froze the recorder: %s", snap.Frozen)
+	}
+	if snap.Total == 0 {
+		t.Error("the recorder recorded no events")
 	}
 }

@@ -28,7 +28,7 @@ func TestLeaseBoundaryAcrossSystems(t *testing.T) {
 			if err != nil {
 				t.Fatalf("every system needs a committed lease-purge fixture: %v", err)
 			}
-			baseRep, err := Replay(base)
+			baseRep, _, err := Replay(base)
 			if err != nil {
 				t.Fatalf("baseline fixture drifted: %v", err)
 			}
@@ -44,7 +44,7 @@ func TestLeaseBoundaryAcrossSystems(t *testing.T) {
 			if !hard.Scenario.Hardened {
 				t.Fatal("hardened fixture does not set hardened: true")
 			}
-			hardRep, err := Replay(hard)
+			hardRep, _, err := Replay(hard)
 			if err != nil {
 				t.Fatalf("hardened replay not clean: %v", err)
 			}

@@ -25,7 +25,7 @@ func TestReplayCommittedFixtures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := Replay(fx)
+			rep, _, err := Replay(fx)
 			if err != nil {
 				t.Fatalf("%v\nfull report: %s", err, rep)
 			}

@@ -65,7 +65,7 @@ type registerResponse struct {
 // attrs are merged into the attribute list; empty attrs still bump the
 // version (a "Rev" attribute records the count). The measured printer
 // accepts only attr-less updates — its change is the paper's canonical
-// mutation, fired through the scenario's change tap.
+// mutation, fired through the scenario's change taps.
 type updateRequest struct {
 	Manager int               `json:"manager"`
 	Attrs   map[string]string `json:"attrs,omitempty"`

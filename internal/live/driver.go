@@ -35,9 +35,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/discovery"
 	"repro/internal/experiment"
-	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/verify"
@@ -64,13 +62,11 @@ type Config struct {
 	// a thousandfold faster, so second-scale protocol timers land on
 	// millisecond-scale wall latencies. 0 means 1.0.
 	Dilation float64
-	// Oracle, when non-nil, attaches the run-time consistency oracle to
-	// the live driver via the tracer tee; zero fields take the system's
-	// defaults. The gateway exposes the report at /v1/oracle.
+	// Oracle, when non-nil, attaches the run-time consistency oracle
+	// through verify.AttachOracle, as a virtual run does; zero fields
+	// take the system's defaults. Its first violation also freezes the
+	// flight recorder. The gateway exposes the report at /v1/oracle.
 	Oracle *verify.OracleConfig
-	// Attach, when set, observes the built scenario before the clock
-	// starts (extra tracers, test instrumentation).
-	Attach func(*experiment.Scenario)
 	// Telemetry is the metrics registry the driver feeds (frame counters,
 	// kernel gauges, oracle near-misses).
 	// Nil means a fresh private registry — deliberately NOT the
@@ -78,25 +74,23 @@ type Config struct {
 	// never interleave with a sweep's. Read it back with
 	// Driver.Telemetry; the gateway serves it at /metrics.
 	Telemetry *obs.Registry
-	// FlightSize is the flight-recorder ring capacity (recent trace
-	// events, dumped on oracle violation or operator signal).
-	// 0 means obs.DefaultFlightSize; negative disables the recorder.
-	FlightSize int
 }
 
-// Driver runs one scenario in wall-clock time. Create with New,
-// customize (AttachOracle, AddListener, OnChange), then Start; after
-// Start all access to simulation state must go through Inject or Call.
+// Driver runs one scenario in wall-clock time. Create with New, then
+// Start; after Start all access to simulation state must go through
+// Inject or Call.
 type Driver struct {
 	cfg Config
 	k   *sim.Kernel
 	sc  *experiment.Scenario
 
 	// reg is the telemetry registry (never nil after New); flight is the
-	// flight recorder, nil when disabled. Ring memory is plain; snapshot
-	// via FlightDump (event loop or post-stop only).
+	// flight recorder of the recent trace records (obs.DefaultFlightSize
+	// of them). Ring memory is plain; snapshot via FlightDump (event
+	// loop or post-stop only). oracle is nil unless Config.Oracle is set.
 	reg     *obs.Registry
 	flight  *obs.FlightRecorder
+	oracle  *verify.Oracle
 	pending *obs.Gauge // kernel queue depth, set each loop pass
 
 	inj      chan injection
@@ -110,12 +104,6 @@ type Driver struct {
 	// and reports ErrStopped — never a silently dropped function.
 	dead   bool
 	deadMu sync.RWMutex
-
-	// listeners and changeHooks fan the scenario's single-slot
-	// consistency and change taps out to several observers (oracle,
-	// gateway notifier). Mutated only before Start or via Inject.
-	listeners   []discovery.ConsistencyListener
-	changeHooks []func()
 
 	// Cross-goroutine progress counters.
 	vnow       atomic.Int64
@@ -165,16 +153,14 @@ func New(cfg Config) (*Driver, error) {
 	d.k = sim.New(cfg.Seed)
 	d.sc = experiment.BuildTopology(cfg.System, d.k, topo, cfg.Options)
 	// Telemetry: frame metering and the flight recorder ride the tracer
-	// tee.
+	// tee, ahead of the oracle, so a violation's ring holds its frame.
 	d.reg = cfg.Telemetry
 	if d.reg == nil {
 		d.reg = obs.NewRegistry()
 	}
-	d.sc.AddTracer(d.reg.NetTracer(0))
-	if cfg.FlightSize >= 0 {
-		d.flight = obs.NewFlightRecorder(0, cfg.FlightSize)
-		d.sc.AddTracer(d.flight)
-	}
+	d.sc.Meter(d.reg)
+	d.flight = obs.NewFlightRecorder(obs.DefaultFlightSize)
+	d.sc.AddTracer(d.flight)
 	d.pending = d.reg.Gauge("sd_kernel_pending", "shard", "0")
 	d.reg.GaugeFunc("sd_live_virtual_seconds", func() float64 {
 		return sim.Time(d.vnow.Load()).Sec()
@@ -182,15 +168,19 @@ func New(cfg Config) (*Driver, error) {
 	d.reg.GaugeFunc("sd_live_events_fired", func() float64 {
 		return float64(d.fired.Load())
 	})
-	// Install the fan-out taps now, so oracle and gateway can both
-	// observe without displacing each other.
-	d.sc.TapConsistency(discovery.ListenerFunc(d.dispatchCacheUpdate))
-	d.sc.TapChange(d.dispatchChange)
 	if cfg.Oracle != nil {
-		d.AttachOracle(*cfg.Oracle)
-	}
-	if cfg.Attach != nil {
-		cfg.Attach(d.sc)
+		// The first violation freezes the flight recorder, preserving
+		// the lead-up in the ring; the hook composes with any caller
+		// hook already in the config.
+		ocfg, fr := *cfg.Oracle, d.flight
+		prev := ocfg.OnViolation
+		ocfg.OnViolation = func(v verify.OracleViolation) {
+			fr.Freeze(v.String())
+			if prev != nil {
+				prev(v)
+			}
+		}
+		d.oracle = verify.AttachOracle(d.sc, ocfg)
 	}
 	return d, nil
 }
@@ -207,53 +197,9 @@ func (d *Driver) Scenario() *experiment.Scenario { return d.sc }
 // Done is closed when the event loop has exited.
 func (d *Driver) Done() <-chan struct{} { return d.done }
 
-// AddListener registers a consistency listener on the fan-out tap.
-// Before Start only.
-func (d *Driver) AddListener(l discovery.ConsistencyListener) {
-	d.mustNotBeStarted()
-	d.listeners = append(d.listeners, l)
-}
-
-// OnChange registers a hook run after every measured-service change.
-// Before Start only.
-func (d *Driver) OnChange(fn func()) {
-	d.mustNotBeStarted()
-	d.changeHooks = append(d.changeHooks, fn)
-}
-
-// AttachOracle hooks a run-time consistency oracle onto the live
-// scenario: the tracer tee plus the driver's fanned-out cache-write and
-// change taps, which the gateway shares. Before Start only; read its
-// report via Call once the driver runs.
-func (d *Driver) AttachOracle(cfg verify.OracleConfig) *verify.Oracle {
-	d.mustNotBeStarted()
-	// The first violation freezes the flight recorder, preserving the
-	// lead-up in the ring; the hook composes with any caller hook
-	// already in cfg.
-	if fr := d.flight; fr != nil {
-		prev := cfg.OnViolation
-		cfg.OnViolation = func(v verify.OracleViolation) {
-			fr.Freeze(v.String())
-			if prev != nil {
-				prev(v)
-			}
-		}
-	}
-	o := verify.NewOracle(d.k, d.sc.ManagerID, cfg)
-	o.MetricsInto(d.reg, 0)
-	d.sc.AddTracer(o)
-	d.listeners = append(d.listeners, o)
-	d.changeHooks = append(d.changeHooks, o.NotePublished)
-	return o
-}
-
 // FlightDump snapshots the flight-recorder ring: through the event loop
-// while the driver runs, directly once it has stopped. Nil when the
-// recorder is disabled.
+// while the driver runs, directly once it has stopped.
 func (d *Driver) FlightDump() []obs.FlightSnapshot {
-	if d.flight == nil {
-		return nil
-	}
 	var snap obs.FlightSnapshot
 	take := func() { snap = d.flight.Snapshot() }
 	if err := d.Call(take); err != nil {
@@ -262,24 +208,6 @@ func (d *Driver) FlightDump() []obs.FlightSnapshot {
 		take()
 	}
 	return []obs.FlightSnapshot{snap}
-}
-
-func (d *Driver) mustNotBeStarted() {
-	if d.started.Load() {
-		panic("live: driver already started")
-	}
-}
-
-func (d *Driver) dispatchCacheUpdate(t sim.Time, user, manager netsim.NodeID, version uint64) {
-	for _, l := range d.listeners {
-		l.CacheUpdated(t, user, manager, version)
-	}
-}
-
-func (d *Driver) dispatchChange() {
-	for _, fn := range d.changeHooks {
-		fn()
-	}
 }
 
 // Start launches the event loop; the virtual clock begins chasing the

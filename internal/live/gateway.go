@@ -21,7 +21,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/upnp"
-	"repro/internal/verify"
 )
 
 // LookupWindow is the virtual time the gateway's port node collects
@@ -40,6 +39,11 @@ const (
 	readHeaderTimeout = 10 * time.Second
 	idleTimeout       = 2 * time.Minute
 )
+
+// bodyTimeout bounds an op handler's body read: a client that stalls
+// mid-body gets 400 instead of holding the handler. A variable only so
+// tests can lower it; a gateway reads it when it opens.
+var bodyTimeout = 10 * time.Second
 
 // Gateway serves the running scenario over loopback HTTP, pushing
 // update notifications over UDP. Every request becomes a pooled op that
@@ -60,8 +64,7 @@ type Gateway struct {
 	nextID   int
 	measured uint64 // version of the measured printer service
 
-	oracle *verify.Oracle // nil when not attached
-	opPool sync.Pool      // *op, made by newOp
+	opPool sync.Pool // *op, made by newOp
 
 	notifyCh   chan notifyFrame
 	senderDone chan struct{}
@@ -165,9 +168,8 @@ func (gw *Gateway) fetchDescription(manager netsim.NodeID) {
 }
 
 // OpenGateway binds the gateway to a started driver and begins serving
-// on addr (host:port; port 0 picks one). The oracle argument may be
-// nil.
-func OpenGateway(d *Driver, addr string, oracle *verify.Oracle) (*Gateway, error) {
+// on addr (host:port; port 0 picks one).
+func OpenGateway(d *Driver, addr string) (*Gateway, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("live: gateway listen: %w", err)
@@ -185,7 +187,6 @@ func OpenGateway(d *Driver, addr string, oracle *verify.Oracle) (*Gateway, error
 		users:      map[netsim.NodeID]*clientUser{},
 		managers:   map[netsim.NodeID]*managerState{},
 		measured:   1,
-		oracle:     oracle,
 		notifyCh:   make(chan notifyFrame, 4096),
 		senderDone: make(chan struct{}),
 
@@ -270,18 +271,10 @@ func (gw *Gateway) Stats() StatsResponse {
 	}
 }
 
-// clientCacheUpdated is the listener every spawned client User is
-// constructed with: it first feeds the write through the driver's
-// fan-out (so an attached oracle audits external clients' cache writes
-// exactly like boot-time Users'), then the gateway's own notification
-// tap. Runs on the driver goroutine.
-func (gw *Gateway) clientCacheUpdated(t sim.Time, user, manager netsim.NodeID, version uint64) {
-	gw.d.dispatchCacheUpdate(t, user, manager, version)
-	gw.CacheUpdated(t, user, manager, version)
-}
-
 // CacheUpdated implements discovery.ConsistencyListener: the gateway's
-// notification tap for subscribed client Users.
+// notification tap for subscribed client Users. Every spawned client
+// User is built with it; the scenario's taps (an attached oracle) see
+// the write first. Runs on the driver goroutine.
 func (gw *Gateway) CacheUpdated(t sim.Time, user, manager netsim.NodeID, version uint64) {
 	cu := gw.users[user]
 	if cu == nil || !cu.notify.IsValid() {
@@ -396,9 +389,6 @@ func (o *op) decode(kind opKind, r *http.Request) (int, error) {
 		return http.StatusRequestEntityTooLarge, fmt.Errorf("bad request: body over %d bytes", maxBody)
 	}
 	if err == nil {
-		// Closing the drained body spares the server its post-handler
-		// drain of it.
-		r.Body.Close()
 		err = decodeWire(o.body.Bytes(), shape)
 	}
 	if err != nil {
@@ -427,7 +417,7 @@ func (gw *Gateway) apply(o *op) {
 	switch o.kind {
 	case opAttach:
 		gw.nextID++
-		uid, each := sc.SpawnUser(numbered("live-client-", gw.nextID), q.attach.Query.toQuery(), discovery.ListenerFunc(gw.clientCacheUpdated))
+		uid, each := sc.SpawnUser(numbered("live-client-", gw.nextID), q.attach.Query.toQuery(), gw)
 		gw.users[uid] = &clientUser{each: each}
 		gw.userCount.Add(1)
 		o.reply = attachResponse{User: int(uid)}
@@ -452,7 +442,7 @@ func (gw *Gateway) apply(o *op) {
 			o.fail(http.StatusBadRequest, "update: the measured printer's change is fixed; update it without attrs")
 			return
 		case id == sc.ManagerID:
-			// Through the change tap, so an attached oracle records
+			// Through the change taps, so an attached oracle records
 			// the publication.
 			gw.measured++
 			o.updated.Version = gw.measured
@@ -501,11 +491,11 @@ func (gw *Gateway) apply(o *op) {
 		}
 		cu.notify = netip.AddrPortFrom(addr.Addr().Unmap(), addr.Port())
 	case opOracle:
-		if gw.oracle == nil {
+		if gw.d.oracle == nil {
 			o.reply = OracleResponse{Attached: false, Clean: true}
 			return
 		}
-		rep := gw.oracle.Report()
+		rep := gw.d.oracle.Report()
 		resp := OracleResponse{Attached: true, Total: rep.Total, Clean: rep.Clean()}
 		for _, v := range rep.Violations {
 			resp.Violations = append(resp.Violations, v.String())
@@ -519,12 +509,20 @@ func (gw *Gateway) apply(o *op) {
 // --- HTTP handlers -------------------------------------------------
 
 // handle serves one op kind: decode the request into a pooled op, apply
-// it on the driver goroutine, encode its reply.
+// it on the driver goroutine, encode its reply. The body is read and
+// closed under a read deadline, cleared once the body is done with:
+// closing it here also spares the server its post-handler drain of it,
+// which no deadline would bound.
 func (gw *Gateway) handle(kind opKind) http.HandlerFunc {
+	timeout := bodyTimeout
 	return func(w http.ResponseWriter, r *http.Request) {
 		o := gw.opPool.Get().(*op)
 		defer gw.opPool.Put(o)
-		if code, err := o.decode(kind, r); err != nil {
+		setReadDeadline(w, time.Now().Add(timeout))
+		code, err := o.decode(kind, r)
+		r.Body.Close()
+		setReadDeadline(w, time.Time{})
+		if err != nil {
 			gw.fail(w, code, "%v", err)
 			return
 		}
@@ -542,6 +540,15 @@ func (gw *Gateway) handle(kind opKind) http.HandlerFunc {
 			}
 		}
 		writeJSON(w, o.code, o.reply)
+	}
+}
+
+// setReadDeadline sets the read deadline of w's connection. It is the
+// call http.ResponseController makes, asserted here directly: the
+// controller costs the request path an allocation.
+func setReadDeadline(w http.ResponseWriter, t time.Time) {
+	if rd, ok := w.(interface{ SetReadDeadline(time.Time) error }); ok {
+		_ = rd.SetReadDeadline(t) // fails only on a closed connection, which fails the body read too
 	}
 }
 
@@ -630,11 +637,6 @@ func (gw *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (gw *Gateway) handleFlight(w http.ResponseWriter, r *http.Request) {
-	snaps := gw.d.FlightDump()
-	if snaps == nil {
-		gw.fail(w, http.StatusNotFound, "flight recorders disabled")
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
-	obs.WriteFlightJSON(w, snaps)
+	obs.WriteFlightJSON(w, gw.d.FlightDump())
 }

@@ -1,9 +1,12 @@
 package live
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -377,5 +380,40 @@ func TestGatewayRequestAllocs(t *testing.T) {
 	noop := func() {}
 	if got := testing.AllocsPerRun(1000, func() { d.Call(noop) }); got != 0 {
 		t.Errorf("Driver.Call: %.0f allocations per call, want 0", got)
+	}
+}
+
+// A client that declares a body and stalls mid-way holds an op handler
+// only until the body deadline: the handler answers 400 and returns.
+func TestGatewayStalledBody(t *testing.T) {
+	prev := bodyTimeout
+	bodyTimeout = 200 * time.Millisecond
+	t.Cleanup(func() { bodyTimeout = prev })
+	srv, _ := serveTest(t, experiment.UPnP)
+
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "POST /v1/attach HTTP/1.1\r\nHost: gateway\r\n"+
+		"Content-Type: application/json\r\nContent-Length: 100\r\n\r\n"+`{"query":{`); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("no reply to the stalled request after %v: %v", time.Since(start), err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("stalled body: HTTP %d, want %d", resp.StatusCode, http.StatusBadRequest)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Errorf("the handler held the stalled request for %v", took)
+	}
+	if got := srv.Gateway.Stats().Ops; got != 0 {
+		t.Errorf("the stalled request counted as %d ops", got)
 	}
 }

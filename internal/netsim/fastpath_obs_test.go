@@ -28,7 +28,7 @@ func TestUnicastAllocsPerFrameGEWithTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	nw.SetTracer(reg.NetTracer(0))
+	nw.SetTracer(reg.NetTracer())
 	nw.AddNode("a")
 	b := nw.AddNode("b")
 	ep := &countingSink{}
@@ -65,8 +65,8 @@ func TestMulticastFanoutAllocsParetoWithTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	fr := obs.NewFlightRecorder(0, 256)
-	nw.SetTracer(netsim.TeeTracer(reg.NetTracer(0), fr))
+	fr := obs.NewFlightRecorder(256)
+	nw.SetTracer(netsim.TeeTracer(reg.NetTracer(), fr))
 	const members = 100
 	ep := &countingSink{}
 	for i := 0; i < members; i++ {

@@ -20,12 +20,17 @@ type Tracer interface {
 type tee []Tracer
 
 // TeeTracer combines tracers into one that forwards every event to each,
-// in argument order. Nil entries are skipped; zero or one non-nil
-// tracers collapse to nil or the tracer itself.
+// in argument order. Nil entries are skipped and a tee argument is
+// spliced in flat, so tracers added one call at a time still make one
+// list; zero or one tracers collapse to nil or the tracer itself.
 func TeeTracer(ts ...Tracer) Tracer {
 	out := make(tee, 0, len(ts))
 	for _, t := range ts {
-		if t != nil {
+		switch t := t.(type) {
+		case nil:
+		case tee:
+			out = append(out, t...)
+		default:
 			out = append(out, t)
 		}
 	}

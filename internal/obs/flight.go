@@ -4,33 +4,9 @@ import (
 	"encoding/json"
 	"io"
 	"sync/atomic"
-
-	"repro/internal/netsim"
-	"repro/internal/sim"
 )
 
-// Trace-event op names. Constants, so recording one copies a string
-// header and allocates nothing.
-const (
-	OpSent      = "sent"
-	OpDelivered = "delivered"
-	OpDropped   = "dropped"
-	OpNode      = "node"
-)
-
-// TraceEvent is one recorded network event. Kind carries the message
-// kind for frame ops and the event name for node ops; From doubles as
-// the node for node ops.
-type TraceEvent struct {
-	At     sim.Time      `json:"at"`
-	Op     string        `json:"op"`
-	Kind   string        `json:"kind,omitempty"`
-	From   netsim.NodeID `json:"from"`
-	To     netsim.NodeID `json:"to"`
-	Reason string        `json:"reason,omitempty"`
-}
-
-// FlightRecorder is a fixed-size ring of the most recent trace events
+// FlightRecorder is a fixed-size ring of the most recent trace records
 // on one network: a netsim.Tracer tee, attached exactly like
 // the oracle's tap. Appends are plain stores by the single goroutine
 // that owns the network (the Tracer contract), so the hot path is one
@@ -45,7 +21,7 @@ type TraceEvent struct {
 // reads via Call), or any time after Freeze has been observed by the
 // owner.
 type FlightRecorder struct {
-	shard  int
+	records
 	buf    []TraceEvent
 	mask   uint64
 	n      uint64 // total events ever appended; head = n & mask
@@ -57,9 +33,9 @@ type FlightRecorder struct {
 // size ≤ 0.
 const DefaultFlightSize = 256
 
-// NewFlightRecorder builds a recorder whose snapshots carry the given
-// shard label; size is rounded up to a power of two (minimum 16).
-func NewFlightRecorder(shard, size int) *FlightRecorder {
+// NewFlightRecorder builds a recorder of size events, rounded up to a
+// power of two (minimum 16).
+func NewFlightRecorder(size int) *FlightRecorder {
 	if size <= 0 {
 		size = DefaultFlightSize
 	}
@@ -67,35 +43,17 @@ func NewFlightRecorder(shard, size int) *FlightRecorder {
 	for cap < size {
 		cap <<= 1
 	}
-	return &FlightRecorder{shard: shard, buf: make([]TraceEvent, cap), mask: uint64(cap - 1)}
+	fr := &FlightRecorder{buf: make([]TraceEvent, cap), mask: uint64(cap - 1)}
+	fr.sink = fr
+	return fr
 }
 
-func (fr *FlightRecorder) append(ev TraceEvent) {
+func (fr *FlightRecorder) record(ev TraceEvent) {
 	if fr.frozen.Load() {
 		return
 	}
 	fr.buf[fr.n&fr.mask] = ev
 	fr.n++
-}
-
-// MessageSent implements netsim.Tracer.
-func (fr *FlightRecorder) MessageSent(t sim.Time, m *netsim.Message) {
-	fr.append(TraceEvent{At: t, Op: OpSent, Kind: m.Kind, From: m.From, To: m.To})
-}
-
-// MessageDelivered implements netsim.Tracer.
-func (fr *FlightRecorder) MessageDelivered(t sim.Time, m *netsim.Message) {
-	fr.append(TraceEvent{At: t, Op: OpDelivered, Kind: m.Kind, From: m.From, To: m.To})
-}
-
-// MessageDropped implements netsim.Tracer.
-func (fr *FlightRecorder) MessageDropped(t sim.Time, m *netsim.Message, reason string) {
-	fr.append(TraceEvent{At: t, Op: OpDropped, Kind: m.Kind, From: m.From, To: m.To, Reason: reason})
-}
-
-// NodeEvent implements netsim.Tracer.
-func (fr *FlightRecorder) NodeEvent(t sim.Time, node netsim.NodeID, event string) {
-	fr.append(TraceEvent{At: t, Op: OpNode, Kind: event, From: node, To: node})
 }
 
 // Freeze stops recording, keeping the ring as the context of reason.
@@ -107,7 +65,7 @@ func (fr *FlightRecorder) Freeze(reason string) {
 }
 
 // FlightSnapshot is a dumpable copy of one recorder's ring, oldest
-// event first.
+// event first. Shard is always 0: every run is one network.
 type FlightSnapshot struct {
 	Shard  int          `json:"shard"`
 	Total  uint64       `json:"total_events"`
@@ -118,7 +76,7 @@ type FlightSnapshot struct {
 // Snapshot copies the ring out (see the type comment for when this is
 // safe to call).
 func (fr *FlightRecorder) Snapshot() FlightSnapshot {
-	s := FlightSnapshot{Shard: fr.shard, Total: fr.n}
+	s := FlightSnapshot{Total: fr.n}
 	if r := fr.reason.Load(); r != nil {
 		s.Frozen = *r
 	}

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"strconv"
-
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
@@ -23,12 +21,12 @@ type NetMetrics struct {
 }
 
 // NetTracer builds the frame-metrics tracer for one network, its series
-// labeled with shard (0 for every simulated run; scrapers read the
+// labeled shard="0" (every run is one network; scrapers read the
 // shard="0" series by name). Series are registered on first use and
 // shared across repeated attachments (a sweep's runs aggregate into one
 // set of counters).
-func (r *Registry) NetTracer(shard int) *NetMetrics {
-	s := strconv.Itoa(shard)
+func (r *Registry) NetTracer() *NetMetrics {
+	const s = "0"
 	return &NetMetrics{
 		sent:       r.Counter("sd_frames_sent_total", "shard", s),
 		delivered:  r.Counter("sd_frames_delivered_total", "shard", s),

@@ -1,7 +1,8 @@
 // Package obs is the unified telemetry layer: a registry of
-// preallocated atomic counters, gauges and log-bucket histograms, a
-// fixed-size flight recorder for recent trace events, and hand-rolled
-// Prometheus/JSON exposition — no external dependencies.
+// preallocated atomic counters, gauges and log-bucket histograms, one
+// trace record (TraceEvent) kept by a fixed-size flight recorder and
+// streamed by a JSONL writer, and hand-rolled Prometheus/JSON
+// exposition — no external dependencies.
 //
 // Every emitting site obeys two rules, so telemetry can stay attached
 // to the deterministic simulation paths:

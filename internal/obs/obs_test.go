@@ -204,14 +204,11 @@ func msg(kind string, from, to netsim.NodeID) *netsim.Message {
 }
 
 func TestFlightRecorderWraparound(t *testing.T) {
-	fr := NewFlightRecorder(3, 16)
+	fr := NewFlightRecorder(16)
 	for i := 0; i < 40; i++ {
 		fr.MessageSent(sim.Time(i), msg(fmt.Sprintf("k%d", i), 1, 2))
 	}
 	s := fr.Snapshot()
-	if s.Shard != 3 {
-		t.Fatalf("shard = %d", s.Shard)
-	}
 	if s.Total != 40 {
 		t.Fatalf("total = %d, want 40", s.Total)
 	}
@@ -227,7 +224,7 @@ func TestFlightRecorderWraparound(t *testing.T) {
 }
 
 func TestFlightRecorderPartialRing(t *testing.T) {
-	fr := NewFlightRecorder(0, 16)
+	fr := NewFlightRecorder(16)
 	fr.MessageDropped(7, msg("Probe", 1, 2), "loss")
 	fr.NodeEvent(9, 5, "crash")
 	s := fr.Snapshot()
@@ -243,7 +240,7 @@ func TestFlightRecorderPartialRing(t *testing.T) {
 }
 
 func TestFlightRecorderFreeze(t *testing.T) {
-	fr := NewFlightRecorder(0, 16)
+	fr := NewFlightRecorder(16)
 	fr.MessageSent(1, msg("A", 1, 2))
 	fr.Freeze("oracle: StaleBound")
 	fr.Freeze("second caller loses")
@@ -259,7 +256,7 @@ func TestFlightRecorderFreeze(t *testing.T) {
 
 func TestFlightRecorderSizeRounding(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{{-1, DefaultFlightSize}, {0, DefaultFlightSize}, {1, 16}, {17, 32}, {256, 256}} {
-		if fr := NewFlightRecorder(0, tc.in); len(fr.buf) != tc.want {
+		if fr := NewFlightRecorder(tc.in); len(fr.buf) != tc.want {
 			t.Errorf("NewFlightRecorder(size=%d): cap %d, want %d", tc.in, len(fr.buf), tc.want)
 		}
 	}
@@ -275,9 +272,9 @@ func TestHotPathAllocs(t *testing.T) {
 	vec := r.CounterVec("v_total", "kind", "shard", "0")
 	vec.Get("warm") // register the series outside the measured loop
 	h := r.Histogram("h")
-	fr := NewFlightRecorder(0, 64)
+	fr := NewFlightRecorder(64)
 	m := msg("Probe", 1, 2)
-	nm := r.NetTracer(0)
+	nm := r.NetTracer()
 	nm.MessageSent(0, m) // warm the kind-vec entry
 	nm.MessageDropped(0, m, "loss")
 
@@ -388,7 +385,7 @@ func TestSnapshotAndJSON(t *testing.T) {
 
 func TestNetTracerLeaseCounting(t *testing.T) {
 	r := NewRegistry()
-	nm := r.NetTracer(0)
+	nm := r.NetTracer()
 	nm.MessageDelivered(1, msg("SubscriptionRenew", 1, 2))
 	nm.MessageDelivered(2, msg("RenewAck", 2, 1))
 	nm.MessageDelivered(3, msg("RenewError", 2, 1))
@@ -405,7 +402,7 @@ func TestNetTracerLeaseCounting(t *testing.T) {
 }
 
 func TestWriteFlightJSON(t *testing.T) {
-	fr := NewFlightRecorder(1, 16)
+	fr := NewFlightRecorder(16)
 	fr.MessageSent(5, msg("Probe", 1, 2))
 	fr.Freeze("test")
 	var buf bytes.Buffer
@@ -418,5 +415,128 @@ func TestWriteFlightJSON(t *testing.T) {
 	}
 	if len(snaps) != 1 || snaps[0].Frozen != "test" || len(snaps[0].Events) != 1 {
 		t.Fatalf("round-trip = %+v", snaps)
+	}
+}
+
+// decodeTrace reads a JSONL trace stream back into records.
+func decodeTrace(t *testing.T, stream []byte) []TraceEvent {
+	t.Helper()
+	var out []TraceEvent
+	dec := json.NewDecoder(bytes.NewReader(stream))
+	for dec.More() {
+		var ev TraceEvent
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatalf("record %d: %v", len(out), err)
+		}
+		out = append(out, ev)
+	}
+	return out
+}
+
+// A network traced into the JSONL writer and a flight ring at once:
+// the stream decodes to exactly the ring's records — a counted send
+// and its delivery, an interface transition, and a send dropped on it,
+// at their virtual times.
+func TestTraceWriterRoundTrip(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewTraceWriter(&buf)
+	fr := NewFlightRecorder(16)
+	k := sim.New(1)
+	nw := netsim.MustNew(k, netsim.DefaultConfig())
+	a := nw.AddNode("a")
+	b := nw.AddNode("b")
+	b.SetEndpoint(netsim.EndpointFunc(func(*netsim.Message) {}))
+	nw.SetTracer(netsim.TeeTracer(w, fr))
+
+	nw.SendUDP(a.ID, b.ID, netsim.Outgoing{Kind: "ServiceUpdate", Counted: true})
+	k.At(sim.Second, func() { a.SetTx(false) })
+	k.At(2*sim.Second, func() { nw.SendUDP(a.ID, b.ID, netsim.Outgoing{Kind: "ServiceUpdate"}) })
+	k.Run(3 * sim.Second)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	events := decodeTrace(t, buf.Bytes())
+	if snap := fr.Snapshot(); fmt.Sprint(events) != fmt.Sprint(snap.Events) {
+		t.Fatalf("stream %+v\nring   %+v", events, snap.Events)
+	}
+	var ops []string
+	for _, ev := range events {
+		ops = append(ops, ev.Op+" "+ev.Kind+" "+ev.Reason)
+	}
+	if want := "[sent ServiceUpdate  delivered ServiceUpdate  node Tx down  sent ServiceUpdate  dropped ServiceUpdate tx down]"; fmt.Sprint(ops) != want {
+		t.Fatalf("records %v, want %s", ops, want)
+	}
+	if e := events[0]; !e.Counted || e.Transport != "udp" || e.From != a.ID || e.To != b.ID {
+		t.Errorf("counted send = %+v", e)
+	}
+	if e := events[2]; e.At != sim.Time(sim.Second) || e.From != a.ID {
+		t.Errorf("interface transition = %+v, want node %d at 1s", e, a.ID)
+	}
+}
+
+type failingWriter struct{ after int }
+
+func (f *failingWriter) Write(p []byte) (int, error) {
+	if f.after <= 0 {
+		return 0, fmt.Errorf("disk full")
+	}
+	f.after -= len(p)
+	return len(p), nil
+}
+
+// The first write error sticks: Flush reports it instead of draining
+// the buffer.
+func TestTraceWriterStickyError(t *testing.T) {
+	w := NewTraceWriter(&failingWriter{after: 1})
+	for i := 0; i < 10000; i++ {
+		w.MessageSent(0, msg("x", 1, 2))
+	}
+	if w.Flush() == nil {
+		t.Error("write error not surfaced")
+	}
+}
+
+// A healthy writer reports no error; a failing one records the first
+// error, Flush reports it, and a record after it is a silent no-op.
+func TestTraceWriterErr(t *testing.T) {
+	healthy := NewTraceWriter(&bytes.Buffer{})
+	healthy.MessageDelivered(1, msg("x", 1, 2))
+	if err := healthy.Flush(); err != nil {
+		t.Fatalf("healthy writer reports error %v", err)
+	}
+	w := NewTraceWriter(&failingWriter{})
+	m := msg("Announce", 1, 2)
+	for i := 0; i < 10000; i++ {
+		w.MessageSent(sim.Time(i), m)
+	}
+	if w.err == nil {
+		t.Fatal("write error never recorded")
+	}
+	first := w.err
+	w.MessageDropped(1, m, "lost")
+	if w.err != first {
+		t.Fatalf("error after a post-failure record = %v, want the first %v", w.err, first)
+	}
+	if err := w.Flush(); err != first {
+		t.Fatalf("Flush = %v, want the sticky error %v", err, first)
+	}
+}
+
+// Stream times are the record's virtual nanoseconds, the unit the
+// flight ring holds, not seconds.
+func TestTraceTimesAreVirtualNanoseconds(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewTraceWriter(&buf)
+	w.NodeEvent(1500*sim.Millisecond, 3, "Rx down")
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"at":1500000000,`) {
+		t.Fatalf("line %q does not carry at=1500000000", buf.String())
+	}
+	events := decodeTrace(t, buf.Bytes())
+	if len(events) != 1 || events[0].At != 1500*sim.Millisecond || events[0].From != 3 || events[0].Kind != "Rx down" {
+		t.Fatalf("events = %+v, want one Rx down on node 3 at 1.5s", events)
 	}
 }

@@ -262,7 +262,7 @@ type leaseKey struct {
 
 // Oracle audits a run online. It implements netsim.Tracer (attached as a
 // tee alongside any event log) and discovery.ConsistencyListener
-// (chained onto the run's cache-write recorder). Construct with
+// (one of the run's cache-write taps). Construct with
 // NewOracle for a hand-driven fixture or AttachOracle for a Scenario.
 type Oracle struct {
 	cfg     OracleConfig
@@ -298,7 +298,7 @@ type Oracle struct {
 	waivedDetails   []OracleViolation
 	maxPurgeLate    sim.Duration
 
-	// Optional telemetry mirrors (MetricsInto): near-miss and violation
+	// Optional telemetry mirrors (metricsInto): near-miss and violation
 	// counts double-written into an obs registry as they accumulate.
 	nmCounters   [numInvariants]*obs.Counter
 	violCounters [numInvariants]*obs.Counter
@@ -341,12 +341,17 @@ func NewOracle(k *sim.Kernel, manager netsim.NodeID, cfg OracleConfig) *Oracle {
 	return o
 }
 
-// AttachOracle hooks an oracle onto a built Scenario: the network tracer
-// tee, the cache-write chain and the change tap. Call it from
-// RunSpec.Attach; the oracle stays valid after the run (its report is
-// plain data), while the Scenario itself may be recycled.
+// AttachOracle hooks an oracle onto a built Scenario — the one attach
+// path for simulated and live runs: the network tracer tee, the
+// cache-write and change taps, and, when the scenario meters into a
+// registry, the sd_oracle_* mirrors. Call it from RunSpec.Attach; the
+// oracle stays valid after the run (its report is plain data), while
+// the Scenario itself may be recycled.
 func AttachOracle(sc *experiment.Scenario, cfg OracleConfig) *Oracle {
 	o := NewOracle(sc.K, sc.ManagerID, cfg)
+	if reg := sc.Telemetry(); reg != nil {
+		o.metricsInto(reg)
+	}
 	sc.AddTracer(o)
 	sc.TapConsistency(o)
 	sc.TapChange(o.NotePublished)
@@ -383,9 +388,7 @@ func (o *Oracle) Report() OracleReport {
 func (o *Oracle) Coverage() OracleCoverage { return o.cov }
 
 // NotePublished is the change tap: the measured Manager published a new
-// version. The run driver wires it through Scenario.TapChange; the live
-// driver, which fans a single change tap out to several hooks, calls it
-// directly.
+// version. AttachOracle wires it through Scenario.TapChange.
 func (o *Oracle) NotePublished() { o.published++ }
 
 func (o *Oracle) violate(inv Invariant, node netsim.NodeID, format string, args ...any) {
@@ -425,17 +428,16 @@ func (o *Oracle) nearMiss(inv Invariant) {
 	}
 }
 
-// MetricsInto double-writes the oracle's near-miss and violation counts
+// metricsInto double-writes the oracle's near-miss and violation counts
 // into reg as they accumulate: sd_oracle_near_misses_total and
-// sd_oracle_violations_total, labeled by invariant and shard. Attach
-// before the run; repeated attachment to one registry aggregates (the
-// counters are find-or-create).
-func (o *Oracle) MetricsInto(reg *obs.Registry, shard int) {
-	s := fmt.Sprintf("%d", shard)
+// sd_oracle_violations_total, labeled by invariant and shard="0".
+// AttachOracle calls it for a metered scenario; repeated attachment to
+// one registry aggregates (the counters are find-or-create).
+func (o *Oracle) metricsInto(reg *obs.Registry) {
 	for i := 0; i < numInvariants; i++ {
 		inv := Invariant(i).String()
-		o.nmCounters[i] = reg.Counter("sd_oracle_near_misses_total", "invariant", inv, "shard", s)
-		o.violCounters[i] = reg.Counter("sd_oracle_violations_total", "invariant", inv, "shard", s)
+		o.nmCounters[i] = reg.Counter("sd_oracle_near_misses_total", "invariant", inv, "shard", "0")
+		o.violCounters[i] = reg.Counter("sd_oracle_violations_total", "invariant", inv, "shard", "0")
 	}
 }
 

@@ -2,7 +2,10 @@ package verify
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
+	"reflect"
 	"testing"
 
 	"repro/internal/discovery"
@@ -10,7 +13,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // frameCopy is what a Tracer may keep of a frame: values, never the
@@ -68,8 +70,8 @@ func TestTracerConsumersKeepTCPFrameData(t *testing.T) {
 	rec := netsim.NewRecorder(nw)
 	rec.Verbose = true
 	var stream bytes.Buffer
-	w := trace.NewWriter(&stream)
-	flight := obs.NewFlightRecorder(0, 1<<14)
+	w := obs.NewTraceWriter(&stream)
+	flight := obs.NewFlightRecorder(1 << 14)
 	oracle := NewOracle(k, manager, DefaultOracleConfig(experiment.Jini1))
 	nw.SetTracer(netsim.TeeTracer(ref, rec, w, flight, oracle))
 
@@ -124,24 +126,6 @@ func TestTracerConsumersKeepTCPFrameData(t *testing.T) {
 		}
 	}
 
-	// internal/trace: the JSONL stream, read back.
-	events, err := trace.Read(&stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != len(ref.frames) {
-		t.Fatalf("trace stream holds %d events, the copying tracer %d", len(events), len(ref.frames))
-	}
-	traceType := map[string]trace.EventType{"sent": trace.EventSend, "delivered": trace.EventDeliver, "dropped": trace.EventDrop}
-	for i, f := range ref.frames {
-		e := events[i]
-		if e.Type != traceType[f.op] || e.T != f.at.Sec() || e.Kind != f.m.Kind || e.From != int(f.m.From) ||
-			e.To != int(f.m.To) || e.Transport != f.m.Transport.String() || e.Reason != f.reason ||
-			(f.op == "sent" && e.Counted != f.m.Counted) {
-			t.Fatalf("trace event %d = %+v, want %s of %+v at %v", i, e, f.op, f.m, f.at)
-		}
-	}
-
 	// obs.FlightRecorder: the ring, large enough here to hold the run.
 	snap := flight.Snapshot()
 	if len(snap.Events) != len(ref.frames) {
@@ -149,9 +133,27 @@ func TestTracerConsumersKeepTCPFrameData(t *testing.T) {
 	}
 	for i, f := range ref.frames {
 		e := snap.Events[i]
-		if e.Op != f.op || e.At != f.at || e.Kind != f.m.Kind || e.From != f.m.From || e.To != f.m.To || e.Reason != f.reason {
+		if e.Op != f.op || e.At != f.at || e.Kind != f.m.Kind || e.From != f.m.From || e.To != f.m.To ||
+			e.Transport != f.m.Transport.String() || e.Counted != f.m.Counted || e.Multicast != f.m.Multicast ||
+			e.Reason != f.reason {
 			t.Fatalf("flight event %d = %+v, want %s of %+v at %v", i, e, f.op, f.m, f.at)
 		}
+	}
+
+	// obs.TraceWriter: the JSONL stream decodes to exactly the ring's
+	// records.
+	var streamed []obs.TraceEvent
+	for dec := json.NewDecoder(&stream); ; {
+		var e obs.TraceEvent
+		if err := dec.Decode(&e); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		streamed = append(streamed, e)
+	}
+	if !reflect.DeepEqual(streamed, snap.Events) {
+		t.Fatalf("the JSONL stream holds %d records that differ from the ring's %d", len(streamed), len(snap.Events))
 	}
 
 	// verify.Oracle: the lease ledger it built from TCP-delivered payloads
