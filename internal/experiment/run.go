@@ -311,11 +311,13 @@ func (s *Scenario) scheduleChanges(p Params) sim.Time {
 // recycled, with the outcomes frozen at departure — and the update
 // effort.
 func (s *Scenario) result(spec RunSpec, changeAt, deadline sim.Time) metrics.RunResult {
+	retired := s.RetiredOutcomes()
 	res := metrics.RunResult{
 		Lambda:   spec.Lambda,
 		Seed:     spec.Seed,
 		ChangeAt: changeAt,
 		Deadline: deadline,
+		Users:    make([]metrics.UserOutcome, 0, len(s.UserIDs)+len(retired)),
 	}
 	allDone := changeAt
 	allReached := true
@@ -332,7 +334,7 @@ func (s *Scenario) result(spec RunSpec, changeAt, deadline sim.Time) metrics.Run
 			allDone = at
 		}
 	}
-	for _, o := range s.RetiredOutcomes() {
+	for _, o := range retired {
 		res.Users = append(res.Users, o)
 		if !o.Excluded && o.At > allDone {
 			allDone = o.At

@@ -26,6 +26,38 @@ type Manager struct {
 	// refreshed by their announcements.
 	registries discovery.LeaseTable[netsim.NodeID, struct{}]
 	renewTick  sim.Ticker
+
+	// renewOut is the pre-built lease renewal: its contents never
+	// change, so one boxed payload serves every Registry. out holds the
+	// payloads carrying the service state, boxed once per version and
+	// shared by every Registry: it points at initialOut, built for the
+	// construction-time snapshot and kept across rearms, or at
+	// changedOut, rebuilt by every change.
+	renewOut               netsim.Outgoing
+	out                    *stateOut
+	initialOut, changedOut stateOut
+}
+
+// stateOut is the boxed Update and Register for one snapshot. A box is
+// immutable once sent; new content gets a new stateOut.
+type stateOut struct {
+	update, register netsim.Outgoing
+}
+
+func newStateOut(cfg Config, manager netsim.NodeID, sd *discovery.Snapshot) stateOut {
+	rec := discovery.ServiceRecord{Manager: manager, SD: sd}
+	return stateOut{
+		update: netsim.Outgoing{
+			Kind:    discovery.Kind(discovery.Update{}),
+			Counted: true,
+			Payload: discovery.Update{Rec: rec, Seq: sd.Version()},
+		},
+		register: netsim.Outgoing{
+			Kind:    discovery.Kind(discovery.Register{}),
+			Counted: true,
+			Payload: discovery.Register{Rec: rec, Lease: cfg.RegistrationLease},
+		},
+	}
 }
 
 // managerRenewAll is the static renewal-ticker callback shared by every
@@ -39,6 +71,13 @@ func NewManager(node *netsim.Node, cfg Config, sd discovery.ServiceDescription) 
 	m.sd = m.initial
 	m.registries.Init(m.k, nil, nil)
 	m.renewTick.Init(m.k, core.RenewInterval(cfg.RegistrationLease), managerRenewAll, m)
+	m.renewOut = netsim.Outgoing{
+		Kind:    discovery.Kind(discovery.Renew{}),
+		Counted: false, // lease upkeep, excluded from update effort
+		Payload: discovery.Renew{Manager: node.ID, Lease: cfg.RegistrationLease},
+	}
+	m.initialOut = newStateOut(cfg, node.ID, m.initial)
+	m.out = &m.initialOut
 	m.bind()
 	return m
 }
@@ -54,6 +93,7 @@ func (m *Manager) bind() {
 // reuse.
 func (m *Manager) Rearm() {
 	m.sd = m.initial
+	m.out = &m.initialOut
 	m.registries.Rearm()
 	m.renewTick.Rearm()
 	m.bind()
@@ -89,18 +129,15 @@ func (m *Manager) KnownRegistries() int { return m.registries.Len() }
 // error).
 func (m *Manager) ChangeService(mutate func(attrs map[string]string)) {
 	m.sd = m.sd.Mutate(mutate)
+	m.changedOut = newStateOut(m.cfg, m.node.ID, m.sd)
+	m.out = &m.changedOut
 	m.registries.EachKey(func(reg netsim.NodeID) {
 		m.sendUpdate(reg)
 	})
 }
 
 func (m *Manager) sendUpdate(reg netsim.NodeID) {
-	out := netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.Update{}),
-		Counted: true,
-		Payload: discovery.Update{Rec: m.record(), Seq: m.sd.Version()},
-	}
-	m.nw.SendTCPWith(m.cfg.TCP, m.node.ID, reg, out, nil)
+	m.nw.SendTCPWith(m.cfg.TCP, m.node.ID, reg, m.out.update, nil)
 }
 
 // Deliver implements netsim.Endpoint.
@@ -137,12 +174,7 @@ func (m *Manager) onAnnounce(from netsim.NodeID, a discovery.Announce) {
 
 // register sends the full service record over TCP.
 func (m *Manager) register(reg netsim.NodeID) {
-	out := netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.Register{}),
-		Counted: true,
-		Payload: discovery.Register{Rec: m.record(), Lease: m.cfg.RegistrationLease},
-	}
-	m.nw.SendTCPWith(m.cfg.TCP, m.node.ID, reg, out, nil)
+	m.nw.SendTCPWith(m.cfg.TCP, m.node.ID, reg, m.out.register, nil)
 }
 
 // renewAll refreshes the registration lease at every known Registry.
@@ -151,17 +183,6 @@ func (m *Manager) register(reg netsim.NodeID) {
 // re-registers — the Jini weakness the paper contrasts with FRODO's SRN2.
 func (m *Manager) renewAll() {
 	m.registries.EachKey(func(reg netsim.NodeID) {
-		out := netsim.Outgoing{
-			Kind:    discovery.Kind(discovery.Renew{}),
-			Counted: false, // lease upkeep, excluded from update effort
-			Payload: discovery.Renew{Manager: m.node.ID, Lease: m.cfg.RegistrationLease},
-		}
-		m.nw.SendTCPWith(m.cfg.TCP, m.node.ID, reg, out, nil)
+		m.nw.SendTCPWith(m.cfg.TCP, m.node.ID, reg, m.renewOut, nil)
 	})
-}
-
-// record shares the current snapshot on the wire; no copy is needed,
-// the snapshot is immutable.
-func (m *Manager) record() discovery.ServiceRecord {
-	return discovery.ServiceRecord{Manager: m.node.ID, SD: m.sd}
 }

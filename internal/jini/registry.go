@@ -34,6 +34,15 @@ type Registry struct {
 	// notifyReqs holds requests for notification of future service
 	// registrations, keyed by User.
 	notifyReqs discovery.LeaseTable[netsim.NodeID, discovery.Query]
+
+	// events holds the boxed remote events of the run, one per Manager
+	// description and sequence number, shared by every subscriber the
+	// event reaches with that number; a Manager's new description drops
+	// the boxes of its old one. subAcks holds the boxed SubscribeAck per
+	// Manager (NoNode for a notification request), a pure function of
+	// the key kept across rearm.
+	events  []any
+	subAcks map[netsim.NodeID]any
 }
 
 // subState carries one event registration's sequence counter.
@@ -43,7 +52,8 @@ type subState struct {
 
 // NewRegistry attaches a lookup service to a node.
 func NewRegistry(node *netsim.Node, cfg Config) *Registry {
-	r := &Registry{cfg: cfg, node: node, nw: node.Network(), k: node.Kernel()}
+	r := &Registry{cfg: cfg, node: node, nw: node.Network(), k: node.Kernel(),
+		subAcks: map[netsim.NodeID]any{}}
 	r.registrations.Init(r.k, nil, nil)
 	r.subs.Init(r.k, nil, nil)
 	r.notifyReqs.Init(r.k, nil, nil)
@@ -75,6 +85,8 @@ func (r *Registry) Rearm() {
 	r.registrations.Rearm()
 	r.subs.Rearm()
 	r.notifyReqs.Rearm()
+	clear(r.events)
+	r.events = r.events[:0]
 	r.announcer.Rearm()
 	r.bind()
 }
@@ -205,12 +217,34 @@ func (r *Registry) onUpdate(msg *netsim.Message, p discovery.Update) {
 // sendEvent delivers one remote event over TCP. A REX is final: Jini has
 // no SRN2, so the event is lost while the subscription lives.
 func (r *Registry) sendEvent(user netsim.NodeID, rec discovery.ServiceRecord, seq uint64) {
-	out := netsim.Outgoing{
+	r.nw.SendTCPWith(r.cfg.TCP, r.node.ID, user, netsim.Outgoing{
 		Kind:    discovery.Kind(discovery.Update{}),
 		Counted: true,
-		Payload: discovery.Update{Rec: rec, Seq: seq},
+		Payload: r.event(rec, seq),
+	}, nil)
+}
+
+// event returns the boxed remote event for rec numbered seq.
+func (r *Registry) event(rec discovery.ServiceRecord, seq uint64) any {
+	var box any
+	live := r.events[:0]
+	for _, e := range r.events {
+		p := e.(discovery.Update)
+		if p.Rec.Manager == rec.Manager && p.Rec.SD != rec.SD {
+			continue // superseded description
+		}
+		if p.Rec == rec && p.Seq == seq {
+			box = e
+		}
+		live = append(live, e)
 	}
-	r.nw.SendTCPWith(r.cfg.TCP, r.node.ID, user, out, nil)
+	clear(r.events[len(live):])
+	r.events = live
+	if box == nil {
+		box = discovery.Update{Rec: rec, Seq: seq}
+		r.events = append(r.events, box)
+	}
+	return box
 }
 
 // onSearch answers a unicast query with the matching registrations.
@@ -251,10 +285,15 @@ func (r *Registry) onSubscribe(msg *netsim.Message, p discovery.Subscribe) {
 		}
 		r.subs.Put(key, s, lease)
 	}
+	ack, ok := r.subAcks[p.Manager]
+	if !ok {
+		ack = discovery.SubscribeAck{Manager: p.Manager}
+		r.subAcks[p.Manager] = ack
+	}
 	r.reply(msg, netsim.Outgoing{
 		Kind:    discovery.Kind(discovery.SubscribeAck{}),
 		Counted: true,
-		Payload: discovery.SubscribeAck{Manager: p.Manager},
+		Payload: ack,
 	})
 }
 

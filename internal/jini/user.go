@@ -54,6 +54,19 @@ type User struct {
 	// stopped marks a quiesced client (Stop): a boot event still pending
 	// when the device permanently departed must not restart it.
 	stopped bool
+
+	// joinOut, searchOut and renewNoneOut are the pre-built notification
+	// request, query and bare renewal: their contents never change, so
+	// one boxed payload serves every Registry. subBox and renewBox are
+	// the boxed Subscribe and Renew for subMgr: boxed when the User
+	// subscribes for a different Manager, shared by every subscription
+	// and renewal after that, and kept across rearm.
+	joinOut      netsim.Outgoing
+	searchOut    netsim.Outgoing
+	renewNoneOut netsim.Outgoing
+	subMgr       netsim.NodeID
+	subBox       any
+	renewBox     any
 }
 
 // Static timer and lease callbacks shared by every Jini client.
@@ -82,6 +95,22 @@ func NewUser(node *netsim.Node, cfg Config, q discovery.Query, l discovery.Consi
 	if cfg.PollPeriod > 0 {
 		u.pollTick.Init(u.k, cfg.PollPeriod, userPoll, u)
 	}
+	u.joinOut = netsim.Outgoing{
+		Kind:    discovery.Kind(discovery.Subscribe{}),
+		Counted: true,
+		Payload: discovery.Subscribe{Manager: netsim.NoNode, Q: &q, Lease: cfg.SubscriptionLease},
+	}
+	u.searchOut = netsim.Outgoing{
+		Kind:    discovery.Kind(discovery.Search{}),
+		Counted: true,
+		Payload: discovery.Search{Q: u.query},
+	}
+	u.renewNoneOut = netsim.Outgoing{
+		Kind:    discovery.Kind(discovery.Renew{}),
+		Counted: false, // lease upkeep, excluded from update effort
+		Payload: discovery.Renew{Manager: netsim.NoNode, Lease: cfg.SubscriptionLease},
+	}
+	u.subMgr = netsim.NoNode
 	u.bind()
 	return u
 }
@@ -241,23 +270,12 @@ func (u *User) join(reg netsim.NodeID) {
 		}
 		return
 	}
-	q := u.query
-	out := netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.Subscribe{}),
-		Counted: true,
-		Payload: discovery.Subscribe{Manager: netsim.NoNode, Q: &q, Lease: u.cfg.SubscriptionLease},
-	}
-	u.nw.SendTCPWith(u.cfg.TCP, u.node.ID, reg, out, nil)
+	u.nw.SendTCPWith(u.cfg.TCP, u.node.ID, reg, u.joinOut, nil)
 }
 
 // search queries one Registry for the requirement.
 func (u *User) search(reg netsim.NodeID) {
-	out := netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.Search{}),
-		Counted: true,
-		Payload: discovery.Search{Q: u.query},
-	}
-	u.nw.SendTCPWith(u.cfg.TCP, u.node.ID, reg, out, nil)
+	u.nw.SendTCPWith(u.cfg.TCP, u.node.ID, reg, u.searchOut, nil)
 }
 
 // onSearchReply stores matching records and subscribes for their events.
@@ -278,12 +296,23 @@ func (u *User) subscribe(reg, manager netsim.NodeID) {
 		return
 	}
 	u.subscribed = append(u.subscribed, key)
-	out := netsim.Outgoing{
+	u.boxFor(manager)
+	u.nw.SendTCPWith(u.cfg.TCP, u.node.ID, reg, netsim.Outgoing{
 		Kind:    discovery.Kind(discovery.Subscribe{}),
 		Counted: true,
-		Payload: discovery.Subscribe{Manager: manager, Lease: u.cfg.SubscriptionLease},
+		Payload: u.subBox,
+	}, nil)
+}
+
+// boxFor boxes the Subscribe and Renew for manager unless the boxes at
+// hand already name it.
+func (u *User) boxFor(manager netsim.NodeID) {
+	if u.subMgr == manager {
+		return
 	}
-	u.nw.SendTCPWith(u.cfg.TCP, u.node.ID, reg, out, nil)
+	u.subMgr = manager
+	u.subBox = discovery.Subscribe{Manager: manager, Lease: u.cfg.SubscriptionLease}
+	u.renewBox = discovery.Renew{Manager: manager, Lease: u.cfg.SubscriptionLease}
 }
 
 // onEvent stores the updated record from a remote event, ensures the
@@ -315,17 +344,13 @@ func (u *User) onEvent(reg netsim.NodeID, p discovery.Update) {
 // single renewal covering its notification request and subscriptions.
 func (u *User) renewAll() {
 	u.registries.Each(func(reg netsim.NodeID, _ struct{}) {
-		manager := netsim.NoNode
+		out := u.renewNoneOut
 		for _, key := range u.subscribed {
 			if key.registry == reg {
-				manager = key.manager
+				u.boxFor(key.manager)
+				out.Payload = u.renewBox
 				break
 			}
-		}
-		out := netsim.Outgoing{
-			Kind:    discovery.Kind(discovery.Renew{}),
-			Counted: false, // lease upkeep, excluded from update effort
-			Payload: discovery.Renew{Manager: manager, Lease: u.cfg.SubscriptionLease},
 		}
 		u.nw.SendTCPWith(u.cfg.TCP, u.node.ID, reg, out, nil)
 	})

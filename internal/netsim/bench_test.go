@@ -102,9 +102,9 @@ func newTCPExchangeNet() (exchange func(), replies *countingEndpoint) {
 
 // BenchmarkTCPExchange measures one request/response over the simulated
 // TCP: eight frames (SYN, SYN-ACK, two data, two ACKs and the two
-// accounted sends), three timers. Frames and timers are pooled and moved
-// by static callbacks, so what -benchmem reports is the connection and the
-// reply's transfer record.
+// accounted sends), three timers. Connections, transfers, frames and
+// timers are pooled and moved by static callbacks, so -benchmem reports
+// nothing.
 func BenchmarkTCPExchange(b *testing.B) {
 	exchange, _ := newTCPExchangeNet()
 	b.ReportAllocs()

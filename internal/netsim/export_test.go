@@ -71,3 +71,53 @@ func (r *everyoneListens) MessageDropped(t sim.Time, m *Message, reason string) 
 func (r *everyoneListens) NodeEvent(t sim.Time, node NodeID, event string) {
 	r.handled.NodeEvent(t, node, event)
 }
+
+// tcpHandle is a test's hold on the conversation dialTCP started. It acts
+// only while that conversation owns the connection record: once the
+// connection is back in the pool the record's gen has moved on, and a
+// handle kept past its conversation never touches the next one.
+type tcpHandle struct {
+	c   *TCPConn
+	gen uint32
+}
+
+// dialTCP is SendTCPWith returning a handle on the connection.
+func dialTCP(nw *Network, cfg TCPConfig, from, to NodeID, out Outgoing, onResult func(error)) tcpHandle {
+	c := nw.openTCP(cfg, from, to, out, onResult)
+	h := tcpHandle{c: c, gen: c.gen}
+	c.settle()
+	return h
+}
+
+// live reports whether the conversation still holds its connection.
+func (h tcpHandle) live() bool { return h.c.gen == h.gen }
+
+// abort abandons the conversation's outstanding transfers; on a
+// conversation that has ended it does nothing.
+func (h tcpHandle) abort() {
+	if h.live() {
+		h.c.abort()
+		h.c.settle()
+	}
+}
+
+// tcpConnPool walks the connection free list: how many records the pool
+// holds, how many it ever made, how often they were released (each
+// release bumps a record's gen), and whether any record is listed twice.
+func tcpConnPool(nw *Network) (free, made, releases int, dup bool) {
+	seen := map[*TCPConn]bool{}
+	for c := nw.freeConn; c != nil; c = c.next {
+		if seen[c] {
+			return free, made, releases, true
+		}
+		seen[c] = true
+		free++
+	}
+	for _, ch := range nw.connChunks {
+		made += len(ch)
+		for i := range ch {
+			releases += int(ch[i].gen)
+		}
+	}
+	return free, made, releases, false
+}

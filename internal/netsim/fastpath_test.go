@@ -40,17 +40,17 @@ func TestUnicastAllocsPerFrame(t *testing.T) {
 	}
 }
 
-// A TCP request/response must stay within 3 allocs in steady state: the
-// connection (its first transfer embedded) and the reply's transfer
-// record, with one to spare. Frames, setup and retransmission timers are
-// pooled records behind static callbacks; before that an exchange cost
-// about 25 closures and Messages.
+// A TCP request/response allocates nothing in steady state: the
+// connection, the reply's transfer record, the frames and the setup and
+// retransmission timers are all pooled records behind static callbacks.
+// Before the frames were pooled an exchange cost about 25 closures and
+// Messages, and before the connections were, 2.
 func TestTCPExchangeAllocs(t *testing.T) {
 	exchange, replies := newTCPExchangeNet()
 	before := replies.n
 	allocs := testing.AllocsPerRun(200, exchange)
-	if allocs > 3 {
-		t.Errorf("TCP request + reply costs %.1f allocs, want ≤ 3", allocs)
+	if allocs != 0 {
+		t.Errorf("TCP request + reply costs %.1f allocs, want 0", allocs)
 	}
 	if replies.n-before < 200 {
 		t.Fatalf("%d replies for 200 exchanges — measurement is vacuous", replies.n-before)

@@ -106,7 +106,8 @@ type Message struct {
 	SentAt     sim.Time
 	// Conn is the TCP connection a TCPData payload arrived on, letting the
 	// receiver answer over the same connection (HTTP responses, Jini
-	// acknowledgements). Nil for UDP traffic.
+	// acknowledgements). Nil for UDP traffic. Connections are pooled, so
+	// like the Message itself Conn is valid only during Deliver.
 	Conn *TCPConn
 }
 

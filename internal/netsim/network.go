@@ -123,8 +123,10 @@ type Network struct {
 	counters Counters
 
 	// Free lists for the per-frame scratch records of the fast path. All
-	// single-threaded, like everything else here. Unicast deliveries come
-	// from chunks the network keeps listed, for reclaimDeliveries.
+	// single-threaded, like everything else here. Unicast deliveries and
+	// the TCP records (the rest of whose pools close the struct) come
+	// from chunks the network keeps listed, for reclaimDeliveries and
+	// reclaimTCP.
 	freeDelivery   *delivery
 	deliveryChunks [][]delivery
 	deliveryGrown  int
@@ -162,6 +164,15 @@ type Network struct {
 	// record (the discovery-layer send of a TCP transfer) without
 	// allocating one.
 	acctScratch Message
+
+	frameChunks    [][]tcpFrame
+	frameGrown     int
+	freeConn       *TCPConn
+	connChunks     [][]TCPConn
+	connGrown      int
+	freeTransfer   *tcpTransfer
+	transferChunks [][]tcpTransfer
+	transferGrown  int
 }
 
 // New creates an empty network on the given kernel. An invalid
@@ -193,7 +204,8 @@ func MustNew(k *sim.Kernel, cfg Config) *Network {
 // goroutine can run many simulations back to back without rebuilding the
 // network from scratch. Any *Node, *TCPConn or Tracer from the previous
 // simulation is invalid afterwards, and so is the previous kernel's event
-// queue: the frames it still held in flight are reclaimed.
+// queue: the frames it still held in flight, and the TCP connections and
+// transfers they or its timers pointed at, are reclaimed.
 func (nw *Network) Reset(k *sim.Kernel, cfg Config) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -209,6 +221,7 @@ func (nw *Network) Reset(k *sim.Kernel, cfg Config) {
 	nw.tracer = nil
 	nw.counters.reset()
 	nw.reclaimDeliveries()
+	nw.reclaimTCP()
 	nw.outageNext = 0
 	nw.partActive = false
 	nw.partOwner = nil
@@ -257,6 +270,7 @@ func (nw *Network) Rearm(k *sim.Kernel, cfg Config, keep int) {
 	nw.tracer = nil
 	nw.counters.reset()
 	nw.reclaimDeliveries()
+	nw.reclaimTCP()
 	nw.outageNext = 0
 	nw.partActive = false
 	nw.partOwner = nil

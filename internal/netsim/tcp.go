@@ -83,12 +83,14 @@ func DefaultTCPConfig() TCPConfig {
 // connection is simulated inside the network layer; the discovery layers
 // only see delivered payloads and REX results, as in the NIST models.
 //
-// A connection is one allocation — the transfer it was opened for is
-// embedded — and is never pooled, so the Conn of a delivered Message stays
-// valid for as long as the receiver keeps it. Its frames are pooled
-// records moved by static kernel callbacks (see tcpFrame).
+// Connections are pooled records of their network, like the frames they
+// exchange (see tcpFrame) and the reply transfers queued on them. A
+// connection returns to the pool once it has no frame in flight (landed
+// or dropped) and no unfinished transfer, so the Conn of a delivered
+// Message is valid only during Deliver, like the Message itself; Reset
+// and Rearm reclaim every connection still open.
 type TCPConn struct {
-	nw       *Network
+	nw       *Network // nil while pooled
 	cfg      TCPConfig
 	from, to NodeID
 
@@ -99,20 +101,33 @@ type TCPConn struct {
 	// fromGen snapshots the initiating slot's tenancy so AbortOnRetire
 	// can tell "this sender left" from "a new tenant reuses the slot".
 	fromGen uint32
+	// gen counts the record's releases; a frame carries the gen it was
+	// sent under, so one outliving its conversation cannot act on the
+	// next conversation to reuse the record.
+	gen uint32
+
+	// inFlight counts the frames on the wire that point at the
+	// connection, open the transfers not yet finished; the connection
+	// returns to the pool when both are zero (settle).
+	inFlight int32
+	open     int32
 
 	// Setup runs on one timer that walks cfg.SetupRetransmits: setupStep
 	// counts the retransmissions made, setupDue is the instant of the
 	// pending step (the schedule is absolute from the first SYN), and the
 	// step after the last retransmission raises the REX. Establishment and
-	// Abort cancel the timer.
+	// abort cancel the timer.
 	setupTimer *sim.Event
 	setupStep  int
 	setupDue   sim.Time
 
 	// first is the transfer the connection was opened for and the head of
-	// the transfer list; replies are linked behind it in queue order.
+	// the transfer list; replies are pooled records linked behind it in
+	// queue order.
 	first tcpTransfer
 	last  *tcpTransfer
+
+	next *TCPConn // free-list link
 }
 
 // tcpTransfer is one payload moving across an established connection, in
@@ -123,12 +138,12 @@ type tcpTransfer struct {
 	fromGen   uint32 // sender slot tenancy at queue time (AbortOnRetire)
 	out       Outgoing
 	onResult  func(error)
-	delivered bool // receiver got the payload (dedup for retransmissions)
-	acked     bool
+	delivered bool       // receiver got the payload (dedup for retransmissions)
+	acked     bool       // finished: acknowledged, failed or aborted
 	timer     *sim.Event // pending retransmission, nil before start
 	rto       sim.Duration
 	sends     int
-	next      *tcpTransfer
+	next      *tcpTransfer // transfer list, or free list while pooled
 }
 
 // tcpFrameKind says what a TCP frame does when it arrives.
@@ -146,30 +161,128 @@ const (
 // its arrival has been handled, so the *Message an endpoint or Tracer is
 // handed is valid only during that call.
 type tcpFrame struct {
-	nw    *Network
-	m     Message
-	gen   uint32 // receiver-slot tenancy the frame was aimed at
-	kind  tcpFrameKind
-	conn  *TCPConn
-	tr    *tcpTransfer // data and ACK frames
-	synAt sim.Time     // SYN and SYN-ACK frames: when the SYN left, for the RTT
-	next  *tcpFrame
+	nw      *Network
+	m       Message
+	gen     uint32 // receiver-slot tenancy the frame was aimed at
+	connGen uint32 // conn.gen when the frame was sent
+	kind    tcpFrameKind
+	conn    *TCPConn
+	tr      *tcpTransfer // data and ACK frames
+	synAt   sim.Time     // SYN and SYN-ACK frames: when the SYN left, for the RTT
+	next    *tcpFrame
 }
 
-func (nw *Network) allocTCPFrame() *tcpFrame {
-	f := nw.freeTCPFrame
-	if f == nil {
-		return &tcpFrame{nw: nw}
+// The TCP records — connections, reply transfers and frames — come from
+// chunks the network keeps listed, like unicast deliveries, so Reset and
+// Rearm can reclaim the ones the previous kernel still held.
+
+func (nw *Network) allocConn() *TCPConn {
+	if nw.freeConn == nil {
+		c := sim.Chunk[TCPConn](&nw.connGrown, 16, 1024)
+		nw.connChunks = append(nw.connChunks, c)
+		for i := len(c) - 1; i >= 0; i-- {
+			c[i].next = nw.freeConn
+			nw.freeConn = &c[i]
+		}
 	}
+	c := nw.freeConn
+	nw.freeConn = c.next
+	c.next = nil
+	return c
+}
+
+// putConn zeroes a connection record, bumping its gen, and pools it.
+func (nw *Network) putConn(c *TCPConn) {
+	*c = TCPConn{gen: c.gen + 1, next: nw.freeConn}
+	nw.freeConn = c
+}
+
+func (nw *Network) allocTransfer() *tcpTransfer {
+	if nw.freeTransfer == nil {
+		c := sim.Chunk[tcpTransfer](&nw.transferGrown, 16, 1024)
+		nw.transferChunks = append(nw.transferChunks, c)
+		for i := len(c) - 1; i >= 0; i-- {
+			nw.putTransfer(&c[i])
+		}
+	}
+	tr := nw.freeTransfer
+	nw.freeTransfer = tr.next
+	tr.next = nil
+	return tr
+}
+
+func (nw *Network) putTransfer(tr *tcpTransfer) {
+	*tr = tcpTransfer{next: nw.freeTransfer}
+	nw.freeTransfer = tr
+}
+
+// allocTCPFrame takes a frame record for connection c and counts it in
+// flight until releaseTCPFrame.
+func (nw *Network) allocTCPFrame(c *TCPConn) *tcpFrame {
+	if nw.freeTCPFrame == nil {
+		ch := sim.Chunk[tcpFrame](&nw.frameGrown, 16, 1024)
+		nw.frameChunks = append(nw.frameChunks, ch)
+		for i := len(ch) - 1; i >= 0; i-- {
+			nw.putTCPFrame(&ch[i])
+		}
+	}
+	f := nw.freeTCPFrame
 	nw.freeTCPFrame = f.next
 	f.next = nil
-	f.nw = nw
+	f.nw, f.conn, f.connGen = nw, c, c.gen
+	c.inFlight++
 	return f
 }
 
+// releaseTCPFrame pools a frame that landed or was dropped; the caller
+// settles its connection.
 func (nw *Network) releaseTCPFrame(f *tcpFrame) {
+	f.conn.inFlight--
+	nw.putTCPFrame(f)
+}
+
+func (nw *Network) putTCPFrame(f *tcpFrame) {
 	*f = tcpFrame{next: nw.freeTCPFrame}
 	nw.freeTCPFrame = f
+}
+
+// reclaimTCP returns every TCP record to its free list once the kernel
+// has been reset (see reclaimDeliveries): the frames and timers that
+// pointed at them went with the old event queue.
+func (nw *Network) reclaimTCP() {
+	nw.freeConn, nw.freeTransfer, nw.freeTCPFrame = nil, nil, nil
+	for _, c := range nw.connChunks {
+		for i := range c {
+			nw.putConn(&c[i])
+		}
+	}
+	for _, c := range nw.transferChunks {
+		for i := range c {
+			nw.putTransfer(&c[i])
+		}
+	}
+	for _, c := range nw.frameChunks {
+		for i := range c {
+			nw.putTCPFrame(&c[i])
+		}
+	}
+}
+
+// settle pools the connection once nothing refers to it any more: no
+// frame in flight and no transfer unfinished (which also means no setup
+// or retransmission timer pending). Every entry into the transport — a
+// send, a frame's arrival, a timer — ends with it.
+func (c *TCPConn) settle() {
+	if c.inFlight != 0 || c.open != 0 {
+		return
+	}
+	nw := c.nw
+	for tr := c.first.next; tr != nil; {
+		next := tr.next
+		nw.putTransfer(tr)
+		tr = next
+	}
+	nw.putConn(c)
 }
 
 // sendTCPFrame models one TCP frame on the wire: accounted as sent, then
@@ -202,7 +315,10 @@ func (nw *Network) sendTCPFrame(f *tcpFrame) {
 // has elapsed: slot-tenancy and Rx checks, then the step the frame drives.
 func tcpFrameArrive(x any) {
 	f := x.(*tcpFrame)
-	nw := f.nw
+	nw, c := f.nw, f.conn
+	if c.gen != f.connGen {
+		panic("netsim: TCP frame outlived its connection")
+	}
 	recv := nw.Node(f.m.To)
 	switch {
 	case recv.gen != f.gen:
@@ -211,21 +327,22 @@ func tcpFrameArrive(x any) {
 		nw.drop(&f.m, "rx down")
 	case f.kind == tcpSYN:
 		// Receiver answers SYN-ACK; connection is up when it lands.
-		f.conn.sendControl(tcpSYNACK, "tcp/SYN-ACK", f.m.To, f.m.From, nil, f.synAt)
+		c.sendControl(tcpSYNACK, "tcp/SYN-ACK", f.m.To, f.m.From, nil, f.synAt)
 	case f.kind == tcpSYNACK:
-		f.conn.establish(nw.k.Now() - f.synAt)
+		c.establish(nw.k.Now() - f.synAt)
 	case f.kind == tcpData:
 		f.tr.arrived(&f.m)
 	default:
 		f.tr.acknowledged()
 	}
 	nw.releaseTCPFrame(f)
+	c.settle()
 }
 
 // sendControl transmits one setup or acknowledgement frame.
 func (c *TCPConn) sendControl(kind tcpFrameKind, name string, from, to NodeID, tr *tcpTransfer, synAt sim.Time) {
-	f := c.nw.allocTCPFrame()
-	f.kind, f.conn, f.tr, f.synAt = kind, c, tr, synAt
+	f := c.nw.allocTCPFrame(c)
+	f.kind, f.tr, f.synAt = kind, tr, synAt
 	f.m = Message{From: from, To: to, Kind: name, Transport: TCPControl, SentAt: c.nw.k.Now()}
 	c.nw.sendTCPFrame(f)
 }
@@ -234,14 +351,22 @@ func (c *TCPConn) sendControl(kind tcpFrameKind, name string, from, to NodeID, t
 // transfers one discovery message. onResult is called exactly once: with
 // nil when the payload has been delivered and acknowledged, with ErrREX if
 // connection setup fails, or with ErrAborted if the sender gives up.
-// The returned connection can carry application replies (Reply).
-func (nw *Network) SendTCP(from, to NodeID, out Outgoing, onResult func(error)) *TCPConn {
-	return nw.SendTCPWith(DefaultTCPConfig(), from, to, out, onResult)
+// The receiver can answer over the connection (Message.Conn) while the
+// payload is being delivered.
+func (nw *Network) SendTCP(from, to NodeID, out Outgoing, onResult func(error)) {
+	nw.SendTCPWith(DefaultTCPConfig(), from, to, out, onResult)
 }
 
 // SendTCPWith is SendTCP with an explicit transport configuration.
-func (nw *Network) SendTCPWith(cfg TCPConfig, from, to NodeID, out Outgoing, onResult func(error)) *TCPConn {
-	c := &TCPConn{nw: nw, cfg: cfg, from: from, to: to, fromGen: nw.Node(from).gen}
+func (nw *Network) SendTCPWith(cfg TCPConfig, from, to NodeID, out Outgoing, onResult func(error)) {
+	nw.openTCP(cfg, from, to, out, onResult).settle()
+}
+
+// openTCP opens the connection and sends its first SYN; the caller
+// settles it.
+func (nw *Network) openTCP(cfg TCPConfig, from, to NodeID, out Outgoing, onResult func(error)) *TCPConn {
+	c := nw.allocConn()
+	c.nw, c.cfg, c.from, c.to, c.fromGen = nw, cfg, from, to, nw.Node(from).gen
 	c.queueTransfer(from, to, out, onResult)
 	c.sendSYN()
 	if !c.aborted {
@@ -263,19 +388,22 @@ func (c *TCPConn) senderGone() bool {
 
 // Reply sends a discovery message back over the established connection
 // (e.g. an HTTP response or a Jini event acknowledgement). It must only be
-// called once the connection is established — in practice, from the
-// handler that received the request payload. Replies skip connection setup
-// but still retransmit until acknowledged.
+// called from the handler a payload of the connection is delivered to,
+// while the Message is valid. Replies skip connection setup but still
+// retransmit until acknowledged.
 func (c *TCPConn) Reply(out Outgoing, onResult func(error)) {
+	if c.nw == nil {
+		panic("netsim: Reply on released TCP connection")
+	}
 	if !c.established {
 		panic("netsim: Reply on unestablished TCP connection")
 	}
 	c.queueTransfer(c.to, c.from, out, onResult)
 }
 
-// Abort abandons all outstanding transfers; their callbacks receive
+// abort abandons all outstanding transfers; their callbacks receive
 // ErrAborted. Delivered-and-acknowledged transfers are unaffected.
-func (c *TCPConn) Abort() {
+func (c *TCPConn) abort() {
 	if !c.aborted {
 		c.fail(ErrAborted)
 	}
@@ -317,12 +445,18 @@ func (c *TCPConn) queueTransfer(from, to NodeID, out Outgoing, onResult func(err
 	nw.accountSend(&nw.acctScratch)
 	tr := &c.first
 	if c.last != nil {
-		tr = &tcpTransfer{}
+		tr = nw.allocTransfer()
 		c.last.next = tr
 	}
 	c.last = tr
 	*tr = tcpTransfer{conn: c, from: from, to: to, fromGen: nw.Node(from).gen, out: out, onResult: onResult}
-	if c.established {
+	c.open++
+	switch {
+	case c.aborted:
+		// A reply to a payload that landed after the sender gave up: the
+		// connection is torn down, so the reply fails at once.
+		tr.finish(ErrAborted)
+	case c.established:
 		tr.start()
 	}
 }
@@ -330,7 +464,7 @@ func (c *TCPConn) queueTransfer(from, to NodeID, out Outgoing, onResult func(err
 // sendSYN makes one connection-setup attempt.
 func (c *TCPConn) sendSYN() {
 	if c.senderGone() {
-		c.Abort() // retired initiator: stop the SYN train silently
+		c.abort() // retired initiator: stop the SYN train silently
 		return
 	}
 	c.sendControl(tcpSYN, "tcp/SYN", c.from, c.to, nil, c.nw.k.Now())
@@ -349,23 +483,24 @@ func (c *TCPConn) armSetup(prev sim.Time) {
 }
 
 // tcpSetupStep is the static callback of the setup timer. It only ever
-// fires on a connection still in setup: establishment and Abort cancel it.
+// fires on a connection still in setup: establishment and abort cancel it.
 func tcpSetupStep(x any) {
 	c := x.(*TCPConn)
 	c.setupTimer = nil // pooled-event ownership: the fired event is gone
 	if c.setupStep == len(c.cfg.SetupRetransmits) {
 		c.fail(ErrREX)
-		return
+	} else {
+		c.setupStep++
+		c.sendSYN()
+		if !c.aborted {
+			c.armSetup(c.setupDue)
+		}
 	}
-	c.setupStep++
-	c.sendSYN()
-	if !c.aborted {
-		c.armSetup(c.setupDue)
-	}
+	c.settle()
 }
 
 // establish runs when a SYN-ACK lands at the initiator; later ones (of
-// retransmitted SYNs) and ones outliving an Abort change nothing.
+// retransmitted SYNs) and ones outliving an abort change nothing.
 func (c *TCPConn) establish(rtt sim.Duration) {
 	if c.established || c.aborted {
 		return
@@ -419,8 +554,8 @@ func (tr *tcpTransfer) send() {
 	tr.sends++
 	// Every data frame is a transport transmission: the discovery-layer
 	// send was already accounted when the transfer was queued.
-	f := nw.allocTCPFrame()
-	f.kind, f.conn, f.tr = tcpData, tr.conn, tr
+	f := nw.allocTCPFrame(tr.conn)
+	f.kind, f.tr = tcpData, tr
 	f.m = Message{From: tr.from, To: tr.to, Kind: tr.out.Kind, Counted: false,
 		Payload: tr.out.Payload, Transport: TCPData, Retransmit: true, SentAt: nw.k.Now()}
 	nw.sendTCPFrame(f)
@@ -443,6 +578,7 @@ func tcpRetransmit(x any) {
 		tr.rto = max
 	}
 	tr.send()
+	tr.conn.settle()
 }
 
 // arrived runs at the receiver: deliver the payload once, always answer
@@ -479,6 +615,7 @@ func (tr *tcpTransfer) finish(err error) {
 		return
 	}
 	tr.acked = true
+	tr.conn.open--
 	if tr.onResult != nil {
 		tr.onResult(err)
 	}

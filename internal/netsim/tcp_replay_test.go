@@ -94,14 +94,14 @@ func tcpScenarios() []tcpScenario {
 		}},
 		{"abort-mid-setup", DefaultConfig(), 200 * sim.Second, func(h *harness, l *tcpLog) {
 			h.nodes[1].SetRx(false)
-			conn := h.nw.SendTCP(0, 1, Outgoing{Kind: "notify"}, l.result("notify"))
-			h.k.At(10*sim.Second, conn.Abort)
+			conn := dialTCP(h.nw, DefaultTCPConfig(), 0, 1, Outgoing{Kind: "notify"}, l.result("notify"))
+			h.k.At(10*sim.Second, conn.abort)
 			h.k.At(20*sim.Second, func() { h.nodes[1].SetRx(true) })
 		}},
 		{"abort-mid-transfer", fixedDelayConfig(100 * sim.Microsecond), 50 * sim.Second, func(h *harness, l *tcpLog) {
 			h.k.At(afterSetup, func() { h.nodes[1].SetRx(false) })
-			conn := h.nw.SendTCP(0, 1, Outgoing{Kind: "notify"}, l.result("notify"))
-			h.k.At(5*sim.Second, conn.Abort)
+			conn := dialTCP(h.nw, DefaultTCPConfig(), 0, 1, Outgoing{Kind: "notify"}, l.result("notify"))
+			h.k.At(5*sim.Second, conn.abort)
 			h.k.At(6*sim.Second, func() { h.nodes[1].SetRx(true) })
 		}},
 		{"rto-backoff", fixedDelayConfig(100 * sim.Microsecond), 100 * sim.Second, func(h *harness, l *tcpLog) {

@@ -104,11 +104,19 @@ func TestTCPDataRetransmitUntilSuccess(t *testing.T) {
 	// the receiver in between.
 	h.k.At(250*sim.Microsecond, func() { h.nodes[1].SetRx(false) })
 	h.k.At(600*sim.Second, func() { h.nodes[1].SetRx(true) })
+	// The connection is pooled once the exchange ends: ask it during
+	// Deliver, while the Message (and its Conn) is valid.
+	established := false
+	h.nodes[1].SetEndpoint(EndpointFunc(func(m *Message) {
+		established = m.Conn.Established()
+		cp := *m
+		h.inbox[1] = append(h.inbox[1], &cp)
+	}))
 	var result error
 	done := false
-	conn := h.nw.SendTCP(0, 1, Outgoing{Kind: "notify"}, func(err error) { result, done = err, true })
+	h.nw.SendTCP(0, 1, Outgoing{Kind: "notify"}, func(err error) { result, done = err, true })
 	h.k.Run(2000 * sim.Second)
-	if !conn.Established() {
+	if !established {
 		t.Fatal("connection not established")
 	}
 	if !done || result != nil {
@@ -141,17 +149,25 @@ func TestTCPBackoffGrows(t *testing.T) {
 func TestTCPReply(t *testing.T) {
 	// Request/response over one connection: UPnP GET + 200 OK.
 	h := newHarness(t, 2, DefaultConfig())
-	var conn *TCPConn
-	// TCP frames are pooled like every other: an endpoint keeps a copy,
-	// never the pointer, past Deliver.
+	// TCP frames and connections are pooled: an endpoint keeps a copy of
+	// the Message, never the pointer, past Deliver, and answers over
+	// m.Conn during it. The reply keeps the connection open, so the
+	// request's Conn is still the same record when the reply lands.
+	var reqConn *TCPConn
 	var reply *Message
+	sameConn := false
 	h.nodes[1].SetEndpoint(EndpointFunc(func(m *Message) {
 		cp := *m
 		h.inbox[1] = append(h.inbox[1], &cp)
-		conn.Reply(Outgoing{Kind: "response", Counted: true, Payload: "body"}, nil)
+		reqConn = m.Conn
+		m.Conn.Reply(Outgoing{Kind: "response", Counted: true, Payload: "body"}, nil)
 	}))
-	h.nodes[0].SetEndpoint(EndpointFunc(func(m *Message) { cp := *m; reply = &cp }))
-	conn = h.nw.SendTCP(0, 1, Outgoing{Kind: "get", Counted: true}, nil)
+	h.nodes[0].SetEndpoint(EndpointFunc(func(m *Message) {
+		cp := *m
+		reply = &cp
+		sameConn = m.Conn == reqConn && m.Conn.From() == 0 && m.Conn.To() == 1
+	}))
+	h.nw.SendTCP(0, 1, Outgoing{Kind: "get", Counted: true}, nil)
 	h.k.Run(10 * sim.Second)
 	if len(h.inbox[1]) != 1 {
 		t.Fatal("request not delivered")
@@ -159,7 +175,7 @@ func TestTCPReply(t *testing.T) {
 	if reply == nil || reply.Payload.(string) != "body" {
 		t.Fatalf("reply not delivered: %v", reply)
 	}
-	if reply.Conn != conn || h.inbox[1][0].Conn != conn {
+	if !sameConn {
 		t.Error("delivered messages do not carry the connection they arrived on")
 	}
 	if h.nw.Counters().Counted() != 2 {
@@ -172,14 +188,18 @@ func TestTCPAbort(t *testing.T) {
 	h.nodes[1].SetRx(false)
 	var result error
 	done := false
-	conn := h.nw.SendTCP(0, 1, Outgoing{Kind: "notify"}, func(err error) { result, done = err, true })
-	h.k.At(10*sim.Second, conn.Abort)
+	conn := dialTCP(h.nw, DefaultTCPConfig(), 0, 1, Outgoing{Kind: "notify"}, func(err error) { result, done = err, true })
+	h.k.At(10*sim.Second, conn.abort)
 	h.k.Run(500 * sim.Second)
 	if !done || result != ErrAborted {
 		t.Fatalf("done=%v result=%v, want ErrAborted", done, result)
 	}
-	// Abort is idempotent.
-	conn.Abort()
+	// The aborted connection is back in the pool; aborting the ended
+	// conversation again does nothing.
+	if conn.live() {
+		t.Error("aborted connection with nothing in flight was not pooled")
+	}
+	conn.abort()
 }
 
 func TestTCPSenderTxDownDuringSetup(t *testing.T) {
@@ -220,13 +240,13 @@ func TestTCPDuplicateDataSuppressed(t *testing.T) {
 func TestTCPReplyPanicsBeforeEstablished(t *testing.T) {
 	h := newHarness(t, 2, DefaultConfig())
 	h.nodes[1].SetRx(false)
-	conn := h.nw.SendTCP(0, 1, Outgoing{Kind: "x"}, nil)
+	conn := dialTCP(h.nw, DefaultTCPConfig(), 0, 1, Outgoing{Kind: "x"}, nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("Reply before establishment did not panic")
 		}
 	}()
-	conn.Reply(Outgoing{Kind: "y"}, nil)
+	conn.c.Reply(Outgoing{Kind: "y"}, nil) // live: the SYN is in flight
 }
 
 func TestTCPFrameZeroedAfterDeliver(t *testing.T) {
@@ -237,9 +257,9 @@ func TestTCPFrameZeroedAfterDeliver(t *testing.T) {
 	var retained *Message
 	var copied Message
 	h.nodes[1].SetEndpoint(EndpointFunc(func(m *Message) { retained, copied = m, *m }))
-	conn := h.nw.SendTCP(0, 1, Outgoing{Kind: "notify", Payload: "sd"}, nil)
+	h.nw.SendTCP(0, 1, Outgoing{Kind: "notify", Payload: "sd"}, nil)
 	h.k.Run(10 * sim.Second)
-	if copied.Payload != "sd" || copied.Conn != conn {
+	if copied.Payload != "sd" || copied.Conn == nil {
 		t.Fatalf("copy taken during Deliver = %+v", copied)
 	}
 	if *retained != (Message{}) {

@@ -27,12 +27,51 @@ type Manager struct {
 	// no Registry, so the Manager is the lessee (2-party subscription).
 	subs discovery.LeaseTable[netsim.NodeID, struct{}]
 
-	// announceOut is the pre-built announcement payload (contents never
-	// change, so one boxed payload serves every train); ifaceHook is the
+	// announceOut, searchReplyOut, renewAckOut and resubscribeOut are the
+	// pre-built payloads whose contents never change, so one boxed
+	// payload serves every transmission; ifaceHook is the
 	// interface-recovery announcement hook, built once and re-registered
 	// on every rearm.
-	announceOut netsim.Outgoing
-	ifaceHook   func(txUp, rxUp bool)
+	announceOut    netsim.Outgoing
+	searchReplyOut netsim.Outgoing
+	renewAckOut    netsim.Outgoing
+	resubscribeOut netsim.Outgoing
+	ifaceHook      func(txUp, rxUp bool)
+
+	// out holds the payloads carrying the service state, boxed once per
+	// version and shared by every User: it points at initialOut, built
+	// for the construction-time snapshot and kept across rearms, or at
+	// changedOut, rebuilt by every change.
+	out                    *stateOut
+	initialOut, changedOut stateOut
+}
+
+// stateOut is the boxed description reply, subscription acceptance and
+// invalidation for one snapshot. A box is immutable once sent; new
+// content gets a new stateOut.
+type stateOut struct {
+	getReply, subscribeAck, invalidate netsim.Outgoing
+}
+
+func newStateOut(manager netsim.NodeID, sd *discovery.Snapshot) stateOut {
+	rec := discovery.ServiceRecord{Manager: manager, SD: sd}
+	return stateOut{
+		getReply: netsim.Outgoing{
+			Kind:    discovery.Kind(discovery.GetReply{}),
+			Counted: true,
+			Payload: discovery.GetReply{Rec: rec},
+		},
+		subscribeAck: netsim.Outgoing{
+			Kind:    discovery.Kind(discovery.SubscribeAck{}),
+			Counted: true,
+			Payload: discovery.SubscribeAck{Rec: rec},
+		},
+		invalidate: netsim.Outgoing{
+			Kind:    discovery.Kind(discovery.Invalidate{}),
+			Counted: true,
+			Payload: discovery.Invalidate{Manager: manager, Version: sd.Version()},
+		},
+	}
 }
 
 // NewManager attaches a Manager to a node. Call Start to boot it.
@@ -53,6 +92,23 @@ func NewManager(node *netsim.Node, cfg Config, sd discovery.ServiceDescription) 
 		Topic:   TopicAlive,
 		Payload: discovery.Announce{Role: discovery.RoleManager, CacheLease: cfg.CacheLease},
 	}
+	m.searchReplyOut = netsim.Outgoing{
+		Kind:    discovery.Kind(discovery.SearchReply{}),
+		Counted: true,
+		Payload: discovery.SearchReply{Recs: []discovery.ServiceRecord{{Manager: node.ID}}},
+	}
+	m.renewAckOut = netsim.Outgoing{
+		Kind:    discovery.Kind(discovery.RenewAck{}),
+		Counted: false, // lease upkeep, excluded from update effort
+		Payload: discovery.RenewAck{Manager: node.ID},
+	}
+	m.resubscribeOut = netsim.Outgoing{
+		Kind:    discovery.Kind(discovery.ResubscribeRequest{}),
+		Counted: true,
+		Payload: discovery.ResubscribeRequest{Manager: node.ID},
+	}
+	m.initialOut = newStateOut(node.ID, m.initial)
+	m.out = &m.initialOut
 	m.announcer = core.NewAnnouncer(m.nw, node.ID, DiscoveryGroup,
 		cfg.AnnouncePeriod, cfg.AnnounceCopies, m.announcement)
 	// SSDP requires a device to advertise when network connectivity is
@@ -84,6 +140,7 @@ func (m *Manager) bind() {
 // node slot is re-bound.
 func (m *Manager) Rearm() {
 	m.sd = m.initial
+	m.out = &m.initialOut
 	m.subs.Rearm()
 	m.announcer.Rearm()
 	m.bind()
@@ -113,6 +170,8 @@ func (m *Manager) Subscribers() int { return m.subs.Len() }
 // holder of the previous one keeps exactly what it had.
 func (m *Manager) ChangeService(mutate func(attrs map[string]string)) {
 	m.sd = m.sd.Mutate(mutate)
+	m.changedOut = newStateOut(m.node.ID, m.sd)
+	m.out = &m.changedOut
 	m.subs.EachKey(func(user netsim.NodeID) {
 		m.notify(user)
 	})
@@ -122,12 +181,7 @@ func (m *Manager) ChangeService(mutate func(attrs map[string]string)) {
 // SRN2, so a notification that fails leaves the subscriber inconsistent
 // until a purge-rediscovery technique runs (the §6.2 case study).
 func (m *Manager) notify(user netsim.NodeID) {
-	out := netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.Invalidate{}),
-		Counted: true,
-		Payload: discovery.Invalidate{Manager: m.node.ID, Version: m.sd.Version()},
-	}
-	m.nw.SendTCPWith(m.cfg.TCP, m.node.ID, user, out, nil)
+	m.nw.SendTCPWith(m.cfg.TCP, m.node.ID, user, m.out.invalidate, nil)
 }
 
 func (m *Manager) announcement() netsim.Outgoing { return m.announceOut }
@@ -158,21 +212,12 @@ func (m *Manager) onSearch(from netsim.NodeID, s discovery.Search) {
 	if !s.Q.Matches(m.sd) {
 		return
 	}
-	m.nw.SendUDP(m.node.ID, from, netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.SearchReply{}),
-		Counted: true,
-		Payload: discovery.SearchReply{Recs: []discovery.ServiceRecord{{Manager: m.node.ID}}},
-	})
+	m.nw.SendUDP(m.node.ID, from, m.searchReplyOut)
 }
 
 // onGet serves the description over the requesting connection.
 func (m *Manager) onGet(msg *netsim.Message) {
-	reply := netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.GetReply{}),
-		Counted: true,
-		Payload: discovery.GetReply{Rec: discovery.ServiceRecord{Manager: m.node.ID, SD: m.sd}},
-	}
-	m.respond(msg, reply)
+	m.respond(msg, m.out.getReply)
 }
 
 // onSubscribe accepts the eventing subscription; the acceptance carries
@@ -180,11 +225,7 @@ func (m *Manager) onGet(msg *netsim.Message) {
 // initial state is what makes PR4 recover consistency.
 func (m *Manager) onSubscribe(msg *netsim.Message) {
 	m.subs.Put(msg.From, struct{}{}, m.cfg.SubscriptionLease)
-	m.respond(msg, netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.SubscribeAck{}),
-		Counted: true,
-		Payload: discovery.SubscribeAck{Rec: discovery.ServiceRecord{Manager: m.node.ID, SD: m.sd}},
-	})
+	m.respond(msg, m.out.subscribeAck)
 }
 
 // onRenew extends a live subscription. A renewal for a purged
@@ -194,19 +235,11 @@ func (m *Manager) onSubscribe(msg *netsim.Message) {
 // purge, so the User resubscribes.
 func (m *Manager) onRenew(msg *netsim.Message) {
 	if m.subs.Renew(msg.From, m.cfg.SubscriptionLease) {
-		m.respond(msg, netsim.Outgoing{
-			Kind:    discovery.Kind(discovery.RenewAck{}),
-			Counted: false, // lease upkeep, excluded from update effort
-			Payload: discovery.RenewAck{Manager: m.node.ID},
-		})
+		m.respond(msg, m.renewAckOut)
 		return
 	}
 	if m.cfg.Techniques.Has(core.PR4) {
-		m.respond(msg, netsim.Outgoing{
-			Kind:    discovery.Kind(discovery.ResubscribeRequest{}),
-			Counted: true,
-			Payload: discovery.ResubscribeRequest{Manager: m.node.ID},
-		})
+		m.respond(msg, m.resubscribeOut)
 	}
 }
 

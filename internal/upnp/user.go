@@ -47,8 +47,16 @@ type User struct {
 	pollTick sim.Ticker
 
 	// searchOut is the pre-built M-SEARCH payload: the query never
-	// changes, so one boxed payload serves every transmission.
+	// changes, so one boxed payload serves every transmission. subBox
+	// and renewBox are the boxed Subscribe and Renew for subMgr: boxed
+	// when the User subscribes with a different Manager, shared by every
+	// attempt and renewal after that, and kept across rearm. fetchDone
+	// is the GET's result callback, built once.
 	searchOut netsim.Outgoing
+	subMgr    netsim.NodeID
+	subBox    any
+	renewBox  any
+	fetchDone func(error)
 }
 
 // Static timer and lease callbacks shared by every control point.
@@ -87,6 +95,8 @@ func NewUser(node *netsim.Node, cfg Config, q discovery.Query, l discovery.Consi
 		Topic:   TopicSearch,
 		Payload: discovery.Search{Q: u.query},
 	}
+	u.subMgr = netsim.NoNode
+	u.fetchDone = func(error) { u.getting = false }
 	u.bind()
 	return u
 }
@@ -246,9 +256,7 @@ func (u *User) fetch(manager netsim.NodeID) {
 		Counted: true,
 		Payload: discovery.Get{Manager: manager},
 	}
-	u.nw.SendTCPWith(u.cfg.TCP, u.node.ID, manager, out, func(err error) {
-		u.getting = false
-	})
+	u.nw.SendTCPWith(u.cfg.TCP, u.node.ID, manager, out, u.fetchDone)
 }
 
 // onGetReply stores the description if it matches the requirement,
@@ -269,12 +277,23 @@ func (u *User) onGetReply(p discovery.GetReply) {
 
 // subscribe opens the eventing subscription.
 func (u *User) subscribe(manager netsim.NodeID) {
-	out := netsim.Outgoing{
+	u.boxFor(manager)
+	u.nw.SendTCPWith(u.cfg.TCP, u.node.ID, manager, netsim.Outgoing{
 		Kind:    discovery.Kind(discovery.Subscribe{}),
 		Counted: true,
-		Payload: discovery.Subscribe{Manager: manager, Lease: u.cfg.SubscriptionLease},
+		Payload: u.subBox,
+	}, nil)
+}
+
+// boxFor boxes the Subscribe and Renew for manager unless the boxes at
+// hand already name it.
+func (u *User) boxFor(manager netsim.NodeID) {
+	if u.subMgr == manager {
+		return
 	}
-	u.nw.SendTCPWith(u.cfg.TCP, u.node.ID, manager, out, nil)
+	u.subMgr = manager
+	u.subBox = discovery.Subscribe{Manager: manager, Lease: u.cfg.SubscriptionLease}
+	u.renewBox = discovery.Renew{Manager: manager, Lease: u.cfg.SubscriptionLease}
 }
 
 // onSubscribeAck records the subscription and stores the initial event
@@ -298,12 +317,12 @@ func (u *User) renew() {
 	if u.subscribedTo == netsim.NoNode {
 		return
 	}
-	out := netsim.Outgoing{
+	u.boxFor(u.subscribedTo)
+	u.nw.SendTCPWith(u.cfg.TCP, u.node.ID, u.subscribedTo, netsim.Outgoing{
 		Kind:    discovery.Kind(discovery.Renew{}),
 		Counted: false, // lease upkeep, excluded from update effort
-		Payload: discovery.Renew{Manager: u.subscribedTo, Lease: u.cfg.SubscriptionLease},
-	}
-	u.nw.SendTCPWith(u.cfg.TCP, u.node.ID, u.subscribedTo, out, nil)
+		Payload: u.renewBox,
+	}, nil)
 }
 
 // onResubscribeRequest is PR4: the Manager saw our renewal but had purged
