@@ -181,6 +181,7 @@ func (nw *Network) allocConn() *TCPConn {
 		c := sim.Chunk[TCPConn](&nw.connGrown, 16, 1024)
 		nw.connChunks = append(nw.connChunks, c)
 		for i := len(c) - 1; i >= 0; i-- {
+			// Not through putConn: a fresh record has been released zero times.
 			c[i].next = nw.freeConn
 			nw.freeConn = &c[i]
 		}
