@@ -30,12 +30,11 @@ type Manager struct {
 	// renewOut is the pre-built lease renewal: its contents never
 	// change, so one boxed payload serves every Registry. out holds the
 	// payloads carrying the service state, boxed once per version and
-	// shared by every Registry: it points at initialOut, built for the
-	// construction-time snapshot and kept across rearms, or at
-	// changedOut, rebuilt by every change.
-	renewOut               netsim.Outgoing
-	out                    *stateOut
-	initialOut, changedOut stateOut
+	// shared by every Registry: initialOut, built for the
+	// construction-time snapshot and restored by every rearm, or the set
+	// the last change built.
+	renewOut        netsim.Outgoing
+	out, initialOut stateOut
 }
 
 // stateOut is the boxed Update and Register for one snapshot. A box is
@@ -77,7 +76,7 @@ func NewManager(node *netsim.Node, cfg Config, sd discovery.ServiceDescription) 
 		Payload: discovery.Renew{Manager: node.ID, Lease: cfg.RegistrationLease},
 	}
 	m.initialOut = newStateOut(cfg, node.ID, m.initial)
-	m.out = &m.initialOut
+	m.out = m.initialOut
 	m.bind()
 	return m
 }
@@ -93,7 +92,7 @@ func (m *Manager) bind() {
 // reuse.
 func (m *Manager) Rearm() {
 	m.sd = m.initial
-	m.out = &m.initialOut
+	m.out = m.initialOut
 	m.registries.Rearm()
 	m.renewTick.Rearm()
 	m.bind()
@@ -129,8 +128,7 @@ func (m *Manager) KnownRegistries() int { return m.registries.Len() }
 // error).
 func (m *Manager) ChangeService(mutate func(attrs map[string]string)) {
 	m.sd = m.sd.Mutate(mutate)
-	m.changedOut = newStateOut(m.cfg, m.node.ID, m.sd)
-	m.out = &m.changedOut
+	m.out = newStateOut(m.cfg, m.node.ID, m.sd)
 	m.registries.EachKey(func(reg netsim.NodeID) {
 		m.sendUpdate(reg)
 	})

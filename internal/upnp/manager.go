@@ -39,11 +39,10 @@ type Manager struct {
 	ifaceHook      func(txUp, rxUp bool)
 
 	// out holds the payloads carrying the service state, boxed once per
-	// version and shared by every User: it points at initialOut, built
-	// for the construction-time snapshot and kept across rearms, or at
-	// changedOut, rebuilt by every change.
-	out                    *stateOut
-	initialOut, changedOut stateOut
+	// version and shared by every User: initialOut, built for the
+	// construction-time snapshot and restored by every rearm, or the set
+	// the last change built.
+	out, initialOut stateOut
 }
 
 // stateOut is the boxed description reply, subscription acceptance and
@@ -108,7 +107,7 @@ func NewManager(node *netsim.Node, cfg Config, sd discovery.ServiceDescription) 
 		Payload: discovery.ResubscribeRequest{Manager: node.ID},
 	}
 	m.initialOut = newStateOut(node.ID, m.initial)
-	m.out = &m.initialOut
+	m.out = m.initialOut
 	m.announcer = core.NewAnnouncer(m.nw, node.ID, DiscoveryGroup,
 		cfg.AnnouncePeriod, cfg.AnnounceCopies, m.announcement)
 	// SSDP requires a device to advertise when network connectivity is
@@ -140,7 +139,7 @@ func (m *Manager) bind() {
 // node slot is re-bound.
 func (m *Manager) Rearm() {
 	m.sd = m.initial
-	m.out = &m.initialOut
+	m.out = m.initialOut
 	m.subs.Rearm()
 	m.announcer.Rearm()
 	m.bind()
@@ -170,8 +169,7 @@ func (m *Manager) Subscribers() int { return m.subs.Len() }
 // holder of the previous one keeps exactly what it had.
 func (m *Manager) ChangeService(mutate func(attrs map[string]string)) {
 	m.sd = m.sd.Mutate(mutate)
-	m.changedOut = newStateOut(m.node.ID, m.sd)
-	m.out = &m.changedOut
+	m.out = newStateOut(m.node.ID, m.sd)
 	m.subs.EachKey(func(user netsim.NodeID) {
 		m.notify(user)
 	})
