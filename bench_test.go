@@ -60,21 +60,21 @@ func BenchmarkScenarioSRN2CaseStudy(b *testing.B) {
 // paperRunBudgets are the heap-allocation budgets of one rearmed
 // paper-scale run (N=5 Users, λ=0.30, a reused Workspace), per system,
 // each with the value it measures beside it. TCP connections, reply
-// transfers and frames are pooled, and every payload whose content does
-// not change is boxed once, so what is left is content that is new per
-// run: the changed description and the payloads carrying it, the
-// Registry's query answers, the run's outcome records. Before the TCP
-// records were pooled and the UPnP and Jini payloads boxed once, the
-// three TCP-based systems measured 145, 202 and 396.
+// transfers and frames are pooled, and packets are values carried inline
+// in the frames, so what is left is content that is new per run: the
+// changed description, the Registry's query answers, the run's outcome
+// records. Before the TCP records were pooled and the UPnP and Jini
+// payloads boxed once, the three TCP-based systems measured 145, 202 and
+// 396; with payloads boxed (once) the five measured 12, 40, 69, 56, 46.
 var paperRunBudgets = []struct {
 	sys    experiment.System
 	allocs float64
 }{
-	{experiment.UPnP, 14},    // measures 12
-	{experiment.Jini1, 45},   // measures 40
-	{experiment.Jini2, 78},   // measures 70
-	{experiment.Frodo3P, 60}, // measures 54
-	{experiment.Frodo2P, 52}, // measures 47
+	{experiment.UPnP, 11},    // measures 9
+	{experiment.Jini1, 31},   // measures 27
+	{experiment.Jini2, 52},   // measures 45
+	{experiment.Frodo3P, 17}, // measures 15
+	{experiment.Frodo2P, 21}, // measures 18
 }
 
 // paperRun returns a function that performs the i-th warm paper-scale run

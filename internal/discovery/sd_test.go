@@ -97,42 +97,6 @@ func TestServiceRecordSharesSnapshot(t *testing.T) {
 	}
 }
 
-func TestKindNamesAreStable(t *testing.T) {
-	want := []struct {
-		p    any
-		name string
-	}{
-		{Announce{}, "Announce"},
-		{Search{}, "ServiceSearch"},
-		{SearchReply{}, "ServiceFound"},
-		{Register{}, "ServiceRegistration"},
-		{RegisterAck{}, "RegistrationAck"},
-		{Subscribe{}, "SubscriptionRequest"},
-		{SubscribeAck{}, "SubscriptionAck"},
-		{Renew{}, "SubscriptionRenew"},
-		{RenewAck{}, "RenewAck"},
-		{RenewError{}, "RenewError"},
-		{Update{}, "ServiceUpdate"},
-		{UpdateAck{}, "UpdateAck"},
-		{Invalidate{}, "Invalidate"},
-		{Get{}, "Get"},
-		{GetReply{}, "GetReply"},
-		{ResubscribeRequest{}, "ResubscribeRequest"},
-		{ManagerGone{}, "ManagerGone"},
-	}
-	for _, c := range want {
-		if got := Kind(c.p); got != c.name {
-			t.Errorf("Kind(%T) = %q, want %q", c.p, got, c.name)
-		}
-	}
-	if Kind(42) != "Unknown" {
-		t.Error("unknown payload kind not reported")
-	}
-	if Kind(&Update{}) != "ServiceUpdate" {
-		t.Error("pointer payloads not recognized")
-	}
-}
-
 // Property: Clone always yields an Equal SD whose attribute map is
 // independent storage.
 func TestQuickCloneEqual(t *testing.T) {

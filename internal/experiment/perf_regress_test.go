@@ -69,8 +69,8 @@ func TestSweepFingerprintN100Churn(t *testing.T) {
 // role (timers, lease tables and retry schedules are embedded; FRODO's
 // Registry capability waits for an election; a cache of one or two leases
 // holds them inline), so the population term of a build is the node slot,
-// its label, the role objects and the boxed query — the boot event comes
-// from a chunk of the kernel's pool. N = 1,000 makes the infrastructure
+// its label and the role objects — the boot event comes from a chunk of
+// the kernel's pool, and a query travels by pointer inside packets. N = 1,000 makes the infrastructure
 // and the amortised slice/map/chunk growth a rounding error.
 func TestBuildAllocBudgets(t *testing.T) {
 	const users = 1000
@@ -78,11 +78,11 @@ func TestBuildAllocBudgets(t *testing.T) {
 		sys    System
 		budget float64 // objects per User; measured value alongside
 	}{
-		{UPnP, 10},   // measures 4.1 (was 14.9, then 6.1)
-		{Jini1, 11},  // measures 4.1 (was 13.9, then 7.1)
-		{Jini2, 11},  // measures 4.1 (was 13.9, then 7.1)
-		{Frodo3P, 6}, // measures 5.1 (was 21.9, then 7.1)
-		{Frodo2P, 6}, // measures 5.1 (was 48.0, then 7.1)
+		{UPnP, 5},    // measures 4.1 (was 14.9, then 6.1, then 5.1)
+		{Jini1, 5},   // measures 4.1 (was 13.9, then 7.1, then 8.1)
+		{Jini2, 5},   // measures 4.1 (was 13.9, then 7.1, then 8.2)
+		{Frodo3P, 5}, // measures 4.1 (was 21.9, then 7.1, then 5.1)
+		{Frodo2P, 5}, // measures 4.1 (was 48.0, then 7.1, then 5.1)
 	} {
 		allocs := testing.AllocsPerRun(3, func() {
 			BuildTopology(c.sys, sim.New(1), Topology{Users: users}, Options{})
@@ -98,8 +98,8 @@ func TestBuildAllocBudgets(t *testing.T) {
 // TestRunAllocBudgets bounds what one User costs in heap objects over a
 // whole run, FRODO 2-party at N = 1,000 and λ = 0: cold on a fresh
 // Workspace (the build plus every pool's growth), and rearmed on the
-// same Workspace, where the pools are warm and only payloads whose
-// content is new are boxed — one UpdateAck per User per change.
+// same Workspace, where the pools are warm and packets, being values,
+// allocate nothing: no User-level object is left.
 func TestRunAllocBudgets(t *testing.T) {
 	const users = 1000
 	p := DefaultParams()
@@ -111,8 +111,8 @@ func TestRunAllocBudgets(t *testing.T) {
 		run    func()
 		budget float64 // objects per User; measured value alongside
 	}{
-		{"cold", func() { ws = NewWorkspace(); RunInto(ws, spec) }, 9.7}, // measures 8.4 (was 27.5)
-		{"rearmed", func() { RunInto(ws, spec) }, 1.2},                   // measures 1.04 (was 6.1)
+		{"cold", func() { ws = NewWorkspace(); RunInto(ws, spec) }, 5.0}, // measures 4.37 (was 27.5, then 8.4)
+		{"rearmed", func() { RunInto(ws, spec) }, 0.1},                   // measures 0.01 (was 6.1, then 1.04)
 	} {
 		perUser := testing.AllocsPerRun(3, c.run) / users
 		t.Logf("%s run: %.2f objects per User", c.name, perUser)

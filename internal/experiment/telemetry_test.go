@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -55,6 +56,40 @@ func TestTelemetryParity(t *testing.T) {
 		} else if v == uint64(0) || v == int64(0) {
 			t.Errorf("%s reads 0 after a metered sweep", series)
 		}
+	}
+}
+
+// kindTally counts delivered frames by their Kind name.
+type kindTally map[string]uint64
+
+func (k kindTally) MessageSent(sim.Time, *netsim.Message)            {}
+func (k kindTally) MessageDelivered(_ sim.Time, m *netsim.Message)   { k[m.Kind]++ }
+func (k kindTally) MessageDropped(sim.Time, *netsim.Message, string) {}
+func (k kindTally) NodeEvent(sim.Time, netsim.NodeID, string)        {}
+
+// TestLeaseCountersCountTheirFrames: the lease series switch on the
+// packet's kind tag, and must count exactly the delivered frames named
+// SubscriptionRenew and RenewError — the frames they counted by name.
+func TestLeaseCountersCountTheirFrames(t *testing.T) {
+	var refused uint64
+	for _, sys := range []System{UPnP, Jini1, Frodo3P, Frodo2P} {
+		reg, tally := obs.NewRegistry(), kindTally{}
+		Run(RunSpec{System: sys, Lambda: 0.5, Seed: 3, Params: DefaultParams(), Telemetry: reg,
+			MakeTracer: func(*netsim.Network) netsim.Tracer { return tally }})
+		renewals := reg.Counter("sd_lease_renewals_total", "shard", "0").Load()
+		refusals := reg.Counter("sd_lease_refusals_total", "shard", "0").Load()
+		if renewals == 0 || renewals != tally["SubscriptionRenew"] {
+			t.Errorf("%v: sd_lease_renewals_total = %d, %d SubscriptionRenew frames delivered",
+				sys, renewals, tally["SubscriptionRenew"])
+		}
+		if refusals != tally["RenewError"] {
+			t.Errorf("%v: sd_lease_refusals_total = %d, %d RenewError frames delivered",
+				sys, refusals, tally["RenewError"])
+		}
+		refused += tally["RenewError"]
+	}
+	if refused == 0 {
+		t.Error("no run delivered a RenewError: the refusal check is vacuous")
 	}
 }
 

@@ -3,6 +3,7 @@ package frodo
 import (
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // elector is the state of the Central election among 300D nodes: every
@@ -108,12 +109,8 @@ func (nd *Node) announceCandidacy() {
 	if !nd.elector.running {
 		return
 	}
-	nd.nw.Multicast(nd.n.ID, DiscoveryGroup, netsim.Outgoing{
-		Kind:    kindOf(ElectionAnnounce{}),
-		Counted: true,
-		Topic:   TopicElection,
-		Payload: ElectionAnnounce{Power: nd.power},
-	}, 1)
+	nd.nw.Multicast(nd.n.ID, DiscoveryGroup, netsim.Outgoing{Counted: true, Topic: TopicElection,
+		Packet: wire.Packet{Kind: wire.ElectionAnnounce, N: uint64(nd.power)}}, 1)
 }
 
 // onCandidate processes a competing candidacy. A sitting Central asserts

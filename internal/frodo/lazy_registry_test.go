@@ -4,9 +4,9 @@ import (
 	"testing"
 	"unsafe"
 
-	"repro/internal/discovery"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // A 300D node that was never elected nor appointed carries no Registry
@@ -49,7 +49,7 @@ func TestDemotedCentralKeepsTables(t *testing.T) {
 	}
 	rival := r.nw.AddNode("")
 	central.Deliver(&netsim.Message{From: rival.ID, To: central.ID(), Multicast: true,
-		Payload: discovery.Announce{Role: discovery.RoleRegistry, Power: 200}})
+		Packet: wire.Packet{Kind: wire.Announce, Role: wire.RoleRegistry, N: 200}})
 	if central.IsCentral() {
 		t.Fatal("Central kept its claim against a stronger one")
 	}

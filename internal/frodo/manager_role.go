@@ -5,6 +5,7 @@ import (
 	"repro/internal/discovery"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // ManagerRole hosts one service. 3C/3D Managers delegate subscription
@@ -28,14 +29,13 @@ type ManagerRole struct {
 	regCentral   netsim.NodeID
 	regRetryWait *sim.Event
 	renewTick    sim.Ticker
-	// centralRetry pushes centralOut, the boxed repository update for
-	// centralVersion, to updCentral.
-	centralRetry   core.Retry
-	updCentral     netsim.NodeID
-	centralOut     netsim.Outgoing
-	centralVersion uint64
-	centralAcked   uint64
-	regVersion     uint64
+	// centralRetry pushes centralSD, the description of the last
+	// repository update, to updCentral.
+	centralRetry core.Retry
+	updCentral   netsim.NodeID
+	centralSD    *discovery.Snapshot
+	centralAcked uint64
+	regVersion   uint64
 
 	// 2-party state (300D Managers).
 	subs         discovery.LeaseTable[netsim.NodeID, struct{}]
@@ -44,15 +44,6 @@ type ManagerRole struct {
 
 	// Critical-update state (SRC2).
 	history *core.UpdateHistory
-
-	// ackOut and replyOut cache the boxed subscription acknowledgement
-	// and multicast search reply for ackVersion and replyVersion: their
-	// content only changes when the service does, and 2-party boots send
-	// one per subscriber attempt and per early search.
-	ackOut       netsim.Outgoing
-	ackVersion   uint64
-	replyOut     netsim.Outgoing
-	replyVersion uint64
 }
 
 // Static timer, lease and retry callbacks shared by every Manager role.
@@ -65,7 +56,8 @@ func managerRegisterExhausted(x any)   { x.(*ManagerRole).registerExhausted() }
 func managerRegisterRetry(x any)       { x.(*ManagerRole).registerRetry() }
 func managerSendCentralUpdate(x any, _ int) {
 	m := x.(*ManagerRole)
-	m.nd.nw.SendUDP(m.nd.n.ID, m.updCentral, m.centralOut)
+	m.nd.nw.SendUDP(m.nd.n.ID, m.updCentral, netsim.Outgoing{Counted: true, Packet: wire.Packet{
+		Kind: wire.Update, Manager: m.nd.n.ID, SD: m.centralSD, N: m.centralSD.Version(), ForRegistry: true}})
 }
 
 func newManagerRole(nd *Node, sd discovery.ServiceDescription) *ManagerRole {
@@ -103,32 +95,13 @@ func (m *ManagerRole) rearm() {
 	m.renewTick.Rearm()
 	m.centralRetry.Rearm()
 	m.updCentral = netsim.NoNode
-	m.centralOut = netsim.Outgoing{}
-	m.centralVersion = 0
+	m.centralSD = nil
 	m.centralAcked = 0
 	m.regVersion = 0
 	m.subs.Rearm()
 	m.prop.Rearm()
 	m.inconsistent.Reset()
 	m.history.Reset()
-	m.ackOut = netsim.Outgoing{}
-	m.ackVersion = 0
-	m.replyOut = netsim.Outgoing{}
-	m.replyVersion = 0
-}
-
-// subscribeAck returns the (cached) boxed acknowledgement carrying the
-// current service state.
-func (m *ManagerRole) subscribeAck() netsim.Outgoing {
-	if m.ackOut.Payload == nil || m.ackVersion != m.sd.Version() {
-		m.ackOut = netsim.Outgoing{
-			Kind:    discovery.Kind(discovery.SubscribeAck{}),
-			Counted: true,
-			Payload: discovery.SubscribeAck{Manager: m.nd.n.ID, Rec: m.record()},
-		}
-		m.ackVersion = m.sd.Version()
-	}
-	return m.ackOut
 }
 
 // ID reports the hosting node's ID.
@@ -153,6 +126,11 @@ func (m *ManagerRole) TwoParty() bool { return m.nd.class == Class300D }
 // immutable, so no copy is needed.
 func (m *ManagerRole) record() discovery.ServiceRecord {
 	return discovery.ServiceRecord{Manager: m.nd.n.ID, SD: m.sd}
+}
+
+// carrying returns a packet of kind k carrying the current record.
+func (m *ManagerRole) carrying(k wire.Kind) wire.Packet {
+	return wire.Packet{Kind: k, Manager: m.nd.n.ID, SD: m.sd}
 }
 
 // centralChanged registers with the (new) Central.
@@ -190,11 +168,9 @@ func (m *ManagerRole) register() {
 // sendRegister transmits one registration attempt, carrying the record as
 // it stands now.
 func (m *ManagerRole) sendRegister() {
-	m.nd.nw.SendUDP(m.nd.n.ID, m.regCentral, netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.Register{}),
-		Counted: true,
-		Payload: discovery.Register{Rec: m.record(), Lease: m.nd.cfg.RegistrationLease},
-	})
+	p := m.carrying(wire.Register)
+	p.Lease = m.nd.cfg.RegistrationLease
+	m.nd.nw.SendUDP(m.nd.n.ID, m.regCentral, netsim.Outgoing{Counted: true, Packet: p})
 }
 
 func (m *ManagerRole) registerExhausted() {
@@ -245,7 +221,7 @@ func (m *ManagerRole) renewRegistration() {
 		m.sendRenew(central)
 		return
 	}
-	if m.centralVersion != 0 && m.centralVersion == m.sd.Version() && m.centralAcked < m.sd.Version() {
+	if m.centralSD == m.sd && m.centralAcked < m.sd.Version() {
 		m.updateCentral()
 		return
 	}
@@ -253,11 +229,8 @@ func (m *ManagerRole) renewRegistration() {
 }
 
 func (m *ManagerRole) sendRenew(central netsim.NodeID) {
-	m.nd.nw.SendUDP(m.nd.n.ID, central, netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.Renew{}),
-		Counted: false, // lease upkeep, excluded from update effort
-		Payload: discovery.Renew{Manager: m.nd.n.ID, Lease: m.nd.cfg.RegistrationLease},
-	})
+	m.nd.nw.SendUDP(m.nd.n.ID, central, netsim.Outgoing{ // lease upkeep, excluded from update effort
+		Packet: wire.Packet{Kind: wire.Renew, Manager: m.nd.n.ID, Lease: m.nd.cfg.RegistrationLease}})
 }
 
 // onRegistrationRenewAck confirms lease upkeep; nothing further needed.
@@ -301,22 +274,17 @@ func (m *ManagerRole) updateCentral() {
 		return
 	}
 	m.centralRetry.Stop()
-	m.centralVersion = m.sd.Version()
+	m.centralSD = m.sd
 	m.updCentral = central
-	m.centralOut = netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.Update{}),
-		Counted: true,
-		Payload: discovery.Update{Rec: m.record(), Seq: m.sd.Version(), ForRegistry: true},
-	}
 	m.centralRetry.Start()
 }
 
 // onCentralUpdateAck stops the repository-update retransmission.
-func (m *ManagerRole) onCentralUpdateAck(p discovery.UpdateAck) {
-	if p.Version > m.centralAcked {
-		m.centralAcked = p.Version
+func (m *ManagerRole) onCentralUpdateAck(version uint64) {
+	if version > m.centralAcked {
+		m.centralAcked = version
 	}
-	if p.Version >= m.centralVersion {
+	if m.centralSD == nil || version >= m.centralSD.Version() {
 		m.centralRetry.Stop()
 	}
 }
@@ -331,8 +299,7 @@ func (m *ManagerRole) onNotifyExhausted(user netsim.NodeID, rec discovery.Servic
 
 // onSubscribe accepts a 2-party subscription; the acknowledgement carries
 // current state (PR4 recovery restores consistency through it).
-func (m *ManagerRole) onSubscribe(from netsim.NodeID, p discovery.Subscribe) {
-	lease := p.Lease
+func (m *ManagerRole) onSubscribe(from netsim.NodeID, lease sim.Duration) {
 	if lease <= 0 {
 		lease = m.nd.cfg.SubscriptionLease
 	}
@@ -340,24 +307,20 @@ func (m *ManagerRole) onSubscribe(from netsim.NodeID, p discovery.Subscribe) {
 	if m.nd.cfg.CriticalUpdates {
 		m.history.Interested(from)
 	}
-	m.nd.nw.SendUDP(m.nd.n.ID, from, m.subscribeAck())
+	m.nd.nw.SendUDP(m.nd.n.ID, from, netsim.Outgoing{Counted: true, Packet: m.carrying(wire.SubscribeAck)})
 }
 
 // onSubscriptionRenew extends a live subscription and, crucially, runs
 // SRN2: a renewal from a User marked inconsistent triggers a fresh
 // notification attempt. A renewal for a purged subscription triggers PR4,
 // and so, on a hardened (strict) table, does one racing the purge.
-func (m *ManagerRole) onSubscriptionRenew(from netsim.NodeID, p discovery.Renew) {
-	lease := p.Lease
+func (m *ManagerRole) onSubscriptionRenew(from netsim.NodeID, lease sim.Duration) {
 	if lease <= 0 {
 		lease = m.nd.cfg.SubscriptionLease
 	}
 	if m.subs.Renew(from, lease) {
-		m.nd.nw.SendUDP(m.nd.n.ID, from, netsim.Outgoing{
-			Kind:    discovery.Kind(discovery.RenewAck{}),
-			Counted: false, // lease upkeep, excluded from update effort
-			Payload: discovery.RenewAck{Manager: m.nd.n.ID},
-		})
+		m.nd.nw.SendUDP(m.nd.n.ID, from, netsim.Outgoing{ // lease upkeep, excluded from update effort
+			Packet: wire.Packet{Kind: wire.RenewAck, Manager: m.nd.n.ID}})
 		if m.inconsistent.ShouldRetry(from) {
 			m.prop.Notify(from, m.record(), m.sd.Version())
 		}
@@ -366,19 +329,16 @@ func (m *ManagerRole) onSubscriptionRenew(from netsim.NodeID, p discovery.Renew)
 	if !m.nd.cfg.Techniques.Has(core.PR4) {
 		return
 	}
-	m.nd.nw.SendUDP(m.nd.n.ID, from, netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.ResubscribeRequest{}),
-		Counted: true,
-		Payload: discovery.ResubscribeRequest{Manager: m.nd.n.ID},
-	})
+	m.nd.nw.SendUDP(m.nd.n.ID, from, netsim.Outgoing{Counted: true,
+		Packet: wire.Packet{Kind: wire.ResubscribeRequest, Manager: m.nd.n.ID}})
 }
 
 // onSubscriberAck ends the retransmission schedule and clears SRN2 state.
-func (m *ManagerRole) onSubscriberAck(from netsim.NodeID, p discovery.UpdateAck) {
-	m.prop.Ack(from, p.Version)
-	m.inconsistent.AckVersion(from, p.Version)
+func (m *ManagerRole) onSubscriberAck(from netsim.NodeID, version uint64) {
+	m.prop.Ack(from, version)
+	m.inconsistent.AckVersion(from, version)
 	if m.nd.cfg.CriticalUpdates {
-		m.history.Confirm(from, p.Version)
+		m.history.Confirm(from, version)
 	}
 }
 
@@ -401,26 +361,14 @@ func (m *ManagerRole) onSubscriptionExpired(user netsim.NodeID) {
 }
 
 // onMulticastSearch answers a matching multicast query directly (PR5a).
-func (m *ManagerRole) onMulticastSearch(from netsim.NodeID, s discovery.Search) {
-	if !s.Q.Matches(m.sd) {
+func (m *ManagerRole) onMulticastSearch(from netsim.NodeID, q *discovery.Query) {
+	if !q.Matches(m.sd) {
 		return
 	}
-	if m.replyOut.Payload == nil || m.replyVersion != m.sd.Version() {
-		m.replyOut = netsim.Outgoing{
-			Kind:    discovery.Kind(discovery.SearchReply{}),
-			Counted: true,
-			Payload: discovery.SearchReply{Recs: []discovery.ServiceRecord{m.record()}},
-		}
-		m.replyVersion = m.sd.Version()
-	}
-	m.nd.nw.SendUDP(m.nd.n.ID, from, m.replyOut)
+	m.nd.nw.SendUDP(m.nd.n.ID, from, netsim.Outgoing{Counted: true, Packet: m.carrying(wire.SearchReply)})
 }
 
 // onGet serves the current description (SRC2 missed-update requests).
 func (m *ManagerRole) onGet(from netsim.NodeID) {
-	m.nd.nw.SendUDP(m.nd.n.ID, from, netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.GetReply{}),
-		Counted: true,
-		Payload: discovery.GetReply{Rec: m.record()},
-	})
+	m.nd.nw.SendUDP(m.nd.n.ID, from, netsim.Outgoing{Counted: true, Packet: m.carrying(wire.GetReply)})
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/discovery"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // Node is one FRODO device. Its behaviour is composed from its device
@@ -296,16 +297,19 @@ func (nd *Node) Registry() *RegistryRole { return nd.registry }
 // answers with unicast Registry info, which "allows faster discovery of
 // the Registry" than waiting for its periodic train.
 func (nd *Node) announcePresence() {
-	role := discovery.RoleUser
+	role := wire.RoleUser
 	if nd.manager != nil && nd.user == nil {
-		role = discovery.RoleManager
+		role = wire.RoleManager
 	}
-	nd.nw.Multicast(nd.n.ID, DiscoveryGroup, netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.Announce{}),
-		Counted: true,
-		Topic:   TopicPresence,
-		Payload: discovery.Announce{Role: role, Power: nd.power},
-	}, 1)
+	nd.nw.Multicast(nd.n.ID, DiscoveryGroup, netsim.Outgoing{Counted: true, Topic: TopicPresence,
+		Packet: wire.Packet{Kind: wire.Announce, Role: role, N: uint64(nd.power)}}, 1)
+}
+
+// registryAnnounce is the Central's claim: its election power and how
+// long receivers may cache it.
+func (nd *Node) registryAnnounce() wire.Packet {
+	return wire.Packet{Kind: wire.Announce, Role: wire.RoleRegistry, N: uint64(nd.power),
+		Lease: nd.cfg.CacheLease}
 }
 
 // setCentral adopts a (possibly new) Central and refreshes its lease.
@@ -390,40 +394,41 @@ func (nd *Node) centralGone() {
 
 // Deliver implements netsim.Endpoint, routing traffic to the roles.
 func (nd *Node) Deliver(msg *netsim.Message) {
-	switch p := msg.Payload.(type) {
-	case ElectionAnnounce:
-		nd.onCandidate(msg.From, p.Power)
-	case AppointBackup:
+	p := &msg.Packet
+	switch p.Kind {
+	case wire.ElectionAnnounce:
+		nd.onCandidate(msg.From, int(p.N))
+	case wire.AppointBackup:
 		if nd.class == Class300D {
-			nd.ensureRegistry().onAppointBackup(msg.From, p)
+			nd.ensureRegistry().onAppointBackup(msg.From, p.Recs)
 		}
-	case discovery.Announce:
+	case wire.Announce:
 		nd.onAnnounce(msg, p)
-	case discovery.Search:
-		nd.onSearch(msg, p)
-	case discovery.SearchReply:
+	case wire.Search:
+		nd.onSearch(msg, p.Q)
+	case wire.SearchReply:
 		if nd.user != nil {
-			nd.user.onSearchReply(msg.From, p)
+			nd.user.onSearchReply(p.Records())
 		}
-	case discovery.Register:
+	case wire.Register:
 		if nd.IsCentral() {
 			nd.registry.onRegister(msg.From, p)
 		}
-	case discovery.RegisterAck:
+	case wire.RegisterAck:
 		if nd.manager != nil {
 			nd.manager.onRegisterAck(msg.From)
 		}
-	case discovery.Subscribe:
+	case wire.Subscribe:
 		nd.onSubscribe(msg, p)
-	case discovery.SubscribeAck:
+	case wire.SubscribeAck:
 		if nd.user != nil {
-			nd.user.onSubscribeAck(msg.From, p)
+			nd.user.onSubscribeAck(msg.From, p.Record())
 		}
-	case discovery.Renew:
+	case wire.Renew:
 		nd.onRenew(msg, p)
-	case discovery.RenewAck:
-		nd.onRenewAck(msg, p)
-	case discovery.RenewError:
+	case wire.RenewAck:
+		nd.onRenewAck(msg, p.Manager)
+	case wire.RenewError:
 		if p.Manager == netsim.NoNode {
 			if nd.user != nil {
 				nd.user.onInterestError()
@@ -433,26 +438,26 @@ func (nd *Node) Deliver(msg *netsim.Message) {
 		if nd.manager != nil {
 			nd.manager.onRenewError(msg.From)
 		}
-	case discovery.Update:
+	case wire.Update:
 		nd.onUpdate(msg, p)
-	case discovery.UpdateAck:
+	case wire.UpdateAck:
 		nd.onUpdateAck(msg, p)
-	case discovery.Get:
-		nd.onGet(msg, p)
-	case discovery.GetReply:
+	case wire.Get:
+		nd.onGet(msg, p.Manager)
+	case wire.GetReply:
 		if nd.user != nil {
-			nd.user.onGetReply(msg.From, p)
+			nd.user.onGetReply(p.Record())
 		}
-	case discovery.ResubscribeRequest:
+	case wire.ResubscribeRequest:
 		if nd.user != nil {
-			nd.user.onResubscribeRequest(msg.From, p)
+			nd.user.onResubscribeRequest(msg.From, p.Manager)
 		}
-	case discovery.ManagerGone:
+	case wire.ManagerGone:
 		if nd.user != nil {
-			nd.user.onManagerGone(msg.From, p)
+			nd.user.onManagerGone(msg.From, p.Manager)
 		}
-	case discovery.Bye:
-		nd.onBye(msg.From, p)
+	case wire.Bye:
+		nd.onBye(msg.From, p.Role)
 	}
 }
 
@@ -461,8 +466,8 @@ func (nd *Node) Deliver(msg *netsim.Message) {
 // discovery immediately instead of waiting out CentralTimeout. Any other
 // Bye is a departing Manager/User whose leases are evicted now. Handling
 // is unconditional: baseline runs never send a Bye.
-func (nd *Node) onBye(from netsim.NodeID, p discovery.Bye) {
-	if p.Role == discovery.RoleRegistry {
+func (nd *Node) onBye(from netsim.NodeID, role wire.Role) {
+	if role == wire.RoleRegistry {
 		if from == nd.central && !nd.IsCentral() {
 			nd.centralLease.Clear()
 			nd.centralGone()
@@ -477,9 +482,9 @@ func (nd *Node) onBye(from netsim.NodeID, p discovery.Bye) {
 	}
 }
 
-func (nd *Node) onAnnounce(msg *netsim.Message, a discovery.Announce) {
-	if a.Role == discovery.RoleRegistry {
-		nd.setCentral(msg.From, a.Power)
+func (nd *Node) onAnnounce(msg *netsim.Message, a *wire.Packet) {
+	if a.Role == wire.RoleRegistry {
+		nd.setCentral(msg.From, int(a.N))
 		if nd.user != nil && msg.From == nd.central {
 			nd.user.onCentralAnnounce()
 		}
@@ -488,32 +493,27 @@ func (nd *Node) onAnnounce(msg *netsim.Message, a discovery.Announce) {
 	// A presence announcement from a node still searching for the
 	// Central: answer with unicast Registry info if we are it.
 	if nd.IsCentral() {
-		nd.nw.SendUDP(nd.n.ID, msg.From, netsim.Outgoing{
-			Kind:    discovery.Kind(discovery.Announce{}),
-			Counted: true,
-			Payload: discovery.Announce{Role: discovery.RoleRegistry, Power: nd.power,
-				CacheLease: nd.cfg.CacheLease},
-		})
+		nd.nw.SendUDP(nd.n.ID, msg.From, netsim.Outgoing{Counted: true, Packet: nd.registryAnnounce()})
 	}
 }
 
-func (nd *Node) onSearch(msg *netsim.Message, s discovery.Search) {
+func (nd *Node) onSearch(msg *netsim.Message, q *discovery.Query) {
 	if msg.Multicast {
 		// PR5a: multicast queries are answered by matching Managers
 		// directly.
 		if nd.manager != nil {
-			nd.manager.onMulticastSearch(msg.From, s)
+			nd.manager.onMulticastSearch(msg.From, q)
 		}
 		return
 	}
 	if nd.IsCentral() {
-		nd.registry.onSearch(msg.From, s)
+		nd.registry.onSearch(msg.From, q)
 	}
 }
 
-func (nd *Node) onSubscribe(msg *netsim.Message, p discovery.Subscribe) {
+func (nd *Node) onSubscribe(msg *netsim.Message, p *wire.Packet) {
 	if p.Manager == nd.n.ID && nd.manager != nil {
-		nd.manager.onSubscribe(msg.From, p)
+		nd.manager.onSubscribe(msg.From, p.Lease)
 		return
 	}
 	if nd.IsCentral() {
@@ -521,7 +521,7 @@ func (nd *Node) onSubscribe(msg *netsim.Message, p discovery.Subscribe) {
 	}
 }
 
-func (nd *Node) onRenew(msg *netsim.Message, p discovery.Renew) {
+func (nd *Node) onRenew(msg *netsim.Message, p *wire.Packet) {
 	switch {
 	case p.Manager == msg.From:
 		// Registration lease renewal from a Manager.
@@ -530,7 +530,7 @@ func (nd *Node) onRenew(msg *netsim.Message, p discovery.Renew) {
 		}
 	case p.Manager == nd.n.ID && nd.manager != nil:
 		// 2-party subscription renewal addressed to our Manager role.
-		nd.manager.onSubscriptionRenew(msg.From, p)
+		nd.manager.onSubscriptionRenew(msg.From, p.Lease)
 	default:
 		// 3-party subscription renewal at the Central.
 		if nd.IsCentral() {
@@ -539,53 +539,53 @@ func (nd *Node) onRenew(msg *netsim.Message, p discovery.Renew) {
 	}
 }
 
-func (nd *Node) onRenewAck(msg *netsim.Message, p discovery.RenewAck) {
-	if p.Manager == nd.n.ID && nd.manager != nil {
+func (nd *Node) onRenewAck(msg *netsim.Message, manager netsim.NodeID) {
+	if manager == nd.n.ID && nd.manager != nil {
 		nd.manager.onRegistrationRenewAck(msg.From)
 		return
 	}
 	if nd.user != nil {
-		nd.user.onRenewAck(msg.From, p)
+		nd.user.onRenewAck(msg.From)
 	}
 }
 
-func (nd *Node) onUpdate(msg *netsim.Message, p discovery.Update) {
+func (nd *Node) onUpdate(msg *netsim.Message, p *wire.Packet) {
 	if p.ForRegistry {
 		if nd.IsCentral() {
-			nd.registry.onUpdate(msg.From, p)
+			nd.registry.onUpdate(msg.From, p.Record(), p.N)
 		}
 		return
 	}
 	if nd.user != nil {
-		nd.user.onUpdate(msg.From, p)
+		nd.user.onUpdate(msg.From, p.Record(), p.N)
 	}
 }
 
-func (nd *Node) onUpdateAck(msg *netsim.Message, p discovery.UpdateAck) {
-	if p.SenderRole == discovery.RoleRegistry {
+func (nd *Node) onUpdateAck(msg *netsim.Message, p *wire.Packet) {
+	if p.Role == wire.RoleRegistry {
 		// The Central confirmed our repository update.
 		if nd.manager != nil {
-			nd.manager.onCentralUpdateAck(p)
+			nd.manager.onCentralUpdateAck(p.N)
 		}
 		return
 	}
 	// A subscriber's acknowledgement: route to whoever notified it.
 	if p.Manager == nd.n.ID && nd.manager != nil {
-		nd.manager.onSubscriberAck(msg.From, p)
+		nd.manager.onSubscriberAck(msg.From, p.N)
 		return
 	}
 	if nd.registry != nil && nd.registry.active {
-		nd.registry.onSubscriberAck(msg.From, p)
+		nd.registry.onSubscriberAck(msg.From, p.Manager, p.N)
 	}
 }
 
-func (nd *Node) onGet(msg *netsim.Message, p discovery.Get) {
-	if p.Manager == nd.n.ID && nd.manager != nil {
+func (nd *Node) onGet(msg *netsim.Message, manager netsim.NodeID) {
+	if manager == nd.n.ID && nd.manager != nil {
 		nd.manager.onGet(msg.From)
 		return
 	}
 	if nd.IsCentral() {
-		nd.registry.onGet(msg.From, p)
+		nd.registry.onGet(msg.From, manager)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"repro/internal/discovery"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // propagator drives acknowledged update notifications to a set of Users,
@@ -16,10 +17,8 @@ import (
 //
 // Notification state is pooled: each pendingNotify embeds its retry
 // schedule, records come from chunks the propagator allocates itself, and
-// recycled ones are reused for later notifications. The wire payload is
-// boxed once per change, not once per User: consecutive Notify calls for
-// the same record and sequence number share one boxed Update, which
-// carries the immutable description snapshot — no copies.
+// recycled ones are reused for later notifications. Each attempt sends
+// the record and sequence number the notification holds, by value.
 type propagator struct {
 	k      *sim.Kernel
 	nw     *netsim.Network
@@ -32,12 +31,6 @@ type propagator struct {
 	pending map[netsim.NodeID]*pendingNotify
 	free    *pendingNotify
 	grown   int // length of the last record chunk
-
-	// out is the boxed Update for (outRec, outSeq), reused while Notify is
-	// called for the same change.
-	out    netsim.Outgoing
-	outRec discovery.ServiceRecord
-	outSeq uint64
 }
 
 type pendingNotify struct {
@@ -45,9 +38,6 @@ type pendingNotify struct {
 	user netsim.NodeID
 	rec  discovery.ServiceRecord
 	seq  uint64
-	// out is the boxed wire payload, shared by every attempt and by every
-	// User notified of the same change.
-	out netsim.Outgoing
 
 	retry core.Retry
 	next  *pendingNotify // free-list link while recycled
@@ -56,7 +46,8 @@ type pendingNotify struct {
 // Static retry callbacks shared by every notification.
 func notifySend(x any, _ int) {
 	pn := x.(*pendingNotify)
-	pn.p.nw.SendUDP(pn.p.from, pn.user, pn.out)
+	pn.p.nw.SendUDP(pn.p.from, pn.user, netsim.Outgoing{Counted: true, Packet: wire.Packet{
+		Kind: wire.Update, Manager: pn.rec.Manager, SD: pn.rec.SD, N: pn.seq}})
 }
 
 func notifyExhausted(x any) {
@@ -97,7 +88,6 @@ func (p *propagator) alloc() *pendingNotify {
 
 func (p *propagator) release(pn *pendingNotify) {
 	pn.rec = discovery.ServiceRecord{}
-	pn.out = netsim.Outgoing{}
 	pn.next = p.free
 	p.free = pn
 }
@@ -117,15 +107,6 @@ func (p *propagator) Notify(user netsim.NodeID, rec discovery.ServiceRecord, seq
 	}
 	pn.rec = rec
 	pn.seq = seq
-	if p.out.Payload == nil || p.outRec != rec || p.outSeq != seq {
-		p.out = netsim.Outgoing{
-			Kind:    discovery.Kind(discovery.Update{}),
-			Counted: true,
-			Payload: discovery.Update{Rec: rec, Seq: seq},
-		}
-		p.outRec, p.outSeq = rec, seq
-	}
-	pn.out = p.out
 	pn.retry.SetPolicy(p.policy)
 	pn.retry.Start()
 }
@@ -172,7 +153,6 @@ func (p *propagator) Rearm() {
 		delete(p.pending, user)
 		p.release(pn)
 	}
-	p.out, p.outRec, p.outSeq = netsim.Outgoing{}, discovery.ServiceRecord{}, 0
 }
 
 // Outstanding reports how many notifications are still unacknowledged.

@@ -7,6 +7,7 @@ import (
 	"repro/internal/discovery"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // propRig wires a propagator from node 0 towards nodes 1..n with
@@ -28,7 +29,7 @@ func newPropRig(t *testing.T, n int, policy core.RetryPolicy) *propRig {
 		id := netsim.NodeID(i + 1)
 		node := r.nw.AddNode("user")
 		node.SetEndpoint(netsim.EndpointFunc(func(m *netsim.Message) {
-			if _, ok := m.Payload.(discovery.Update); ok {
+			if m.Packet.Kind == wire.Update {
 				r.delivered[id]++
 			}
 		}))
@@ -132,7 +133,7 @@ func TestPropagatorRecordIsolation(t *testing.T) {
 	r := newPropRig(t, 1, core.RetryPolicy{Interval: 5 * sim.Second, Limit: 3})
 	var got discovery.ServiceRecord
 	r.nw.Node(1).SetEndpoint(netsim.EndpointFunc(func(m *netsim.Message) {
-		got = m.Payload.(discovery.Update).Rec
+		got = m.Packet.Record()
 	}))
 	rec := propRec(2)
 	r.prop.Notify(1, rec, 2)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/discovery"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // subKey identifies one 3-party subscription at the Central.
@@ -51,15 +52,14 @@ type RegistryRole struct {
 	// existing registrations via the immediate query reply.
 	interests discovery.LeaseTable[netsim.NodeID, discovery.Query]
 
-	// Search-reply cache, content-addressed: replies are rebuilt into a
-	// reusable scratch and only boxed afresh when the match set actually
-	// differs from the last reply sent. At boot every User queries for
-	// the same requirement against a stable repository, so one boxed
-	// reply (and its record slice, shared read-only) serves the whole
-	// population. searchRecs is immutable once published in searchOut.
+	// Search-reply records, content-addressed: matches are collected into
+	// a reusable scratch and only copied afresh when the match set
+	// differs from the last reply's. At boot every User queries for the
+	// same requirement against a stable repository, so one record slice,
+	// shared read-only, serves the whole population. searchRecs is
+	// immutable once sent, and non-nil (a list) once built.
 	searchScratch []discovery.ServiceRecord
 	searchRecs    []discovery.ServiceRecord
-	searchOut     netsim.Outgoing
 
 	prop *propagator
 	// inconsistent is SRN2 run by the Central on behalf of the
@@ -89,12 +89,7 @@ func newRegistryRole(nd *Node) *RegistryRole {
 	r.registrations.SetStrict(nd.cfg.Hardened)
 	r.subs.SetStrict(nd.cfg.Hardened)
 	r.interests.SetStrict(nd.cfg.Hardened)
-	announceOut := netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.Announce{}),
-		Counted: true,
-		Payload: discovery.Announce{Role: discovery.RoleRegistry, Power: nd.power,
-			CacheLease: nd.cfg.CacheLease},
-	}
+	announceOut := netsim.Outgoing{Counted: true, Packet: nd.registryAnnounce()}
 	r.announcer = core.NewAnnouncer(nd.nw, nd.n.ID, DiscoveryGroup,
 		nd.cfg.AnnouncePeriod, nd.cfg.AnnounceCopies, func() netsim.Outgoing { return announceOut })
 	retry := nd.cfg.NotifyRetry
@@ -127,7 +122,6 @@ func (r *RegistryRole) rearm() {
 	}
 	clear(r.provisional)
 	r.searchRecs = nil
-	r.searchOut = netsim.Outgoing{}
 }
 
 // onNotifyExhausted hands an undeliverable notification to SRN2.
@@ -196,11 +190,8 @@ func (r *RegistryRole) deactivate() {
 	r.announcer.Stop()
 	r.prop.CancelAll()
 	if r.nd.cfg.Hardened {
-		r.nd.nw.Multicast(r.nd.n.ID, DiscoveryGroup, netsim.Outgoing{
-			Kind:    discovery.Kind(discovery.Bye{}),
-			Counted: true,
-			Payload: discovery.Bye{Role: discovery.RoleRegistry},
-		}, 1)
+		r.nd.nw.Multicast(r.nd.n.ID, DiscoveryGroup, netsim.Outgoing{Counted: true,
+			Packet: wire.Packet{Kind: wire.Bye, Role: wire.RoleRegistry}}, 1)
 	}
 }
 
@@ -255,13 +246,13 @@ func (r *RegistryRole) takeover() {
 
 // onAppointBackup installs this node as the Backup and stores the synced
 // registry state.
-func (r *RegistryRole) onAppointBackup(from netsim.NodeID, p AppointBackup) {
+func (r *RegistryRole) onAppointBackup(from netsim.NodeID, recs []discovery.ServiceRecord) {
 	if r.active {
 		return
 	}
 	r.backup = true
 	r.appointedBy = from
-	r.backupRecs = append(r.backupRecs[:0], p.Recs...)
+	r.backupRecs = append(r.backupRecs[:0], recs...)
 	r.backupMonitor.SetAfter(r.nd.cfg.BackupTimeout)
 }
 
@@ -284,33 +275,26 @@ func (r *RegistryRole) syncBackup() {
 	r.registrations.Each(func(_ netsim.NodeID, rec discovery.ServiceRecord) {
 		recs = append(recs, rec)
 	})
-	r.nd.nw.SendUDP(r.nd.n.ID, r.backupID, netsim.Outgoing{
-		Kind:    kindOf(AppointBackup{}),
-		Counted: true,
-		Payload: AppointBackup{Recs: recs},
-	})
+	r.nd.nw.SendUDP(r.nd.n.ID, r.backupID, netsim.Outgoing{Counted: true,
+		Packet: wire.Packet{Kind: wire.AppointBackup, Recs: recs}})
 }
 
 // onRegister stores the Manager's service. A new registration — or a
 // re-registration with changed content — triggers PR1: "When the Manager
 // re-registers, the Registry notifies interested Users of the new
 // registration."
-func (r *RegistryRole) onRegister(from netsim.NodeID, p discovery.Register) {
+func (r *RegistryRole) onRegister(from netsim.NodeID, p *wire.Packet) {
 	prev, existed := r.registrations.Get(from)
 	lease := p.Lease
 	if lease <= 0 {
 		lease = r.nd.cfg.RegistrationLease
 	}
-	r.registrations.Put(from, p.Rec, lease)
+	r.registrations.Put(from, p.Record(), lease)
 	delete(r.provisional, from) // a real Register establishes the lease
-	r.nd.nw.SendUDP(r.nd.n.ID, from, netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.RegisterAck{}),
-		Counted: true,
-		Payload: discovery.RegisterAck{},
-	})
-	if !existed || prev.SD.Version() != p.Rec.SD.Version() {
+	r.nd.nw.SendUDP(r.nd.n.ID, from, netsim.Outgoing{Counted: true, Packet: wire.Packet{Kind: wire.RegisterAck}})
+	if !existed || prev.SD.Version() != p.SD.Version() {
 		if r.nd.cfg.Techniques.Has(core.PR1) {
-			r.notifyInterested(p.Rec)
+			r.notifyInterested(p.Record())
 		}
 		r.syncBackup()
 	}
@@ -344,9 +328,9 @@ func (r *RegistryRole) notifyInterested(rec discovery.ServiceRecord) {
 // onUpdate handles a Manager's repository update (Fig. 1): refresh the
 // stored record, acknowledge, and propagate to 3-party subscribers with
 // the SRN1 retransmission schedule (exhaustions fall through to SRN2).
-func (r *RegistryRole) onUpdate(from netsim.NodeID, p discovery.Update) {
+func (r *RegistryRole) onUpdate(from netsim.NodeID, rec discovery.ServiceRecord, seq uint64) {
 	healed := false
-	if !r.registrations.Update(from, p.Rec) {
+	if !r.registrations.Update(from, rec) {
 		if r.nd.cfg.Hardened {
 			// Hardened registries never heal the repository silently: the
 			// registration lease expired, so the Manager must re-register
@@ -363,100 +347,85 @@ func (r *RegistryRole) onUpdate(from netsim.NodeID, p discovery.Update) {
 		// notified exactly as for an explicit re-registration (PR1) —
 		// otherwise the healed registration would be invisible to Users
 		// whose only hope is the Registry's push.
-		r.registrations.Put(from, p.Rec, r.nd.cfg.RegistrationLease)
+		r.registrations.Put(from, rec, r.nd.cfg.RegistrationLease)
 		healed = true
 	}
-	r.nd.nw.SendUDP(r.nd.n.ID, from, netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.UpdateAck{}),
-		Counted: true,
-		Payload: discovery.UpdateAck{Manager: from, Version: p.Rec.SD.Version(),
-			SenderRole: discovery.RoleRegistry},
-	})
-	r.inconsistentFor(from).ResetVersion(p.Rec.SD.Version())
+	r.nd.nw.SendUDP(r.nd.n.ID, from, netsim.Outgoing{Counted: true, Packet: wire.Packet{Kind: wire.UpdateAck,
+		Manager: from, N: rec.SD.Version(), Role: wire.RoleRegistry}})
+	r.inconsistentFor(from).ResetVersion(rec.SD.Version())
 	if healed {
 		if r.nd.cfg.Techniques.Has(core.PR1) {
-			r.notifyInterested(p.Rec)
+			r.notifyInterested(rec)
 		}
 		r.syncBackup()
 		return
 	}
 	r.subs.Each(func(k subKey, _ struct{}) {
 		if k.manager == from {
-			r.prop.Notify(k.user, p.Rec, p.Seq)
+			r.prop.Notify(k.user, rec, seq)
 		}
 	})
 }
 
 // onSubscriberAck stops the retransmission schedule for an acknowledged
 // update and clears the User's SRN2 mark.
-func (r *RegistryRole) onSubscriberAck(from netsim.NodeID, p discovery.UpdateAck) {
-	r.prop.Ack(from, p.Version)
-	if set, ok := r.inconsistent[p.Manager]; ok {
-		set.AckVersion(from, p.Version)
+func (r *RegistryRole) onSubscriberAck(from, manager netsim.NodeID, version uint64) {
+	r.prop.Ack(from, version)
+	if set, ok := r.inconsistent[manager]; ok {
+		set.AckVersion(from, version)
 	}
 }
 
 // onSearch answers a unicast query and records the standing interest.
-// The reply is content-addressed against the last one sent: matches are
-// collected into a reusable scratch, and only a changed match set builds
-// (and boxes) a fresh reply.
-func (r *RegistryRole) onSearch(from netsim.NodeID, s discovery.Search) {
-	r.interests.Put(from, s.Q, r.nd.cfg.SubscriptionLease)
+// The reply's records are content-addressed against the last reply's:
+// matches are collected into a reusable scratch, and only a changed match
+// set copies a fresh record list.
+func (r *RegistryRole) onSearch(from netsim.NodeID, q *discovery.Query) {
+	r.interests.Put(from, *q, r.nd.cfg.SubscriptionLease)
 	scratch := r.searchScratch[:0]
 	r.registrations.Each(func(_ netsim.NodeID, rec discovery.ServiceRecord) {
-		if s.Q.Matches(rec.SD) {
+		if q.Matches(rec.SD) {
 			scratch = append(scratch, rec)
 		}
 	})
 	r.searchScratch = scratch
-	if r.searchOut.Payload == nil || !slices.Equal(scratch, r.searchRecs) {
-		r.searchRecs = slices.Clone(scratch)
-		r.searchOut = netsim.Outgoing{
-			Kind:    discovery.Kind(discovery.SearchReply{}),
-			Counted: true,
-			Payload: discovery.SearchReply{Recs: r.searchRecs},
-		}
+	if r.searchRecs == nil || !slices.Equal(scratch, r.searchRecs) {
+		r.searchRecs = append(make([]discovery.ServiceRecord, 0, len(scratch)), scratch...)
 	}
-	r.nd.nw.SendUDP(r.nd.n.ID, from, r.searchOut)
+	r.nd.nw.SendUDP(r.nd.n.ID, from, netsim.Outgoing{Counted: true,
+		Packet: wire.Packet{Kind: wire.SearchReply, Recs: r.searchRecs}})
 }
 
 // onGet serves the current record (SRC2 missed-update requests).
-func (r *RegistryRole) onGet(from netsim.NodeID, p discovery.Get) {
-	rec, ok := r.registrations.Get(p.Manager)
+func (r *RegistryRole) onGet(from, manager netsim.NodeID) {
+	rec, ok := r.registrations.Get(manager)
 	if !ok {
 		return
 	}
-	r.nd.nw.SendUDP(r.nd.n.ID, from, netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.GetReply{}),
-		Counted: true,
-		Payload: discovery.GetReply{Rec: rec},
-	})
+	r.nd.nw.SendUDP(r.nd.n.ID, from, netsim.Outgoing{Counted: true,
+		Packet: wire.Packet{Kind: wire.GetReply, Manager: rec.Manager, SD: rec.SD}})
 }
 
 // onSubscribe stores a 3-party subscription; the acknowledgement carries
 // the current service state, which is how PR3 resubscription restores
 // consistency.
-func (r *RegistryRole) onSubscribe(from netsim.NodeID, p discovery.Subscribe) {
+func (r *RegistryRole) onSubscribe(from netsim.NodeID, p *wire.Packet) {
 	lease := p.Lease
 	if lease <= 0 {
 		lease = r.nd.cfg.SubscriptionLease
 	}
 	r.subs.Put(subKey{user: from, manager: p.Manager}, struct{}{}, lease)
-	ack := discovery.SubscribeAck{Manager: p.Manager}
+	ack := wire.Packet{Kind: wire.SubscribeAck, Manager: p.Manager}
 	if rec, ok := r.registrations.Get(p.Manager); ok {
-		ack.Rec = rec
+		ack.SD = rec.SD
 	}
-	r.nd.nw.SendUDP(r.nd.n.ID, from, netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.SubscribeAck{}),
-		Counted: true,
-		Payload: ack,
-	})
+	r.nd.nw.SendUDP(r.nd.n.ID, from, netsim.Outgoing{Counted: true, Packet: ack})
 }
 
 // onSubscriptionRenew extends a live subscription; a renewal for a purged
 // one triggers PR3: "Registry requests the User to resubscribe." The
 // response to the resubscription is the updated service description.
-func (r *RegistryRole) onSubscriptionRenew(from netsim.NodeID, p discovery.Renew) {
+func (r *RegistryRole) onSubscriptionRenew(from netsim.NodeID, p *wire.Packet) {
 	lease := p.Lease
 	if lease <= 0 {
 		lease = r.nd.cfg.SubscriptionLease
@@ -467,20 +436,14 @@ func (r *RegistryRole) onSubscriptionRenew(from netsim.NodeID, p discovery.Renew
 		if r.interests.Renew(from, lease) {
 			return
 		}
-		r.nd.nw.SendUDP(r.nd.n.ID, from, netsim.Outgoing{
-			Kind:    discovery.Kind(discovery.RenewError{}),
-			Counted: true,
-			Payload: discovery.RenewError{Manager: netsim.NoNode},
-		})
+		r.nd.nw.SendUDP(r.nd.n.ID, from, netsim.Outgoing{Counted: true,
+			Packet: wire.Packet{Kind: wire.RenewError, Manager: netsim.NoNode}})
 		return
 	}
 	r.interests.Renew(from, lease)
 	if r.subs.Renew(subKey{user: from, manager: p.Manager}, lease) {
-		r.nd.nw.SendUDP(r.nd.n.ID, from, netsim.Outgoing{
-			Kind:    discovery.Kind(discovery.RenewAck{}),
-			Counted: false, // lease upkeep, excluded from update effort
-			Payload: discovery.RenewAck{Manager: p.Manager},
-		})
+		r.nd.nw.SendUDP(r.nd.n.ID, from, netsim.Outgoing{ // lease upkeep, excluded from update effort
+			Packet: wire.Packet{Kind: wire.RenewAck, Manager: p.Manager}})
 		// SRN2, delegated: retry the notification this User missed.
 		if set, ok := r.inconsistent[p.Manager]; ok && set.ShouldRetry(from) {
 			if rec, live := r.registrations.Get(p.Manager); live {
@@ -492,11 +455,8 @@ func (r *RegistryRole) onSubscriptionRenew(from netsim.NodeID, p discovery.Renew
 	if !r.nd.cfg.Techniques.Has(core.PR3) {
 		return
 	}
-	r.nd.nw.SendUDP(r.nd.n.ID, from, netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.ResubscribeRequest{}),
-		Counted: true,
-		Payload: discovery.ResubscribeRequest{Manager: p.Manager},
-	})
+	r.nd.nw.SendUDP(r.nd.n.ID, from, netsim.Outgoing{Counted: true,
+		Packet: wire.Packet{Kind: wire.ResubscribeRequest, Manager: p.Manager}})
 }
 
 // onRegistrationRenew extends a Manager's registration lease. Renewals
@@ -505,17 +465,14 @@ func (r *RegistryRole) onSubscriptionRenew(from netsim.NodeID, p discovery.Renew
 // registries also refuse renewals racing the purge (a strict table) and
 // renewals of Backup-seeded registrations no Register ever established
 // (provisional is empty unless hardened).
-func (r *RegistryRole) onRegistrationRenew(from netsim.NodeID, p discovery.Renew) {
+func (r *RegistryRole) onRegistrationRenew(from netsim.NodeID, p *wire.Packet) {
 	lease := p.Lease
 	if lease <= 0 {
 		lease = r.nd.cfg.RegistrationLease
 	}
 	if !r.provisional[from] && r.registrations.Renew(from, lease) {
-		r.nd.nw.SendUDP(r.nd.n.ID, from, netsim.Outgoing{
-			Kind:    discovery.Kind(discovery.RenewAck{}),
-			Counted: false, // lease upkeep, excluded from update effort
-			Payload: discovery.RenewAck{Manager: from},
-		})
+		r.nd.nw.SendUDP(r.nd.n.ID, from, netsim.Outgoing{ // lease upkeep, excluded from update effort
+			Packet: wire.Packet{Kind: wire.RenewAck, Manager: from}})
 		return
 	}
 	r.renewError(from)
@@ -524,11 +481,8 @@ func (r *RegistryRole) onRegistrationRenew(from netsim.NodeID, p discovery.Renew
 // renewError tells a Manager its registration lease is gone; its handler
 // re-registers in full (PR1).
 func (r *RegistryRole) renewError(from netsim.NodeID) {
-	r.nd.nw.SendUDP(r.nd.n.ID, from, netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.RenewError{}),
-		Counted: true,
-		Payload: discovery.RenewError{Manager: from},
-	})
+	r.nd.nw.SendUDP(r.nd.n.ID, from, netsim.Outgoing{Counted: true,
+		Packet: wire.Packet{Kind: wire.RenewError, Manager: from}})
 }
 
 // onRegistrationExpired is the purge half of PR5 in 3-party mode: "the
@@ -543,11 +497,8 @@ func (r *RegistryRole) onRegistrationExpired(manager netsim.NodeID) {
 		if k.manager != manager {
 			return
 		}
-		r.nd.nw.SendUDP(r.nd.n.ID, k.user, netsim.Outgoing{
-			Kind:    discovery.Kind(discovery.ManagerGone{}),
-			Counted: true,
-			Payload: discovery.ManagerGone{Manager: manager},
-		})
+		r.nd.nw.SendUDP(r.nd.n.ID, k.user, netsim.Outgoing{Counted: true,
+			Packet: wire.Packet{Kind: wire.ManagerGone, Manager: manager}})
 		r.prop.Cancel(k.user)
 		r.subs.Drop(k)
 	})

@@ -8,18 +8,19 @@ import (
 	"repro/internal/discovery"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // The frames each topic carries, as the senders build them. The Search
 // matches the rigs' printer, the candidacy outbids every power in them,
 // and the senders' IDs are real: a handler that acted on any of these
 // would have something to do.
-var topicFrames = map[netsim.Topic][]any{
-	TopicSearch:   {discovery.Search{Q: discovery.Query{ServiceType: "ColorPrinter"}}},
-	TopicElection: {ElectionAnnounce{Power: 1000}},
+var topicFrames = map[netsim.Topic][]wire.Packet{
+	TopicSearch:   {{Kind: wire.Search, Q: &discovery.Query{ServiceType: "ColorPrinter"}}},
+	TopicElection: {{Kind: wire.ElectionAnnounce, N: 1000}},
 	TopicPresence: {
-		discovery.Announce{Role: discovery.RoleUser, Power: 1},
-		discovery.Announce{Role: discovery.RoleManager, Power: 5},
+		{Kind: wire.Announce, Role: wire.RoleUser, N: 1},
+		{Kind: wire.Announce, Role: wire.RoleManager, N: 5},
 	},
 }
 
@@ -154,7 +155,7 @@ func TestDeclinedTopicsAreNoOps(t *testing.T) {
 					if built[i].topics().Has(topic) {
 						continue // it listens: acting is its job
 					}
-					for _, payload := range frames {
+					for _, p := range frames {
 						// Twins: the same world twice; one is handed the
 						// frame, the other is what "unchanged" means.
 						w, twin := newTopicWorld(t, twoParty, moment.at), newTopicWorld(t, twoParty, moment.at)
@@ -163,15 +164,15 @@ func TestDeclinedTopicsAreNoOps(t *testing.T) {
 						probed[fmt.Sprintf("%s declines topic %d", kind, topic)] = true
 						from := w.nodes[(i+1)%nNodes].ID()
 						nd.Deliver(&netsim.Message{From: from, To: nd.ID(), Multicast: true, Topic: topic,
-							Kind: kindOf(payload), Counted: true, Payload: payload,
+							Kind: p.Kind.String(), Counted: true, Packet: p,
 							Transport: netsim.UDP, SentAt: w.k.Now()})
 						if got, want := w.digest(), twin.digest(); got != want {
-							t.Errorf("2-party=%v, %s: %s acted on a %T it declines:\n got  %s\n want %s",
-								twoParty, moment.name, kind, payload, got, want)
+							t.Errorf("2-party=%v, %s: %s acted on a %v it declines:\n got  %s\n want %s",
+								twoParty, moment.name, kind, p.Kind, got, want)
 						}
 						if a, b := w.k.Rand().Int63(), twin.k.Rand().Int63(); a != b {
-							t.Errorf("2-party=%v, %s: %s drew randomness on a %T it declines",
-								twoParty, moment.name, kind, payload)
+							t.Errorf("2-party=%v, %s: %s drew randomness on a %v it declines",
+								twoParty, moment.name, kind, p.Kind)
 						}
 					}
 				}
@@ -202,9 +203,9 @@ func TestListenedTopicsAct(t *testing.T) {
 			twin.k.Run(200 * sim.Second)
 		}
 		nd.Deliver(&netsim.Message{From: w.userNodes[0].ID(), To: nd.ID(), Multicast: true, Topic: topic,
-			Kind: kindOf(frames[0]), Counted: true, Payload: frames[0], Transport: netsim.UDP, SentAt: w.k.Now()})
+			Kind: frames[0].Kind.String(), Counted: true, Packet: frames[0], Transport: netsim.UDP, SentAt: w.k.Now()})
 		if w.digest() == twin.digest() {
-			t.Errorf("a listening %v did nothing with a %T", nd, frames[0])
+			t.Errorf("a listening %v did nothing with a %v", nd, frames[0].Kind)
 		}
 	}
 }
@@ -220,15 +221,14 @@ func TestAttachManagerStartsListeningForSearches(t *testing.T) {
 	asker := nw.AddNode("asker")
 	replies := 0
 	asker.SetEndpoint(netsim.EndpointFunc(func(m *netsim.Message) {
-		if _, ok := m.Payload.(discovery.SearchReply); ok {
+		if m.Packet.Kind == wire.SearchReply {
 			replies++
 		}
 	}))
 	search := func() int {
 		replies = 0
-		nw.Multicast(asker.ID, DiscoveryGroup, netsim.Outgoing{
-			Kind: discovery.Kind(discovery.Search{}), Counted: true, Topic: TopicSearch,
-			Payload: discovery.Search{Q: discovery.Query{ServiceType: "ColorPrinter"}}}, 1)
+		nw.Multicast(asker.ID, DiscoveryGroup, netsim.Outgoing{Counted: true, Topic: TopicSearch,
+			Packet: wire.Packet{Kind: wire.Search, Q: &discovery.Query{ServiceType: "ColorPrinter"}}}, 1)
 		k.Run(k.Now() + sim.Second)
 		return replies
 	}
@@ -243,7 +243,7 @@ func TestAttachManagerStartsListeningForSearches(t *testing.T) {
 	nw.Rearm(k, netsim.DefaultConfig(), nw.Nodes())
 	nd.Rearm()
 	nw.Node(asker.ID).SetEndpoint(netsim.EndpointFunc(func(m *netsim.Message) {
-		if _, ok := m.Payload.(discovery.SearchReply); ok {
+		if m.Packet.Kind == wire.SearchReply {
 			replies++
 		}
 	}))

@@ -5,6 +5,7 @@ import (
 	"repro/internal/discovery"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // UserRole holds one service requirement. Discovery goes through the
@@ -47,17 +48,6 @@ type UserRole struct {
 
 	// monitor detects missed sequenced updates (SRC2, critical mode).
 	monitor core.SeqMonitor
-
-	// searchOut is the pre-built query payload (the requirement never
-	// changes); one boxed payload serves every search. subBox and
-	// renewBox are the boxed Subscribe and Renew for subMgr: boxed when a
-	// subscription names a different Manager, shared by every attempt and
-	// renewal after that. Being immutable and a pure function of subMgr,
-	// they are kept across rearm. (Payloads only, not Outgoings: that
-	// keeps UserRole in the 768-byte size class.)
-	searchOut netsim.Outgoing
-	subBox    any
-	renewBox  any
 }
 
 // Static timer, lease and retry callbacks shared by every User role.
@@ -87,12 +77,6 @@ func newUserRole(nd *Node, q discovery.Query, l discovery.ConsistencyListener) *
 		u.pollTick.Init(nd.k, nd.cfg.PollPeriod, userPoll, u)
 	}
 	u.subRetry.Init(nd.k, nd.cfg.ControlRetry, userSendSubscribe, userSubscribeExhausted, u)
-	u.searchOut = netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.Search{}),
-		Counted: true,
-		Topic:   TopicSearch, // for the multicast fallback; unicast ignores it
-		Payload: discovery.Search{Q: u.query},
-	}
 	return u
 }
 
@@ -124,11 +108,8 @@ func (u *UserRole) poll() {
 		if target == netsim.NoNode || target == u.nd.n.ID {
 			return
 		}
-		u.nd.nw.SendUDP(u.nd.n.ID, target, netsim.Outgoing{
-			Kind:    discovery.Kind(discovery.Get{}),
-			Counted: true,
-			Payload: discovery.Get{Manager: mgr},
-		})
+		u.nd.nw.SendUDP(u.nd.n.ID, target, netsim.Outgoing{Counted: true,
+			Packet: wire.Packet{Kind: wire.Get, Manager: mgr}})
 	})
 }
 
@@ -143,11 +124,8 @@ func (u *UserRole) renewInterest() {
 	if central == netsim.NoNode || central == u.nd.n.ID {
 		return
 	}
-	u.nd.nw.SendUDP(u.nd.n.ID, central, netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.Renew{}),
-		Counted: false, // lease upkeep, excluded from update effort
-		Payload: discovery.Renew{Manager: netsim.NoNode, Lease: u.nd.cfg.SubscriptionLease},
-	})
+	u.nd.nw.SendUDP(u.nd.n.ID, central, netsim.Outgoing{ // lease upkeep, excluded from update effort
+		Packet: wire.Packet{Kind: wire.Renew, Manager: netsim.NoNode, Lease: u.nd.cfg.SubscriptionLease}})
 }
 
 // onInterestError reacts to the Central rejecting an interest renewal
@@ -208,11 +186,7 @@ func (u *UserRole) stop() {
 // 2-party) and the Central carrying the standing interest — so they
 // evict now instead of retrying notifications at a recycled node slot.
 func (u *UserRole) sendByes() {
-	out := netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.Bye{}),
-		Counted: true,
-		Payload: discovery.Bye{Role: discovery.RoleUser},
-	}
+	out := netsim.Outgoing{Counted: true, Packet: wire.Packet{Kind: wire.Bye, Role: wire.RoleUser}}
 	sent := netsim.NoNode
 	if u.lessee != netsim.NoNode && u.lessee != u.nd.n.ID {
 		u.nd.nw.SendUDP(u.nd.n.ID, u.lessee, out)
@@ -250,16 +224,18 @@ func (u *UserRole) search() {
 		return
 	}
 	u.searchesLeft--
+	out := netsim.Outgoing{Counted: true, Packet: wire.Packet{Kind: wire.Search, Q: &u.query},
+		Topic: TopicSearch} // for the multicast fallback; unicast ignores it
 	if central := u.nd.central; central != netsim.NoNode && central != u.nd.n.ID {
-		u.nd.nw.SendUDP(u.nd.n.ID, central, u.searchOut)
+		u.nd.nw.SendUDP(u.nd.n.ID, central, out)
 		return
 	}
-	u.nd.nw.Multicast(u.nd.n.ID, DiscoveryGroup, u.searchOut, 1)
+	u.nd.nw.Multicast(u.nd.n.ID, DiscoveryGroup, out, 1)
 }
 
 // onSearchReply adopts matching records.
-func (u *UserRole) onSearchReply(from netsim.NodeID, p discovery.SearchReply) {
-	for _, rec := range p.Recs {
+func (u *UserRole) onSearchReply(recs []discovery.ServiceRecord) {
+	for _, rec := range recs {
 		if u.query.Matches(rec.SD) {
 			u.adopt(rec)
 		}
@@ -298,21 +274,13 @@ func (u *UserRole) subscribe(lessee, manager netsim.NodeID) {
 	u.subActive = false
 	u.lessee = lessee
 	u.subMgr = manager
-	sub := discovery.Subscribe{Manager: manager, Lease: u.nd.cfg.SubscriptionLease}
-	if p, ok := u.subBox.(discovery.Subscribe); !ok || p != sub {
-		u.subBox = sub
-		u.renewBox = discovery.Renew{Manager: manager, Lease: sub.Lease}
-	}
 	u.subRetry.Start()
 }
 
 // sendSubscribe is the subscription retry's transmission callback.
 func (u *UserRole) sendSubscribe() {
-	u.nd.nw.SendUDP(u.nd.n.ID, u.lessee, netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.Subscribe{}),
-		Counted: true,
-		Payload: u.subBox,
-	})
+	u.nd.nw.SendUDP(u.nd.n.ID, u.lessee, netsim.Outgoing{Counted: true, Packet: wire.Packet{
+		Kind: wire.Subscribe, Manager: u.subMgr, Lease: u.nd.cfg.SubscriptionLease}})
 }
 
 // subscribeExhausted backs off for a node-announce period and retries
@@ -327,7 +295,7 @@ func (u *UserRole) subscribeExhausted() {
 }
 
 // onSubscribeAck confirms the subscription and applies any initial state.
-func (u *UserRole) onSubscribeAck(from netsim.NodeID, p discovery.SubscribeAck) {
+func (u *UserRole) onSubscribeAck(from netsim.NodeID, rec discovery.ServiceRecord) {
 	if from != u.lessee {
 		return
 	}
@@ -335,8 +303,8 @@ func (u *UserRole) onSubscribeAck(from netsim.NodeID, p discovery.SubscribeAck) 
 	u.subActive = true
 	u.searchTick.Stop()
 	u.renewTick.Start(u.renewTick.Period())
-	if u.query.Matches(p.Rec.SD) {
-		u.storeRec(p.Rec)
+	if u.query.Matches(rec.SD) {
+		u.storeRec(rec)
 	}
 }
 
@@ -346,16 +314,13 @@ func (u *UserRole) renew() {
 	if !u.subActive || u.lessee == netsim.NoNode {
 		return
 	}
-	u.nd.nw.SendUDP(u.nd.n.ID, u.lessee, netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.Renew{}),
-		Counted: false, // lease upkeep, excluded from update effort
-		Payload: u.renewBox,
-	})
+	u.nd.nw.SendUDP(u.nd.n.ID, u.lessee, netsim.Outgoing{ // lease upkeep, excluded from update effort
+		Packet: wire.Packet{Kind: wire.Renew, Manager: u.subMgr, Lease: u.nd.cfg.SubscriptionLease}})
 }
 
 // onRenewAck refreshes the cached record's lease: a live subscription
 // chain keeps the cached service alive.
-func (u *UserRole) onRenewAck(from netsim.NodeID, p discovery.RenewAck) {
+func (u *UserRole) onRenewAck(from netsim.NodeID) {
 	if from != u.lessee {
 		return
 	}
@@ -380,53 +345,46 @@ func (u *UserRole) onCentralAnnounce() {
 // onResubscribeRequest complies with PR3 (from the Central) or PR4 (from
 // a 2-party Manager): subscribe again; the acknowledgement carries the
 // current service state.
-func (u *UserRole) onResubscribeRequest(from netsim.NodeID, p discovery.ResubscribeRequest) {
-	u.subscribe(from, p.Manager)
+func (u *UserRole) onResubscribeRequest(from, manager netsim.NodeID) {
+	u.subscribe(from, manager)
 }
 
 // onUpdate stores the pushed description and acknowledges it. The
 // acknowledgement is a subscriber receipt — the UDP analogue of the TCP
 // acks in Jini/UPnP — and is excluded from the update-effort count. In
 // critical mode the sequence monitor requests missed updates (SRC2).
-func (u *UserRole) onUpdate(from netsim.NodeID, p discovery.Update) {
-	if !u.query.Matches(p.Rec.SD) {
+func (u *UserRole) onUpdate(from netsim.NodeID, rec discovery.ServiceRecord, seq uint64) {
+	if !u.query.Matches(rec.SD) {
 		return
 	}
-	if u.nd.cfg.CriticalUpdates && u.nd.cfg.Techniques.Has(core.SRC2) && p.Seq > 0 {
-		if gapped, _ := u.monitor.Observe(p.Seq); gapped {
-			u.nd.nw.SendUDP(u.nd.n.ID, from, netsim.Outgoing{
-				Kind:    discovery.Kind(discovery.Get{}),
-				Counted: true,
-				Payload: discovery.Get{Manager: p.Rec.Manager},
-			})
+	if u.nd.cfg.CriticalUpdates && u.nd.cfg.Techniques.Has(core.SRC2) && seq > 0 {
+		if gapped, _ := u.monitor.Observe(seq); gapped {
+			u.nd.nw.SendUDP(u.nd.n.ID, from, netsim.Outgoing{Counted: true,
+				Packet: wire.Packet{Kind: wire.Get, Manager: rec.Manager}})
 		}
 	}
 	// Updates can be the first contact with the service (PR1 notifies
 	// standing interests): adopt establishes the subscription if needed.
-	u.adopt(p.Rec)
-	u.nd.nw.SendUDP(u.nd.n.ID, from, netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.UpdateAck{}),
-		Counted: false,
-		Payload: discovery.UpdateAck{Manager: p.Rec.Manager, Version: p.Rec.SD.Version(),
-			SenderRole: discovery.RoleUser},
-	})
+	u.adopt(rec)
+	u.nd.nw.SendUDP(u.nd.n.ID, from, netsim.Outgoing{Packet: wire.Packet{Kind: wire.UpdateAck,
+		Manager: rec.Manager, N: rec.SD.Version(), Role: wire.RoleUser}})
 }
 
 // onGetReply adopts a fetched description (SRC2 repair).
-func (u *UserRole) onGetReply(from netsim.NodeID, p discovery.GetReply) {
-	if u.query.Matches(p.Rec.SD) {
-		u.adopt(p.Rec)
+func (u *UserRole) onGetReply(rec discovery.ServiceRecord) {
+	if u.query.Matches(rec.SD) {
+		u.adopt(rec)
 	}
 }
 
 // onManagerGone is PR5 in 3-party mode: the Central purged the Manager,
 // so purge it here too and rediscover.
-func (u *UserRole) onManagerGone(from netsim.NodeID, p discovery.ManagerGone) {
+func (u *UserRole) onManagerGone(from, manager netsim.NodeID) {
 	if from != u.nd.central {
 		return
 	}
-	u.cache.Drop(p.Manager)
-	u.purgeManager(p.Manager)
+	u.cache.Drop(manager)
+	u.purgeManager(manager)
 }
 
 func (u *UserRole) purgeManager(manager netsim.NodeID) {

@@ -5,6 +5,7 @@ import (
 	"repro/internal/discovery"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // Manager is a Jini service provider. It discovers lookup services
@@ -26,37 +27,6 @@ type Manager struct {
 	// refreshed by their announcements.
 	registries discovery.LeaseTable[netsim.NodeID, struct{}]
 	renewTick  sim.Ticker
-
-	// renewOut is the pre-built lease renewal: its contents never
-	// change, so one boxed payload serves every Registry. out holds the
-	// payloads carrying the service state, boxed once per version and
-	// shared by every Registry: initialOut, built for the
-	// construction-time snapshot and restored by every rearm, or the set
-	// the last change built.
-	renewOut        netsim.Outgoing
-	out, initialOut stateOut
-}
-
-// stateOut is the boxed Update and Register for one snapshot. A box is
-// immutable once sent; new content gets a new stateOut.
-type stateOut struct {
-	update, register netsim.Outgoing
-}
-
-func newStateOut(cfg Config, manager netsim.NodeID, sd *discovery.Snapshot) stateOut {
-	rec := discovery.ServiceRecord{Manager: manager, SD: sd}
-	return stateOut{
-		update: netsim.Outgoing{
-			Kind:    discovery.Kind(discovery.Update{}),
-			Counted: true,
-			Payload: discovery.Update{Rec: rec, Seq: sd.Version()},
-		},
-		register: netsim.Outgoing{
-			Kind:    discovery.Kind(discovery.Register{}),
-			Counted: true,
-			Payload: discovery.Register{Rec: rec, Lease: cfg.RegistrationLease},
-		},
-	}
 }
 
 // managerRenewAll is the static renewal-ticker callback shared by every
@@ -70,13 +40,6 @@ func NewManager(node *netsim.Node, cfg Config, sd discovery.ServiceDescription) 
 	m.sd = m.initial
 	m.registries.Init(m.k, nil, nil)
 	m.renewTick.Init(m.k, core.RenewInterval(cfg.RegistrationLease), managerRenewAll, m)
-	m.renewOut = netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.Renew{}),
-		Counted: false, // lease upkeep, excluded from update effort
-		Payload: discovery.Renew{Manager: node.ID, Lease: cfg.RegistrationLease},
-	}
-	m.initialOut = newStateOut(cfg, node.ID, m.initial)
-	m.out = m.initialOut
 	m.bind()
 	return m
 }
@@ -92,7 +55,6 @@ func (m *Manager) bind() {
 // reuse.
 func (m *Manager) Rearm() {
 	m.sd = m.initial
-	m.out = m.initialOut
 	m.registries.Rearm()
 	m.renewTick.Rearm()
 	m.bind()
@@ -128,38 +90,38 @@ func (m *Manager) KnownRegistries() int { return m.registries.Len() }
 // error).
 func (m *Manager) ChangeService(mutate func(attrs map[string]string)) {
 	m.sd = m.sd.Mutate(mutate)
-	m.out = newStateOut(m.cfg, m.node.ID, m.sd)
 	m.registries.EachKey(func(reg netsim.NodeID) {
 		m.sendUpdate(reg)
 	})
 }
 
 func (m *Manager) sendUpdate(reg netsim.NodeID) {
-	m.nw.SendTCPWith(m.cfg.TCP, m.node.ID, reg, m.out.update, nil)
+	m.nw.SendTCPWith(m.cfg.TCP, m.node.ID, reg, netsim.Outgoing{Counted: true,
+		Packet: wire.Packet{Kind: wire.Update, Manager: m.node.ID, SD: m.sd, N: m.sd.Version()}}, nil)
 }
 
 // Deliver implements netsim.Endpoint.
 func (m *Manager) Deliver(msg *netsim.Message) {
-	switch p := msg.Payload.(type) {
-	case discovery.Announce:
-		m.onAnnounce(msg.From, p)
-	case discovery.RenewError:
+	switch msg.Packet.Kind {
+	case wire.Announce:
+		m.onAnnounce(msg.From, &msg.Packet)
+	case wire.RenewError:
 		// The Registry purged our registration: re-register with the
 		// current description (PR1 — the Registry will notify interested
 		// Users).
 		m.register(msg.From)
-	case discovery.RegisterAck, discovery.RenewAck:
+	case wire.RegisterAck, wire.RenewAck:
 		// Lease bookkeeping only; nothing to do.
 	}
 }
 
 // onAnnounce refreshes a known Registry's cache entry or registers with a
 // newly discovered one.
-func (m *Manager) onAnnounce(from netsim.NodeID, a discovery.Announce) {
-	if a.Role != discovery.RoleRegistry {
+func (m *Manager) onAnnounce(from netsim.NodeID, a *wire.Packet) {
+	if a.Role != wire.RoleRegistry {
 		return
 	}
-	lease := a.CacheLease
+	lease := a.Lease
 	if lease <= 0 {
 		lease = m.cfg.CacheLease
 	}
@@ -172,7 +134,8 @@ func (m *Manager) onAnnounce(from netsim.NodeID, a discovery.Announce) {
 
 // register sends the full service record over TCP.
 func (m *Manager) register(reg netsim.NodeID) {
-	m.nw.SendTCPWith(m.cfg.TCP, m.node.ID, reg, m.out.register, nil)
+	m.nw.SendTCPWith(m.cfg.TCP, m.node.ID, reg, netsim.Outgoing{Counted: true, Packet: wire.Packet{
+		Kind: wire.Register, Manager: m.node.ID, SD: m.sd, Lease: m.cfg.RegistrationLease}}, nil)
 }
 
 // renewAll refreshes the registration lease at every known Registry.
@@ -181,6 +144,7 @@ func (m *Manager) register(reg netsim.NodeID) {
 // re-registers — the Jini weakness the paper contrasts with FRODO's SRN2.
 func (m *Manager) renewAll() {
 	m.registries.EachKey(func(reg netsim.NodeID) {
-		m.nw.SendTCPWith(m.cfg.TCP, m.node.ID, reg, m.renewOut, nil)
+		m.nw.SendTCPWith(m.cfg.TCP, m.node.ID, reg, netsim.Outgoing{ // lease upkeep, excluded from update effort
+			Packet: wire.Packet{Kind: wire.Renew, Manager: m.node.ID, Lease: m.cfg.RegistrationLease}}, nil)
 	})
 }

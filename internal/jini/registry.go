@@ -5,6 +5,7 @@ import (
 	"repro/internal/discovery"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // subKey identifies one event subscription: a User listening for changes
@@ -34,15 +35,6 @@ type Registry struct {
 	// notifyReqs holds requests for notification of future service
 	// registrations, keyed by User.
 	notifyReqs discovery.LeaseTable[netsim.NodeID, discovery.Query]
-
-	// events holds the boxed remote events of the run, one per Manager
-	// description and sequence number, shared by every subscriber the
-	// event reaches with that number; a Manager's new description drops
-	// the boxes of its old one. subAcks holds the boxed SubscribeAck per
-	// Manager (NoNode for a notification request), a pure function of
-	// the key kept across rearm.
-	events  []any
-	subAcks map[netsim.NodeID]any
 }
 
 // subState carries one event registration's sequence counter.
@@ -52,20 +44,15 @@ type subState struct {
 
 // NewRegistry attaches a lookup service to a node.
 func NewRegistry(node *netsim.Node, cfg Config) *Registry {
-	r := &Registry{cfg: cfg, node: node, nw: node.Network(), k: node.Kernel(),
-		subAcks: map[netsim.NodeID]any{}}
+	r := &Registry{cfg: cfg, node: node, nw: node.Network(), k: node.Kernel()}
 	r.registrations.Init(r.k, nil, nil)
 	r.subs.Init(r.k, nil, nil)
 	r.notifyReqs.Init(r.k, nil, nil)
 	r.registrations.SetStrict(cfg.Hardened)
 	r.subs.SetStrict(cfg.Hardened)
 	r.notifyReqs.SetStrict(cfg.Hardened)
-	announceOut := netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.Announce{}),
-		Counted: true,
-		Topic:   TopicAnnounce,
-		Payload: discovery.Announce{Role: discovery.RoleRegistry, CacheLease: cfg.CacheLease},
-	}
+	announceOut := netsim.Outgoing{Counted: true, Topic: TopicAnnounce, Packet: wire.Packet{
+		Kind: wire.Announce, Role: wire.RoleRegistry, Lease: cfg.CacheLease}}
 	r.announcer = core.NewAnnouncer(r.nw, node.ID, DiscoveryGroup,
 		cfg.AnnouncePeriod, cfg.AnnounceCopies, func() netsim.Outgoing { return announceOut })
 	r.bind()
@@ -85,8 +72,6 @@ func (r *Registry) Rearm() {
 	r.registrations.Rearm()
 	r.subs.Rearm()
 	r.notifyReqs.Rearm()
-	clear(r.events)
-	r.events = r.events[:0]
 	r.announcer.Rearm()
 	r.bind()
 }
@@ -108,18 +93,19 @@ func (r *Registry) Subscribers() int { return r.subs.Len() }
 
 // Deliver implements netsim.Endpoint.
 func (r *Registry) Deliver(msg *netsim.Message) {
-	switch p := msg.Payload.(type) {
-	case discovery.Register:
+	p := &msg.Packet
+	switch p.Kind {
+	case wire.Register:
 		r.onRegister(msg, p)
-	case discovery.Update:
-		r.onUpdate(msg, p)
-	case discovery.Search:
-		r.onSearch(msg, p)
-	case discovery.Subscribe:
+	case wire.Update:
+		r.onUpdate(msg, p.Record())
+	case wire.Search:
+		r.onSearch(msg, p.Q)
+	case wire.Subscribe:
 		r.onSubscribe(msg, p)
-	case discovery.Renew:
+	case wire.Renew:
 		r.onRenew(msg, p)
-	case discovery.Bye:
+	case wire.Bye:
 		r.onBye(msg.From)
 	}
 }
@@ -142,21 +128,17 @@ func (r *Registry) onBye(from netsim.NodeID) {
 // notification requests match a *new* registration. Jini's anomaly is
 // preserved: a request made after the Manager already registered receives
 // nothing until the Manager re-registers.
-func (r *Registry) onRegister(msg *netsim.Message, p discovery.Register) {
-	prev, existed := r.registrations.Get(p.Rec.Manager)
+func (r *Registry) onRegister(msg *netsim.Message, p *wire.Packet) {
+	prev, existed := r.registrations.Get(p.Manager)
 	lease := p.Lease
 	if lease <= 0 {
 		lease = r.cfg.RegistrationLease
 	}
-	r.registrations.Put(p.Rec.Manager, p.Rec, lease)
-	r.reply(msg, netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.RegisterAck{}),
-		Counted: true,
-		Payload: discovery.RegisterAck{},
-	})
-	isNews := !existed || prev.SD.Version() != p.Rec.SD.Version()
+	r.registrations.Put(p.Manager, p.Record(), lease)
+	r.reply(msg, netsim.Outgoing{Counted: true, Packet: wire.Packet{Kind: wire.RegisterAck}})
+	isNews := !existed || prev.SD.Version() != p.SD.Version()
 	if isNews && r.cfg.Techniques.Has(core.PR1) {
-		r.notifyRegistration(p.Rec)
+		r.notifyRegistration(p.Record())
 	}
 }
 
@@ -185,8 +167,8 @@ func (r *Registry) notifyRegistration(rec discovery.ServiceRecord) {
 // subscribers. The acknowledgement to the Manager is Jini's application-
 // level ack ("The Manager sends an update to the Registry, and receives
 // an acknowledgement").
-func (r *Registry) onUpdate(msg *netsim.Message, p discovery.Update) {
-	if !r.registrations.Update(p.Rec.Manager, p.Rec) {
+func (r *Registry) onUpdate(msg *netsim.Message, rec discovery.ServiceRecord) {
+	if !r.registrations.Update(rec.Manager, rec) {
 		if r.cfg.Hardened {
 			// Hardened registries never heal the repository silently: the
 			// registration lease expired, so the Manager must re-register
@@ -194,22 +176,18 @@ func (r *Registry) onUpdate(msg *netsim.Message, p discovery.Update) {
 			// A silent Put here re-creates a lease no Register message
 			// ever established, which is how the hunted lease-purge
 			// violations diverged holder state from the oracle's ledger.
-			r.renewError(msg, p.Rec.Manager)
+			r.renewError(msg, rec.Manager)
 			return
 		}
 		// Unknown manager: treat as a registration so the system heals.
-		r.registrations.Put(p.Rec.Manager, p.Rec, r.cfg.RegistrationLease)
+		r.registrations.Put(rec.Manager, rec, r.cfg.RegistrationLease)
 	}
-	r.reply(msg, netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.UpdateAck{}),
-		Counted: true,
-		Payload: discovery.UpdateAck{Manager: p.Rec.Manager, Version: p.Rec.SD.Version(),
-			SenderRole: discovery.RoleRegistry},
-	})
+	r.reply(msg, netsim.Outgoing{Counted: true, Packet: wire.Packet{Kind: wire.UpdateAck,
+		Manager: rec.Manager, N: rec.SD.Version(), Role: wire.RoleRegistry}})
 	r.subs.Each(func(k subKey, s *subState) {
-		if k.manager == p.Rec.Manager {
+		if k.manager == rec.Manager {
 			s.seq++
-			r.sendEvent(k.user, p.Rec, s.seq)
+			r.sendEvent(k.user, rec, s.seq)
 		}
 	})
 }
@@ -217,56 +195,26 @@ func (r *Registry) onUpdate(msg *netsim.Message, p discovery.Update) {
 // sendEvent delivers one remote event over TCP. A REX is final: Jini has
 // no SRN2, so the event is lost while the subscription lives.
 func (r *Registry) sendEvent(user netsim.NodeID, rec discovery.ServiceRecord, seq uint64) {
-	r.nw.SendTCPWith(r.cfg.TCP, r.node.ID, user, netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.Update{}),
-		Counted: true,
-		Payload: r.event(rec, seq),
-	}, nil)
-}
-
-// event returns the boxed remote event for rec numbered seq.
-func (r *Registry) event(rec discovery.ServiceRecord, seq uint64) any {
-	var box any
-	live := r.events[:0]
-	for _, e := range r.events {
-		p := e.(discovery.Update)
-		if p.Rec.Manager == rec.Manager && p.Rec.SD != rec.SD {
-			continue // superseded description
-		}
-		if p.Rec == rec && p.Seq == seq {
-			box = e
-		}
-		live = append(live, e)
-	}
-	clear(r.events[len(live):])
-	r.events = live
-	if box == nil {
-		box = discovery.Update{Rec: rec, Seq: seq}
-		r.events = append(r.events, box)
-	}
-	return box
+	r.nw.SendTCPWith(r.cfg.TCP, r.node.ID, user, netsim.Outgoing{Counted: true, Packet: wire.Packet{
+		Kind: wire.Update, Manager: rec.Manager, SD: rec.SD, N: seq}}, nil)
 }
 
 // onSearch answers a unicast query with the matching registrations.
-func (r *Registry) onSearch(msg *netsim.Message, p discovery.Search) {
-	recs := []discovery.ServiceRecord{}
+func (r *Registry) onSearch(msg *netsim.Message, q *discovery.Query) {
+	recs := []discovery.ServiceRecord{} // a list, even when empty (wire.Packet.Recs)
 	r.registrations.Each(func(_ netsim.NodeID, rec discovery.ServiceRecord) {
-		if p.Q.Matches(rec.SD) {
+		if q.Matches(rec.SD) {
 			recs = append(recs, rec)
 		}
 	})
-	r.reply(msg, netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.SearchReply{}),
-		Counted: true,
-		Payload: discovery.SearchReply{Recs: recs},
-	})
+	r.reply(msg, netsim.Outgoing{Counted: true, Packet: wire.Packet{Kind: wire.SearchReply, Recs: recs}})
 }
 
 // onSubscribe stores a notification request (Manager == NoNode) or an
 // event subscription. Jini event registration does not deliver current
 // state — that is exactly why Users must query (PR2). Resubscribing
 // restarts the lease even on a strict table.
-func (r *Registry) onSubscribe(msg *netsim.Message, p discovery.Subscribe) {
+func (r *Registry) onSubscribe(msg *netsim.Message, p *wire.Packet) {
 	lease := p.Lease
 	if lease <= 0 {
 		lease = r.cfg.SubscriptionLease
@@ -285,16 +233,7 @@ func (r *Registry) onSubscribe(msg *netsim.Message, p discovery.Subscribe) {
 		}
 		r.subs.Put(key, s, lease)
 	}
-	ack, ok := r.subAcks[p.Manager]
-	if !ok {
-		ack = discovery.SubscribeAck{Manager: p.Manager}
-		r.subAcks[p.Manager] = ack
-	}
-	r.reply(msg, netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.SubscribeAck{}),
-		Counted: true,
-		Payload: ack,
-	})
+	r.reply(msg, netsim.Outgoing{Counted: true, Packet: wire.Packet{Kind: wire.SubscribeAck, Manager: p.Manager}})
 }
 
 // onRenew extends a Manager's registration (Renew.Manager == sender) or a
@@ -302,7 +241,7 @@ func (r *Registry) onSubscribe(msg *netsim.Message, p discovery.Subscribe) {
 // renewal with nothing live behind it gets Jini's PR3 answer: a bare
 // error that sends the node back through discovery. Hardened (strict)
 // tables also refuse renewals racing the purge.
-func (r *Registry) onRenew(msg *netsim.Message, p discovery.Renew) {
+func (r *Registry) onRenew(msg *netsim.Message, p *wire.Packet) {
 	lease := p.Lease
 	if lease <= 0 {
 		lease = r.cfg.SubscriptionLease
@@ -329,22 +268,15 @@ func (r *Registry) onRenew(msg *netsim.Message, p discovery.Renew) {
 }
 
 func (r *Registry) ack(msg *netsim.Message, manager netsim.NodeID) {
-	r.reply(msg, netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.RenewAck{}),
-		Counted: false, // lease upkeep, excluded from update effort
-		Payload: discovery.RenewAck{Manager: manager},
-	})
+	r.reply(msg, netsim.Outgoing{ // lease upkeep, excluded from update effort
+		Packet: wire.Packet{Kind: wire.RenewAck, Manager: manager}})
 }
 
 func (r *Registry) renewError(msg *netsim.Message, manager netsim.NodeID) {
 	if !r.cfg.Techniques.Has(core.PR3) {
 		return
 	}
-	r.reply(msg, netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.RenewError{}),
-		Counted: true,
-		Payload: discovery.RenewError{Manager: manager},
-	})
+	r.reply(msg, netsim.Outgoing{Counted: true, Packet: wire.Packet{Kind: wire.RenewError, Manager: manager}})
 }
 
 // reply answers over the inbound TCP connection (all Jini unicast rides

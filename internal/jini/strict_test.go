@@ -6,6 +6,7 @@ import (
 	"repro/internal/discovery"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // A hardened Registry's three lease tables are strict: a Manager's
@@ -25,35 +26,35 @@ func TestHardenedRegistryRefusesRenewalsAtExpiry(t *testing.T) {
 		peer := func(name string) netsim.NodeID {
 			n := nw.AddNode(name)
 			n.SetEndpoint(netsim.EndpointFunc(func(m *netsim.Message) {
-				switch m.Payload.(type) {
-				case discovery.RenewAck, discovery.RenewError:
+				switch m.Packet.Kind {
+				case wire.RenewAck, wire.RenewError:
 					got[n.ID] = m.Kind
 				}
 			}))
 			return n.ID
 		}
 		mgr, user := peer("Manager"), peer("User")
-		deliver := func(from netsim.NodeID, p any) {
-			reg.Deliver(&netsim.Message{From: from, To: reg.ID(), Kind: discovery.Kind(p), Payload: p,
+		deliver := func(from netsim.NodeID, p wire.Packet) {
+			reg.Deliver(&netsim.Message{From: from, To: reg.ID(), Kind: p.Kind.String(), Packet: p,
 				Transport: netsim.UDP, SentAt: k.Now()})
 		}
 
 		// Scheduled before the leases are granted, so at the expiry instant
 		// the kernel's FIFO tie-break runs them ahead of the purges.
 		k.At(sim.Time(lease), func() {
-			deliver(mgr, discovery.Renew{Manager: mgr, Lease: lease})
-			deliver(user, discovery.Renew{Manager: netsim.NoNode, Lease: lease})
-			deliver(user, discovery.Subscribe{Manager: mgr, Lease: lease})
+			deliver(mgr, wire.Packet{Kind: wire.Renew, Manager: mgr, Lease: lease})
+			deliver(user, wire.Packet{Kind: wire.Renew, Manager: netsim.NoNode, Lease: lease})
+			deliver(user, wire.Packet{Kind: wire.Subscribe, Manager: mgr, Lease: lease})
 		})
 		sd := discovery.ServiceDescription{ServiceType: "ColorPrinter"}.Freeze()
-		deliver(mgr, discovery.Register{Rec: discovery.ServiceRecord{Manager: mgr, SD: sd}, Lease: lease})
-		deliver(user, discovery.Subscribe{Manager: netsim.NoNode, Q: &discovery.Query{}, Lease: lease})
-		deliver(user, discovery.Subscribe{Manager: mgr, Lease: lease})
+		deliver(mgr, wire.Packet{Kind: wire.Register, Manager: mgr, SD: sd, Lease: lease})
+		deliver(user, wire.Packet{Kind: wire.Subscribe, Manager: netsim.NoNode, Q: &discovery.Query{}, Lease: lease})
+		deliver(user, wire.Packet{Kind: wire.Subscribe, Manager: mgr, Lease: lease})
 		k.Run(sim.Time(lease) + sim.Second)
 
-		want := discovery.Kind(discovery.RenewAck{})
+		want := wire.RenewAck.String()
 		if hardened {
-			want = discovery.Kind(discovery.RenewError{})
+			want = wire.RenewError.String()
 		}
 		if got[mgr] != want || got[user] != want {
 			t.Errorf("hardened=%v: Manager got %q, User got %q, want %q for both", hardened, got[mgr], got[user], want)

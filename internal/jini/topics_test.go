@@ -9,6 +9,7 @@ import (
 	"repro/internal/discovery"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // digest renders what a delivery can change in a lookup service short of
@@ -51,7 +52,7 @@ func (r *rig) registryDigest() string {
 // nothing and changes no table. Otherwise a lookup service that starts
 // acting on its peers (federation, say) would stay silently scoped out.
 func TestDeclinedTopicsAreNoOps(t *testing.T) {
-	announce := discovery.Announce{Role: discovery.RoleRegistry, CacheLease: DefaultConfig().CacheLease}
+	announce := wire.Packet{Kind: wire.Announce, Role: wire.RoleRegistry, Lease: DefaultConfig().CacheLease}
 	for _, until := range []sim.Time{0, 1500 * sim.Millisecond, 200 * sim.Second} {
 		// Twins: the same rig twice; one Registry is handed the frame,
 		// the other rig is what "unchanged" means.
@@ -63,7 +64,7 @@ func TestDeclinedTopicsAreNoOps(t *testing.T) {
 			t.Fatal("the Registry is not its node's endpoint")
 		}
 		reg.Deliver(&netsim.Message{From: peer.ID(), To: reg.ID(), Multicast: true, Topic: TopicAnnounce,
-			Kind: discovery.Kind(announce), Counted: true, Payload: announce,
+			Kind: announce.Kind.String(), Counted: true, Packet: announce,
 			Transport: netsim.UDP, SentAt: r.k.Now()})
 		if got, want := r.registryDigest(), twin.registryDigest(); got != want {
 			t.Errorf("at %v a Registry acted on a peer's announcement:\n got  %s\n want %s", until, got, want)

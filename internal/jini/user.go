@@ -7,6 +7,7 @@ import (
 	"repro/internal/discovery"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // regMgrKey identifies an event registration from the User's side: the
@@ -54,19 +55,6 @@ type User struct {
 	// stopped marks a quiesced client (Stop): a boot event still pending
 	// when the device permanently departed must not restart it.
 	stopped bool
-
-	// joinOut, searchOut and renewNoneOut are the pre-built notification
-	// request, query and bare renewal: their contents never change, so
-	// one boxed payload serves every Registry. subBox and renewBox are
-	// the boxed Subscribe and Renew for subMgr: boxed when the User
-	// subscribes for a different Manager, shared by every subscription
-	// and renewal after that, and kept across rearm.
-	joinOut      netsim.Outgoing
-	searchOut    netsim.Outgoing
-	renewNoneOut netsim.Outgoing
-	subMgr       netsim.NodeID
-	subBox       any
-	renewBox     any
 }
 
 // Static timer and lease callbacks shared by every Jini client.
@@ -95,22 +83,6 @@ func NewUser(node *netsim.Node, cfg Config, q discovery.Query, l discovery.Consi
 	if cfg.PollPeriod > 0 {
 		u.pollTick.Init(u.k, cfg.PollPeriod, userPoll, u)
 	}
-	u.joinOut = netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.Subscribe{}),
-		Counted: true,
-		Payload: discovery.Subscribe{Manager: netsim.NoNode, Q: &q, Lease: cfg.SubscriptionLease},
-	}
-	u.searchOut = netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.Search{}),
-		Counted: true,
-		Payload: discovery.Search{Q: u.query},
-	}
-	u.renewNoneOut = netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.Renew{}),
-		Counted: false, // lease upkeep, excluded from update effort
-		Payload: discovery.Renew{Manager: netsim.NoNode, Lease: cfg.SubscriptionLease},
-	}
-	u.subMgr = netsim.NoNode
 	u.bind()
 	return u
 }
@@ -171,11 +143,8 @@ func (u *User) Stop() {
 		// a best-effort UDP Bye so our notification request and event
 		// subscriptions are evicted now instead of at lease expiry.
 		u.registries.EachKey(func(reg netsim.NodeID) {
-			u.nw.SendUDP(u.node.ID, reg, netsim.Outgoing{
-				Kind:    discovery.Kind(discovery.Bye{}),
-				Counted: true,
-				Payload: discovery.Bye{Role: discovery.RoleUser},
-			})
+			u.nw.SendUDP(u.node.ID, reg, netsim.Outgoing{Counted: true,
+				Packet: wire.Packet{Kind: wire.Bye, Role: wire.RoleUser}})
 		})
 	}
 	u.stopped = true
@@ -210,18 +179,19 @@ func (u *User) EachCached(fn func(discovery.ServiceRecord)) {
 
 // Deliver implements netsim.Endpoint.
 func (u *User) Deliver(msg *netsim.Message) {
-	switch p := msg.Payload.(type) {
-	case discovery.Announce:
+	p := &msg.Packet
+	switch p.Kind {
+	case wire.Announce:
 		u.onAnnounce(msg.From, p)
-	case discovery.SearchReply:
-		u.onSearchReply(msg.From, p)
-	case discovery.Update:
-		u.onEvent(msg.From, p)
-	case discovery.RenewError:
+	case wire.SearchReply:
+		u.onSearchReply(msg.From, p.Records())
+	case wire.Update:
+		u.onEvent(msg.From, p.Record(), p.N)
+	case wire.RenewError:
 		u.onRenewError(msg.From)
-	case discovery.RenewAck:
+	case wire.RenewAck:
 		u.onRenewAck(msg.From)
-	case discovery.SubscribeAck:
+	case wire.SubscribeAck:
 		// The confirmation of the notification request triggers the PR2
 		// query; event-registration confirmations carry no service state
 		// in Jini, so there is nothing else to do.
@@ -232,11 +202,11 @@ func (u *User) Deliver(msg *netsim.Message) {
 }
 
 // onAnnounce refreshes a known Registry or joins a new one.
-func (u *User) onAnnounce(from netsim.NodeID, a discovery.Announce) {
-	if a.Role != discovery.RoleRegistry {
+func (u *User) onAnnounce(from netsim.NodeID, a *wire.Packet) {
+	if a.Role != wire.RoleRegistry {
 		return
 	}
-	lease := a.CacheLease
+	lease := a.Lease
 	if lease <= 0 {
 		lease = u.cfg.CacheLease
 	}
@@ -270,17 +240,19 @@ func (u *User) join(reg netsim.NodeID) {
 		}
 		return
 	}
-	u.nw.SendTCPWith(u.cfg.TCP, u.node.ID, reg, u.joinOut, nil)
+	u.nw.SendTCPWith(u.cfg.TCP, u.node.ID, reg, netsim.Outgoing{Counted: true, Packet: wire.Packet{
+		Kind: wire.Subscribe, Manager: netsim.NoNode, Q: &u.query, Lease: u.cfg.SubscriptionLease}}, nil)
 }
 
 // search queries one Registry for the requirement.
 func (u *User) search(reg netsim.NodeID) {
-	u.nw.SendTCPWith(u.cfg.TCP, u.node.ID, reg, u.searchOut, nil)
+	u.nw.SendTCPWith(u.cfg.TCP, u.node.ID, reg, netsim.Outgoing{Counted: true,
+		Packet: wire.Packet{Kind: wire.Search, Q: &u.query}}, nil)
 }
 
 // onSearchReply stores matching records and subscribes for their events.
-func (u *User) onSearchReply(reg netsim.NodeID, p discovery.SearchReply) {
-	for _, rec := range p.Recs {
+func (u *User) onSearchReply(reg netsim.NodeID, recs []discovery.ServiceRecord) {
+	for _, rec := range recs {
 		if !u.query.Matches(rec.SD) {
 			continue
 		}
@@ -296,63 +268,48 @@ func (u *User) subscribe(reg, manager netsim.NodeID) {
 		return
 	}
 	u.subscribed = append(u.subscribed, key)
-	u.boxFor(manager)
-	u.nw.SendTCPWith(u.cfg.TCP, u.node.ID, reg, netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.Subscribe{}),
-		Counted: true,
-		Payload: u.subBox,
-	}, nil)
-}
-
-// boxFor boxes the Subscribe and Renew for manager unless the boxes at
-// hand already name it.
-func (u *User) boxFor(manager netsim.NodeID) {
-	if u.subMgr == manager {
-		return
-	}
-	u.subMgr = manager
-	u.subBox = discovery.Subscribe{Manager: manager, Lease: u.cfg.SubscriptionLease}
-	u.renewBox = discovery.Renew{Manager: manager, Lease: u.cfg.SubscriptionLease}
+	u.nw.SendTCPWith(u.cfg.TCP, u.node.ID, reg, netsim.Outgoing{Counted: true, Packet: wire.Packet{
+		Kind: wire.Subscribe, Manager: manager, Lease: u.cfg.SubscriptionLease}}, nil)
 }
 
 // onEvent stores the updated record from a remote event, ensures the
 // event registration exists (registration notifications may be the first
 // contact with the service), and checks the event sequence for gaps
 // (SRC2): a gap means a missed event, repaired by re-querying.
-func (u *User) onEvent(reg netsim.NodeID, p discovery.Update) {
-	if !u.query.Matches(p.Rec.SD) {
+func (u *User) onEvent(reg netsim.NodeID, rec discovery.ServiceRecord, seq uint64) {
+	if !u.query.Matches(rec.SD) {
 		return
 	}
-	// Unsequenced events (Seq == 0) are registration notifications, not
+	// Unsequenced events (seq == 0) are registration notifications, not
 	// numbered remote events; they carry full state and need no gap check.
-	if p.Seq > 0 && u.cfg.Techniques.Has(core.SRC2) {
-		key := regMgrKey{registry: reg, manager: p.Rec.Manager}
+	if seq > 0 && u.cfg.Techniques.Has(core.SRC2) {
+		key := regMgrKey{registry: reg, manager: rec.Manager}
 		mon := u.monitors[key]
 		if mon == nil {
 			mon = &core.SeqMonitor{}
 			u.monitors[key] = mon
 		}
-		if gapped, _ := mon.Observe(p.Seq); gapped {
+		if gapped, _ := mon.Observe(seq); gapped {
 			u.search(reg)
 		}
 	}
-	u.storeRec(p.Rec)
-	u.subscribe(reg, p.Rec.Manager)
+	u.storeRec(rec)
+	u.subscribe(reg, rec.Manager)
 }
 
 // renewAll refreshes the user's leases at every known Registry with a
 // single renewal covering its notification request and subscriptions.
 func (u *User) renewAll() {
 	u.registries.Each(func(reg netsim.NodeID, _ struct{}) {
-		out := u.renewNoneOut
+		renew := wire.Packet{Kind: wire.Renew, Manager: netsim.NoNode, Lease: u.cfg.SubscriptionLease}
 		for _, key := range u.subscribed {
 			if key.registry == reg {
-				u.boxFor(key.manager)
-				out.Payload = u.renewBox
+				renew.Manager = key.manager
 				break
 			}
 		}
-		u.nw.SendTCPWith(u.cfg.TCP, u.node.ID, reg, out, nil)
+		// Lease upkeep, excluded from update effort.
+		u.nw.SendTCPWith(u.cfg.TCP, u.node.ID, reg, netsim.Outgoing{Packet: renew}, nil)
 	})
 }
 

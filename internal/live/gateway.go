@@ -21,6 +21,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/upnp"
+	"repro/internal/wire"
 )
 
 // LookupWindow is the virtual time the gateway's port node collects
@@ -115,18 +116,18 @@ type lookup struct {
 type portEndpoint struct{ gw *Gateway }
 
 func (p portEndpoint) Deliver(m *netsim.Message) {
-	switch reply := m.Payload.(type) {
-	case discovery.SearchReply:
-		for _, rec := range reply.Recs {
+	switch m.Packet.Kind {
+	case wire.SearchReply:
+		for _, rec := range m.Packet.Records() {
 			if rec.SD == nil {
 				p.gw.fetchDescription(rec.Manager)
 				continue
 			}
 			p.gw.offer(rec)
 		}
-	case discovery.GetReply:
-		if reply.Rec.SD != nil {
-			p.gw.offer(reply.Rec)
+	case wire.GetReply:
+		if m.Packet.SD != nil {
+			p.gw.offer(m.Packet.Record())
 		}
 	}
 }
@@ -157,11 +158,8 @@ func (gw *Gateway) offer(rec discovery.ServiceRecord) {
 // fetchDescription follows an SSDP-style location-only search response
 // with a Get to the Manager, on the fabric.
 func (gw *Gateway) fetchDescription(manager netsim.NodeID) {
-	err := gw.d.sc.Net.ExternalUDP(gw.port, manager, netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.Get{}),
-		Counted: true,
-		Payload: discovery.Get{Manager: manager},
-	})
+	err := gw.d.sc.Net.ExternalUDP(gw.port, manager, netsim.Outgoing{Counted: true,
+		Packet: wire.Packet{Kind: wire.Get, Manager: manager}})
 	if err != nil {
 		gw.injectErrs.Add(1)
 	}
@@ -607,12 +605,8 @@ func numbered(prefix string, n int) string {
 // cannot panic the loop; they are counted so an empty lookup under
 // failures is distinguishable from "service not found".
 func (gw *Gateway) sendLookup(q discovery.Query) {
-	out := netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.Search{}),
-		Counted: true,
-		Topic:   upnp.TopicSearch, // for the M-SEARCH arm; unicast ignores it
-		Payload: discovery.Search{Q: q},
-	}
+	out := netsim.Outgoing{Counted: true, Packet: wire.Packet{Kind: wire.Search, Q: &q},
+		Topic: upnp.TopicSearch} // for the M-SEARCH arm; unicast ignores it
 	regs := gw.d.sc.RegistryIDs()
 	if len(regs) == 0 {
 		if gw.d.sc.Net.ExternalMulticast(gw.port, upnp.DiscoveryGroup, out) != nil {

@@ -22,7 +22,7 @@ func TestUnicastAllocsPerFrame(t *testing.T) {
 	ep := &countingEndpoint{}
 	b.SetEndpoint(ep)
 	_ = a
-	out := Outgoing{Kind: "ping", Counted: false, Payload: nil}
+	out := Outgoing{Kind: "ping", Counted: false}
 	// Warm pools, heap and counter storage.
 	for i := 0; i < 64; i++ {
 		nw.SendUDP(0, 1, out)

@@ -21,7 +21,7 @@ func TestExternalInjection(t *testing.T) {
 	}))
 	nw.Join(dst.ID, Group(1))
 
-	out := Outgoing{Kind: "Ping", Payload: struct{}{}}
+	out := Outgoing{Kind: "Ping"}
 	if err := nw.ExternalUDP(src.ID, dst.ID, out); err != nil {
 		t.Fatalf("ExternalUDP: %v", err)
 	}

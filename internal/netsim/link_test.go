@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // mustNew builds a network from a configuration the test knows is valid.
@@ -228,12 +229,12 @@ func TestReorderInvertsDeliveryOrder(t *testing.T) {
 	a := nw.AddNode("a")
 	b := nw.AddNode("b")
 	var got []int
-	b.SetEndpoint(EndpointFunc(func(m *Message) { got = append(got, m.Payload.(int)) }))
+	b.SetEndpoint(EndpointFunc(func(m *Message) { got = append(got, int(m.Packet.N)) }))
 	for i := 0; i < 200; i++ {
 		i := i
 		// Space sends by MaxDelay so only the reorder extra can invert.
 		k.At(sim.Time(i)*sim.Time(cfg.MaxDelay)*2, func() {
-			nw.SendUDP(a.ID, b.ID, Outgoing{Kind: "seq", Payload: i})
+			nw.SendUDP(a.ID, b.ID, Outgoing{Kind: "seq", Packet: wire.Packet{N: uint64(i)}})
 		})
 	}
 	k.Run(sim.Minute)

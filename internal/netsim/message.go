@@ -5,14 +5,17 @@
 // message-accounting machinery behind the Update Efficiency metrics.
 package netsim
 
-import "repro/internal/sim"
+import (
+	"repro/internal/sim"
+	"repro/internal/wire"
+)
 
 // NodeID identifies a node on the simulated LAN: its index in the
 // network's node table.
-type NodeID int
+type NodeID = wire.NodeID
 
-// NoNode is the zero NodeID, used where a sender or receiver is absent.
-const NoNode NodeID = -1
+// NoNode is the NodeID used where a sender or receiver is absent.
+const NoNode = wire.NoNode
 
 // Group identifies a multicast group.
 type Group int
@@ -86,39 +89,57 @@ func (tr Transport) String() string {
 	}
 }
 
-// Message is a frame in flight. Protocols fill Kind, Counted and Payload;
-// the network fills the rest.
+// Message is a frame in flight. Protocols fill Packet and Counted; the
+// network fills the rest. A Message is pooled: it and Conn are valid only
+// during the Deliver or Tracer call that hands them out, while the Packet
+// is a value and may be copied out and kept. The one-byte fields come
+// last so they share a word: every frame copies a Message, and it fits
+// two cache lines (TestFrameStructSizes).
 type Message struct {
-	From      NodeID
-	To        NodeID // receiver; for multicast, the member this copy goes to
-	Multicast bool
-	Topic     Topic  // multicast only: the scope the frame was sent under
-	Kind      string // human-readable type, e.g. "ServiceUpdate"
+	From NodeID
+	To   NodeID // receiver; for multicast, the member this copy goes to
+	// Kind names the frame for traces and per-kind counters: its
+	// packet's Kind, or the raw name of a frame without one.
+	Kind   string
+	Packet wire.Packet
+	SentAt sim.Time
+	// Conn is the TCP connection a TCPData frame arrived on, letting the
+	// receiver answer over the same connection (HTTP responses, Jini
+	// acknowledgements). Nil for UDP traffic.
+	Conn *TCPConn
 	// Counted marks a discovery-layer send that contributes to the update
 	// effort y of the Update Efficiency metrics. See counters.go for the
 	// convention that reproduces the paper's m' values.
 	Counted   bool
-	Payload   any
+	Multicast bool
+	Topic     Topic // multicast only: the scope the frame was sent under
 	Transport Transport
 	// Retransmit marks a transport-level retransmission of an earlier
 	// TCPData frame; retransmissions never count as discovery sends.
 	Retransmit bool
-	SentAt     sim.Time
-	// Conn is the TCP connection a TCPData payload arrived on, letting the
-	// receiver answer over the same connection (HTTP responses, Jini
-	// acknowledgements). Nil for UDP traffic. Connections are pooled, so
-	// like the Message itself Conn is valid only during Deliver.
-	Conn *TCPConn
 }
 
-// Outgoing is what a protocol hands to the network to transmit.
+// Outgoing is what a protocol hands to the network to transmit: a packet,
+// copied into every frame that carries it.
 type Outgoing struct {
+	Packet wire.Packet
+	// Kind names a frame that carries no packet (a zero Packet.Kind);
+	// a packet names its frame itself.
 	Kind    string
 	Counted bool
 	// Topic scopes a multicast to the members listening for it; zero
 	// reaches the whole group. Unicast ignores it.
-	Topic   Topic
-	Payload any
+	Topic Topic
+}
+
+// frame builds the Message that carries out over tr.
+func (out *Outgoing) frame(from, to NodeID, tr Transport, at sim.Time) Message {
+	kind := out.Kind
+	if out.Packet.Kind != 0 {
+		kind = out.Packet.Kind.String()
+	}
+	return Message{From: from, To: to, Kind: kind, Packet: out.Packet, SentAt: at,
+		Counted: out.Counted, Transport: tr}
 }
 
 // Endpoint is the protocol-side receiver attached to a node.

@@ -437,7 +437,7 @@ func (nw *Network) members(g Group) ([]NodeID, []TopicSet) {
 // delivery is one in-flight unicast frame: the Message plus its pool
 // link. The Message is delivered by pointer and recycled as soon as the
 // endpoint's Deliver returns, so endpoints must not retain *Message past
-// the call (payloads are plain values and may be kept).
+// the call (its Packet is a value and may be kept).
 type delivery struct {
 	nw   *Network
 	m    Message
@@ -518,8 +518,7 @@ func (nw *Network) deliverNow(m *Message, gen uint32) {
 // and the frame is then silently lost.
 func (nw *Network) SendUDP(from, to NodeID, out Outgoing) {
 	d := nw.allocDelivery()
-	d.m = Message{From: from, To: to, Kind: out.Kind, Counted: out.Counted,
-		Payload: out.Payload, Transport: UDP, SentAt: nw.k.Now()}
+	d.m = out.frame(from, to, UDP, nw.k.Now())
 	d.gen = nw.Node(to).gen
 	nw.accountSend(&d.m)
 	if !nw.Node(from).txUp {
@@ -641,8 +640,8 @@ func (nw *Network) releaseFanout(f *fanout) {
 // entry, and its endpoint is never touched.
 func (nw *Network) multicastCopy(from NodeID, g Group, out Outgoing) {
 	f := nw.allocFanout()
-	f.wire = Message{From: from, To: NoNode, Multicast: true, Topic: out.Topic, Kind: out.Kind,
-		Counted: out.Counted, Payload: out.Payload, Transport: UDP, SentAt: nw.k.Now()}
+	f.wire = out.frame(from, NoNode, UDP, nw.k.Now())
+	f.wire.Multicast, f.wire.Topic = true, out.Topic
 	nw.accountSend(&f.wire)
 
 	members, listens := nw.members(g)

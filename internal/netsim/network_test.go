@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // harness wires a kernel, network and a set of endpoint mailboxes.
@@ -36,13 +37,13 @@ func newHarness(t *testing.T, n int, cfg Config) *harness {
 
 func TestUDPDelivery(t *testing.T) {
 	h := newHarness(t, 2, DefaultConfig())
-	h.nw.SendUDP(0, 1, Outgoing{Kind: "ping", Counted: true, Payload: 42})
+	h.nw.SendUDP(0, 1, Outgoing{Kind: "ping", Counted: true, Packet: wire.Packet{N: 42}})
 	h.k.Run(sim.Second)
 	if len(h.inbox[1]) != 1 {
 		t.Fatalf("receiver got %d messages, want 1", len(h.inbox[1]))
 	}
 	m := h.inbox[1][0]
-	if m.Payload.(int) != 42 || m.Kind != "ping" || m.From != 0 {
+	if m.Packet.N != 42 || m.Kind != "ping" || m.From != 0 {
 		t.Errorf("bad message: %+v", m)
 	}
 	if c := h.nw.Counters(); c.DiscoverySends != 1 || c.Delivered != 1 || c.Counted() != 1 {

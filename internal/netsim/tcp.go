@@ -441,8 +441,7 @@ func (c *TCPConn) queueTransfer(from, to NodeID, out Outgoing, onResult func(err
 	// not the connection ever comes up. (A NOTIFY whose connection REXes
 	// was still effort spent — and counting it here keeps failed runs
 	// from looking spuriously "efficient".)
-	nw.acctScratch = Message{From: from, To: to, Kind: out.Kind, Counted: out.Counted,
-		Payload: out.Payload, Transport: TCPData, SentAt: nw.k.Now()}
+	nw.acctScratch = out.frame(from, to, TCPData, nw.k.Now())
 	nw.accountSend(&nw.acctScratch)
 	tr := &c.first
 	if c.last != nil {
@@ -557,8 +556,8 @@ func (tr *tcpTransfer) send() {
 	// send was already accounted when the transfer was queued.
 	f := nw.allocTCPFrame(tr.conn)
 	f.kind, f.tr = tcpData, tr
-	f.m = Message{From: tr.from, To: tr.to, Kind: tr.out.Kind, Counted: false,
-		Payload: tr.out.Payload, Transport: TCPData, Retransmit: true, SentAt: nw.k.Now()}
+	f.m = tr.out.frame(tr.from, tr.to, TCPData, nw.k.Now())
+	f.m.Counted, f.m.Retransmit = false, true
 	nw.sendTCPFrame(f)
 
 	// Arm the retransmission timer: "retransmit until success, increasing

@@ -102,7 +102,7 @@ func TestTCPConnPoolBalance(t *testing.T) {
 			var kept *TCPConn
 			h.nodes[1].SetEndpoint(EndpointFunc(func(m *Message) {
 				kept = m.Conn
-				m.Conn.Reply(Outgoing{Kind: "reply", Payload: "body"}, nil)
+				m.Conn.Reply(Outgoing{Kind: "reply"}, nil)
 			}))
 			opened, results := 0, 0
 			open := func(cfg TCPConfig, out Outgoing) tcpHandle {

@@ -62,7 +62,7 @@ type tcpScenario struct {
 // replyWith makes node answer every TCP payload over its connection.
 func replyWith(h *harness, l *tcpLog, node int, name string) {
 	h.nodes[node].SetEndpoint(EndpointFunc(func(m *Message) {
-		m.Conn.Reply(Outgoing{Kind: "reply", Counted: true, Payload: "body"}, l.result(name))
+		m.Conn.Reply(Outgoing{Kind: "reply", Counted: true}, l.result(name))
 	}))
 }
 
@@ -77,10 +77,10 @@ func tcpScenarios() []tcpScenario {
 	return []tcpScenario{
 		{"exchange-reply", DefaultConfig(), 10 * sim.Second, func(h *harness, l *tcpLog) {
 			replyWith(h, l, 1, "reply")
-			h.nw.SendTCP(0, 1, Outgoing{Kind: "get", Counted: true, Payload: 1}, l.result("get"))
+			h.nw.SendTCP(0, 1, Outgoing{Kind: "get", Counted: true}, l.result("get"))
 			// A second exchange reuses whatever the first one released.
 			h.k.At(sim.Second, func() {
-				h.nw.SendTCP(0, 1, Outgoing{Kind: "get", Counted: true, Payload: 2}, l.result("get2"))
+				h.nw.SendTCP(0, 1, Outgoing{Kind: "get", Counted: true}, l.result("get2"))
 			})
 		}},
 		{"syn-lost-retry", DefaultConfig(), 200 * sim.Second, func(h *harness, l *tcpLog) {
@@ -160,7 +160,7 @@ func tcpScenarios() []tcpScenario {
 			for i := 0; i < 6; i++ {
 				name := fmt.Sprintf("get%d", i)
 				h.k.At(sim.Time(i)*sim.Second+sim.Millisecond, func() {
-					h.nw.SendTCP(0, 1, Outgoing{Kind: name, Counted: true, Payload: name}, l.result(name))
+					h.nw.SendTCP(0, 1, Outgoing{Kind: name, Counted: true}, l.result(name))
 				})
 			}
 		}},

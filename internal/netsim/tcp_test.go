@@ -1,16 +1,18 @@
 package netsim
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 func TestTCPDeliverySuccess(t *testing.T) {
 	h := newHarness(t, 2, DefaultConfig())
 	var result error
 	done := false
-	h.nw.SendTCP(0, 1, Outgoing{Kind: "notify", Counted: true, Payload: "sd"}, func(err error) {
+	h.nw.SendTCP(0, 1, Outgoing{Kind: "notify", Counted: true, Packet: wire.Packet{N: 1}}, func(err error) {
 		result = err
 		done = true
 	})
@@ -21,7 +23,7 @@ func TestTCPDeliverySuccess(t *testing.T) {
 	if result != nil {
 		t.Fatalf("transfer failed: %v", result)
 	}
-	if len(h.inbox[1]) != 1 || h.inbox[1][0].Payload.(string) != "sd" {
+	if len(h.inbox[1]) != 1 || h.inbox[1][0].Packet.N != 1 {
 		t.Fatalf("payload not delivered: %v", h.inbox[1])
 	}
 	c := h.nw.Counters()
@@ -160,7 +162,7 @@ func TestTCPReply(t *testing.T) {
 		cp := *m
 		h.inbox[1] = append(h.inbox[1], &cp)
 		reqConn = m.Conn
-		m.Conn.Reply(Outgoing{Kind: "response", Counted: true, Payload: "body"}, nil)
+		m.Conn.Reply(Outgoing{Kind: "response", Counted: true, Packet: wire.Packet{N: 2}}, nil)
 	}))
 	h.nodes[0].SetEndpoint(EndpointFunc(func(m *Message) {
 		cp := *m
@@ -172,7 +174,7 @@ func TestTCPReply(t *testing.T) {
 	if len(h.inbox[1]) != 1 {
 		t.Fatal("request not delivered")
 	}
-	if reply == nil || reply.Payload.(string) != "body" {
+	if reply == nil || reply.Packet.N != 2 {
 		t.Fatalf("reply not delivered: %v", reply)
 	}
 	if !sameConn {
@@ -257,12 +259,12 @@ func TestTCPFrameZeroedAfterDeliver(t *testing.T) {
 	var retained *Message
 	var copied Message
 	h.nodes[1].SetEndpoint(EndpointFunc(func(m *Message) { retained, copied = m, *m }))
-	h.nw.SendTCP(0, 1, Outgoing{Kind: "notify", Payload: "sd"}, nil)
+	h.nw.SendTCP(0, 1, Outgoing{Kind: "notify", Packet: wire.Packet{N: 1}}, nil)
 	h.k.Run(10 * sim.Second)
-	if copied.Payload != "sd" || copied.Conn == nil {
+	if copied.Packet.N != 1 || copied.Conn == nil {
 		t.Fatalf("copy taken during Deliver = %+v", copied)
 	}
-	if *retained != (Message{}) {
+	if !reflect.DeepEqual(*retained, Message{}) {
 		t.Errorf("released frame still holds %+v", *retained)
 	}
 }

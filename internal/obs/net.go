@@ -3,6 +3,7 @@ package obs
 import (
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // NetMetrics feeds the registry from one network as a
@@ -48,10 +49,10 @@ func (nm *NetMetrics) MessageSent(t sim.Time, m *netsim.Message) {
 // MessageDelivered implements netsim.Tracer.
 func (nm *NetMetrics) MessageDelivered(t sim.Time, m *netsim.Message) {
 	nm.delivered.Inc()
-	switch m.Kind {
-	case "SubscriptionRenew":
+	switch m.Packet.Kind {
+	case wire.Renew:
 		nm.renewals.Inc()
-	case "RenewError":
+	case wire.RenewError:
 		nm.refusals.Inc()
 	}
 }

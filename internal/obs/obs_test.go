@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 func TestCounterAndGaugeBasics(t *testing.T) {
@@ -386,10 +387,13 @@ func TestSnapshotAndJSON(t *testing.T) {
 func TestNetTracerLeaseCounting(t *testing.T) {
 	r := NewRegistry()
 	nm := r.NetTracer()
-	nm.MessageDelivered(1, msg("SubscriptionRenew", 1, 2))
-	nm.MessageDelivered(2, msg("RenewAck", 2, 1))
-	nm.MessageDelivered(3, msg("RenewError", 2, 1))
-	nm.MessageDelivered(4, msg("SubscriptionRenew", 3, 2))
+	packet := func(k wire.Kind, from, to netsim.NodeID) *netsim.Message {
+		return &netsim.Message{Kind: k.String(), Packet: wire.Packet{Kind: k}, From: from, To: to}
+	}
+	nm.MessageDelivered(1, packet(wire.Renew, 1, 2))
+	nm.MessageDelivered(2, packet(wire.RenewAck, 2, 1))
+	nm.MessageDelivered(3, packet(wire.RenewError, 2, 1))
+	nm.MessageDelivered(4, packet(wire.Renew, 3, 2))
 	if got := r.Counter("sd_lease_renewals_total", "shard", "0").Load(); got != 2 {
 		t.Fatalf("renewals = %d, want 2", got)
 	}

@@ -5,6 +5,7 @@ import (
 	"repro/internal/discovery"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // Manager is a UPnP device hosting one service. It announces itself with
@@ -27,50 +28,9 @@ type Manager struct {
 	// no Registry, so the Manager is the lessee (2-party subscription).
 	subs discovery.LeaseTable[netsim.NodeID, struct{}]
 
-	// announceOut, searchReplyOut, renewAckOut and resubscribeOut are the
-	// pre-built payloads whose contents never change, so one boxed
-	// payload serves every transmission; ifaceHook is the
-	// interface-recovery announcement hook, built once and re-registered
-	// on every rearm.
-	announceOut    netsim.Outgoing
-	searchReplyOut netsim.Outgoing
-	renewAckOut    netsim.Outgoing
-	resubscribeOut netsim.Outgoing
-	ifaceHook      func(txUp, rxUp bool)
-
-	// out holds the payloads carrying the service state, boxed once per
-	// version and shared by every User: initialOut, built for the
-	// construction-time snapshot and restored by every rearm, or the set
-	// the last change built.
-	out, initialOut stateOut
-}
-
-// stateOut is the boxed description reply, subscription acceptance and
-// invalidation for one snapshot. A box is immutable once sent; new
-// content gets a new stateOut.
-type stateOut struct {
-	getReply, subscribeAck, invalidate netsim.Outgoing
-}
-
-func newStateOut(manager netsim.NodeID, sd *discovery.Snapshot) stateOut {
-	rec := discovery.ServiceRecord{Manager: manager, SD: sd}
-	return stateOut{
-		getReply: netsim.Outgoing{
-			Kind:    discovery.Kind(discovery.GetReply{}),
-			Counted: true,
-			Payload: discovery.GetReply{Rec: rec},
-		},
-		subscribeAck: netsim.Outgoing{
-			Kind:    discovery.Kind(discovery.SubscribeAck{}),
-			Counted: true,
-			Payload: discovery.SubscribeAck{Rec: rec},
-		},
-		invalidate: netsim.Outgoing{
-			Kind:    discovery.Kind(discovery.Invalidate{}),
-			Counted: true,
-			Payload: discovery.Invalidate{Manager: manager, Version: sd.Version()},
-		},
-	}
+	// ifaceHook is the interface-recovery announcement hook, built once
+	// and re-registered on every rearm.
+	ifaceHook func(txUp, rxUp bool)
 }
 
 // NewManager attaches a Manager to a node. Call Start to boot it.
@@ -85,29 +45,6 @@ func NewManager(node *netsim.Node, cfg Config, sd discovery.ServiceDescription) 
 	m.sd = m.initial
 	m.subs.Init(m.k, nil, nil)
 	m.subs.SetStrict(cfg.Hardened)
-	m.announceOut = netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.Announce{}),
-		Counted: true,
-		Topic:   TopicAlive,
-		Payload: discovery.Announce{Role: discovery.RoleManager, CacheLease: cfg.CacheLease},
-	}
-	m.searchReplyOut = netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.SearchReply{}),
-		Counted: true,
-		Payload: discovery.SearchReply{Recs: []discovery.ServiceRecord{{Manager: node.ID}}},
-	}
-	m.renewAckOut = netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.RenewAck{}),
-		Counted: false, // lease upkeep, excluded from update effort
-		Payload: discovery.RenewAck{Manager: node.ID},
-	}
-	m.resubscribeOut = netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.ResubscribeRequest{}),
-		Counted: true,
-		Payload: discovery.ResubscribeRequest{Manager: node.ID},
-	}
-	m.initialOut = newStateOut(node.ID, m.initial)
-	m.out = m.initialOut
 	m.announcer = core.NewAnnouncer(m.nw, node.ID, DiscoveryGroup,
 		cfg.AnnouncePeriod, cfg.AnnounceCopies, m.announcement)
 	// SSDP requires a device to advertise when network connectivity is
@@ -139,7 +76,6 @@ func (m *Manager) bind() {
 // node slot is re-bound.
 func (m *Manager) Rearm() {
 	m.sd = m.initial
-	m.out = m.initialOut
 	m.subs.Rearm()
 	m.announcer.Rearm()
 	m.bind()
@@ -169,7 +105,6 @@ func (m *Manager) Subscribers() int { return m.subs.Len() }
 // holder of the previous one keeps exactly what it had.
 func (m *Manager) ChangeService(mutate func(attrs map[string]string)) {
 	m.sd = m.sd.Mutate(mutate)
-	m.out = newStateOut(m.node.ID, m.sd)
 	m.subs.EachKey(func(user netsim.NodeID) {
 		m.notify(user)
 	})
@@ -179,23 +114,27 @@ func (m *Manager) ChangeService(mutate func(attrs map[string]string)) {
 // SRN2, so a notification that fails leaves the subscriber inconsistent
 // until a purge-rediscovery technique runs (the §6.2 case study).
 func (m *Manager) notify(user netsim.NodeID) {
-	m.nw.SendTCPWith(m.cfg.TCP, m.node.ID, user, m.out.invalidate, nil)
+	m.nw.SendTCPWith(m.cfg.TCP, m.node.ID, user, netsim.Outgoing{Counted: true,
+		Packet: wire.Packet{Kind: wire.Invalidate, Manager: m.node.ID, N: m.sd.Version()}}, nil)
 }
 
-func (m *Manager) announcement() netsim.Outgoing { return m.announceOut }
+func (m *Manager) announcement() netsim.Outgoing {
+	return netsim.Outgoing{Counted: true, Topic: TopicAlive, Packet: wire.Packet{Kind: wire.Announce,
+		Role: wire.RoleManager, Lease: m.cfg.CacheLease}}
+}
 
 // Deliver implements netsim.Endpoint.
 func (m *Manager) Deliver(msg *netsim.Message) {
-	switch p := msg.Payload.(type) {
-	case discovery.Search:
-		m.onSearch(msg.From, p)
-	case discovery.Get:
+	switch msg.Packet.Kind {
+	case wire.Search:
+		m.onSearch(msg.From, msg.Packet.Q)
+	case wire.Get:
 		m.onGet(msg)
-	case discovery.Subscribe:
+	case wire.Subscribe:
 		m.onSubscribe(msg)
-	case discovery.Renew:
+	case wire.Renew:
 		m.onRenew(msg)
-	case discovery.Bye:
+	case wire.Bye:
 		// Hardened retirement: the departing subscriber deregisters, so
 		// its lease is evicted now instead of at expiry. Handled
 		// unconditionally — baseline runs never send a Bye.
@@ -206,16 +145,17 @@ func (m *Manager) Deliver(msg *netsim.Message) {
 // onSearch answers a matching M-SEARCH with a unicast response, which in
 // SSDP carries the device location but not the description; the User
 // fetches the SD with a GET.
-func (m *Manager) onSearch(from netsim.NodeID, s discovery.Search) {
-	if !s.Q.Matches(m.sd) {
+func (m *Manager) onSearch(from netsim.NodeID, q *discovery.Query) {
+	if !q.Matches(m.sd) {
 		return
 	}
-	m.nw.SendUDP(m.node.ID, from, m.searchReplyOut)
+	m.nw.SendUDP(m.node.ID, from, netsim.Outgoing{Counted: true,
+		Packet: wire.Packet{Kind: wire.SearchReply, Manager: m.node.ID}})
 }
 
 // onGet serves the description over the requesting connection.
 func (m *Manager) onGet(msg *netsim.Message) {
-	m.respond(msg, m.out.getReply)
+	m.respond(msg, netsim.Outgoing{Counted: true, Packet: m.carrying(wire.GetReply)})
 }
 
 // onSubscribe accepts the eventing subscription; the acceptance carries
@@ -223,7 +163,12 @@ func (m *Manager) onGet(msg *netsim.Message) {
 // initial state is what makes PR4 recover consistency.
 func (m *Manager) onSubscribe(msg *netsim.Message) {
 	m.subs.Put(msg.From, struct{}{}, m.cfg.SubscriptionLease)
-	m.respond(msg, m.out.subscribeAck)
+	m.respond(msg, netsim.Outgoing{Counted: true, Packet: m.carrying(wire.SubscribeAck)})
+}
+
+// carrying returns a packet of kind k carrying the current record.
+func (m *Manager) carrying(k wire.Kind) wire.Packet {
+	return wire.Packet{Kind: k, Manager: m.node.ID, SD: m.sd}
 }
 
 // onRenew extends a live subscription. A renewal for a purged
@@ -233,11 +178,13 @@ func (m *Manager) onSubscribe(msg *netsim.Message) {
 // purge, so the User resubscribes.
 func (m *Manager) onRenew(msg *netsim.Message) {
 	if m.subs.Renew(msg.From, m.cfg.SubscriptionLease) {
-		m.respond(msg, m.renewAckOut)
+		m.respond(msg, netsim.Outgoing{ // lease upkeep, excluded from update effort
+			Packet: wire.Packet{Kind: wire.RenewAck, Manager: m.node.ID}})
 		return
 	}
 	if m.cfg.Techniques.Has(core.PR4) {
-		m.respond(msg, m.resubscribeOut)
+		m.respond(msg, netsim.Outgoing{Counted: true,
+			Packet: wire.Packet{Kind: wire.ResubscribeRequest, Manager: m.node.ID}})
 	}
 }
 

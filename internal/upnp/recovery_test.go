@@ -3,9 +3,9 @@ package upnp
 import (
 	"testing"
 
-	"repro/internal/discovery"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // The SSDP reconnection rule: a Manager whose transmitter recovers
@@ -58,7 +58,7 @@ func TestStaleInvalidationIgnored(t *testing.T) {
 	r.k.Run(100 * sim.Second)
 	before := r.nw.Counters().PerKind["Get"]
 	u.Deliver(&netsim.Message{From: r.manager.ID(),
-		Payload: mkInvalidate(r.manager.ID(), 1)}) // version already held
+		Packet: wire.Packet{Kind: wire.Invalidate, Manager: r.manager.ID(), N: 1}}) // version already held
 	r.k.Run(200 * sim.Second)
 	after := r.nw.Counters().PerKind["Get"]
 	if after != before {
@@ -90,14 +90,4 @@ func TestMissedRenewalExpiresThenPR4Restores(t *testing.T) {
 	if !r.users[0].Subscribed() {
 		t.Error("user does not believe it is subscribed after PR4")
 	}
-}
-
-func mkInvalidate(mgr netsim.NodeID, v uint64) any {
-	return invalidatePayload(mgr, v)
-}
-
-// invalidatePayload builds the eventing NOTIFY payload used by direct
-// delivery tests.
-func invalidatePayload(mgr netsim.NodeID, v uint64) discovery.Invalidate {
-	return discovery.Invalidate{Manager: mgr, Version: v}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/discovery"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // digest renders what a delivery can change in the rig short of sending,
@@ -58,13 +59,13 @@ func topicRig(t *testing.T, until sim.Time) *rig {
 // no cache, lease or timer. Otherwise a handler that starts acting on a
 // kind would stay silently scoped out of the frames that carry it.
 func TestDeclinedTopicsAreNoOps(t *testing.T) {
-	search := discovery.Search{Q: discovery.Query{ServiceType: "ColorPrinter"}}
-	alive := discovery.Announce{Role: discovery.RoleManager, CacheLease: DefaultConfig().CacheLease}
+	search := wire.Packet{Kind: wire.Search, Q: &discovery.Query{ServiceType: "ColorPrinter"}}
+	alive := wire.Packet{Kind: wire.Announce, Role: wire.RoleManager, Lease: DefaultConfig().CacheLease}
 	cases := []struct {
-		who     string
-		ep      func(*rig) (netsim.Endpoint, netsim.NodeID)
-		topic   netsim.Topic
-		payload any
+		who    string
+		ep     func(*rig) (netsim.Endpoint, netsim.NodeID)
+		topic  netsim.Topic
+		packet wire.Packet
 	}{
 		{"User", func(r *rig) (netsim.Endpoint, netsim.NodeID) { return r.users[0], r.users[0].ID() }, TopicSearch, search},
 		{"Manager", func(r *rig) (netsim.Endpoint, netsim.NodeID) { return r.manager, r.manager.ID() }, TopicAlive, alive},
@@ -79,13 +80,13 @@ func TestDeclinedTopicsAreNoOps(t *testing.T) {
 				t.Fatalf("%s is not its node's endpoint", c.who)
 			}
 			ep.Deliver(&netsim.Message{From: r.users[1].ID(), To: id, Multicast: true, Topic: c.topic,
-				Kind: discovery.Kind(c.payload), Counted: true, Payload: c.payload,
+				Kind: c.packet.Kind.String(), Counted: true, Packet: c.packet,
 				Transport: netsim.UDP, SentAt: r.k.Now()})
 			if got, want := r.digest(), twin.digest(); got != want {
-				t.Errorf("at %v the %s acted on a %T it declines:\n got  %s\n want %s", until, c.who, c.payload, got, want)
+				t.Errorf("at %v the %s acted on a %v it declines:\n got  %s\n want %s", until, c.who, c.packet.Kind, got, want)
 			}
 			if a, b := r.k.Rand().Int63(), twin.k.Rand().Int63(); a != b {
-				t.Errorf("at %v the %s drew randomness on a %T it declines", until, c.who, c.payload)
+				t.Errorf("at %v the %s drew randomness on a %v it declines", until, c.who, c.packet.Kind)
 			}
 		}
 	}
@@ -93,9 +94,9 @@ func TestDeclinedTopicsAreNoOps(t *testing.T) {
 	// The probe has teeth: the listeners of the same frames do act.
 	r, twin := topicRig(t, 2200*sim.Second), topicRig(t, 2200*sim.Second)
 	r.manager.Deliver(&netsim.Message{From: r.users[1].ID(), To: r.manager.ID(), Multicast: true,
-		Topic: TopicSearch, Kind: discovery.Kind(search), Counted: true, Payload: search, SentAt: r.k.Now()})
+		Topic: TopicSearch, Kind: search.Kind.String(), Counted: true, Packet: search, SentAt: r.k.Now()})
 	r.users[0].Deliver(&netsim.Message{From: r.manager.ID(), To: r.users[0].ID(), Multicast: true,
-		Topic: TopicAlive, Kind: discovery.Kind(alive), Counted: true, Payload: alive, SentAt: r.k.Now()})
+		Topic: TopicAlive, Kind: alive.Kind.String(), Counted: true, Packet: alive, SentAt: r.k.Now()})
 	if sent := r.nw.Counters().Sends - twin.nw.Counters().Sends; sent < 2 {
 		t.Errorf("a searched Manager and a User hearing a lost Manager's ssdp:alive sent %d frames, want both to answer", sent)
 	}

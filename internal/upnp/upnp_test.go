@@ -7,6 +7,7 @@ import (
 	"repro/internal/discovery"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // rig is a 1-Manager, N-User UPnP network with a consistency recorder.
@@ -221,7 +222,7 @@ func TestInvalidationRetryAfterFailedGet(t *testing.T) {
 	mgr.SetRx(false)
 	r.k.After(0, func() {
 		u.Deliver(&netsim.Message{From: r.manager.ID(),
-			Payload: discovery.Invalidate{Manager: r.manager.ID(), Version: 2}})
+			Packet: wire.Packet{Kind: wire.Invalidate, Manager: r.manager.ID(), N: 2}})
 	})
 	recoverAt := r.k.Now() + 500*sim.Second
 	r.k.At(recoverAt, func() { mgr.SetRx(true) })

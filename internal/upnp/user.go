@@ -5,6 +5,7 @@ import (
 	"repro/internal/discovery"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // User is a UPnP control point with one service requirement. It discovers
@@ -46,16 +47,7 @@ type User struct {
 	// persistent periodic re-fetch of the cached description.
 	pollTick sim.Ticker
 
-	// searchOut is the pre-built M-SEARCH payload: the query never
-	// changes, so one boxed payload serves every transmission. subBox
-	// and renewBox are the boxed Subscribe and Renew for subMgr: boxed
-	// when the User subscribes with a different Manager, shared by every
-	// attempt and renewal after that, and kept across rearm. fetchDone
-	// is the GET's result callback, built once.
-	searchOut netsim.Outgoing
-	subMgr    netsim.NodeID
-	subBox    any
-	renewBox  any
+	// fetchDone is the GET's result callback, built once.
 	fetchDone func(error)
 }
 
@@ -89,13 +81,6 @@ func NewUser(node *netsim.Node, cfg Config, q discovery.Query, l discovery.Consi
 	if cfg.PollPeriod > 0 {
 		u.pollTick.Init(u.k, cfg.PollPeriod, userPoll, u)
 	}
-	u.searchOut = netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.Search{}),
-		Counted: true,
-		Topic:   TopicSearch,
-		Payload: discovery.Search{Q: u.query},
-	}
-	u.subMgr = netsim.NoNode
 	u.fetchDone = func(error) { u.getting = false }
 	u.bind()
 	return u
@@ -166,11 +151,8 @@ func (u *User) Stop() {
 		// Hardened retirement: deregister from the Manager with a
 		// best-effort UDP Bye so the subscription is evicted now instead
 		// of lingering until lease expiry.
-		u.nw.SendUDP(u.node.ID, u.subscribedTo, netsim.Outgoing{
-			Kind:    discovery.Kind(discovery.Bye{}),
-			Counted: true,
-			Payload: discovery.Bye{Role: discovery.RoleUser},
-		})
+		u.nw.SendUDP(u.node.ID, u.subscribedTo, netsim.Outgoing{Counted: true,
+			Packet: wire.Packet{Kind: wire.Bye, Role: wire.RoleUser}})
 	}
 	u.stopped = true
 	u.searchTick.Stop()
@@ -203,30 +185,31 @@ func (u *User) EachCached(fn func(discovery.ServiceRecord)) {
 
 // Deliver implements netsim.Endpoint.
 func (u *User) Deliver(msg *netsim.Message) {
-	switch p := msg.Payload.(type) {
-	case discovery.Announce:
+	p := &msg.Packet
+	switch p.Kind {
+	case wire.Announce:
 		u.onAnnounce(msg.From, p)
-	case discovery.SearchReply:
+	case wire.SearchReply:
 		u.onSearchReply(msg.From)
-	case discovery.GetReply:
-		u.onGetReply(p)
-	case discovery.SubscribeAck:
-		u.onSubscribeAck(msg.From, p)
-	case discovery.ResubscribeRequest:
+	case wire.GetReply:
+		u.onGetReply(p.Record())
+	case wire.SubscribeAck:
+		u.onSubscribeAck(msg.From, p.Record())
+	case wire.ResubscribeRequest:
 		u.onResubscribeRequest(msg.From)
-	case discovery.Invalidate:
-		u.onInvalidate(p)
+	case wire.Invalidate:
+		u.onInvalidate(p.Manager, p.N)
 	}
 }
 
 // onAnnounce refreshes the cache lease for a known Manager; an unknown
 // Manager while the requirement is unmet triggers a description fetch
 // (PR5b: rediscovery by listening for the Manager's announcements).
-func (u *User) onAnnounce(from netsim.NodeID, a discovery.Announce) {
-	if a.Role != discovery.RoleManager {
+func (u *User) onAnnounce(from netsim.NodeID, a *wire.Packet) {
+	if a.Role != wire.RoleManager {
 		return
 	}
-	lease := a.CacheLease
+	lease := a.Lease
 	if lease <= 0 {
 		lease = u.cfg.CacheLease
 	}
@@ -251,59 +234,40 @@ func (u *User) fetch(manager netsim.NodeID) {
 		return
 	}
 	u.getting = true
-	out := netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.Get{}),
-		Counted: true,
-		Payload: discovery.Get{Manager: manager},
-	}
-	u.nw.SendTCPWith(u.cfg.TCP, u.node.ID, manager, out, u.fetchDone)
+	u.nw.SendTCPWith(u.cfg.TCP, u.node.ID, manager, netsim.Outgoing{Counted: true,
+		Packet: wire.Packet{Kind: wire.Get, Manager: manager}}, u.fetchDone)
 }
 
 // onGetReply stores the description if it matches the requirement,
 // subscribes if needed, and clears any pending staleness.
-func (u *User) onGetReply(p discovery.GetReply) {
-	if !u.query.Matches(p.Rec.SD) {
+func (u *User) onGetReply(rec discovery.ServiceRecord) {
+	if !u.query.Matches(rec.SD) {
 		return
 	}
-	u.storeRec(p.Rec)
-	if p.Rec.SD.Version() >= u.staleVersion {
+	u.storeRec(rec)
+	if rec.SD.Version() >= u.staleVersion {
 		u.staleVersion = 0
 		u.getTick.Stop()
 	}
 	if u.subscribedTo == netsim.NoNode {
-		u.subscribe(p.Rec.Manager)
+		u.subscribe(rec.Manager)
 	}
 }
 
 // subscribe opens the eventing subscription.
 func (u *User) subscribe(manager netsim.NodeID) {
-	u.boxFor(manager)
-	u.nw.SendTCPWith(u.cfg.TCP, u.node.ID, manager, netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.Subscribe{}),
-		Counted: true,
-		Payload: u.subBox,
-	}, nil)
-}
-
-// boxFor boxes the Subscribe and Renew for manager unless the boxes at
-// hand already name it.
-func (u *User) boxFor(manager netsim.NodeID) {
-	if u.subMgr == manager {
-		return
-	}
-	u.subMgr = manager
-	u.subBox = discovery.Subscribe{Manager: manager, Lease: u.cfg.SubscriptionLease}
-	u.renewBox = discovery.Renew{Manager: manager, Lease: u.cfg.SubscriptionLease}
+	u.nw.SendTCPWith(u.cfg.TCP, u.node.ID, manager, netsim.Outgoing{Counted: true,
+		Packet: wire.Packet{Kind: wire.Subscribe, Manager: manager, Lease: u.cfg.SubscriptionLease}}, nil)
 }
 
 // onSubscribeAck records the subscription and stores the initial event
 // state carried with the acceptance.
-func (u *User) onSubscribeAck(from netsim.NodeID, p discovery.SubscribeAck) {
+func (u *User) onSubscribeAck(from netsim.NodeID, rec discovery.ServiceRecord) {
 	u.subscribedTo = from
 	u.renewTick.Start(core.RenewInterval(u.cfg.SubscriptionLease))
-	if u.query.Matches(p.Rec.SD) {
-		u.storeRec(p.Rec)
-		if p.Rec.SD.Version() >= u.staleVersion {
+	if u.query.Matches(rec.SD) {
+		u.storeRec(rec)
+		if rec.SD.Version() >= u.staleVersion {
 			u.staleVersion = 0
 			u.getTick.Stop()
 		}
@@ -317,12 +281,8 @@ func (u *User) renew() {
 	if u.subscribedTo == netsim.NoNode {
 		return
 	}
-	u.boxFor(u.subscribedTo)
-	u.nw.SendTCPWith(u.cfg.TCP, u.node.ID, u.subscribedTo, netsim.Outgoing{
-		Kind:    discovery.Kind(discovery.Renew{}),
-		Counted: false, // lease upkeep, excluded from update effort
-		Payload: u.renewBox,
-	}, nil)
+	u.nw.SendTCPWith(u.cfg.TCP, u.node.ID, u.subscribedTo, netsim.Outgoing{ // lease upkeep, excluded from update effort
+		Packet: wire.Packet{Kind: wire.Renew, Manager: u.subscribedTo, Lease: u.cfg.SubscriptionLease}}, nil)
 }
 
 // onResubscribeRequest is PR4: the Manager saw our renewal but had purged
@@ -339,12 +299,12 @@ func (u *User) onResubscribeRequest(from netsim.NodeID) {
 // new description. If the fetch fails the user knows it is stale and
 // keeps retrying (getTick) — unlike a lost NOTIFY, which leaves it
 // unknowingly inconsistent.
-func (u *User) onInvalidate(p discovery.Invalidate) {
-	if p.Version <= u.CachedVersion(p.Manager) {
+func (u *User) onInvalidate(manager netsim.NodeID, version uint64) {
+	if version <= u.CachedVersion(manager) {
 		return
 	}
-	u.staleVersion = p.Version
-	u.fetch(p.Manager)
+	u.staleVersion = version
+	u.fetch(manager)
 	u.getTick.Start(u.cfg.GetRetryPeriod)
 }
 
@@ -379,7 +339,8 @@ func (u *User) onCachePurge(manager netsim.NodeID) {
 
 // search multicasts an M-SEARCH for the requirement.
 func (u *User) search() {
-	u.nw.Multicast(u.node.ID, DiscoveryGroup, u.searchOut, 1)
+	u.nw.Multicast(u.node.ID, DiscoveryGroup, netsim.Outgoing{Counted: true, Topic: TopicSearch,
+		Packet: wire.Packet{Kind: wire.Search, Q: &u.query}}, 1)
 }
 
 // storeRec caches the record — sharing the immutable snapshot, no copy —

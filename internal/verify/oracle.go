@@ -3,13 +3,13 @@ package verify
 import (
 	"fmt"
 
-	"repro/internal/discovery"
 	"repro/internal/experiment"
 	"repro/internal/frodo"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // The run-time consistency oracle. Where the grid checker (verify.Check)
@@ -476,9 +476,10 @@ func (o *Oracle) MessageSent(t sim.Time, m *netsim.Message) {
 			o.nearMiss(InvRetiredSilence)
 		}
 	}
-	switch p := m.Payload.(type) {
-	case discovery.Bye:
-		if p.Role == discovery.RoleRegistry {
+	p := &m.Packet
+	switch p.Kind {
+	case wire.Bye:
+		if p.Role == wire.RoleRegistry {
 			// An explicit retraction: the sender renounced the Central
 			// role, so its claim leaves the ledger at the send instant.
 			delete(o.claims, m.From)
@@ -491,7 +492,7 @@ func (o *Oracle) MessageSent(t sim.Time, m *netsim.Message) {
 				}
 			}
 		}
-	case discovery.RenewAck:
+	case wire.RenewAck:
 		key := leaseKey{holder: m.From, renewer: m.To, manager: p.Manager}
 		if expiry, ok := o.leases[key]; ok {
 			if t > expiry {
@@ -519,21 +520,20 @@ func (o *Oracle) MessageSent(t sim.Time, m *netsim.Message) {
 // MessageDelivered implements netsim.Tracer: Registry claims, lease
 // creations and refreshes — all as a receiver observes them.
 func (o *Oracle) MessageDelivered(t sim.Time, m *netsim.Message) {
-	switch p := m.Payload.(type) {
-	case discovery.Announce:
+	p := &m.Packet
+	switch p.Kind {
+	case wire.Announce:
 		// A Registry claim counts as liveness only once somebody hears
 		// it. Send-side accounting was drop-blind: a Central isolated by
 		// a partition kept "renewing" its claim with frames that died on
 		// the wire, masking no-Central windows in baseline runs.
-		if p.Role == discovery.RoleRegistry {
+		if p.Role == wire.RoleRegistry {
 			o.claims[m.From] = t
 			o.sawClaim = true
 		}
-	case discovery.Register:
-		o.leases[leaseKey{holder: m.To, renewer: m.From, manager: p.Rec.Manager}] = t + sim.Time(p.Lease)
-	case discovery.Subscribe:
+	case wire.Register, wire.Subscribe:
 		o.leases[leaseKey{holder: m.To, renewer: m.From, manager: p.Manager}] = t + sim.Time(p.Lease)
-	case discovery.Renew:
+	case wire.Renew:
 		key := leaseKey{holder: m.To, renewer: m.From, manager: p.Manager}
 		// Refresh only a still-live lease: a renewal landing after the
 		// expiry must be answered with RenewError, and leaving the stale

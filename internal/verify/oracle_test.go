@@ -4,10 +4,10 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/discovery"
 	"repro/internal/experiment"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // The oracle regression golden: a seeded transient-partition scenario —
@@ -105,17 +105,17 @@ func TestOracleFiresOnLeasePurge(t *testing.T) {
 	o := NewOracle(k, netsim.NoNode, OracleConfig{PurgeSlack: 5 * sim.Second})
 	nw.SetTracer(o)
 
-	nw.SendUDP(user.ID, holder.ID, netsim.Outgoing{Kind: "SubscriptionRequest",
-		Payload: discovery.Subscribe{Manager: holder.ID, Lease: 10 * sim.Second}})
+	nw.SendUDP(user.ID, holder.ID, netsim.Outgoing{
+		Packet: wire.Packet{Kind: wire.Subscribe, Manager: holder.ID, Lease: 10 * sim.Second}})
 	k.Run(sim.Second)
 
 	// A renewal inside the lease keeps everything legal.
 	k.Run(5 * sim.Second)
-	nw.SendUDP(user.ID, holder.ID, netsim.Outgoing{Kind: "SubscriptionRenew",
-		Payload: discovery.Renew{Manager: holder.ID, Lease: 10 * sim.Second}})
+	nw.SendUDP(user.ID, holder.ID, netsim.Outgoing{
+		Packet: wire.Packet{Kind: wire.Renew, Manager: holder.ID, Lease: 10 * sim.Second}})
 	k.Run(6 * sim.Second)
-	nw.SendUDP(holder.ID, user.ID, netsim.Outgoing{Kind: "RenewAck",
-		Payload: discovery.RenewAck{Manager: holder.ID}})
+	nw.SendUDP(holder.ID, user.ID, netsim.Outgoing{
+		Packet: wire.Packet{Kind: wire.RenewAck, Manager: holder.ID}})
 	k.Run(7 * sim.Second)
 	if rep := o.Report(); rep.Total != 0 {
 		t.Fatalf("legal renewal flagged: %s", rep)
@@ -123,8 +123,8 @@ func TestOracleFiresOnLeasePurge(t *testing.T) {
 
 	// The lease ran out at ~16s; an ack at 100s means it was never purged.
 	k.Run(100 * sim.Second)
-	nw.SendUDP(holder.ID, user.ID, netsim.Outgoing{Kind: "RenewAck",
-		Payload: discovery.RenewAck{Manager: holder.ID}})
+	nw.SendUDP(holder.ID, user.ID, netsim.Outgoing{
+		Packet: wire.Packet{Kind: wire.RenewAck, Manager: holder.ID}})
 	k.Run(101 * sim.Second)
 	rep := o.Report()
 	if rep.ByInvariant[InvLeasePurge] != 1 {
@@ -160,8 +160,8 @@ func TestOracleFiresOnSingleCentral(t *testing.T) {
 			for at := sim.Time(0); at < 200*sim.Second; at += 30 * sim.Second {
 				at := at
 				k.At(at+sim.Time(c)*sim.Millisecond, func() {
-					nw.SendUDP(from, 2, netsim.Outgoing{Kind: "Announce",
-						Payload: discovery.Announce{Role: discovery.RoleRegistry, Power: 10}})
+					nw.SendUDP(from, 2, netsim.Outgoing{
+						Packet: wire.Packet{Kind: wire.Announce, Role: wire.RoleRegistry, N: 10}})
 				})
 			}
 		}
@@ -197,7 +197,7 @@ func TestSplitBrainNamesFreshestClaimant(t *testing.T) {
 		})
 		for _, c := range claims {
 			o.MessageDelivered(c.at, &netsim.Message{From: c.id, To: netsim.NoNode,
-				Payload: discovery.Announce{Role: discovery.RoleRegistry}})
+				Packet: wire.Packet{Kind: wire.Announce, Role: wire.RoleRegistry}})
 		}
 		k.Run(60 * sim.Second)
 		if v := o.Report().Violations; len(v) != 1 || v[0].Invariant != InvSingleCentral || v[0].Node != 3 {
@@ -304,12 +304,12 @@ func TestOracleWaivesBoundedBreaches(t *testing.T) {
 	nw.SetTracer(o)
 
 	subscribe := func() {
-		nw.SendUDP(user.ID, holder.ID, netsim.Outgoing{Kind: "SubscriptionRequest",
-			Payload: discovery.Subscribe{Manager: holder.ID, Lease: 10 * sim.Second}})
+		nw.SendUDP(user.ID, holder.ID, netsim.Outgoing{
+			Packet: wire.Packet{Kind: wire.Subscribe, Manager: holder.ID, Lease: 10 * sim.Second}})
 	}
 	ack := func() {
-		nw.SendUDP(holder.ID, user.ID, netsim.Outgoing{Kind: "RenewAck",
-			Payload: discovery.RenewAck{Manager: holder.ID}})
+		nw.SendUDP(holder.ID, user.ID, netsim.Outgoing{
+			Packet: wire.Packet{Kind: wire.RenewAck, Manager: holder.ID}})
 	}
 
 	subscribe()
@@ -356,14 +356,14 @@ func TestOracleByeRetractsLease(t *testing.T) {
 	o := NewOracle(k, netsim.NoNode, OracleConfig{PurgeSlack: 5 * sim.Second})
 	nw.SetTracer(o)
 
-	nw.SendUDP(user.ID, holder.ID, netsim.Outgoing{Kind: "SubscriptionRequest",
-		Payload: discovery.Subscribe{Manager: holder.ID, Lease: 10 * sim.Second}})
+	nw.SendUDP(user.ID, holder.ID, netsim.Outgoing{
+		Packet: wire.Packet{Kind: wire.Subscribe, Manager: holder.ID, Lease: 10 * sim.Second}})
 	k.Run(2 * sim.Second)
-	nw.SendUDP(user.ID, holder.ID, netsim.Outgoing{Kind: "Bye",
-		Payload: discovery.Bye{Role: discovery.RoleUser}})
+	nw.SendUDP(user.ID, holder.ID, netsim.Outgoing{
+		Packet: wire.Packet{Kind: wire.Bye, Role: wire.RoleUser}})
 	k.Run(100 * sim.Second)
-	nw.SendUDP(holder.ID, user.ID, netsim.Outgoing{Kind: "RenewAck",
-		Payload: discovery.RenewAck{Manager: holder.ID}})
+	nw.SendUDP(holder.ID, user.ID, netsim.Outgoing{
+		Packet: wire.Packet{Kind: wire.RenewAck, Manager: holder.ID}})
 	k.Run(101 * sim.Second)
 	if rep := o.Report(); rep.Total != 0 {
 		t.Fatalf("ack after Bye flagged: %s", rep)

@@ -8,11 +8,11 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/discovery"
 	"repro/internal/experiment"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // frameCopy is what a Tracer may keep of a frame: values, never the
@@ -56,13 +56,13 @@ func TestTracerConsumersKeepTCPFrameData(t *testing.T) {
 	nw := netsim.MustNew(k, cfg)
 	nw.AddNode("client").SetEndpoint(netsim.EndpointFunc(func(*netsim.Message) {}))
 	nw.AddNode("server").SetEndpoint(netsim.EndpointFunc(func(m *netsim.Message) {
-		switch p := m.Payload.(type) {
-		case discovery.Subscribe:
-			m.Conn.Reply(netsim.Outgoing{Kind: "SubscribeAck", Counted: true,
-				Payload: discovery.SubscribeAck{Manager: p.Manager}}, nil)
-		case discovery.Renew:
-			m.Conn.Reply(netsim.Outgoing{Kind: "RenewAck",
-				Payload: discovery.RenewAck{Manager: p.Manager}}, nil)
+		switch m.Packet.Kind {
+		case wire.Subscribe:
+			m.Conn.Reply(netsim.Outgoing{Counted: true,
+				Packet: wire.Packet{Kind: wire.SubscribeAck, Manager: m.Packet.Manager}}, nil)
+		case wire.Renew:
+			m.Conn.Reply(netsim.Outgoing{
+				Packet: wire.Packet{Kind: wire.RenewAck, Manager: m.Packet.Manager}}, nil)
 		}
 	}))
 
@@ -76,13 +76,13 @@ func TestTracerConsumersKeepTCPFrameData(t *testing.T) {
 	nw.SetTracer(netsim.TeeTracer(ref, rec, w, flight, oracle))
 
 	tcp := netsim.DefaultTCPConfig()
-	nw.SendTCPWith(tcp, client, server, netsim.Outgoing{Kind: "Subscribe", Counted: true,
-		Payload: discovery.Subscribe{Manager: manager, Lease: lease}}, nil)
+	nw.SendTCPWith(tcp, client, server, netsim.Outgoing{Counted: true,
+		Packet: wire.Packet{Kind: wire.Subscribe, Manager: manager, Lease: lease}}, nil)
 	const renewals = 40
 	for i := 1; i <= renewals; i++ {
 		k.At(sim.Time(i)*120*sim.Second, func() {
-			nw.SendTCPWith(tcp, client, server, netsim.Outgoing{Kind: "Renew",
-				Payload: discovery.Renew{Manager: manager, Lease: lease}}, nil)
+			nw.SendTCPWith(tcp, client, server, netsim.Outgoing{
+				Packet: wire.Packet{Kind: wire.Renew, Manager: manager, Lease: lease}}, nil)
 		})
 	}
 	k.Run(6000 * sim.Second)
@@ -95,8 +95,8 @@ func TestTracerConsumersKeepTCPFrameData(t *testing.T) {
 	for _, f := range ref.frames {
 		sawDrop = sawDrop || f.op == "dropped"
 		if f.op == "delivered" {
-			switch f.m.Payload.(type) {
-			case discovery.Subscribe, discovery.Renew:
+			switch f.m.Packet.Kind {
+			case wire.Subscribe, wire.Renew:
 				lastLeaseWrite = f.at
 			}
 		}

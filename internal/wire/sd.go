@@ -1,14 +1,15 @@
-// Package discovery holds the protocol-neutral service discovery domain
-// model shared by the FRODO, Jini and UPnP implementations: service
-// descriptions, queries, the common wire payload types, and lease tables.
-package discovery
+// Package wire holds what a simulated frame can carry: the service model
+// (descriptions, their immutable snapshots, queries and records), node
+// identities, and Packet, the one closed message value of the protocols'
+// shared vocabulary. It is a leaf, so netsim carries packets inline
+// without importing the protocols or package discovery, which re-exports
+// the service model under its own names.
+package wire
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"repro/internal/netsim"
 )
 
 // ServiceDescription is the mutable builder for a service in the
@@ -96,7 +97,7 @@ func (sd ServiceDescription) Freeze() *Snapshot {
 
 // Snapshot is one immutable, versioned state of a service description.
 // Snapshots are shared by pointer across the whole stack — Manager state,
-// Registry repositories, User caches, update history and wire payloads all
+// Registry repositories, User caches, update history and packets all
 // hold the same *Snapshot — which is safe precisely because a snapshot
 // can never change: the fields are unexported, there is no setter, and a
 // service change builds a new snapshot via Mutate instead of touching an
@@ -209,9 +210,9 @@ func (q Query) Matches(s *Snapshot) bool {
 
 // ServiceRecord binds a description snapshot to the Manager that owns it;
 // it is the unit stored in Registry repositories and User caches, and the
-// payload unit on the wire. Records are tiny (an ID and a pointer) and
+// unit a packet carries. Records are tiny (an ID and a pointer) and
 // copied freely; the snapshot behind SD is shared, immutable, by design.
 type ServiceRecord struct {
-	Manager netsim.NodeID
+	Manager NodeID
 	SD      *Snapshot
 }
