@@ -11,7 +11,7 @@
 # older, historical ledger (EXPERIMENTS.md, "Perf trajectory").
 
 GO ?= go
-BENCH_PR ?= 35
+BENCH_PR ?= 36
 COVER_FLOOR ?= 70
 
 .PHONY: check vet build test race loc bench cover-floor live-smoke hunt-smoke harden-smoke obs-smoke clean
