@@ -1,10 +1,6 @@
 package discovery
 
-import (
-	"slices"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // LeaseTable is the time-limited map behind every cache in the system:
 // service registrations at a Registry, subscriptions at a Registry or
@@ -34,15 +30,15 @@ type LeaseTable[K comparable, V any] struct {
 	k        *sim.Kernel
 	onExpire func(owner any, key K, v V)
 	owner    any
-	// live holds the entries in insertion order (backed by liveBuf while
-	// it fits); index maps keys to them, nil until live first outgrows
-	// the inline entries.
-	live    []*leaseEntry[K, V]
-	liveBuf [inlineLeases]*leaseEntry[K, V]
-	index   map[K]*leaseEntry[K, V]
-	inline  [inlineLeases]leaseEntry[K, V]
-	free    *leaseEntry[K, V]
-	grown   int // length of the last entry chunk; 0 until the first Put
+	// head and tail link the n live entries in insertion order, so an
+	// entry leaves the order in O(1) wherever it sits; index maps keys to
+	// them, nil until the table first outgrows the inline entries.
+	head, tail *leaseEntry[K, V]
+	n          int
+	index      map[K]*leaseEntry[K, V]
+	inline     [inlineLeases]leaseEntry[K, V]
+	free       *leaseEntry[K, V]
+	grown      int // length of the last entry chunk; 0 until the first Put
 
 	// scratch snapshots the key order for Each/EachKey so callbacks may
 	// mutate the table mid-iteration; iterating marks it in use so a
@@ -69,7 +65,9 @@ type leaseEntry[K comparable, V any] struct {
 	key      K
 	value    V
 	deadline sim.Deadline
-	next     *leaseEntry[K, V] // free-list link while recycled
+	// prev and next link the live order; next is the free-list link while
+	// the entry is recycled.
+	prev, next *leaseEntry[K, V]
 }
 
 func (e *leaseEntry[K, V]) expire() { e.t.expire(e) }
@@ -117,7 +115,6 @@ func (t *LeaseTable[K, V]) alloc() *leaseEntry[K, V] {
 	case t.free != nil:
 	case t.grown == 0:
 		t.grown = inlineLeases
-		t.live = t.liveBuf[:0]
 		t.pool(t.inline[:])
 	default:
 		t.pool(sim.Chunk[leaseEntry[K, V]](&t.grown, 8, 256))
@@ -133,7 +130,7 @@ func (t *LeaseTable[K, V]) lookup(key K) *leaseEntry[K, V] {
 	if t.index != nil {
 		return t.index[key]
 	}
-	for _, e := range t.live {
+	for e := t.head; e != nil; e = e.next {
 		if e.key == key {
 			return e
 		}
@@ -144,13 +141,19 @@ func (t *LeaseTable[K, V]) lookup(key K) *leaseEntry[K, V] {
 // insert appends a fresh entry to the order, indexing the table once it
 // holds more than the inline entries.
 func (t *LeaseTable[K, V]) insert(e *leaseEntry[K, V]) {
-	t.live = append(t.live, e)
+	if e.prev = t.tail; t.tail != nil {
+		t.tail.next = e
+	} else {
+		t.head = e
+	}
+	t.tail = e
+	t.n++
 	switch {
 	case t.index != nil:
 		t.index[e.key] = e
-	case len(t.live) > inlineLeases:
-		t.index = make(map[K]*leaseEntry[K, V], 2*len(t.live))
-		for _, le := range t.live {
+	case t.n > inlineLeases:
+		t.index = make(map[K]*leaseEntry[K, V], 2*t.n)
+		for le := t.head; le != nil; le = le.next {
 			t.index[le.key] = le
 		}
 	}
@@ -161,8 +164,17 @@ func (t *LeaseTable[K, V]) remove(e *leaseEntry[K, V]) {
 	if t.index != nil {
 		delete(t.index, e.key)
 	}
-	i := slices.Index(t.live, e)
-	t.live = slices.Delete(t.live, i, i+1)
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		t.head = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		t.tail = e.prev
+	}
+	t.n--
 }
 
 // release returns an entry to the free list, dropping its value so the
@@ -172,6 +184,7 @@ func (t *LeaseTable[K, V]) release(e *leaseEntry[K, V]) {
 	var zeroK K
 	e.value = zeroV
 	e.key = zeroK
+	e.prev = nil
 	e.next = t.free
 	t.free = e
 }
@@ -228,7 +241,7 @@ func (t *LeaseTable[K, V]) Update(key K, v V) bool {
 // node is being retired: afterwards the table owns no pending kernel
 // events.
 func (t *LeaseTable[K, V]) Clear() {
-	for _, e := range t.live {
+	for e := t.head; e != nil; e = e.next {
 		e.deadline.Clear()
 	}
 	t.releaseAll()
@@ -237,10 +250,9 @@ func (t *LeaseTable[K, V]) Clear() {
 // Rearm resets the table for workspace reuse after a Kernel.Reset: every
 // entry is recycled and its deadline's event reference dropped without
 // touching the kernel (the old events no longer exist). Capacity — the
-// index, the order slice and the pooled entries — survives into the next
-// run.
+// index and the pooled entries — survives into the next run.
 func (t *LeaseTable[K, V]) Rearm() {
-	for _, e := range t.live {
+	for e := t.head; e != nil; e = e.next {
 		e.deadline.Rearm()
 	}
 	t.releaseAll()
@@ -249,11 +261,12 @@ func (t *LeaseTable[K, V]) Rearm() {
 
 // releaseAll recycles every live entry, in order, leaving the table empty.
 func (t *LeaseTable[K, V]) releaseAll() {
-	for _, e := range t.live {
+	for e := t.head; e != nil; {
+		next := e.next
 		t.release(e)
+		e = next
 	}
-	clear(t.live)
-	t.live = t.live[:0]
+	t.head, t.tail, t.n = nil, nil, 0
 	clear(t.index)
 }
 
@@ -276,13 +289,13 @@ func (t *LeaseTable[K, V]) Expiry(key K) (sim.Time, bool) {
 }
 
 // Len reports the number of live entries.
-func (t *LeaseTable[K, V]) Len() int { return len(t.live) }
+func (t *LeaseTable[K, V]) Len() int { return t.n }
 
 // Keys returns the live keys in insertion order as a fresh slice.
-func (t *LeaseTable[K, V]) Keys() []K { return t.appendKeys(make([]K, 0, len(t.live))) }
+func (t *LeaseTable[K, V]) Keys() []K { return t.appendKeys(make([]K, 0, t.n)) }
 
 func (t *LeaseTable[K, V]) appendKeys(keys []K) []K {
-	for _, e := range t.live {
+	for e := t.head; e != nil; e = e.next {
 		keys = append(keys, e.key)
 	}
 	return keys
@@ -319,7 +332,7 @@ func (t *LeaseTable[K, V]) Each(fn func(K, V)) {
 // insertion order. want must not touch the table: the walk reads the live
 // order directly, no snapshot, no lookups.
 func (t *LeaseTable[K, V]) RenewIf(lease sim.Duration, want func(K) bool) {
-	for _, e := range t.live {
+	for e := t.head; e != nil; e = e.next {
 		if want(e.key) {
 			e.deadline.SetAfter(lease)
 		}

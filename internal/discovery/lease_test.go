@@ -2,7 +2,9 @@ package discovery
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -141,6 +143,35 @@ func TestLeaseTableEachAndKeys(t *testing.T) {
 	}
 	if len(tbl.Keys()) != 2 {
 		t.Errorf("Keys = %v", tbl.Keys())
+	}
+}
+
+// TestLeaseTableKeepsInsertionOrder: Puts, renewing Puts, Drops and
+// expiries at any position leave the live keys in insertion order, as a
+// slice model that deletes in place has them, on both sides of the
+// inline-to-indexed switch.
+func TestLeaseTableKeepsInsertionOrder(t *testing.T) {
+	k := sim.New(1)
+	var model []int
+	del := func(key int) { model = slices.DeleteFunc(model, func(x int) bool { return x == key }) }
+	tbl := newTable[int, int](k, func(key, _ int) { del(key) })
+	rng := rand.New(rand.NewSource(1))
+	for step := 0; step < 2000; step++ {
+		key := rng.Intn(12)
+		switch rng.Intn(3) {
+		case 0, 1:
+			if !slices.Contains(model, key) {
+				model = append(model, key)
+			}
+			tbl.Put(key, step, sim.Duration(1+rng.Intn(20))*sim.Second)
+		case 2:
+			tbl.Drop(key)
+			del(key)
+		}
+		k.Run(k.Now() + sim.Second) // some leases run out
+		if got := tbl.Keys(); !slices.Equal(got, model) || tbl.Len() != len(model) {
+			t.Fatalf("step %d: keys %v (len %d), want %v", step, got, tbl.Len(), model)
+		}
 	}
 }
 

@@ -46,11 +46,11 @@ func TestPollingTrafficIsCounted(t *testing.T) {
 	cfg.PollPeriod = 600 * sim.Second
 	r := newRig(t, 54, true, 1, cfg)
 	r.k.Run(5400 * sim.Second)
-	gets := r.nw.Counters().PerKind["Get"]
+	gets := r.nw.Counters().PerKind()["Get"]
 	if gets < 7 {
 		t.Errorf("only %d Gets over 5400s at 600s poll period", gets)
 	}
-	replies := r.nw.Counters().PerKind["GetReply"]
+	replies := r.nw.Counters().PerKind()["GetReply"]
 	if replies < 7 {
 		t.Errorf("only %d GetReplies", replies)
 	}

@@ -252,12 +252,9 @@ func (h *Hunter) runOne(spec *experiment.ScenarioSpec, sys experiment.System) ru
 	ctr := sc.Net.Counters()
 	st := runStats{
 		Report:  o.Report(),
-		PerKind: make(map[string]int, len(ctr.PerKind)),
+		PerKind: ctr.PerKind(),
 		Drops:   ctr.Drops,
 		Effort:  res.Effort,
-	}
-	for k, v := range ctr.PerKind {
-		st.PerKind[k] = v
 	}
 	for _, u := range res.Users {
 		if !u.Reached {

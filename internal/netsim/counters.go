@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // Counters accounts for every wire transmission. The Update Efficiency
@@ -42,17 +43,34 @@ type Counters struct {
 	// in nondecreasing order (virtual time is monotonic).
 	countedTimes []sim.Time
 
-	// PerKind tallies discovery sends by message kind for diagnostics and
-	// the Table 2 breakdown.
-	PerKind map[string]int
+	// perKind tallies discovery sends by packet kind, and named those of
+	// frames without a packet by name; PerKind reads both.
+	perKind [wire.NumKinds]int
+	named   map[string]int
 }
 
 // reset zeroes the counters while keeping slice and map capacity, for
 // network reuse across simulations.
 func (c *Counters) reset() {
-	ct, pk := c.countedTimes[:0], c.PerKind
-	*c = Counters{countedTimes: ct, PerKind: pk}
-	clear(pk)
+	ct, named := c.countedTimes[:0], c.named
+	*c = Counters{countedTimes: ct, named: named}
+	clear(named)
+}
+
+// PerKind tallies discovery sends by message kind name, for diagnostics
+// and the Table 2 breakdown: a fresh map holding every kind sent at least
+// once.
+func (c *Counters) PerKind() map[string]int {
+	m := make(map[string]int, len(c.named))
+	for k, n := range c.perKind {
+		if n > 0 {
+			m[wire.Kind(k).String()] = n
+		}
+	}
+	for name, n := range c.named {
+		m[name] += n
+	}
+	return m
 }
 
 func (c *Counters) recordSend(t sim.Time, m *Message) {
@@ -62,10 +80,14 @@ func (c *Counters) recordSend(t sim.Time, m *Message) {
 		return
 	}
 	c.DiscoverySends++
-	if c.PerKind == nil {
-		c.PerKind = make(map[string]int)
+	if k := m.Packet.Kind; k != 0 {
+		c.perKind[k]++
+	} else {
+		if c.named == nil {
+			c.named = make(map[string]int)
+		}
+		c.named[m.Kind]++
 	}
-	c.PerKind[m.Kind]++
 	if m.Counted {
 		c.countedTimes = append(c.countedTimes, t)
 	}

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"maps"
 	"testing"
 	"testing/quick"
 
@@ -188,6 +189,28 @@ func TestCountedInWindow(t *testing.T) {
 	}
 	if got := c.CountedInWindow(4*sim.Second, 2*sim.Second); got != 0 {
 		t.Errorf("inverted window = %d, want 0", got)
+	}
+}
+
+// TestPerKindCountsPacketsAndNamedFrames: PerKind names a packet's send
+// by its kind and a packetless frame by its raw name, adds the two when
+// they share a name, leaves out kinds never sent, and starts empty after
+// a reset.
+func TestPerKindCountsPacketsAndNamedFrames(t *testing.T) {
+	h := newHarness(t, 2, DefaultConfig())
+	h.nw.SendUDP(0, 1, Outgoing{Packet: wire.Packet{Kind: wire.Get}})
+	h.nw.SendUDP(0, 1, Outgoing{Packet: wire.Packet{Kind: wire.Get}})
+	h.nw.SendUDP(0, 1, Outgoing{Packet: wire.Packet{Kind: wire.Update}})
+	h.nw.SendUDP(0, 1, Outgoing{Kind: "ping"})
+	h.nw.SendUDP(0, 1, Outgoing{Kind: "Get"})
+	h.k.Run(sim.Second)
+	want := map[string]int{"Get": 3, "ServiceUpdate": 1, "ping": 1}
+	if got := h.nw.Counters().PerKind(); !maps.Equal(got, want) {
+		t.Errorf("PerKind() = %v, want %v", got, want)
+	}
+	h.nw.Counters().reset()
+	if got := h.nw.Counters().PerKind(); len(got) != 0 {
+		t.Errorf("PerKind() after reset = %v, want empty", got)
 	}
 }
 

@@ -74,17 +74,27 @@ type heapSlot struct {
 // concurrent use; the experiment harness runs many kernels in parallel, one
 // per goroutine, each fully owning its kernel.
 //
-// The event queue is a 4-ary min-heap of pooled events: fired and
-// canceled events go onto a free list and are reused by later schedule
-// calls, so steady-state scheduling allocates nothing; the pool grows in
-// chunks (see alloc), not one event per miss. Cancellation and
+// The event queue holds pooled events in two tiers: a sorted run of at
+// most nearRun near events — due less than nearSpan after they were
+// scheduled: frames and multicast copies — in front of a 4-ary min-heap
+// for everything else — protocol timers, and near events that found the
+// run full. The next event is the lesser of the two fronts (see front),
+// so firing order is (time, seq) whichever tier an event sits in, while a
+// frame costs a short insertion instead of a sift through the timers.
+// Fired and canceled events go onto a free list and are reused by later
+// schedule calls, so steady-state scheduling allocates nothing; the pool
+// grows in chunks (see alloc), not one event per miss. Cancellation and
 // postponement are lazy — a canceled event stays queued until its time
 // comes and is then discarded and recycled; a postponed event stays where
-// it is until its old time comes and is then sifted to its new one.
+// it is until its old time comes and is then re-queued under its new one.
 type Kernel struct {
-	now     Time
-	seq     uint64
-	heap    []heapSlot
+	now  Time
+	seq  uint64
+	heap []heapSlot
+	// near is the run, sorted by descending (at, seq) so its next event,
+	// near[nearN-1], pops off the end.
+	near    [nearRun]heapSlot
+	nearN   int
 	free    *Event
 	spare   []Event // the unused tail of the event pool's last chunk
 	grown   int     // length of that chunk
@@ -96,6 +106,15 @@ type Kernel struct {
 	limit    Time
 	draining bool
 }
+
+// nearSpan separates frames (10–100 µs) and multicast copies (1–5 ms)
+// from protocol timers (TCP's 1 s minimum RTO, 120 s announcements,
+// 1,800 s leases); nearRun bounds the run's insertion cost, so a queue
+// whose run is always full (N=10k) behaves as the heap alone.
+const (
+	nearSpan = Second
+	nearRun  = 32
+)
 
 // New creates a kernel whose random stream is derived from seed. Two
 // kernels created with the same seed execute identically.
@@ -110,17 +129,23 @@ func New(seed int64) *Kernel {
 // keeping the event pool and heap capacity, so a worker goroutine can run
 // many simulations back to back without reallocating. Pending events are
 // discarded (and recycled). Events retained by the previous simulation
-// are invalid after Reset.
+// are invalid after Reset, and so is a drain a panicking callback left
+// unfinished.
 func (k *Kernel) Reset(seed int64) {
+	for _, s := range k.near[:k.nearN] {
+		k.release(s.e)
+	}
 	for i := range k.heap {
 		k.release(k.heap[i].e)
 	}
+	clear(k.near[:k.nearN])
 	clear(k.heap)
-	k.heap = k.heap[:0]
+	k.heap, k.nearN = k.heap[:0], 0
 	k.now = 0
 	k.seq = 0
 	k.fired = 0
 	k.stopped = false
+	k.limit, k.draining = 0, false
 	k.src.Seed(seed)
 }
 
@@ -212,7 +237,8 @@ func (k *Kernel) schedule(t Time) *Event {
 // queue and is sifted to its new place only when its old instant comes
 // up, so a timer renewed many times per expiry (a lease) costs O(1) per
 // renewal and one queue entry in total, instead of one dead entry per
-// renewal.
+// renewal. Its slot keeps the old key, which sorts no later than the new
+// one, so both tiers stay ordered.
 //
 // e must be pending: not canceled, and not the event whose callback is
 // running (that one has left the queue; schedule a new event instead).
@@ -274,7 +300,7 @@ func (k *Kernel) Stop() { k.stopped = true }
 // # Re-entrancy invariant
 //
 // Run, RunUntil and Step may be freely interleaved on one kernel; each
-// call resumes from the current heap, and the clock NEVER rewinds. The
+// call resumes from the current queue, and the clock NEVER rewinds. The
 // one way an event can come to sit behind the clock is a Stop()ed Run
 // (or RunUntil): the clock jumps to the horizon while undrained events
 // keep their original times. Such events fire at the current instant —
@@ -295,7 +321,7 @@ func (k *Kernel) Run(horizon Time) {
 // clock at target, like Run — the live driver calls it repeatedly to
 // chase the wall clock, so unlike the one-shot Run it is documented as
 // a resumable API: consecutive calls with non-decreasing targets drain
-// the heap incrementally. A target at or before Now fires nothing and
+// the queue incrementally. A target at or before Now fires nothing and
 // leaves the clock untouched (the clock never rewinds).
 func (k *Kernel) RunUntil(target Time) {
 	k.stopped = false
@@ -310,65 +336,92 @@ func (k *Kernel) RunUntil(target Time) {
 // re-entrancy invariant). It reports whether an event fired; false
 // means the queue held nothing but canceled events, which it discards.
 func (k *Kernel) Step() bool {
-	e := k.head()
+	e, near := k.head()
 	if e == nil {
 		return false
 	}
-	k.pop()
+	k.pop(near)
 	k.fire(e)
 	return true
 }
 
 // NextEventTime reports the virtual time of the earliest pending
-// non-canceled event. Canceled heap heads are discarded and postponed
+// non-canceled event. Canceled heads are discarded and postponed
 // ones moved on the way, so the answer is exact, not a bound. The live
 // driver uses it to compute how long the event loop may sleep on the
 // wall clock.
 func (k *Kernel) NextEventTime() (Time, bool) {
-	if e := k.head(); e != nil {
+	if e, _ := k.head(); e != nil {
 		return e.at, true
 	}
 	return 0, false
 }
 
-// head settles the front of the queue and returns the next event to
-// fire, still queued, or nil for an empty queue.
-func (k *Kernel) head() *Event {
-	for len(k.heap) > 0 {
-		if e := k.heap[0].e; k.settled(e) {
-			return e
+// front returns the queue's least slot — the run's last or the heap's
+// root, whichever sorts first — and whether it is the run's; nil for an
+// empty queue. Every reader of the head goes through it.
+func (k *Kernel) front() (*heapSlot, bool) {
+	if n := k.nearN; n > 0 {
+		if s := &k.near[n-1]; len(k.heap) == 0 || slotLess(s, &k.heap[0]) {
+			return s, true
 		}
 	}
-	return nil
+	if len(k.heap) == 0 {
+		return nil, false
+	}
+	return &k.heap[0], false
 }
 
-// settled reports whether the head slot, whose event is e, is the next
-// event to fire. If it is not it is dealt with — a canceled event is
-// discarded and recycled, a postponed one re-sifted under its true key —
-// and the caller looks at the new head. Neither is a fired event, and
-// neither consumes a sequence number.
-func (k *Kernel) settled(e *Event) bool {
-	switch {
+// head settles the front of the queue and returns the next event to
+// fire, still queued, and whether it is the run's; nil for an empty queue.
+func (k *Kernel) head() (*Event, bool) {
+	for {
+		s, near := k.front()
+		if s == nil {
+			return nil, false
+		}
+		if e := s.e; k.settled(s, near) {
+			return e, near
+		}
+	}
+}
+
+// settled reports whether the front slot s is the next event to fire. If
+// it is not it is dealt with — a canceled event is discarded and recycled,
+// a postponed one re-queued under its true key (re-sifted in place at the
+// heap's root) — and the caller looks at the new front. Neither is a
+// fired event, and neither consumes a sequence number.
+func (k *Kernel) settled(s *heapSlot, near bool) bool {
+	switch e := s.e; {
 	case e.canceled:
-		k.pop()
+		k.pop(near)
 		k.release(e)
 		return false
-	case e.seq != k.heap[0].seq:
-		k.siftDown(0, heapSlot{at: e.at, seq: e.seq, e: e})
+	case e.seq != s.seq:
+		if near {
+			k.pop(true)
+			k.push(e)
+		} else {
+			k.siftDown(0, heapSlot{at: e.at, seq: e.seq, e: e})
+		}
 		return false
 	}
 	return true
 }
 
 // drainTo fires events with at <= limit in (time, seq) order until the
-// heap drains, the limit is reached, or Stop is called. A slot's key never
-// exceeds its event's, so a head slot beyond the limit ends the drain
-// without being settled.
+// queue drains, the limit is reached, or Stop is called. A slot's key
+// never exceeds its event's, so a front slot beyond the limit ends the
+// drain without being settled.
 func (k *Kernel) drainTo(limit Time) {
 	k.limit, k.draining = limit, true
-	for !k.stopped && len(k.heap) > 0 && k.heap[0].at <= limit {
-		if e := k.heap[0].e; k.settled(e) {
-			k.pop()
+	for !k.stopped {
+		s, near := k.front()
+		if s == nil || s.at > limit {
+			break
+		}
+		if e := s.e; k.settled(s, near) {
+			k.pop(near)
 			k.fire(e)
 		}
 	}
@@ -378,7 +431,7 @@ func (k *Kernel) drainTo(limit Time) {
 // AdvanceTo lets the running callback continue as the event it would
 // otherwise schedule for itself at t: it reports whether "AtArg(t, self)
 // and return" would be followed immediately by that event firing, and if
-// so performs the same state change without touching the heap — the
+// so performs the same state change without touching the queue — the
 // clock moves to t, and seq and fired each advance by one exactly as the
 // schedule-then-pop would have, so Fired() and every later event's
 // sequence number are unchanged. The caller then carries on with the work
@@ -389,11 +442,11 @@ func (k *Kernel) drainTo(limit Time) {
 // the drain's limit, and when no live pending event has at <= t. The
 // comparison is non-strict on purpose: an equal-time pending event was
 // scheduled earlier than the one being replaced, so it must fire first.
-// Canceled heap heads are discarded and postponed ones moved on the way,
-// as the drain would have.
+// Canceled heads are discarded and postponed ones moved on the way, as
+// the drain would have.
 //
 // It exists for walkers of a long pre-sorted schedule (the netsim
-// multicast delivery train), which would otherwise push and pop one heap
+// multicast delivery train), which would otherwise push and pop one queue
 // entry per distinct instant.
 func (k *Kernel) AdvanceTo(t Time) bool {
 	if !k.draining || k.stopped || t > k.limit || t < k.now {
@@ -427,7 +480,7 @@ func (k *Kernel) fire(e *Event) {
 // Pending reports the number of queued events: every live event once,
 // however often it was postponed, plus canceled events that have not yet
 // been discarded.
-func (k *Kernel) Pending() int { return len(k.heap) }
+func (k *Kernel) Pending() int { return len(k.heap) + k.nearN }
 
 // slotLess orders queue entries by (time, seq): schedule order breaks
 // ties, so same-instant events fire in the order they were scheduled.
@@ -438,13 +491,23 @@ func slotLess(a, b *heapSlot) bool {
 	return a.seq < b.seq
 }
 
-// push inserts an event into the 4-ary min-heap. A 4-ary heap halves the
-// tree depth of the binary heap and keeps the four children of a node
-// adjacent, which measures faster on the simulator's churn of push/pop
-// pairs; it needs no per-event index because lazy cancellation and
-// postponement never remove from the middle.
+// push queues an event under its true key: into the run if it is due
+// within nearSpan and the run has room, shifting the run's earlier slots
+// one place toward its end, else into the 4-ary min-heap. A 4-ary heap
+// halves the tree depth of the binary heap and keeps the four children of
+// a node adjacent, which measures faster on the simulator's churn of
+// push/pop pairs; neither tier needs a per-event index because lazy
+// cancellation and postponement never remove from the middle.
 func (k *Kernel) push(e *Event) {
 	s := heapSlot{at: e.at, seq: e.seq, e: e}
+	if n := k.nearN; n < nearRun && e.at-k.now < nearSpan {
+		for ; n > 0 && slotLess(&k.near[n-1], &s); n-- {
+			k.near[n] = k.near[n-1]
+		}
+		k.near[n] = s
+		k.nearN++
+		return
+	}
 	h := append(k.heap, s)
 	i := len(h) - 1
 	for i > 0 {
@@ -459,8 +522,14 @@ func (k *Kernel) push(e *Event) {
 	k.heap = h
 }
 
-// pop removes the minimum entry (the caller has already read heap[0]).
-func (k *Kernel) pop() {
+// pop removes the front slot, the run's if near (the caller has already
+// read it).
+func (k *Kernel) pop(near bool) {
+	if near {
+		k.nearN--
+		k.near[k.nearN] = heapSlot{}
+		return
+	}
 	n := len(k.heap) - 1
 	last := k.heap[n]
 	k.heap[n] = heapSlot{}

@@ -348,6 +348,26 @@ func TestKernelReset(t *testing.T) {
 	}
 }
 
+// TestResetEndsAPanickedDrain: a callback that panics out of Run leaves
+// its drain unfinished and events queued in both tiers. Reset must end
+// the drain — AdvanceTo outside any drain refuses, without moving the
+// clock or counting a firing — and discard every queued event.
+func TestResetEndsAPanickedDrain(t *testing.T) {
+	k := New(1)
+	k.At(1, func() { panic("callback failed") })
+	k.At(2, func() { t.Error("a near event survived Reset") })
+	k.At(2*Hour, func() { t.Error("a timer survived Reset") })
+	func() {
+		defer func() { recover() }()
+		k.Run(10)
+	}()
+	k.Reset(1)
+	if k.AdvanceTo(3) || k.Now() != 0 || k.Fired() != 0 || k.Pending() != 0 {
+		t.Fatalf("after Reset: now=%d fired=%d pending=%d", k.Now(), k.Fired(), k.Pending())
+	}
+	k.Run(3 * Hour)
+}
+
 // The splitmix source must be deterministic per seed and differ across
 // seeds.
 func TestSplitmixStream(t *testing.T) {

@@ -90,9 +90,19 @@ func (s *refSched) at(id int) Time    { return s.ev[id].at }
 // by every drain call, with Stop, Reset, AdvanceTo and NextEventTime mixed
 // in — and returns the log of everything observable. Times are drawn from a
 // narrow range so equal-instant ties, the cases sequence numbers decide,
-// are the rule rather than the exception.
-func kernelProgram(s scheduler, seed int64, steps int) []string {
+// are the rule rather than the exception. With straddle set, one delay in
+// three lies within 2 ns of nearSpan either side, so events land on both
+// sides of the kernel's run/heap boundary, and bursts of more than nearRun
+// schedules overfill the run; without it the program draws exactly what it
+// always has.
+func kernelProgram(s scheduler, seed int64, steps int, straddle bool) []string {
 	rng := rand.New(rand.NewSource(seed))
+	delay := func(narrow int) Time {
+		if straddle && rng.Intn(3) == 0 {
+			return nearSpan - 2 + Time(rng.Intn(5))
+		}
+		return Time(rng.Intn(narrow))
+	}
 	var log []string
 	logf := func(format string, args ...any) {
 		log = append(log, fmt.Sprintf(format, args...)+fmt.Sprintf(" | now=%d fired=%d", s.Now(), s.Fired()))
@@ -110,15 +120,18 @@ func kernelProgram(s scheduler, seed int64, steps int) []string {
 	pick := func() int { return live[rng.Intn(len(live))] }
 
 	var fire func(id int)
+	add := func() {
+		id := nextID
+		nextID++
+		t := s.Now() + delay(12)
+		s.schedule(id, t, rng.Intn(2) == 0, fire)
+		live = append(live, id)
+		logf("schedule %d at %d seq %d", id, t, s.seq(id))
+	}
 	mutate := func() {
 		switch r := rng.Intn(10); {
 		case r < 4 || len(live) == 0:
-			id := nextID
-			nextID++
-			t := s.Now() + Time(rng.Intn(12))
-			s.schedule(id, t, rng.Intn(2) == 0, fire)
-			live = append(live, id)
-			logf("schedule %d at %d seq %d", id, t, s.seq(id))
+			add()
 		case r < 6:
 			id := pick()
 			s.cancel(id)
@@ -128,7 +141,7 @@ func kernelProgram(s scheduler, seed int64, steps int) []string {
 			id := pick()
 			// Later or equal, and never behind the clock: an overdue event
 			// (left behind by a stopped drain) can only move to now or on.
-			t := s.at(id) + Time(rng.Intn(8))
+			t := s.at(id) + delay(8)
 			if t < s.Now() {
 				t = s.Now() + Time(rng.Intn(3))
 			}
@@ -161,15 +174,20 @@ func kernelProgram(s scheduler, seed int64, steps int) []string {
 	}
 
 	for i := 0; i < steps; i++ {
+		if straddle && rng.Intn(32) == 0 {
+			for n := nearRun + 1 + rng.Intn(8); n > 0; n-- {
+				add()
+			}
+		}
 		switch r := rng.Intn(20); {
 		case r < 9:
 			mutate()
 		case r < 11:
-			h := s.Now() + Time(rng.Intn(15))
+			h := s.Now() + delay(15)
 			s.Run(h)
 			logf("run %d", h)
 		case r < 13:
-			h := s.Now() + Time(rng.Intn(15)) - 3 // sometimes behind the clock: fires nothing
+			h := s.Now() + delay(15) - 3 // sometimes behind the clock: fires nothing
 			s.RunUntil(h)
 			logf("rununtil %d", h)
 		case r < 17:
@@ -185,28 +203,50 @@ func kernelProgram(s scheduler, seed int64, steps int) []string {
 			}
 		}
 	}
-	s.Run(s.Now() + 1000)
+	final := Time(1000)
+	if straddle {
+		final += 100 * nearSpan
+	}
+	s.Run(s.Now() + final)
 	logf("final drain, %d never fired", len(live))
 	return log
 }
 
-func TestKernelMatchesLazyCancelReference(t *testing.T) {
-	for seed := int64(1); seed <= 300; seed++ {
-		real := &realSched{Kernel: New(1), ev: map[int]*Event{}}
-		ref := &refSched{refKernel: &refKernel{}, ev: map[int]*refEvent{}, fn: map[int]func(int){}, arg: map[int]bool{}}
-		got := kernelProgram(real, seed, 400)
-		want := kernelProgram(ref, seed, 400)
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: %d log lines against the reference's %d", seed, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				from := max(0, i-8)
-				t.Fatalf("seed %d: diverged from the lazy-cancel reference at line %d\n--- got ---\n%s\n--- want ---\n%s",
-					seed, i, strings.Join(got[from:i+1], "\n"), strings.Join(want[from:i+1], "\n"))
-			}
+// matchReference runs one kernelProgram on the kernel and on the
+// lazy-cancel reference and fails at the first line their logs differ.
+func matchReference(t *testing.T, seed int64, steps int, straddle bool) {
+	t.Helper()
+	real := &realSched{Kernel: New(1), ev: map[int]*Event{}}
+	ref := &refSched{refKernel: &refKernel{}, ev: map[int]*refEvent{}, fn: map[int]func(int){}, arg: map[int]bool{}}
+	got := kernelProgram(real, seed, steps, straddle)
+	want := kernelProgram(ref, seed, steps, straddle)
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			from := max(0, i-8)
+			t.Fatalf("seed %d straddle %v: diverged from the lazy-cancel reference at line %d\n--- got ---\n%s\n--- want ---\n%s",
+				seed, straddle, i, strings.Join(got[from:i+1], "\n"), strings.Join(want[from:i+1], "\n"))
 		}
 	}
+	if len(got) != len(want) {
+		t.Fatalf("seed %d straddle %v: %d log lines against the reference's %d", seed, straddle, len(got), len(want))
+	}
+}
+
+func TestKernelMatchesLazyCancelReference(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		matchReference(t, seed, 400, false)
+		matchReference(t, seed, 400, true)
+	}
+}
+
+// FuzzKernelMatchesReference drives kernelProgram from fuzz input: the
+// seed, the program length and the delay mode.
+func FuzzKernelMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint16(400), false)
+	f.Add(int64(7), uint16(400), true)
+	f.Fuzz(func(t *testing.T, seed int64, steps uint16, straddle bool) {
+		matchReference(t, seed, int(steps%2000), straddle)
+	})
 }
 
 // TestPostponeKeepsOneQueueEntry: however often an event is postponed it

@@ -65,11 +65,11 @@ func TestPollingAloneIsSlowerThanNotification(t *testing.T) {
 func TestPollingCostsRedundantMessages(t *testing.T) {
 	quiet := newRig(t, 52, 1, DefaultConfig())
 	quiet.k.Run(5400 * sim.Second)
-	baseline := quiet.nw.Counters().PerKind["Get"]
+	baseline := quiet.nw.Counters().PerKind()["Get"]
 
 	polling := newRig(t, 52, 1, pollingConfig(600*sim.Second))
 	polling.k.Run(5400 * sim.Second)
-	polled := polling.nw.Counters().PerKind["Get"]
+	polled := polling.nw.Counters().PerKind()["Get"]
 
 	// ~9 poll GETs minus whatever the baseline needed (initial fetch).
 	extra := polled - baseline

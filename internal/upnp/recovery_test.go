@@ -56,11 +56,11 @@ func TestStaleInvalidationIgnored(t *testing.T) {
 	r := newRig(t, 32, 1, DefaultConfig())
 	u := r.users[0]
 	r.k.Run(100 * sim.Second)
-	before := r.nw.Counters().PerKind["Get"]
+	before := r.nw.Counters().PerKind()["Get"]
 	u.Deliver(&netsim.Message{From: r.manager.ID(),
 		Packet: wire.Packet{Kind: wire.Invalidate, Manager: r.manager.ID(), N: 1}}) // version already held
 	r.k.Run(200 * sim.Second)
-	after := r.nw.Counters().PerKind["Get"]
+	after := r.nw.Counters().PerKind()["Get"]
 	if after != before {
 		t.Errorf("stale invalidation triggered %d extra GETs", after-before)
 	}

@@ -146,6 +146,9 @@ var kindNames = [...]string{
 	AppointBackup:      "AppointBackup",
 }
 
+// NumKinds bounds the Kind values, for arrays indexed by Kind.
+const NumKinds = len(kindNames)
+
 // String returns the kind's wire-log name, "Unknown" for the zero Kind.
 func (k Kind) String() string {
 	if int(k) < len(kindNames) && kindNames[k] != "" {
