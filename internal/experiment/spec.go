@@ -158,8 +158,11 @@ func (s *ScenarioSpec) Validate() error {
 	if s.Lambda < 0 || s.Lambda > 1 {
 		return fmt.Errorf("scenario: lambda %v out of [0,1]", s.Lambda)
 	}
-	if s.ChangeMaxSec > 0 && s.ChangeMinSec > s.ChangeMaxSec {
-		return fmt.Errorf("scenario: change_min_sec %v exceeds change_max_sec %v", s.ChangeMinSec, s.ChangeMaxSec)
+	// An unset bound takes its default (100 s, 2,700 s), so the window
+	// is checked as the run will draw from it.
+	if p := s.Params(); p.ChangeMin > p.ChangeMax {
+		return fmt.Errorf("scenario: change_min_sec %v exceeds change_max_sec %v once defaults apply",
+			p.ChangeMin.Sec(), p.ChangeMax.Sec())
 	}
 	if s.Changes < 0 {
 		return fmt.Errorf("scenario: changes %d must not be negative", s.Changes)

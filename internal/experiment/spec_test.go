@@ -74,6 +74,8 @@ func TestSpecValidateFieldPaths(t *testing.T) {
 		{"racks", `{"rack_failures": {"racks": 2, "fail": 5, "duration_sec": 10}}`, "rack"},
 		{"failure window", `{"failure_window": {"start_sec": 100, "end_sec": 50}}`, "failure_window"},
 		{"changes", `{"changes": -1}`, "changes"},
+		{"change max below default min", `{"seed": 1, "change_max_sec": 50}`, "change_min_sec 100 exceeds change_max_sec 50"},
+		{"change min above default max", `{"seed": 1, "change_min_sec": 3000}`, "change_min_sec 3000 exceeds change_max_sec 2700"},
 		{"shards", `{"shards": 2}`, "shards"},
 		{"cross_min_sec", `{"cross_min_sec": 0.5}`, "cross_min_sec"},
 		{"cross_max_sec", `{"cross_max_sec": 0.5}`, "cross_max_sec"},
@@ -272,6 +274,7 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add([]byte(`{"seed": 1}`))
 	f.Add([]byte(`{"seed": 1, "partitions": [{"start_sec": 1e19, "duration_sec": 1}]}`))
 	f.Add([]byte(`{"seed": 1, "duration_sec": 1e300}`))
+	f.Add([]byte(`{"seed": 1, "change_max_sec": 50}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ParseSpec(bytes.NewReader(data))
 		if err != nil {
@@ -297,7 +300,11 @@ func FuzzParseSpec(f *testing.F) {
 		if !reflect.DeepEqual(s, back) {
 			t.Fatalf("round trip changed the spec:\n got %+v\nwant %+v", back, s)
 		}
-		checkNoNegativeTime(t, reflect.ValueOf(s.Params()), "Params")
+		p := s.Params()
+		checkNoNegativeTime(t, reflect.ValueOf(p), "Params")
+		if p.ChangeMin > p.ChangeMax {
+			t.Fatalf("accepted spec resolves to an empty change window [%v, %v]", p.ChangeMin, p.ChangeMax)
+		}
 		if err := s.Options().Validate(); err != nil {
 			t.Fatalf("accepted spec has invalid Options: %v", err)
 		}

@@ -101,19 +101,19 @@ func (h tcpHandle) abort() {
 	}
 }
 
-// tcpConnPool walks the connection free list: how many records the pool
-// holds, how many it ever made, how often they were released (each
-// release bumps a record's gen), and whether any record is listed twice.
+// tcpConnPool walks the connection pool: how many records it holds free,
+// how many it ever made, how often they were released (each release
+// bumps a record's gen), and whether any record is listed free twice.
 func tcpConnPool(nw *Network) (free, made, releases int, dup bool) {
 	seen := map[*TCPConn]bool{}
-	for c := nw.freeConn; c != nil; c = c.next {
+	for _, c := range nw.conns.free {
 		if seen[c] {
 			return free, made, releases, true
 		}
 		seen[c] = true
 		free++
 	}
-	for _, ch := range nw.connChunks {
+	for _, ch := range nw.conns.chunks {
 		made += len(ch)
 		for i := range ch {
 			releases += int(ch[i].gen)

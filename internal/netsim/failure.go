@@ -174,9 +174,8 @@ func PlanRackFailures(k *sim.Kernel, nodes []NodeID, cfg RackPlanConfig) []Inter
 }
 
 // outage is the pooled record behind one scheduled interface transition.
-// Records live in the network's index-recycled arena rather than a free
-// list: a recovery event frequently lies beyond the run horizon and never
-// fires, so free-list accounting would leak one record per node per run.
+// It is never put back during a run (a recovery often lies past the
+// horizon and never fires); Rearm reclaims the run's records at once.
 type outage struct {
 	node *Node
 	gen  uint32
@@ -184,17 +183,7 @@ type outage struct {
 	up   bool
 }
 
-func (nw *Network) allocOutage() *outage {
-	if nw.outageNext < len(nw.outages) {
-		o := nw.outages[nw.outageNext]
-		nw.outageNext++
-		return o
-	}
-	o := &outage{}
-	nw.outages = append(nw.outages, o)
-	nw.outageNext++
-	return o
-}
+func (o *outage) recycle() { *o = outage{} }
 
 // applyOutage is the static kernel callback for planned transitions.
 func applyOutage(x any) {
@@ -217,10 +206,10 @@ func applyOutage(x any) {
 // failure draw).
 func (nw *Network) ScheduleFailure(f InterfaceFailure) {
 	node := nw.Node(f.Node)
-	down := nw.allocOutage()
+	down := nw.outages.get()
 	*down = outage{node: node, gen: node.gen, mode: f.Mode, up: false}
 	nw.k.AtArg(f.Start, applyOutage, down)
-	up := nw.allocOutage()
+	up := nw.outages.get()
 	*up = outage{node: node, gen: node.gen, mode: f.Mode, up: true}
 	nw.k.AtArg(f.End(), applyOutage, up)
 }

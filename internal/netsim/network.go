@@ -122,27 +122,21 @@ type Network struct {
 	tracer   Tracer
 	counters Counters
 
-	// Free lists for the per-frame scratch records of the fast path. All
-	// single-threaded, like everything else here. Unicast deliveries and
-	// the TCP records (the rest of whose pools close the struct) come
-	// from chunks the network keeps listed, for reclaimDeliveries and
-	// reclaimTCP.
-	freeDelivery   *delivery
-	deliveryChunks [][]delivery
-	deliveryGrown  int
-	freeFanout     *fanout
-	freeMcopy      *mcopy
-	freeTCPFrame   *tcpFrame
+	// The records of frames, trains, TCP conversations and planned
+	// transitions (see pool); Rearm reclaims them all.
+	deliveries pool[delivery, *delivery]
+	fanouts    pool[fanout, *fanout]
+	mcopies    pool[mcopy, *mcopy]
+	conns      pool[TCPConn, *TCPConn]
+	transfers  pool[tcpTransfer, *tcpTransfer]
+	tcpFrames  pool[tcpFrame, *tcpFrame]
+	outages    pool[outage, *outage]
+	partEvents pool[partEvent, *partEvent]
 	// fanScratch is armFanout's radix-sort buffer; like the pools it is
-	// kept across Reset and Rearm.
+	// kept across Rearm.
 	fanScratch []fanEntry
-	// spareNodes recycles Node structs across Reset cycles.
+	// spareNodes recycles Node structs across Rearm cycles.
 	spareNodes []*Node
-	// outages is the arena of planned-outage records (ScheduleFailure);
-	// index-recycled per run, so failure plans allocate nothing in steady
-	// state even though recovery events routinely outlive the horizon.
-	outages    []*outage
-	outageNext int
 
 	// Link-conditioning state (see link.go): the per-receiver
 	// Gilbert–Elliott chains, the precomputed delay quantile table and
@@ -152,27 +146,17 @@ type Network struct {
 	delayTable []sim.Duration
 	delayKey   delayTableKey
 	// Partition state (see partition.go): the side bitmap of the active
-	// split, the activation record that owns it, and the arena of
-	// scheduled transitions.
-	partActive bool
-	partOwner  *partEvent
-	partSideB  []bool
-	partEvents []*partEvent
-	partNext   int
+	// split, the activation record that owns it, and the windows
+	// scheduled so far.
+	partActive  bool
+	partOwner   *partEvent
+	partSideB   []bool
+	partWindows []Partition
 
 	// acctScratch is the Message used to account sends that own no frame
 	// record (the discovery-layer send of a TCP transfer) without
 	// allocating one.
 	acctScratch Message
-
-	frameChunks    [][]tcpFrame
-	frameGrown     int
-	freeConn       *TCPConn
-	connChunks     [][]TCPConn
-	connGrown      int
-	freeTransfer   *tcpTransfer
-	transferChunks [][]tcpTransfer
-	transferGrown  int
 }
 
 // New creates an empty network on the given kernel. An invalid
@@ -198,36 +182,9 @@ func MustNew(k *sim.Kernel, cfg Config) *Network {
 	return nw
 }
 
-// Reset empties the network for a fresh simulation on kernel k while
-// keeping all allocated capacity — node structs, group membership
-// storage, counter slices and the frame-record pools — so a worker
-// goroutine can run many simulations back to back without rebuilding the
-// network from scratch. Any *Node, *TCPConn or Tracer from the previous
-// simulation is invalid afterwards, and so is the previous kernel's event
-// queue: the frames it still held in flight, and the TCP connections and
-// transfers they or its timers pointed at, are reclaimed.
-func (nw *Network) Reset(k *sim.Kernel, cfg Config) {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	nw.k = k
-	nw.cfg = cfg
-	nw.park(nw.nodes)
-	nw.nodes = nw.nodes[:0]
-	nw.retired = nw.retired[:0]
-	for _, gs := range nw.groups {
-		gs.reset()
-	}
-	nw.tracer = nil
-	nw.counters.reset()
-	nw.reclaimDeliveries()
-	nw.reclaimTCP()
-	nw.outageNext = 0
-	nw.partActive = false
-	nw.partOwner = nil
-	nw.partNext = 0
-	nw.prepareLink()
-}
+// Reset empties the network for a fresh simulation on kernel k: it is
+// Rearm keeping no node slot, so every *Node is invalid afterwards too.
+func (nw *Network) Reset(k *sim.Kernel, cfg Config) { nw.Rearm(k, cfg, 0) }
 
 // Rearm prepares the network for a fresh simulation that reuses the
 // previous scenario's node slots: the first keep slots survive with their
@@ -240,8 +197,11 @@ func (nw *Network) Reset(k *sim.Kernel, cfg Config) {
 // fan-out order replays the fresh-build order bit for bit.
 //
 // Rearm must run after the owning kernel's Reset and before any new
-// scheduling; like Reset it invalidates every *TCPConn and Tracer of the
-// previous run, but — unlike Reset — *Node pointers to the kept slots
+// scheduling. It keeps all allocated capacity — node structs, group
+// storage, counter slices, the record pools — and reclaims every record
+// the reset kernel still held: frames in flight, open TCP connections,
+// transitions past the horizon. Every *TCPConn and Tracer of the
+// previous run is invalid afterwards; *Node pointers to the kept slots
 // remain valid.
 func (nw *Network) Rearm(k *sim.Kernel, cfg Config, keep int) {
 	if err := cfg.Validate(); err != nil {
@@ -269,12 +229,17 @@ func (nw *Network) Rearm(k *sim.Kernel, cfg Config, keep int) {
 	}
 	nw.tracer = nil
 	nw.counters.reset()
-	nw.reclaimDeliveries()
-	nw.reclaimTCP()
-	nw.outageNext = 0
+	nw.deliveries.reclaim()
+	nw.fanouts.reclaim()
+	nw.mcopies.reclaim()
+	nw.conns.reclaim()
+	nw.transfers.reclaim()
+	nw.tcpFrames.reclaim()
+	nw.outages.reclaim()
+	nw.partEvents.reclaim()
 	nw.partActive = false
 	nw.partOwner = nil
-	nw.partNext = 0
+	nw.partWindows = nw.partWindows[:0]
 	nw.prepareLink()
 }
 
@@ -434,56 +399,24 @@ func (nw *Network) members(g Group) ([]NodeID, []TopicSet) {
 	return nil, nil
 }
 
-// delivery is one in-flight unicast frame: the Message plus its pool
-// link. The Message is delivered by pointer and recycled as soon as the
-// endpoint's Deliver returns, so endpoints must not retain *Message past
-// the call (its Packet is a value and may be kept).
+// delivery is one in-flight unicast frame. The Message is delivered by
+// pointer and recycled as soon as the endpoint's Deliver returns, so
+// endpoints must not retain *Message past the call (its Packet is a
+// value and may be kept).
 type delivery struct {
-	nw   *Network
-	m    Message
-	gen  uint32 // receiver-slot tenancy the frame was aimed at
-	next *delivery
+	nw  *Network
+	m   Message
+	gen uint32 // receiver-slot tenancy the frame was aimed at
 }
 
-func (nw *Network) allocDelivery() *delivery {
-	if nw.freeDelivery == nil {
-		c := sim.Chunk[delivery](&nw.deliveryGrown, 16, 1024)
-		nw.deliveryChunks = append(nw.deliveryChunks, c)
-		for i := len(c) - 1; i >= 0; i-- {
-			c[i].nw = nw
-			nw.releaseDelivery(&c[i])
-		}
-	}
-	d := nw.freeDelivery
-	nw.freeDelivery = d.next
-	d.next = nil
-	return d
-}
-
-func (nw *Network) releaseDelivery(d *delivery) {
-	d.m = Message{}
-	d.next = nw.freeDelivery
-	nw.freeDelivery = d
-}
-
-// reclaimDeliveries returns every record to the free list once the
-// kernel has been reset: one still in flight would otherwise be lost to
-// the pool, its payload pinned by its chunk, for the network's lifetime.
-func (nw *Network) reclaimDeliveries() {
-	nw.freeDelivery = nil
-	for _, c := range nw.deliveryChunks {
-		for i := range c {
-			nw.releaseDelivery(&c[i])
-		}
-	}
-}
+func (d *delivery) recycle() { *d = delivery{} }
 
 // deliverUDP is the static event callback for pooled unicast deliveries
 // (static + pooled argument = no per-frame closure allocation).
 func deliverUDP(x any) {
 	d := x.(*delivery)
 	d.nw.deliverNow(&d.m, d.gen)
-	d.nw.releaseDelivery(d)
+	d.nw.deliveries.put(d)
 }
 
 // deliverNow runs the receive path for an application frame whose delay
@@ -517,23 +450,22 @@ func (nw *Network) deliverNow(m *Message, gen uint32) {
 // transmitter is down — the device cannot know its interface has failed —
 // and the frame is then silently lost.
 func (nw *Network) SendUDP(from, to NodeID, out Outgoing) {
-	d := nw.allocDelivery()
-	d.m = out.frame(from, to, UDP, nw.k.Now())
-	d.gen = nw.Node(to).gen
+	d := nw.deliveries.get()
+	d.nw, d.m, d.gen = nw, out.frame(from, to, UDP, nw.k.Now()), nw.Node(to).gen
 	nw.accountSend(&d.m)
 	if !nw.Node(from).txUp {
 		nw.drop(&d.m, "tx down")
-		nw.releaseDelivery(d)
+		nw.deliveries.put(d)
 		return
 	}
 	if nw.partitioned(from, to) {
 		nw.drop(&d.m, "partitioned")
-		nw.releaseDelivery(d)
+		nw.deliveries.put(d)
 		return
 	}
 	if nw.linkLose(to) {
 		nw.drop(&d.m, "lost")
-		nw.releaseDelivery(d)
+		nw.deliveries.put(d)
 		return
 	}
 	nw.k.AfterArg(nw.linkDelay(), deliverUDP, d)
@@ -548,8 +480,9 @@ type mcopy struct {
 	gen  uint32
 	g    Group
 	out  Outgoing
-	next *mcopy
 }
+
+func (c *mcopy) recycle() { *c = mcopy{} }
 
 func runMulticastCopy(x any) {
 	c := x.(*mcopy)
@@ -561,9 +494,7 @@ func runMulticastCopy(x any) {
 	if nw.Node(c.from).gen == c.gen {
 		nw.multicastCopy(c.from, c.g, c.out)
 	}
-	c.out = Outgoing{}
-	c.next = nw.freeMcopy
-	nw.freeMcopy = c
+	nw.mcopies.put(c)
 }
 
 // Multicast transmits copies redundant frames of the same discovery
@@ -574,16 +505,9 @@ func (nw *Network) Multicast(from NodeID, g Group, out Outgoing, copies int) {
 	nw.multicastCopy(from, g, out)
 	gen := nw.Node(from).gen
 	for c := 1; c < copies; c++ {
-		offset := sim.Duration(c) * nw.cfg.MulticastStagger
-		mc := nw.freeMcopy
-		if mc == nil {
-			mc = &mcopy{}
-		} else {
-			nw.freeMcopy = mc.next
-			mc.next = nil
-		}
+		mc := nw.mcopies.get()
 		mc.nw, mc.from, mc.gen, mc.g, mc.out = nw, from, gen, g, out
-		nw.k.AfterArg(offset, runMulticastCopy, mc)
+		nw.k.AfterArg(sim.Duration(c)*nw.cfg.MulticastStagger, runMulticastCopy, mc)
 	}
 }
 
@@ -608,28 +532,11 @@ type fanout struct {
 	scratch Message // per-receiver view for delivery and drop reporting
 	entries []fanEntry
 	i       int
-	next    *fanout
 }
 
-func (nw *Network) allocFanout() *fanout {
-	f := nw.freeFanout
-	if f == nil {
-		return &fanout{nw: nw}
-	}
-	nw.freeFanout = f.next
-	f.next = nil
-	f.nw = nw
-	return f
-}
-
-func (nw *Network) releaseFanout(f *fanout) {
-	f.wire = Message{}
-	f.scratch = Message{}
-	f.entries = f.entries[:0]
-	f.i = 0
-	f.next = nw.freeFanout
-	nw.freeFanout = f
-}
+// recycle keeps the capacity of the train, so a pooled fanout re-arms
+// without allocating.
+func (f *fanout) recycle() { *f = fanout{entries: f.entries[:0]} }
 
 // multicastCopy sends one wire transmission of a multicast message and
 // arms its delivery train. Loss and delay are drawn per member in
@@ -639,7 +546,8 @@ func (nw *Network) releaseFanout(f *fanout) {
 // non-listener gets no drop record, no tracer callback and no train
 // entry, and its endpoint is never touched.
 func (nw *Network) multicastCopy(from NodeID, g Group, out Outgoing) {
-	f := nw.allocFanout()
+	f := nw.fanouts.get()
+	f.nw = nw
 	f.wire = out.frame(from, NoNode, UDP, nw.k.Now())
 	f.wire.Multicast, f.wire.Topic = true, out.Topic
 	nw.accountSend(&f.wire)
@@ -656,7 +564,7 @@ func (nw *Network) multicastCopy(from NodeID, g Group, out Outgoing) {
 			}
 			nw.dropCopy(f, to, "tx down")
 		}
-		nw.releaseFanout(f)
+		nw.fanouts.put(f)
 		return
 	}
 	now := nw.k.Now()
@@ -701,7 +609,7 @@ func (nw *Network) dropCopy(f *fanout, to NodeID, reason string) {
 // its first batch; an empty train is released.
 func (nw *Network) armFanout(f *fanout) {
 	if len(f.entries) == 0 {
-		nw.releaseFanout(f)
+		nw.fanouts.put(f)
 		return
 	}
 	f.entries, nw.fanScratch = sortByArrival(f.entries, nw.fanScratch, nw.k.Now())
@@ -781,7 +689,7 @@ func deliverFanout(x any) {
 			nw.deliverNow(&f.scratch, e.gen)
 		}
 		if f.i == len(f.entries) {
-			nw.releaseFanout(f)
+			nw.fanouts.put(f)
 			return
 		}
 		if next := f.entries[f.i].at; !nw.k.AdvanceTo(next) {

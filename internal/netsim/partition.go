@@ -42,10 +42,11 @@ func (p Partition) validate() error {
 }
 
 // partEvent is the pooled record behind one partition transition; like
-// the outage arena, records are index-recycled per run. A heal links to
-// its activation record (peer), so it only deactivates the split it
-// started: with back-to-back windows, the next partition's same-instant
-// activation may fire first, and the stale heal must not clear it.
+// an outage, it is only returned when Rearm reclaims the run's records. A
+// heal links to its activation record (peer), so it only deactivates the
+// split it started: with back-to-back windows, the next partition's
+// same-instant activation may fire first, and the stale heal must not
+// clear it.
 type partEvent struct {
 	nw   *Network
 	p    Partition
@@ -53,17 +54,7 @@ type partEvent struct {
 	peer *partEvent
 }
 
-func (nw *Network) allocPartEvent() *partEvent {
-	if nw.partNext < len(nw.partEvents) {
-		e := nw.partEvents[nw.partNext]
-		nw.partNext++
-		return e
-	}
-	e := &partEvent{}
-	nw.partEvents = append(nw.partEvents, e)
-	nw.partNext++
-	return e
-}
+func (e *partEvent) recycle() { *e = partEvent{} }
 
 // applyPartition is the static kernel callback for split/heal transitions.
 func applyPartition(x any) {
@@ -126,16 +117,17 @@ func (nw *Network) SchedulePartition(p Partition) {
 	if err := p.validate(); err != nil {
 		panic(err)
 	}
-	for _, e := range nw.partEvents[:nw.partNext] {
-		if e.on && p.Start < e.p.End() && e.p.Start < p.End() {
+	for _, q := range nw.partWindows {
+		if p.Start < q.End() && q.Start < p.End() {
 			panic(fmt.Sprintf("netsim: partition [%v,%v) overlaps scheduled [%v,%v)",
-				p.Start, p.End(), e.p.Start, e.p.End()))
+				p.Start, p.End(), q.Start, q.End()))
 		}
 	}
-	on := nw.allocPartEvent()
+	nw.partWindows = append(nw.partWindows, p)
+	on := nw.partEvents.get()
 	*on = partEvent{nw: nw, p: p, on: true}
 	nw.k.AtArg(p.Start, applyPartition, on)
-	off := nw.allocPartEvent()
+	off := nw.partEvents.get()
 	*off = partEvent{nw: nw, p: p, on: false, peer: on}
 	nw.k.AtArg(p.End(), applyPartition, off)
 }

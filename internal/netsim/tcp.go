@@ -87,8 +87,8 @@ func DefaultTCPConfig() TCPConfig {
 // exchange (see tcpFrame) and the reply transfers queued on them. A
 // connection returns to the pool once it has no frame in flight (landed
 // or dropped) and no unfinished transfer, so the Conn of a delivered
-// Message is valid only during Deliver, like the Message itself; Reset
-// and Rearm reclaim every connection still open.
+// Message is valid only during Deliver, like the Message itself; Rearm
+// reclaims every connection still open.
 type TCPConn struct {
 	nw       *Network // nil while pooled
 	cfg      TCPConfig
@@ -126,9 +126,10 @@ type TCPConn struct {
 	// queue order.
 	first tcpTransfer
 	last  *tcpTransfer
-
-	next *TCPConn // free-list link
 }
+
+// recycle zeroes the record and counts the release in its gen.
+func (c *TCPConn) recycle() { *c = TCPConn{gen: c.gen + 1} }
 
 // tcpTransfer is one payload moving across an established connection, in
 // either direction.
@@ -143,8 +144,10 @@ type tcpTransfer struct {
 	timer     *sim.Event // pending retransmission, nil before start
 	rto       sim.Duration
 	sends     int
-	next      *tcpTransfer // transfer list, or free list while pooled
+	next      *tcpTransfer // transfer list
 }
+
+func (tr *tcpTransfer) recycle() { *tr = tcpTransfer{} }
 
 // tcpFrameKind says what a TCP frame does when it arrives.
 type tcpFrameKind uint8
@@ -169,67 +172,14 @@ type tcpFrame struct {
 	conn    *TCPConn
 	tr      *tcpTransfer // data and ACK frames
 	synAt   sim.Time     // SYN and SYN-ACK frames: when the SYN left, for the RTT
-	next    *tcpFrame
 }
 
-// The TCP records — connections, reply transfers and frames — come from
-// chunks the network keeps listed, like unicast deliveries, so Reset and
-// Rearm can reclaim the ones the previous kernel still held.
-
-func (nw *Network) allocConn() *TCPConn {
-	if nw.freeConn == nil {
-		c := sim.Chunk[TCPConn](&nw.connGrown, 16, 1024)
-		nw.connChunks = append(nw.connChunks, c)
-		for i := len(c) - 1; i >= 0; i-- {
-			// Not through putConn: a fresh record has been released zero times.
-			c[i].next = nw.freeConn
-			nw.freeConn = &c[i]
-		}
-	}
-	c := nw.freeConn
-	nw.freeConn = c.next
-	c.next = nil
-	return c
-}
-
-// putConn zeroes a connection record, bumping its gen, and pools it.
-func (nw *Network) putConn(c *TCPConn) {
-	*c = TCPConn{gen: c.gen + 1, next: nw.freeConn}
-	nw.freeConn = c
-}
-
-func (nw *Network) allocTransfer() *tcpTransfer {
-	if nw.freeTransfer == nil {
-		c := sim.Chunk[tcpTransfer](&nw.transferGrown, 16, 1024)
-		nw.transferChunks = append(nw.transferChunks, c)
-		for i := len(c) - 1; i >= 0; i-- {
-			nw.putTransfer(&c[i])
-		}
-	}
-	tr := nw.freeTransfer
-	nw.freeTransfer = tr.next
-	tr.next = nil
-	return tr
-}
-
-func (nw *Network) putTransfer(tr *tcpTransfer) {
-	*tr = tcpTransfer{next: nw.freeTransfer}
-	nw.freeTransfer = tr
-}
+func (f *tcpFrame) recycle() { *f = tcpFrame{} }
 
 // allocTCPFrame takes a frame record for connection c and counts it in
 // flight until releaseTCPFrame.
 func (nw *Network) allocTCPFrame(c *TCPConn) *tcpFrame {
-	if nw.freeTCPFrame == nil {
-		ch := sim.Chunk[tcpFrame](&nw.frameGrown, 16, 1024)
-		nw.frameChunks = append(nw.frameChunks, ch)
-		for i := len(ch) - 1; i >= 0; i-- {
-			nw.putTCPFrame(&ch[i])
-		}
-	}
-	f := nw.freeTCPFrame
-	nw.freeTCPFrame = f.next
-	f.next = nil
+	f := nw.tcpFrames.get()
 	f.nw, f.conn, f.connGen = nw, c, c.gen
 	c.inFlight++
 	return f
@@ -239,34 +189,7 @@ func (nw *Network) allocTCPFrame(c *TCPConn) *tcpFrame {
 // settles its connection.
 func (nw *Network) releaseTCPFrame(f *tcpFrame) {
 	f.conn.inFlight--
-	nw.putTCPFrame(f)
-}
-
-func (nw *Network) putTCPFrame(f *tcpFrame) {
-	*f = tcpFrame{next: nw.freeTCPFrame}
-	nw.freeTCPFrame = f
-}
-
-// reclaimTCP returns every TCP record to its free list once the kernel
-// has been reset (see reclaimDeliveries): the frames and timers that
-// pointed at them went with the old event queue.
-func (nw *Network) reclaimTCP() {
-	nw.freeConn, nw.freeTransfer, nw.freeTCPFrame = nil, nil, nil
-	for _, c := range nw.connChunks {
-		for i := range c {
-			nw.putConn(&c[i])
-		}
-	}
-	for _, c := range nw.transferChunks {
-		for i := range c {
-			nw.putTransfer(&c[i])
-		}
-	}
-	for _, c := range nw.frameChunks {
-		for i := range c {
-			nw.putTCPFrame(&c[i])
-		}
-	}
+	nw.tcpFrames.put(f)
 }
 
 // settle pools the connection once nothing refers to it any more: no
@@ -280,10 +203,10 @@ func (c *TCPConn) settle() {
 	nw := c.nw
 	for tr := c.first.next; tr != nil; {
 		next := tr.next
-		nw.putTransfer(tr)
+		nw.transfers.put(tr)
 		tr = next
 	}
-	nw.putConn(c)
+	nw.conns.put(c)
 }
 
 // sendTCPFrame models one TCP frame on the wire: accounted as sent, then
@@ -366,7 +289,7 @@ func (nw *Network) SendTCPWith(cfg TCPConfig, from, to NodeID, out Outgoing, onR
 // openTCP opens the connection and sends its first SYN; the caller
 // settles it.
 func (nw *Network) openTCP(cfg TCPConfig, from, to NodeID, out Outgoing, onResult func(error)) *TCPConn {
-	c := nw.allocConn()
+	c := nw.conns.get()
 	c.nw, c.cfg, c.from, c.to, c.fromGen = nw, cfg, from, to, nw.Node(from).gen
 	c.queueTransfer(from, to, out, onResult)
 	c.sendSYN()
@@ -445,7 +368,7 @@ func (c *TCPConn) queueTransfer(from, to NodeID, out Outgoing, onResult func(err
 	nw.accountSend(&nw.acctScratch)
 	tr := &c.first
 	if c.last != nil {
-		tr = nw.allocTransfer()
+		tr = nw.transfers.get()
 		c.last.next = tr
 	}
 	c.last = tr
