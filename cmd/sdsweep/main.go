@@ -170,13 +170,13 @@ func main() {
 	case "table5":
 		emit(experiment.Table5(main))
 	case "loss":
-		emit(lossSweep(params, *workers, progress))
+		emit(lossSweep(params, linkOpts, *workers, progress))
 	case "polling":
 		emit(pollingSweep(params, linkOpts, *workers, progress))
 	case "scale":
 		emit(scaleSweep(params, linkOpts, *workers, progress))
 	case "adversarial":
-		emit(experiment.FigureAdversarial(params, *workers, progress))
+		emit(experiment.FigureAdversarial(params, linkOpts, *workers, progress))
 	case "hardening":
 		emit(verify.FigureHardening(params, c.runs, *workers, progress))
 	case "all":
@@ -246,6 +246,11 @@ func (c *config) resolve() (p experiment.Params, o experiment.Options, err error
 	// The spec fixes the design; the sweep's own axes — the λ grid, the
 	// run count and the base seed — stay flags.
 	p = spec.Params()
+	for _, sys := range experiment.Systems() {
+		if err := p.CheckOutages(sys); err != nil {
+			return p, o, err
+		}
+	}
 	p.Lambdas = experiment.DefaultLambdas()
 	p.Runs, p.BaseSeed = c.runs, spec.Seed
 	return p, o, nil
@@ -322,8 +327,9 @@ func scaleSweep(params experiment.Params, opts experiment.Options, workers int, 
 
 // lossSweep is the extension experiment: the message-loss failure model
 // of the companion study [25], with λ reinterpreted as the per-frame
-// drop probability.
-func lossSweep(params experiment.Params, workers int, progress func(int, int)) experiment.Table {
+// drop probability. opts carries the design's hardening; its link model
+// is empty (resolve rejects one for this figure).
+func lossSweep(params experiment.Params, opts experiment.Options, workers int, progress func(int, int)) experiment.Table {
 	lambdas := []float64{0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4}
 	t := experiment.Table{
 		Title:  "Extension: Average Update Effectiveness vs message loss (%) [25]",
@@ -339,7 +345,7 @@ func lossSweep(params experiment.Params, workers int, progress func(int, int)) e
 				Systems:  []experiment.System{sys},
 				Params:   p,
 				Workers:  workers,
-				Opts:     experiment.Options{Loss: l},
+				Opts:     experiment.Options{Loss: l, Hardened: opts.Hardened},
 				Progress: progress,
 			})
 			curves[sys] = append(curves[sys], res.Curves[sys].Points[0].Effectiveness)

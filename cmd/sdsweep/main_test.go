@@ -40,6 +40,8 @@ func resolveArgs(args ...string) (experiment.Params, experiment.Options, error) 
 func TestDesignChecksFlags(t *testing.T) {
 	hardened := writeSpec(t, `{"seed": 1, "hardened": true}`)
 	linked := writeSpec(t, `{"seed": 1, "link": {"delay_dist": "pareto"}}`)
+	registry := writeSpec(t, `{"seed": 1, "outages": [{"node": "registry:0", "mode": "rx", "start_sec": 500, "duration_sec": 60}]}`)
+	manager := writeSpec(t, `{"seed": 1, "outages": [{"node": "manager", "mode": "rx", "start_sec": 500, "duration_sec": 60}]}`)
 	for _, tc := range []struct {
 		name string
 		args []string
@@ -70,6 +72,8 @@ func TestDesignChecksFlags(t *testing.T) {
 		{"loss link", []string{"-figure", "loss", "-delay-dist", "pareto"}, "-figure loss fixes its own link"},
 		{"hardening spec link", []string{"-figure", "hardening", "-scenario", linked}, "-figure hardening fixes its own link"},
 		{"idle link flag", []string{"-figure", "loss", "-burst-len", "4"}, ""},
+		{"outage role", []string{"-scenario", manager}, ""},
+		{"outage role UPnP lacks", []string{"-scenario", registry}, "UPnP has 5 Users and 0 Registries, no registry:0"},
 	} {
 		_, _, err := resolveArgs(tc.args...)
 		switch {
@@ -91,7 +95,7 @@ func TestDesignResolvesFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Runs != 2 || p.BaseSeed != 7 || p.Topology.Users != 9 || len(p.Partitions) != 1 || !p.Hardened {
+	if p.Runs != 2 || p.BaseSeed != 7 || p.Topology.Users != 9 || len(p.Partitions) != 1 || !o.Hardened {
 		t.Errorf("params = %+v", p)
 	}
 	if len(p.Lambdas) != len(experiment.DefaultLambdas()) {
@@ -101,10 +105,9 @@ func TestDesignResolvesFlags(t *testing.T) {
 		t.Errorf("link = %+v", o.Link)
 	}
 
-	// A hardened spec hardens every figure, not only those fed the
-	// spec's Options.
-	if p, _, err = resolveArgs("-figure", "7", "-runs", "2", "-scenario", writeSpec(t, `{"seed": 3, "hardened": true}`)); err != nil || !p.Hardened {
-		t.Errorf("hardened spec: hardened = %v, err = %v", p.Hardened, err)
+	// A hardened spec lands in the options every figure is fed.
+	if p, o, err = resolveArgs("-figure", "7", "-runs", "2", "-scenario", writeSpec(t, `{"seed": 3, "hardened": true}`)); err != nil || !o.Hardened {
+		t.Errorf("hardened spec: hardened = %v, err = %v", o.Hardened, err)
 	}
 	// The sweep's seed axis wins over the spec's seed, given or not.
 	if p.BaseSeed != 1 {

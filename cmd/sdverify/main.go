@@ -1,13 +1,15 @@
 // Command sdverify checks the Configuration Update Principles (§4.1)
 // for every system over the single-outage scenario grid: whenever
 // connectivity is restored with time to spare, every User must
-// eventually regain consistency. It reproduces the paper's guarantee
-// claims: FRODO holds the principles ([24]); first-generation systems do
-// not ([8]).
+// eventually regain consistency. Each grid cell is a ScenarioSpec
+// audited by verify.ObserveRun, the runner -scenario uses too. It
+// reproduces the paper's guarantee claims: FRODO holds the principles
+// ([24]); first-generation systems do not ([8]).
 //
 // With -scenario it instead audits one declarative scenario through
 // the run-time consistency oracle: the file is either a bare
-// ScenarioSpec (audited on all five systems) or a chaos-hunter fixture
+// ScenarioSpec (audited on every system that has the roles its outages
+// name; the others are reported as not run) or a chaos-hunter fixture
 // (internal/hunt/testdata — replayed against its recorded expectation),
 // so a hunted-and-minimized violation can be fed straight back through
 // the standalone checker.
@@ -15,13 +17,14 @@
 // Usage:
 //
 //	sdverify                          # summary table
-//	sdverify -violations              # also list every violating scenario
+//	sdverify -violations              # also list every violating scenario and its spec
 //	sdverify -harden                  # the grid with the hardening layer on
 //	sdverify -scenario spec.json      # oracle-audit one scenario, all systems
 //	sdverify -scenario fixture.json   # replay one hunted fixture
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -59,7 +62,8 @@ func main() {
 		fmt.Printf("%-34s  %-10d  %-10d  %s\n", sys, res.Scenarios, len(res.Violations), verdict)
 		if *listViolations {
 			for _, v := range res.Violations {
-				fmt.Printf("    %v\n", v)
+				spec, _ := json.Marshal(v.Spec) // plain data: cannot fail
+				fmt.Printf("    %v\n      replay: %s\n", v, spec)
 			}
 		}
 	}
@@ -113,8 +117,13 @@ func auditScenario(design *experiment.Flags, path string, listViolations bool) i
 	fmt.Printf("%-34s  %s\n", "system", "oracle report")
 	status := 0
 	for _, sys := range experiment.Systems() {
-		rep, _ := verify.ObserveRun(spec.RunSpec(sys), verify.DefaultOracleConfig(sys))
-		fmt.Printf("%-34s  %s\n", sys, rep)
+		if err := spec.Params().CheckOutages(sys); err != nil {
+			fmt.Printf("%-34s  not run: %v\n", sys, err)
+			continue
+		}
+		rep, res := verify.ObserveRun(spec.RunSpec(sys), verify.DefaultOracleConfig(sys))
+		// Stale Users are the grid's verdict: a grid cell's spec replays here.
+		fmt.Printf("%-34s  %s; %d User(s) stale at the horizon\n", sys, rep, res.Unreached())
 		printViolations(rep, listViolations)
 		if rep.Total > 0 {
 			status = 1

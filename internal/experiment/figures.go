@@ -140,7 +140,9 @@ const AdversarialMeanBurst = 8
 // (UPnP and Jini send every multicast six times inside ~5ms) where
 // i.i.d. loss at the same rate thins it, so equal-average columns
 // separate the systems' recovery techniques far more than Fig. 4 does.
-func FigureAdversarial(params Params, workers int, progress func(done, total int)) Table {
+// Each column sets its own link model on opts; the rest of opts (the
+// hardening) applies to every column.
+func FigureAdversarial(params Params, opts Options, workers int, progress func(done, total int)) Table {
 	params.Lambdas = []float64{0}
 	t := Table{
 		Title:  "Extension: Average Update Effectiveness — i.i.d. vs Gilbert–Elliott burst loss at equal average rate",
@@ -150,10 +152,11 @@ func FigureAdversarial(params Params, workers int, progress func(done, total int
 		t.Header = append(t.Header, sys.Short()+" iid", sys.Short()+" burst")
 	}
 	for _, rate := range AdversarialLossRates {
-		iid := Sweep(SweepConfig{Params: params, Workers: workers, Progress: progress,
-			Opts: Options{Loss: rate}})
-		burst := Sweep(SweepConfig{Params: params, Workers: workers, Progress: progress,
-			Opts: Options{Link: netsim.LinkConfig{Burst: netsim.BurstForAverage(rate, AdversarialMeanBurst)}}})
+		iidOpts, burstOpts := opts, opts
+		iidOpts.Loss = rate
+		burstOpts.Link = netsim.LinkConfig{Burst: netsim.BurstForAverage(rate, AdversarialMeanBurst)}
+		iid := Sweep(SweepConfig{Params: params, Workers: workers, Progress: progress, Opts: iidOpts})
+		burst := Sweep(SweepConfig{Params: params, Workers: workers, Progress: progress, Opts: burstOpts})
 		row := []string{pct(rate)}
 		for _, sys := range Systems() {
 			row = append(row,

@@ -95,25 +95,6 @@ func TestAverageWindowShrinksWithHealth(t *testing.T) {
 	}
 }
 
-func TestTopologyMatchesBuild(t *testing.T) {
-	for _, sys := range Systems() {
-		regs, mgr, firstUser := PaperLayout(sys)
-		k := sim.New(1)
-		sc := Build(sys, k, 5, Options{})
-		if sc.ManagerID != mgr {
-			t.Errorf("%v: ManagerID %d, Topology says %d", sys, sc.ManagerID, mgr)
-		}
-		if len(sc.UserIDs) == 0 || sc.UserIDs[0] != firstUser {
-			t.Errorf("%v: first user %v, Topology says %d", sys, sc.UserIDs, firstUser)
-		}
-		for _, r := range regs {
-			if int(r) >= sc.Net.Nodes() {
-				t.Errorf("%v: registry id %d out of range", sys, r)
-			}
-		}
-	}
-}
-
 func TestRunLoggedAnnotations(t *testing.T) {
 	_, log := RunLogged(RunSpec{System: Frodo2P, Lambda: 0.2, Seed: 3,
 		Params: DefaultParams()}, false)
@@ -146,7 +127,7 @@ func TestRunLoggedShowsInterfaceFailures(t *testing.T) {
 func TestFigureAdversarialShape(t *testing.T) {
 	p := DefaultParams()
 	p.Runs = 1
-	tab := FigureAdversarial(p, 0, nil)
+	tab := FigureAdversarial(p, Options{}, 0, nil)
 	if len(tab.Rows) != len(AdversarialLossRates) {
 		t.Fatalf("rows = %d, want %d", len(tab.Rows), len(AdversarialLossRates))
 	}

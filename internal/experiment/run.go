@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/metrics"
@@ -58,15 +59,36 @@ type Params struct {
 	// blocks of the node table lose both interfaces inside one window,
 	// composing with the per-node λ plan.
 	RackFailures netsim.RackPlanConfig
+	// Outages schedules fixed interface outages on named roles after the
+	// λ plan, composing with it as racks do. CheckOutages reports a role
+	// a system lacks before any run starts.
+	Outages []Outage
 	// EffortPad extends the effort window so frames of the final
 	// exchange still in flight when the last User turns consistent are
 	// counted (see DESIGN.md).
 	EffortPad sim.Duration
-	// Hardened turns the protocol-hardening layer on for every run built
-	// from these params; it is merged into the run's Options before the
-	// topology is built. False keeps the paper-faithful baseline
-	// bit-identical.
-	Hardened bool
+}
+
+// Outage is one fixed interface outage on a role of the scenario:
+// "manager", "user:<i>" or "registry:<i>" (Scenario.RoleNode).
+type Outage struct {
+	Node     string
+	Mode     netsim.FailMode
+	Start    sim.Time
+	Duration sim.Duration
+}
+
+// CheckOutages reports the first outage whose role sys lacks in the
+// params' topology — a Registry on UPnP, a User past the population —
+// naming it by its spec path.
+func (p Params) CheckOutages(sys System) error {
+	topo := p.Topology.normalized(sys, p.Users)
+	for i, o := range p.Outages {
+		if _, _, err := topo.role(sys, o.Node); err != nil {
+			return fmt.Errorf("scenario: outages[%d].node: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // DefaultParams returns the paper's experiment design: 5 Users, 5400s
@@ -143,11 +165,6 @@ type RunSpec struct {
 	Seed   int64
 	Params Params
 	Opts   Options
-	// ExplicitFailures, when non-nil, replaces the λ-drawn failure plan
-	// with a fixed schedule (used by the guarantee checker and the §6.2
-	// case studies). Node indices follow the Build order: Registries
-	// first, then the Manager, then the Users.
-	ExplicitFailures []netsim.InterfaceFailure
 	// MakeTracer, when set, builds a tracer for the run's network (event
 	// logs).
 	MakeTracer func(*netsim.Network) netsim.Tracer
@@ -230,9 +247,7 @@ func runInWorkspace(ws *Workspace, spec RunSpec) (metrics.RunResult, *Scenario) 
 	if topo.Users <= 0 {
 		topo.Users = spec.Params.Users
 	}
-	opts := spec.Opts
-	opts.Hardened = opts.Hardened || spec.Params.Hardened
-	sc := buildTopology(ws, spec.System, ws.kernel(spec.Seed), topo, opts)
+	sc := buildTopology(ws, spec.System, ws.kernel(spec.Seed), topo, spec.Opts)
 	if spec.MakeTracer != nil {
 		sc.Net.SetTracer(spec.MakeTracer(sc.Net))
 	}
@@ -251,17 +266,21 @@ func runInWorkspace(ws *Workspace, spec RunSpec) (metrics.RunResult, *Scenario) 
 	sc.scheduleChurn(spec.Params.Churn, spec.Params.RunDuration)
 	sc.scheduleFlashCrowds(spec.Params.FlashCrowds)
 
-	// The interface failures (§5 Step 2): one outage per node, or the
-	// caller's fixed schedule.
-	if spec.ExplicitFailures != nil {
-		sc.Net.ScheduleFailures(spec.ExplicitFailures)
-	} else {
-		sc.Net.ScheduleFailures(netsim.PlanInterfaceFailures(sc.K, sc.AllNodeIDs(), netsim.FailurePlanConfig{
-			Lambda:      spec.Lambda,
-			WindowStart: spec.Params.FailureWindowStart,
-			WindowEnd:   spec.Params.FailureWindowEnd,
-			RunDuration: spec.Params.RunDuration,
-		}))
+	// The interface failures (§5 Step 2): one outage per node. At λ=0
+	// the planner draws nothing.
+	sc.Net.ScheduleFailures(netsim.PlanInterfaceFailures(sc.K, sc.AllNodeIDs(), netsim.FailurePlanConfig{
+		Lambda:      spec.Lambda,
+		WindowStart: spec.Params.FailureWindowStart,
+		WindowEnd:   spec.Params.FailureWindowEnd,
+		RunDuration: spec.Params.RunDuration,
+	}))
+	// The fixed outages draw nothing; each names its node by role.
+	for _, o := range spec.Params.Outages {
+		node, err := sc.RoleNode(o.Node)
+		if err != nil {
+			panic(fmt.Sprintf("experiment: %v", err)) // CheckOutages reports it before the run
+		}
+		sc.Net.ScheduleFailure(netsim.InterfaceFailure{Node: node, Mode: o.Mode, Start: o.Start, Duration: o.Duration})
 	}
 	// Correlated rack outages draw after the λ plan and compose with it;
 	// a disabled config draws nothing, keeping default runs bit-identical.

@@ -253,13 +253,6 @@ func auxSD(topo Topology, j int) discovery.ServiceDescription {
 // service type flips — any attribute mutation bumps the version.
 func changePrinter(attrs map[string]string) { attrs["ServiceType2"] = "Black&WhitePrinter" }
 
-// Build constructs one of the five systems with the Table 4 topology on a
-// fresh network owned by kernel k. nUsers is 5 in the paper. It is the
-// fixed-shape wrapper around BuildTopology.
-func Build(sys System, k *sim.Kernel, nUsers int, opts Options) *Scenario {
-	return BuildTopology(sys, k, Topology{Users: nUsers}, opts)
-}
-
 // BuildTopology constructs a system instance of arbitrary shape: Registry
 // and Manager counts, background services and the User population all
 // come from the topology spec. The zero-value spec rebuilds the paper's
@@ -442,24 +435,19 @@ func (s *Scenario) AllNodeIDs() []netsim.NodeID {
 	return ids
 }
 
-// PaperLayout reports the Build node ordering for a system's default
-// topology without building it: the Registry IDs, the Manager's ID and
-// the first User's ID. Used by callers that inject explicit failures
-// (the guarantee checker).
-func PaperLayout(sys System) (registries []netsim.NodeID, manager, firstUser netsim.NodeID) {
-	switch sys {
-	case UPnP:
-		return nil, 0, 1
-	case Jini1:
-		return []netsim.NodeID{0}, 1, 2
-	case Jini2:
-		return []netsim.NodeID{0, 1}, 2, 3
-	case Frodo3P:
-		return []netsim.NodeID{0}, 1, 2
-	case Frodo2P:
-		// Central, Backup, Manager, Users…
-		return []netsim.NodeID{0}, 2, 3
+// RoleNode resolves a role name against the built scenario: "manager"
+// is the measured Manager, "user:<i>" the i-th User of the boot
+// population and "registry:<i>" the i-th Registry.
+func (s *Scenario) RoleNode(role string) (netsim.NodeID, error) {
+	kind, i, err := s.Topo.role(s.System, role)
+	switch {
+	case err != nil:
+		return netsim.NoNode, err
+	case kind == "manager":
+		return s.ManagerID, nil
+	case kind == "user":
+		return s.UserIDs[i], nil
 	default:
-		panic("experiment: unknown system")
+		return s.RegistryIDs()[i], nil
 	}
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -133,20 +134,16 @@ func TestShardedDynamicsDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardedExplicitFailures runs a fixed outage schedule: each outage
-// goes to the node its NodeID names, so taking both interfaces of every
+// TestOutagesDarkenTheirUsers runs a fixed outage schedule: each outage
+// goes to the User its role names, so taking both interfaces of every
 // other User down across the change window keeps exactly those Users
 // from reaching consistency.
-func TestShardedExplicitFailures(t *testing.T) {
+func TestOutagesDarkenTheirUsers(t *testing.T) {
 	spec := compactSpec(2)
 	spec.Lambda = 0
-	_, _, first := PaperLayout(Frodo2P)
-	dark := map[netsim.NodeID]bool{}
 	for i := 1; i < 40; i += 2 {
-		id := first + netsim.NodeID(i)
-		dark[id] = true
-		spec.ExplicitFailures = append(spec.ExplicitFailures, netsim.InterfaceFailure{
-			Node: id, Mode: netsim.FailBoth, Start: 50 * sim.Second, Duration: 850 * sim.Second,
+		spec.Params.Outages = append(spec.Params.Outages, Outage{
+			Node: fmt.Sprintf("user:%d", i), Mode: netsim.FailBoth, Start: 50 * sim.Second, Duration: 850 * sim.Second,
 		})
 	}
 	res := Run(spec)
@@ -154,8 +151,8 @@ func TestShardedExplicitFailures(t *testing.T) {
 		t.Fatalf("%d user outcomes, want 40", len(res.Users))
 	}
 	for i, u := range res.Users {
-		if u.Reached == dark[u.User] {
-			t.Errorf("user %d (node %d): reached=%v, dark=%v", i, u.User, u.Reached, dark[u.User])
+		if dark := i%2 == 1; u.Reached == dark {
+			t.Errorf("user:%d (node %d): reached=%v, dark=%v", i, u.User, u.Reached, dark)
 		}
 	}
 }
@@ -168,7 +165,7 @@ func TestShardedAttachPerShard(t *testing.T) {
 		spec := compactSpec(shards)
 		bare := Run(spec)
 		calls := 0
-		_, mgr, _ := PaperLayout(Frodo2P)
+		const mgr = 2 // after the Central and the Backup
 		spec.Attach = func(sc *Scenario) {
 			calls++
 			if sc.ManagerID != mgr {
@@ -193,7 +190,7 @@ func TestShardedRunHonoursHardening(t *testing.T) {
 		spec := compactSpec(shards)
 		spec.Lambda, spec.Seed = 0.6, 7
 		base := Run(spec)
-		spec.Params.Hardened = true
+		spec.Opts.Hardened = true
 		if hard := Run(spec); reflect.DeepEqual(base, hard) {
 			t.Errorf("shards=%d: the hardened run equals the baseline run", shards)
 		}

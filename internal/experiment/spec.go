@@ -14,8 +14,8 @@ import (
 
 // ScenarioSpec is the declarative, JSON-serializable form of one
 // scenario: topology, failure rate, churn, partitions, link
-// conditioning, flash crowds and rack failures, with all times in
-// seconds so fixtures stay human-readable and diffable. It is the
+// conditioning, flash crowds, rack failures and fixed outages, with all
+// times in seconds so fixtures stay human-readable and diffable. It is the
 // currency of the chaos hunter (internal/hunt): mutated specs form the
 // fuzzing corpus, minimized violating specs become committed fixtures,
 // and sdsweep/sdverify accept the same files, so a hunted scenario can
@@ -55,8 +55,11 @@ type ScenarioSpec struct {
 	FlashCrowds []SpecFlashCrowd `json:"flash_crowds,omitempty"`
 	// RackFailures adds correlated rack-level outages.
 	RackFailures SpecRacks `json:"rack_failures,omitempty"`
+	// Outages schedules fixed interface outages on named roles, on top
+	// of the λ plan.
+	Outages []SpecOutage `json:"outages,omitempty"`
 	// Hardened runs the scenario with the protocol-hardening layer on
-	// (Params.Hardened); hunted fixtures commit a hardened counterpart
+	// (Options.Hardened); hunted fixtures commit a hardened counterpart
 	// that must replay clean.
 	Hardened bool `json:"hardened,omitempty"`
 }
@@ -87,6 +90,20 @@ type SpecPartition struct {
 	StartSec    float64 `json:"start_sec"`
 	DurationSec float64 `json:"duration_sec"`
 }
+
+// SpecOutage is one fixed interface outage. Node is a role name —
+// "manager", "user:<i>" or "registry:<i>" — resolved against each
+// system's built scenario; Mode is "tx", "rx" or "both".
+type SpecOutage struct {
+	Node        string  `json:"node"`
+	Mode        string  `json:"mode"`
+	StartSec    float64 `json:"start_sec"`
+	DurationSec float64 `json:"duration_sec"`
+}
+
+// failModes maps the spec's outage modes onto the interfaces they take
+// down.
+var failModes = map[string]netsim.FailMode{"tx": netsim.FailTx, "rx": netsim.FailRx, "both": netsim.FailBoth}
 
 // SpecLink selects the link-conditioning models.
 type SpecLink struct {
@@ -183,8 +200,24 @@ func (s *ScenarioSpec) Validate() error {
 			return fmt.Errorf("scenario: partitions[%d].duration_sec %v must be positive", i, p.DurationSec)
 		}
 		for j, q := range s.Partitions[:i] {
-			if p.StartSec < q.StartSec+q.DurationSec && q.StartSec < p.StartSec+p.DurationSec {
+			if overlaps(p.StartSec, p.DurationSec, q.StartSec, q.DurationSec) {
 				return fmt.Errorf("scenario: partitions[%d] overlaps partitions[%d]", i, j)
+			}
+		}
+	}
+	for i, o := range s.Outages {
+		if _, _, err := parseRole(o.Node); err != nil {
+			return fmt.Errorf("scenario: outages[%d].node: %w", i, err)
+		}
+		if _, ok := failModes[o.Mode]; !ok {
+			return fmt.Errorf("scenario: outages[%d].mode %q is not tx, rx or both", i, o.Mode)
+		}
+		if secsDur(o.DurationSec) <= 0 {
+			return fmt.Errorf("scenario: outages[%d].duration_sec %v must be at least a nanosecond", i, o.DurationSec)
+		}
+		for j, q := range s.Outages[:i] {
+			if o.Node == q.Node && overlaps(o.StartSec, o.DurationSec, q.StartSec, q.DurationSec) {
+				return fmt.Errorf("scenario: outages[%d] overlaps outages[%d] on %s", i, j, o.Node)
 			}
 		}
 	}
@@ -210,6 +243,11 @@ func (s *ScenarioSpec) Validate() error {
 		return fmt.Errorf("scenario: link: %w", err)
 	}
 	return nil
+}
+
+// overlaps reports whether two [start, start+duration) windows meet.
+func overlaps(aStart, aDur, bStart, bDur float64) bool {
+	return aStart < bStart+bDur && bStart < aStart+aDur
 }
 
 func (l SpecLink) validate() error {
@@ -302,8 +340,8 @@ func (s *ScenarioSpec) rackConfig() netsim.RackPlanConfig {
 // Params assembles the experiment parameters the spec describes, fully
 // resolved: zero spec fields take the paper defaults here (Run, unlike
 // Sweep, uses its Params verbatim). Runs is 1 and Lambdas is the single
-// spec λ — a spec names one scenario, not a sweep grid. Hardened rides
-// here, so every figure swept over the spec runs hardened.
+// spec λ — a spec names one scenario, not a sweep grid. Outages keep
+// their role names; each run resolves them against its own system.
 func (s *ScenarioSpec) Params() Params {
 	p := Params{
 		RunDuration: secsDur(s.DurationSec),
@@ -320,7 +358,6 @@ func (s *ScenarioSpec) Params() Params {
 			Arrivals:    s.Churn.Arrivals,
 		},
 		RackFailures: s.rackConfig(),
-		Hardened:     s.Hardened,
 	}
 	if w := s.FailureWindow; w != nil {
 		p.FailureWindowSet = true
@@ -341,11 +378,19 @@ func (s *ScenarioSpec) Params() Params {
 			Window: secsDur(fc.WindowSec),
 		})
 	}
+	for _, o := range s.Outages {
+		p.Outages = append(p.Outages, Outage{
+			Node:     o.Node,
+			Mode:     failModes[o.Mode],
+			Start:    secs(o.StartSec),
+			Duration: secsDur(o.DurationSec),
+		})
+	}
 	return p.withDefaults()
 }
 
 // Options assembles the link-conditioning options the spec describes,
-// and its hardening (which Params carries too).
+// and its hardening.
 func (s *ScenarioSpec) Options() Options {
 	var link netsim.LinkConfig
 	if s.Link.BurstAvg > 0 {

@@ -100,6 +100,14 @@ func TestSpecValidateFieldPaths(t *testing.T) {
 			"duration_sec": 10}}`, "rack_failures.window_end_sec"},
 		{"rack duration overflow", `{"rack_failures": {"racks": 2, "fail": 1, "duration_sec": 1e19}}`, "rack_failures.duration_sec"},
 		{"rack spread overflow", `{"rack_failures": {"racks": 2, "fail": 1, "duration_sec": 10, "spread_sec": 1e19}}`, "rack_failures.spread_sec"},
+		{"outage role", `{"outages": [{"node": "central", "mode": "tx", "start_sec": 0, "duration_sec": 10}]}`, "outages[0].node"},
+		{"outage role index", `{"outages": [{"node": "user:01", "mode": "tx", "start_sec": 0, "duration_sec": 10}]}`, "outages[0].node"},
+		{"outage mode", `{"outages": [{"node": "manager", "mode": "Tx", "start_sec": 0, "duration_sec": 10}]}`, "outages[0].mode"},
+		{"outage duration", `{"outages": [{"node": "manager", "mode": "tx", "start_sec": 0, "duration_sec": 0}]}`, "outages[0].duration_sec"},
+		{"outage start overflow", `{"outages": [{"node": "manager", "mode": "tx", "start_sec": 1e19, "duration_sec": 1}]}`, "outages[0].start_sec"},
+		{"outage overlap", `{"outages": [{"node": "user:0", "mode": "tx", "start_sec": 0, "duration_sec": 100},
+			{"node": "manager", "mode": "rx", "start_sec": 50, "duration_sec": 100},
+			{"node": "user:0", "mode": "rx", "start_sec": 99, "duration_sec": 10}]}`, "outages[2] overlaps outages[0]"},
 	}
 	for _, c := range cases {
 		_, err := ParseSpec(strings.NewReader(c.json))
@@ -205,8 +213,15 @@ func TestSpecConversionCoversEveryField(t *testing.T) {
 				p.RackFailures = netsim.RackPlanConfig{Racks: 4, Fail: 1, WindowStart: at(500), WindowEnd: at(3000),
 					Duration: sec(600), Spread: sec(5)}
 			}},
+		{[]string{"Outages.Node", "Outages.Mode", "Outages.StartSec", "Outages.DurationSec"},
+			func(s *ScenarioSpec) {
+				s.Outages = []SpecOutage{{Node: "registry:1", Mode: "rx", StartSec: 400, DurationSec: 900}}
+			},
+			func(p *Params, o *Options) {
+				p.Outages = []Outage{{Node: "registry:1", Mode: netsim.FailRx, Start: at(400), Duration: sec(900)}}
+			}},
 		{[]string{"Hardened"}, func(s *ScenarioSpec) { s.Hardened = true },
-			func(p *Params, o *Options) { p.Hardened, o.Hardened = true, true }},
+			func(p *Params, o *Options) { o.Hardened = true }},
 	}
 
 	// The zero spec is the paper's design: one run at λ=0.
@@ -269,12 +284,16 @@ func TestSpecConversionCoversEveryField(t *testing.T) {
 // committed seed corpus (testdata/fuzz/FuzzParseSpec) holds the
 // scenarios of the hunt fixtures. On every input: ParseSpec never
 // panics; an accepted spec survives Encode → ParseSpec unchanged; its
-// Params hold no negative time or duration; and its Options validate.
+// Params hold no negative time or duration; its Options validate; and
+// its outages last at least a nanosecond, none overlapping another on
+// the same node.
 func FuzzParseSpec(f *testing.F) {
 	f.Add([]byte(`{"seed": 1}`))
 	f.Add([]byte(`{"seed": 1, "partitions": [{"start_sec": 1e19, "duration_sec": 1}]}`))
 	f.Add([]byte(`{"seed": 1, "duration_sec": 1e300}`))
 	f.Add([]byte(`{"seed": 1, "change_max_sec": 50}`))
+	f.Add([]byte(`{"seed": 1, "outages": [{"node": "user:0", "mode": "both", "start_sec": 400, "duration_sec": 300},
+		{"node": "user:0", "mode": "tx", "start_sec": 700, "duration_sec": 100}, {"node": "manager", "mode": "rx", "start_sec": 500, "duration_sec": 60}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ParseSpec(bytes.NewReader(data))
 		if err != nil {
@@ -296,6 +315,9 @@ func FuzzParseSpec(f *testing.F) {
 			if len(sp.FlashCrowds) == 0 {
 				sp.FlashCrowds = nil
 			}
+			if len(sp.Outages) == 0 {
+				sp.Outages = nil
+			}
 		}
 		if !reflect.DeepEqual(s, back) {
 			t.Fatalf("round trip changed the spec:\n got %+v\nwant %+v", back, s)
@@ -307,6 +329,16 @@ func FuzzParseSpec(f *testing.F) {
 		}
 		if err := s.Options().Validate(); err != nil {
 			t.Fatalf("accepted spec has invalid Options: %v", err)
+		}
+		for i, o := range p.Outages {
+			if o.Duration <= 0 {
+				t.Fatalf("accepted spec has outages[%d] of duration %v", i, o.Duration)
+			}
+			for j, q := range p.Outages[:i] {
+				if o.Node == q.Node && o.Start < q.Start+sim.Time(q.Duration) && q.Start < o.Start+sim.Time(o.Duration) {
+					t.Fatalf("accepted spec has outages[%d] overlapping outages[%d] on %s", i, j, o.Node)
+				}
+			}
 		}
 	})
 }

@@ -97,7 +97,7 @@ func TestTapsAreLists(t *testing.T) {
 // A spawned User's cache writes reach every consistency tap, then the
 // listener it was spawned with.
 func TestSpawnedUserFeedsTaps(t *testing.T) {
-	sc := Build(UPnP, sim.New(5), 2, Options{})
+	sc := BuildTopology(UPnP, sim.New(5), Topology{Users: 2}, Options{})
 	var log tapLog
 	sc.TapConsistency(log.listener("a"))
 	sc.TapConsistency(log.listener("b"))

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"repro/internal/sim"
 )
@@ -100,6 +101,27 @@ func (t Topology) Validate() error {
 		return fmt.Errorf("topology: boot spacings must not be negative")
 	}
 	return nil
+}
+
+// role parses a role name and checks that the normalized topology has
+// it on sys.
+func (t Topology) role(sys System, role string) (kind string, i int, err error) {
+	kind, i, err = parseRole(role)
+	if err == nil && (kind == "user" && i >= t.Users || kind == "registry" && i >= t.Registries) {
+		err = fmt.Errorf("%v has %d Users and %d Registries, no %s", sys, t.Users, t.Registries, role)
+	}
+	return kind, i, err
+}
+
+// parseRole splits a role name — "manager", "user:<i>" or
+// "registry:<i>", i a plain decimal — into its kind and index.
+func parseRole(role string) (kind string, i int, err error) {
+	kind, num, _ := strings.Cut(role, ":")
+	i, err = strconv.Atoi(num)
+	if role != "manager" && (kind != "user" && kind != "registry" || err != nil || i < 0 || strconv.Itoa(i) != num) {
+		return "", 0, fmt.Errorf("role %q is not manager, user:<i> or registry:<i>", role)
+	}
+	return kind, i, nil
 }
 
 // normalized resolves all defaults against a system and a fallback User

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
@@ -44,7 +45,7 @@ func TestUserNamesAtScale(t *testing.T) {
 		t.Fatalf("userName(49) = %q, want User50", got)
 	}
 	k := sim.New(1)
-	sc := Build(Frodo2P, k, 50, Options{})
+	sc := BuildTopology(Frodo2P, k, Topology{Users: 50}, Options{})
 	seen := map[string]bool{}
 	for _, uid := range sc.UserIDs {
 		name := sc.Net.Node(uid).Name
@@ -324,6 +325,38 @@ func TestTopologyValidate(t *testing.T) {
 	for _, topo := range invalid {
 		if err := topo.Validate(); err == nil {
 			t.Errorf("Validate(%+v) = nil; want error", topo)
+		}
+	}
+}
+
+// TestOutageRolesResolve pins the role names against the paper topology
+// of every system — Registries first, then the Manager, then the Users
+// — and checks that CheckOutages, which reads no built scenario, rejects
+// exactly the roles RoleNode cannot resolve.
+func TestOutageRolesResolve(t *testing.T) {
+	type ids struct{ registry, manager, user netsim.NodeID }
+	want := map[System]ids{
+		UPnP:    {netsim.NoNode, 0, 1},
+		Jini1:   {0, 1, 2},
+		Jini2:   {0, 2, 3},
+		Frodo3P: {0, 1, 2},
+		Frodo2P: {0, 2, 3}, // Central, Backup, Manager, Users
+	}
+	for _, sys := range Systems() {
+		sc := BuildTopology(sys, sim.New(1), Topology{Users: 5}, Options{})
+		for role, id := range map[string]netsim.NodeID{"registry:0": want[sys].registry, "manager": want[sys].manager,
+			"user:0": want[sys].user, "user:4": want[sys].user + 4, "user:5": netsim.NoNode, "registry:1": 1, "registry:2": netsim.NoNode} {
+			if role == "registry:1" && DefaultRegistries(sys) < 2 {
+				id = netsim.NoNode
+			}
+			got, err := sc.RoleNode(role)
+			if got != id || (err == nil) != (id != netsim.NoNode) {
+				t.Errorf("%v: RoleNode(%s) = %v, %v; want %v", sys, role, got, err, id)
+			}
+			p := Params{Users: 5, Outages: []Outage{{Node: role}}}
+			if err := p.CheckOutages(sys); (err == nil) != (id != netsim.NoNode) {
+				t.Errorf("%v: CheckOutages(%s) = %v, but RoleNode gives %v", sys, role, err, id)
+			}
 		}
 	}
 }

@@ -40,8 +40,7 @@ func eagerRegistries(sc *experiment.Scenario) {
 func lazySpec(sys experiment.System, dynamics string, seed int64, harden bool) experiment.RunSpec {
 	p := experiment.DefaultParams()
 	p.Users = 40
-	p.Hardened = harden
-	spec := experiment.RunSpec{System: sys, Lambda: 0.30, Seed: seed}
+	spec := experiment.RunSpec{System: sys, Lambda: 0.30, Seed: seed, Opts: experiment.Options{Hardened: harden}}
 	switch dynamics {
 	case "takeover":
 		spec.Lambda = 0.60

@@ -40,7 +40,8 @@ type Fixture struct {
 // Validate checks the envelope; the embedded scenario validates with
 // the spec codec's own rules.
 func (f *Fixture) Validate() error {
-	if _, err := experiment.ParseSystem(f.System); err != nil {
+	sys, err := experiment.ParseSystem(f.System)
+	if err != nil {
 		return fmt.Errorf("fixture: %w", err)
 	}
 	if f.Expect.Clean == (f.Expect.Invariant != "") {
@@ -54,7 +55,10 @@ func (f *Fixture) Validate() error {
 	if f.Expect.MinCount < 0 {
 		return fmt.Errorf("fixture: expect.min_count must not be negative")
 	}
-	return f.Scenario.Validate()
+	if err := f.Scenario.Validate(); err != nil {
+		return err
+	}
+	return f.Scenario.Params().CheckOutages(sys)
 }
 
 func parseInvariant(name string) (verify.Invariant, bool) {
@@ -119,6 +123,8 @@ func LoadFixture(path string) (*Fixture, error) {
 
 // LoadCorpus reads every *.json file under dir through Load, in sorted
 // order, and returns their specs; a fixture contributes its scenario.
+// The hunter mutates a corpus spec for any system, so its outages must
+// name roles all five systems have.
 func LoadCorpus(dir string) ([]*experiment.ScenarioSpec, error) {
 	paths, _ := filepath.Glob(filepath.Join(dir, "*.json")) // errs only on a bad pattern
 	sort.Strings(paths)
@@ -130,6 +136,11 @@ func LoadCorpus(dir string) ([]*experiment.ScenarioSpec, error) {
 		spec, _, err := Load(path)
 		if err != nil {
 			return nil, err
+		}
+		for _, sys := range experiment.Systems() {
+			if err := spec.Params().CheckOutages(sys); err != nil {
+				return nil, fmt.Errorf("%s: %w", path, err)
+			}
 		}
 		specs[i] = spec
 	}

@@ -67,6 +67,9 @@ func TestFixtureValidation(t *testing.T) {
 		{"invariant", func(f *Fixture) { f.Expect = Expect{Invariant: "lease-prune"} }, "unknown invariant"},
 		{"count", func(f *Fixture) { f.Expect = Expect{Invariant: "lease-purge", MinCount: -1} }, "min_count"},
 		{"scenario", func(f *Fixture) { f.Scenario.Lambda = 7 }, "lambda"},
+		{"role", func(f *Fixture) {
+			f.Scenario.Outages = []experiment.SpecOutage{{Node: "registry:0", Mode: "tx", StartSec: 100, DurationSec: 10}}
+		}, "no registry:0"},
 	}
 	for _, c := range cases {
 		f := base()
@@ -84,6 +87,17 @@ func TestFixtureValidation(t *testing.T) {
 	}
 	if _, err := LoadFixture(path); err == nil || !strings.Contains(err.Error(), "lamda") {
 		t.Errorf("unknown nested field not rejected: %v", err)
+	}
+
+	// A corpus spec is mutated for every system, so a Registry outage —
+	// which UPnP cannot resolve — fails the corpus load.
+	dir := t.TempDir()
+	spec := `{"seed": 1, "outages": [{"node": "registry:0", "mode": "tx", "start_sec": 100, "duration_sec": 10}]}`
+	if err := os.WriteFile(filepath.Join(dir, "spec.json"), []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCorpus(dir); err == nil || !strings.Contains(err.Error(), "no registry:0") {
+		t.Errorf("corpus spec with a Registry outage not rejected: %v", err)
 	}
 }
 

@@ -102,7 +102,6 @@ type Hunter struct {
 	cfg     Config
 	systems []experiment.System
 	rng     *rand.Rand
-	ws      *experiment.Workspace
 
 	seen     map[string]bool
 	corpus   []*experiment.ScenarioSpec
@@ -123,7 +122,6 @@ func New(cfg Config) *Hunter {
 		cfg:     cfg,
 		systems: systems,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		ws:      experiment.NewWorkspace(),
 		seen:    map[string]bool{},
 		found:   map[string]bool{},
 	}
@@ -133,13 +131,6 @@ func (h *Hunter) logf(format string, args ...any) {
 	if h.cfg.Log != nil {
 		h.cfg.Log(format, args...)
 	}
-}
-
-func (h *Hunter) oracleConfig(sys experiment.System) verify.OracleConfig {
-	if h.cfg.Oracle != nil {
-		return h.cfg.Oracle(sys)
-	}
-	return verify.DefaultOracleConfig(sys)
 }
 
 // Cost prices one candidate: virtual seconds × population × audited
@@ -205,6 +196,13 @@ func (h *Hunter) execute(spec *experiment.ScenarioSpec) bool {
 		// survives minimization and lands in written fixtures/corpus.
 		spec.Hardened = true
 	}
+	for _, sys := range h.systems {
+		if err := spec.Params().CheckOutages(sys); err != nil {
+			// A mutation shrank the population under an outage's User.
+			h.logf("candidate skipped: %v", err)
+			return true
+		}
+	}
 	cost := Cost(spec, len(h.systems))
 	if h.cfg.Budget > 0 && h.spent+cost > h.cfg.Budget {
 		return false
@@ -235,33 +233,27 @@ func (h *Hunter) execute(spec *experiment.ScenarioSpec) bool {
 	return true
 }
 
-// runOne audits one (spec, system) pair on the hunter's workspace and
-// reads the observations out immediately — the scenario borrows
-// workspace storage that the next run recycles.
+// runOne audits one (spec, system) pair through verify.ObserveRun and
+// reads the network counters out of the scenario Attach captured. The
+// scenario borrows pooled storage that the next run recycles; the hunt
+// is one sequential loop, so nothing runs between the two.
 func (h *Hunter) runOne(spec *experiment.ScenarioSpec, sys experiment.System) runStats {
 	rs := spec.RunSpec(sys)
-	cfg := h.oracleConfig(sys)
-	cfg.Partitions = rs.Params.Partitions
-	var o *verify.Oracle
 	var sc *experiment.Scenario
-	rs.Attach = func(s *experiment.Scenario) {
-		sc = s
-		o = verify.AttachOracle(s, cfg)
+	rs.Attach = func(s *experiment.Scenario) { sc = s }
+	cfg := verify.DefaultOracleConfig(sys)
+	if h.cfg.Oracle != nil {
+		cfg = h.cfg.Oracle(sys)
 	}
-	res := experiment.RunInto(h.ws, rs)
+	rep, res := verify.ObserveRun(rs, cfg)
 	ctr := sc.Net.Counters()
-	st := runStats{
-		Report:  o.Report(),
-		PerKind: ctr.PerKind(),
-		Drops:   ctr.Drops,
-		Effort:  res.Effort,
+	return runStats{
+		Report:    rep,
+		PerKind:   ctr.PerKind(),
+		Drops:     ctr.Drops,
+		Effort:    res.Effort,
+		Unreached: res.Unreached(),
 	}
-	for _, u := range res.Users {
-		if !u.Reached {
-			st.Unreached++
-		}
-	}
-	return st
 }
 
 // noteFinding records the first witness per (system, invariant) pair;

@@ -201,3 +201,19 @@ func TestHuntCorpusAndHarden(t *testing.T) {
 		}
 	}
 }
+
+// A candidate whose outage names a User its population lacks is skipped,
+// not run (the run would panic with no node to fail), and never enters
+// the corpus.
+func TestHuntSkipsUnresolvableOutage(t *testing.T) {
+	bad := &experiment.ScenarioSpec{Seed: 7, Outages: []experiment.SpecOutage{
+		{Node: "user:9", Mode: "both", StartSec: 100, DurationSec: 60}}}
+	h := New(Config{Seed: 1, Iters: 1, Corpus: []*experiment.ScenarioSpec{bad},
+		Systems: []experiment.System{experiment.UPnP}})
+	h.Run()
+	for _, s := range h.Corpus() {
+		if s == bad {
+			t.Error("the unresolvable spec entered the corpus")
+		}
+	}
+}

@@ -150,7 +150,7 @@ func one(f func(*experiment.ScenarioSpec) bool) func(*experiment.ScenarioSpec) [
 // table while its violation keeps reproducing.
 func (h *Hunter) minimize(f *Finding) *experiment.ScenarioSpec {
 	reproduces := func(s *experiment.ScenarioSpec) bool {
-		if s.Validate() != nil {
+		if s.Validate() != nil || s.Params().CheckOutages(f.System) != nil {
 			return false
 		}
 		h.minRuns++

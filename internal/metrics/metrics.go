@@ -48,6 +48,16 @@ type RunResult struct {
 	TotalTransport      int
 }
 
+// Unreached counts the Users that never held the post-change version.
+func (r RunResult) Unreached() (n int) {
+	for _, u := range r.Users {
+		if !u.Reached {
+			n++
+		}
+	}
+	return n
+}
+
 // Responsivenesses returns the per-User responsiveness samples 1 − L of
 // one run (0 for Users that never reached consistency). Excluded
 // (churned-out) Users contribute no sample.

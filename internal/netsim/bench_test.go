@@ -81,9 +81,9 @@ func BenchmarkMulticastFanoutPareto(b *testing.B) {
 // newTCPExchangeNet builds the request/response pair every UPnP and Jini
 // unicast exchange is: node 0 sends over a fresh connection, node 1
 // answers over it. The returned function runs one whole exchange.
-func newTCPExchangeNet() (exchange func(), replies *countingEndpoint) {
+func newTCPExchangeNet() (exchange func(), replies *countingEndpoint, nw *Network) {
 	k := sim.New(1)
-	nw := mustNew(k, DefaultConfig())
+	nw = mustNew(k, DefaultConfig())
 	replies = &countingEndpoint{}
 	nw.AddNode("client").SetEndpoint(replies)
 	response := Outgoing{Kind: "response", Counted: true}
@@ -97,7 +97,7 @@ func newTCPExchangeNet() (exchange func(), replies *countingEndpoint) {
 	for i := 0; i < 16; i++ {
 		exchange() // warm the frame pool, the event pool and the counters
 	}
-	return exchange, replies
+	return exchange, replies, nw
 }
 
 // BenchmarkTCPExchange measures one request/response over the simulated
@@ -106,7 +106,7 @@ func newTCPExchangeNet() (exchange func(), replies *countingEndpoint) {
 // timers are pooled and moved by static callbacks, so -benchmem reports
 // nothing.
 func BenchmarkTCPExchange(b *testing.B) {
-	exchange, _ := newTCPExchangeNet()
+	exchange, _, _ := newTCPExchangeNet()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

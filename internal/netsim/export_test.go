@@ -1,6 +1,26 @@
 package netsim
 
-import "repro/internal/sim"
+import (
+	"testing"
+
+	"repro/internal/sim"
+)
+
+// CheckPoolsDrained runs the network's kernel dry and fails t for every
+// pooled record still out: once the traffic has settled, each pool must
+// hold every record it made. It backs the zero-alloc gates, which cannot
+// see a leak themselves — testing.AllocsPerRun truncates, and a pool
+// that grows by chunks and leaks one record per run reads 0 there.
+func CheckPoolsDrained(t *testing.T, nw *Network) {
+	t.Helper()
+	for nw.k.Step() {
+	}
+	for name, n := range recordsInUse(t, nw) {
+		if n != 0 {
+			t.Errorf("%d %s records still out with the kernel drained", n, name)
+		}
+	}
+}
 
 // everyoneListens is the fan-out as it was before topics, kept as a
 // test-only reference: every member of every group is handed every frame,

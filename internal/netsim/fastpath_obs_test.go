@@ -51,6 +51,7 @@ func TestUnicastAllocsPerFrameGEWithTelemetry(t *testing.T) {
 	if reg.Counter("sd_frames_sent_total", "shard", "0").Load() == 0 {
 		t.Fatal("tracer attached but nothing metered — the gate is vacuous")
 	}
+	netsim.CheckPoolsDrained(t, nw)
 }
 
 // Pareto-delay multicast fan-out with both a metrics tracer and a
@@ -92,4 +93,5 @@ func TestMulticastFanoutAllocsParetoWithTelemetry(t *testing.T) {
 	if fr.Snapshot().Total == 0 {
 		t.Fatal("flight recorder attached but empty — the gate is vacuous")
 	}
+	netsim.CheckPoolsDrained(t, nw)
 }

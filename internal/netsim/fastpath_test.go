@@ -38,6 +38,7 @@ func TestUnicastAllocsPerFrame(t *testing.T) {
 	if ep.n == 0 {
 		t.Fatal("no deliveries — measurement is vacuous")
 	}
+	CheckPoolsDrained(t, nw)
 }
 
 // A TCP request/response allocates nothing in steady state: the
@@ -46,7 +47,7 @@ func TestUnicastAllocsPerFrame(t *testing.T) {
 // Before the frames were pooled an exchange cost about 25 closures and
 // Messages, and before the connections were, 2.
 func TestTCPExchangeAllocs(t *testing.T) {
-	exchange, replies := newTCPExchangeNet()
+	exchange, replies, nw := newTCPExchangeNet()
 	before := replies.n
 	allocs := testing.AllocsPerRun(200, exchange)
 	if allocs != 0 {
@@ -55,6 +56,7 @@ func TestTCPExchangeAllocs(t *testing.T) {
 	if replies.n-before < 200 {
 		t.Fatalf("%d replies for 200 exchanges — measurement is vacuous", replies.n-before)
 	}
+	CheckPoolsDrained(t, nw)
 }
 
 // Multicast fan-out allocates nothing in steady state: one pooled fanout
@@ -98,6 +100,7 @@ func fanoutAllocs(t *testing.T, what string, cfg Config, members int) {
 	if ep.n < members-1 {
 		t.Fatalf("fan-out delivered %d, want ≥ %d", ep.n, members-1)
 	}
+	CheckPoolsDrained(t, nw)
 }
 
 // The Gilbert–Elliott-conditioned unicast path allocates nothing either:
@@ -127,6 +130,7 @@ func TestUnicastAllocsPerFrameGE(t *testing.T) {
 	if ep.n == 0 {
 		t.Fatal("no deliveries — measurement is vacuous")
 	}
+	CheckPoolsDrained(t, nw)
 }
 
 // The Pareto-delay multicast fan-out allocates nothing either: draws come

@@ -109,8 +109,7 @@ func observe(ws *experiment.Workspace, spec experiment.RunSpec, reference bool) 
 func scopedSpec(sys experiment.System, dynamics string, seed int64, harden bool) experiment.RunSpec {
 	p := experiment.DefaultParams()
 	p.Users = 40
-	p.Hardened = harden
-	spec := experiment.RunSpec{System: sys, Seed: seed}
+	spec := experiment.RunSpec{System: sys, Seed: seed, Opts: experiment.Options{Hardened: harden}}
 	switch dynamics {
 	case "lambda=0.3":
 		spec.Lambda = 0.30

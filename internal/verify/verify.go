@@ -4,9 +4,10 @@
 // provided connectivity is restored.
 //
 // The checker enumerates a grid of single-outage scenarios — which
-// entity fails, which interface(s), when, and for how long — always
-// leaving ample time after recovery, and reports every scenario in which
-// a User still holds a stale description at the end. The paper's
+// role fails, which interface(s), when, and for how long — always
+// leaving ample time after recovery, runs each as a ScenarioSpec under
+// the run-time oracle, and reports every scenario in which a User still
+// holds a stale description at the end. The paper's
 // companion work [24] proved FRODO satisfies the principles and [8]
 // reports that first-generation systems do not; the checker reproduces
 // both findings empirically (see the tests and EXPERIMENTS.md).
@@ -19,32 +20,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
-
-// Target selects which entity the grid fails.
-type Target int
-
-const (
-	// TargetUser fails the first User.
-	TargetUser Target = iota
-	// TargetManager fails the Manager.
-	TargetManager
-	// TargetRegistry fails the (first) Registry; skipped for UPnP, which
-	// has none.
-	TargetRegistry
-)
-
-func (t Target) String() string {
-	switch t {
-	case TargetUser:
-		return "User"
-	case TargetManager:
-		return "Manager"
-	case TargetRegistry:
-		return "Registry"
-	default:
-		return "?"
-	}
-}
 
 // GridConfig bounds the scenario enumeration.
 type GridConfig struct {
@@ -62,10 +37,11 @@ type GridConfig struct {
 	// Starts and Durations enumerate the outage windows.
 	Starts    []sim.Time
 	Durations []sim.Duration
-	// Modes enumerates the interface failure modes.
-	Modes []netsim.FailMode
-	// Targets enumerates the failed entity.
-	Targets []Target
+	// Modes enumerates the outage modes: tx, rx or both.
+	Modes []string
+	// Targets enumerates the failed roles (experiment.Scenario.RoleNode);
+	// a role the system lacks, such as a Registry on UPnP, is skipped.
+	Targets []string
 	// Seed feeds the (otherwise deterministic) run.
 	Seed int64
 	// Harden runs every grid scenario with the protocol-hardening layer
@@ -83,27 +59,25 @@ func DefaultGrid() GridConfig {
 		RecoverySlack: 4200 * sim.Second,
 		Starts:        []sim.Time{400 * sim.Second, 990 * sim.Second, 2000 * sim.Second},
 		Durations:     []sim.Duration{300 * sim.Second, 900 * sim.Second, 2000 * sim.Second, 4000 * sim.Second},
-		Modes:         []netsim.FailMode{netsim.FailTx, netsim.FailRx, netsim.FailBoth},
-		Targets:       []Target{TargetUser, TargetManager, TargetRegistry},
+		Modes:         []string{"tx", "rx", "both"},
+		Targets:       []string{"user:0", "manager", "registry:0"},
 		Seed:          1,
 	}
 }
 
 // Violation is one scenario in which a User failed to regain consistency
-// despite restored connectivity.
+// despite restored connectivity. Spec is the grid cell: saved as JSON,
+// `sdverify -scenario` replays it.
 type Violation struct {
-	System  experiment.System
-	Target  Target
-	Failure netsim.InterfaceFailure
-	User    netsim.NodeID
-	// StaleAtEnd reports the version gap: true means the User never saw
-	// the post-change version at all.
-	StaleAtEnd bool
+	System experiment.System
+	Spec   experiment.ScenarioSpec
+	User   netsim.NodeID
 }
 
 func (v Violation) String() string {
-	return fmt.Sprintf("%s: %s %s down [%.0fs, %.0fs], change at fixed time: user %d stale at horizon",
-		v.System, v.Target, v.Failure.Mode, v.Failure.Start.Sec(), v.Failure.End().Sec(), v.User)
+	o := v.Spec.Outages[0]
+	return fmt.Sprintf("%s: %s %s down [%.0fs, %.0fs], change at %.0fs: user %d stale at horizon",
+		v.System, o.Node, o.Mode, o.StartSec, o.StartSec+o.DurationSec, v.Spec.ChangeMinSec, v.User)
 }
 
 // Result aggregates a grid check.
@@ -116,38 +90,40 @@ type Result struct {
 // Holds reports whether the principles held across the whole grid.
 func (r Result) Holds() bool { return len(r.Violations) == 0 }
 
-// Check runs the grid for one system.
+// Check runs the grid for one system: one ScenarioSpec per cell, each
+// audited by ObserveRun — the path `sdverify -scenario` and the chaos
+// hunter take — and judged by whether every User holds the changed
+// description at the horizon.
 func Check(sys experiment.System, grid GridConfig) Result {
 	res := Result{System: sys}
-	params := experiment.DefaultParams()
-	params.RunDuration = grid.Horizon
-	params.ChangeMin, params.ChangeMax = grid.ChangeAt, grid.ChangeAt
-	params.Hardened = grid.Harden
-
-	for _, target := range grid.Targets {
-		node, ok := targetNode(sys, target)
-		if !ok {
-			continue
-		}
+	for _, role := range grid.Targets {
 		for _, start := range grid.Starts {
 			for _, dur := range grid.Durations {
 				// Leave the mandated slack after recovery.
-				if sim.Time(dur)+start+sim.Time(grid.RecoverySlack) > sim.Time(grid.Horizon) {
+				if start+sim.Time(dur+grid.RecoverySlack) > sim.Time(grid.Horizon) {
 					continue
 				}
 				for _, mode := range grid.Modes {
-					f := netsim.InterfaceFailure{Node: node, Mode: mode, Start: start, Duration: dur}
+					spec := experiment.ScenarioSpec{
+						Seed:         grid.Seed,
+						DurationSec:  sim.Time(grid.Horizon).Sec(),
+						ChangeMinSec: grid.ChangeAt.Sec(),
+						ChangeMaxSec: grid.ChangeAt.Sec(),
+						Outages: []experiment.SpecOutage{{Node: role, Mode: mode,
+							StartSec: start.Sec(), DurationSec: sim.Time(dur).Sec()}},
+						Hardened: grid.Harden,
+					}
+					if err := spec.Validate(); err != nil {
+						panic(fmt.Sprintf("verify: grid cell: %v", err))
+					}
+					if spec.Params().CheckOutages(sys) != nil {
+						continue // the system lacks the role
+					}
 					res.Scenarios++
-					run := experiment.Run(experiment.RunSpec{
-						System: sys, Seed: grid.Seed, Params: params,
-						ExplicitFailures: []netsim.InterfaceFailure{f},
-					})
+					_, run := ObserveRun(spec.RunSpec(sys), DefaultOracleConfig(sys))
 					for _, u := range run.Users {
 						if !u.Reached {
-							res.Violations = append(res.Violations, Violation{
-								System: sys, Target: target, Failure: f,
-								User: u.User, StaleAtEnd: true,
-							})
+							res.Violations = append(res.Violations, Violation{System: sys, Spec: spec, User: u.User})
 						}
 					}
 				}
@@ -155,21 +131,4 @@ func Check(sys experiment.System, grid GridConfig) Result {
 		}
 	}
 	return res
-}
-
-// targetNode maps a Target to the node index of the Build order.
-func targetNode(sys experiment.System, t Target) (netsim.NodeID, bool) {
-	registries, manager, firstUser := experiment.PaperLayout(sys)
-	switch t {
-	case TargetRegistry:
-		if len(registries) == 0 {
-			return 0, false
-		}
-		return registries[0], true
-	case TargetManager:
-		return manager, true
-	case TargetUser:
-		return firstUser, true
-	}
-	return 0, false
 }

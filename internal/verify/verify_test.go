@@ -1,10 +1,12 @@
 package verify
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/experiment"
 	"repro/internal/netsim"
+	"repro/internal/sim"
 )
 
 // FRODO satisfies the Configuration Update Principles across the whole
@@ -44,6 +46,29 @@ func TestFirstGenerationSystemsViolatePrinciples(t *testing.T) {
 	}
 }
 
+// TestDefaultGridCounts pins the guarantee grid's (scenarios,
+// violations) per system, baseline and hardened: on single outages the
+// hardening layer closes none of the first-generation violations.
+func TestDefaultGridCounts(t *testing.T) {
+	want := map[experiment.System][2]int{
+		experiment.UPnP:    {72, 36},
+		experiment.Jini1:   {108, 66},
+		experiment.Jini2:   {108, 36},
+		experiment.Frodo3P: {108, 0},
+		experiment.Frodo2P: {108, 0},
+	}
+	for _, harden := range []bool{false, true} {
+		grid := DefaultGrid()
+		grid.Harden = harden
+		for _, sys := range experiment.Systems() {
+			res := Check(sys, grid)
+			if got := [2]int{res.Scenarios, len(res.Violations)}; got != want[sys] {
+				t.Errorf("%v hardened=%v: (scenarios, violations) = %v, want %v", sys, harden, got, want[sys])
+			}
+		}
+	}
+}
+
 // The canonical violation shape: the silent missed-notification class
 // (the §6.2 scenario generalized). The violating scenarios must include
 // an outage overlapping the change with the subscription surviving.
@@ -51,8 +76,9 @@ func TestUPnPViolationsIncludeMissedNotificationClass(t *testing.T) {
 	res := Check(experiment.UPnP, DefaultGrid())
 	found := false
 	for _, v := range res.Violations {
-		overlapsChange := v.Failure.Start <= 1000e9 && v.Failure.End() >= 1000e9
-		short := v.Failure.Duration <= 900e9 // too short to expire leases
+		o := v.Spec.Outages[0]
+		overlapsChange := o.StartSec <= 1000 && o.StartSec+o.DurationSec >= 1000
+		short := o.DurationSec <= 900 // too short to expire leases
 		if overlapsChange && short {
 			found = true
 			break
@@ -63,12 +89,40 @@ func TestUPnPViolationsIncludeMissedNotificationClass(t *testing.T) {
 	}
 }
 
+// A grid finding replays from its spec alone: encoded, parsed back and
+// run through ObserveRun — what `sdverify -scenario` does with the file —
+// it leaves the same User stale.
+func TestGridViolationReplaysFromItsSpec(t *testing.T) {
+	res := Check(experiment.UPnP, DefaultGrid())
+	if res.Holds() {
+		t.Fatal("no UPnP violation to replay")
+	}
+	v := res.Violations[0]
+	data, err := v.Spec.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := experiment.ParseSpec(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, run := ObserveRun(spec.RunSpec(experiment.UPnP), DefaultOracleConfig(experiment.UPnP))
+	for _, u := range run.Users {
+		if u.User == v.User && u.Reached {
+			t.Errorf("%v: the replayed spec reaches user %d", v, v.User)
+		}
+	}
+}
+
 func TestGridSkipsRegistryTargetForUPnP(t *testing.T) {
 	grid := DefaultGrid()
-	grid.Targets = []Target{TargetRegistry}
+	grid.Targets = []string{"registry:0"}
 	res := Check(experiment.UPnP, grid)
 	if res.Scenarios != 0 {
 		t.Errorf("UPnP has no registry; %d scenarios ran", res.Scenarios)
+	}
+	if res = Check(experiment.Jini1, grid); res.Scenarios != 36 {
+		t.Errorf("Jini-1's registry:0 ran %d scenarios, want 36", res.Scenarios)
 	}
 }
 
@@ -77,31 +131,34 @@ func TestGridRespectsRecoverySlack(t *testing.T) {
 	grid.Durations = append(grid.Durations, grid.Horizon) // never fits
 	res := Check(experiment.Frodo3P, grid)
 	for _, v := range res.Violations {
-		if v.Failure.End()+4200e9 > 12000e9 {
+		if o := v.Spec.Outages[0]; o.StartSec+o.DurationSec+4200 > 12000 {
 			t.Errorf("scenario without recovery slack was checked: %v", v)
 		}
 	}
 }
 
+// TestTargetNodeMapping pins where the default grid's roles land in the
+// paper topology of each system.
 func TestTargetNodeMapping(t *testing.T) {
 	cases := []struct {
-		sys    experiment.System
-		target Target
-		want   netsim.NodeID
-		ok     bool
+		sys  experiment.System
+		role string
+		want netsim.NodeID
+		ok   bool
 	}{
-		{experiment.UPnP, TargetManager, 0, true},
-		{experiment.UPnP, TargetUser, 1, true},
-		{experiment.UPnP, TargetRegistry, 0, false},
-		{experiment.Jini2, TargetManager, 2, true},
-		{experiment.Frodo2P, TargetManager, 2, true},
-		{experiment.Frodo2P, TargetUser, 3, true},
-		{experiment.Frodo2P, TargetRegistry, 0, true},
+		{experiment.UPnP, "manager", 0, true},
+		{experiment.UPnP, "user:0", 1, true},
+		{experiment.UPnP, "registry:0", 0, false},
+		{experiment.Jini2, "manager", 2, true},
+		{experiment.Frodo2P, "manager", 2, true},
+		{experiment.Frodo2P, "user:0", 3, true},
+		{experiment.Frodo2P, "registry:0", 0, true},
 	}
 	for _, c := range cases {
-		got, ok := targetNode(c.sys, c.target)
-		if ok != c.ok || (ok && got != c.want) {
-			t.Errorf("targetNode(%v, %v) = %v,%v want %v,%v", c.sys, c.target, got, ok, c.want, c.ok)
+		sc := experiment.BuildTopology(c.sys, sim.New(1), experiment.Topology{Users: 5}, experiment.Options{})
+		got, err := sc.RoleNode(c.role)
+		if (err == nil) != c.ok || (c.ok && got != c.want) {
+			t.Errorf("%v %s = %v, %v; want %v, ok=%v", c.sys, c.role, got, err, c.want, c.ok)
 		}
 	}
 }
