@@ -141,7 +141,7 @@ obs-smoke:
 	    { echo "$$series not monotone under load: $$v1 -> $$v2"; exit 1; }; \
 	done; \
 	curl -fsS "http://$$addr/debug/flight" > $$tmp/flight.json; \
-	grep -q '"shard"' $$tmp/flight.json || { echo "/debug/flight returned no rings"; exit 1; }; \
+	grep -q '"events"' $$tmp/flight.json || { echo "/debug/flight returned no rings"; exit 1; }; \
 	$(reap_sdlived)
 
 clean:

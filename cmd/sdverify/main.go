@@ -17,7 +17,7 @@
 // Usage:
 //
 //	sdverify                          # summary table
-//	sdverify -violations              # also list every violating scenario and its spec
+//	sdverify -violations              # also list every violating or oracle-flagged scenario and its spec
 //	sdverify -harden                  # the grid with the hardening layer on
 //	sdverify -scenario spec.json      # oracle-audit one scenario, all systems
 //	sdverify -scenario fixture.json   # replay one hunted fixture
@@ -28,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/experiment"
 	"repro/internal/hunt"
@@ -50,8 +51,8 @@ func main() {
 	grid.Harden = design.Spec.Hardened
 	fmt.Println("Configuration Update Principles — single-outage scenario grid")
 	fmt.Printf("(change at %.0fs, horizon %.0fs, %.0fs recovery slack)\n\n",
-		grid.ChangeAt.Sec(), float64(grid.Horizon)/1e9, float64(grid.RecoverySlack)/1e9)
-	fmt.Printf("%-34s  %-10s  %-10s  %s\n", "system", "scenarios", "violations", "verdict")
+		verify.GridChangeAt.Sec(), verify.GridHorizon.Sec(), verify.GridRecoverySlack.Sec())
+	fmt.Printf("%-34s  %-10s  %-10s  %-22s  %s\n", "system", "scenarios", "violations", "oracle", "verdict")
 
 	for _, sys := range experiment.Systems() {
 		res := verify.Check(sys, grid)
@@ -59,15 +60,18 @@ func main() {
 		if !res.Holds() {
 			verdict = "VIOLATED"
 		}
-		fmt.Printf("%-34s  %-10d  %-10d  %s\n", sys, res.Scenarios, len(res.Violations), verdict)
+		fmt.Printf("%-34s  %-10d  %-10d  %-22s  %s\n", sys, res.Scenarios, len(res.Violations), oracleCounts(res.Oracle[:]), verdict)
 		if *listViolations {
 			for _, v := range res.Violations {
-				spec, _ := json.Marshal(v.Spec) // plain data: cannot fail
-				fmt.Printf("    %v\n      replay: %s\n", v, spec)
+				printReplay(v, v.Spec)
+			}
+			for _, b := range res.Breaches {
+				printReplay(b, b.Spec)
 			}
 		}
 	}
 	fmt.Println()
+	fmt.Print("The verdict judges stale Users at the horizon; the oracle column counts\nthe run-time invariant breaches of the same runs (-violations lists both).\n\n")
 	fmt.Println("The paper: FRODO \"provides guarantees\" [24]; \"first-generation service")
 	fmt.Println("discovery systems do not provide guarantees of correct behavior\" [8].")
 }
@@ -130,6 +134,28 @@ func auditScenario(design *experiment.Flags, path string, listViolations bool) i
 		}
 	}
 	return status
+}
+
+// oracleCounts renders a grid's per-invariant oracle breaches: "0", or
+// the nonzero invariants with their counts.
+func oracleCounts(byInvariant []int) string {
+	var parts []string
+	for i, n := range byInvariant {
+		if n > 0 {
+			parts = append(parts, fmt.Sprintf("%s %d", verify.Invariant(i), n))
+		}
+	}
+	if parts == nil {
+		return "0"
+	}
+	return strings.Join(parts, ", ")
+}
+
+// printReplay lists one flagged grid cell with its spec as a replay line
+// for -scenario.
+func printReplay(finding fmt.Stringer, spec experiment.ScenarioSpec) {
+	data, _ := json.Marshal(spec) // plain data: cannot fail
+	fmt.Printf("    %v\n      replay: %s\n", finding, data)
 }
 
 // dumpFlight writes the flight-recorder snapshot to stderr.

@@ -103,7 +103,7 @@ func TestBuildAllocBudgets(t *testing.T) {
 func TestRunAllocBudgets(t *testing.T) {
 	const users = 1000
 	p := DefaultParams()
-	p.Users = users
+	p.Topology.Users = users
 	spec := RunSpec{System: Frodo2P, Seed: 1, Params: p}
 	var ws *Workspace
 	for _, c := range []struct {
@@ -132,7 +132,7 @@ func TestRunAllocBudgets(t *testing.T) {
 func TestScopedDeliveryBudget(t *testing.T) {
 	const users, budget = 1000, 53.0 // measures 48.1
 	p := DefaultParams()
-	p.Users = users
+	p.Topology.Users = users
 	_, sc := runInWorkspace(NewWorkspace(), RunSpec{System: Frodo2P, Seed: 1, Params: p})
 	perUser := float64(sc.Net.Counters().Delivered) / users
 	t.Logf("%.1f deliveries per User", perUser)

@@ -13,8 +13,6 @@ import (
 // Params fixes the experiment design (§5 Step 5). DefaultParams is the
 // paper's configuration.
 type Params struct {
-	// Users is N, the number of Users discovering the Manager.
-	Users int
 	// RunDuration is the simulation length and deadline D.
 	RunDuration sim.Duration
 	// ChangeMin/ChangeMax bound the random service change time C
@@ -40,8 +38,9 @@ type Params struct {
 	Lambdas []float64
 	// BaseSeed derives all run seeds; same BaseSeed ⇒ identical sweep.
 	BaseSeed int64
-	// Topology generalizes the Table 4 scenario shape; the zero value
-	// reproduces the paper (Topology.Users falls back to Users above).
+	// Topology generalizes the Table 4 scenario shape; Topology.Users is
+	// N, the number of Users discovering the Manager. The zero value
+	// reproduces the paper.
 	Topology Topology
 	// Churn adds Poisson User arrivals and departures during the run;
 	// the zero value keeps the paper's static population.
@@ -82,7 +81,7 @@ type Outage struct {
 // params' topology — a Registry on UPnP, a User past the population —
 // naming it by its spec path.
 func (p Params) CheckOutages(sys System) error {
-	topo := p.Topology.normalized(sys, p.Users)
+	topo := p.Topology.normalized(sys)
 	for i, o := range p.Outages {
 		if _, _, err := topo.role(sys, o.Node); err != nil {
 			return fmt.Errorf("scenario: outages[%d].node: %w", i, err)
@@ -96,7 +95,6 @@ func (p Params) CheckOutages(sys System) error {
 // λ·5400s, λ from 0 to 0.90 in steps of 0.05, 30 runs per point.
 func DefaultParams() Params {
 	return Params{
-		Users:              5,
 		RunDuration:        5400 * sim.Second,
 		ChangeMin:          100 * sim.Second,
 		ChangeMax:          2700 * sim.Second,
@@ -106,6 +104,7 @@ func DefaultParams() Params {
 		Lambdas:            DefaultLambdas(),
 		BaseSeed:           1,
 		EffortPad:          sim.Second,
+		Topology:           Topology{Users: paperUsers},
 	}
 }
 
@@ -114,8 +113,8 @@ func DefaultParams() Params {
 // wholesale DefaultParams replacement would silently discard.
 func (p Params) withDefaults() Params {
 	d := DefaultParams()
-	if p.Users == 0 {
-		p.Users = d.Users
+	if p.Topology.Users == 0 {
+		p.Topology.Users = d.Topology.Users
 	}
 	if p.RunDuration == 0 {
 		p.RunDuration = d.RunDuration
@@ -219,7 +218,8 @@ func RunLogged(spec RunSpec, verbose bool) (metrics.RunResult, []string) {
 		rec.Verbose = verbose
 		return rec
 	}
-	res, sc := run(spec)
+	// A private workspace: the Scenario stays valid after the run.
+	res, sc := runInWorkspace(NewWorkspace(), spec)
 	rec.Note(res.Deadline, "service changed at %.0fs (version %d)", res.ChangeAt.Sec(), sc.TargetVersion)
 	for _, u := range res.Users {
 		name := sc.Net.Node(u.User).Name
@@ -233,21 +233,11 @@ func RunLogged(spec RunSpec, verbose bool) (metrics.RunResult, []string) {
 	return res, rec.Lines()
 }
 
-// run executes one run on fresh storage; the returned Scenario stays
-// valid indefinitely (RunLogged inspects it after the run).
-func run(spec RunSpec) (metrics.RunResult, *Scenario) {
-	return runInWorkspace(nil, spec)
-}
-
 // runInWorkspace is the one run path (§5 Steps 1–5): build, observe,
 // schedule the dynamics and the fault plan, advance to the deadline,
 // assemble the result.
 func runInWorkspace(ws *Workspace, spec RunSpec) (metrics.RunResult, *Scenario) {
-	topo := spec.Params.Topology
-	if topo.Users <= 0 {
-		topo.Users = spec.Params.Users
-	}
-	sc := buildTopology(ws, spec.System, ws.kernel(spec.Seed), topo, spec.Opts)
+	sc := buildTopology(ws, spec.System, ws.kernel(spec.Seed), spec.Params.Topology, spec.Opts)
 	if spec.MakeTracer != nil {
 		sc.Net.SetTracer(spec.MakeTracer(sc.Net))
 	}
@@ -300,9 +290,7 @@ func runInWorkspace(ws *Workspace, spec RunSpec) (metrics.RunResult, *Scenario) 
 		reg.Gauge("sd_kernel_events", "shard", "0").Set(int64(sc.K.Fired()))
 		reg.Gauge("sd_kernel_pending", "shard", "0").Set(int64(sc.K.Pending()))
 	}
-	if ws != nil {
-		ws.adopt(sc)
-	}
+	ws.adopt(sc)
 	return res, sc
 }
 

@@ -258,18 +258,19 @@ func changePrinter(attrs map[string]string) { attrs["ServiceType2"] = "Black&Whi
 // come from the topology spec. The zero-value spec rebuilds the paper's
 // design, including the boot order (Registries, then Managers, then
 // Users) and its randomized per-node jitter, so default runs replay the
-// seed experiments bit-for-bit.
+// seed experiments bit-for-bit. The scenario owns a private workspace,
+// so it stays valid indefinitely.
 func BuildTopology(sys System, k *sim.Kernel, topo Topology, opts Options) *Scenario {
-	return buildTopology(nil, sys, k, topo, opts)
+	return buildTopology(NewWorkspace(), sys, k, topo, opts)
 }
 
-// buildTopology is BuildTopology with an optional workspace: with ws set
-// the scenario borrows the workspace's network, recorder and ledgers
-// (reset, capacity retained) instead of allocating fresh ones — and, when
-// the workspace's cached scenario already has this exact shape, the whole
-// protocol-instance graph is rearmed in place instead of rebuilt.
+// buildTopology builds on a workspace: the scenario borrows the
+// workspace's network, recorder and ledgers (reset, capacity retained)
+// instead of allocating fresh ones — and, when the workspace's cached
+// scenario already has this exact shape, the whole protocol-instance
+// graph is rearmed in place instead of rebuilt.
 func buildTopology(ws *Workspace, sys System, k *sim.Kernel, topo Topology, opts Options) *Scenario {
-	topo = topo.normalized(sys, 0)
+	topo = topo.normalized(sys)
 	// Invalid network options fail here, at build entry, before any
 	// simulation state is touched — never partway through a sweep.
 	netCfg, err := opts.netConfig()
@@ -277,38 +278,21 @@ func buildTopology(ws *Workspace, sys System, k *sim.Kernel, topo Topology, opts
 		panic(fmt.Sprintf("experiment: invalid network options: %v", err))
 	}
 	key := scenarioKey{sys: sys, topo: topo, loss: opts.Loss, link: opts.Link, hasMutators: opts.hasMutators(), hardened: opts.Hardened}
-	if ws != nil && ws.reusable(key) {
+	if ws.reusable(key) {
 		return rearmTopology(ws, k, netCfg)
 	}
-	if ws != nil {
-		// Invalidate before touching the network: a panic mid-build must
-		// not leave a stale cached scenario that a later same-shape run
-		// would rearm against rebuilt node slots.
-		ws.invalidate()
-	}
+	// Invalidate before touching the network: a panic mid-build must not
+	// leave a stale cached scenario that a later same-shape run would
+	// rearm against rebuilt node slots.
+	ws.invalidate()
 
-	sc := &Scenario{System: sys, Topo: topo, K: k, TargetVersion: 2, kit: newKit(sys, opts)}
-	if ws != nil {
-		sc.Net = ws.network(k, netCfg)
-		sc.rec, sc.absent, sc.users, sc.UserIDs, sc.retired = ws.scratch(topo.Users)
-	} else {
-		sc.Net, err = netsim.New(k, netCfg)
-		if err != nil {
-			panic(fmt.Sprintf("experiment: %v", err)) // unreachable: netConfig validated
-		}
-		sc.rec = &recorder{target: 2, manager: netsim.NoNode, first: make(map[netsim.NodeID]sim.Time, topo.Users+1)}
-		sc.absent = map[netsim.NodeID]bool{}
-		sc.users = map[netsim.NodeID]user{}
-	}
-	// The rearm plan is only worth recording when a workspace may reuse
-	// it.
-	record := ws != nil
+	sc := &Scenario{System: sys, Topo: topo, K: k, TargetVersion: 2, kit: newKit(sys, opts), Net: ws.network(k, netCfg)}
+	sc.rec, sc.absent, sc.users, sc.UserIDs, sc.retired = ws.scratch(topo.Users)
+	sc.boot = make([]bootEntry, 0, topo.Nodes())
 	nw := sc.Net
 	boot := func(b bootEntry) {
 		sc.start(b)
-		if record {
-			sc.boot = append(sc.boot, b)
-		}
+		sc.boot = append(sc.boot, b)
 	}
 
 	for i := 0; i < topo.Registries; i++ {
@@ -334,9 +318,7 @@ func buildTopology(ws *Workspace, sys System, k *sim.Kernel, topo Topology, opts
 	}
 	sc.rec.manager = sc.ManagerID
 	sc.bootNodes = nw.Nodes()
-	if record {
-		ws.cache(sc, key)
-	}
+	ws.cache(sc, key)
 	return sc
 }
 

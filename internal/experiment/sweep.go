@@ -12,10 +12,8 @@ import (
 type SweepConfig struct {
 	Systems []System
 	Params  Params
-	// Opts applies to every system; OptsFor, when set, overrides per
-	// system (used by the Fig. 7 ablation which only mutates FRODO).
-	Opts    Options
-	OptsFor map[System]Options
+	// Opts applies to every system.
+	Opts Options
 	// Workers bounds the parallel worker pool; 0 means GOMAXPROCS.
 	Workers int
 	// Progress, when set, is called after each completed run.
@@ -62,11 +60,6 @@ func Sweep(cfg SweepConfig) SweepResult {
 	if _, err := cfg.Opts.netConfig(); err != nil {
 		panic(fmt.Sprintf("experiment: invalid sweep options: %v", err))
 	}
-	for sys, o := range cfg.OptsFor {
-		if _, err := o.netConfig(); err != nil {
-			panic(fmt.Sprintf("experiment: invalid sweep options for %v: %v", sys, err))
-		}
-	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -94,21 +87,16 @@ func Sweep(cfg SweepConfig) SweepResult {
 			// reuse the kernel's event pool, the network's node and group
 			// storage, the recorder maps — and, per system shape, the whole
 			// protocol-instance graph. TrustOptions is sound here because a
-			// sweep's per-system Options are fixed for its whole lifetime
-			// (cfg.Opts / cfg.OptsFor never change mid-sweep).
+			// sweep's Options are fixed for its whole lifetime.
 			ws := NewWorkspace()
 			ws.TrustOptions()
 			for j := range jobs {
-				opts := cfg.Opts
-				if o, ok := cfg.OptsFor[j.sys]; ok {
-					opts = o
-				}
 				res := RunInto(ws, RunSpec{
 					System: j.sys,
 					Lambda: cfg.Params.Lambdas[j.lambdaIdx],
 					Seed:   SeedFor(cfg.Params.BaseSeed, j.sys, j.lambdaIdx, j.run),
 					Params: cfg.Params,
-					Opts:   opts,
+					Opts:   cfg.Opts,
 				})
 				outcomes <- outcome{job: j, res: res}
 			}

@@ -112,15 +112,15 @@ func TestTelemetrySpecOverridesDefault(t *testing.T) {
 	}
 }
 
-// TestShardedTelemetryParity: a spec carrying Shards (ignored) gives the
-// same run metered and unmetered, field for field.
-func TestShardedTelemetryParity(t *testing.T) {
+// TestMeteringKeepsRunOutcomes: one run gives the same result metered
+// and unmetered, field for field.
+func TestMeteringKeepsRunOutcomes(t *testing.T) {
 	p := DefaultParams()
 	p.Runs = 1
 	p.RunDuration = 1200 * sim.Second
 	p.ChangeMax = 600 * sim.Second
 	p.Topology = Topology{Users: 12}
-	spec := RunSpec{System: Frodo2P, Seed: 11, Params: p, Shards: 3}
+	spec := RunSpec{System: Frodo2P, Seed: 11, Params: p}
 	bare := Run(spec)
 	spec.Telemetry = obs.NewRegistry()
 	metered := Run(spec)

@@ -10,7 +10,7 @@ import (
 
 // Topology parameterizes the scenario shape. The zero value reproduces
 // the paper's Table 4 design exactly (per-system Registry counts, one
-// Manager with the printer service, Params.Users Users, 1s boot slots),
+// Manager with the printer service, 5 Users, 1s boot slots),
 // so every existing experiment is the fixed point of this generator.
 //
 // Managers beyond the first host background services: the measured
@@ -18,8 +18,8 @@ import (
 // against it, while the extra Managers load the Registries and the
 // multicast medium the way a populated network would.
 type Topology struct {
-	// Users is N, the number of Users discovering the printer. 0 falls
-	// back to Params.Users (5 in the paper).
+	// Users is N, the number of Users discovering the printer. 0 means
+	// the paper's 5.
 	Users int
 	// Managers is the number of Manager nodes, each hosting one service.
 	// Manager 0 hosts the measured printer; 0 means 1.
@@ -124,14 +124,13 @@ func parseRole(role string) (kind string, i int, err error) {
 	return kind, i, nil
 }
 
-// normalized resolves all defaults against a system and a fallback User
-// count (Params.Users).
-func (t Topology) normalized(sys System, fallbackUsers int) Topology {
+// paperUsers is the paper's population N (Table 4).
+const paperUsers = 5
+
+// normalized resolves all defaults against a system.
+func (t Topology) normalized(sys System) Topology {
 	if t.Users <= 0 {
-		t.Users = fallbackUsers
-	}
-	if t.Users <= 0 {
-		t.Users = 5
+		t.Users = paperUsers
 	}
 	if t.Managers <= 0 {
 		t.Managers = 1

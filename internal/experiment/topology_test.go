@@ -13,7 +13,7 @@ import (
 // The zero-value topology must normalize to the paper's Table 4 design.
 func TestTopologyZeroValueIsPaperDesign(t *testing.T) {
 	for _, sys := range Systems() {
-		topo := Topology{}.normalized(sys, 5)
+		topo := Topology{}.normalized(sys)
 		if topo.Users != 5 || topo.Managers != 1 || topo.Services != 0 {
 			t.Errorf("%v: normalized = %+v", sys, topo)
 		}
@@ -25,7 +25,7 @@ func TestTopologyZeroValueIsPaperDesign(t *testing.T) {
 		}
 	}
 	// Huge populations densify the User boot schedule automatically.
-	big := Topology{Users: 1200}.normalized(Frodo2P, 5)
+	big := Topology{Users: 1200}.normalized(Frodo2P)
 	if big.UserBootSpacing >= sim.Second {
 		t.Errorf("1200 users: spacing %v did not shrink", big.UserBootSpacing)
 	}
@@ -227,7 +227,7 @@ func TestQuickChurnedOutUsersExcluded(t *testing.T) {
 		p.ChangeMax = 600 * sim.Second
 		p.Topology = Topology{Users: 8}
 		p.Churn = Churn{Departures: 0.5 + float64(depRaw%4)} // permanent departures
-		res, sc := run(RunSpec{System: Frodo2P, Lambda: 0, Seed: int64(seedRaw) + 1, Params: p})
+		res, sc := runInWorkspace(NewWorkspace(), RunSpec{System: Frodo2P, Lambda: 0, Seed: int64(seedRaw) + 1, Params: p})
 		retired := sc.RetiredOutcomes()
 		live := res.Users[:len(res.Users)-len(retired)]
 		nonExcluded := 0
@@ -353,7 +353,7 @@ func TestOutageRolesResolve(t *testing.T) {
 			if got != id || (err == nil) != (id != netsim.NoNode) {
 				t.Errorf("%v: RoleNode(%s) = %v, %v; want %v", sys, role, got, err, id)
 			}
-			p := Params{Users: 5, Outages: []Outage{{Node: role}}}
+			p := Params{Topology: Topology{Users: 5}, Outages: []Outage{{Node: role}}}
 			if err := p.CheckOutages(sys); (err == nil) != (id != netsim.NoNode) {
 				t.Errorf("%v: CheckOutages(%s) = %v, but RoleNode gives %v", sys, role, err, id)
 			}

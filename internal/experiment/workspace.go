@@ -65,17 +65,13 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 
 // TrustOptions promises that every run on this workspace uses, for any
 // given system, one fixed Options value for the workspace's lifetime.
-// Sweep makes that promise (its per-system options are fixed for the
+// Sweep makes that promise (its options are fixed for the
 // whole sweep), which lets workers rearm scenarios built with ablation
 // or sensitivity mutators instead of rebuilding them every run.
 func (ws *Workspace) TrustOptions() { ws.trustOpts = true }
 
-// kernel returns the workspace kernel reset to seed; without a workspace,
-// a fresh kernel.
+// kernel returns the workspace kernel reset to seed.
 func (ws *Workspace) kernel(seed int64) *sim.Kernel {
-	if ws == nil {
-		return sim.New(seed)
-	}
 	if ws.k == nil {
 		ws.k = sim.New(seed)
 	} else {

@@ -39,7 +39,7 @@ func eagerRegistries(sc *experiment.Scenario) {
 // bisect partition and rack failures on top.
 func lazySpec(sys experiment.System, dynamics string, seed int64, harden bool) experiment.RunSpec {
 	p := experiment.DefaultParams()
-	p.Users = 40
+	p.Topology.Users = 40
 	spec := experiment.RunSpec{System: sys, Lambda: 0.30, Seed: seed, Opts: experiment.Options{Hardened: harden}}
 	switch dynamics {
 	case "takeover":

@@ -13,8 +13,7 @@ type Disposition struct {
 // Dispositions is the per-finding decision table for the committed
 // hunted-* fixtures under testdata, one row per (system, invariant).
 // Every finding proved fixable at the protocol layer; no invariant needed
-// a fault-conditional bound (the oracle still supports them — see
-// verify.FaultBound — for future findings that resist fixing).
+// a fault-conditional bound.
 func Dispositions() []Disposition {
 	return []Disposition{
 		{"upnp", "lease-purge", "hardened",

@@ -138,9 +138,6 @@ func (h *Hunter) logf(format string, args ...any) {
 func Cost(s *experiment.ScenarioSpec, systems int) int64 {
 	p := s.Params()
 	nodes := p.Topology.Users
-	if nodes <= 0 {
-		nodes = p.Users
-	}
 	for _, fc := range p.FlashCrowds {
 		nodes += fc.Users
 	}

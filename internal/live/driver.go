@@ -137,10 +137,6 @@ func New(cfg Config) (*Driver, error) {
 	if err := cfg.Topology.Validate(); err != nil {
 		return nil, fmt.Errorf("live: %w", err)
 	}
-	topo := cfg.Topology
-	if topo.Users <= 0 {
-		topo.Users = 5
-	}
 	d := &Driver{
 		cfg:    cfg,
 		inj:    make(chan injection, 1024),
@@ -151,7 +147,7 @@ func New(cfg Config) (*Driver, error) {
 		return nil, fmt.Errorf("live: %w", err)
 	}
 	d.k = sim.New(cfg.Seed)
-	d.sc = experiment.BuildTopology(cfg.System, d.k, topo, cfg.Options)
+	d.sc = experiment.BuildTopology(cfg.System, d.k, cfg.Topology, cfg.Options)
 	// Telemetry: frame metering and the flight recorder ride the tracer
 	// tee, ahead of the oracle, so a violation's ring holds its frame.
 	d.reg = cfg.Telemetry

@@ -118,8 +118,9 @@ func (c *Cell) grow(run int) {
 func (c *Cell) Runs() int { return c.filled }
 
 // MinPositiveEffort reports the smallest positive effort across the
-// cell's runs — the measured m′ when the cell is the λ=0 column — with
-// the same fallback of 1 as MeasureMPrime.
+// cell's runs — the measured m′ when the cell is the λ=0 column; the
+// paper fixes m′ per system (7, 14, 15, 7, 7). A cell with no positive
+// effort falls back to 1.
 func (c *Cell) MinPositiveEffort() int {
 	min := math.MaxInt
 	for i, s := range c.perRun {

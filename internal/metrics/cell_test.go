@@ -66,3 +66,23 @@ func TestSummarizeWindowMixedExclusion(t *testing.T) {
 		t.Errorf("unreached window = %v, want 5300s", s.Window)
 	}
 }
+
+// The λ=0 cell's smallest positive effort is the measured m′; an empty
+// cell falls back to 1.
+func TestMeasureMPrime(t *testing.T) {
+	runs := []RunResult{
+		run(0, sim.Second, 9),
+		run(0, sim.Second, 7),
+		run(0, sim.Second, 8),
+	}
+	c := NewCell(0, len(runs))
+	for i, r := range runs {
+		c.AddResult(i, r)
+	}
+	if got := c.MinPositiveEffort(); got != 7 {
+		t.Errorf("m' = %d, want 7", got)
+	}
+	if got := NewCell(0, 0).MinPositiveEffort(); got != 1 {
+		t.Errorf("m' fallback = %d, want 1", got)
+	}
+}

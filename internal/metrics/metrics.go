@@ -12,8 +12,6 @@
 package metrics
 
 import (
-	"math"
-
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -100,22 +98,6 @@ type Point struct {
 	EffectivenessCI float64
 }
 
-// Compute aggregates the runs of one (system, λ) cell. m is the global
-// minimum zero-failure effort; mPrime the system's own. It is the
-// retained-raw counterpart of Cell.Point and routes through the same
-// accumulation so both paths agree exactly.
-func Compute(runs []RunResult, m, mPrime int) Point {
-	var lambda float64
-	if len(runs) > 0 {
-		lambda = runs[0].Lambda
-	}
-	c := NewCell(lambda, len(runs))
-	for i, r := range runs {
-		c.AddResult(i, r)
-	}
-	return c.Point(m, mPrime)
-}
-
 // Curve is a metric series over failure rates for one system — one line
 // in the paper's Figures 4–7.
 type Curve struct {
@@ -133,21 +115,4 @@ func (c Curve) Average() (responsiveness, effectiveness, degradation float64) {
 		g = append(g, p.Degradation)
 	}
 	return stats.Mean(r), stats.Mean(f), stats.Mean(g)
-}
-
-// MeasureMPrime derives a system's m′ from its zero-failure runs: the
-// smallest observed effort. The paper fixes m′ per system (7, 14, 15, 7,
-// 7); measuring it keeps the metric self-calibrating while the tests
-// assert the paper's values are reproduced.
-func MeasureMPrime(zeroFailureRuns []RunResult) int {
-	min := math.MaxInt
-	for _, r := range zeroFailureRuns {
-		if r.Effort > 0 && r.Effort < min {
-			min = r.Effort
-		}
-	}
-	if min == math.MaxInt {
-		return 1
-	}
-	return min
 }

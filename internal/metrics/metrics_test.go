@@ -44,7 +44,7 @@ func TestComputeEffectiveness(t *testing.T) {
 		run(1000*sim.Second, 5400*sim.Second, 7, 1001*sim.Second, -1),
 		run(1000*sim.Second, 5400*sim.Second, 7, 1001*sim.Second, 1002*sim.Second),
 	}
-	p := Compute(runs, 7, 7)
+	p := compute(runs, 7, 7)
 	if !almost(p.Effectiveness, 0.75) {
 		t.Errorf("F = %v, want 0.75", p.Effectiveness)
 	}
@@ -63,7 +63,7 @@ func TestComputeResponsivenessIsMedian(t *testing.T) {
 		20*sim.Second, // 0.8
 		90*sim.Second, // 0.1
 	)}
-	p := Compute(runs, 7, 7)
+	p := compute(runs, 7, 7)
 	if !almost(p.Responsiveness, 0.8) {
 		t.Errorf("R = %v, want median 0.8", p.Responsiveness)
 	}
@@ -74,7 +74,7 @@ func TestComputeEfficiencyAndDegradation(t *testing.T) {
 		run(0, 100*sim.Second, 14, 1*sim.Second),
 		run(0, 100*sim.Second, 28, 1*sim.Second),
 	}
-	p := Compute(runs, 7, 14)
+	p := compute(runs, 7, 14)
 	// E = mean(7/14, 7/28) = mean(0.5, 0.25) = 0.375
 	if !almost(p.Efficiency, 0.375) {
 		t.Errorf("E = %v, want 0.375", p.Efficiency)
@@ -86,14 +86,14 @@ func TestComputeEfficiencyAndDegradation(t *testing.T) {
 }
 
 func TestComputeZeroEffort(t *testing.T) {
-	p := Compute([]RunResult{run(0, 100*sim.Second, 0, -1)}, 7, 7)
+	p := compute([]RunResult{run(0, 100*sim.Second, 0, -1)}, 7, 7)
 	if p.Efficiency != 1 || p.Degradation != 1 {
 		t.Errorf("zero-effort run E=%v G=%v, want 1", p.Efficiency, p.Degradation)
 	}
 }
 
 func TestComputeEmpty(t *testing.T) {
-	p := Compute(nil, 7, 7)
+	p := compute(nil, 7, 7)
 	if !math.IsNaN(p.Responsiveness) || !math.IsNaN(p.Effectiveness) {
 		t.Error("empty compute should be NaN")
 	}
@@ -107,20 +107,6 @@ func TestCurveAverage(t *testing.T) {
 	r, f, g := c.Average()
 	if !almost(r, 0.75) || !almost(f, 0.9) || !almost(g, 0.8) {
 		t.Errorf("averages = %v %v %v", r, f, g)
-	}
-}
-
-func TestMeasureMPrime(t *testing.T) {
-	runs := []RunResult{
-		run(0, sim.Second, 9),
-		run(0, sim.Second, 7),
-		run(0, sim.Second, 8),
-	}
-	if got := MeasureMPrime(runs); got != 7 {
-		t.Errorf("m' = %d, want 7", got)
-	}
-	if got := MeasureMPrime(nil); got != 1 {
-		t.Errorf("m' fallback = %d, want 1", got)
 	}
 }
 
@@ -142,4 +128,18 @@ func TestQuickResponsivenessBounded(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
+}
+
+// compute aggregates the runs of one (system, λ) cell through the
+// streaming Cell a sweep uses.
+func compute(runs []RunResult, m, mPrime int) Point {
+	var lambda float64
+	if len(runs) > 0 {
+		lambda = runs[0].Lambda
+	}
+	c := NewCell(lambda, len(runs))
+	for i, r := range runs {
+		c.AddResult(i, r)
+	}
+	return c.Point(m, mPrime)
 }

@@ -61,7 +61,8 @@ func TestTCPExchangeAllocs(t *testing.T) {
 
 // Multicast fan-out allocates nothing in steady state: one pooled fanout
 // record, one walking event and the network's radix scratch serve the
-// whole group — at 100 members as at the 10,000 of the scale runs.
+// whole group — at 100 members as at the 10,000 of the scale runs — and
+// each staggered copy of a train is one pooled mcopy record.
 func TestMulticastFanoutAllocs(t *testing.T) {
 	for _, members := range []int{100, 10000} {
 		fanoutAllocs(t, "multicast", DefaultConfig(), members)
@@ -82,16 +83,21 @@ func newFanoutNet(cfg Config, members int) (*sim.Kernel, *Network, *countingEndp
 	return k, nw, ep
 }
 
+// fanoutCopies is the train length of the fan-out gates: the paper's
+// multicast trains are 2–6 copies, and copies past the first ride pooled
+// mcopy records that CheckPoolsDrained must see come back.
+const fanoutCopies = 3
+
 func fanoutAllocs(t *testing.T, what string, cfg Config, members int) {
 	t.Helper()
 	k, nw, ep := newFanoutNet(cfg, members)
 	out := Outgoing{Kind: "announce"}
 	for i := 0; i < 8; i++ {
-		nw.Multicast(0, Group(1), out, 1)
+		nw.Multicast(0, Group(1), out, fanoutCopies)
 		k.Run(k.Now() + sim.Second)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		nw.Multicast(0, Group(1), out, 1)
+		nw.Multicast(0, Group(1), out, fanoutCopies)
 		k.Run(k.Now() + sim.Second)
 	})
 	if allocs != 0 {

@@ -108,7 +108,7 @@ func observe(ws *experiment.Workspace, spec experiment.RunSpec, reference bool) 
 // bisecting partition and rack failures on top.
 func scopedSpec(sys experiment.System, dynamics string, seed int64, harden bool) experiment.RunSpec {
 	p := experiment.DefaultParams()
-	p.Users = 40
+	p.Topology.Users = 40
 	spec := experiment.RunSpec{System: sys, Seed: seed, Opts: experiment.Options{Hardened: harden}}
 	switch dynamics {
 	case "lambda=0.3":

@@ -8,20 +8,15 @@ import (
 	"repro/internal/sim"
 )
 
-// RunSpec.Shards is ignored; these tests pin that a spec carrying it is
-// audited as the single-kernel run it is: one oracle, one heal probe per
-// partition.
-
-// TestObserveShardedRun: ObserveRun on a failure-free FRODO run comes
-// back clean with every User consistent.
-func TestObserveShardedRun(t *testing.T) {
+// TestObserveFailureFreeRunIsClean: ObserveRun on a failure-free FRODO
+// run comes back clean with every User consistent.
+func TestObserveFailureFreeRunIsClean(t *testing.T) {
 	spec := experiment.RunSpec{
 		System: experiment.Frodo2P,
 		Lambda: 0,
 		Seed:   7,
-		Shards: 3,
 		Params: experiment.Params{
-			Users:              30,
+			Topology:           experiment.Topology{Users: 30},
 			RunDuration:        900 * sim.Second,
 			ChangeMin:          100 * sim.Second,
 			ChangeMax:          300 * sim.Second,
@@ -44,21 +39,20 @@ func TestObserveShardedRun(t *testing.T) {
 	}
 }
 
-// TestObserveShardedChurnPartitionHeal audits a churning FRODO run
+// TestObserveChurnPartitionHeal audits a churning FRODO run
 // through a healing bisect partition end to end: the oracle schedules the
 // single-central heal probe (the partition plan is inherited from the
 // spec), the probe runs before the deadline, and the run comes back
 // clean. The window timings mirror the hunted single-central fixture
 // (split at 3000s, heal at 5000s, 9300s run) so the probe instant — heal
 // + CentralTimeout + AnnouncePeriod + slack — lands well inside the run.
-func TestObserveShardedChurnPartitionHeal(t *testing.T) {
+func TestObserveChurnPartitionHeal(t *testing.T) {
 	spec := experiment.RunSpec{
 		System: experiment.Frodo2P,
 		Lambda: 0,
 		Seed:   11,
-		Shards: 4,
 		Params: experiment.Params{
-			Users:              40,
+			Topology:           experiment.Topology{Users: 40},
 			RunDuration:        9300 * sim.Second,
 			ChangeMin:          100 * sim.Second,
 			ChangeMax:          300 * sim.Second,

@@ -61,25 +61,9 @@ func (i Invariant) String() string {
 	}
 }
 
-// FaultBound is a fault-conditional waiver: an invariant breach inside
-// the window is recorded as waived, not as a violation. Bounds document
-// the provably-unfixable findings of the hardening pass — failures whose
-// root cause is the injected fault itself (e.g. a Central that is the
-// only node on its partition side cannot converge before the heal), not
-// a protocol defect any holder-side mechanism could close. Every waiver
-// is still counted and carries its reason into the report, so a bound
-// never silently hides a regression elsewhere in the window.
-type FaultBound struct {
-	Invariant Invariant
-	Start     sim.Time
-	End       sim.Time // zero means unbounded
-	Reason    string
-}
-
-// covers reports whether the bound waives inv at time t.
-func (b FaultBound) covers(inv Invariant, t sim.Time) bool {
-	return b.Invariant == inv && t >= b.Start && (b.End == 0 || t <= b.End)
-}
+// maxViolations caps the violation details a report retains; the
+// per-invariant counts are always complete.
+const maxViolations = 100
 
 // OracleConfig bounds the oracle's tolerances. The zero value of any
 // field falls back to the defaults of DefaultOracleConfig.
@@ -105,14 +89,8 @@ type OracleConfig struct {
 	// ExpectCentral enables the single-Central probes — FRODO systems
 	// only (Jini legitimately runs several Registries).
 	ExpectCentral bool
-	// MaxViolations caps the retained violation details; the per-
-	// invariant counts are always complete.
-	MaxViolations int
-	// Bounds are the fault-conditional waivers in force for this run.
-	Bounds []FaultBound
-	// OnViolation, when set, fires synchronously on every non-waived
-	// violation, on the goroutine that detected it. The live driver and
-	// traced fixture
+	// OnViolation, when set, fires synchronously on every violation, on
+	// the goroutine that detected it. The live driver and traced fixture
 	// replays use it to freeze flight recorders at the first breach, so
 	// the rings hold the events leading up to it, not the aftermath. The
 	// hook must not touch any kernel or draw randomness.
@@ -129,7 +107,6 @@ func DefaultOracleConfig(sys experiment.System) OracleConfig {
 		HealSlack:     fcfg.CentralTimeout + fcfg.AnnouncePeriod + 60*sim.Second,
 		CentralWindow: fcfg.AnnouncePeriod + 60*sim.Second,
 		ExpectCentral: sys == experiment.Frodo3P || sys == experiment.Frodo2P,
-		MaxViolations: 100,
 	}
 }
 
@@ -204,11 +181,11 @@ func (v OracleViolation) String() string {
 
 // OracleReport summarizes one audited run.
 type OracleReport struct {
-	// Total counts every violation, including ones past MaxViolations.
+	// Total counts every violation, including ones past maxViolations.
 	Total int
 	// ByInvariant breaks the total down.
 	ByInvariant [numInvariants]int
-	// Violations retains the first MaxViolations details.
+	// Violations retains the first maxViolations details.
 	Violations []OracleViolation
 	// Coverage carries the near-miss/slack signal alongside the
 	// verdict, so one audited run yields both.
@@ -219,13 +196,6 @@ type OracleReport struct {
 	// with pending probes is NOT Clean. Extend Params.RunDuration so
 	// every partition heal leaves HealSlack before the deadline.
 	ProbesScheduled, ProbesRun int
-	// Waived counts breaches absorbed by fault-conditional bounds
-	// (OracleConfig.Bounds); WaivedDetails retains them with their
-	// waiver reasons, capped like Violations. Waived breaches do not
-	// affect Clean — that is the bound's whole point — but they stay
-	// visible so a bound never reads as "nothing happened".
-	Waived        int
-	WaivedDetails []OracleViolation
 	// MaxPurgeLate is the worst observed RenewAck lateness past its
 	// lease's expiry (zero when every ack beat the expiry): the
 	// purge-latency axis of the hardening figure.
@@ -242,9 +212,6 @@ func (r OracleReport) String() string {
 			r.Total, pending)
 	}
 	if r.Clean() {
-		if r.Waived > 0 {
-			return fmt.Sprintf("oracle: all invariants held (%d breaches waived under fault-conditional bounds)", r.Waived)
-		}
 		return "oracle: all invariants held"
 	}
 	return fmt.Sprintf("oracle: %d violations (version-bound %d, lease-purge %d, single-central %d, retired-silence %d)",
@@ -294,8 +261,6 @@ type Oracle struct {
 	violations      []OracleViolation
 	probesScheduled int
 	probesRun       int
-	waived          int
-	waivedDetails   []OracleViolation
 	maxPurgeLate    sim.Duration
 
 	// Optional telemetry mirrors (metricsInto): near-miss and violation
@@ -320,9 +285,6 @@ func NewOracle(k *sim.Kernel, manager netsim.NodeID, cfg OracleConfig) *Oracle {
 	}
 	if cfg.CentralWindow == 0 {
 		cfg.CentralWindow = def.CentralWindow
-	}
-	if cfg.MaxViolations == 0 {
-		cfg.MaxViolations = def.MaxViolations
 	}
 	o := &Oracle{
 		cfg: cfg, k: k, manager: manager,
@@ -381,7 +343,7 @@ func ObserveRun(spec experiment.RunSpec, cfg OracleConfig) (OracleReport, metric
 func (o *Oracle) Report() OracleReport {
 	return OracleReport{Total: o.total, ByInvariant: o.byInvariant, Violations: o.violations,
 		Coverage: o.cov, ProbesScheduled: o.probesScheduled, ProbesRun: o.probesRun,
-		Waived: o.waived, WaivedDetails: o.waivedDetails, MaxPurgeLate: o.maxPurgeLate}
+		MaxPurgeLate: o.maxPurgeLate}
 }
 
 // Coverage returns the near-miss/slack signal accumulated so far.
@@ -393,25 +355,13 @@ func (o *Oracle) NotePublished() { o.published++ }
 
 func (o *Oracle) violate(inv Invariant, node netsim.NodeID, format string, args ...any) {
 	now := o.k.Now()
-	for _, b := range o.cfg.Bounds {
-		if b.covers(inv, now) {
-			o.waived++
-			if len(o.waivedDetails) < o.cfg.MaxViolations {
-				o.waivedDetails = append(o.waivedDetails, OracleViolation{
-					At: now, Invariant: inv, Node: node,
-					Detail: fmt.Sprintf(format, args...) + " [waived: " + b.Reason + "]",
-				})
-			}
-			return
-		}
-	}
 	o.total++
 	o.byInvariant[inv]++
 	if c := o.violCounters[inv]; c != nil {
 		c.Inc()
 	}
 	v := OracleViolation{At: now, Invariant: inv, Node: node, Detail: fmt.Sprintf(format, args...)}
-	if len(o.violations) < o.cfg.MaxViolations {
+	if len(o.violations) < maxViolations {
 		o.violations = append(o.violations, v)
 	}
 	if o.cfg.OnViolation != nil {

@@ -1,7 +1,6 @@
 package verify
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/experiment"
@@ -129,6 +128,9 @@ func TestOracleFiresOnLeasePurge(t *testing.T) {
 	rep := o.Report()
 	if rep.ByInvariant[InvLeasePurge] != 1 {
 		t.Errorf("lease purge did not fire: %s", rep)
+	}
+	if rep.MaxPurgeLate < 80*sim.Second {
+		t.Errorf("MaxPurgeLate = %v, want the ~84s lateness recorded", rep.MaxPurgeLate)
 	}
 }
 
@@ -280,63 +282,6 @@ func TestOracleObservationIsNonInvasive(t *testing.T) {
 		if plain.Users[i] != observed.Users[i] {
 			t.Fatalf("user outcome %d diverged: %+v vs %+v", i, plain.Users[i], observed.Users[i])
 		}
-	}
-}
-
-// A breach inside a fault-conditional bound is waived — visible in the
-// report but not a violation; the same breach outside the bound counts.
-func TestOracleWaivesBoundedBreaches(t *testing.T) {
-	k := sim.New(1)
-	nw, err := netsim.New(k, netsim.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	user := nw.AddNode("user")
-	holder := nw.AddNode("holder")
-	sink := netsim.EndpointFunc(func(*netsim.Message) {})
-	user.SetEndpoint(sink)
-	holder.SetEndpoint(sink)
-	o := NewOracle(k, netsim.NoNode, OracleConfig{
-		PurgeSlack: 5 * sim.Second,
-		Bounds: []FaultBound{{Invariant: InvLeasePurge, Start: 50 * sim.Second,
-			End: 200 * sim.Second, Reason: "scheduled outage"}},
-	})
-	nw.SetTracer(o)
-
-	subscribe := func() {
-		nw.SendUDP(user.ID, holder.ID, netsim.Outgoing{
-			Packet: wire.Packet{Kind: wire.Subscribe, Manager: holder.ID, Lease: 10 * sim.Second}})
-	}
-	ack := func() {
-		nw.SendUDP(holder.ID, user.ID, netsim.Outgoing{
-			Packet: wire.Packet{Kind: wire.RenewAck, Manager: holder.ID}})
-	}
-
-	subscribe()
-	k.Run(100 * sim.Second)
-	ack() // ~90s past expiry, inside the bound: waived
-	k.Run(101 * sim.Second)
-	rep := o.Report()
-	if rep.Total != 0 || rep.Waived != 1 {
-		t.Fatalf("bounded breach: total=%d waived=%d, want 0/1 (%s)", rep.Total, rep.Waived, rep)
-	}
-	if len(rep.WaivedDetails) != 1 || !strings.Contains(rep.WaivedDetails[0].Detail, "scheduled outage") {
-		t.Errorf("waiver reason missing from details: %v", rep.WaivedDetails)
-	}
-	if rep.MaxPurgeLate < 80*sim.Second {
-		t.Errorf("MaxPurgeLate = %v, want the ~90s lateness recorded even for a waived breach", rep.MaxPurgeLate)
-	}
-
-	subscribe() // fresh lease at 101s, expires ~111s
-	k.Run(300 * sim.Second)
-	ack() // far past expiry AND past the bound's end: a real violation
-	k.Run(301 * sim.Second)
-	rep = o.Report()
-	if rep.Total != 1 || rep.ByInvariant[InvLeasePurge] != 1 {
-		t.Fatalf("out-of-bound breach not counted: %s", rep)
-	}
-	if rep.Waived != 1 {
-		t.Errorf("waived = %d changed, want still 1", rep.Waived)
 	}
 }
 

@@ -69,6 +69,35 @@ func TestDefaultGridCounts(t *testing.T) {
 	}
 }
 
+// TestDefaultGridOracleCounts pins what the oracle sees on the same
+// grid: on the baseline, 18 of the 108 cells of each FRODO system carry
+// one lease-purge breach — a Registry acks a Manager's renewal of a lease
+// that expired while the Manager or the Central was cut off — although
+// every User ends consistent. The first-generation systems and every
+// hardened grid stay clean.
+func TestDefaultGridOracleCounts(t *testing.T) {
+	for _, harden := range []bool{false, true} {
+		grid := DefaultGrid()
+		grid.Harden = harden
+		for _, sys := range experiment.Systems() {
+			var want [numInvariants]int
+			wantCells := 0
+			if !harden && (sys == experiment.Frodo3P || sys == experiment.Frodo2P) {
+				want[InvLeasePurge], wantCells = 18, 18
+			}
+			res := Check(sys, grid)
+			if res.Oracle != want || len(res.Breaches) != wantCells {
+				t.Errorf("%v hardened=%v: oracle %v over %d cells, want %v over %d", sys, harden, res.Oracle, len(res.Breaches), want, wantCells)
+			}
+			for _, b := range res.Breaches {
+				if o := b.Spec.Outages[0]; o.Node == "user:0" || b.Report.Total != 1 {
+					t.Errorf("%v: unexpected breach %v", sys, b)
+				}
+			}
+		}
+	}
+}
+
 // The canonical violation shape: the silent missed-notification class
 // (the §6.2 scenario generalized). The violating scenarios must include
 // an outage overlapping the change with the subscription surviving.
@@ -128,7 +157,7 @@ func TestGridSkipsRegistryTargetForUPnP(t *testing.T) {
 
 func TestGridRespectsRecoverySlack(t *testing.T) {
 	grid := DefaultGrid()
-	grid.Durations = append(grid.Durations, grid.Horizon) // never fits
+	grid.Durations = append(grid.Durations, GridHorizon) // never fits
 	res := Check(experiment.Frodo3P, grid)
 	for _, v := range res.Violations {
 		if o := v.Spec.Outages[0]; o.StartSec+o.DurationSec+4200 > 12000 {
