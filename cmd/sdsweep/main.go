@@ -11,8 +11,10 @@
 //	sdsweep -figure 7            # PR1 ablation on FRODO (Fig. 7)
 //	sdsweep -figure table2       # update message counts at zero failure (Table 2)
 //	sdsweep -figure table5       # metric averages across failure rates (Table 5)
-//	sdsweep -figure all -runs 30 # every figure and table, paper-sized
+//	sdsweep -figure all -runs 30 # every paper figure and table, paper-sized
 //	sdsweep -figure loss         # extension: message-loss failure model
+//	sdsweep -figure polling      # extension: notification vs notification plus persistent polling
+//	sdsweep -figure scale        # extension: F and m′ vs population size N
 //	sdsweep -figure adversarial  # extension: burst vs i.i.d. loss at equal rate
 //	sdsweep -figure hardening    # extension: baseline vs hardened under the hunted fault mix
 //	sdsweep -figure 4 -harden    # any figure with the protocol-hardening layer on
@@ -29,20 +31,90 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 
 	"repro/internal/experiment"
-	"repro/internal/frodo"
 	"repro/internal/hunt"
-	"repro/internal/jini"
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/sim"
-	"repro/internal/upnp"
 	"repro/internal/verify"
 )
+
+// A figure is one value of -figure.
+type figure struct {
+	name      string
+	main      bool            // reads the main λ sweep, run once before it
+	ownLink   bool            // sweeps its own link models, so refuses a link design
+	bothModes bool            // runs baseline and hardened, so refuses a hardened design
+	inAll     bool            // -figure all prints it
+	render    func(o *output) // nil for all, which prints every inAll figure in order
+}
+
+// figures is every -figure value, in the order -figure all prints them.
+var figures = []figure{
+	{name: "table2", inAll: true, render: func(o *output) { o.emit(experiment.Table2(o.params, o.opts)) }},
+	{name: "4", main: true, inAll: true, render: func(o *output) {
+		o.emit(experiment.Figure4(o.main))
+		o.chart(experiment.MetricEffectiveness)
+	}},
+	{name: "5", main: true, inAll: true, render: func(o *output) {
+		o.emit(experiment.Figure5(o.main))
+		o.chart(experiment.MetricResponsiveness)
+	}},
+	{name: "6", main: true, inAll: true, render: func(o *output) {
+		o.emit(experiment.Figure6(o.main))
+		o.chart(experiment.MetricDegradation)
+	}},
+	{name: "table5", main: true, inAll: true, render: func(o *output) { o.emit(experiment.Table5(o.main)) }},
+	{name: "7", inAll: true, render: variants(experiment.Figure7)},
+	{name: "loss", ownLink: true, render: variants(experiment.FigureLoss)},
+	{name: "polling", render: variants(experiment.FigurePolling)},
+	{name: "scale", render: func(o *output) {
+		o.emit(experiment.FigureScale(o.params, o.opts, o.workers, o.progress))
+	}},
+	{name: "adversarial", ownLink: true, render: variants(experiment.FigureAdversarial)},
+	{name: "hardening", ownLink: true, bothModes: true, render: func(o *output) {
+		o.emit(verify.FigureHardening(o.params, o.params.Runs, o.workers, o.progress))
+	}},
+	{name: "all", main: true},
+}
+
+// output is what a renderer reads and prints through: the resolved
+// design, the main λ sweep when the figure reads it, and the format.
+type output struct {
+	params    experiment.Params
+	opts      experiment.Options
+	workers   int
+	progress  func(done, total int)
+	main      experiment.SweepResult
+	stdout    io.Writer
+	csv, plot bool
+}
+
+func (o *output) emit(t experiment.Table) {
+	if o.csv {
+		fmt.Fprint(o.stdout, t.CSV())
+	} else {
+		fmt.Fprintln(o.stdout, t)
+	}
+}
+
+// chart draws one metric of the main sweep under -plot.
+func (o *output) chart(m experiment.Metric) {
+	if o.plot {
+		fmt.Fprintln(o.stdout, experiment.Chart(o.main, m))
+	}
+}
+
+// variants renders a variant figure under the design.
+func variants(v experiment.VariantFigure) func(o *output) {
+	return func(o *output) { o.emit(v.Render(o.params, o.opts, o.workers, o.progress)) }
+}
 
 // config is the part of the command line that fixes what runs; resolve
 // checks it and turns it into the sweep's parameters.
@@ -53,7 +125,12 @@ type config struct {
 }
 
 func (c *config) register(fs *flag.FlagSet) {
-	fs.StringVar(&c.figure, "figure", "all", "figure or table to regenerate: 4|5|6|7|table2|table5|loss|polling|scale|adversarial|hardening|all")
+	names := make([]string, len(figures))
+	for i, f := range figures {
+		names[i] = f.name
+	}
+	// The default is the last row, all.
+	fs.StringVar(&c.figure, "figure", names[len(names)-1], "figure or table to regenerate: "+strings.Join(names, "|"))
 	fs.IntVar(&c.runs, "runs", 30, "runs per (system, λ) point (X in the paper)")
 	fs.StringVar(&c.scenario, "scenario", "", "run this scenario spec or hunted fixture (strictly validated) in place of the default design")
 	c.design.Spec = experiment.ScenarioSpec{Seed: 1, Link: experiment.SpecLink{BurstLen: 8, DelayDist: "uniform"}}
@@ -61,38 +138,43 @@ func (c *config) register(fs *flag.FlagSet) {
 		"burst-loss", "burst-len", "delay-dist", "delay-sigma", "delay-alpha", "partition", "harden")
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run runs one command line, writing the figures to stdout, and returns
+// the exit status.
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	var c config
-	c.register(flag.CommandLine)
+	c.register(fs)
 	var (
-		workers = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-		asCSV   = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		telem   = flag.String("telemetry", "", "write the metrics registry as JSON to this file at exit (- for stdout)")
-		asPlot  = flag.Bool("plot", false, "render figures 4-6 as ASCII charts too")
-		quiet   = flag.Bool("quiet", false, "suppress progress output")
+		workers = fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
+		asCSV   = fs.Bool("csv", false, "emit CSV instead of aligned tables")
+		telem   = fs.String("telemetry", "", "write the metrics registry as JSON to this file at exit (- for stdout)")
+		asPlot  = fs.Bool("plot", false, "render figures 4-6 as ASCII charts too")
+		quiet   = fs.Bool("quiet", false, "suppress progress output")
 
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
-		memProfile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
+		memProfile = fs.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
-	// Check before the profilers start: an os.Exit on a bad flag must
-	// not leave a started-but-unflushed (truncated) CPU profile behind.
-	params, linkOpts, err := c.resolve()
+	// Check before the profilers start: an exit on a bad flag must not
+	// leave a started-but-unflushed (truncated) CPU profile behind.
+	fig, params, linkOpts, err := c.resolve()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 2
 	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sdsweep: -cpuprofile: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintf(os.Stderr, "sdsweep: -cpuprofile: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -118,245 +200,84 @@ func main() {
 		experiment.SetTelemetry(obs.NewRegistry())
 	}
 
-	progress := func(done, total int) {
-		if *quiet {
-			return
-		}
-		if done%100 == 0 || done == total {
-			fmt.Fprintf(os.Stderr, "\r%d/%d runs", done, total)
-			if done == total {
-				fmt.Fprintln(os.Stderr)
+	o := &output{params: params, opts: linkOpts, workers: *workers, stdout: stdout, csv: *asCSV, plot: *asPlot,
+		progress: func(done, total int) {
+			if *quiet {
+				return
 			}
-		}
-	}
-
-	emit := func(t experiment.Table) {
-		if *asCSV {
-			fmt.Print(t.CSV())
-		} else {
-			fmt.Println(t)
-		}
-	}
-
-	needMain := map[string]bool{"4": true, "5": true, "6": true, "table5": true, "all": true}
-	var main experiment.SweepResult
-	if needMain[c.figure] {
-		main = experiment.Sweep(experiment.SweepConfig{
-			Params: params, Workers: *workers, Progress: progress, Opts: linkOpts,
+			if done%100 == 0 || done == total {
+				fmt.Fprintf(os.Stderr, "\r%d/%d runs", done, total)
+				if done == total {
+					fmt.Fprintln(os.Stderr)
+				}
+			}
+		}}
+	if fig.main {
+		o.main = experiment.Sweep(experiment.SweepConfig{
+			Params: params, Workers: *workers, Progress: o.progress, Opts: linkOpts,
 		})
 	}
-
-	chart := func(m experiment.Metric) {
-		if *asPlot {
-			fmt.Println(experiment.Chart(main, m))
+	if fig.render != nil {
+		fig.render(o)
+	} else {
+		for _, f := range figures {
+			if f.inAll {
+				f.render(o)
+			}
 		}
-	}
-
-	switch c.figure {
-	case "4":
-		emit(experiment.Figure4(main))
-		chart(experiment.MetricEffectiveness)
-	case "5":
-		emit(experiment.Figure5(main))
-		chart(experiment.MetricResponsiveness)
-	case "6":
-		emit(experiment.Figure6(main))
-		chart(experiment.MetricDegradation)
-	case "7":
-		with, without := experiment.Figure7Sweep(params, linkOpts, *workers, progress)
-		emit(experiment.Figure7(with, without))
-	case "table2":
-		emit(experiment.Table2(params, linkOpts))
-	case "table5":
-		emit(experiment.Table5(main))
-	case "loss":
-		emit(lossSweep(params, linkOpts, *workers, progress))
-	case "polling":
-		emit(pollingSweep(params, linkOpts, *workers, progress))
-	case "scale":
-		emit(scaleSweep(params, linkOpts, *workers, progress))
-	case "adversarial":
-		emit(experiment.FigureAdversarial(params, linkOpts, *workers, progress))
-	case "hardening":
-		emit(verify.FigureHardening(params, c.runs, *workers, progress))
-	case "all":
-		emit(experiment.Table2(params, linkOpts))
-		emit(experiment.Figure4(main))
-		chart(experiment.MetricEffectiveness)
-		emit(experiment.Figure5(main))
-		chart(experiment.MetricResponsiveness)
-		emit(experiment.Figure6(main))
-		chart(experiment.MetricDegradation)
-		emit(experiment.Table5(main))
-		with, without := experiment.Figure7Sweep(params, linkOpts, *workers, progress)
-		emit(experiment.Figure7(with, without))
-	default:
-		// Unreachable: resolve rejected unknown figures before the
-		// profilers started. Panic (not os.Exit) so that if the two lists
-		// ever diverge, the deferred profile teardown still runs.
-		panic(fmt.Sprintf("figure %q passed validation but has no dispatch case", c.figure))
 	}
 
 	if *telem != "" {
 		if err := experiment.Telemetry().WriteJSONFile(*telem); err != nil {
 			fmt.Fprintf(os.Stderr, "sdsweep: -telemetry: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 	}
+	return 0
 }
 
-// resolve checks the command line and turns it into the sweep's
-// parameters and link options through the spec's Validate, Params and
-// Options. Each error is one line, up front: never a panic mid-run, nor
-// silence (Params would turn -runs 0 into the paper's 30).
-func (c *config) resolve() (p experiment.Params, o experiment.Options, err error) {
-	switch c.figure {
-	case "4", "5", "6", "7", "table2", "table5", "loss", "polling", "scale", "adversarial", "hardening", "all":
-	default:
-		return p, o, fmt.Errorf("unknown figure %q", c.figure)
+// resolve checks the command line and turns it into the figure, the
+// sweep's parameters and the link options through the spec's Validate,
+// Params and Options. Each error is one line, up front: never a panic
+// mid-run, nor silence (Params would turn -runs 0 into the paper's 30).
+func (c *config) resolve() (fig figure, p experiment.Params, o experiment.Options, err error) {
+	i := slices.IndexFunc(figures, func(f figure) bool { return f.name == c.figure })
+	if i < 0 {
+		return fig, p, o, fmt.Errorf("unknown figure %q", c.figure)
 	}
+	fig = figures[i]
 	if c.runs < 1 {
-		return p, o, fmt.Errorf("-runs must be at least 1, got %d", c.runs)
+		return fig, p, o, fmt.Errorf("-runs must be at least 1, got %d", c.runs)
 	}
 	if c.scenario != "" {
 		spec, _, err := hunt.Load(c.scenario)
 		if err != nil {
-			return p, o, err
+			return fig, p, o, err
 		}
 		if err := c.design.SetSpec(spec); err != nil {
-			return p, o, err
+			return fig, p, o, err
 		}
 	}
 	spec := &c.design.Spec
 	if err := spec.Validate(); err != nil {
-		return p, o, err
+		return fig, p, o, err
 	}
-	if spec.Hardened && c.figure == "hardening" {
-		// A hardened design would turn the baseline column hardened.
-		return p, o, fmt.Errorf("-figure hardening already runs both modes; drop -harden or the spec's \"hardened\"")
+	if spec.Hardened && fig.bothModes {
+		return fig, p, o, fmt.Errorf("-figure %s already runs both modes; drop -harden or the spec's \"hardened\"", fig.name)
 	}
 	o = spec.Options()
-	switch c.figure {
-	case "adversarial", "loss", "hardening":
-		// These sweep their own link models: a link design would be dropped.
-		if o.Loss != 0 || o.Link != (netsim.LinkConfig{}) {
-			return p, o, fmt.Errorf("-figure %s fixes its own link model; drop the link flags or the spec's \"link\"", c.figure)
-		}
+	if fig.ownLink && (o.Loss != 0 || o.Link != (netsim.LinkConfig{})) {
+		return fig, p, o, fmt.Errorf("-figure %s fixes its own link model; drop the link flags or the spec's \"link\"", fig.name)
 	}
 	// The spec fixes the design; the sweep's own axes — the λ grid, the
 	// run count and the base seed — stay flags.
 	p = spec.Params()
 	for _, sys := range experiment.Systems() {
 		if err := p.CheckOutages(sys); err != nil {
-			return p, o, err
+			return fig, p, o, err
 		}
 	}
 	p.Lambdas = experiment.DefaultLambdas()
 	p.Runs, p.BaseSeed = c.runs, spec.Seed
-	return p, o, nil
-}
-
-// pollingSweep is the CM2 extension experiment: notification-only versus
-// notification-plus-persistent-polling, quantifying the §4.2 trade-off
-// (polling is the more effective method if persistent, but slower and
-// redundant for rarely-changing services).
-func pollingSweep(params experiment.Params, opts experiment.Options, workers int, progress func(int, int)) experiment.Table {
-	params.Lambdas = []float64{0, 0.15, 0.30, 0.45, 0.60, 0.75, 0.90}
-	base := experiment.Sweep(experiment.SweepConfig{Params: params, Workers: workers, Progress: progress, Opts: opts})
-	opts.UPnP = func(c *upnp.Config) { c.PollPeriod = 600 * sim.Second }
-	opts.Jini = func(c *jini.Config) { c.PollPeriod = 600 * sim.Second }
-	opts.Frodo = func(c *frodo.Config) { c.PollPeriod = 600 * sim.Second }
-	polled := experiment.Sweep(experiment.SweepConfig{Params: params, Workers: workers, Progress: progress, Opts: opts})
-	t := experiment.Table{
-		Title:  "Extension: CM1 (notification) vs CM1+CM2 (adding 600s persistent polling) — Update Effectiveness",
-		Header: []string{"failure%"},
-	}
-	for _, sys := range experiment.Systems() {
-		t.Header = append(t.Header, sys.Short(), sys.Short()+"+poll")
-	}
-	for li, l := range params.Lambdas {
-		row := []string{fmt.Sprintf("%.0f", l*100)}
-		for _, sys := range experiment.Systems() {
-			row = append(row,
-				fmt.Sprintf("%.3f", base.Curves[sys].Points[li].Effectiveness),
-				fmt.Sprintf("%.3f", polled.Curves[sys].Points[li].Effectiveness))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	t.Notes = append(t.Notes,
-		"polling repairs missed notifications (higher F) at the price of redundant traffic (lower G) and poll-grid latency")
-	return t
-}
-
-// scaleSweep is the scale-out extension: one sweep per population size,
-// holding the failure grid small, to chart how each system's Update
-// Effectiveness and per-run effort respond to growing N. The -churn,
-// -managers and -registries flags apply to every column, as do the
-// link-conditioning flags via opts.
-func scaleSweep(params experiment.Params, opts experiment.Options, workers int, progress func(int, int)) experiment.Table {
-	sizes := []int{5, 25, 100, 500, 1000}
-	params.Lambdas = []float64{0, 0.30}
-	t := experiment.Table{
-		Title:  "Extension: Update Effectiveness and zero-failure effort vs population size N",
-		Header: []string{"system"},
-	}
-	for _, n := range sizes {
-		t.Header = append(t.Header, fmt.Sprintf("F@N=%d(0%%)", n), fmt.Sprintf("F@N=%d(30%%)", n), fmt.Sprintf("m'@N=%d", n))
-	}
-	for _, sys := range experiment.Systems() {
-		row := []string{sys.Short()}
-		for _, n := range sizes {
-			p := params
-			p.Topology.Users = n
-			res := experiment.Sweep(experiment.SweepConfig{
-				Systems: []experiment.System{sys}, Params: p, Workers: workers, Progress: progress,
-				Opts: opts,
-			})
-			pts := res.Curves[sys].Points
-			row = append(row,
-				fmt.Sprintf("%.3f", pts[0].Effectiveness),
-				fmt.Sprintf("%.3f", pts[1].Effectiveness),
-				fmt.Sprintf("%d", res.MPrime[sys]))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	t.Notes = append(t.Notes,
-		"streaming per-cell aggregation keeps sweep memory flat in N; combine with -churn/-managers/-registries for populated-network scenarios")
-	return t
-}
-
-// lossSweep is the extension experiment: the message-loss failure model
-// of the companion study [25], with λ reinterpreted as the per-frame
-// drop probability. opts carries the design's hardening; its link model
-// is empty (resolve rejects one for this figure).
-func lossSweep(params experiment.Params, opts experiment.Options, workers int, progress func(int, int)) experiment.Table {
-	lambdas := []float64{0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4}
-	t := experiment.Table{
-		Title:  "Extension: Average Update Effectiveness vs message loss (%) [25]",
-		Header: []string{"loss%"},
-	}
-	curves := map[experiment.System][]float64{}
-	for _, sys := range experiment.Systems() {
-		t.Header = append(t.Header, sys.Short())
-		for _, l := range lambdas {
-			p := params
-			p.Lambdas = []float64{0} // no interface failures
-			res := experiment.Sweep(experiment.SweepConfig{
-				Systems:  []experiment.System{sys},
-				Params:   p,
-				Workers:  workers,
-				Opts:     experiment.Options{Loss: l, Hardened: opts.Hardened},
-				Progress: progress,
-			})
-			curves[sys] = append(curves[sys], res.Curves[sys].Points[0].Effectiveness)
-		}
-	}
-	for i, l := range lambdas {
-		row := []string{fmt.Sprintf("%.0f", l*100)}
-		for _, sys := range experiment.Systems() {
-			row = append(row, fmt.Sprintf("%.3f", curves[sys][i]))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
+	return fig, p, o, nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"io"
 	"os"
@@ -34,7 +35,8 @@ func resolveArgs(args ...string) (experiment.Params, experiment.Options, error) 
 	if err := fs.Parse(args); err != nil {
 		return experiment.Params{}, experiment.Options{}, err
 	}
-	return c.resolve()
+	_, p, o, err := c.resolve()
+	return p, o, err
 }
 
 func TestDesignChecksFlags(t *testing.T) {
@@ -127,5 +129,40 @@ func TestDesignResolvesFlags(t *testing.T) {
 	if p.BaseSeed != 5 || !reflect.DeepEqual(p.Partitions, want.Partitions) || p.Churn != want.Churn ||
 		p.RackFailures != want.RackFailures || o.Link != fx.Scenario.Options().Link {
 		t.Errorf("fixture design lost: params %+v, link %+v", p, o.Link)
+	}
+}
+
+// Every figure's stdout is pinned by a golden file under testdata, and
+// is the same at one worker and at four. Each golden is `sdsweep <args>
+// -runs 1 -quiet -workers 1`, recorded from the hand-built figures that
+// the figure table and the variant renderer replaced; regenerate one only
+// for a deliberate change of that figure's output.
+func TestFiguresMatchGoldens(t *testing.T) {
+	type golden struct {
+		file string
+		args []string
+	}
+	var cases []golden
+	for _, f := range figures {
+		cases = append(cases, golden{"figure-" + f.name, []string{"-figure", f.name}})
+	}
+	cases = append(cases,
+		golden{"figure-4-harden", []string{"-figure", "4", "-harden"}},
+		golden{"figure-all-csv-plot", []string{"-figure", "all", "-csv", "-plot"}})
+	for _, c := range cases {
+		want, err := os.ReadFile(filepath.Join("testdata", c.file+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []string{"1", "4"} {
+			var out bytes.Buffer
+			args := append([]string{"-runs", "1", "-quiet", "-workers", workers}, c.args...)
+			if code := run(args, &out); code != 0 {
+				t.Fatalf("sdsweep %s: exit %d", strings.Join(args, " "), code)
+			}
+			if !bytes.Equal(out.Bytes(), want) {
+				t.Errorf("sdsweep %s: stdout differs from testdata/%s.golden:\n%s", strings.Join(args, " "), c.file, out.Bytes())
+			}
+		}
 	}
 }

@@ -5,30 +5,25 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/frodo"
+	"repro/internal/jini"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/plot"
 	"repro/internal/sim"
+	"repro/internal/upnp"
 )
 
 // Figure4 renders Average Update Effectiveness vs interface failure rate
 // for the five systems.
-func Figure4(res SweepResult) Table {
-	return metricTable(res, "Figure 4: Average Update Effectiveness vs interface failure (%)",
-		func(p metrics.Point) float64 { return p.Effectiveness })
-}
+func Figure4(res SweepResult) Table { return metricTable(res, "Figure 4", MetricEffectiveness) }
 
 // Figure5 renders Median Update Responsiveness vs interface failure rate.
-func Figure5(res SweepResult) Table {
-	return metricTable(res, "Figure 5: Median Update Responsiveness vs interface failure (%)",
-		func(p metrics.Point) float64 { return p.Responsiveness })
-}
+func Figure5(res SweepResult) Table { return metricTable(res, "Figure 5", MetricResponsiveness) }
 
 // Figure6 renders Efficiency Degradation vs interface failure rate, with
 // each system's m' in the legend as the paper does.
 func Figure6(res SweepResult) Table {
-	t := metricTable(res, "Figure 6: Efficiency Degradation vs interface failure (%)",
-		func(p metrics.Point) float64 { return p.Degradation })
+	t := metricTable(res, "Figure 6", MetricDegradation)
 	for _, sys := range res.Systems {
 		t.Notes = append(t.Notes, fmt.Sprintf("%s: m'=%d (paper: m'=%d)",
 			sys, res.MPrime[sys], PaperMPrime(sys)))
@@ -36,15 +31,15 @@ func Figure6(res SweepResult) Table {
 	return t
 }
 
-func metricTable(res SweepResult, title string, get func(metrics.Point) float64) Table {
-	t := Table{Title: title, Header: []string{"failure%"}}
+func metricTable(res SweepResult, figure string, m Metric) Table {
+	t := Table{Title: fmt.Sprintf("%s: %s vs interface failure (%%)", figure, m), Header: []string{"failure%"}}
 	for _, sys := range res.Systems {
 		t.Header = append(t.Header, sys.Short())
 	}
 	for li, l := range res.Params.Lambdas {
 		row := []string{pct(l)}
 		for _, sys := range res.Systems {
-			row = append(row, f3(get(res.Curves[sys].Points[li])))
+			row = append(row, f3(m.pick(res.Curves[sys].Points[li])))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -61,30 +56,13 @@ func Table5(res SweepResult) Table {
 	for _, sys := range res.Systems {
 		t.Header = append(t.Header, sys.Short())
 	}
-	paper := map[System][3]float64{
-		UPnP:    {0.553, 0.922, 0.385},
-		Jini1:   {0.474, 0.802, 0.311},
-		Jini2:   {0.476, 0.825, 0.361},
-		Frodo3P: {0.580, 0.878, 0.428},
-		Frodo2P: {0.666, 0.861, 0.429},
-	}
-	rows := []struct {
-		name string
-		pick func(r, f, g float64) float64
-		idx  int
-	}{
-		{"Update Responsiveness, R", func(r, f, g float64) float64 { return r }, 0},
-		{"Update Effectiveness, F", func(r, f, g float64) float64 { return f }, 1},
-		{"Efficiency Degradation, G", func(r, f, g float64) float64 { return g }, 2},
-	}
-	for _, rd := range rows {
-		row := []string{rd.name}
-		paperRow := []string{rd.name + " (paper)"}
+	for i, name := range []string{"Update Responsiveness, R", "Update Effectiveness, F", "Efficiency Degradation, G"} {
+		row, paperRow := []string{name}, []string{name + " (paper)"}
 		for _, sys := range res.Systems {
 			r, f, g := res.Curves[sys].Average()
-			row = append(row, f3(rd.pick(r, f, g)))
-			if pv, ok := paper[sys]; ok {
-				paperRow = append(paperRow, f3(pv[rd.idx]))
+			row = append(row, f3([3]float64{r, f, g}[i]))
+			if p, ok := paper[sys]; ok {
+				paperRow = append(paperRow, f3(p.rfg[i]))
 			} else {
 				paperRow = append(paperRow, "-")
 			}
@@ -94,44 +72,115 @@ func Table5(res SweepResult) Table {
 	return t
 }
 
-// Figure7Sweep runs the PR1 control experiment: both FRODO systems with
-// and without PR1 ("A control experiment with and without PR1 ...
-// demonstrates the impact of PR1 on the Update Effectiveness of both
-// FRODO systems"). Both arms run under opts, so a conditioned link
-// conditions the ablation too; the ablation replaces any opts.Frodo.
-func Figure7Sweep(params Params, opts Options, workers int, progress func(done, total int)) (with, without SweepResult) {
-	systems := []System{Frodo3P, Frodo2P}
-	with = Sweep(SweepConfig{Systems: systems, Params: params, Workers: workers, Progress: progress, Opts: opts})
-	noPR1 := opts
-	noPR1.Frodo = func(c *frodo.Config) { c.Techniques = c.Techniques.Without(core.PR1) }
-	without = Sweep(SweepConfig{Systems: systems, Params: params, Workers: workers, Progress: progress, Opts: noPR1})
-	return with, without
+// An Arm is one design variant of a VariantFigure: Suffix follows each
+// system's short name in the arm's column header, and Set, when not nil,
+// edits the options, reading the row value x on a figure with own Rows.
+type Arm struct {
+	Suffix string
+	Set    func(o *Options, x float64)
 }
 
-// Figure7 renders the PR1 ablation's effectiveness series.
-func Figure7(with, without SweepResult) Table {
-	t := Table{
-		Title: "Figure 7: PR1 impact on FRODO Update Effectiveness",
-		Header: []string{"failure%",
-			"frodo3p", "frodo3p-noPR1", "frodo2p", "frodo2p-noPR1"},
+// A VariantFigure sweeps design variants (arms) under the caller's
+// design, so a conditioned link or the hardening layer applies to every
+// arm that does not set its own, and prints one Update Effectiveness
+// column per (system, arm; Systems nil means all five). Its rows are the
+// λ grid (Lambdas, else the design's), with one sweep per arm; or, when
+// Rows is set, its own axis at λ = 0, with one sweep per (row, arm).
+type VariantFigure struct {
+	Title, Axis   string
+	Systems       []System
+	Lambdas, Rows []float64
+	Arms          []Arm
+	Notes         []string
+}
+
+// Render runs the figure's sweeps under params and opts and tabulates them.
+func (v VariantFigure) Render(params Params, opts Options, workers int, progress func(done, total int)) Table {
+	t := Table{Title: v.Title, Header: []string{v.Axis}, Notes: v.Notes}
+	systems := v.Systems
+	if systems == nil {
+		systems = Systems()
 	}
-	for li, l := range with.Params.Lambdas {
-		row := []string{pct(l)}
-		row = append(row, f3(with.Curves[Frodo3P].Points[li].Effectiveness))
-		row = append(row, f3(without.Curves[Frodo3P].Points[li].Effectiveness))
-		row = append(row, f3(with.Curves[Frodo2P].Points[li].Effectiveness))
-		row = append(row, f3(without.Curves[Frodo2P].Points[li].Effectiveness))
+	for _, sys := range systems {
+		for _, a := range v.Arms {
+			t.Header = append(t.Header, sys.Short()+a.Suffix)
+		}
+	}
+	params = params.withDefaults()
+	if v.Lambdas != nil {
+		params.Lambdas = v.Lambdas
+	}
+	xs := params.Lambdas
+	if v.Rows != nil {
+		xs, params.Lambdas = v.Rows, []float64{0}
+	}
+	arms := make([]SweepResult, len(v.Arms))
+	for i, x := range xs {
+		if i == 0 || v.Rows != nil {
+			for j, a := range v.Arms {
+				o := opts
+				if a.Set != nil {
+					a.Set(&o, x)
+				}
+				arms[j] = Sweep(SweepConfig{Systems: systems, Params: params, Opts: o, Workers: workers, Progress: progress})
+			}
+		}
+		li := i // the row's point: its λ, or λ = 0 of the row's own sweeps
+		if v.Rows != nil {
+			li = 0
+		}
+		row := []string{pct(x)}
+		for _, sys := range systems {
+			for j := range v.Arms {
+				row = append(row, f3(arms[j].Curves[sys].Points[li].Effectiveness))
+			}
+		}
 		t.Rows = append(t.Rows, row)
 	}
 	return t
 }
 
-// AdversarialLossRates is the loss grid of the adversarial figure.
-var AdversarialLossRates = []float64{0.05, 0.10, 0.20, 0.30}
+// Figure7 is the PR1 control experiment: both FRODO systems with and
+// without PR1 ("A control experiment with and without PR1 ...
+// demonstrates the impact of PR1 on the Update Effectiveness of both
+// FRODO systems"). The ablation replaces any opts.Frodo.
+var Figure7 = VariantFigure{
+	Title:   "Figure 7: PR1 impact on FRODO Update Effectiveness",
+	Axis:    "failure%",
+	Systems: []System{Frodo3P, Frodo2P},
+	Arms: []Arm{{}, {Suffix: "-noPR1", Set: func(o *Options, _ float64) {
+		o.Frodo = func(c *frodo.Config) { c.Techniques = c.Techniques.Without(core.PR1) }
+	}}},
+}
 
-// AdversarialMeanBurst is the mean Gilbert–Elliott burst length (frames)
-// of the adversarial figure's burst column.
-const AdversarialMeanBurst = 8
+// FigurePolling is the CM2 extension experiment: notification-only versus
+// notification-plus-persistent-polling, quantifying the §4.2 trade-off
+// (polling is the more effective method if persistent, but slower and
+// redundant for rarely-changing services).
+var FigurePolling = VariantFigure{
+	Title:   "Extension: CM1 (notification) vs CM1+CM2 (adding 600s persistent polling) — Update Effectiveness",
+	Axis:    "failure%",
+	Lambdas: []float64{0, 0.15, 0.30, 0.45, 0.60, 0.75, 0.90},
+	Arms: []Arm{{}, {Suffix: "+poll", Set: func(o *Options, _ float64) {
+		o.UPnP = func(c *upnp.Config) { c.PollPeriod = 600 * sim.Second }
+		o.Jini = func(c *jini.Config) { c.PollPeriod = 600 * sim.Second }
+		o.Frodo = func(c *frodo.Config) { c.PollPeriod = 600 * sim.Second }
+	}}},
+	Notes: []string{"polling repairs missed notifications (higher F) at the price of redundant traffic (lower G) and poll-grid latency"},
+}
+
+// FigureLoss is the message-loss failure model of the companion study
+// [25], with λ reinterpreted as the per-frame drop probability.
+var FigureLoss = VariantFigure{
+	Title: "Extension: Average Update Effectiveness vs message loss (%) [25]",
+	Axis:  "loss%",
+	Rows:  []float64{0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4},
+	Arms:  []Arm{{Set: func(o *Options, loss float64) { o.Loss = loss }}},
+}
+
+// adversarialMeanBurst is the mean Gilbert–Elliott burst length (frames)
+// of the adversarial figure's burst columns.
+const adversarialMeanBurst = 8
 
 // FigureAdversarial compares all five systems under bursty
 // (Gilbert–Elliott) loss versus i.i.d. loss at equal average rate, with
@@ -140,34 +189,47 @@ const AdversarialMeanBurst = 8
 // (UPnP and Jini send every multicast six times inside ~5ms) where
 // i.i.d. loss at the same rate thins it, so equal-average columns
 // separate the systems' recovery techniques far more than Fig. 4 does.
-// Each column sets its own link model on opts; the rest of opts (the
-// hardening) applies to every column.
-func FigureAdversarial(params Params, opts Options, workers int, progress func(done, total int)) Table {
-	params.Lambdas = []float64{0}
+var FigureAdversarial = VariantFigure{
+	Title: "Extension: Average Update Effectiveness — i.i.d. vs Gilbert–Elliott burst loss at equal average rate",
+	Axis:  "loss%",
+	Rows:  []float64{0.05, 0.10, 0.20, 0.30},
+	Arms: []Arm{
+		{Suffix: " iid", Set: func(o *Options, rate float64) { o.Loss = rate }},
+		{Suffix: " burst", Set: func(o *Options, rate float64) {
+			o.Link = netsim.LinkConfig{Burst: netsim.BurstForAverage(rate, adversarialMeanBurst)}
+		}},
+	},
+	Notes: []string{
+		fmt.Sprintf("burst columns use Gilbert–Elliott chains with mean burst length %d frames at the same stationary loss rate", adversarialMeanBurst),
+		"BENCH_4: the adversarial figure of EXPERIMENTS.md",
+	},
+}
+
+// FigureScale is the scale-out extension: one all-system sweep per
+// population size N, holding the failure grid small, to chart how each
+// system's Update Effectiveness and zero-failure effort m′ respond to
+// growing N. The rest of params (churn, Managers, Registries) and opts
+// apply to every column.
+func FigureScale(params Params, opts Options, workers int, progress func(done, total int)) Table {
+	params.Lambdas = []float64{0, 0.30}
 	t := Table{
-		Title:  "Extension: Average Update Effectiveness — i.i.d. vs Gilbert–Elliott burst loss at equal average rate",
-		Header: []string{"loss%"},
+		Title:  "Extension: Update Effectiveness and zero-failure effort vs population size N",
+		Header: []string{"system"},
+		Notes: []string{"streaming per-cell aggregation keeps sweep memory flat in N; " +
+			"combine with -churn/-managers/-registries for populated-network scenarios"},
 	}
 	for _, sys := range Systems() {
-		t.Header = append(t.Header, sys.Short()+" iid", sys.Short()+" burst")
+		t.Rows = append(t.Rows, []string{sys.Short()})
 	}
-	for _, rate := range AdversarialLossRates {
-		iidOpts, burstOpts := opts, opts
-		iidOpts.Loss = rate
-		burstOpts.Link = netsim.LinkConfig{Burst: netsim.BurstForAverage(rate, AdversarialMeanBurst)}
-		iid := Sweep(SweepConfig{Params: params, Workers: workers, Progress: progress, Opts: iidOpts})
-		burst := Sweep(SweepConfig{Params: params, Workers: workers, Progress: progress, Opts: burstOpts})
-		row := []string{pct(rate)}
-		for _, sys := range Systems() {
-			row = append(row,
-				f3(iid.Curves[sys].Points[0].Effectiveness),
-				f3(burst.Curves[sys].Points[0].Effectiveness))
+	for _, n := range []int{5, 25, 100, 500, 1000} {
+		t.Header = append(t.Header, fmt.Sprintf("F@N=%d(0%%)", n), fmt.Sprintf("F@N=%d(30%%)", n), fmt.Sprintf("m'@N=%d", n))
+		params.Topology.Users = n
+		res := Sweep(SweepConfig{Params: params, Workers: workers, Progress: progress, Opts: opts})
+		for i, sys := range Systems() {
+			pts := res.Curves[sys].Points
+			t.Rows[i] = append(t.Rows[i], f3(pts[0].Effectiveness), f3(pts[1].Effectiveness), fmt.Sprintf("%d", res.MPrime[sys]))
 		}
-		t.Rows = append(t.Rows, row)
 	}
-	t.Notes = append(t.Notes,
-		fmt.Sprintf("burst columns use Gilbert–Elliott chains with mean burst length %d frames at the same stationary loss rate", AdversarialMeanBurst),
-		"BENCH_4: the adversarial figure of EXPERIMENTS.md")
 	return t
 }
 
@@ -182,13 +244,6 @@ func Table2(params Params, opts Options) Table {
 		Header: []string{"system", "discovery msgs (y at λ=0)", "paper m'",
 			"transport frames in window", "formula"},
 	}
-	formulas := map[System]string{
-		UPnP:    "3N without TCP messages",
-		Jini1:   "N+2 without TCP messages",
-		Jini2:   "2(N+2) without TCP messages",
-		Frodo3P: "N+2",
-		Frodo2P: "N+2",
-	}
 	for _, sys := range Systems() {
 		spec := RunSpec{System: sys, Lambda: 0, Seed: params.BaseSeed, Params: params, Opts: opts}
 		res := Run(spec)
@@ -197,7 +252,7 @@ func Table2(params Params, opts Options) Table {
 			fmt.Sprintf("%d", res.Effort),
 			fmt.Sprintf("%d", PaperMPrime(sys)),
 			fmt.Sprintf("%d", res.TotalTransport),
-			formulas[sys],
+			paper[sys].formula,
 		})
 	}
 	t.Notes = append(t.Notes,
@@ -205,43 +260,23 @@ func Table2(params Params, opts Options) Table {
 	return t
 }
 
-// Metric selects a curve value for chart rendering.
-type Metric int
+// A Metric is one curve value of a sweep point, for charts and the
+// per-metric figures.
+type Metric struct {
+	name string
+	pick func(metrics.Point) float64
+}
 
-const (
+var (
 	// MetricEffectiveness is F(λ) (Fig. 4).
-	MetricEffectiveness Metric = iota
+	MetricEffectiveness = Metric{"Average Update Effectiveness", func(p metrics.Point) float64 { return p.Effectiveness }}
 	// MetricResponsiveness is R(λ) (Fig. 5).
-	MetricResponsiveness
+	MetricResponsiveness = Metric{"Median Update Responsiveness", func(p metrics.Point) float64 { return p.Responsiveness }}
 	// MetricDegradation is G(λ) (Fig. 6).
-	MetricDegradation
+	MetricDegradation = Metric{"Efficiency Degradation", func(p metrics.Point) float64 { return p.Degradation }}
 )
 
-func (m Metric) String() string {
-	switch m {
-	case MetricEffectiveness:
-		return "Average Update Effectiveness"
-	case MetricResponsiveness:
-		return "Median Update Responsiveness"
-	case MetricDegradation:
-		return "Efficiency Degradation"
-	default:
-		return "?"
-	}
-}
-
-func (m Metric) pick(p metrics.Point) float64 {
-	switch m {
-	case MetricEffectiveness:
-		return p.Effectiveness
-	case MetricResponsiveness:
-		return p.Responsiveness
-	case MetricDegradation:
-		return p.Degradation
-	default:
-		return 0
-	}
-}
+func (m Metric) String() string { return m.name }
 
 // Chart renders one metric's curves as an ASCII chart in the style of the
 // paper's figures.
@@ -260,15 +295,4 @@ func Chart(res SweepResult, m Metric) string {
 	}
 	title := fmt.Sprintf("%s vs interface failure (%%)", m)
 	return plot.Chart(title, xLabels, series, plot.Config{Width: 72, Height: 22, YMin: 0, YMax: 1})
-}
-
-// AverageWindow reports the mean recovery-window length at each λ for a
-// system — a diagnostic series used by the ablation benches. It reads
-// the streaming cell summaries, so it works without RetainRaw.
-func AverageWindow(res SweepResult, sys System) []sim.Duration {
-	out := make([]sim.Duration, len(res.Params.Lambdas))
-	for li, cell := range res.Cells[sys] {
-		out[li] = cell.AvgWindow()
-	}
-	return out
 }

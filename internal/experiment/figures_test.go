@@ -35,15 +35,22 @@ func TestChartRendersAllSystems(t *testing.T) {
 }
 
 func TestFigure7TableShape(t *testing.T) {
-	p := fastParams(2, []float64{0, 0.5})
-	with, without := Figure7Sweep(p, Options{}, 4, nil)
-	tab := Figure7(with, without)
+	tab := Figure7.Render(fastParams(2, []float64{0, 0.5}), Options{}, 4, nil)
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	if len(tab.Header) != 5 {
-		t.Fatalf("header = %v", tab.Header)
+	if want := []string{"failure%", "frodo3p", "frodo3p-noPR1", "frodo2p", "frodo2p-noPR1"}; !reflect.DeepEqual(tab.Header, want) {
+		t.Fatalf("header = %v, want %v", tab.Header, want)
 	}
+}
+
+// column returns one column of a table's rows.
+func column(tab Table, col int) []string {
+	var out []string
+	for _, row := range tab.Rows {
+		out = append(out, row[col])
+	}
+	return out
 }
 
 // Figure 7 and Table 2 run under the design's link model, as figures
@@ -52,13 +59,14 @@ func TestFigure7TableShape(t *testing.T) {
 func TestFiguresKeepTheLinkDesign(t *testing.T) {
 	p := fastParams(2, []float64{0.3})
 	burst := Options{Link: netsim.LinkConfig{Burst: netsim.BurstForAverage(0.3, 8)}}
-	with, without := Figure7Sweep(p, Options{}, 2, nil)
-	lossyWith, lossyWithout := Figure7Sweep(p, burst, 2, nil)
-	if reflect.DeepEqual(with.Curves, lossyWith.Curves) {
-		t.Error("Figure 7's PR1 arm ignores the burst-loss design")
-	}
-	if reflect.DeepEqual(without.Curves, lossyWithout.Curves) {
-		t.Error("Figure 7's no-PR1 arm ignores the burst-loss design")
+	clean, lossy := Figure7.Render(p, Options{}, 2, nil), Figure7.Render(p, burst, 2, nil)
+	for col, arm := range []string{"PR1", "no-PR1"} {
+		// Columns 1 and 3 are the PR1 arm, 2 and 4 the no-PR1 arm.
+		a := append(column(clean, 1+col), column(clean, 3+col)...)
+		b := append(column(lossy, 1+col), column(lossy, 3+col)...)
+		if reflect.DeepEqual(a, b) {
+			t.Errorf("Figure 7's %s arm ignores the burst-loss design: %v", arm, a)
+		}
 	}
 	if Table2(p, Options{}).String() == Table2(p, burst).String() {
 		t.Error("Table 2 ignores the burst-loss design")
@@ -68,8 +76,7 @@ func TestFiguresKeepTheLinkDesign(t *testing.T) {
 // A one-λ Figure 7 sweep yields one row and carries the FRODO 3-party
 // column without PR1.
 func TestFigure7SweepHasAblationColumn(t *testing.T) {
-	with, without := Figure7Sweep(fastParams(3, []float64{0.3}), Options{}, 2, nil)
-	tab := Figure7(with, without)
+	tab := Figure7.Render(fastParams(3, []float64{0.3}), Options{}, 2, nil)
 	if len(tab.Rows) != 1 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -78,13 +85,16 @@ func TestFigure7SweepHasAblationColumn(t *testing.T) {
 	}
 }
 
+// The mean recovery window of a sweep's cells (read from the streaming
+// summaries, so without RetainRaw) grows with the failure rate.
 func TestAverageWindowShrinksWithHealth(t *testing.T) {
 	res := miniSweep(t)
 	for _, sys := range Systems() {
-		w := AverageWindow(res, sys)
-		if len(w) != 2 {
-			t.Fatalf("%v: %d windows", sys, len(w))
+		cells := res.Cells[sys]
+		if len(cells) != 2 {
+			t.Fatalf("%v: %d cells", sys, len(cells))
 		}
+		w := []sim.Duration{cells[0].AvgWindow(), cells[1].AvgWindow()}
 		// λ=0 recovery completes within a second of the change.
 		if w[0] > 2*sim.Second {
 			t.Errorf("%v: zero-failure window %v, want tiny", sys, w[0])
@@ -127,9 +137,9 @@ func TestRunLoggedShowsInterfaceFailures(t *testing.T) {
 func TestFigureAdversarialShape(t *testing.T) {
 	p := DefaultParams()
 	p.Runs = 1
-	tab := FigureAdversarial(p, Options{}, 0, nil)
-	if len(tab.Rows) != len(AdversarialLossRates) {
-		t.Fatalf("rows = %d, want %d", len(tab.Rows), len(AdversarialLossRates))
+	tab := FigureAdversarial.Render(p, Options{}, 0, nil)
+	if len(tab.Rows) != len(FigureAdversarial.Rows) {
+		t.Fatalf("rows = %d, want %d", len(tab.Rows), len(FigureAdversarial.Rows))
 	}
 	wantCols := 1 + 2*len(Systems())
 	if len(tab.Header) != wantCols {

@@ -122,6 +122,27 @@ func TestRunAllocBudgets(t *testing.T) {
 	}
 }
 
+// TestSweepAllocBudget bounds a whole paper sweep's heap objects per
+// run: every system over the paper's λ grid at Workers: 1 with
+// RetainRaw, the path the benchmark's paper_sweep times. Beyond the
+// per-run budgets it covers the worker pool, the job and outcome
+// hand-off, the cells and the retained raw results. Four runs per cell
+// keep it quick; the workers' cold builds weigh more per run here than
+// in the benchmark's 30 (24.9 objects per run there).
+func TestSweepAllocBudget(t *testing.T) {
+	const budget = 30.0 // measures 27.8
+	p := DefaultParams()
+	p.Runs = 4
+	runs := float64(len(Systems()) * len(p.Lambdas) * p.Runs)
+	perRun := testing.AllocsPerRun(2, func() {
+		Sweep(SweepConfig{Params: p, Workers: 1, RetainRaw: true})
+	}) / runs
+	t.Logf("%.2f objects per run", perRun)
+	if perRun > budget {
+		t.Errorf("a Workers: 1 paper sweep allocates %.2f objects per run, budget %.0f", perRun, budget)
+	}
+}
+
 // TestScopedDeliveryBudget bounds how many frames a large run hands to
 // endpoints, per User: a multicast frame goes only to the members that
 // listen for its topic, so a FRODO 2-party boot's searches reach the

@@ -283,7 +283,7 @@ func runInWorkspace(ws *Workspace, spec RunSpec) (metrics.RunResult, *Scenario) 
 	changeAt := sc.scheduleChanges(spec.Params)
 
 	deadline := sim.Time(spec.Params.RunDuration)
-	sc.K.RunUntil(deadline)
+	sc.K.Run(deadline)
 
 	res := sc.result(spec, changeAt, deadline)
 	if reg != nil {

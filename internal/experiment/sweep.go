@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/metrics"
@@ -44,6 +45,45 @@ type SweepResult struct {
 	Raw map[System][][]metrics.RunResult
 }
 
+// Pool runs jobs 0…n-1 on workers goroutines (0 means GOMAXPROCS). Each
+// worker calls start once and runs its jobs through the function start
+// returns, so per-worker state such as a Workspace lives in that
+// closure. collect receives every outcome on the calling goroutine, in
+// completion order, and Pool returns after the last one.
+func Pool[T any](n, workers int, start func() func(job int) T, collect func(job int, out T)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	type outcome struct {
+		job int
+		out T
+	}
+	jobs := make(chan int)
+	outcomes := make(chan outcome)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run := start()
+			for j := range jobs {
+				outcomes <- outcome{j, run(j)}
+			}
+		}()
+	}
+	go func() {
+		for j := 0; j < n; j++ {
+			jobs <- j
+		}
+		close(jobs)
+		wg.Wait()
+		close(outcomes)
+	}()
+	for o := range outcomes {
+		collect(o.job, o.out)
+	}
+}
+
 // Sweep runs the full experiment grid on a parallel worker pool: every
 // (system, λ, run) cell is an independent simulation with its own kernel
 // and derived seed, and results are aggregated into per-cell streaming
@@ -60,60 +100,13 @@ func Sweep(cfg SweepConfig) SweepResult {
 	if _, err := cfg.Opts.netConfig(); err != nil {
 		panic(fmt.Sprintf("experiment: invalid sweep options: %v", err))
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	lambdas, runs := len(cfg.Params.Lambdas), cfg.Params.Runs
+	total := len(cfg.Systems) * lambdas * runs
+	// cellOf decodes job j into its (system, λ index, run) cell; jobs run
+	// system-major, then λ, then run.
+	cellOf := func(j int) (System, int, int) {
+		return cfg.Systems[j/(runs*lambdas)], j / runs % lambdas, j % runs
 	}
-
-	type job struct {
-		sys            System
-		lambdaIdx, run int
-	}
-	type outcome struct {
-		job
-		res metrics.RunResult
-	}
-
-	total := len(cfg.Systems) * len(cfg.Params.Lambdas) * cfg.Params.Runs
-	jobs := make(chan job)
-	outcomes := make(chan outcome)
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One workspace per worker: consecutive runs on this goroutine
-			// reuse the kernel's event pool, the network's node and group
-			// storage, the recorder maps — and, per system shape, the whole
-			// protocol-instance graph. TrustOptions is sound here because a
-			// sweep's Options are fixed for its whole lifetime.
-			ws := NewWorkspace()
-			ws.TrustOptions()
-			for j := range jobs {
-				res := RunInto(ws, RunSpec{
-					System: j.sys,
-					Lambda: cfg.Params.Lambdas[j.lambdaIdx],
-					Seed:   SeedFor(cfg.Params.BaseSeed, j.sys, j.lambdaIdx, j.run),
-					Params: cfg.Params,
-					Opts:   cfg.Opts,
-				})
-				outcomes <- outcome{job: j, res: res}
-			}
-		}()
-	}
-	go func() {
-		for _, sys := range cfg.Systems {
-			for li := range cfg.Params.Lambdas {
-				for r := 0; r < cfg.Params.Runs; r++ {
-					jobs <- job{sys: sys, lambdaIdx: li, run: r}
-				}
-			}
-		}
-		close(jobs)
-		wg.Wait()
-		close(outcomes)
-	}()
 
 	cells := map[System][]*metrics.Cell{}
 	var raw map[System][][]metrics.RunResult
@@ -121,28 +114,47 @@ func Sweep(cfg SweepConfig) SweepResult {
 		raw = map[System][][]metrics.RunResult{}
 	}
 	for _, sys := range cfg.Systems {
-		cells[sys] = make([]*metrics.Cell, len(cfg.Params.Lambdas))
-		for li, l := range cfg.Params.Lambdas {
-			cells[sys][li] = metrics.NewCell(l, cfg.Params.Runs)
-		}
+		cells[sys] = make([]*metrics.Cell, lambdas)
 		if cfg.RetainRaw {
-			raw[sys] = make([][]metrics.RunResult, len(cfg.Params.Lambdas))
-			for li := range cfg.Params.Lambdas {
-				raw[sys][li] = make([]metrics.RunResult, cfg.Params.Runs)
+			raw[sys] = make([][]metrics.RunResult, lambdas)
+		}
+		for li, l := range cfg.Params.Lambdas {
+			cells[sys][li] = metrics.NewCell(l, runs)
+			if cfg.RetainRaw {
+				raw[sys][li] = make([]metrics.RunResult, runs)
 			}
 		}
 	}
 	done := 0
-	for o := range outcomes {
-		cells[o.sys][o.lambdaIdx].AddResult(o.run, o.res)
+	Pool(total, cfg.Workers, func() func(int) metrics.RunResult {
+		// One workspace per worker: consecutive runs on this goroutine
+		// reuse the kernel's event pool, the network's node and group
+		// storage, the recorder maps — and, per system shape, the whole
+		// protocol-instance graph. TrustOptions is sound here because a
+		// sweep's Options are fixed for its whole lifetime.
+		ws := NewWorkspace()
+		ws.TrustOptions()
+		return func(j int) metrics.RunResult {
+			sys, li, r := cellOf(j)
+			return RunInto(ws, RunSpec{
+				System: sys,
+				Lambda: cfg.Params.Lambdas[li],
+				Seed:   SeedFor(cfg.Params.BaseSeed, sys, li, r),
+				Params: cfg.Params,
+				Opts:   cfg.Opts,
+			})
+		}
+	}, func(j int, res metrics.RunResult) {
+		sys, li, r := cellOf(j)
+		cells[sys][li].AddResult(r, res)
 		if cfg.RetainRaw {
-			raw[o.sys][o.lambdaIdx][o.run] = o.res
+			raw[sys][li][r] = res
 		}
 		done++
 		if cfg.Progress != nil {
 			cfg.Progress(done, total)
 		}
-	}
+	})
 
 	return aggregate(cfg, cells, raw)
 }
@@ -159,13 +171,7 @@ func aggregate(cfg SweepConfig, cells map[System][]*metrics.Cell, raw map[System
 
 	// Measure m' from the λ=0 cell when present; otherwise fall back to
 	// the paper's constants.
-	zeroIdx := -1
-	for i, l := range cfg.Params.Lambdas {
-		if l == 0 {
-			zeroIdx = i
-			break
-		}
-	}
+	zeroIdx := slices.Index(cfg.Params.Lambdas, 0)
 	res.M = 1 << 30
 	for _, sys := range cfg.Systems {
 		mp := PaperMPrime(sys)
@@ -173,9 +179,7 @@ func aggregate(cfg SweepConfig, cells map[System][]*metrics.Cell, raw map[System
 			mp = cells[sys][zeroIdx].MinPositiveEffort()
 		}
 		res.MPrime[sys] = mp
-		if mp < res.M {
-			res.M = mp
-		}
+		res.M = min(res.M, mp)
 	}
 
 	for _, sys := range cfg.Systems {

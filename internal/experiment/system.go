@@ -73,20 +73,22 @@ func ParseSystem(s string) (System, error) {
 	return 0, fmt.Errorf("experiment: unknown system %q (want upnp|jini1|jini2|frodo3p|frodo2p)", s)
 }
 
+// paper holds the paper's numbers per system: Table 2's zero-failure
+// update count m′ (the Fig. 6 legend) and its formula, and Table 5's
+// averages of R, F and G across failure rates 0–90%.
+var paper = map[System]struct {
+	mPrime  int
+	formula string
+	rfg     [3]float64
+}{
+	UPnP:    {15, "3N without TCP messages", [3]float64{0.553, 0.922, 0.385}},
+	Jini1:   {7, "N+2 without TCP messages", [3]float64{0.474, 0.802, 0.311}},
+	Jini2:   {14, "2(N+2) without TCP messages", [3]float64{0.476, 0.825, 0.361}},
+	Frodo3P: {7, "N+2", [3]float64{0.580, 0.878, 0.428}},
+	Frodo2P: {7, "N+2", [3]float64{0.666, 0.861, 0.429}},
+}
+
 // PaperMPrime returns the m′ the paper reports for each system (Fig. 6
 // legend); the harness also measures m′ from zero-failure runs and the
 // integration tests assert both agree.
-func PaperMPrime(s System) int {
-	switch s {
-	case UPnP:
-		return 15
-	case Jini1:
-		return 7
-	case Jini2:
-		return 14
-	case Frodo3P, Frodo2P:
-		return 7
-	default:
-		return 7
-	}
-}
+func PaperMPrime(s System) int { return paper[s].mPrime }

@@ -110,7 +110,7 @@ func TestSpawnedUserFeedsTaps(t *testing.T) {
 				spawned = append(spawned, tapRecord{})
 			}))
 	})
-	sc.K.RunUntil(600 * sim.Second)
+	sc.K.Run(600 * sim.Second)
 	if len(spawned) == 0 {
 		t.Fatal("the spawned User never cached the service: the test is vacuous")
 	}

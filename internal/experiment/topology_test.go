@@ -248,7 +248,7 @@ func TestQuickChurnedOutUsersExcluded(t *testing.T) {
 				nonExcluded++
 			}
 		}
-		return len(res.Responsivenesses()) == nonExcluded
+		return len(res.AppendResponsivenesses(nil)) == nonExcluded
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)

@@ -8,7 +8,7 @@
 //   - Driver owns a sim.Kernel and its Scenario on one dedicated
 //     goroutine and maps virtual time onto the wall clock with a
 //     configurable dilation factor. Everything that touches simulation
-//     state goes through Driver.Inject/Call, which serialize external
+//     state goes through Driver.Call, which serializes external
 //     work into the event loop — the kernel stays single-threaded, the
 //     protocols never learn they are serving real traffic.
 //   - Gateway (gateway.go) exposes the running scenario over loopback
@@ -41,7 +41,7 @@ import (
 	"repro/internal/verify"
 )
 
-// ErrStopped is returned by Inject and Call after the driver stopped.
+// ErrStopped is returned by Call after the driver stopped.
 var ErrStopped = errors.New("live: driver stopped")
 
 // Config parameterizes a live scenario.
@@ -78,7 +78,7 @@ type Config struct {
 
 // Driver runs one scenario in wall-clock time. Create with New, then
 // Start; after Start all access to simulation state must go through
-// Inject or Call.
+// Call.
 type Driver struct {
 	cfg Config
 	k   *sim.Kernel
@@ -99,7 +99,7 @@ type Driver struct {
 	stopOnce sync.Once
 	started  atomic.Bool
 	// dead flips (under deadMu) after the event loop exits and before
-	// the final injection drain, so an Inject racing with shutdown
+	// the final injection drain, so a Call racing with shutdown
 	// either lands in the buffer the drain will empty or observes dead
 	// and reports ErrStopped — never a silently dropped function.
 	dead   bool
@@ -187,7 +187,7 @@ func New(cfg Config) (*Driver, error) {
 func (d *Driver) Telemetry() *obs.Registry { return d.reg }
 
 // Scenario exposes the built scenario. Before Start it may be used
-// directly; afterwards only from functions run via Inject or Call.
+// directly; afterwards only from functions run via Call.
 func (d *Driver) Scenario() *experiment.Scenario { return d.sc }
 
 // Done is closed when the event loop has exited.
@@ -240,8 +240,8 @@ func (d *Driver) Stop() {
 	<-d.done
 }
 
-// injection is one queued unit of external work: fn, plus for a Call
-// the buffered done channel the loop signals once fn has run.
+// injection is one queued unit of external work: fn, plus the buffered
+// done channel the loop signals once fn has run.
 type injection struct {
 	fn   func()
 	done chan struct{}
@@ -254,19 +254,8 @@ var donePool = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
 // exec runs one injection on the event loop.
 func (in injection) exec() {
 	in.fn()
-	if in.done != nil {
-		in.done <- struct{}{}
-	}
+	in.done <- struct{}{}
 }
-
-// Inject serializes fn into the event loop; it runs at the kernel's
-// current virtual instant, after all events due before it. Safe from
-// any goroutine. Injection order is preserved (one FIFO channel), and
-// a full queue blocks the caller — natural backpressure against a
-// gateway outrunning the simulation. A nil return means fn has run or is
-// guaranteed to run (the shutdown drain executes whatever was
-// accepted); ErrStopped means it was not accepted.
-func (d *Driver) Inject(fn func()) error { return d.inject(injection{fn: fn}) }
 
 func (d *Driver) inject(in injection) error {
 	d.deadMu.RLock()
@@ -290,10 +279,12 @@ func (d *Driver) inject(in injection) error {
 	}
 }
 
-// Call injects fn and waits until it has executed. It allocates
-// nothing: the queue carries fn by value and the done channel is
-// pooled. It must not be called from inside the event loop (a tap or
-// timer callback): the loop would wait on itself.
+// Call serializes fn into the event loop, at the kernel's current
+// virtual instant, and waits until it has run. Safe from any goroutine;
+// order is preserved (one FIFO channel), and a full queue blocks the
+// caller. It allocates nothing: the queue carries fn by value and the
+// done channel is pooled. It must not be called from inside the event
+// loop (a tap or timer callback): the loop would wait on itself.
 func (d *Driver) Call(fn func()) error {
 	done := donePool.Get().(chan struct{})
 	if err := d.inject(injection{fn: fn, done: done}); err != nil {
@@ -332,7 +323,7 @@ func (d *Driver) Stats() Stats {
 func (d *Driver) run() {
 	defer func() {
 		// Refuse new injections first, then drain what was accepted:
-		// every Inject that returned nil has its function executed.
+		// every accepted injection has its function executed.
 		d.deadMu.Lock()
 		d.dead = true
 		d.deadMu.Unlock()
@@ -355,7 +346,7 @@ func (d *Driver) run() {
 			return
 		default:
 		}
-		d.k.RunUntil(tm.vAt(time.Now()))
+		d.k.Run(tm.vAt(time.Now()))
 		d.vnow.Store(int64(d.k.Now()))
 		d.fired.Store(d.k.Fired())
 		// The queue depth, read here on the goroutine that owns it.
@@ -403,7 +394,7 @@ func (d *Driver) run() {
 // The float64 mapping this replaces lost integer precision once the
 // nanosecond products passed 2^53 (~104 wall-days at dilation 1), after
 // which a long-running driver drifted against the wall clock and could
-// hand RunUntil a virtual target below a previously used one.
+// hand Run a virtual horizon below a previously used one.
 type timeMap struct {
 	t0 time.Time
 	v0 sim.Time
@@ -422,7 +413,7 @@ func newTimeMap(t0 time.Time, v0 sim.Time, dilation float64) timeMap {
 
 // vAt maps a wall instant to the virtual time the kernel should have
 // reached. Instants before t0 clamp to v0: the mapping never goes
-// backwards, preserving the non-decreasing RunUntil targets the kernel's
+// backwards, preserving the non-decreasing Run horizons the kernel's
 // resumable drain relies on.
 func (tm timeMap) vAt(w time.Time) sim.Time {
 	d := w.Sub(tm.t0)

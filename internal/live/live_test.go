@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -19,8 +18,8 @@ import (
 	"repro/internal/verify"
 )
 
-// The driver must serialize injections into the event loop in order,
-// at non-decreasing virtual times.
+// The driver must run calls in the event loop in order, at
+// non-decreasing virtual times.
 func TestDriverInjectionOrdering(t *testing.T) {
 	d, err := New(Config{System: experiment.Frodo2P, Dilation: 1e-6})
 	if err != nil {
@@ -29,24 +28,16 @@ func TestDriverInjectionOrdering(t *testing.T) {
 	d.Start()
 	defer d.Stop()
 
-	var mu sync.Mutex
 	var order []int
 	var times []sim.Time
-	var wg sync.WaitGroup
 	for i := 0; i < 100; i++ {
-		i := i
-		wg.Add(1)
-		if err := d.Inject(func() {
-			mu.Lock()
+		if err := d.Call(func() {
 			order = append(order, i)
 			times = append(times, d.k.Now())
-			mu.Unlock()
-			wg.Done()
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	wg.Wait()
 	for i := 1; i < len(order); i++ {
 		if order[i] != order[i-1]+1 {
 			t.Fatalf("injections ran out of order: %v", order[:i+1])
@@ -57,7 +48,7 @@ func TestDriverInjectionOrdering(t *testing.T) {
 	}
 }
 
-// After Stop, Inject and Call fail with ErrStopped instead of hanging.
+// After Stop, Call fails with ErrStopped instead of hanging.
 func TestDriverStopped(t *testing.T) {
 	d, err := New(Config{System: experiment.UPnP, Dilation: 1e-6})
 	if err != nil {
@@ -286,8 +277,8 @@ func TestDriverStopBeforeStart(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Stop deadlocked on a never-started driver")
 	}
-	if err := d.Inject(func() {}); err != ErrStopped {
-		t.Fatalf("Inject after Stop = %v; want ErrStopped", err)
+	if err := d.Call(func() {}); err != ErrStopped {
+		t.Fatalf("Call after Stop = %v; want ErrStopped", err)
 	}
 }
 
@@ -343,7 +334,7 @@ func TestGatewayRequestAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := srv.Driver
-	if err := d.Call(func() { d.k.RunUntil(d.k.Now() + 120*sim.Second) }); err != nil {
+	if err := d.Call(func() { d.k.Run(d.k.Now() + 120*sim.Second) }); err != nil {
 		t.Fatal(err)
 	}
 	if recs, err := cl.Query(user); err != nil || len(recs) != 1 {

@@ -39,7 +39,7 @@ func TestTimeMapLargeOffsets(t *testing.T) {
 
 	// Monotonicity across consecutive nanoseconds at a large offset: the
 	// float path could map a later wall instant to an earlier virtual
-	// time, violating the non-decreasing RunUntil contract.
+	// time, violating the non-decreasing Run horizons of the drain.
 	base := t0.Add(time.Duration(int64(1) << 58))
 	prev := tm.vAt(base)
 	for i := 1; i <= 1000; i++ {

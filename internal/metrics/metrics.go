@@ -56,17 +56,11 @@ func (r RunResult) Unreached() (n int) {
 	return n
 }
 
-// Responsivenesses returns the per-User responsiveness samples 1 − L of
-// one run (0 for Users that never reached consistency). Excluded
-// (churned-out) Users contribute no sample.
-func (r RunResult) Responsivenesses() []float64 {
-	return r.AppendResponsivenesses(make([]float64, 0, len(r.Users)))
-}
-
-// AppendResponsivenesses appends the per-User responsiveness samples to
-// dst and returns the extended slice — the allocation-free variant the
-// sweep aggregation uses to recycle each cell slot's sample storage
-// across repeated summarization.
+// AppendResponsivenesses appends the per-User responsiveness samples
+// 1 − L of one run to dst (0 for Users that never reached consistency;
+// excluded, churned-out Users contribute no sample) and returns the
+// extended slice. The sweep aggregation recycles each cell slot's sample
+// storage across repeated summarization through it.
 func (r RunResult) AppendResponsivenesses(dst []float64) []float64 {
 	avail := float64(r.Deadline - r.ChangeAt)
 	for _, u := range r.Users {

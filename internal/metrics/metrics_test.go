@@ -26,7 +26,7 @@ func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 func TestResponsivenessDefinition(t *testing.T) {
 	// C=1000, D=5400 => available 4400. U=2100 => L=0.25 => 1-L=0.75.
 	r := run(1000*sim.Second, 5400*sim.Second, 7, 2100*sim.Second)
-	got := r.Responsivenesses()
+	got := r.AppendResponsivenesses(nil)
 	if len(got) != 1 || !almost(got[0], 0.75) {
 		t.Errorf("responsiveness = %v, want [0.75]", got)
 	}
@@ -34,7 +34,7 @@ func TestResponsivenessDefinition(t *testing.T) {
 
 func TestResponsivenessUnreachedIsZero(t *testing.T) {
 	r := run(1000*sim.Second, 5400*sim.Second, 7, -1)
-	if got := r.Responsivenesses(); got[0] != 0 {
+	if got := r.AppendResponsivenesses(nil); got[0] != 0 {
 		t.Errorf("unreached user responsiveness = %v, want 0", got[0])
 	}
 }
@@ -118,12 +118,12 @@ func TestQuickResponsivenessBounded(t *testing.T) {
 		d := c + 2700*sim.Second
 		u := c + sim.Time(uRaw)%(d-c)
 		r := run(c, d, 7, u)
-		v := r.Responsivenesses()[0]
+		v := r.AppendResponsivenesses(nil)[0]
 		if v < 0 || v > 1 {
 			return false
 		}
 		earlier := run(c, d, 7, c+(u-c)/2)
-		return earlier.Responsivenesses()[0] >= v-1e-12
+		return earlier.AppendResponsivenesses(nil)[0] >= v-1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

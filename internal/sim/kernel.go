@@ -287,7 +287,7 @@ func (k *Kernel) UniformTime(lo, hi Time) Time {
 	return Time(k.UniformDuration(Duration(lo), Duration(hi)))
 }
 
-// Stop makes Run (or RunUntil) return after the currently executing
+// Stop makes Run return after the currently executing
 // event completes. The clock still advances to the call's horizon, so
 // events scheduled before it may remain pending behind the clock; see
 // the re-entrancy invariant on Run.
@@ -295,14 +295,18 @@ func (k *Kernel) Stop() { k.stopped = true }
 
 // Run executes events in time order until the queue drains or the next
 // event lies beyond horizon. The clock finishes at horizon so that model
-// code observing Now at the end of a run sees the full duration.
+// code observing Now at the end of a run sees the full duration. Run is
+// resumable — the live driver calls it repeatedly to chase the wall
+// clock: consecutive calls with non-decreasing horizons drain the queue
+// incrementally, and a horizon at or before Now fires nothing and leaves
+// the clock untouched.
 //
 // # Re-entrancy invariant
 //
-// Run, RunUntil and Step may be freely interleaved on one kernel; each
-// call resumes from the current queue, and the clock NEVER rewinds. The
-// one way an event can come to sit behind the clock is a Stop()ed Run
-// (or RunUntil): the clock jumps to the horizon while undrained events
+// Run and Step may be freely interleaved on one kernel; each call
+// resumes from the current queue, and the clock NEVER rewinds. The one
+// way an event can come to sit behind the clock is a Stop()ed Run: the
+// clock jumps to the horizon while undrained events
 // keep their original times. Such events fire at the current instant —
 // drainTo clamps the clock monotonically instead of assigning e.at —
 // exactly as a real scheduler fires an overdue timer late. Before this
@@ -314,20 +318,6 @@ func (k *Kernel) Run(horizon Time) {
 	k.drainTo(horizon)
 	if k.now < horizon {
 		k.now = horizon
-	}
-}
-
-// RunUntil executes every event due at or before target and leaves the
-// clock at target, like Run — the live driver calls it repeatedly to
-// chase the wall clock, so unlike the one-shot Run it is documented as
-// a resumable API: consecutive calls with non-decreasing targets drain
-// the queue incrementally. A target at or before Now fires nothing and
-// leaves the clock untouched (the clock never rewinds).
-func (k *Kernel) RunUntil(target Time) {
-	k.stopped = false
-	k.drainTo(target)
-	if k.now < target {
-		k.now = target
 	}
 }
 
@@ -437,7 +427,7 @@ func (k *Kernel) drainTo(limit Time) {
 // sequence number are unchanged. The caller then carries on with the work
 // of the would-be event; on false it must schedule normally.
 //
-// That is the case only inside a Run/RunUntil drain (Step fires
+// That is the case only inside a Run drain (Step fires
 // one event and returns), when Stop has not been called, when t is within
 // the drain's limit, and when no live pending event has at <= t. The
 // comparison is non-strict on purpose: an equal-time pending event was

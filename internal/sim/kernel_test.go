@@ -393,8 +393,8 @@ func TestSplitmixStream(t *testing.T) {
 	}
 }
 
-// RunUntil must drain incrementally and leave the clock at its target,
-// and Step must resume from wherever the previous drain left off —
+// Run must drain incrementally and leave the clock at its horizon, and
+// Step must resume from wherever the previous drain left off —
 // preserving the global (time, seq) order across the API boundary.
 func TestStepRunUntilInterleave(t *testing.T) {
 	k := New(1)
@@ -406,16 +406,16 @@ func TestStepRunUntilInterleave(t *testing.T) {
 	if at, ok := k.NextEventTime(); !ok || at != 1*Second {
 		t.Fatalf("NextEventTime = %v, %v; want 1s, true", at, ok)
 	}
-	k.RunUntil(2 * Second) // fires events 0, 1, 2
+	k.Run(2 * Second) // fires events 0, 1, 2
 	if want := []int{0, 1, 2}; !slices.Equal(got, want) {
-		t.Fatalf("after RunUntil(2s): fired %v, want %v", got, want)
+		t.Fatalf("after Run(2s): fired %v, want %v", got, want)
 	}
 	if k.Now() != 2*Second {
-		t.Fatalf("Now = %v after RunUntil(2s)", k.Now())
+		t.Fatalf("Now = %v after Run(2s)", k.Now())
 	}
-	k.RunUntil(1 * Second) // target behind the clock: no-op, no rewind
+	k.Run(1 * Second) // horizon behind the clock: no-op, no rewind
 	if k.Now() != 2*Second {
-		t.Fatalf("RunUntil rewound the clock to %v", k.Now())
+		t.Fatalf("Run rewound the clock to %v", k.Now())
 	}
 	if !k.Step() {
 		t.Fatal("Step found no event")
@@ -571,7 +571,7 @@ func TestAdvanceToRefusals(t *testing.T) {
 			t.Errorf("after AdvanceTo(4s) the clock reads %v", k.Now())
 		}
 	})
-	k.RunUntil(10 * Second)
+	k.Run(10 * Second)
 	if equal || later || behind {
 		t.Errorf("AdvanceTo to/past a live pending event: %v/%v; behind the clock: %v", equal, later, behind)
 	}
@@ -579,22 +579,16 @@ func TestAdvanceToRefusals(t *testing.T) {
 		t.Error("AdvanceTo(4s) refused with the next event at 5s")
 	}
 
-	// One tick past the limit of each drain call, and exactly on it.
-	drains := map[string]func(Time){
-		"Run":      k.Run,
-		"RunUntil": k.RunUntil,
-	}
-	for name, drain := range drains {
-		var past, on bool
-		limit := k.Now() + 10*Second
-		k.At(k.Now()+Second, func() {
-			past = k.AdvanceTo(limit + 1)
-			on = k.AdvanceTo(limit)
-		})
-		drain(limit)
-		if past || !on {
-			t.Errorf("%s(limit): AdvanceTo(limit+1) = %v, AdvanceTo(limit) = %v", name, past, on)
-		}
+	// One tick past the limit of the drain, and exactly on it.
+	var past, on bool
+	limit := k.Now() + 10*Second
+	k.At(k.Now()+Second, func() {
+		past = k.AdvanceTo(limit + 1)
+		on = k.AdvanceTo(limit)
+	})
+	k.Run(limit)
+	if past || !on {
+		t.Errorf("Run(limit): AdvanceTo(limit+1) = %v, AdvanceTo(limit) = %v", past, on)
 	}
 
 	var stopped bool

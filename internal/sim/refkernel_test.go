@@ -101,14 +101,6 @@ func (k *refKernel) Run(horizon Time) {
 	}
 }
 
-func (k *refKernel) RunUntil(target Time) {
-	k.stopped = false
-	k.drainTo(target)
-	if k.now < target {
-		k.now = target
-	}
-}
-
 func (k *refKernel) Step() bool {
 	for len(k.heap) > 0 {
 		e := k.heap[0]

@@ -2,9 +2,9 @@ package verify
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/experiment"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -15,13 +15,11 @@ import (
 // tax the fault-free path), then the hostile-mix averages: update
 // effectiveness F, mean counted effort ȳ, total oracle violations, and
 // the worst RenewAck lateness past lease expiry (the purge-latency tail
-// the strict-lease mechanism bounds).
+// the strict-lease mechanism bounds). The runs go through
+// experiment.Pool on workers goroutines (0 means GOMAXPROCS).
 func FigureHardening(base experiment.Params, runs, workers int, progress func(done, total int)) experiment.Table {
 	if runs <= 0 {
 		runs = 5
-	}
-	if workers <= 0 {
-		workers = 4
 	}
 
 	// The hostile mix, drawn from the hunted corpus: a mid-run bisection
@@ -41,89 +39,54 @@ func FigureHardening(base experiment.Params, runs, workers int, progress func(do
 	hostile.RunDuration, hostile.Partitions, hostile.Churn = mp.RunDuration, mp.Partitions, mp.Churn
 
 	type cell struct {
-		mprime   int
-		reached  int
-		included int
-		effort   int
-		viol     int
-		maxLate  sim.Duration
+		mprime, reached, included, effort, viol int
+		maxLate                                 sim.Duration
 	}
-	cells := [2]map[experiment.System]*cell{}
-	for mode := range cells {
-		cells[mode] = map[experiment.System]*cell{}
-		for _, sys := range experiment.Systems() {
-			cells[mode][sys] = &cell{}
+	systems := experiment.Systems()
+	cells := make([][2]cell, len(systems)) // per system: baseline, hardened
+	// Each (system, mode) runs job k = 0, its m′, then the hostile runs.
+	perMode := 1 + runs
+	jobOf := func(i int) (sys, mode, k int) { return i / (2 * perMode), i / perMode % 2, i % perMode }
+	type outcome struct {
+		rep OracleReport
+		res metrics.RunResult
+	}
+	observe := func(i int) outcome {
+		s, mode, k := jobOf(i)
+		// m′: the zero-failure, fault-free effort of §4.5.
+		spec := experiment.RunSpec{System: systems[s], Seed: base.BaseSeed, Params: base}
+		if k > 0 {
+			spec = experiment.RunSpec{System: systems[s], Lambda: mix.Lambda, Seed: base.BaseSeed + int64(k-1),
+				Params: hostile, Opts: hostileOpts}
 		}
+		spec.Opts.Hardened = mode == 1
+		rep, res := ObserveRun(spec, DefaultOracleConfig(systems[s]))
+		return outcome{rep, res}
 	}
-
-	type job struct {
-		sys    experiment.System
-		mode   int // 0 baseline, 1 hardened
-		seed   int64
-		mprime bool
-	}
-	var jobs []job
-	for _, sys := range experiment.Systems() {
-		for mode := 0; mode < 2; mode++ {
-			jobs = append(jobs, job{sys: sys, mode: mode, seed: base.BaseSeed, mprime: true})
-			for i := 0; i < runs; i++ {
-				jobs = append(jobs, job{sys: sys, mode: mode, seed: base.BaseSeed + int64(i)})
-			}
-		}
-	}
-
-	var mu sync.Mutex
-	done := 0
-	var wg sync.WaitGroup
-	ch := make(chan job)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range ch {
-				var spec experiment.RunSpec
-				if j.mprime {
-					// m′: the zero-failure, fault-free effort of §4.5.
-					spec = experiment.RunSpec{System: j.sys, Lambda: 0, Seed: j.seed, Params: base}
-				} else {
-					spec = experiment.RunSpec{System: j.sys, Lambda: mix.Lambda, Seed: j.seed,
-						Params: hostile, Opts: hostileOpts}
-				}
-				spec.Opts.Hardened = j.mode == 1
-				rep, res := ObserveRun(spec, DefaultOracleConfig(j.sys))
-				mu.Lock()
-				c := cells[j.mode][j.sys]
-				if j.mprime {
-					c.mprime = res.Effort
-				} else {
-					for _, u := range res.Users {
-						if u.Excluded {
-							continue
-						}
-						c.included++
-						if u.Reached {
-							c.reached++
-						}
-					}
-					c.effort += res.Effort
-					c.viol += rep.Total
-					if rep.MaxPurgeLate > c.maxLate {
-						c.maxLate = rep.MaxPurgeLate
+	total, done := len(systems)*2*perMode, 0
+	experiment.Pool(total, workers, func() func(int) outcome { return observe }, func(i int, o outcome) {
+		s, mode, k := jobOf(i)
+		c := &cells[s][mode]
+		if k == 0 {
+			c.mprime = o.res.Effort
+		} else {
+			for _, u := range o.res.Users {
+				if !u.Excluded {
+					c.included++
+					if u.Reached {
+						c.reached++
 					}
 				}
-				done++
-				if progress != nil {
-					progress(done, len(jobs))
-				}
-				mu.Unlock()
 			}
-		}()
-	}
-	for _, j := range jobs {
-		ch <- j
-	}
-	close(ch)
-	wg.Wait()
+			c.effort += o.res.Effort
+			c.viol += o.rep.Total
+			c.maxLate = max(c.maxLate, o.rep.MaxPurgeLate)
+		}
+		done++
+		if progress != nil {
+			progress(done, total)
+		}
+	})
 
 	t := experiment.Table{
 		Title: fmt.Sprintf("Hardening layer: baseline vs hardened under the hunted fault mix (λ=%.2f, %d runs)",
@@ -131,14 +94,14 @@ func FigureHardening(base experiment.Params, runs, workers int, progress func(do
 		Header: []string{"system", "m'", "m'(hard)", "F", "F(hard)", "ȳ", "ȳ(hard)",
 			"viol", "viol(hard)", "purge-late s", "purge-late s(hard)"},
 	}
-	f := func(c *cell) string {
+	f := func(c cell) string {
 		if c.included == 0 {
 			return "n/a"
 		}
 		return fmt.Sprintf("%.3f", float64(c.reached)/float64(c.included))
 	}
-	for _, sys := range experiment.Systems() {
-		b, h := cells[0][sys], cells[1][sys]
+	for i, sys := range systems {
+		b, h := cells[i][0], cells[i][1]
 		t.Rows = append(t.Rows, []string{
 			sys.Short(),
 			fmt.Sprintf("%d", b.mprime), fmt.Sprintf("%d", h.mprime),
