@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -36,23 +37,28 @@ import (
 	"repro/internal/verify"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run runs one command line, writing the report to stdout, and returns
+// the exit status.
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	var design experiment.Flags
-	design.Register(flag.CommandLine, "harden")
-	listViolations := flag.Bool("violations", false, "list every violating scenario")
-	scenario := flag.String("scenario", "", "run this scenario spec or hunted fixture (strictly validated) in place of the default design")
-	flag.Parse()
+	design.Register(fs, "harden")
+	listViolations := fs.Bool("violations", false, "list every violating scenario")
+	scenario := fs.String("scenario", "", "run this scenario spec or hunted fixture (strictly validated) in place of the default design")
+	fs.Parse(args)
 
 	if *scenario != "" {
-		os.Exit(auditScenario(&design, *scenario, *listViolations))
+		return auditScenario(stdout, &design, *scenario, *listViolations)
 	}
 
 	grid := verify.DefaultGrid()
 	grid.Harden = design.Spec.Hardened
-	fmt.Println("Configuration Update Principles — single-outage scenario grid")
-	fmt.Printf("(change at %.0fs, horizon %.0fs, %.0fs recovery slack)\n\n",
+	fmt.Fprintln(stdout, "Configuration Update Principles — single-outage scenario grid")
+	fmt.Fprintf(stdout, "(change at %.0fs, horizon %.0fs, %.0fs recovery slack)\n\n",
 		verify.GridChangeAt.Sec(), verify.GridHorizon.Sec(), verify.GridRecoverySlack.Sec())
-	fmt.Printf("%-34s  %-10s  %-10s  %-22s  %s\n", "system", "scenarios", "violations", "oracle", "verdict")
+	fmt.Fprintf(stdout, "%-34s  %-10s  %-10s  %-22s  %s\n", "system", "scenarios", "violations", "oracle", "verdict")
 
 	for _, sys := range experiment.Systems() {
 		res := verify.Check(sys, grid)
@@ -60,25 +66,26 @@ func main() {
 		if !res.Holds() {
 			verdict = "VIOLATED"
 		}
-		fmt.Printf("%-34s  %-10d  %-10d  %-22s  %s\n", sys, res.Scenarios, len(res.Violations), oracleCounts(res.Oracle[:]), verdict)
+		fmt.Fprintf(stdout, "%-34s  %-10d  %-10d  %-22s  %s\n", sys, res.Scenarios, len(res.Violations), oracleCounts(res.Oracle[:]), verdict)
 		if *listViolations {
 			for _, v := range res.Violations {
-				printReplay(v, v.Spec)
+				printReplay(stdout, v, v.Spec)
 			}
 			for _, b := range res.Breaches {
-				printReplay(b, b.Spec)
+				printReplay(stdout, b, b.Spec)
 			}
 		}
 	}
-	fmt.Println()
-	fmt.Print("The verdict judges stale Users at the horizon; the oracle column counts\nthe run-time invariant breaches of the same runs (-violations lists both).\n\n")
-	fmt.Println("The paper: FRODO \"provides guarantees\" [24]; \"first-generation service")
-	fmt.Println("discovery systems do not provide guarantees of correct behavior\" [8].")
+	fmt.Fprintln(stdout)
+	fmt.Fprint(stdout, "The verdict judges stale Users at the horizon; the oracle column counts\nthe run-time invariant breaches of the same runs (-violations lists both).\n\n")
+	fmt.Fprintln(stdout, "The paper: FRODO \"provides guarantees\" [24]; \"first-generation service")
+	fmt.Fprintln(stdout, "discovery systems do not provide guarantees of correct behavior\" [8].")
+	return 0
 }
 
 // auditScenario runs one spec (or hunted fixture) through the oracle.
 // Exit status mirrors the grid checker: 0 all clean, 1 violations.
-func auditScenario(design *experiment.Flags, path string, listViolations bool) int {
+func auditScenario(stdout io.Writer, design *experiment.Flags, path string, listViolations bool) int {
 	spec, fx, err := hunt.Load(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
@@ -97,16 +104,16 @@ func auditScenario(design *experiment.Flags, path string, listViolations bool) i
 		// tail a diagnosis starts from.
 		rep, flight, err := hunt.Replay(fx)
 		if err != nil {
-			fmt.Printf("FAIL  %s\n", err)
-			printViolations(rep, listViolations)
+			fmt.Fprintf(stdout, "FAIL  %s\n", err)
+			printViolations(stdout, rep, listViolations)
 			dumpFlight(flight)
 			return 1
 		}
-		fmt.Printf("ok    %s on %s: expectation met (%s)\n", path, fx.System, rep)
+		fmt.Fprintf(stdout, "ok    %s on %s: expectation met (%s)\n", path, fx.System, rep)
 		if rep.Total > 0 && listViolations {
 			// Dirty by expectation (a hunted fixture): surface the tail on
 			// request even though the replay verdict is a pass.
-			printViolations(rep, true)
+			printViolations(stdout, rep, true)
 			dumpFlight(flight)
 		}
 		return 0
@@ -117,18 +124,18 @@ func auditScenario(design *experiment.Flags, path string, listViolations bool) i
 		return 2
 	}
 	spec = &design.Spec
-	fmt.Printf("Run-time consistency oracle — scenario %s (seed %d)\n\n", path, spec.Seed)
-	fmt.Printf("%-34s  %s\n", "system", "oracle report")
+	fmt.Fprintf(stdout, "Run-time consistency oracle — scenario %s (seed %d)\n\n", path, spec.Seed)
+	fmt.Fprintf(stdout, "%-34s  %s\n", "system", "oracle report")
 	status := 0
 	for _, sys := range experiment.Systems() {
 		if err := spec.Params().CheckOutages(sys); err != nil {
-			fmt.Printf("%-34s  not run: %v\n", sys, err)
+			fmt.Fprintf(stdout, "%-34s  not run: %v\n", sys, err)
 			continue
 		}
 		rep, res := verify.ObserveRun(spec.RunSpec(sys), verify.DefaultOracleConfig(sys))
 		// Stale Users are the grid's verdict: a grid cell's spec replays here.
-		fmt.Printf("%-34s  %s; %d User(s) stale at the horizon\n", sys, rep, res.Unreached())
-		printViolations(rep, listViolations)
+		fmt.Fprintf(stdout, "%-34s  %s; %d User(s) stale at the horizon\n", sys, rep, res.Unreached())
+		printViolations(stdout, rep, listViolations)
 		if rep.Total > 0 {
 			status = 1
 		}
@@ -153,9 +160,9 @@ func oracleCounts(byInvariant []int) string {
 
 // printReplay lists one flagged grid cell with its spec as a replay line
 // for -scenario.
-func printReplay(finding fmt.Stringer, spec experiment.ScenarioSpec) {
+func printReplay(stdout io.Writer, finding fmt.Stringer, spec experiment.ScenarioSpec) {
 	data, _ := json.Marshal(spec) // plain data: cannot fail
-	fmt.Printf("    %v\n      replay: %s\n", finding, data)
+	fmt.Fprintf(stdout, "    %v\n      replay: %s\n", finding, data)
 }
 
 // dumpFlight writes the flight-recorder snapshot to stderr.
@@ -166,11 +173,11 @@ func dumpFlight(snap obs.FlightSnapshot) {
 	}
 }
 
-func printViolations(rep verify.OracleReport, list bool) {
+func printViolations(stdout io.Writer, rep verify.OracleReport, list bool) {
 	if !list {
 		return
 	}
 	for _, v := range rep.Violations {
-		fmt.Printf("    %v\n", v)
+		fmt.Fprintf(stdout, "    %v\n", v)
 	}
 }
