@@ -196,7 +196,7 @@ func BenchmarkCriticalUpdateMode(b *testing.B) {
 // the single-outage grid for one FRODO and one first-generation system —
 // the paper's guarantee claims as a benchmark ([24], [8]).
 func BenchmarkGuaranteeGrid(b *testing.B) {
-	grid := verify.DefaultGrid()
+	grid := verify.Grid(false)
 	var fr, up verify.Result
 	for i := 0; i < b.N; i++ {
 		fr = verify.Check(experiment.Frodo2P, grid)

@@ -136,7 +136,7 @@ func dumpTelemetry(reg *obs.Registry, path string) {
 	if reg == nil {
 		return
 	}
-	if err := reg.WriteJSONFile(path); err != nil {
+	if err := reg.WriteJSONFile(path, os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "sdhunt: -telemetry: %v\n", err)
 		os.Exit(2)
 	}

@@ -202,7 +202,7 @@ func main() {
 	fmt.Printf("  update→notify %s\n", c.notify.Summary())
 
 	if *telemetry != "" {
-		if err := reg.WriteJSONFile(*telemetry); err != nil {
+		if err := reg.WriteJSONFile(*telemetry, os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "sdload: telemetry: %v\n", err)
 			os.Exit(1)
 		}

@@ -21,7 +21,9 @@
 //	sdsweep -scenario f.json     # a spec or hunted fixture as the design; λ stays the sweep grid
 //
 // Adversarial network knobs (apply to every figure but adversarial, loss
-// and hardening, which fix their own link model and refuse them):
+// and hardening, which fix their own link model and refuse them; hardening
+// also refuses -partition, -churn, -absence, -arrivals, -harden and a
+// spec's "duration_sec", fixing those fields itself):
 //
 //	sdsweep -figure 4 -burst-loss 0.2 -burst-len 8   # Gilbert–Elliott loss
 //	sdsweep -figure 4 -delay-dist pareto             # heavy-tailed delay
@@ -47,12 +49,11 @@ import (
 
 // A figure is one value of -figure.
 type figure struct {
-	name      string
-	main      bool            // reads the main λ sweep, run once before it
-	ownLink   bool            // sweeps its own link models, so refuses a link design
-	bothModes bool            // runs baseline and hardened, so refuses a hardened design
-	inAll     bool            // -figure all prints it
-	render    func(o *output) // nil for all, which prints every inAll figure in order
+	name   string
+	main   bool            // reads the main λ sweep, run once before it
+	fixes  []string        // spec fields it sets itself, so refuses in the design (keys of fixable)
+	inAll  bool            // -figure all prints it
+	render func(o *output) // nil for all, which prints every inAll figure in order
 }
 
 // figures is every -figure value, in the order -figure all prints them.
@@ -72,16 +73,33 @@ var figures = []figure{
 	}},
 	{name: "table5", main: true, inAll: true, render: func(o *output) { o.emit(experiment.Table5(o.main)) }},
 	{name: "7", inAll: true, render: variants(experiment.Figure7)},
-	{name: "loss", ownLink: true, render: variants(experiment.FigureLoss)},
+	{name: "loss", fixes: []string{"link"}, render: variants(experiment.FigureLoss)},
 	{name: "polling", render: variants(experiment.FigurePolling)},
 	{name: "scale", render: func(o *output) {
 		o.emit(experiment.FigureScale(o.params, o.opts, o.workers, o.progress))
 	}},
-	{name: "adversarial", ownLink: true, render: variants(experiment.FigureAdversarial)},
-	{name: "hardening", ownLink: true, bothModes: true, render: func(o *output) {
-		o.emit(verify.FigureHardening(o.params, o.params.Runs, o.workers, o.progress))
+	{name: "adversarial", fixes: []string{"link"}, render: variants(experiment.FigureAdversarial)},
+	{name: "hardening", fixes: verify.HardeningFixes, render: func(o *output) {
+		o.emit(verify.FigureHardening(o.params, o.workers, o.progress))
 	}},
 	{name: "all", main: true},
+}
+
+// fixable is every spec field a figure may fix, by its JSON name: what
+// it is, how to drop it, and whether a design sets it.
+var fixable = map[string]struct {
+	what, drop string
+	set        func(s *experiment.ScenarioSpec) bool
+}{
+	"link": {"link model", `the link flags or the spec's "link"`, func(s *experiment.ScenarioSpec) bool {
+		o := s.Options()
+		return o.Loss != 0 || o.Link != (netsim.LinkConfig{})
+	}},
+	"hardened":   {"hardening modes", `-harden or the spec's "hardened"`, func(s *experiment.ScenarioSpec) bool { return s.Hardened }},
+	"partitions": {"partitions", `-partition or the spec's "partitions"`, func(s *experiment.ScenarioSpec) bool { return len(s.Partitions) > 0 }},
+	"churn": {"churn", `-churn, -absence, -arrivals or the spec's "churn"`,
+		func(s *experiment.ScenarioSpec) bool { return s.Churn != (experiment.SpecChurn{}) }},
+	"duration_sec": {"run duration", `the spec's "duration_sec"`, func(s *experiment.ScenarioSpec) bool { return s.DurationSec != 0 }},
 }
 
 // output is what a renderer reads and prints through: the resolved
@@ -228,7 +246,7 @@ func run(args []string, stdout io.Writer) int {
 	}
 
 	if *telem != "" {
-		if err := experiment.Telemetry().WriteJSONFile(*telem); err != nil {
+		if err := experiment.Telemetry().WriteJSONFile(*telem, stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "sdsweep: -telemetry: %v\n", err)
 			return 1
 		}
@@ -262,13 +280,12 @@ func (c *config) resolve() (fig figure, p experiment.Params, o experiment.Option
 	if err := spec.Validate(); err != nil {
 		return fig, p, o, err
 	}
-	if spec.Hardened && fig.bothModes {
-		return fig, p, o, fmt.Errorf("-figure %s already runs both modes; drop -harden or the spec's \"hardened\"", fig.name)
+	for _, name := range fig.fixes {
+		if f := fixable[name]; f.set(spec) {
+			return fig, p, o, fmt.Errorf("-figure %s fixes its own %s; drop %s", fig.name, f.what, f.drop)
+		}
 	}
 	o = spec.Options()
-	if fig.ownLink && (o.Loss != 0 || o.Link != (netsim.LinkConfig{})) {
-		return fig, p, o, fmt.Errorf("-figure %s fixes its own link model; drop the link flags or the spec's \"link\"", fig.name)
-	}
 	// The spec fixes the design; the sweep's own axes — the λ grid, the
 	// run count and the base seed — stay flags.
 	p = spec.Params()

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"io"
 	"os"
@@ -44,6 +45,7 @@ func TestDesignChecksFlags(t *testing.T) {
 	linked := writeSpec(t, `{"seed": 1, "link": {"delay_dist": "pareto"}}`)
 	registry := writeSpec(t, `{"seed": 1, "outages": [{"node": "registry:0", "mode": "rx", "start_sec": 500, "duration_sec": 60}]}`)
 	manager := writeSpec(t, `{"seed": 1, "outages": [{"node": "manager", "mode": "rx", "start_sec": 500, "duration_sec": 60}]}`)
+	long := writeSpec(t, `{"seed": 1, "duration_sec": 6000}`)
 	for _, tc := range []struct {
 		name string
 		args []string
@@ -74,6 +76,15 @@ func TestDesignChecksFlags(t *testing.T) {
 		{"loss link", []string{"-figure", "loss", "-delay-dist", "pareto"}, "-figure loss fixes its own link"},
 		{"hardening spec link", []string{"-figure", "hardening", "-scenario", linked}, "-figure hardening fixes its own link"},
 		{"idle link flag", []string{"-figure", "loss", "-burst-len", "4"}, ""},
+		{"hardening partition", []string{"-figure", "hardening", "-partition", "3000:4000"},
+			`-figure hardening fixes its own partitions; drop -partition or the spec's "partitions"`},
+		{"hardening churn", []string{"-figure", "hardening", "-churn", "3"},
+			`-figure hardening fixes its own churn; drop -churn, -absence, -arrivals or the spec's "churn"`},
+		{"hardening arrivals", []string{"-figure", "hardening", "-arrivals", "2"},
+			`-figure hardening fixes its own churn; drop -churn, -absence, -arrivals or the spec's "churn"`},
+		{"hardening spec duration", []string{"-figure", "hardening", "-scenario", long},
+			`-figure hardening fixes its own run duration; drop the spec's "duration_sec"`},
+		{"figure 4 partition and churn", []string{"-figure", "4", "-partition", "3000:4000", "-churn", "1"}, ""},
 		{"outage role", []string{"-scenario", manager}, ""},
 		{"outage role UPnP lacks", []string{"-scenario", registry}, "UPnP has 5 Users and 0 Registries, no registry:0"},
 	} {
@@ -86,6 +97,27 @@ func TestDesignChecksFlags(t *testing.T) {
 		case err != nil && strings.Contains(err.Error(), "\n"):
 			t.Errorf("%s: error spans lines: %q", tc.name, err)
 		}
+	}
+}
+
+// -telemetry - writes the registry through run's writer, after the
+// figure, so a caller that captures stdout captures the dump.
+func TestTelemetryToStdout(t *testing.T) {
+	t.Cleanup(func() { experiment.SetTelemetry(nil) })
+	var out bytes.Buffer
+	if code := run([]string{"-figure", "table2", "-runs", "1", "-quiet", "-telemetry", "-"}, &out); code != 0 {
+		t.Fatalf("exit %d", code)
+	}
+	_, dump, ok := strings.Cut(out.String(), "\n{\n")
+	if !ok {
+		t.Fatalf("no registry JSON after the figure:\n%s", out.String())
+	}
+	var reg map[string]any
+	if err := json.Unmarshal([]byte("{\n"+dump), &reg); err != nil {
+		t.Fatalf("registry dump: %v", err)
+	}
+	if _, ok := reg[`sd_frames_delivered_total{shard="0"}`]; !ok {
+		t.Errorf("registry dump lacks the frame counters: %v", reg)
 	}
 }
 

@@ -1,10 +1,10 @@
 // Command sdverify checks the Configuration Update Principles (§4.1)
 // for every system over the single-outage scenario grid: whenever
 // connectivity is restored with time to spare, every User must
-// eventually regain consistency. Each grid cell is a ScenarioSpec
-// audited by verify.ObserveRun, the runner -scenario uses too. It
-// reproduces the paper's guarantee claims: FRODO holds the principles
-// ([24]); first-generation systems do not ([8]).
+// eventually regain consistency. The grid is a list of ScenarioSpecs,
+// one per cell, audited in parallel by verify.ObserveRun, the runner
+// -scenario uses too. It reproduces the paper's guarantee claims: FRODO
+// holds the principles ([24]); first-generation systems do not ([8]).
 //
 // With -scenario it instead audits one declarative scenario through
 // the run-time consistency oracle: the file is either a bare
@@ -53,8 +53,7 @@ func run(args []string, stdout io.Writer) int {
 		return auditScenario(stdout, &design, *scenario, *listViolations)
 	}
 
-	grid := verify.DefaultGrid()
-	grid.Harden = design.Spec.Hardened
+	grid := verify.Grid(design.Spec.Hardened)
 	fmt.Fprintln(stdout, "Configuration Update Principles — single-outage scenario grid")
 	fmt.Fprintf(stdout, "(change at %.0fs, horizon %.0fs, %.0fs recovery slack)\n\n",
 		verify.GridChangeAt.Sec(), verify.GridHorizon.Sec(), verify.GridRecoverySlack.Sec())

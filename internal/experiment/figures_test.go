@@ -85,26 +85,6 @@ func TestFigure7SweepHasAblationColumn(t *testing.T) {
 	}
 }
 
-// The mean recovery window of a sweep's cells (read from the streaming
-// summaries, so without RetainRaw) grows with the failure rate.
-func TestAverageWindowShrinksWithHealth(t *testing.T) {
-	res := miniSweep(t)
-	for _, sys := range Systems() {
-		cells := res.Cells[sys]
-		if len(cells) != 2 {
-			t.Fatalf("%v: %d cells", sys, len(cells))
-		}
-		w := []sim.Duration{cells[0].AvgWindow(), cells[1].AvgWindow()}
-		// λ=0 recovery completes within a second of the change.
-		if w[0] > 2*sim.Second {
-			t.Errorf("%v: zero-failure window %v, want tiny", sys, w[0])
-		}
-		if w[1] <= w[0] {
-			t.Errorf("%v: window did not grow with failures: %v vs %v", sys, w[1], w[0])
-		}
-	}
-}
-
 func TestRunLoggedAnnotations(t *testing.T) {
 	_, log := RunLogged(RunSpec{System: Frodo2P, Lambda: 0.2, Seed: 3,
 		Params: DefaultParams()}, false)

@@ -3,7 +3,6 @@ package metrics
 import (
 	"math"
 
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -19,15 +18,8 @@ type RunSummary struct {
 	// Reached and Counted tally the non-excluded Users that reached the
 	// target version before the deadline, and all non-excluded Users.
 	Reached, Counted int
-	// Window is the recovery-window length min(t_allConsistent, D) − C.
-	Window sim.Duration
 	// Resp holds the per-User responsiveness samples 1 − L.
 	Resp []float64
-}
-
-// Summarize digests one run into the retained per-cell form.
-func Summarize(r RunResult) RunSummary {
-	return SummarizeInto(r, nil)
 }
 
 // SummarizeInto digests one run, appending the responsiveness samples to
@@ -35,9 +27,6 @@ func Summarize(r RunResult) RunSummary {
 // repeated summarization into the same cell slot reuses its storage.
 func SummarizeInto(r RunResult, resp []float64) RunSummary {
 	s := RunSummary{Effort: r.Effort, Resp: r.AppendResponsivenesses(resp)}
-	end := r.Deadline
-	all := true
-	var last sim.Time
 	for _, u := range r.Users {
 		if u.Excluded {
 			continue
@@ -46,22 +35,7 @@ func SummarizeInto(r RunResult, resp []float64) RunSummary {
 		if u.Reached && u.At < r.Deadline {
 			s.Reached++
 		}
-		if !u.Reached {
-			all = false
-			continue
-		}
-		if u.At > last {
-			last = u.At
-		}
 	}
-	if s.Counted == 0 {
-		// Every User churned out: there was no recovery to measure.
-		return s
-	}
-	if all {
-		end = last
-	}
-	s.Window = end - r.ChangeAt
 	return s
 }
 
@@ -83,16 +57,6 @@ func NewCell(lambda float64, runs int) *Cell {
 		runs = 0
 	}
 	return &Cell{Lambda: lambda, perRun: make([]RunSummary, runs), have: make([]bool, runs)}
-}
-
-// Add slots one run's summary at its run index.
-func (c *Cell) Add(run int, s RunSummary) {
-	c.grow(run)
-	if !c.have[run] {
-		c.filled++
-	}
-	c.perRun[run] = s
-	c.have[run] = true
 }
 
 // AddResult summarizes one run straight into its slot, recycling the
@@ -132,23 +96,6 @@ func (c *Cell) MinPositiveEffort() int {
 		return 1
 	}
 	return min
-}
-
-// AvgWindow reports the mean recovery-window length across the cell's
-// runs, 0 when empty.
-func (c *Cell) AvgWindow() sim.Duration {
-	var sum sim.Duration
-	n := 0
-	for i, s := range c.perRun {
-		if c.have[i] {
-			sum += s.Window
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / sim.Duration(n)
 }
 
 // Point aggregates the cell into the paper's metrics. m is the global

@@ -7,9 +7,8 @@ import (
 	"repro/internal/sim"
 )
 
-// A run whose Users all churned out must not report a negative recovery
-// window (regression: all-excluded runs left end=0 with end−C < 0) and
-// aggregates to "no data", not zero effectiveness.
+// A run whose Users all churned out counts no Users and aggregates to
+// "no data", not zero effectiveness.
 func TestSummarizeAllExcluded(t *testing.T) {
 	r := RunResult{
 		ChangeAt: 100 * sim.Second,
@@ -20,29 +19,23 @@ func TestSummarizeAllExcluded(t *testing.T) {
 			{User: 2, Excluded: true},
 		},
 	}
-	s := Summarize(r)
+	s := SummarizeInto(r, nil)
 	if s.Counted != 0 || s.Reached != 0 {
 		t.Errorf("counted/reached = %d/%d, want 0/0", s.Counted, s.Reached)
-	}
-	if s.Window < 0 {
-		t.Errorf("window = %v, want non-negative", s.Window)
 	}
 	if len(s.Resp) != 0 {
 		t.Errorf("excluded users produced %d responsiveness samples", len(s.Resp))
 	}
 	c := NewCell(0, 1)
-	c.Add(0, s)
-	if c.AvgWindow() < 0 {
-		t.Errorf("AvgWindow = %v, want non-negative", c.AvgWindow())
-	}
+	c.AddResult(0, r)
 	p := c.Point(7, 7)
 	if !math.IsNaN(p.Effectiveness) {
 		t.Errorf("all-excluded effectiveness = %v, want NaN", p.Effectiveness)
 	}
 }
 
-// A mixed run keeps the window semantics of the pre-churn code: all
-// counted Users reached ⇒ window ends at the last consistency time.
+// A mixed run counts only the Users that stayed, and reached only those
+// consistent before the deadline.
 func TestSummarizeWindowMixedExclusion(t *testing.T) {
 	r := RunResult{
 		ChangeAt: 100 * sim.Second,
@@ -53,17 +46,13 @@ func TestSummarizeWindowMixedExclusion(t *testing.T) {
 			{User: 3, Reached: true, At: 140 * sim.Second},
 		},
 	}
-	s := Summarize(r)
+	s := SummarizeInto(r, nil)
 	if s.Counted != 2 || s.Reached != 2 {
 		t.Fatalf("counted/reached = %d/%d, want 2/2", s.Counted, s.Reached)
 	}
-	if s.Window != 40*sim.Second {
-		t.Errorf("window = %v, want 40s", s.Window)
-	}
-	// An unreached counted User pins the window to the deadline.
 	r.Users[2] = UserOutcome{User: 3, Reached: false}
-	if s := Summarize(r); s.Window != 5300*sim.Second {
-		t.Errorf("unreached window = %v, want 5300s", s.Window)
+	if s := SummarizeInto(r, nil); s.Counted != 2 || s.Reached != 1 {
+		t.Errorf("unreached: counted/reached = %d/%d, want 2/1", s.Counted, s.Reached)
 	}
 }
 

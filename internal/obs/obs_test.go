@@ -371,15 +371,20 @@ func TestSnapshotAndJSON(t *testing.T) {
 		t.Fatalf("lat not a summary object: %v", back["lat"])
 	}
 
-	// The file sink writes the same bytes, and reports a failed create.
+	// The file sink writes the same bytes, "-" writes them to the given
+	// stdout, and a failed create is reported.
 	path := filepath.Join(t.TempDir(), "telemetry.json")
-	if err := r.WriteJSONFile(path); err != nil {
+	if err := r.WriteJSONFile(path, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, buf.Bytes()) {
 		t.Errorf("WriteJSONFile wrote %q (%v), want %q", got, err, buf.Bytes())
 	}
-	if err := r.WriteJSONFile(filepath.Join(path, "sub.json")); err == nil {
+	var out bytes.Buffer
+	if err := r.WriteJSONFile("-", &out); err != nil || !bytes.Equal(out.Bytes(), buf.Bytes()) {
+		t.Errorf("WriteJSONFile(-) wrote %q (%v), want %q", out.Bytes(), err, buf.Bytes())
+	}
+	if err := r.WriteJSONFile(filepath.Join(path, "sub.json"), nil); err == nil {
 		t.Error("WriteJSONFile under a regular file succeeded")
 	}
 }

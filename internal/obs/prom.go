@@ -159,9 +159,9 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 
 // WriteJSONFile writes the WriteJSON dump to the file at path, or to
 // stdout for "-": the one -telemetry sink of every binary.
-func (r *Registry) WriteJSONFile(path string) error {
+func (r *Registry) WriteJSONFile(path string, stdout io.Writer) error {
 	if path == "-" {
-		return r.WriteJSON(os.Stdout)
+		return r.WriteJSON(stdout)
 	}
 	f, err := os.Create(path)
 	if err != nil {

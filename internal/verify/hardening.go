@@ -4,29 +4,33 @@ import (
 	"fmt"
 
 	"repro/internal/experiment"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
+
+// HardeningFixes names, in ScenarioSpec's JSON, the fields
+// FigureHardening sets itself: the hostile mix's link, partitions, churn
+// and duration, and both hardening modes. A design that sets one would
+// be overwritten, so sdsweep refuses it.
+var HardeningFixes = []string{"link", "hardened", "partitions", "churn", "duration_sec"}
 
 // FigureHardening compares each system baseline-vs-hardened under the
 // hunted fault envelope: the λ/partition/burst-loss/heavy-tail/churn mix
 // the chaos hunter found violations in. For every system it reports the
 // zero-failure effort m′ (one clean run per mode — hardening must not
-// tax the fault-free path), then the hostile-mix averages: update
-// effectiveness F, mean counted effort ȳ, total oracle violations, and
-// the worst RenewAck lateness past lease expiry (the purge-latency tail
-// the strict-lease mechanism bounds). The runs go through
-// experiment.Pool on workers goroutines (0 means GOMAXPROCS).
-func FigureHardening(base experiment.Params, runs, workers int, progress func(done, total int)) experiment.Table {
-	if runs <= 0 {
-		runs = 5
-	}
+// tax the fault-free path), then the hostile-mix averages over base.Runs
+// (at least 1) runs: update effectiveness F, mean counted effort ȳ,
+// total oracle violations, and the worst RenewAck lateness past lease
+// expiry (the purge-latency tail the strict-lease mechanism bounds). The
+// runs are one spec list audited on workers goroutines (0 means
+// GOMAXPROCS).
+func FigureHardening(base experiment.Params, workers int, progress func(done, total int)) experiment.Table {
+	runs := base.Runs
 
 	// The hostile mix, drawn from the hunted corpus: a mid-run bisection
 	// (exercising the single-central probe), bursty loss over heavy-tailed
 	// reordered delivery, churn (retired-silence), and a high interface
 	// failure rate. Duration leaves HealSlack after the heal so the probe
-	// always runs.
+	// always runs. It overwrites the HardeningFixes fields of the design.
 	mix := experiment.ScenarioSpec{
 		Lambda:      0.6,
 		DurationSec: 9300,
@@ -38,55 +42,49 @@ func FigureHardening(base experiment.Params, runs, workers int, progress func(do
 	hostile, mp, hostileOpts := base, mix.Params(), mix.Options()
 	hostile.RunDuration, hostile.Partitions, hostile.Churn = mp.RunDuration, mp.Partitions, mp.Churn
 
+	// Per system and mode: the m′ run — the zero-failure, fault-free
+	// effort of §4.5 — then the hostile runs.
+	systems := experiment.Systems()
+	var specs []experiment.RunSpec
+	for _, sys := range systems {
+		for _, hardened := range []bool{false, true} {
+			specs = append(specs, experiment.RunSpec{System: sys, Seed: base.BaseSeed, Params: base,
+				Opts: experiment.Options{Hardened: hardened}})
+			opts := hostileOpts
+			opts.Hardened = hardened
+			for k := range runs {
+				specs = append(specs, experiment.RunSpec{System: sys, Lambda: mix.Lambda, Seed: base.BaseSeed + int64(k),
+					Params: hostile, Opts: opts})
+			}
+		}
+	}
+
 	type cell struct {
 		mprime, reached, included, effort, viol int
 		maxLate                                 sim.Duration
 	}
-	systems := experiment.Systems()
 	cells := make([][2]cell, len(systems)) // per system: baseline, hardened
-	// Each (system, mode) runs job k = 0, its m′, then the hostile runs.
-	perMode := 1 + runs
-	jobOf := func(i int) (sys, mode, k int) { return i / (2 * perMode), i / perMode % 2, i % perMode }
-	type outcome struct {
-		rep OracleReport
-		res metrics.RunResult
-	}
-	observe := func(i int) outcome {
-		s, mode, k := jobOf(i)
-		// m′: the zero-failure, fault-free effort of §4.5.
-		spec := experiment.RunSpec{System: systems[s], Seed: base.BaseSeed, Params: base}
-		if k > 0 {
-			spec = experiment.RunSpec{System: systems[s], Lambda: mix.Lambda, Seed: base.BaseSeed + int64(k-1),
-				Params: hostile, Opts: hostileOpts}
-		}
-		spec.Opts.Hardened = mode == 1
-		rep, res := ObserveRun(spec, DefaultOracleConfig(systems[s]))
-		return outcome{rep, res}
-	}
-	total, done := len(systems)*2*perMode, 0
-	experiment.Pool(total, workers, func() func(int) outcome { return observe }, func(i int, o outcome) {
-		s, mode, k := jobOf(i)
-		c := &cells[s][mode]
-		if k == 0 {
-			c.mprime = o.res.Effort
-		} else {
-			for _, u := range o.res.Users {
-				if !u.Excluded {
-					c.included++
-					if u.Reached {
-						c.reached++
+	next := Audit(specs, workers, progress)
+	for s := range systems {
+		for mode := range 2 {
+			c := &cells[s][mode]
+			c.mprime = next[0].Run.Effort
+			for _, a := range next[1 : 1+runs] {
+				for _, u := range a.Run.Users {
+					if !u.Excluded {
+						c.included++
+						if u.Reached {
+							c.reached++
+						}
 					}
 				}
+				c.effort += a.Run.Effort
+				c.viol += a.Report.Total
+				c.maxLate = max(c.maxLate, a.Report.MaxPurgeLate)
 			}
-			c.effort += o.res.Effort
-			c.viol += o.rep.Total
-			c.maxLate = max(c.maxLate, o.rep.MaxPurgeLate)
+			next = next[1+runs:]
 		}
-		done++
-		if progress != nil {
-			progress(done, total)
-		}
-	})
+	}
 
 	t := experiment.Table{
 		Title: fmt.Sprintf("Hardening layer: baseline vs hardened under the hunted fault mix (λ=%.2f, %d runs)",

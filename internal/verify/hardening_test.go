@@ -15,7 +15,9 @@ import (
 // fault-free path (λ=0 draws no extra RNG, sends no extra frames).
 func TestFigureHardeningShapeAndFaultFreeParity(t *testing.T) {
 	var calls, lastDone, lastTotal int
-	tbl := FigureHardening(experiment.DefaultParams(), 1, 8, func(done, total int) {
+	p := experiment.DefaultParams()
+	p.Runs = 1
+	tbl := FigureHardening(p, 8, func(done, total int) {
 		calls++
 		lastDone, lastTotal = done, total
 	})

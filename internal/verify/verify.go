@@ -3,11 +3,12 @@
 // regain consistency with the Manager after the service changes",
 // provided connectivity is restored.
 //
-// The checker enumerates a grid of single-outage scenarios — which
-// role fails, which interface(s), when, and for how long — always
-// leaving ample time after recovery, runs each as a ScenarioSpec under
-// the run-time oracle, and reports every scenario in which a User still
-// holds a stale description at the end, and every one the oracle flags.
+// The checker lists a grid of single-outage scenarios — which role
+// fails, which interface(s), when, and for how long — always leaving
+// ample time after recovery, as ScenarioSpecs, audits them in parallel
+// under the run-time oracle, and reports every scenario in which a User
+// still holds a stale description at the end, and every one the oracle
+// flags.
 // The paper's companion work [24] proved FRODO satisfies the principles
 // and [8] reports that first-generation systems do not; the checker
 // reproduces both findings empirically (see the tests and EXPERIMENTS.md).
@@ -17,6 +18,7 @@ import (
 	"fmt"
 
 	"repro/internal/experiment"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
@@ -38,31 +40,37 @@ const (
 	gridSeed = 1
 )
 
-// GridConfig bounds the scenario enumeration.
-type GridConfig struct {
-	// Starts and Durations enumerate the outage windows.
-	Starts    []sim.Time
-	Durations []sim.Duration
-	// Modes enumerates the outage modes: tx, rx or both.
-	Modes []string
-	// Targets enumerates the failed roles (experiment.Scenario.RoleNode);
-	// a role the system lacks, such as a Registry on UPnP, is skipped.
-	Targets []string
-	// Harden runs every grid scenario with the protocol-hardening layer
-	// on; false checks the paper-faithful baseline.
-	Harden bool
-}
-
-// DefaultGrid covers outages across the change with all modes and
-// targets: 3 starts x 4 durations x 3 modes x up-to-3 targets = up to
-// 108 scenarios per system.
-func DefaultGrid() GridConfig {
-	return GridConfig{
-		Starts:    []sim.Time{400 * sim.Second, 990 * sim.Second, 2000 * sim.Second},
-		Durations: []sim.Duration{300 * sim.Second, 900 * sim.Second, 2000 * sim.Second, 4000 * sim.Second},
-		Modes:     []string{"tx", "rx", "both"},
-		Targets:   []string{"user:0", "manager", "registry:0"},
+// Grid is the single-outage scenario grid: one ScenarioSpec per cell,
+// role-major, then outage start, duration and mode — 3 targets x 3
+// starts x 4 durations x 3 modes, less the windows that would leave no
+// GridRecoverySlack before the horizon: 108 cells. harden runs every
+// cell with the protocol-hardening layer on; false checks the
+// paper-faithful baseline. A cell whose role a system lacks, such as a
+// Registry on UPnP, is skipped by Check.
+func Grid(harden bool) []experiment.ScenarioSpec {
+	var cells []experiment.ScenarioSpec
+	for _, role := range []string{"user:0", "manager", "registry:0"} {
+		for _, start := range []sim.Time{400 * sim.Second, 990 * sim.Second, 2000 * sim.Second} {
+			for _, dur := range []sim.Duration{300 * sim.Second, 900 * sim.Second, 2000 * sim.Second, 4000 * sim.Second} {
+				// Leave the mandated slack after recovery.
+				if start+dur+GridRecoverySlack > GridHorizon {
+					continue
+				}
+				for _, mode := range []string{"tx", "rx", "both"} {
+					cells = append(cells, experiment.ScenarioSpec{
+						Seed:         gridSeed,
+						DurationSec:  GridHorizon.Sec(),
+						ChangeMinSec: GridChangeAt.Sec(),
+						ChangeMaxSec: GridChangeAt.Sec(),
+						Outages: []experiment.SpecOutage{{Node: role, Mode: mode,
+							StartSec: start.Sec(), DurationSec: sim.Time(dur).Sec()}},
+						Hardened: harden,
+					})
+				}
+			}
+		}
 	}
+	return cells
 }
 
 // Violation is one scenario in which a User failed to regain consistency
@@ -110,50 +118,61 @@ type Result struct {
 // User stale at the horizon. Oracle breaches are reported beside it.
 func (r Result) Holds() bool { return len(r.Violations) == 0 }
 
-// Check runs the grid for one system: one ScenarioSpec per cell, each
-// audited by ObserveRun — the path `sdverify -scenario` and the chaos
-// hunter take — and judged by whether every User holds the changed
-// description at the horizon. The oracle's report of every cell is
-// kept in Result.Oracle and Result.Breaches.
-func Check(sys experiment.System, grid GridConfig) Result {
-	res := Result{System: sys}
-	for _, role := range grid.Targets {
-		for _, start := range grid.Starts {
-			for _, dur := range grid.Durations {
-				// Leave the mandated slack after recovery.
-				if start+dur+GridRecoverySlack > GridHorizon {
-					continue
-				}
-				for _, mode := range grid.Modes {
-					spec := experiment.ScenarioSpec{
-						Seed:         gridSeed,
-						DurationSec:  GridHorizon.Sec(),
-						ChangeMinSec: GridChangeAt.Sec(),
-						ChangeMaxSec: GridChangeAt.Sec(),
-						Outages: []experiment.SpecOutage{{Node: role, Mode: mode,
-							StartSec: start.Sec(), DurationSec: sim.Time(dur).Sec()}},
-						Hardened: grid.Harden,
-					}
-					if err := spec.Validate(); err != nil {
-						panic(fmt.Sprintf("verify: grid cell: %v", err))
-					}
-					if spec.Params().CheckOutages(sys) != nil {
-						continue // the system lacks the role
-					}
-					res.Scenarios++
-					rep, run := ObserveRun(spec.RunSpec(sys), DefaultOracleConfig(sys))
-					if !rep.Clean() {
-						res.Breaches = append(res.Breaches, Breach{System: sys, Spec: spec, Report: rep})
-					}
-					for i, n := range rep.ByInvariant {
-						res.Oracle[i] += n
-					}
-					for _, u := range run.Users {
-						if !u.Reached {
-							res.Violations = append(res.Violations, Violation{System: sys, Spec: spec, User: u.User})
-						}
-					}
-				}
+// Audited is one audited run: the oracle's report and the run's metrics.
+type Audited struct {
+	Report OracleReport
+	Run    metrics.RunResult
+}
+
+// Audit runs every spec through ObserveRun under its system's default
+// oracle on experiment.Pool with workers goroutines (0 means
+// GOMAXPROCS), and returns the audits in spec order. progress, when
+// set, is called after each completed run.
+func Audit(specs []experiment.RunSpec, workers int, progress func(done, total int)) []Audited {
+	out := make([]Audited, len(specs))
+	done := 0
+	experiment.Pool(len(specs), workers, func() func(int) Audited {
+		return func(i int) Audited {
+			rep, res := ObserveRun(specs[i], DefaultOracleConfig(specs[i].System))
+			return Audited{rep, res}
+		}
+	}, func(i int, a Audited) {
+		out[i] = a
+		done++
+		if progress != nil {
+			progress(done, len(specs))
+		}
+	})
+	return out
+}
+
+// Check audits the grid cells for one system: each cell whose roles the
+// system has is one spec audited by ObserveRun — the path `sdverify
+// -scenario` and the chaos hunter take — on GOMAXPROCS workers, and
+// judged by whether every User holds the changed description at the
+// horizon. The oracle's report of every cell is kept in Result.Oracle
+// and Result.Breaches.
+func Check(sys experiment.System, cells []experiment.ScenarioSpec) Result {
+	var kept []experiment.ScenarioSpec
+	var specs []experiment.RunSpec
+	for _, spec := range cells {
+		if spec.Params().CheckOutages(sys) == nil {
+			kept = append(kept, spec)
+			specs = append(specs, spec.RunSpec(sys))
+		}
+	}
+	res := Result{System: sys, Scenarios: len(kept)}
+	for i, a := range Audit(specs, 0, nil) {
+		spec := kept[i]
+		if !a.Report.Clean() {
+			res.Breaches = append(res.Breaches, Breach{System: sys, Spec: spec, Report: a.Report})
+		}
+		for inv, n := range a.Report.ByInvariant {
+			res.Oracle[inv] += n
+		}
+		for _, u := range a.Run.Users {
+			if !u.Reached {
+				res.Violations = append(res.Violations, Violation{System: sys, Spec: spec, User: u.User})
 			}
 		}
 	}

@@ -16,7 +16,7 @@ import (
 // provides guarantees" [24].
 func TestFrodoSatisfiesConfigurationUpdatePrinciples(t *testing.T) {
 	for _, sys := range []experiment.System{experiment.Frodo3P, experiment.Frodo2P} {
-		res := Check(sys, DefaultGrid())
+		res := Check(sys, Grid(false))
 		if res.Scenarios == 0 {
 			t.Fatalf("%v: empty grid", sys)
 		}
@@ -37,7 +37,7 @@ func TestFrodoSatisfiesConfigurationUpdatePrinciples(t *testing.T) {
 // guarantees of correct behavior").
 func TestFirstGenerationSystemsViolatePrinciples(t *testing.T) {
 	for _, sys := range []experiment.System{experiment.UPnP, experiment.Jini1, experiment.Jini2} {
-		res := Check(sys, DefaultGrid())
+		res := Check(sys, Grid(false))
 		if res.Holds() {
 			t.Errorf("%v: expected guarantee violations, found none in %d scenarios",
 				sys, res.Scenarios)
@@ -58,8 +58,7 @@ func TestDefaultGridCounts(t *testing.T) {
 		experiment.Frodo2P: {108, 0},
 	}
 	for _, harden := range []bool{false, true} {
-		grid := DefaultGrid()
-		grid.Harden = harden
+		grid := Grid(harden)
 		for _, sys := range experiment.Systems() {
 			res := Check(sys, grid)
 			if got := [2]int{res.Scenarios, len(res.Violations)}; got != want[sys] {
@@ -77,8 +76,7 @@ func TestDefaultGridCounts(t *testing.T) {
 // hardened grid stay clean.
 func TestDefaultGridOracleCounts(t *testing.T) {
 	for _, harden := range []bool{false, true} {
-		grid := DefaultGrid()
-		grid.Harden = harden
+		grid := Grid(harden)
 		for _, sys := range experiment.Systems() {
 			var want [numInvariants]int
 			wantCells := 0
@@ -102,7 +100,7 @@ func TestDefaultGridOracleCounts(t *testing.T) {
 // (the §6.2 scenario generalized). The violating scenarios must include
 // an outage overlapping the change with the subscription surviving.
 func TestUPnPViolationsIncludeMissedNotificationClass(t *testing.T) {
-	res := Check(experiment.UPnP, DefaultGrid())
+	res := Check(experiment.UPnP, Grid(false))
 	found := false
 	for _, v := range res.Violations {
 		o := v.Spec.Outages[0]
@@ -122,7 +120,7 @@ func TestUPnPViolationsIncludeMissedNotificationClass(t *testing.T) {
 // run through ObserveRun — what `sdverify -scenario` does with the file —
 // it leaves the same User stale.
 func TestGridViolationReplaysFromItsSpec(t *testing.T) {
-	res := Check(experiment.UPnP, DefaultGrid())
+	res := Check(experiment.UPnP, Grid(false))
 	if res.Holds() {
 		t.Fatal("no UPnP violation to replay")
 	}
@@ -143,25 +141,48 @@ func TestGridViolationReplaysFromItsSpec(t *testing.T) {
 	}
 }
 
+// The grid lists 108 cells, 36 per role; a system that lacks a role
+// skips its cells, so UPnP, without a Registry, runs 72.
 func TestGridSkipsRegistryTargetForUPnP(t *testing.T) {
-	grid := DefaultGrid()
-	grid.Targets = []string{"registry:0"}
-	res := Check(experiment.UPnP, grid)
-	if res.Scenarios != 0 {
+	var registry []experiment.ScenarioSpec
+	for _, c := range Grid(false) {
+		if c.Outages[0].Node == "registry:0" {
+			registry = append(registry, c)
+		}
+	}
+	if len(registry) != 36 {
+		t.Fatalf("%d registry:0 cells, want 36", len(registry))
+	}
+	if res := Check(experiment.UPnP, registry); res.Scenarios != 0 {
 		t.Errorf("UPnP has no registry; %d scenarios ran", res.Scenarios)
 	}
-	if res = Check(experiment.Jini1, grid); res.Scenarios != 36 {
+	if res := Check(experiment.Jini1, registry); res.Scenarios != 36 {
 		t.Errorf("Jini-1's registry:0 ran %d scenarios, want 36", res.Scenarios)
+	}
+	if res := Check(experiment.UPnP, Grid(false)); res.Scenarios != 72 {
+		t.Errorf("UPnP ran %d scenarios, want 72", res.Scenarios)
 	}
 }
 
+// Every cell is a valid spec that ends its outage by GridHorizon −
+// GridRecoverySlack, so "eventually" has room, and carries the mode
+// asked for.
 func TestGridRespectsRecoverySlack(t *testing.T) {
-	grid := DefaultGrid()
-	grid.Durations = append(grid.Durations, GridHorizon) // never fits
-	res := Check(experiment.Frodo3P, grid)
-	for _, v := range res.Violations {
-		if o := v.Spec.Outages[0]; o.StartSec+o.DurationSec+4200 > 12000 {
-			t.Errorf("scenario without recovery slack was checked: %v", v)
+	for _, harden := range []bool{false, true} {
+		cells := Grid(harden)
+		if len(cells) != 108 {
+			t.Errorf("hardened=%v: %d cells, want 108", harden, len(cells))
+		}
+		for _, c := range cells {
+			if err := c.Validate(); err != nil {
+				t.Errorf("invalid cell %+v: %v", c, err)
+			}
+			if o := c.Outages[0]; o.StartSec+o.DurationSec > (GridHorizon - GridRecoverySlack).Sec() {
+				t.Errorf("cell without recovery slack: %+v", o)
+			}
+			if c.Hardened != harden || c.DurationSec != GridHorizon.Sec() {
+				t.Errorf("cell %+v: hardened %v, duration %v", c, c.Hardened, c.DurationSec)
+			}
 		}
 	}
 }
