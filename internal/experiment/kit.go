@@ -134,17 +134,18 @@ func newKit(sys System, opts Options) kit {
 			cfg.NotifyRetry.Cap = core.HardenedRetryCap
 			cfg.ControlRetry.Cap = core.HardenedRetryCap
 		}
+		fleet := frodo.NewFleet(cfg)
 		return kit{
 			registry: func(n *netsim.Node, i int) rearmable {
-				return frodo.NewNode(n, &cfg, frodo.Class300D, registryPower(i))
+				return fleet.NewNode(n, frodo.Class300D, registryPower(i))
 			},
 			manager: func(n *netsim.Node, sd discovery.ServiceDescription) manager {
-				mn := frodo.NewNode(n, &cfg, mgrClass, 5)
+				mn := fleet.NewNode(n, mgrClass, 5)
 				mn.AttachManager(sd)
 				return frodoManager{mn}
 			},
 			user: func(n *netsim.Node, q discovery.Query, l discovery.ConsistencyListener) user {
-				un := frodo.NewNode(n, &cfg, userClass, 1)
+				un := fleet.NewNode(n, userClass, 1)
 				un.AttachUser(q, l)
 				return frodoUser{un}
 			},

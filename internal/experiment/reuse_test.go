@@ -132,7 +132,12 @@ func TestWorkspaceReleasesPreviousScenario(t *testing.T) {
 	p := DefaultParams()
 	p.Topology = Topology{Users: 2000}
 	_, sc := runInWorkspace(ws, RunSpec{System: Frodo2P, Seed: 1, Params: p})
-	first := weak.Make(sc.Net.Node(sc.UserIDs[0]).Endpoint().(*frodo.Node))
+	nd := frodo.NodeOf(sc.Net.Node(sc.UserIDs[0]).Endpoint())
+	if nd == nil {
+		t.Fatal("the first User's endpoint is not a FRODO device")
+	}
+	first := weak.Make(nd)
+	nd = nil
 	sc = nil
 
 	small := DefaultParams()

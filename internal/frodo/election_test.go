@@ -209,11 +209,11 @@ func backupByLastPower(self netsim.NodeID, known map[netsim.NodeID]int) netsim.N
 	return best
 }
 
-// The running (power, id) maximum must pick the Backup the map rule
-// picked, after every prefix of any candidacy stream the harness can
+// The ballot's running (power, id) maximum must pick the Backup the map
+// rule picked, after every prefix of any candidacy stream the harness can
 // produce: repeats, ties in power, the node's own ID turning up, and a
 // slot re-announcing under a new, stronger tenant. (A slot re-announcing
-// WEAKER is outside the invariant — see backupCandidate — and is where
+// WEAKER is outside the invariant — see ballot.onCandidate — and is where
 // the two rules would part.)
 func TestBackupCandidateMatchesLastPowerMap(t *testing.T) {
 	type candidacy struct {
@@ -223,12 +223,12 @@ func TestBackupCandidateMatchesLastPowerMap(t *testing.T) {
 	check := func(t *testing.T, self netsim.NodeID, stream []candidacy) {
 		t.Helper()
 		known := map[netsim.NodeID]int{}
-		pick := noBackupCandidate
+		b := ballot{self: int32(self), pick: noCandidate, best: noCandidate}
 		for i, c := range stream {
 			known[c.from] = c.power
-			pick.note(self, c.from, c.power)
-			if want := backupByLastPower(self, known); pick.id != want {
-				t.Fatalf("after %d candidacies %v: running pick %d, map rule %d", i+1, stream[:i+1], pick.id, want)
+			b.onCandidate(c.from, uint64(c.power))
+			if want := backupByLastPower(self, known); b.backupPick() != want {
+				t.Fatalf("after %d candidacies %v: running pick %d, map rule %d", i+1, stream[:i+1], b.backupPick(), want)
 			}
 		}
 	}
@@ -270,15 +270,15 @@ func TestBackupCandidateMatchesLastPowerMap(t *testing.T) {
 func TestRearmForgetsBackupCandidate(t *testing.T) {
 	r := newElectionRig(6, 80, 60, 10)
 	r.k.Run(120 * sim.Second)
-	if got := r.nodes[0].backupPick; got.id != r.nodes[1].ID() || got.power != 60 {
+	if got := r.nodes[0].rec.pick; got.id != int32(r.nodes[1].ID()) || got.power != 60 {
 		t.Fatalf("Central's Backup candidate is %+v, want the power-60 node %d", got, r.nodes[1].ID())
 	}
 	r.k.Reset(6)
 	r.nw.Rearm(r.k, netsim.DefaultConfig(), len(r.nodes))
 	for _, nd := range r.nodes {
 		nd.Rearm()
-		if nd.backupPick != noBackupCandidate {
-			t.Errorf("node %d kept Backup candidate %+v across Rearm", nd.ID(), nd.backupPick)
+		if nd.rec.pick != noCandidate {
+			t.Errorf("node %d kept Backup candidate %+v across Rearm", nd.ID(), nd.rec.pick)
 		}
 	}
 }

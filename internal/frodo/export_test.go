@@ -4,3 +4,9 @@ package frodo
 // node's constructor did before the capability became lazy. Test-only:
 // TestLazyRegistryMatchesEager keeps eager construction as the reference.
 func (nd *Node) EnsureRegistry() { nd.ensureRegistry() }
+
+// BallotBits reports the two bits the node's ballot mirrors, and the
+// Node's own running bit.
+func (nd *Node) BallotBits() (central, running, nodeRunning bool) {
+	return nd.rec.central, nd.rec.running, nd.running
+}

@@ -11,25 +11,30 @@ import (
 	"repro/internal/sim"
 )
 
-// eachFrodoNode visits every FRODO device of a built scenario.
-func eachFrodoNode(sc *experiment.Scenario, fn func(*frodo.Node)) {
+// eachFrodoNode visits every FRODO device of a built scenario and
+// reports how many it visited.
+func eachFrodoNode(sc *experiment.Scenario, fn func(*frodo.Node)) (visited int) {
 	for _, id := range sc.AllNodeIDs() {
-		if nd, ok := sc.Net.Node(id).Endpoint().(*frodo.Node); ok {
+		if nd := frodo.NodeOf(sc.Net.Node(id).Endpoint()); nd != nil {
 			fn(nd)
+			visited++
 		}
 	}
+	return visited
 }
 
 // eagerRegistries is construction as it was before the Registry
 // capability became lazy, kept as a test-only reference: every 300D node
 // of the freshly built (or rearmed) boot population gets its RegistryRole
-// up front, elected or not.
-func eagerRegistries(sc *experiment.Scenario) {
+// up front, elected or not. It reports how many it gave one.
+func eagerRegistries(sc *experiment.Scenario) (eager int) {
 	eachFrodoNode(sc, func(nd *frodo.Node) {
 		if nd.Class() == frodo.Class300D {
 			nd.EnsureRegistry()
+			eager++
 		}
 	})
+	return eager
 }
 
 // lazySpec is the paper's 5400 s design with 40 Users under λ interface
@@ -74,7 +79,8 @@ func TestLazyRegistryMatchesEager(t *testing.T) {
 					name := fmt.Sprintf("%s/harden=%v/%s/seed%d", sys.Short(), harden, dynamics, seed)
 					lazy := lazySpec(sys, dynamics, seed, harden)
 					eager := lazy
-					eager.Attach = eagerRegistries
+					eagerNodes := 0
+					eager.Attach = func(sc *experiment.Scenario) { eagerNodes += eagerRegistries(sc) }
 					// atBuild counts the capabilities that exist when a run
 					// starts: none on a cold build; on a rearm, what the
 					// previous run's elections and failures materialised.
@@ -95,6 +101,9 @@ func TestLazyRegistryMatchesEager(t *testing.T) {
 						}
 					}
 					check("eager rearmed", experiment.RunInto(eagerWS, eager))
+					if eagerNodes == 0 {
+						t.Fatalf("%s: the eager reference gave no node a Registry capability", name)
+					}
 					check("lazy cold", experiment.RunInto(lazyWS, lazy))
 					if atBuild != 0 {
 						t.Errorf("%s: %d Registry capabilities exist before the first election", name, atBuild)
@@ -112,3 +121,72 @@ func TestLazyRegistryMatchesEager(t *testing.T) {
 		}
 	}
 }
+
+// The ballot mirrors two bits of its Node, which stays authoritative: the
+// Central bit is IsCentral and the running bit the Node's own. After
+// every delivery of every lazy-equivalence arm — churn, a flash crowd, a
+// bisect partition, rack failures, Backup takeovers at λ = 0.6, hardened
+// or not, cold and rearmed — the receiver's record agrees with its Node.
+func TestBallotMirrorsNode(t *testing.T) {
+	for _, sys := range []experiment.System{experiment.Frodo3P, experiment.Frodo2P} {
+		for _, harden := range []bool{false, true} {
+			for _, dynamics := range []string{"static", "takeover", "churn", "churn+flash+bisect+racks"} {
+				name := fmt.Sprintf("%s/harden=%v/%s", sys.Short(), harden, dynamics)
+				spec := lazySpec(sys, dynamics, 42, harden)
+				checked, centrals := 0, 0
+				var mirror *mirrorCheck
+				spec.Attach = func(sc *experiment.Scenario) {
+					mirror = &mirrorCheck{t: t, name: name, nw: sc.Net, prev: netsim.NoNode}
+					sc.AddTracer(mirror)
+				}
+				ws := experiment.NewWorkspace()
+				for range 2 {
+					experiment.RunInto(ws, spec)
+					mirror.check(mirror.prev)
+					checked += mirror.checked
+					centrals += mirror.centrals
+				}
+				if checked == 0 || centrals == 0 {
+					t.Errorf("%s: checked %d deliveries, %d of them to a Central", name, checked, centrals)
+				}
+			}
+		}
+	}
+}
+
+// mirrorCheck checks the receiver of each delivery once the delivery has
+// been handled: at the next delivery, or at the end of the run.
+type mirrorCheck struct {
+	t                 *testing.T
+	name              string
+	nw                *netsim.Network
+	prev              netsim.NodeID
+	checked, centrals int
+}
+
+func (m *mirrorCheck) check(id netsim.NodeID) {
+	if id == netsim.NoNode {
+		return
+	}
+	nd := frodo.NodeOf(m.nw.Node(id).Endpoint())
+	if nd == nil {
+		return // retired since
+	}
+	central, running, nodeRunning := nd.BallotBits()
+	if central != nd.IsCentral() || running != nodeRunning {
+		m.t.Fatalf("%s: node %d at %v: ballot central=%v running=%v, Node central=%v running=%v",
+			m.name, id, m.nw.Kernel().Now(), central, running, nd.IsCentral(), nodeRunning)
+	}
+	m.checked++
+	if central {
+		m.centrals++
+	}
+}
+
+func (m *mirrorCheck) MessageDelivered(_ sim.Time, msg *netsim.Message) {
+	m.check(m.prev)
+	m.prev = msg.To
+}
+func (m *mirrorCheck) MessageSent(sim.Time, *netsim.Message)            {}
+func (m *mirrorCheck) MessageDropped(sim.Time, *netsim.Message, string) {}
+func (m *mirrorCheck) NodeEvent(sim.Time, netsim.NodeID, string)        {}

@@ -15,16 +15,16 @@ import (
 // announce their presence until the Central is found; 300D nodes carry
 // Registry capability and take part in the Central election.
 //
-// A Node is one allocation: the election state and every timer are
-// embedded, the configuration is shared with every other node of the
-// build, and the Registry capability materialises only on the nodes that
-// come to need it (ensureRegistry).
+// A Node is one allocation: every timer is embedded, the configuration is
+// shared with every other node of the build, the election record sits in
+// the build's Fleet, and the Registry capability materialises only on the
+// nodes that come to need it (ensureRegistry).
 type Node struct {
-	// The first cache line holds what the two O(N²) receive paths read —
-	// an election candidacy (n for the own ID, backupPick, registry,
-	// elector) and a multicast search (manager) — so a delivery that ends
-	// in "not for me" touches this line and nothing else
-	// (TestNodeReceivePathFitsCacheLine).
+	// The first cache line holds what the Central's announcement train
+	// reads at every node it reaches (onAnnounce, setCentral and the
+	// User's renewal pass): the own ID behind n, the roles, the Central
+	// belief, the configuration, the class and the election bit. A
+	// candidacy reads the node's ballot instead (TestReceivePathLayout).
 	n *netsim.Node
 
 	// registry is the 300D Registry capability. It stays nil until the
@@ -33,24 +33,17 @@ type Node struct {
 	// nil. Once created it is kept (a demoted Central keeps its tables).
 	registry *RegistryRole
 	manager  *ManagerRole
-
-	// backupPick is the strongest other 300D node heard in election
-	// candidacies; the Central appoints it Backup.
-	backupPick backupCandidate
-	elector    elector
-
-	// The second line serves the Central's announcement train.
-	user *UserRole
+	user     *UserRole
 	// central is the node currently believed to be the Central, NoNode if
 	// unknown; centralPower orders competing claims; centralLease purges
 	// a silent Central.
 	central      netsim.NodeID
 	centralPower int
-	power        int
 	cfg          *Config
-	nw           *netsim.Network
-	k            *sim.Kernel
 	class        Class
+	// running marks an election in progress (300D only; see election.go).
+	// The ballot mirrors it.
+	running bool
 
 	started bool
 	// detached marks a quiesced device (Detach): late events — notably a
@@ -67,6 +60,12 @@ type Node struct {
 	txDown    bool
 	rxDown    bool
 	ifaceHook func(txUp, rxUp bool)
+
+	// rec is the node's election record and its network endpoint.
+	rec   *ballot
+	power int
+	nw    *netsim.Network
+	k     *sim.Kernel
 
 	centralLease sim.Deadline
 	// nodeAnnounce is the 3C/3D presence train that runs until the
@@ -85,15 +84,25 @@ func nodeAnnouncePresence(x any) { x.(*Node).announcePresence() }
 
 // NewNode attaches a FRODO device of the given class to a network node.
 // Power orders 300D nodes in the Central election; it is ignored for
-// other classes. The configuration is shared, not copied: it must not
-// change once a node has been built from it.
+// other classes, and must fit in 31 bits. The configuration is shared,
+// not copied: it must not change once a node has been built from it. The
+// node's election record is allocated on its own; a Fleet keeps a whole
+// build's records together.
 func NewNode(n *netsim.Node, cfg *Config, class Class, power int) *Node {
+	return newNode(n, cfg, class, power, new(ballot))
+}
+
+func newNode(n *netsim.Node, cfg *Config, class Class, power int, rec *ballot) *Node {
+	if int(int32(power)) != power {
+		panic(fmt.Sprintf("frodo: power %d does not fit in 31 bits", power))
+	}
 	nd := &Node{
 		cfg: cfg, class: class, power: power,
 		n: n, nw: n.Network(), k: n.Kernel(),
-		central:    netsim.NoNode,
-		backupPick: noBackupCandidate,
+		central: netsim.NoNode,
+		rec:     rec,
 	}
+	rec.reset(nd)
 	nd.centralLease.Init(nd.k, nodeCentralTimeout, nd)
 	nd.nodeAnnounce.Init(nd.k, cfg.NodeAnnouncePeriod, nodeAnnouncePresence, nd)
 	if class == Class300D {
@@ -137,7 +146,7 @@ func (nd *Node) ensureRegistry() *RegistryRole {
 // bind attaches the device to its node slot; construction and Rearm
 // share it.
 func (nd *Node) bind() {
-	nd.n.SetEndpoint(nd)
+	nd.n.SetEndpoint(nd.rec)
 	nd.nw.JoinTopics(nd.n.ID, DiscoveryGroup, nd.topics())
 	if nd.ifaceHook != nil {
 		nd.n.OnInterfaceChange(nd.ifaceHook)
@@ -169,7 +178,7 @@ func (nd *Node) Rearm() {
 	nd.centralPower = 0
 	nd.centralLease.Rearm()
 	nd.nodeAnnounce.Rearm()
-	nd.backupPick = noBackupCandidate
+	nd.rec.reset(nd)
 	if nd.registry != nil {
 		nd.registry.rearm()
 	}
@@ -392,12 +401,26 @@ func (nd *Node) centralGone() {
 	}
 }
 
-// Deliver implements netsim.Endpoint, routing traffic to the roles.
+// NodeOf reports the FRODO device behind a node slot's endpoint, nil if
+// the endpoint is not one.
+func NodeOf(ep netsim.Endpoint) *Node {
+	switch ep := ep.(type) {
+	case *ballot:
+		return ep.nd
+	case *Node:
+		return ep
+	}
+	return nil
+}
+
+// Deliver routes traffic to the roles. The node's network endpoint is its
+// ballot, which decides candidacies itself and hands everything else
+// here.
 func (nd *Node) Deliver(msg *netsim.Message) {
 	p := &msg.Packet
 	switch p.Kind {
 	case wire.ElectionAnnounce:
-		nd.onCandidate(msg.From, int(p.N))
+		nd.rec.onCandidate(msg.From, p.N)
 	case wire.AppointBackup:
 		if nd.class == Class300D {
 			nd.ensureRegistry().onAppointBackup(msg.From, p.Recs)

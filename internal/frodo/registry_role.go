@@ -155,6 +155,7 @@ func (r *RegistryRole) activate() {
 		return
 	}
 	r.active = true
+	r.nd.rec.central = true
 	r.backup = false
 	r.backupMonitor.Clear()
 	r.nd.central = r.nd.n.ID
@@ -187,6 +188,7 @@ func (r *RegistryRole) deactivate() {
 		return
 	}
 	r.active = false
+	r.nd.rec.central = false
 	r.announcer.Stop()
 	r.prop.CancelAll()
 	if r.nd.cfg.Hardened {
@@ -259,10 +261,11 @@ func (r *RegistryRole) onAppointBackup(from netsim.NodeID, recs []discovery.Serv
 // maybeAppointBackup appoints the most powerful other 300D node this node
 // has seen as Backup and syncs state to it.
 func (r *RegistryRole) maybeAppointBackup() {
-	if r.nd.backupPick.id == netsim.NoNode {
+	pick := r.nd.rec.backupPick()
+	if pick == netsim.NoNode {
 		return
 	}
-	r.backupID = r.nd.backupPick.id
+	r.backupID = pick
 	r.syncBackup()
 }
 

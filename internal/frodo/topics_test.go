@@ -39,13 +39,13 @@ func lease(d *sim.Deadline) string {
 // Kernel.Pending.
 func (nd *Node) digest() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%v central=%d/%d lease=%s started=%v presence=%v elector=%+v window=%s wait=%s",
+	fmt.Fprintf(&b, "%v central=%d/%d lease=%s started=%v presence=%v running=%v/%v best=%+v window=%s wait=%s",
 		nd, nd.central, nd.centralPower, lease(&nd.centralLease), nd.started,
-		nd.nodeAnnounce.Running(), nd.elector, lease(&nd.electWindow), lease(&nd.electWait))
+		nd.nodeAnnounce.Running(), nd.running, nd.rec.running, nd.rec.best, lease(&nd.electWindow), lease(&nd.electWait))
 	if nd.class == Class300D {
 		// Only a Central reads the Backup pick, and only a 300D node can
 		// become one; on a 3C/3D node it is dead state.
-		fmt.Fprintf(&b, " pick=%+v", nd.backupPick)
+		fmt.Fprintf(&b, " pick=%+v", nd.rec.pick)
 	}
 	if r := nd.registry; r != nil {
 		fmt.Fprintf(&b, " registry{active=%v backup=%v/%d by=%d monitor=%s announcing=%v subs=%d",

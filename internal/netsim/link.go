@@ -300,7 +300,7 @@ func (nw *Network) linkLose(to NodeID) bool {
 	if nw.burstOn {
 		return nw.geLose(to)
 	}
-	return nw.cfg.Loss > 0 && nw.k.Rand().Float64() < nw.cfg.Loss
+	return nw.cfg.Loss > 0 && nw.k.Float64() < nw.cfg.Loss
 }
 
 // geLose advances the receiver's Gilbert–Elliott chain by one frame.
@@ -309,15 +309,15 @@ func (nw *Network) geLose(to NodeID) bool {
 	st := &nw.geState[to]
 	var lost bool
 	if *st == geBad {
-		lost = nw.k.Rand().Float64() < b.BadLoss
-		if nw.k.Rand().Float64() < b.BadToGood {
+		lost = nw.k.Float64() < b.BadLoss
+		if nw.k.Float64() < b.BadToGood {
 			*st = geGood
 		}
 	} else {
 		if b.GoodLoss > 0 {
-			lost = nw.k.Rand().Float64() < b.GoodLoss
+			lost = nw.k.Float64() < b.GoodLoss
 		}
-		if nw.k.Rand().Float64() < b.GoodToBad {
+		if nw.k.Float64() < b.GoodToBad {
 			*st = geBad
 		}
 	}
@@ -333,7 +333,7 @@ func (nw *Network) linkDelay() sim.Duration {
 	} else {
 		d = nw.k.UniformDuration(nw.cfg.MinDelay, nw.cfg.MaxDelay)
 	}
-	if r := nw.cfg.Link.Reorder; r.Prob > 0 && nw.k.Rand().Float64() < r.Prob {
+	if r := nw.cfg.Link.Reorder; r.Prob > 0 && nw.k.Float64() < r.Prob {
 		d += r.Extra
 	}
 	return d

@@ -588,7 +588,7 @@ func (nw *Network) multicastCopy(from NodeID, g Group, out Outgoing) {
 		// The sample-path anchor: a non-listener's loss and delay draws
 		// are made and discarded, so scoping a frame shifts nobody's
 		// random stream and every timeline replays the everyone-listens
-		// one bit for bit. ROADMAP item 2(b)'s single re-baseline deletes
+		// one bit for bit. ROADMAP item 8(b)'s single re-baseline deletes
 		// exactly this — `if !heard { continue }` moves above the draws.
 		at := now + nw.linkDelay()
 		if heard {
@@ -621,14 +621,23 @@ func (nw *Network) armFanout(f *fanout) {
 // radix passes or their scratch buffer.
 const fanInsertionMax = 48
 
+// radixBits is the digit width of sortByArrival's passes: two digits
+// cover every delay below 2²² ns (4.2 ms), Table 3's 10–100 µs frames
+// among them, and a digit's counts stay small enough to sit in L1.
+const (
+	radixBits = 11
+	radixMask = 1<<radixBits - 1
+)
+
 // sortByArrival orders a by arrival instant, stably — same-instant
 // receivers keep membership order, the order their delay draws were made
 // in — and in linear time: an LSD radix sort on at-now (never negative:
-// delays are not), one byte per pass, as many passes as the largest delay
-// has bytes (three for Table 3's 10–100µs, more under a Pareto tail).
-// Passes ping-pong between a and tmp, so the result may live in either:
-// it returns the sorted slice and the other one, for the caller to keep
-// as the next call's tmp.
+// delays are not), 11 bits per pass. One histogram pass counts both low
+// digits and finds the span, then one scatter pass per digit the span
+// has: two for Table 3's 10–100 µs, more (each counting its own digit)
+// under a Pareto tail. Passes ping-pong between a and tmp, so the result
+// may live in either: it returns the sorted slice and the other one, for
+// the caller to keep as the next call's tmp.
 func sortByArrival(a, tmp []fanEntry, now sim.Time) (sorted, spare []fanEntry) {
 	n := len(a)
 	if n <= fanInsertionMax {
@@ -646,25 +655,32 @@ func sortByArrival(a, tmp []fanEntry, now sim.Time) (sorted, spare []fanEntry) {
 		tmp = make([]fanEntry, n)
 	}
 	tmp = tmp[:n]
+	var counts [2][1 << radixBits]uint32
 	var span uint64
 	for i := range a {
-		span |= uint64(a[i].at - now)
+		d := uint64(a[i].at - now)
+		span |= d
+		counts[0][d&radixMask]++
+		counts[1][d>>radixBits&radixMask]++
 	}
-	for shift := 0; span>>shift != 0; shift += 8 {
-		var count [256]int
-		for i := range a {
-			count[uint8(uint64(a[i].at-now)>>shift)]++
+	for shift := 0; span>>shift != 0; shift += radixBits {
+		count := &counts[min(shift/radixBits, 1)]
+		if shift > radixBits {
+			clear(count[:])
+			for i := range a {
+				count[uint64(a[i].at-now)>>shift&radixMask]++
+			}
 		}
-		if count[uint8(uint64(a[0].at-now)>>shift)] == n {
-			continue // every key has the same byte here
+		if count[uint64(a[0].at-now)>>shift&radixMask] == uint32(n) {
+			continue // every key has the same digit here
 		}
-		pos := 0
+		var pos uint32
 		for d, c := range count {
 			count[d] = pos
 			pos += c
 		}
 		for i := range a {
-			d := uint8(uint64(a[i].at-now) >> shift)
+			d := uint64(a[i].at-now) >> shift & radixMask
 			tmp[count[d]] = a[i]
 			count[d]++
 		}

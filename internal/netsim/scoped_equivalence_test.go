@@ -208,12 +208,13 @@ func TestScopedFanoutMatchesEveryoneListening(t *testing.T) {
 }
 
 // redeclare plants a wrong declaration on every boot-time FRODO device
-// the predicate picks.
-func redeclare(pick func(*frodo.Node) bool, listens netsim.TopicSet) func(*experiment.Scenario) {
+// the predicate picks, and counts the devices it planted on.
+func redeclare(pick func(*frodo.Node) bool, listens netsim.TopicSet, planted *int) func(*experiment.Scenario) {
 	return func(sc *experiment.Scenario) {
 		for _, id := range sc.AllNodeIDs() {
-			if nd, ok := sc.Net.Node(id).Endpoint().(*frodo.Node); ok && pick(nd) {
+			if nd := frodo.NodeOf(sc.Net.Node(id).Endpoint()); nd != nil && pick(nd) {
 				sc.Net.JoinTopics(id, frodo.DiscoveryGroup, listens)
+				*planted++
 			}
 		}
 	}
@@ -223,16 +224,18 @@ func redeclare(pick func(*frodo.Node) bool, listens netsim.TopicSet) func(*exper
 // searches, or 300D Users wrongly declared deaf to election candidacies,
 // give a different run in every FRODO 2-party cell.
 func TestScopedFanoutCatchesWrongDeclarations(t *testing.T) {
+	var planted int
 	mutants := map[string]func(*experiment.Scenario){
 		"Manager deaf to Search": redeclare(
 			func(nd *frodo.Node) bool { return nd.Manager() != nil },
-			netsim.Topics(frodo.TopicElection, frodo.TopicPresence)),
+			netsim.Topics(frodo.TopicElection, frodo.TopicPresence), &planted),
 		"300D Users deaf to ElectionAnnounce": redeclare(
 			func(nd *frodo.Node) bool { return nd.User() != nil },
-			netsim.Topics(frodo.TopicPresence)),
+			netsim.Topics(frodo.TopicPresence), &planted),
 	}
 	for mutant, plant := range mutants {
 		caught, cells := 0, 0
+		planted = 0
 		eachScopedCell(func(name string, spec experiment.RunSpec) {
 			if spec.System != experiment.Frodo2P || spec.Seed != 42 {
 				return
@@ -243,8 +246,9 @@ func TestScopedFanoutCatchesWrongDeclarations(t *testing.T) {
 				caught++
 			}
 		})
-		if caught != cells {
-			t.Errorf("%s: caught in %d of %d cells", mutant, caught, cells)
+		t.Logf("%s: planted on %d devices, caught in %d of %d cells", mutant, planted, caught, cells)
+		if cells == 0 || planted == 0 || caught != cells {
+			t.Errorf("%s: planted on %d devices, caught in %d of %d cells", mutant, planted, caught, cells)
 		}
 	}
 }

@@ -279,8 +279,12 @@ func (k *Kernel) UniformDuration(lo, hi Duration) Duration {
 	if hi == lo {
 		return lo
 	}
-	return lo + Duration(k.rng.Int63n(int64(hi-lo)+1))
+	return lo + Duration(k.src.int63n(int64(hi-lo)+1))
 }
+
+// Float64 draws uniformly from [0, 1): the value Rand().Float64() would
+// draw at this point of the stream.
+func (k *Kernel) Float64() float64 { return k.src.float64() }
 
 // UniformTime draws an instant uniformly from [lo, hi].
 func (k *Kernel) UniformTime(lo, hi Time) Time {

@@ -14,7 +14,11 @@ package sim
 //   - Uint64 is an add and three xor-shift-multiplies, branch-free.
 //
 // It implements math/rand.Source64, so the kernel keeps exposing the
-// familiar *rand.Rand API while every draw bottoms out here.
+// familiar *rand.Rand API while every draw bottoms out here. The two
+// draws every frame makes — a delay and a loss decision — skip that
+// facade: int63n and float64 are math/rand's Int63n and Float64 on this
+// source, value for value, without the interface call
+// (TestDirectDrawsMatchRand).
 type splitmix64 struct {
 	state uint64
 }
@@ -36,3 +40,30 @@ func (s *splitmix64) Uint64() uint64 {
 
 // Int63 is the rand.Source interface's 63-bit draw.
 func (s *splitmix64) Int63() int64 { return int64(s.Uint64() >> 1) }
+
+// int63n is math/rand's Rand.Int63n: a mask for a power of two, else
+// rejection of the top partial range, then a modulus.
+func (s *splitmix64) int63n(n int64) int64 {
+	if n <= 0 {
+		panic("invalid argument to Int63n")
+	}
+	if n&(n-1) == 0 {
+		return s.Int63() & (n - 1)
+	}
+	max := int64((1 << 63) - 1 - (1<<63)%uint64(n))
+	v := s.Int63()
+	for v > max {
+		v = s.Int63()
+	}
+	return v % n
+}
+
+// float64 is math/rand's Rand.Float64: a 63-bit draw scaled to [0, 1),
+// drawn again in the rare case the division rounds up to 1.
+func (s *splitmix64) float64() float64 {
+	for {
+		if f := float64(s.Int63()) / (1 << 63); f != 1 {
+			return f
+		}
+	}
+}
