@@ -28,12 +28,14 @@ func resultDigest(v any) string {
 // stormSpec is a FRODO 2-party run whose Users boot within 1 ms of each
 // other, as the benchmark's scale workloads do: a few percent of them
 // announce a candidacy before the first Central claim reaches them, and
-// every candidacy is delivered to all N nodes.
-func stormSpec(users int, dynamics bool) RunSpec {
+// every candidacy is delivered to all N nodes. A churning run also
+// bisects the network for 300 s; with no absence its departures are
+// permanent, so arrivals take over retired node slots.
+func stormSpec(users int, churn Churn) RunSpec {
 	p := DefaultParams()
 	p.Topology = Topology{Users: users, BootJitter: sim.Millisecond}
-	if dynamics {
-		p.Churn = Churn{Departures: 0.3, MeanAbsence: 600 * sim.Second, Arrivals: float64(users) / 20}
+	if churn.Enabled() {
+		p.Churn = churn
 		p.Partitions = []netsim.Partition{{Start: 800 * sim.Second, Duration: 300 * sim.Second, Bisect: true}}
 	}
 	return RunSpec{System: Frodo2P, Seed: 1, Params: p}
@@ -55,17 +57,23 @@ func TestCandidacyStormGoldens(t *testing.T) {
 		delivered int
 		kinds     deliveryKinds
 	}{
-		{"static N=2000", stormSpec(2000, false), "ca1d67eb15bb3247", 154142, deliveryKinds{
+		{"static N=2000", stormSpec(2000, Churn{}), "ca1d67eb15bb3247", 154142, deliveryKinds{
 			"Announce": 20020, "AppointBackup": 2, "ElectionAnnounce": 110110, "RegistrationAck": 1,
 			"RenewAck": 6003, "ServiceFound": 2000, "ServiceRegistration": 1, "ServiceSearch": 2000,
 			"ServiceUpdate": 2001, "SubscriptionAck": 2000, "SubscriptionRenew": 6003,
 			"SubscriptionRequest": 2000, "UpdateAck": 2001,
 		}},
-		{"churn+bisect N=1000", stormSpec(1000, true), "56261bb9a8a8ed94", 190226, deliveryKinds{
+		{"churn+bisect N=1000", stormSpec(1000, Churn{Departures: 0.3, MeanAbsence: 600 * sim.Second, Arrivals: 50}), "56261bb9a8a8ed94", 190226, deliveryKinds{
 			"Announce": 104608, "AppointBackup": 2, "ElectionAnnounce": 73372, "RegistrationAck": 1,
 			"RenewAck": 2908, "RenewError": 4, "ResubscribeRequest": 3, "ServiceFound": 1107,
 			"ServiceRegistration": 1, "ServiceSearch": 1107, "ServiceUpdate": 989, "SubscriptionAck": 1110,
 			"SubscriptionRenew": 2915, "SubscriptionRequest": 1110, "UpdateAck": 989,
+		}},
+		{"permanent churn+bisect N=1000", stormSpec(1000, Churn{Departures: 0.5, Arrivals: 200}), "34f7e8359c87b63c", 533513, deliveryKinds{
+			"Announce": 332188, "AppointBackup": 2, "ElectionAnnounce": 189697, "RegistrationAck": 1,
+			"RenewAck": 2460, "ServiceFound": 1189, "ServiceRegistration": 1, "ServiceSearch": 1189,
+			"ServiceUpdate": 973, "SubscriptionAck": 1190, "SubscriptionRenew": 2460,
+			"SubscriptionRequest": 1190, "UpdateAck": 973,
 		}},
 	} {
 		ws := NewWorkspace()

@@ -10,3 +10,6 @@ func (nd *Node) EnsureRegistry() { nd.ensureRegistry() }
 func (nd *Node) BallotBits() (central, running, nodeRunning bool) {
 	return nd.rec.central, nd.rec.running, nd.running
 }
+
+// Ballot reports the node's election record, comparable by identity.
+func (nd *Node) Ballot() any { return nd.rec }
