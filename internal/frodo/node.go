@@ -404,11 +404,8 @@ func (nd *Node) centralGone() {
 // NodeOf reports the FRODO device behind a node slot's endpoint, nil if
 // the endpoint is not one.
 func NodeOf(ep netsim.Endpoint) *Node {
-	switch ep := ep.(type) {
-	case *ballot:
-		return ep.nd
-	case *Node:
-		return ep
+	if b, ok := ep.(*ballot); ok {
+		return b.nd
 	}
 	return nil
 }
