@@ -23,7 +23,8 @@ import (
 // rearms), and running is Node.running (written by startElection, decide
 // and electionCentralKnown, the last only when an election was actually
 // running). A build's records live in its Fleet, one per node slot.
-// Powers and IDs are 31-bit: NewNode refuses a wider power, and a slot
+// Powers and IDs are int32: NewNode refuses a wider power, a received
+// power beyond it (which no FRODO device sends) saturates, and a slot
 // index never comes near 2³¹.
 type ballot struct {
 	nd *Node
@@ -131,7 +132,7 @@ func (nd *Node) electionCentralLost() {
 }
 
 // electionCentralKnown stops any election in progress: somebody claimed
-// the role. It also disarms the elector for good on node retirement; the
+// the role. It also disarms the election for good on node retirement; the
 // jittered candidacy event may still fire but checks running and does
 // nothing.
 func (nd *Node) electionCentralKnown() {

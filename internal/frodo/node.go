@@ -84,7 +84,7 @@ func nodeAnnouncePresence(x any) { x.(*Node).announcePresence() }
 
 // NewNode attaches a FRODO device of the given class to a network node.
 // Power orders 300D nodes in the Central election; it is ignored for
-// other classes, and must fit in 31 bits. The configuration is shared,
+// other classes, and must fit in an int32. The configuration is shared,
 // not copied: it must not change once a node has been built from it. The
 // node's election record is allocated on its own; a Fleet keeps a whole
 // build's records together.
@@ -94,7 +94,7 @@ func NewNode(n *netsim.Node, cfg *Config, class Class, power int) *Node {
 
 func newNode(n *netsim.Node, cfg *Config, class Class, power int, rec *ballot) *Node {
 	if int(int32(power)) != power {
-		panic(fmt.Sprintf("frodo: power %d does not fit in 31 bits", power))
+		panic(fmt.Sprintf("frodo: power %d does not fit in an int32", power))
 	}
 	nd := &Node{
 		cfg: cfg, class: class, power: power,

@@ -222,3 +222,36 @@ const (
 	recordedTrain300Last  = "1000000000 #1196 end -1<--1"
 	recordedTrain300Hash  = 0x49a7fd7f49103146
 )
+
+// A group that grows by one member between trains — arrivals joining a
+// running population — grows the radix scratch buffer as append grows a
+// slice, not once per train: 2,000 trains from 200 to 2,200 members
+// allocate a few dozen buffers in all.
+func TestFanScratchGrowsWithHeadroom(t *testing.T) {
+	const from, trains = 200, 2000
+	k := sim.New(1)
+	nw := mustNew(k, DefaultConfig())
+	ep := &countingEndpoint{}
+	join := func() {
+		id := nw.AddNode("").ID
+		nw.Node(id).SetEndpoint(ep)
+		nw.Join(id, Group(1))
+	}
+	for i := 0; i < from; i++ {
+		join()
+	}
+	allocs := testing.AllocsPerRun(trains, func() {
+		join()
+		nw.Multicast(0, Group(1), Outgoing{Kind: "announce"}, 1)
+		k.Run(k.Now() + sim.Second)
+	}) * trains
+	t.Logf("%d trains over a growing group: %.0f objects", trains, allocs)
+	// Node slots, the node table and the group's membership grow too; a
+	// scratch re-made per train alone would be 2,000.
+	if allocs > trains+100 {
+		t.Errorf("%d trains over a growing group allocated %.0f objects, want about one node per train", trains, allocs)
+	}
+	if ep.n == 0 {
+		t.Fatal("no deliveries — measurement is vacuous")
+	}
+}

@@ -652,7 +652,10 @@ func sortByArrival(a, tmp []fanEntry, now sim.Time) (sorted, spare []fanEntry) {
 		return a, tmp
 	}
 	if cap(tmp) < n {
-		tmp = make([]fanEntry, n)
+		// The train's own buffer grew by append, with headroom; the
+		// scratch takes as much, or a population that grows one node at
+		// a time would re-make it for every train.
+		tmp = make([]fanEntry, n, cap(a))
 	}
 	tmp = tmp[:n]
 	var counts [2][1 << radixBits]uint32
