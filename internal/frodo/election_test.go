@@ -282,3 +282,37 @@ func TestRearmForgetsBackupCandidate(t *testing.T) {
 		}
 	}
 }
+
+// A fleet's slots map one to one onto the cells of its chunks, in slot
+// order, whatever order the slots are first asked for in.
+func TestFleetSlotsTileChunks(t *testing.T) {
+	const slots = 3*ballotsMax + ballotsDoubled
+	f := NewFleet(DefaultConfig())
+	seen := map[*ballot]bool{}
+	for _, id := range []netsim.NodeID{slots - 1, 0} {
+		f.ballot(id)
+	}
+	for id := 0; id < slots; id++ {
+		b := f.ballot(netsim.NodeID(id))
+		if seen[b] {
+			t.Fatalf("slot %d shares a record with an earlier slot", id)
+		}
+		seen[b] = true
+		if b != f.ballot(netsim.NodeID(id)) {
+			t.Fatalf("slot %d has no fixed record", id)
+		}
+	}
+	cells := 0
+	for k, c := range f.chunks {
+		if want := min(ballotsMin<<k, ballotsMax); len(c) != want {
+			t.Errorf("chunk %d holds %d records, want %d", k, len(c), want)
+		}
+		cells += len(c)
+		if k > 0 && &c[0] == &f.chunks[k-1][0] {
+			t.Errorf("chunk %d repeats chunk %d", k, k-1)
+		}
+	}
+	if cells != slots {
+		t.Errorf("%d slots took %d cells", slots, cells)
+	}
+}

@@ -1,6 +1,8 @@
 package frodo
 
 import (
+	"math/bits"
+
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
@@ -15,10 +17,21 @@ import (
 // rearmed build allocates no record, and the records go with the build.
 type Fleet struct {
 	cfg    Config
-	bySlot []*ballot
-	spare  []ballot // the unused tail of the last chunk
-	grown  int      // length of that chunk
+	chunks [][]ballot
+	grown  int // length of the last chunk
 }
+
+// Slot i's record is found by arithmetic: chunk k holds the slots from
+// ballotsMin·(2^k − 1) on, its length doubling from ballotsMin up to
+// ballotsMax as sim.Chunk cuts them, then ballotsMax each.
+const (
+	ballotsMin = 64
+	ballotsMax = 4096
+	// ballotsDoubling is the number of chunks that double, and
+	// ballotsDoubled the slots they hold.
+	ballotsDoubling = 7
+	ballotsDoubled  = ballotsMin * (1<<ballotsDoubling - 1)
+)
 
 // NewFleet returns a fleet building devices on cfg, which it keeps.
 func NewFleet(cfg Config) *Fleet { return &Fleet{cfg: cfg} }
@@ -28,18 +41,18 @@ func (f *Fleet) NewNode(n *netsim.Node, class Class, power int) *Node {
 	return newNode(n, &f.cfg, class, power, f.ballot(n.ID))
 }
 
-// ballot returns the record of a node slot, cutting one on first use.
+// ballot returns the record of a node slot, cutting chunks up to its own
+// on first use.
 func (f *Fleet) ballot(id netsim.NodeID) *ballot {
-	if short := int(id) + 1 - len(f.bySlot); short > 0 {
-		f.bySlot = append(f.bySlot, make([]*ballot, short)...)
+	k, i := 0, int(id)
+	if i < ballotsDoubled {
+		k = bits.Len(uint(i/ballotsMin+1)) - 1
+		i -= ballotsMin * (1<<k - 1)
+	} else {
+		k, i = ballotsDoubling+(i-ballotsDoubled)/ballotsMax, (i-ballotsDoubled)%ballotsMax
 	}
-	b := f.bySlot[id]
-	if b == nil {
-		if len(f.spare) == 0 {
-			f.spare = sim.Chunk[ballot](&f.grown, 64, 4096)
-		}
-		b, f.spare = &f.spare[0], f.spare[1:]
-		f.bySlot[id] = b
+	for k >= len(f.chunks) {
+		f.chunks = append(f.chunks, sim.Chunk[ballot](&f.grown, ballotsMin, ballotsMax))
 	}
-	return b
+	return &f.chunks[k][i]
 }
