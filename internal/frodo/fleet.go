@@ -23,13 +23,15 @@ type Fleet struct {
 
 // Slot i's record is found by arithmetic: chunk k holds the slots from
 // ballotsMin·(2^k − 1) on, its length doubling from ballotsMin up to
-// ballotsMax as sim.Chunk cuts them, then ballotsMax each.
+// ballotsMax as sim.Chunk cuts them, then ballotsMax each. A full chunk
+// is 32 KB, the largest small-object size: a cold build takes it from
+// the allocator's cached spans instead of mapping a large object.
 const (
 	ballotsMin = 64
-	ballotsMax = 4096
+	ballotsMax = 1024
 	// ballotsDoubling is the number of chunks that double, and
 	// ballotsDoubled the slots they hold.
-	ballotsDoubling = 7
+	ballotsDoubling = 5
 	ballotsDoubled  = ballotsMin * (1<<ballotsDoubling - 1)
 )
 
