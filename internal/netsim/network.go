@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/sim"
 )
@@ -621,23 +622,22 @@ func (nw *Network) armFanout(f *fanout) {
 // radix passes or their scratch buffer.
 const fanInsertionMax = 48
 
-// radixBits is the digit width of sortByArrival's passes: two digits
+// radixBits is the widest digit of sortByArrival's passes: two digits
 // cover every delay below 2²² ns (4.2 ms), Table 3's 10–100 µs frames
 // among them, and a digit's counts stay small enough to sit in L1.
-const (
-	radixBits = 11
-	radixMask = 1<<radixBits - 1
-)
+const radixBits = 11
 
 // sortByArrival orders a by arrival instant, stably — same-instant
 // receivers keep membership order, the order their delay draws were made
 // in — and in linear time: an LSD radix sort on at-now (never negative:
-// delays are not), 11 bits per pass. One histogram pass counts both low
-// digits and finds the span, then one scatter pass per digit the span
-// has: two for Table 3's 10–100 µs, more (each counting its own digit)
-// under a Pareto tail. Passes ping-pong between a and tmp, so the result
-// may live in either: it returns the sorted slice and the other one, for
-// the caller to keep as the next call's tmp.
+// delays are not), in digits as wide as the train is long (8 to 11 bits,
+// so a short train does not pay for 2,048 buckets). One histogram pass
+// counts both low digits and finds the span, then one scatter pass per
+// digit the span has: two for Table 3's 10–100 µs on a train of 2,048 or
+// more, three on a shorter one, more (each counting its own digit) under
+// a Pareto tail. Passes ping-pong between a and tmp, so the result may
+// live in either: it returns the sorted slice and the other one, for the
+// caller to keep as the next call's tmp.
 func sortByArrival(a, tmp []fanEntry, now sim.Time) (sorted, spare []fanEntry) {
 	n := len(a)
 	if n <= fanInsertionMax {
@@ -658,23 +658,25 @@ func sortByArrival(a, tmp []fanEntry, now sim.Time) (sorted, spare []fanEntry) {
 		tmp = make([]fanEntry, n, cap(a))
 	}
 	tmp = tmp[:n]
+	width := min(max(bits.Len(uint(n)), 8), radixBits)
+	mask := uint64(1)<<width - 1
 	var counts [2][1 << radixBits]uint32
 	var span uint64
 	for i := range a {
 		d := uint64(a[i].at - now)
 		span |= d
-		counts[0][d&radixMask]++
-		counts[1][d>>radixBits&radixMask]++
+		counts[0][d&mask]++
+		counts[1][d>>width&mask]++
 	}
-	for shift := 0; span>>shift != 0; shift += radixBits {
-		count := &counts[min(shift/radixBits, 1)]
-		if shift > radixBits {
-			clear(count[:])
+	for shift := 0; span>>shift != 0; shift += width {
+		count := counts[min(shift/width, 1)][:mask+1]
+		if shift > width {
+			clear(count)
 			for i := range a {
-				count[uint64(a[i].at-now)>>shift&radixMask]++
+				count[uint64(a[i].at-now)>>shift&mask]++
 			}
 		}
-		if count[uint64(a[0].at-now)>>shift&radixMask] == uint32(n) {
+		if count[uint64(a[0].at-now)>>shift&mask] == uint32(n) {
 			continue // every key has the same digit here
 		}
 		var pos uint32
@@ -683,7 +685,7 @@ func sortByArrival(a, tmp []fanEntry, now sim.Time) (sorted, spare []fanEntry) {
 			pos += c
 		}
 		for i := range a {
-			d := uint64(a[i].at-now) >> shift & radixMask
+			d := uint64(a[i].at-now) >> shift & mask
 			tmp[count[d]] = a[i]
 			count[d]++
 		}
