@@ -6,12 +6,14 @@
 # (`./benchmark`) over its four workloads at seed 1, untraced (end-to-end
 # metrics) and traced (per-layer metrics), every report appended as one
 # JSON line to BENCH_$(BENCH_PR).jsonl. Each report records its host
-# (nproc, GOMAXPROCS, Go version, CPU, commit). Set BENCH_PR to the PR
-# that records the point and commit the file; BENCH_1..6.json are the
-# older, historical ledger (EXPERIMENTS.md, "Perf trajectory").
+# (nproc, GOMAXPROCS, Go version, CPU, commit). BENCH_PR names the PR
+# that records the point and has no default — `make bench BENCH_PR=<n>`,
+# then commit the file — because the target starts by deleting
+# BENCH_$(BENCH_PR).jsonl, and a default would overwrite a committed
+# point. BENCH_1..6.json are the older, historical ledger
+# (EXPERIMENTS.md, "Perf trajectory").
 
 GO ?= go
-BENCH_PR ?= 37
 COVER_FLOOR ?= 70
 
 .PHONY: check vet build test race loc bench cover-floor live-smoke hunt-smoke harden-smoke obs-smoke clean
@@ -43,6 +45,7 @@ loc:
 # program is built, not `go run`, so each report's env names the commit
 # it measured; run it on a committed tree.
 bench:
+	@[ -n "$(BENCH_PR)" ] || { echo "make bench: set BENCH_PR to the PR that records the point (make bench BENCH_PR=<n>)"; exit 2; }
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
 	$(GO) build -o $$tmp/benchmark ./benchmark; \
 	rm -f BENCH_$(BENCH_PR).jsonl; \

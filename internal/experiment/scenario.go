@@ -290,6 +290,7 @@ func buildTopology(ws *Workspace, sys System, k *sim.Kernel, topo Topology, opts
 	sc.rec, sc.absent, sc.users, sc.UserIDs, sc.retired = ws.scratch(topo.Users)
 	sc.boot = make([]bootEntry, 0, topo.Nodes())
 	nw := sc.Net
+	nw.Grow(topo.Nodes())
 	boot := func(b bootEntry) {
 		sc.start(b)
 		sc.boot = append(sc.boot, b)

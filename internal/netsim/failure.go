@@ -188,7 +188,7 @@ func (o *outage) recycle() { *o = outage{} }
 // applyOutage is the static kernel callback for planned transitions.
 func applyOutage(x any) {
 	o := x.(*outage)
-	if o.node.gen != o.gen {
+	if o.node.slot().gen != o.gen {
 		return
 	}
 	if o.mode == FailTx || o.mode == FailBoth {
@@ -206,11 +206,12 @@ func applyOutage(x any) {
 // failure draw).
 func (nw *Network) ScheduleFailure(f InterfaceFailure) {
 	node := nw.Node(f.Node)
+	gen := nw.slots[f.Node].gen
 	down := nw.outages.get()
-	*down = outage{node: node, gen: node.gen, mode: f.Mode, up: false}
+	*down = outage{node: node, gen: gen, mode: f.Mode, up: false}
 	nw.k.AtArg(f.Start, applyOutage, down)
 	up := nw.outages.get()
-	*up = outage{node: node, gen: node.gen, mode: f.Mode, up: true}
+	*up = outage{node: node, gen: gen, mode: f.Mode, up: true}
 	nw.k.AtArg(f.End(), applyOutage, up)
 }
 

@@ -38,7 +38,7 @@ func TestSortByArrivalMatchesStableSort(t *testing.T) {
 			}
 			in := make([]fanEntry, n)
 			for i := range in {
-				in[i] = fanEntry{at: now + delay(), to: NodeID(i), gen: uint32(rng.Intn(3))}
+				in[i] = fanEntry{at: now + delay(), to: int32(i), gen: uint32(rng.Intn(3))}
 			}
 			want := slices.Clone(in)
 			slices.SortStableFunc(want, func(a, b fanEntry) int {

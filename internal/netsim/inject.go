@@ -20,7 +20,7 @@ func (nw *Network) checkNode(id NodeID, role string) error {
 	if !nw.known(id) {
 		return fmt.Errorf("netsim: inject: unknown %s node %d", role, id)
 	}
-	if nw.nodes[id].retired {
+	if nw.slots[id].retired {
 		return fmt.Errorf("netsim: inject: %s node %d is retired", role, id)
 	}
 	return nil

@@ -7,24 +7,15 @@ import "repro/internal/sim"
 // transmitter can still receive, and vice versa; both failed models a node
 // failure. Interface failure does not destroy protocol state — the device
 // keeps running and its timers keep firing, it just cannot communicate.
+//
+// Node is the handle protocols hold; the state every frame reads — the
+// endpoint, the slot tenancy and the interface bits — lives in the
+// network's slot table (slot), and the accessors below read and write it
+// there.
 type Node struct {
 	ID   NodeID
 	Name string
 
-	txUp bool
-	rxUp bool
-	// retired pins both interfaces down: the device left the network for
-	// good and its slot awaits reuse (Network.Retire). Interface events
-	// aimed at a retired slot are ignored.
-	retired bool
-	// gen counts slot tenancies: AddNode bumps it when recycling a
-	// retired slot. Frames in flight and planned interface failures
-	// capture the gen they were aimed at and no-op if the slot has
-	// changed hands since — a recycled slot's new tenant must never
-	// inherit its predecessor's traffic or outages.
-	gen uint32
-
-	ep  Endpoint
 	net *Network
 
 	// onInterfaceChange, if set, is invoked after any interface state
@@ -33,21 +24,45 @@ type Node struct {
 	onInterfaceChange func(txUp, rxUp bool)
 }
 
+// slot is one node's hot state, kept in Network.slots indexed by NodeID:
+// a multicast delivery checks and reaches its receiver through one dense
+// 24-byte record instead of a separately allocated Node.
+type slot struct {
+	ep Endpoint
+	// gen counts slot tenancies: AddNode bumps it when recycling a
+	// retired slot. Frames in flight and planned interface failures
+	// capture the gen they were aimed at and no-op if the slot has
+	// changed hands since — a recycled slot's new tenant must never
+	// inherit its predecessor's traffic or outages.
+	gen  uint32
+	txUp bool
+	rxUp bool
+	// retired pins both interfaces down: the device left the network for
+	// good and the slot awaits reuse (Network.Retire). Interface events
+	// aimed at a retired slot are ignored.
+	retired bool
+}
+
+func (n *Node) slot() *slot { return &n.net.slots[n.ID] }
+
 // TxUp reports whether the transmitter is operational.
-func (n *Node) TxUp() bool { return n.txUp }
+func (n *Node) TxUp() bool { return n.slot().txUp }
 
 // RxUp reports whether the receiver is operational.
-func (n *Node) RxUp() bool { return n.rxUp }
+func (n *Node) RxUp() bool { return n.slot().rxUp }
 
 // Up reports whether both interfaces are operational.
-func (n *Node) Up() bool { return n.txUp && n.rxUp }
+func (n *Node) Up() bool {
+	s := n.slot()
+	return s.txUp && s.rxUp
+}
 
 // SetEndpoint attaches the protocol instance that receives this node's
 // traffic. It must be called before any message can be delivered.
-func (n *Node) SetEndpoint(ep Endpoint) { n.ep = ep }
+func (n *Node) SetEndpoint(ep Endpoint) { n.slot().ep = ep }
 
 // Endpoint returns the attached protocol instance, nil if none.
-func (n *Node) Endpoint() Endpoint { return n.ep }
+func (n *Node) Endpoint() Endpoint { return n.slot().ep }
 
 // OnInterfaceChange registers a callback invoked after every Tx/Rx state
 // change.
@@ -55,33 +70,37 @@ func (n *Node) OnInterfaceChange(fn func(txUp, rxUp bool)) { n.onInterfaceChange
 
 // Retired reports whether the node's slot has been released by
 // Network.Retire and not yet reused.
-func (n *Node) Retired() bool { return n.retired }
+func (n *Node) Retired() bool { return n.slot().retired }
 
 // SetTx changes transmitter state, tracing the transition.
 func (n *Node) SetTx(up bool) {
-	if n.retired || n.txUp == up {
+	s := n.slot()
+	if s.retired || s.txUp == up {
 		return
 	}
-	n.txUp = up
-	if n.net.tracer != nil { // the label is built only for a reader
-		n.net.traceNode(n.ID, ifaceEvent("Tx", up))
-	}
-	if n.onInterfaceChange != nil {
-		n.onInterfaceChange(n.txUp, n.rxUp)
-	}
+	s.txUp = up
+	n.interfaceChanged("Tx", up)
 }
 
 // SetRx changes receiver state, tracing the transition.
 func (n *Node) SetRx(up bool) {
-	if n.retired || n.rxUp == up {
+	s := n.slot()
+	if s.retired || s.rxUp == up {
 		return
 	}
-	n.rxUp = up
+	s.rxUp = up
+	n.interfaceChanged("Rx", up)
+}
+
+// interfaceChanged traces an interface transition and tells the
+// protocol.
+func (n *Node) interfaceChanged(iface string, up bool) {
 	if n.net.tracer != nil { // the label is built only for a reader
-		n.net.traceNode(n.ID, ifaceEvent("Rx", up))
+		n.net.traceNode(n.ID, ifaceEvent(iface, up))
 	}
 	if n.onInterfaceChange != nil {
-		n.onInterfaceChange(n.txUp, n.rxUp)
+		s := n.slot()
+		n.onInterfaceChange(s.txUp, s.rxUp)
 	}
 }
 

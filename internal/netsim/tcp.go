@@ -218,7 +218,7 @@ func (nw *Network) sendTCPFrame(f *tcpFrame) {
 	nw.accountSend(m)
 	reason := ""
 	switch {
-	case !nw.Node(m.From).txUp:
+	case !nw.slots[m.From].txUp:
 		reason = "tx down"
 	case nw.partitioned(m.From, m.To):
 		reason = "partitioned"
@@ -231,7 +231,7 @@ func (nw *Network) sendTCPFrame(f *tcpFrame) {
 		return
 	}
 	delay := nw.linkDelay()
-	f.gen = nw.Node(m.To).gen
+	f.gen = nw.slots[m.To].gen
 	nw.k.AfterArg(delay, tcpFrameArrive, f)
 }
 
@@ -243,7 +243,7 @@ func tcpFrameArrive(x any) {
 	if c.gen != f.connGen {
 		panic("netsim: TCP frame outlived its connection")
 	}
-	recv := nw.Node(f.m.To)
+	recv := &nw.slots[f.m.To]
 	switch {
 	case recv.gen != f.gen:
 		nw.drop(&f.m, "slot recycled")
@@ -290,7 +290,7 @@ func (nw *Network) SendTCPWith(cfg TCPConfig, from, to NodeID, out Outgoing, onR
 // settles it.
 func (nw *Network) openTCP(cfg TCPConfig, from, to NodeID, out Outgoing, onResult func(error)) *TCPConn {
 	c := nw.conns.get()
-	c.nw, c.cfg, c.from, c.to, c.fromGen = nw, cfg, from, to, nw.Node(from).gen
+	c.nw, c.cfg, c.from, c.to, c.fromGen = nw, cfg, from, to, nw.slots[from].gen
 	c.queueTransfer(from, to, out, onResult)
 	c.sendSYN()
 	if !c.aborted {
@@ -306,8 +306,8 @@ func (c *TCPConn) senderGone() bool {
 	if !c.cfg.AbortOnRetire {
 		return false
 	}
-	n := c.nw.Node(c.from)
-	return n.retired || n.gen != c.fromGen
+	s := &c.nw.slots[c.from]
+	return s.retired || s.gen != c.fromGen
 }
 
 // Reply sends a discovery message back over the established connection
@@ -372,7 +372,7 @@ func (c *TCPConn) queueTransfer(from, to NodeID, out Outgoing, onResult func(err
 		c.last.next = tr
 	}
 	c.last = tr
-	*tr = tcpTransfer{conn: c, from: from, to: to, fromGen: nw.Node(from).gen, out: out, onResult: onResult}
+	*tr = tcpTransfer{conn: c, from: from, to: to, fromGen: nw.slots[from].gen, out: out, onResult: onResult}
 	c.open++
 	switch {
 	case c.aborted:
@@ -453,8 +453,8 @@ func (tr *tcpTransfer) senderGone() bool {
 	if !tr.conn.cfg.AbortOnRetire {
 		return false
 	}
-	n := tr.conn.nw.Node(tr.from)
-	return n.retired || n.gen != tr.fromGen
+	s := &tr.conn.nw.slots[tr.from]
+	return s.retired || s.gen != tr.fromGen
 }
 
 // send transmits the payload and arms the retransmission timer. It runs
@@ -510,14 +510,13 @@ func (tr *tcpTransfer) arrived(m *Message) {
 	nw := tr.conn.nw
 	if !tr.delivered {
 		tr.delivered = true
-		recv := nw.Node(tr.to)
-		if recv.ep != nil {
+		if ep := nw.slots[tr.to].ep; ep != nil {
 			m.Conn = tr.conn
 			nw.counters.recordDelivery(m)
 			if nw.tracer != nil {
 				nw.tracer.MessageDelivered(nw.k.Now(), m)
 			}
-			recv.ep.Deliver(m)
+			ep.Deliver(m)
 		}
 	}
 	tr.conn.sendControl(tcpACK, "tcp/ACK", tr.to, tr.from, tr, 0)

@@ -21,6 +21,10 @@ package sim
 // (TestDirectDrawsMatchRand).
 type splitmix64 struct {
 	state uint64
+	// n and max memoize int63n's rejection bound for the last range it
+	// drew from that is not a power of two: a run draws its frame delays
+	// from one range, so the bound's 64-bit division is paid once.
+	n, max int64
 }
 
 // Seed resets the stream. Part of the rand.Source interface.
@@ -50,9 +54,11 @@ func (s *splitmix64) int63n(n int64) int64 {
 	if n&(n-1) == 0 {
 		return s.Int63() & (n - 1)
 	}
-	max := int64((1 << 63) - 1 - (1<<63)%uint64(n))
+	if n != s.n {
+		s.n, s.max = n, int64((1<<63)-1-(1<<63)%uint64(n))
+	}
 	v := s.Int63()
-	for v > max {
+	for v > s.max {
 		v = s.Int63()
 	}
 	return v % n

@@ -12,25 +12,34 @@ import (
 // decision. The bounds cover the mask path (powers of two), small and
 // frame-sized ranges, and n > 2⁶², where Int63n's rejection loop throws
 // away up to half the draws — the two sources end at the same state, so
-// every rejection was matched.
+// every rejection was matched. Two draws in eight switch to the next
+// bound of the list, so int63n's memoized rejection bound is reused, then
+// replaced, then replaced back, and each of its states draws rand's
+// stream.
 func TestDirectDrawsMatchRand(t *testing.T) {
 	const draws = 1_000_000
 	const lo = Duration(17)
-	for i, n := range []int64{
+	bounds := []int64{
 		2, 3, 10, 1 << 10, 90_001, 1<<20 + 1, 1 << 40, 1<<62 + 1, 1<<62 + 123_457, 3 << 61, math.MaxInt64 - int64(lo),
-	} {
+	}
+	for i, n := range bounds {
+		other := bounds[(i+1)%len(bounds)]
 		k := New(int64(i))
 		src := splitmix64{state: uint64(i)}
 		ref := rand.New(&src)
 		for d := 0; d < draws; d++ {
-			if got, want := k.UniformDuration(lo, lo+Duration(n-1)), lo+Duration(ref.Int63n(n)); got != want {
-				t.Fatalf("n=%d draw %d: UniformDuration %d, Rand.Int63n %d", n, d, got, want)
+			m := n
+			if d%8 >= 6 {
+				m = other
+			}
+			if got, want := k.UniformDuration(lo, lo+Duration(m-1)), lo+Duration(ref.Int63n(m)); got != want {
+				t.Fatalf("n=%d draw %d: UniformDuration %d, Rand.Int63n %d", m, d, got, want)
 			}
 			if got, want := k.Float64(), ref.Float64(); got != want {
 				t.Fatalf("n=%d draw %d: Float64 %v, Rand.Float64 %v", n, d, got, want)
 			}
 		}
-		if k.src != src {
+		if k.src.state != src.state {
 			t.Errorf("n=%d: the streams ended at states %#x and %#x", n, k.src.state, src.state)
 		}
 	}
