@@ -15,14 +15,8 @@ type Backoff struct {
 	prev sim.Duration
 }
 
-// NewBackoff builds a schedule starting at base and never exceeding cap.
-func NewBackoff(k *sim.Kernel, base, cap sim.Duration) *Backoff {
-	b := &Backoff{}
-	b.Init(k, base, cap)
-	return b
-}
-
-// Init prepares an embedded Backoff in place; see NewBackoff.
+// Init prepares an embedded Backoff in place: a schedule starting at base
+// and never exceeding cap.
 func (b *Backoff) Init(k *sim.Kernel, base, cap sim.Duration) {
 	if base <= 0 || cap < base {
 		panic("core: backoff needs 0 < base <= cap")

@@ -8,7 +8,8 @@ import (
 
 func TestBackoffBoundsAndGrowth(t *testing.T) {
 	k := sim.New(1)
-	b := NewBackoff(k, 10*sim.Second, 80*sim.Second)
+	var b Backoff
+	b.Init(k, 10*sim.Second, 80*sim.Second)
 	first := b.Next()
 	if first < 10*sim.Second || first >= 20*sim.Second {
 		t.Fatalf("first delay %v outside [base, 2*base)", first)
@@ -33,7 +34,8 @@ func TestBackoffBoundsAndGrowth(t *testing.T) {
 func TestBackoffDeterministicPerSeed(t *testing.T) {
 	draw := func(seed int64) []sim.Duration {
 		k := sim.New(seed)
-		b := NewBackoff(k, sim.Second, 60*sim.Second)
+		var b Backoff
+		b.Init(k, sim.Second, 60*sim.Second)
 		out := make([]sim.Duration, 20)
 		for i := range out {
 			out[i] = b.Next()
@@ -60,7 +62,8 @@ func TestBackoffDeterministicPerSeed(t *testing.T) {
 
 func TestBackoffReset(t *testing.T) {
 	k := sim.New(1)
-	b := NewBackoff(k, 10*sim.Second, 300*sim.Second)
+	var b Backoff
+	b.Init(k, 10*sim.Second, 300*sim.Second)
 	for i := 0; i < 10; i++ {
 		b.Next()
 	}
@@ -76,7 +79,8 @@ func TestBackoffRejectsBadRange(t *testing.T) {
 			t.Error("cap < base accepted")
 		}
 	}()
-	NewBackoff(sim.New(1), 10*sim.Second, 5*sim.Second)
+	var b Backoff
+	b.Init(sim.New(1), 10*sim.Second, 5*sim.Second)
 }
 
 // A capped policy's gaps stay within [Interval, Cap] and replay

@@ -53,9 +53,6 @@ func (s TechniqueSet) Has(q TechniqueSet) bool { return s&q == q }
 // Without returns the set with the given techniques removed.
 func (s TechniqueSet) Without(q TechniqueSet) TechniqueSet { return s &^ q }
 
-// With returns the set with the given techniques added.
-func (s TechniqueSet) With(q TechniqueSet) TechniqueSet { return s | q }
-
 var techniqueNames = []struct {
 	bit  TechniqueSet
 	name string

@@ -28,19 +28,6 @@ func (h *UpdateHistory) Record(rec discovery.ServiceRecord) {
 	h.entries = append(h.entries, rec)
 }
 
-// Since returns the recorded snapshots with version strictly greater than
-// the given one, oldest first — the missed updates a monitoring User
-// requests.
-func (h *UpdateHistory) Since(version uint64) []discovery.ServiceRecord {
-	out := []discovery.ServiceRecord{}
-	for _, e := range h.entries {
-		if e.SD.Version() > version {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // Reset empties the history (workspace reuse), keeping capacity. The
 // tail is zeroed so the retained backing array does not pin the previous
 // run's snapshots.
@@ -129,9 +116,6 @@ func (m *SeqMonitor) Observe(seq uint64) (gapped bool, after uint64) {
 	}
 	return false, 0
 }
-
-// Last reports the highest sequence number seen.
-func (m *SeqMonitor) Last() uint64 { return m.last }
 
 // Reset clears the baseline (used when the subscription is re-created).
 func (m *SeqMonitor) Reset() { m.last, m.started = 0, false }

@@ -12,20 +12,6 @@ func rec(v uint64) discovery.ServiceRecord {
 		Attributes: map[string]string{"v": "x"}, Version: v}.Freeze()}
 }
 
-func TestUpdateHistorySince(t *testing.T) {
-	h := NewUpdateHistory()
-	for v := uint64(1); v <= 4; v++ {
-		h.Record(rec(v))
-	}
-	got := h.Since(2)
-	if len(got) != 2 || got[0].SD.Version() != 3 || got[1].SD.Version() != 4 {
-		t.Fatalf("Since(2) = %v", got)
-	}
-	if len(h.Since(10)) != 0 {
-		t.Error("Since beyond head returned entries")
-	}
-}
-
 func TestUpdateHistoryPurgeAfterAllConfirm(t *testing.T) {
 	// "only purges the cached updates after all interested Users
 	// successfully obtained the complete view of the service"
@@ -70,13 +56,12 @@ func TestUpdateHistorySharesImmutableSnapshots(t *testing.T) {
 	h := NewUpdateHistory()
 	r := rec(1)
 	h.Record(r)
-	got := h.Since(0)
-	if got[0].SD != r.SD {
+	if h.entries[0].SD != r.SD {
 		t.Error("history should share the immutable snapshot pointer")
 	}
-	desc := got[0].SD.Describe()
+	desc := h.entries[0].SD.Describe()
 	desc.Attributes["v"] = "mutated"
-	if h.Since(0)[0].SD.Attr("v") != "x" {
+	if h.entries[0].SD.Attr("v") != "x" {
 		t.Error("Describe returned aliased attribute storage")
 	}
 }
@@ -93,8 +78,8 @@ func TestSeqMonitorGapDetection(t *testing.T) {
 	if !gap || after != 4 {
 		t.Errorf("Observe(7) = %v,%d; want gap after 4", gap, after)
 	}
-	if m.Last() != 7 {
-		t.Errorf("Last = %d", m.Last())
+	if m.last != 7 {
+		t.Errorf("last = %d", m.last)
 	}
 	// Duplicate/late arrivals are not gaps.
 	if gap, _ := m.Observe(6); gap {

@@ -26,10 +26,6 @@ const (
 
 	// RunDuration is the simulation length (§5 Step 5).
 	RunDuration = 5400 * sim.Second
-
-	// BootWindow is the interval in which nodes start up; discovery
-	// completes "within the first 100s without interface failure".
-	BootWindow = 5 * sim.Second
 )
 
 // RenewInterval derives the periodic renewal interval for a lease.

@@ -38,9 +38,6 @@ func (s *InconsistentSet) ResetVersion(version uint64) {
 	}
 }
 
-// Version reports the service version the entries refer to.
-func (s *InconsistentSet) Version() uint64 { return s.version }
-
 // Mark records that the User missed the given version. Marks for stale
 // versions are ignored.
 func (s *InconsistentSet) Mark(user netsim.NodeID, version uint64) {
@@ -63,6 +60,3 @@ func (s *InconsistentSet) Forget(user netsim.NodeID) { delete(s.users, user) }
 // ShouldRetry reports whether a message from the User ought to trigger a
 // fresh notification attempt.
 func (s *InconsistentSet) ShouldRetry(user netsim.NodeID) bool { return s.users[user] }
-
-// Len reports how many Users are marked inconsistent.
-func (s *InconsistentSet) Len() int { return len(s.users) }

@@ -46,11 +46,11 @@ func TestInconsistentSetResetOnNewChange(t *testing.T) {
 	s.Mark(7, 2)
 	s.Mark(8, 2)
 	s.ResetVersion(3)
-	if s.Len() != 0 || s.ShouldRetry(7) || s.ShouldRetry(8) {
+	if len(s.users) != 0 || s.ShouldRetry(7) || s.ShouldRetry(8) {
 		t.Error("reset did not clear the set")
 	}
-	if s.Version() != 3 {
-		t.Errorf("version = %d, want 3", s.Version())
+	if s.version != 3 {
+		t.Errorf("version = %d, want 3", s.version)
 	}
 }
 

@@ -155,6 +155,3 @@ func (r *Retry) Rearm() {
 
 // Active reports whether the schedule is still running.
 func (r *Retry) Active() bool { return r.active }
-
-// Attempts reports how many transmissions have been made.
-func (r *Retry) Attempts() int { return r.sent }

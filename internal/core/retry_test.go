@@ -98,8 +98,8 @@ func TestRetryRestartResetsCount(t *testing.T) {
 			t.Fatalf("attempts = %v, want %v", attempts, want)
 		}
 	}
-	if r.Attempts() != 2 {
-		t.Errorf("Attempts = %d, want 2", r.Attempts())
+	if r.sent != 2 {
+		t.Errorf("sent = %d, want 2", r.sent)
 	}
 }
 

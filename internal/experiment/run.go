@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -95,11 +96,11 @@ func (p Params) CheckOutages(sys System) error {
 // λ·5400s, λ from 0 to 0.90 in steps of 0.05, 30 runs per point.
 func DefaultParams() Params {
 	return Params{
-		RunDuration:        5400 * sim.Second,
+		RunDuration:        core.RunDuration,
 		ChangeMin:          100 * sim.Second,
 		ChangeMax:          2700 * sim.Second,
 		FailureWindowStart: 100 * sim.Second,
-		FailureWindowEnd:   5400 * sim.Second,
+		FailureWindowEnd:   core.RunDuration,
 		Runs:               30,
 		Lambdas:            DefaultLambdas(),
 		BaseSeed:           1,

@@ -117,7 +117,7 @@ func TestMultipleChangesResetNotificationProcess(t *testing.T) {
 	r.k.At(1001*sim.Second, r.change) // v3 supersedes v2
 	r.k.Run(1100 * sim.Second)
 	for i, u := range r.users {
-		if got := u.CachedVersion(r.manager.ID()); got != 3 {
+		if got := u.cachedVersion(r.manager.ID()); got != 3 {
 			t.Errorf("user %d at version %d, want 3", i, got)
 		}
 	}

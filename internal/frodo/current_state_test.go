@@ -71,7 +71,7 @@ func TestManagerChangedTwiceSendsTheSecondVersion(t *testing.T) {
 	r.k.At(1005*sim.Second, func() { setRx(true) })
 	r.k.Run(1100 * sim.Second)
 	for i, u := range r.users {
-		if v := u.CachedVersion(r.manager.ID()); v != 3 {
+		if v := u.cachedVersion(r.manager.ID()); v != 3 {
 			t.Errorf("subscriber %d holds version %d after two changes, want 3", i, v)
 		}
 	}

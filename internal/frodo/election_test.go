@@ -128,7 +128,7 @@ func TestBackupAppointmentAndStateSync(t *testing.T) {
 	if r.nodes[2].IsBackup() {
 		t.Error("power-10 node should not be backup")
 	}
-	if !mgrRole.Registered() {
+	if !mgrRole.registered {
 		t.Fatal("manager not registered")
 	}
 	// The backup holds the synced registration and serves it after
@@ -141,7 +141,7 @@ func TestBackupAppointmentAndStateSync(t *testing.T) {
 	if !r.nodes[1].IsCentral() {
 		t.Fatal("backup did not take over")
 	}
-	if got := r.nodes[1].Registry().Registrations(); got != 1 {
+	if got := r.nodes[1].Registry().registrations.Len(); got != 1 {
 		t.Errorf("backup serves %d registrations after takeover, want the synced 1", got)
 	}
 }
@@ -182,11 +182,11 @@ func Test3CManagerRegistersButCannotBeUser(t *testing.T) {
 	})
 	sensor.Start(500 * sim.Millisecond)
 	r.k.Run(120 * sim.Second)
-	if !role.Registered() {
+	if !role.registered {
 		t.Error("3C manager failed to register")
 	}
-	if role.SD().Attr(ClassAttr) != "3C" {
-		t.Errorf("class attribute = %q", role.SD().Attr(ClassAttr))
+	if role.sd.Attr(ClassAttr) != "3C" {
+		t.Errorf("class attribute = %q", role.sd.Attr(ClassAttr))
 	}
 	if role.TwoParty() {
 		t.Error("3C manager must use 3-party subscription")

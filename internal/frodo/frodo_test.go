@@ -124,18 +124,18 @@ func TestElectionHighestPowerWins(t *testing.T) {
 func TestBootstrapThreeParty(t *testing.T) {
 	r := newRig(t, 3, false, 5, DefaultConfig())
 	r.k.Run(100 * sim.Second)
-	if !r.manager.Registered() {
+	if !r.manager.registered {
 		t.Fatal("manager not registered within 100s")
 	}
 	for i, u := range r.users {
-		if got := u.CachedVersion(r.manager.ID()); got != 1 {
+		if got := u.cachedVersion(r.manager.ID()); got != 1 {
 			t.Errorf("user %d cached version %d, want 1", i, got)
 		}
-		if !u.Subscribed() {
+		if !u.subActive {
 			t.Errorf("user %d not subscribed", i)
 		}
 	}
-	if got := r.registryNode.Registry().Subscriptions(); got != 5 {
+	if got := r.registryNode.Registry().subs.Len(); got != 5 {
 		t.Errorf("central has %d subscriptions, want 5 (3-party)", got)
 	}
 }
@@ -143,21 +143,21 @@ func TestBootstrapThreeParty(t *testing.T) {
 func TestBootstrapTwoParty(t *testing.T) {
 	r := newRig(t, 4, true, 5, TwoPartyConfig())
 	r.k.Run(100 * sim.Second)
-	if !r.manager.Registered() {
+	if !r.manager.registered {
 		t.Fatal("manager not registered within 100s")
 	}
 	for i, u := range r.users {
-		if got := u.CachedVersion(r.manager.ID()); got != 1 {
+		if got := u.cachedVersion(r.manager.ID()); got != 1 {
 			t.Errorf("user %d cached version %d, want 1", i, got)
 		}
-		if !u.Subscribed() {
+		if !u.subActive {
 			t.Errorf("user %d not subscribed", i)
 		}
 	}
-	if got := r.manager.Subscribers(); got != 5 {
+	if got := r.manager.subs.Len(); got != 5 {
 		t.Errorf("manager has %d direct subscriptions, want 5 (2-party)", got)
 	}
-	if got := r.registryNode.Registry().Subscriptions(); got != 0 {
+	if got := r.registryNode.Registry().subs.Len(); got != 0 {
 		t.Errorf("central has %d subscriptions, want 0 (2-party)", got)
 	}
 }

@@ -44,7 +44,7 @@ func TestDemotedCentralKeepsTables(t *testing.T) {
 	mgr.Start(500 * sim.Millisecond)
 	r.k.Run(120 * sim.Second)
 	central := r.nodes[0]
-	if !central.IsCentral() || central.Registry().Registrations() != 1 {
+	if !central.IsCentral() || central.Registry().registrations.Len() != 1 {
 		t.Fatal("Central with one registration not established")
 	}
 	rival := r.nw.AddNode("")
@@ -53,7 +53,7 @@ func TestDemotedCentralKeepsTables(t *testing.T) {
 	if central.IsCentral() {
 		t.Fatal("Central kept its claim against a stronger one")
 	}
-	if reg := central.Registry(); reg == nil || reg.Registrations() != 1 {
+	if reg := central.Registry(); reg == nil || reg.registrations.Len() != 1 {
 		t.Errorf("demoted Central lost its repository: %v", reg)
 	}
 }
@@ -67,7 +67,7 @@ func TestRearmKeepsPristineRegistry(t *testing.T) {
 	mgr.AttachManager(printerSD())
 	mgr.Start(500 * sim.Millisecond)
 	r.k.Run(120 * sim.Second)
-	if r.nodes[0].Registry().Registrations() != 1 {
+	if r.nodes[0].Registry().registrations.Len() != 1 {
 		t.Fatal("Central holds no registration before Rearm")
 	}
 	r.k.Reset(6)
@@ -80,7 +80,7 @@ func TestRearmKeepsPristineRegistry(t *testing.T) {
 		if reg == nil {
 			t.Fatalf("node %d lost its Registry capability across Rearm", nd.ID())
 		}
-		if nd.IsCentral() || nd.IsBackup() || reg.Registrations() != 0 || reg.Subscriptions() != 0 ||
+		if nd.IsCentral() || nd.IsBackup() || reg.registrations.Len() != 0 || reg.subs.Len() != 0 ||
 			reg.announcer.Running() || reg.backupMonitor.Armed() {
 			t.Errorf("node %d's Registry capability is not pristine after Rearm", nd.ID())
 		}
@@ -94,7 +94,7 @@ func TestRearmKeepsPristineRegistry(t *testing.T) {
 	}
 	mgr.Start(500 * sim.Millisecond)
 	r.k.Run(120 * sim.Second)
-	if !r.nodes[0].IsCentral() || r.nodes[0].Registry().Registrations() != 1 {
+	if !r.nodes[0].IsCentral() || r.nodes[0].Registry().registrations.Len() != 1 {
 		t.Error("rearmed rig did not re-elect the power-80 node with the Manager registered")
 	}
 }

@@ -107,18 +107,6 @@ func (m *ManagerRole) rearm() {
 // ID reports the hosting node's ID.
 func (m *ManagerRole) ID() netsim.NodeID { return m.nd.n.ID }
 
-// SD returns the current service description snapshot.
-func (m *ManagerRole) SD() *discovery.Snapshot { return m.sd }
-
-// Version reports the current service version.
-func (m *ManagerRole) Version() uint64 { return m.sd.Version() }
-
-// Registered reports whether the Manager believes it is registered.
-func (m *ManagerRole) Registered() bool { return m.registered }
-
-// Subscribers reports the number of live 2-party subscriptions.
-func (m *ManagerRole) Subscribers() int { return m.subs.Len() }
-
 // TwoParty reports whether this Manager maintains its own subscriptions.
 func (m *ManagerRole) TwoParty() bool { return m.nd.class == Class300D }
 

@@ -51,13 +51,13 @@ func TestMultiManagerRouting(t *testing.T) {
 	cuNode.Start(4 * sim.Second)
 
 	k.Run(100 * sim.Second)
-	if got := central.Registry().Registrations(); got != 2 {
+	if got := central.Registry().registrations.Len(); got != 2 {
 		t.Fatalf("central holds %d registrations, want 2", got)
 	}
-	if pu.CachedVersion(printer.ID()) != 1 || cu.CachedVersion(cam.ID()) != 1 {
+	if pu.cachedVersion(printer.ID()) != 1 || cu.cachedVersion(cam.ID()) != 1 {
 		t.Fatal("users did not discover their services")
 	}
-	if pu.CachedVersion(cam.ID()) != 0 || cu.CachedVersion(printer.ID()) != 0 {
+	if pu.cachedVersion(cam.ID()) != 0 || cu.cachedVersion(printer.ID()) != 0 {
 		t.Error("users cached services they never asked for")
 	}
 
@@ -86,7 +86,7 @@ func TestMultiManagerRouting(t *testing.T) {
 		Start: 320 * sim.Second, Duration: 5000 * sim.Second,
 	})
 	k.Run(2500 * sim.Second) // printer registration expires, ManagerGone
-	if got := central.Registry().Registrations(); got != 1 {
+	if got := central.Registry().registrations.Len(); got != 1 {
 		t.Errorf("central holds %d registrations after printer death, want 1", got)
 	}
 	cam.ChangeService(func(a map[string]string) { a["res"] = "4k" })

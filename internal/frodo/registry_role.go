@@ -143,12 +143,6 @@ func (r *RegistryRole) inconsistentFor(manager netsim.NodeID) *core.Inconsistent
 	return set
 }
 
-// Registrations reports the number of live registrations (diagnostics).
-func (r *RegistryRole) Registrations() int { return r.registrations.Len() }
-
-// Subscriptions reports the number of live 3-party subscriptions.
-func (r *RegistryRole) Subscriptions() int { return r.subs.Len() }
-
 // activate turns the capability on: this node is now the Central.
 func (r *RegistryRole) activate() {
 	if r.active {

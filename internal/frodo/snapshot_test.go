@@ -49,7 +49,7 @@ func TestCachedSnapshotSurvivesChangeService(t *testing.T) {
 			if nowUser.SD.Version() != 2 || nowCentral.SD.Version() != 2 {
 				t.Fatalf("v2 did not propagate: user=%v central=%v", nowUser.SD, nowCentral.SD)
 			}
-			if nowUser.SD != r.manager.SD() || nowCentral.SD != r.manager.SD() {
+			if nowUser.SD != r.manager.sd || nowCentral.SD != r.manager.sd {
 				t.Error("v2 snapshot should be one shared instance across the stack")
 			}
 		})

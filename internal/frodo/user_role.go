@@ -197,17 +197,14 @@ func (u *UserRole) sendByes() {
 	}
 }
 
-// CachedVersion reports the cached description version for a Manager.
-func (u *UserRole) CachedVersion(manager netsim.NodeID) uint64 {
+// cachedVersion reports the cached description version for a Manager.
+func (u *UserRole) cachedVersion(manager netsim.NodeID) uint64 {
 	rec, ok := u.cache.Get(manager)
 	if !ok {
 		return 0
 	}
 	return rec.SD.Version()
 }
-
-// Subscribed reports whether the User holds an acknowledged subscription.
-func (u *UserRole) Subscribed() bool { return u.subActive }
 
 // EachCached visits every cached service record — the live gateway's
 // read path. The records share immutable snapshots and may be retained.

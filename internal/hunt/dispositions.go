@@ -10,11 +10,11 @@ type Disposition struct {
 	Mechanism string // what closes or bounds the finding
 }
 
-// Dispositions is the per-finding decision table for the committed
+// dispositions is the per-finding decision table for the committed
 // hunted-* fixtures under testdata, one row per (system, invariant).
 // Every finding proved fixable at the protocol layer; no invariant needed
 // a fault-conditional bound.
-func Dispositions() []Disposition {
+func dispositions() []Disposition {
 	return []Disposition{
 		{"upnp", "lease-purge", "hardened",
 			"bounded TCP data retransmission (8 tries, 60s RTO cap): stale RenewAcks can no longer arrive hours late"},

@@ -28,7 +28,7 @@ func TestDispositionsCoverTheHuntedFindings(t *testing.T) {
 	}
 
 	rows := map[string]int{}
-	for _, d := range Dispositions() {
+	for _, d := range dispositions() {
 		key := d.System + "/" + d.Invariant
 		rows[key]++
 		if d.Decision != "hardened" && d.Decision != "bounded" {

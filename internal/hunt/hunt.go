@@ -16,7 +16,6 @@ package hunt
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/experiment"
 	"repro/internal/sim"
@@ -287,23 +286,8 @@ func (h *Hunter) report() *Report {
 	return rep
 }
 
-// Findings returns the hunt's violations with their minimized specs,
-// in discovery order. Valid after Run.
-func (h *Hunter) Findings() []*Finding { return h.findings }
-
 // Corpus returns the coverage-increasing specs, in discovery order.
 func (h *Hunter) Corpus() []*experiment.ScenarioSpec { return h.corpus }
-
-// CoverageKeys returns the sorted coverage keys the hunt reached —
-// the behavioral fingerprint two equal-seed hunts must agree on.
-func (h *Hunter) CoverageKeys() []string {
-	keys := make([]string, 0, len(h.seen))
-	for k := range h.seen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
 
 // Fixtures renders every finding as a committable fixture.
 func (h *Hunter) Fixtures() []*Fixture {

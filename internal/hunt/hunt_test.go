@@ -70,7 +70,7 @@ func TestHuntDeterministic(t *testing.T) {
 	if string(ja) != string(jb) {
 		t.Errorf("reports diverge:\n%s\n%s", ja, jb)
 	}
-	if !reflect.DeepEqual(a.CoverageKeys(), b.CoverageKeys()) {
+	if !reflect.DeepEqual(a.seen, b.seen) {
 		t.Error("coverage fingerprints diverge")
 	}
 	if len(a.Corpus()) != len(b.Corpus()) {
@@ -115,7 +115,7 @@ func TestHuntFindsAndMinimizesPlantedViolation(t *testing.T) {
 		t.Fatal("hunt missed the planted single-central violation")
 	}
 	var f *Finding
-	for _, cand := range h.Findings() {
+	for _, cand := range h.findings {
 		if cand.Invariant == verify.InvSingleCentral {
 			f = cand
 		}
@@ -142,8 +142,8 @@ func TestHuntFindsAndMinimizesPlantedViolation(t *testing.T) {
 	}
 
 	fixtures := h.Fixtures()
-	if len(fixtures) != len(h.Findings()) {
-		t.Fatalf("%d fixtures for %d findings", len(fixtures), len(h.Findings()))
+	if len(fixtures) != len(h.findings) {
+		t.Fatalf("%d fixtures for %d findings", len(fixtures), len(h.findings))
 	}
 	fx := fixtures[0]
 	if err := fx.Validate(); err != nil {

@@ -25,7 +25,7 @@ func TestManagerChangedTwiceSendsTheSecondVersion(t *testing.T) {
 	})
 	r.k.Run(1100 * sim.Second)
 	for i, u := range r.users {
-		if v := u.CachedVersion(r.manager.ID()); v != 3 {
+		if v := u.cachedVersion(r.manager.ID()); v != 3 {
 			t.Errorf("user %d holds version %d after two changes, want 3", i, v)
 		}
 	}

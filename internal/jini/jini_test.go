@@ -70,18 +70,18 @@ func (r *rig) change() {
 func TestBootstrapDiscoveryWithin100s(t *testing.T) {
 	r := newRig(t, 1, 1, 5, DefaultConfig())
 	r.k.Run(200 * sim.Second)
-	if !r.registries[0].Registered(r.manager.ID()) {
+	if !r.registries[0].registered(r.manager.ID()) {
 		t.Fatal("manager not registered")
 	}
 	for i, u := range r.users {
-		if got := u.CachedVersion(r.manager.ID()); got != 1 {
+		if got := u.cachedVersion(r.manager.ID()); got != 1 {
 			t.Errorf("user %d cached version %d, want 1", i, got)
 		}
-		if !u.Subscribed() {
+		if len(u.subscribed) == 0 {
 			t.Errorf("user %d not subscribed", i)
 		}
 	}
-	if got := r.registries[0].Subscribers(); got != 5 {
+	if got := r.registries[0].subs.Len(); got != 5 {
 		t.Errorf("registry has %d event subscriptions, want 5", got)
 	}
 }
@@ -140,7 +140,7 @@ func TestUpdateMessageCountTwoRegistries(t *testing.T) {
 			allDone = at
 		}
 	}
-	if got := r.manager.KnownRegistries(); got != 2 {
+	if got := r.manager.registries.Len(); got != 2 {
 		t.Fatalf("manager knows %d registries, want 2", got)
 	}
 	// The window is padded by a second so the duplicate events of the
@@ -185,7 +185,7 @@ func TestPR1AnomalyRequiresQuery(t *testing.T) {
 		u.Start(0)
 	})
 	r.k.Run(500 * sim.Second)
-	if got := u.CachedVersion(r.manager.ID()); got != 0 {
+	if got := u.cachedVersion(r.manager.ID()); got != 0 {
 		t.Fatalf("user discovered existing registration without PR2 (version %d)", got)
 	}
 	// A future re-registration IS notified: force one by failing the
@@ -195,7 +195,7 @@ func TestPR1AnomalyRequiresQuery(t *testing.T) {
 		Start: 500 * sim.Second, Duration: 2000 * sim.Second, // up at 2500
 	})
 	r.k.Run(5400 * sim.Second)
-	if got := u.CachedVersion(r.manager.ID()); got == 0 {
+	if got := u.cachedVersion(r.manager.ID()); got == 0 {
 		t.Error("user not notified of the future re-registration (PR1)")
 	}
 }
@@ -268,12 +268,12 @@ func TestTwoRegistriesDeliverDuplicateEvents(t *testing.T) {
 	r := newRig(t, 10, 2, 1, DefaultConfig())
 	u := r.users[0]
 	r.k.Run(300 * sim.Second)
-	if got := u.KnownRegistries(); got != 2 {
+	if got := u.registries.Len(); got != 2 {
 		t.Fatalf("user joined %d registries, want 2", got)
 	}
 	r.change()
 	r.k.Run(400 * sim.Second)
-	if got := u.CachedVersion(r.manager.ID()); got != 2 {
+	if got := u.cachedVersion(r.manager.ID()); got != 2 {
 		t.Errorf("cached version = %d, want 2", got)
 	}
 }

@@ -74,16 +74,6 @@ func managerBoot(x any) {
 // ID reports the Manager's node ID.
 func (m *Manager) ID() netsim.NodeID { return m.node.ID }
 
-// SD returns the current service description snapshot.
-func (m *Manager) SD() *discovery.Snapshot { return m.sd }
-
-// Version reports the current service version.
-func (m *Manager) Version() uint64 { return m.sd.Version() }
-
-// KnownRegistries reports how many lookup services the Manager is
-// registered with.
-func (m *Manager) KnownRegistries() int { return m.registries.Len() }
-
 // ChangeService mutates the service copy-on-write, bumps the version, and
 // updates every known Registry over TCP. A REX leaves that Registry stale
 // until the registration lease cycle heals it (re-registration after an

@@ -46,10 +46,10 @@ func TestMultiManagerEventRouting(t *testing.T) {
 	cu.Start(4 * sim.Second)
 
 	k.Run(100 * sim.Second)
-	if !reg.Registered(printer.ID()) || !reg.Registered(cam.ID()) {
+	if !reg.registered(printer.ID()) || !reg.registered(cam.ID()) {
 		t.Fatal("managers not registered")
 	}
-	if pu.CachedVersion(printer.ID()) != 1 || cu.CachedVersion(cam.ID()) != 1 {
+	if pu.cachedVersion(printer.ID()) != 1 || cu.cachedVersion(cam.ID()) != 1 {
 		t.Fatal("users did not discover their services")
 	}
 
@@ -89,7 +89,7 @@ func TestNotificationRequestQueryMatching(t *testing.T) {
 	})
 	printer.Start(0)
 	k.Run(100 * sim.Second)
-	if got := u.CachedVersion(printer.ID()); got != 0 {
+	if got := u.cachedVersion(printer.ID()); got != 0 {
 		t.Errorf("user adopted a non-matching service (v%d)", got)
 	}
 
@@ -100,10 +100,10 @@ func TestNotificationRequestQueryMatching(t *testing.T) {
 	})
 	cam.Start(0)
 	k.Run(200 * sim.Second)
-	if got := u.CachedVersion(cam.ID()); got != 1 {
+	if got := u.cachedVersion(cam.ID()); got != 1 {
 		t.Errorf("notification request did not deliver the future registration (v%d)", got)
 	}
-	if !u.Subscribed() {
+	if len(u.subscribed) == 0 {
 		t.Error("user did not subscribe after the registration notification")
 	}
 }

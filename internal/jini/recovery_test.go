@@ -14,10 +14,10 @@ func TestRegistryAnnouncementsKeepCacheAlive(t *testing.T) {
 	r := newRig(t, 40, 1, 1, DefaultConfig())
 	u := r.users[0]
 	r.k.Run(5400 * sim.Second)
-	if got := u.CachedVersion(r.manager.ID()); got != 1 {
+	if got := u.cachedVersion(r.manager.ID()); got != 1 {
 		t.Errorf("cache lost without failures: version %d", got)
 	}
-	if !u.Subscribed() {
+	if len(u.subscribed) == 0 {
 		t.Error("subscription lost without failures")
 	}
 }
@@ -33,13 +33,13 @@ func TestRegistryPurgeAndRejoin(t *testing.T) {
 		Start: 500 * sim.Second, Duration: 2000 * sim.Second, // up at 2500
 	})
 	r.k.At(2400*sim.Second, func() {
-		if got := u.KnownRegistries(); got != 0 {
+		if got := u.registries.Len(); got != 0 {
 			t.Errorf("user still knows %d registries during long registry outage", got)
 		}
 	})
 	r.k.At(1000*sim.Second, r.change) // lost: registry down
 	r.k.Run(5400 * sim.Second)
-	if got := u.KnownRegistries(); got != 1 {
+	if got := u.registries.Len(); got != 1 {
 		t.Fatalf("user did not rejoin the recovered registry (knows %d)", got)
 	}
 	// The outage also expired the Manager's registration, so after
@@ -65,7 +65,7 @@ func TestRegistryPurgesSilentUser(t *testing.T) {
 		Start: 300 * sim.Second, Duration: 4000 * sim.Second,
 	})
 	r.k.Run(2500 * sim.Second)
-	if got := r.registries[0].Subscribers(); got != 0 {
+	if got := r.registries[0].subs.Len(); got != 0 {
 		t.Errorf("registry still holds %d event subscriptions for a silent user", got)
 	}
 }
@@ -130,7 +130,7 @@ func TestEventSequenceGapTriggersQuery(t *testing.T) {
 	r.k.At(1000*sim.Second, r.change) // v2: event lost (REX)
 	r.k.At(2000*sim.Second, r.change) // v3: delivered with a gap
 	r.k.Run(2500 * sim.Second)
-	if got := u.CachedVersion(r.manager.ID()); got != 3 {
+	if got := u.cachedVersion(r.manager.ID()); got != 3 {
 		t.Fatalf("cached version %d, want 3", got)
 	}
 	if _, ok := r.whenConsistent(u, 3); !ok {

@@ -82,14 +82,11 @@ func (r *Registry) Start(bootDelay sim.Duration) { r.announcer.Start(bootDelay) 
 // ID reports the Registry's node ID.
 func (r *Registry) ID() netsim.NodeID { return r.node.ID }
 
-// Registered reports whether the Manager currently holds a registration.
-func (r *Registry) Registered(manager netsim.NodeID) bool {
+// registered reports whether the Manager currently holds a registration.
+func (r *Registry) registered(manager netsim.NodeID) bool {
 	_, ok := r.registrations.Get(manager)
 	return ok
 }
-
-// Subscribers reports the number of live event subscriptions.
-func (r *Registry) Subscribers() int { return r.subs.Len() }
 
 // Deliver implements netsim.Endpoint.
 func (r *Registry) Deliver(msg *netsim.Message) {

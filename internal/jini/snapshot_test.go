@@ -43,7 +43,7 @@ func TestCachedSnapshotSurvivesChangeService(t *testing.T) {
 	}
 	// Registry repository and User cache share the one v2 snapshot the
 	// Manager built — by reference, no copies anywhere on the path.
-	if nowUser.SD != nowReg.SD || nowReg.SD != r.manager.SD() {
+	if nowUser.SD != nowReg.SD || nowReg.SD != r.manager.sd {
 		t.Error("v2 snapshot should be one shared instance across the stack")
 	}
 }

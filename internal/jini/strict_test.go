@@ -59,8 +59,8 @@ func TestHardenedRegistryRefusesRenewalsAtExpiry(t *testing.T) {
 		if got[mgr] != want || got[user] != want {
 			t.Errorf("hardened=%v: Manager got %q, User got %q, want %q for both", hardened, got[mgr], got[user], want)
 		}
-		if reg.Subscribers() != 1 {
-			t.Errorf("hardened=%v: %d event subscriptions after the re-Subscribe, want 1", hardened, reg.Subscribers())
+		if reg.subs.Len() != 1 {
+			t.Errorf("hardened=%v: %d event subscriptions after the re-Subscribe, want 1", hardened, reg.subs.Len())
 		}
 	}
 }

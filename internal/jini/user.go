@@ -156,20 +156,14 @@ func (u *User) Stop() {
 	clear(u.monitors)
 }
 
-// CachedVersion reports the cached description version for a Manager.
-func (u *User) CachedVersion(manager netsim.NodeID) uint64 {
+// cachedVersion reports the cached description version for a Manager.
+func (u *User) cachedVersion(manager netsim.NodeID) uint64 {
 	rec, ok := u.cache.Get(manager)
 	if !ok {
 		return 0
 	}
 	return rec.SD.Version()
 }
-
-// KnownRegistries reports how many lookup services the User has joined.
-func (u *User) KnownRegistries() int { return u.registries.Len() }
-
-// Subscribed reports whether the user holds any event registration.
-func (u *User) Subscribed() bool { return len(u.subscribed) > 0 }
 
 // EachCached visits every cached service record — the live gateway's
 // read path. The records share immutable snapshots and may be retained.

@@ -145,16 +145,6 @@ func (c *Client) Query(user int) ([]Record, error) {
 	return resp.Records, nil
 }
 
-// Lookup searches the fabric with real frames from the gateway's port
-// node and returns what the live Registries and Managers answered.
-func (c *Client) Lookup(q ServiceQuery) ([]Record, error) {
-	var resp queryResponse
-	if err := c.post("/v1/lookup", lookupRequest{Query: q}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Records, nil
-}
-
 // Subscribe asks the gateway to push the user's cache writes as UDP
 // datagrams to addr (usually a NotifyHub's).
 func (c *Client) Subscribe(user int, addr string) error {

@@ -186,10 +186,6 @@ func New(cfg Config) (*Driver, error) {
 // while the loop runs).
 func (d *Driver) Telemetry() *obs.Registry { return d.reg }
 
-// Scenario exposes the built scenario. Before Start it may be used
-// directly; afterwards only from functions run via Call.
-func (d *Driver) Scenario() *experiment.Scenario { return d.sc }
-
 // Done is closed when the event loop has exited.
 func (d *Driver) Done() <-chan struct{} { return d.done }
 

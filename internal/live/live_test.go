@@ -196,10 +196,11 @@ func TestLiveLookup(t *testing.T) {
 			// (or, for UPnP, the Manager just needs to answer M-SEARCH).
 			deadline := time.Now().Add(30 * time.Second)
 			for {
-				recs, err := cl.Lookup(ServiceQuery{Service: "Thermo"})
-				if err != nil {
+				var resp queryResponse
+				if err := cl.post("/v1/lookup", lookupRequest{Query: ServiceQuery{Service: "Thermo"}}, &resp); err != nil {
 					t.Fatalf("lookup: %v", err)
 				}
+				recs := resp.Records
 				if len(recs) > 0 {
 					if recs[0].Service != "Thermo" {
 						t.Fatalf("lookup returned %+v", recs[0])

@@ -61,17 +61,6 @@ type FailurePlanConfig struct {
 	RunDuration sim.Duration
 }
 
-// DefaultFailurePlanConfig returns the §5 experiment parameters for a
-// given λ.
-func DefaultFailurePlanConfig(lambda float64) FailurePlanConfig {
-	return FailurePlanConfig{
-		Lambda:      lambda,
-		WindowStart: 100 * sim.Second,
-		WindowEnd:   5400 * sim.Second,
-		RunDuration: 5400 * sim.Second,
-	}
-}
-
 // PlanInterfaceFailures draws one outage per node: mode uniform over
 // {Tx, Rx, both}, start uniform in the window, duration λ·RunDuration.
 // With λ = 0 it returns no failures.

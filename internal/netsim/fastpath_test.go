@@ -150,7 +150,7 @@ func TestMulticastFanoutAllocsPareto(t *testing.T) {
 	}
 }
 
-// The map-backed group set keeps O(1) Join/Leave with deterministic
+// The map-backed group set keeps O(1) Join/remove with deterministic
 // (swap-remove) ordering, and the no-copy accessor sees the same
 // membership as the copying one.
 func TestGroupSetSemantics(t *testing.T) {
@@ -167,7 +167,7 @@ func TestGroupSetSemantics(t *testing.T) {
 	if got := nw.Members(g); len(got) != 5 {
 		t.Fatalf("members = %v, want 5 entries", got)
 	}
-	nw.Leave(1, g)
+	nw.groups[g].remove(1)
 	want := []NodeID{0, 4, 2, 3} // swap-remove: last member fills the hole
 	got := nw.Members(g)
 	if len(got) != len(want) {
@@ -190,9 +190,9 @@ func TestGroupSetSemantics(t *testing.T) {
 			t.Fatalf("members() = %v, want %v", live, want)
 		}
 	}
-	nw.Leave(1, g) // leaving a non-member is a no-op
+	nw.groups[g].remove(1) // leaving a non-member is a no-op
 	if len(nw.Members(g)) != 4 {
-		t.Error("Leave of non-member changed membership")
+		t.Error("removing a non-member changed membership")
 	}
 }
 
@@ -208,14 +208,14 @@ func TestRetireRecyclesSlot(t *testing.T) {
 	b.SetEndpoint(ep)
 
 	nw.Retire(b.ID)
-	if !b.Retired() || b.TxUp() || b.RxUp() {
+	if !b.slot().retired || b.slot().txUp || b.slot().rxUp {
 		t.Fatal("retired node still up")
 	}
 	if len(nw.Members(Group(1))) != 0 {
 		t.Fatal("retired node still in group")
 	}
 	b.SetTx(true) // interface events aimed at a retired slot are ignored
-	if b.TxUp() {
+	if b.slot().txUp {
 		t.Fatal("SetTx revived a retired node")
 	}
 	// Frames to the retired node drop without delivering.
@@ -229,7 +229,7 @@ func TestRetireRecyclesSlot(t *testing.T) {
 	if c.ID != b.ID {
 		t.Fatalf("slot not recycled: new node got ID %d, want %d", c.ID, b.ID)
 	}
-	if !c.Up() || c.Retired() || c.Name != "c" {
+	if !(c.slot().txUp && c.slot().rxUp) || c.slot().retired || c.Name != "c" {
 		t.Fatalf("recycled node state wrong: %+v", c)
 	}
 	if nw.Nodes() != 2 {
@@ -314,11 +314,11 @@ func TestRecycledSlotDoesNotInheritTrafficOrFailures(t *testing.T) {
 
 	// The old tenant's outage window passes without touching the new one.
 	k.Run(15 * sim.Second)
-	if !c.Up() {
+	if !(c.slot().txUp && c.slot().rxUp) {
 		t.Error("new tenant inherited the departed tenant's planned outage")
 	}
 	k.Run(40 * sim.Second)
-	if !c.Up() {
+	if !(c.slot().txUp && c.slot().rxUp) {
 		t.Error("outage recovery event disturbed the new tenant")
 	}
 	// A fresh frame to the new tenant still delivers.

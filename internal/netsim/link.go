@@ -89,8 +89,8 @@ func (b BurstConfig) validate() error {
 	return nil
 }
 
-// StationaryLoss reports the chain's long-run average loss rate.
-func (b BurstConfig) StationaryLoss() float64 {
+// stationaryLoss reports the chain's long-run average loss rate.
+func (b BurstConfig) stationaryLoss() float64 {
 	if b.GoodToBad+b.BadToGood == 0 {
 		return b.GoodLoss
 	}

@@ -63,7 +63,7 @@ func TestQuickGELossConvergesToStationary(t *testing.T) {
 				losses++
 			}
 		}
-		want := burst.StationaryLoss()
+		want := burst.stationaryLoss()
 		got := float64(losses) / frames
 		// Tolerance: 5 standard errors of the i.i.d. estimator plus a
 		// correlation allowance for the chain's burstiness.
@@ -141,8 +141,8 @@ func TestBurstForAverageStationary(t *testing.T) {
 	for _, avg := range []float64{0.05, 0.2, 0.5} {
 		for _, mean := range []float64{1, 4, 16} {
 			b := BurstForAverage(avg, mean)
-			if got := b.StationaryLoss(); math.Abs(got-avg) > 1e-12 {
-				t.Errorf("BurstForAverage(%v,%v).StationaryLoss() = %v", avg, mean, got)
+			if got := b.stationaryLoss(); math.Abs(got-avg) > 1e-12 {
+				t.Errorf("BurstForAverage(%v,%v).stationaryLoss() = %v", avg, mean, got)
 			}
 			if !b.Enabled() {
 				t.Errorf("BurstForAverage(%v,%v) not enabled", avg, mean)

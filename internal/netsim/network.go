@@ -62,8 +62,8 @@ func DefaultConfig() Config {
 }
 
 // groupSet is a multicast group's membership: a dense slice for ordered,
-// allocation-free fan-out plus a map index so Join/Leave are O(1) instead
-// of scanning. Removal swap-deletes, so membership order is a
+// allocation-free fan-out plus a map index so Join and removal are O(1)
+// instead of scanning. Removal swap-deletes, so membership order is a
 // deterministic function of the join/leave sequence (which is all the
 // simulation needs — fan-out draws randomness in membership order, and
 // replays only have to match themselves). listens[i] is the topic set
@@ -263,9 +263,6 @@ func (nw *Network) park(nodes []*Node) {
 // Kernel reports the owning simulation kernel.
 func (nw *Network) Kernel() *sim.Kernel { return nw.k }
 
-// Config reports the network configuration.
-func (nw *Network) Config() Config { return nw.cfg }
-
 // SetTracer installs an event tracer; nil disables tracing.
 func (nw *Network) SetTracer(t Tracer) { nw.tracer = t }
 
@@ -383,17 +380,10 @@ func (nw *Network) Join(id NodeID, g Group) { nw.JoinTopics(id, g, AllTopics) }
 // re-declares, keeping the node's place in the membership order — a
 // protocol instance does so whenever the set of kinds it acts on changes.
 // The declaration is a promise that Deliver is a no-op for the declined
-// topics' frames; it lasts until the node leaves the group (Leave,
-// Retire, Reset, Rearm).
+// topics' frames; it lasts until the node leaves the group (Retire,
+// Reset, Rearm).
 func (nw *Network) JoinTopics(id NodeID, g Group, listens TopicSet) {
 	nw.group(g).add(id, listens)
-}
-
-// Leave removes a node from a multicast group.
-func (nw *Network) Leave(id NodeID, g Group) {
-	if gs := nw.groups[g]; gs != nil {
-		gs.remove(id)
-	}
 }
 
 // Members returns a copy of the current membership of a multicast group.
@@ -408,7 +398,7 @@ func (nw *Network) Members(g Group) []NodeID {
 
 // members is the no-copy accessor behind Members and the fan-out paths:
 // the live membership slice and, index for index, what each member
-// listens for. Valid only until the next Join/Leave/Retire; must not be
+// listens for. Valid only until the next Join/Retire; must not be
 // mutated.
 func (nw *Network) members(g Group) ([]NodeID, []TopicSet) {
 	if gs := nw.groups[g]; gs != nil {

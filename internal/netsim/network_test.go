@@ -129,7 +129,7 @@ func TestMulticastLeave(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		h.nw.Join(NodeID(i), g)
 	}
-	h.nw.Leave(2, g)
+	h.nw.groups[g].remove(2)
 	h.nw.Multicast(0, g, Outgoing{Kind: "a"}, 1)
 	h.k.Run(sim.Second)
 	if len(h.inbox[1]) != 1 || len(h.inbox[2]) != 0 {
@@ -165,7 +165,7 @@ func TestInterfaceChangeCallback(t *testing.T) {
 	if len(transitions) != 3 {
 		t.Errorf("got %d transitions, want 3: %v", len(transitions), transitions)
 	}
-	if h.nodes[0].Up() {
+	if h.nodes[0].slot().txUp && h.nodes[0].slot().rxUp {
 		t.Error("node reports Up with Rx down")
 	}
 }
@@ -252,7 +252,7 @@ func TestQuickFailurePlanInvariants(t *testing.T) {
 		for i := range ids {
 			ids[i] = NodeID(i)
 		}
-		cfg := DefaultFailurePlanConfig(lambda)
+		cfg := FailurePlanConfig{Lambda: lambda, WindowStart: 100 * sim.Second, WindowEnd: 5400 * sim.Second, RunDuration: 5400 * sim.Second}
 		plan := PlanInterfaceFailures(k, ids, cfg)
 		if lambda == 0 {
 			return len(plan) == 0
@@ -285,8 +285,8 @@ func TestScheduleFailureTogglesInterfaces(t *testing.T) {
 	f := InterfaceFailure{Node: 0, Mode: FailBoth, Start: 10 * sim.Second, Duration: 20 * sim.Second}
 	h.nw.ScheduleFailure(f)
 	var during, after bool
-	h.k.At(15*sim.Second, func() { during = h.nodes[0].Up() })
-	h.k.At(35*sim.Second, func() { after = h.nodes[0].Up() })
+	h.k.At(15*sim.Second, func() { during = h.nodes[0].slot().txUp && h.nodes[0].slot().rxUp })
+	h.k.At(35*sim.Second, func() { after = h.nodes[0].slot().txUp && h.nodes[0].slot().rxUp })
 	h.k.Run(40 * sim.Second)
 	if during {
 		t.Error("node up during failure")
@@ -300,10 +300,10 @@ func TestFailModeTxOnly(t *testing.T) {
 	h := newHarness(t, 1, DefaultConfig())
 	h.nw.ScheduleFailure(InterfaceFailure{Node: 0, Mode: FailTx, Start: sim.Second, Duration: sim.Second})
 	h.k.At(1500*sim.Millisecond, func() {
-		if h.nodes[0].TxUp() {
+		if h.nodes[0].slot().txUp {
 			t.Error("Tx up during Tx failure")
 		}
-		if !h.nodes[0].RxUp() {
+		if !h.nodes[0].slot().rxUp {
 			t.Error("Rx down during Tx-only failure")
 		}
 	})

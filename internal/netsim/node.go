@@ -45,18 +45,6 @@ type slot struct {
 
 func (n *Node) slot() *slot { return &n.net.slots[n.ID] }
 
-// TxUp reports whether the transmitter is operational.
-func (n *Node) TxUp() bool { return n.slot().txUp }
-
-// RxUp reports whether the receiver is operational.
-func (n *Node) RxUp() bool { return n.slot().rxUp }
-
-// Up reports whether both interfaces are operational.
-func (n *Node) Up() bool {
-	s := n.slot()
-	return s.txUp && s.rxUp
-}
-
 // SetEndpoint attaches the protocol instance that receives this node's
 // traffic. It must be called before any message can be delivered.
 func (n *Node) SetEndpoint(ep Endpoint) { n.slot().ep = ep }
@@ -67,10 +55,6 @@ func (n *Node) Endpoint() Endpoint { return n.slot().ep }
 // OnInterfaceChange registers a callback invoked after every Tx/Rx state
 // change.
 func (n *Node) OnInterfaceChange(fn func(txUp, rxUp bool)) { n.onInterfaceChange = fn }
-
-// Retired reports whether the node's slot has been released by
-// Network.Retire and not yet reused.
-func (n *Node) Retired() bool { return n.slot().retired }
 
 // SetTx changes transmitter state, tracing the transition.
 func (n *Node) SetTx(up bool) {

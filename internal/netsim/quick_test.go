@@ -26,7 +26,7 @@ func TestQuickTCPExactlyOnce(t *testing.T) {
 		b.SetEndpoint(EndpointFunc(func(*Message) { delivered++ }))
 		var result error
 		done := false
-		nw.SendTCP(a.ID, b.ID, Outgoing{Kind: "x"}, func(err error) {
+		nw.SendTCPWith(DefaultTCPConfig(), a.ID, b.ID, Outgoing{Kind: "x"}, func(err error) {
 			result = err
 			done = true
 		})

@@ -271,17 +271,12 @@ func (c *TCPConn) sendControl(kind tcpFrameKind, name string, from, to NodeID, t
 	c.nw.sendTCPFrame(f)
 }
 
-// SendTCP opens a connection from one node to another and reliably
+// SendTCPWith opens a connection from one node to another and reliably
 // transfers one discovery message. onResult is called exactly once: with
 // nil when the payload has been delivered and acknowledged, with ErrREX if
 // connection setup fails, or with ErrAborted if the sender gives up.
 // The receiver can answer over the connection (Message.Conn) while the
 // payload is being delivered.
-func (nw *Network) SendTCP(from, to NodeID, out Outgoing, onResult func(error)) {
-	nw.SendTCPWith(DefaultTCPConfig(), from, to, out, onResult)
-}
-
-// SendTCPWith is SendTCP with an explicit transport configuration.
 func (nw *Network) SendTCPWith(cfg TCPConfig, from, to NodeID, out Outgoing, onResult func(error)) {
 	nw.openTCP(cfg, from, to, out, onResult).settle()
 }
@@ -347,15 +342,6 @@ func (c *TCPConn) fail(err error) {
 		}
 	}
 }
-
-// Established reports whether connection setup completed.
-func (c *TCPConn) Established() bool { return c.established }
-
-// From reports the initiating node.
-func (c *TCPConn) From() NodeID { return c.from }
-
-// To reports the accepting node.
-func (c *TCPConn) To() NodeID { return c.to }
 
 func (c *TCPConn) queueTransfer(from, to NodeID, out Outgoing, onResult func(error)) {
 	nw := c.nw

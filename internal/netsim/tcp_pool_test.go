@@ -151,7 +151,7 @@ func TestTCPConnPoolReclaimedOnRearm(t *testing.T) {
 	h := newHarness(t, 2, DefaultConfig())
 	h.nodes[1].SetRx(false)
 	for i := 0; i < 5; i++ {
-		h.nw.SendTCP(0, 1, Outgoing{Kind: fmt.Sprint(i)}, nil)
+		h.nw.SendTCPWith(DefaultTCPConfig(), 0, 1, Outgoing{Kind: fmt.Sprint(i)}, nil)
 	}
 	h.k.Run(10 * sim.Second) // every connection still in setup
 	if free, made, _, _ := tcpConnPool(h.nw); free+5 != made {

@@ -77,20 +77,20 @@ func tcpScenarios() []tcpScenario {
 	return []tcpScenario{
 		{"exchange-reply", DefaultConfig(), 10 * sim.Second, func(h *harness, l *tcpLog) {
 			replyWith(h, l, 1, "reply")
-			h.nw.SendTCP(0, 1, Outgoing{Kind: "get", Counted: true}, l.result("get"))
+			h.nw.SendTCPWith(DefaultTCPConfig(), 0, 1, Outgoing{Kind: "get", Counted: true}, l.result("get"))
 			// A second exchange reuses whatever the first one released.
 			h.k.At(sim.Second, func() {
-				h.nw.SendTCP(0, 1, Outgoing{Kind: "get", Counted: true}, l.result("get2"))
+				h.nw.SendTCPWith(DefaultTCPConfig(), 0, 1, Outgoing{Kind: "get", Counted: true}, l.result("get2"))
 			})
 		}},
 		{"syn-lost-retry", DefaultConfig(), 200 * sim.Second, func(h *harness, l *tcpLog) {
 			h.nodes[1].SetRx(false)
 			h.k.At(25*sim.Second, func() { h.nodes[1].SetRx(true) })
-			h.nw.SendTCP(0, 1, Outgoing{Kind: "notify", Counted: true}, l.result("notify"))
+			h.nw.SendTCPWith(DefaultTCPConfig(), 0, 1, Outgoing{Kind: "notify", Counted: true}, l.result("notify"))
 		}},
 		{"rex", DefaultConfig(), 200 * sim.Second, func(h *harness, l *tcpLog) {
 			h.nodes[0].SetTx(false)
-			h.nw.SendTCP(0, 1, Outgoing{Kind: "notify", Counted: true}, l.result("notify"))
+			h.nw.SendTCPWith(DefaultTCPConfig(), 0, 1, Outgoing{Kind: "notify", Counted: true}, l.result("notify"))
 		}},
 		{"abort-mid-setup", DefaultConfig(), 200 * sim.Second, func(h *harness, l *tcpLog) {
 			h.nodes[1].SetRx(false)
@@ -107,7 +107,7 @@ func tcpScenarios() []tcpScenario {
 		{"rto-backoff", fixedDelayConfig(100 * sim.Microsecond), 100 * sim.Second, func(h *harness, l *tcpLog) {
 			h.k.At(afterSetup, func() { h.nodes[1].SetRx(false) })
 			h.k.At(40*sim.Second, func() { h.nodes[1].SetRx(true) })
-			h.nw.SendTCP(0, 1, Outgoing{Kind: "notify"}, l.result("notify"))
+			h.nw.SendTCPWith(DefaultTCPConfig(), 0, 1, Outgoing{Kind: "notify"}, l.result("notify"))
 		}},
 		{"rto-ceiling-jitter", fixedDelayConfig(100 * sim.Microsecond), 100 * sim.Second, func(h *harness, l *tcpLog) {
 			h.k.At(afterSetup, func() { h.nodes[1].SetRx(false) })
@@ -128,7 +128,7 @@ func tcpScenarios() []tcpScenario {
 			// re-ACKed but the payload is delivered once.
 			h.k.At(afterSetup, func() { h.nodes[1].SetTx(false) })
 			h.k.At(10*sim.Second, func() { h.nodes[1].SetTx(true) })
-			h.nw.SendTCP(0, 1, Outgoing{Kind: "notify"}, l.result("notify"))
+			h.nw.SendTCPWith(DefaultTCPConfig(), 0, 1, Outgoing{Kind: "notify"}, l.result("notify"))
 		}},
 		{"abort-on-retire-setup", DefaultConfig(), 200 * sim.Second, func(h *harness, l *tcpLog) {
 			h.nodes[1].SetRx(false)
@@ -149,7 +149,7 @@ func tcpScenarios() []tcpScenario {
 		}},
 		{"receiver-slot-recycled-in-flight", fixedDelayConfig(100 * sim.Microsecond), 150 * sim.Second, func(h *harness, l *tcpLog) {
 			// The SYN is in flight when the receiver's slot changes hands.
-			h.nw.SendTCP(0, 1, Outgoing{Kind: "notify"}, l.result("notify"))
+			h.nw.SendTCPWith(DefaultTCPConfig(), 0, 1, Outgoing{Kind: "notify"}, l.result("notify"))
 			h.k.At(50*sim.Microsecond, func() {
 				h.nw.Retire(1)
 				h.nw.AddNode("tenant")
@@ -160,7 +160,7 @@ func tcpScenarios() []tcpScenario {
 			for i := 0; i < 6; i++ {
 				name := fmt.Sprintf("get%d", i)
 				h.k.At(sim.Time(i)*sim.Second+sim.Millisecond, func() {
-					h.nw.SendTCP(0, 1, Outgoing{Kind: name, Counted: true}, l.result(name))
+					h.nw.SendTCPWith(DefaultTCPConfig(), 0, 1, Outgoing{Kind: name, Counted: true}, l.result(name))
 				})
 			}
 		}},

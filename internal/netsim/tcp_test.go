@@ -12,7 +12,7 @@ func TestTCPDeliverySuccess(t *testing.T) {
 	h := newHarness(t, 2, DefaultConfig())
 	var result error
 	done := false
-	h.nw.SendTCP(0, 1, Outgoing{Kind: "notify", Counted: true, Packet: wire.Packet{N: 1}}, func(err error) {
+	h.nw.SendTCPWith(DefaultTCPConfig(), 0, 1, Outgoing{Kind: "notify", Counted: true, Packet: wire.Packet{N: 1}}, func(err error) {
 		result = err
 		done = true
 	})
@@ -45,7 +45,7 @@ func TestTCPRexAfterSetupSchedule(t *testing.T) {
 	var result error
 	var finishedAt sim.Time
 	done := false
-	h.nw.SendTCP(0, 1, Outgoing{Kind: "notify"}, func(err error) {
+	h.nw.SendTCPWith(DefaultTCPConfig(), 0, 1, Outgoing{Kind: "notify"}, func(err error) {
 		result = err
 		finishedAt = h.k.Now()
 		done = true
@@ -79,7 +79,7 @@ func TestTCPSetupRecoversWithinSchedule(t *testing.T) {
 	h.k.At(40*sim.Second, func() { h.nodes[1].SetRx(true) })
 	var result error
 	done := false
-	h.nw.SendTCP(0, 1, Outgoing{Kind: "notify"}, func(err error) { result, done = err, true })
+	h.nw.SendTCPWith(DefaultTCPConfig(), 0, 1, Outgoing{Kind: "notify"}, func(err error) { result, done = err, true })
 	h.k.Run(200 * sim.Second)
 	if !done || result != nil {
 		t.Fatalf("done=%v result=%v, want successful completion", done, result)
@@ -110,13 +110,13 @@ func TestTCPDataRetransmitUntilSuccess(t *testing.T) {
 	// Deliver, while the Message (and its Conn) is valid.
 	established := false
 	h.nodes[1].SetEndpoint(EndpointFunc(func(m *Message) {
-		established = m.Conn.Established()
+		established = m.Conn.established
 		cp := *m
 		h.inbox[1] = append(h.inbox[1], &cp)
 	}))
 	var result error
 	done := false
-	h.nw.SendTCP(0, 1, Outgoing{Kind: "notify"}, func(err error) { result, done = err, true })
+	h.nw.SendTCPWith(DefaultTCPConfig(), 0, 1, Outgoing{Kind: "notify"}, func(err error) { result, done = err, true })
 	h.k.Run(2000 * sim.Second)
 	if !established {
 		t.Fatal("connection not established")
@@ -139,7 +139,7 @@ func TestTCPBackoffGrows(t *testing.T) {
 	h := newHarness(t, 2, fixedDelayConfig(100*sim.Microsecond))
 	h.k.At(250*sim.Microsecond, func() { h.nodes[1].SetRx(false) })
 	h.k.At(100*sim.Second, func() { h.nodes[1].SetRx(true) })
-	h.nw.SendTCP(0, 1, Outgoing{Kind: "notify"}, nil)
+	h.nw.SendTCPWith(DefaultTCPConfig(), 0, 1, Outgoing{Kind: "notify"}, nil)
 	h.k.Run(200 * sim.Second)
 	frames := h.nw.Counters().TransportFrames
 	// Retransmissions needed: sum of 1 * 1.25^k >= 100 => ~17 retries.
@@ -167,9 +167,9 @@ func TestTCPReply(t *testing.T) {
 	h.nodes[0].SetEndpoint(EndpointFunc(func(m *Message) {
 		cp := *m
 		reply = &cp
-		sameConn = m.Conn == reqConn && m.Conn.From() == 0 && m.Conn.To() == 1
+		sameConn = m.Conn == reqConn && m.Conn.from == 0 && m.Conn.to == 1
 	}))
-	h.nw.SendTCP(0, 1, Outgoing{Kind: "get", Counted: true}, nil)
+	h.nw.SendTCPWith(DefaultTCPConfig(), 0, 1, Outgoing{Kind: "get", Counted: true}, nil)
 	h.k.Run(10 * sim.Second)
 	if len(h.inbox[1]) != 1 {
 		t.Fatal("request not delivered")
@@ -210,7 +210,7 @@ func TestTCPSenderTxDownDuringSetup(t *testing.T) {
 	h.nodes[0].SetTx(false)
 	var result error
 	done := false
-	h.nw.SendTCP(0, 1, Outgoing{Kind: "x"}, func(err error) { result, done = err, true })
+	h.nw.SendTCPWith(DefaultTCPConfig(), 0, 1, Outgoing{Kind: "x"}, func(err error) { result, done = err, true })
 	h.k.Run(200 * sim.Second)
 	if !done || result != ErrREX {
 		t.Fatalf("done=%v result=%v, want ErrREX", done, result)
@@ -229,7 +229,7 @@ func TestTCPDuplicateDataSuppressed(t *testing.T) {
 	h.k.At(30*sim.Second, func() { h.nodes[1].SetTx(true) })
 	var result error
 	done := false
-	h.nw.SendTCP(0, 1, Outgoing{Kind: "x"}, func(err error) { result, done = err, true })
+	h.nw.SendTCPWith(DefaultTCPConfig(), 0, 1, Outgoing{Kind: "x"}, func(err error) { result, done = err, true })
 	h.k.Run(100 * sim.Second)
 	if delivered != 1 {
 		t.Errorf("payload delivered %d times, want 1", delivered)
@@ -259,7 +259,7 @@ func TestTCPFrameZeroedAfterDeliver(t *testing.T) {
 	var retained *Message
 	var copied Message
 	h.nodes[1].SetEndpoint(EndpointFunc(func(m *Message) { retained, copied = m, *m }))
-	h.nw.SendTCP(0, 1, Outgoing{Kind: "notify", Packet: wire.Packet{N: 1}}, nil)
+	h.nw.SendTCPWith(DefaultTCPConfig(), 0, 1, Outgoing{Kind: "notify", Packet: wire.Packet{N: 1}}, nil)
 	h.k.Run(10 * sim.Second)
 	if copied.Packet.N != 1 || copied.Conn == nil {
 		t.Fatalf("copy taken during Deliver = %+v", copied)

@@ -65,9 +65,8 @@ func (fr *FlightRecorder) Freeze(reason string) {
 }
 
 // FlightSnapshot is a dumpable copy of one recorder's ring, oldest
-// event first. Shard is always 0: every run is one network.
+// event first.
 type FlightSnapshot struct {
-	Shard  int          `json:"shard"`
 	Total  uint64       `json:"total_events"`
 	Frozen string       `json:"frozen_by,omitempty"`
 	Events []TraceEvent `json:"events"`

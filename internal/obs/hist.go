@@ -43,10 +43,6 @@ func newHistogram() *Histogram {
 	return h
 }
 
-// NewHistogram returns a standalone histogram (tests, ad-hoc use);
-// registry-owned histograms come from Registry.Histogram.
-func NewHistogram() *Histogram { return newHistogram() }
-
 func histBucket(d time.Duration) int {
 	if d <= histMin {
 		return 0
@@ -77,43 +73,6 @@ func (h *Histogram) Observe(d time.Duration) {
 		old := h.max.Load()
 		if int64(d) <= old || h.max.CompareAndSwap(old, int64(d)) {
 			break
-		}
-	}
-}
-
-// Count reports the number of samples (one pass over the buckets).
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
-// Merge folds src's samples into h (several runs' series folded for a
-// report). Concurrent observers on either side keep the
-// result approximate but never torn below bucket granularity.
-func (h *Histogram) Merge(src *Histogram) {
-	for i := range h.counts {
-		if c := src.counts[i].Load(); c > 0 {
-			h.counts[i].Add(c)
-		}
-	}
-	h.sum.Add(src.sum.Load())
-	if m := src.min.Load(); m < math.MaxInt64 {
-		for {
-			old := h.min.Load()
-			if m >= old || h.min.CompareAndSwap(old, m) {
-				break
-			}
-		}
-	}
-	if m := src.max.Load(); m > 0 {
-		for {
-			old := h.max.Load()
-			if m <= old || h.max.CompareAndSwap(old, m) {
-				break
-			}
 		}
 	}
 }

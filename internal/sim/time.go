@@ -29,9 +29,6 @@ const (
 	Hour                 = 60 * Minute
 )
 
-// Seconds converts a floating point number of seconds to a Duration.
-func Seconds(s float64) Duration { return Duration(s * float64(Second)) }
-
 // Sec reports t as a floating point number of seconds.
 func (t Time) Sec() float64 { return float64(t) / float64(Second) }
 

@@ -77,15 +77,6 @@ func (t *Ticker) Running() bool { return t.pending != nil }
 // Period reports the ticker's firing interval.
 func (t *Ticker) Period() Duration { return t.period }
 
-// SetPeriod changes the interval used for firings scheduled after the next
-// one. Used by adaptive retransmission schedules.
-func (t *Ticker) SetPeriod(p Duration) {
-	if p <= 0 {
-		panic("sim: ticker period must be positive")
-	}
-	t.period = p
-}
-
 // Deadline is a single-shot timer that can be pushed into the future, which
 // is exactly the behaviour of a lease: each renewal moves the expiry event
 // (Kernel.Postpone), so a lease renewed many times per expiry still owns

@@ -72,29 +72,6 @@ func TestTickerStopInsideCallback(t *testing.T) {
 	}
 }
 
-func TestTickerSetPeriod(t *testing.T) {
-	k := New(1)
-	var fired []Time
-	var tk *Ticker
-	tk = newTicker(k, 10*Second, func() {
-		fired = append(fired, k.Now())
-		tk.SetPeriod(20 * Second)
-	})
-	tk.Start(0)
-	k.Run(45 * Second)
-	// First fire at 0 schedules next at +10 (period read before callback),
-	// callback changes period to 20 for later ticks.
-	want := []Time{0, 10 * Second, 30 * Second}
-	if len(fired) != len(want) {
-		t.Fatalf("fired at %v, want %v", fired, want)
-	}
-	for i := range want {
-		if fired[i] != want[i] {
-			t.Fatalf("fired at %v, want %v", fired, want)
-		}
-	}
-}
-
 func TestDeadlineRenewal(t *testing.T) {
 	k := New(1)
 	var expired []Time

@@ -1,7 +1,6 @@
 // Package stats provides the small statistical toolkit behind the Update
 // Metrics: medians (the paper uses medians for Responsiveness "to
-// eliminate biasing from extreme scenarios"), means, quantiles and
-// summaries.
+// eliminate biasing from extreme scenarios"), means and quantiles.
 package stats
 
 import (
@@ -50,36 +49,9 @@ func Quantile(xs []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Min returns the smallest value, NaN for empty input.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest value, NaN for empty input.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// StdDev returns the population standard deviation, NaN for empty input.
-func StdDev(xs []float64) float64 {
+// stdDev returns the population standard deviation, NaN for empty input:
+// the two-pass reference the Welford tests check against.
+func stdDev(xs []float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
 	}
@@ -92,29 +64,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(sum / float64(len(xs)))
 }
 
-// Summary bundles the descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	Median float64
-	Min    float64
-	Max    float64
-	StdDev float64
-}
-
-// Summarize computes a Summary; all fields are NaN for empty input
-// except N.
-func Summarize(xs []float64) Summary {
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		Median: Median(xs),
-		Min:    Min(xs),
-		Max:    Max(xs),
-		StdDev: StdDev(xs),
-	}
-}
-
 // Clamp limits x to [lo, hi].
 func Clamp(x, lo, hi float64) float64 {
 	if x < lo {
@@ -124,17 +73,4 @@ func Clamp(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-// MeanCI95 returns the sample mean and the half-width of its 95%
-// confidence interval under the normal approximation (1.96·s/√n). The
-// half-width is 0 for samples of size < 2.
-func MeanCI95(xs []float64) (mean, halfWidth float64) {
-	mean = Mean(xs)
-	n := len(xs)
-	if n < 2 {
-		return mean, 0
-	}
-	s := StdDev(xs) * math.Sqrt(float64(n)/float64(n-1)) // sample std dev
-	return mean, 1.96 * s / math.Sqrt(float64(n))
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -66,20 +67,10 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestMinMaxStdDev(t *testing.T) {
+func TestStdDev(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if Min(xs) != 2 || Max(xs) != 9 {
-		t.Errorf("Min/Max = %v/%v", Min(xs), Max(xs))
-	}
-	if got := StdDev(xs); !almost(got, 2) {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3})
-	if s.N != 3 || !almost(s.Mean, 2) || !almost(s.Median, 2) || s.Min != 1 || s.Max != 3 {
-		t.Errorf("Summary = %+v", s)
+	if got := stdDev(xs); !almost(got, 2) {
+		t.Errorf("stdDev = %v, want 2", got)
 	}
 }
 
@@ -103,7 +94,7 @@ func TestQuickMedianBounds(t *testing.T) {
 			return math.IsNaN(Median(clean))
 		}
 		m := Median(clean)
-		if m < Min(clean) || m > Max(clean) {
+		if m < slices.Min(clean) || m > slices.Max(clean) {
 			return false
 		}
 		sorted := append([]float64(nil), clean...)

@@ -22,9 +22,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += d * (x - w.mean)
 }
 
-// N reports the number of observations.
-func (w *Welford) N() int { return w.n }
-
 // Mean reports the running mean, NaN when empty.
 func (w *Welford) Mean() float64 {
 	if w.n == 0 {

@@ -27,12 +27,12 @@ func TestWelfordMatchesTwoPass(t *testing.T) {
 	}
 	// Sample std dev from the two-pass population formula.
 	n := float64(len(xs))
-	want := StdDev(xs) * math.Sqrt(n/(n-1))
+	want := stdDev(xs) * math.Sqrt(n/(n-1))
 	if got := w.StdDev(); math.Abs(got-want) > 1e-12 {
 		t.Errorf("stddev = %v, want %v", got, want)
 	}
-	// CI95 agrees with the slice-based helper.
-	_, hw := MeanCI95(xs)
+	// CI95 is the two-pass 1.96·s/√n.
+	hw := 1.96 * want / math.Sqrt(n)
 	if got := w.CI95(); math.Abs(got-hw) > 1e-12 {
 		t.Errorf("ci95 = %v, want %v", got, hw)
 	}
@@ -52,7 +52,10 @@ func TestQuickWelfordAgreesWithSlices(t *testing.T) {
 		if math.Abs(w.Mean()-Mean(xs)) > 1e-9 {
 			return false
 		}
-		_, hw := MeanCI95(xs)
+		hw := 0.0
+		if n := float64(len(xs)); n >= 2 {
+			hw = 1.96 * stdDev(xs) * math.Sqrt(n/(n-1)) / math.Sqrt(n)
+		}
 		return math.Abs(w.CI95()-hw) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

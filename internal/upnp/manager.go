@@ -88,15 +88,6 @@ func (m *Manager) Start(bootDelay sim.Duration) { m.announcer.Start(bootDelay) }
 // ID reports the Manager's node ID.
 func (m *Manager) ID() netsim.NodeID { return m.node.ID }
 
-// SD returns the current service description snapshot.
-func (m *Manager) SD() *discovery.Snapshot { return m.sd }
-
-// Version reports the current service version.
-func (m *Manager) Version() uint64 { return m.sd.Version() }
-
-// Subscribers reports the current number of eventing subscriptions.
-func (m *Manager) Subscribers() int { return m.subs.Len() }
-
 // ChangeService applies an attribute mutation, bumps the version, and
 // notifies every subscriber with an invalidation NOTIFY: "the Manager
 // notifies the interested User that a change has occurred, whenever the

@@ -45,7 +45,7 @@ func TestAnnouncementsKeepCacheAlive(t *testing.T) {
 	if got := u.CachedVersion(r.manager.ID()); got != 1 {
 		t.Errorf("cache lost without failures: version %d", got)
 	}
-	if !u.Subscribed() {
+	if u.subscribedTo == netsim.NoNode {
 		t.Error("subscription lost without failures")
 	}
 }
@@ -77,17 +77,17 @@ func TestMissedRenewalExpiresThenPR4Restores(t *testing.T) {
 		Start: 1500 * sim.Second, Duration: 400 * sim.Second, // the ~1622s renewal REXes
 	})
 	r.k.Run(2500 * sim.Second)
-	if r.manager.Subscribers() != 0 {
+	if r.manager.subs.Len() != 0 {
 		t.Fatalf("subscribers = %d; the missed renewal should have expired the lease",
-			r.manager.Subscribers())
+			r.manager.subs.Len())
 	}
 	// The next renewal tick (~3242s) meets PR4 and resubscribes.
 	r.k.Run(3400 * sim.Second)
-	if r.manager.Subscribers() != 1 {
+	if r.manager.subs.Len() != 1 {
 		t.Errorf("subscribers = %d; PR4 should have restored the subscription",
-			r.manager.Subscribers())
+			r.manager.subs.Len())
 	}
-	if !r.users[0].Subscribed() {
+	if r.users[0].subscribedTo == netsim.NoNode {
 		t.Error("user does not believe it is subscribed after PR4")
 	}
 }

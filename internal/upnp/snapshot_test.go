@@ -37,7 +37,7 @@ func TestCachedSnapshotSurvivesChangeService(t *testing.T) {
 		t.Error("v2 record shares the v1 snapshot pointer")
 	}
 	// The manager's live snapshot is shared with the cache, by design.
-	if now.SD != r.manager.SD() {
+	if now.SD != r.manager.sd {
 		t.Error("cache should share the Manager's current snapshot by reference")
 	}
 }

@@ -67,12 +67,12 @@ func TestBootstrapDiscoveryWithin100s(t *testing.T) {
 		if got := u.CachedVersion(r.manager.ID()); got != 1 {
 			t.Errorf("user %d cached version %d, want 1", i, got)
 		}
-		if !u.Subscribed() {
+		if u.subscribedTo == netsim.NoNode {
 			t.Errorf("user %d not subscribed after boot", i)
 		}
 	}
-	if r.manager.Subscribers() != 5 {
-		t.Errorf("manager has %d subscribers, want 5", r.manager.Subscribers())
+	if r.manager.subs.Len() != 5 {
+		t.Errorf("manager has %d subscribers, want 5", r.manager.subs.Len())
 	}
 }
 
@@ -132,7 +132,7 @@ func TestSRN2CaseStudyUserNeverRegainsConsistency(t *testing.T) {
 	if got := u.CachedVersion(r.manager.ID()); got != 1 {
 		t.Errorf("cached version = %d, want stale 1", got)
 	}
-	if !u.Subscribed() {
+	if u.subscribedTo == netsim.NoNode {
 		t.Error("subscription should have survived the short failure")
 	}
 }
@@ -161,7 +161,7 @@ func TestPR4ResubscribeRecovery(t *testing.T) {
 	if at < 2400*sim.Second || at > 2400*sim.Second+1800*sim.Second {
 		t.Errorf("recovered at %v, want within one renewal period of recovery", at)
 	}
-	if !u.Subscribed() {
+	if u.subscribedTo == netsim.NoNode {
 		t.Error("user should be resubscribed")
 	}
 }
@@ -203,7 +203,7 @@ func TestPR5PurgeAndRediscover(t *testing.T) {
 	if at < 3000*sim.Second {
 		t.Errorf("recovered at %v, before the node was even up", at)
 	}
-	if !u.Subscribed() {
+	if u.subscribedTo == netsim.NoNode {
 		t.Error("user should be resubscribed after rediscovery")
 	}
 }
@@ -249,7 +249,7 @@ func TestManagerAnswersMatchingSearchOnly(t *testing.T) {
 	if got := u.CachedVersion(r.manager.ID()); got != 0 {
 		t.Errorf("non-matching user cached version %d", got)
 	}
-	if u.Subscribed() {
+	if u.subscribedTo != netsim.NoNode {
 		t.Error("non-matching user subscribed")
 	}
 }

@@ -174,9 +174,6 @@ func (u *User) CachedVersion(manager netsim.NodeID) uint64 {
 	return rec.SD.Version()
 }
 
-// Subscribed reports whether the user currently holds a subscription.
-func (u *User) Subscribed() bool { return u.subscribedTo != netsim.NoNode }
-
 // EachCached visits every cached service record — the live gateway's
 // read path. The records share immutable snapshots and may be retained.
 func (u *User) EachCached(fn func(discovery.ServiceRecord)) {

@@ -68,13 +68,6 @@ func TestOracleCoverageSignal(t *testing.T) {
 	if again.Coverage != cov {
 		t.Errorf("coverage not deterministic:\n%+v\n%+v", cov, again.Coverage)
 	}
-
-	var merged OracleCoverage
-	merged.Merge(cov)
-	merged.Merge(cov)
-	if merged.NearMisses[InvVersionBound] != 2*cov.NearMisses[InvVersionBound] {
-		t.Error("Merge does not sum near misses")
-	}
 }
 
 // Churn composed with a healing bisect partition — Users departing and

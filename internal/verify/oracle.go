@@ -133,16 +133,6 @@ type OracleCoverage struct {
 	Slack [numInvariants][CoverageBuckets]int
 }
 
-// Merge accumulates other into c, for multi-run aggregation.
-func (c *OracleCoverage) Merge(other OracleCoverage) {
-	for i := range c.NearMisses {
-		c.NearMisses[i] += other.NearMisses[i]
-		for b := range c.Slack[i] {
-			c.Slack[i][b] += other.Slack[i][b]
-		}
-	}
-}
-
 // slackBucket maps a time margin onto a histogram bucket: <1s (or
 // negative, i.e. inside a grace region) → 0, then doubling second
 // ranges, saturating at the top bucket.
@@ -345,9 +335,6 @@ func (o *Oracle) Report() OracleReport {
 		Coverage: o.cov, ProbesScheduled: o.probesScheduled, ProbesRun: o.probesRun,
 		MaxPurgeLate: o.maxPurgeLate}
 }
-
-// Coverage returns the near-miss/slack signal accumulated so far.
-func (o *Oracle) Coverage() OracleCoverage { return o.cov }
 
 // NotePublished is the change tap: the measured Manager published a new
 // version. AttachOracle wires it through Scenario.TapChange.

@@ -131,17 +131,8 @@ func (s *Snapshot) Mutate(mutate func(attrs map[string]string)) *Snapshot {
 // Version reports the snapshot's service version.
 func (s *Snapshot) Version() uint64 { return s.version }
 
-// DeviceType reports the device type.
-func (s *Snapshot) DeviceType() string { return s.deviceType }
-
-// ServiceType reports the service type.
-func (s *Snapshot) ServiceType() string { return s.serviceType }
-
 // Attr reports the value of one attribute, "" if absent.
 func (s *Snapshot) Attr(key string) string { return s.attrs[key] }
-
-// NumAttrs reports how many attributes the snapshot carries.
-func (s *Snapshot) NumAttrs() int { return len(s.attrs) }
 
 // Describe copies the snapshot back out into the mutable builder form,
 // for tests and diagnostics.
@@ -152,24 +143,6 @@ func (s *Snapshot) Describe() ServiceDescription {
 	}
 	return ServiceDescription{DeviceType: s.deviceType, ServiceType: s.serviceType,
 		Attributes: attrs, Version: s.version}
-}
-
-// Equal reports whether two snapshots carry identical content, including
-// version. Two nil snapshots are equal.
-func (s *Snapshot) Equal(other *Snapshot) bool {
-	if s == nil || other == nil {
-		return s == other
-	}
-	if s.deviceType != other.deviceType || s.serviceType != other.serviceType ||
-		s.version != other.version || len(s.attrs) != len(other.attrs) {
-		return false
-	}
-	for k, v := range s.attrs {
-		if ov, ok := other.attrs[k]; !ok || ov != v {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the snapshot in the paper's notation.

@@ -1,0 +1,5 @@
+package other
+
+import "example.com/apicheck/internal/lib"
+
+func otherTest() { lib.ReadByOtherTest() }
