@@ -32,11 +32,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Non-test Go lines per package directory (the benchmark program
-# excluded): ROADMAP needle 2 read from a command. CI prints it as a log
-# step; quote before/after in a PR that claims to shrink the code.
+# Non-test Go lines per package directory (the benchmark program and
+# testdata/ fixtures excluded): ROADMAP needle 2 read from a command. CI
+# prints it as a log step; quote before/after in a PR that claims to
+# shrink the code.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs wc -l | \
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' | xargs wc -l | \
 	  awk '$$2 != "total" { n = split($$2, p, "/"); d = n > 2 ? p[2] : "."; if (n > 3) d = d "/" p[3]; loc[d] += $$1; sum += $$1 } \
 	       END { for (d in loc) printf "%7d  %s\n", loc[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", sum }'
 

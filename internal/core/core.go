@@ -7,8 +7,8 @@
 //
 //   - SRC1 — acknowledged notifications retransmitted without limit
 //     (critical updates).
-//   - SRC2 — active monitoring of update sequence numbers, with an update
-//     history kept by the Manager (critical updates).
+//   - SRC2 — active monitoring of update sequence numbers; a receiver
+//     that sees a gap requests the missed update (critical updates).
 //   - SRN1 — acknowledged notifications retransmitted up to a limit
 //     (non-critical updates).
 //   - SRN2 — future retry: the Manager caches which Users missed the
@@ -26,7 +26,7 @@
 //
 // The package also provides the shared machinery the techniques are built
 // from: a retransmission engine, the SRN2 inconsistent-User cache, the
-// SRC2 history/monitor pair, and the periodic announcer.
+// SRC2 sequence monitor, and the periodic announcer.
 package core
 
 // TechniqueSet is a bitmask of enabled recovery techniques. The per-

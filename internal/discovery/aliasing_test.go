@@ -28,6 +28,12 @@ func TestLeaseTableSharesSnapshotsWithoutAliasing(t *testing.T) {
 	if got1.SD.Version() != 1 || got1.SD.Attr("PaperSize") != "A4" {
 		t.Errorf("earlier record changed under the caller: %v", got1.SD)
 	}
+	// A described copy is independent storage.
+	desc := got1.SD.Describe()
+	desc.Attributes["PaperSize"] = "mutated"
+	if got1.SD.Attr("PaperSize") != "A4" {
+		t.Error("Describe returned aliased attribute storage")
+	}
 	got2, _ := cache.Get(7)
 	if got2.SD.Version() != 2 || got2.SD.Attr("PaperSize") != "Letter" {
 		t.Errorf("replacement not visible: %v", got2.SD)

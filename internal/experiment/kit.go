@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"repro/internal/core"
 	"repro/internal/discovery"
 	"repro/internal/frodo"
 	"repro/internal/jini"
@@ -76,10 +75,11 @@ func (m frodoManager) ChangeService(mutate func(map[string]string)) {
 // newKit resolves a system's configuration — defaults, then the options'
 // mutator hook, then the hardening layer — and returns its constructors.
 // This is the only place a mutator or hardening is applied, for every
-// scenario: a hardened configuration is marked Hardened, and gets the
-// bounded TCP transport (UPnP, Jini) or the capped retry schedules
-// (FRODO). It runs once per cold build on identical defaults, so mutators
-// must be deterministic — the contract workspace reuse already sets.
+// scenario. Hardening only marks the configuration Hardened: each
+// protocol derives its bounded transport or capped retry schedules from
+// that flag. It runs once per cold build on identical defaults, so
+// mutators must be deterministic — the contract workspace reuse already
+// sets.
 func newKit(sys System, opts Options) kit {
 	switch sys {
 	case UPnP:
@@ -89,7 +89,6 @@ func newKit(sys System, opts Options) kit {
 		}
 		if opts.Hardened {
 			cfg.Hardened = true
-			hardenTCP(&cfg.TCP)
 		}
 		return kit{
 			manager: func(n *netsim.Node, sd discovery.ServiceDescription) manager {
@@ -107,7 +106,6 @@ func newKit(sys System, opts Options) kit {
 		}
 		if opts.Hardened {
 			cfg.Hardened = true
-			hardenTCP(&cfg.TCP)
 		}
 		return kit{
 			registry: func(n *netsim.Node, _ int) rearmable { return jini.NewRegistry(n, cfg) },
@@ -131,8 +129,6 @@ func newKit(sys System, opts Options) kit {
 		}
 		if opts.Hardened {
 			cfg.Hardened = true
-			cfg.NotifyRetry.Cap = core.HardenedRetryCap
-			cfg.ControlRetry.Cap = core.HardenedRetryCap
 		}
 		fleet := frodo.NewFleet(cfg)
 		return kit{
@@ -154,13 +150,4 @@ func newKit(sys System, opts Options) kit {
 	default:
 		panic("experiment: unknown system")
 	}
-}
-
-// hardenTCP bounds a hardened run's transport: capped, jittered data
-// retransmission, and no transmission once the sender has retired.
-func hardenTCP(cfg *netsim.TCPConfig) {
-	cfg.DataRetransmits = netsim.HardenedDataRetransmits
-	cfg.MaxRTO = netsim.HardenedMaxRTO
-	cfg.RTOJitter = netsim.HardenedRTOJitter
-	cfg.AbortOnRetire = true
 }

@@ -38,8 +38,11 @@ func sweepFingerprint(res SweepResult) string {
 // path — an event-ordering or RNG regression shows up as a mismatch
 // here. Regenerate deliberately (go test -run SweepFingerprint -v prints
 // the new value) only when a PR intentionally changes the event
-// schedule or random stream, and say so in that PR's notes.
-const pr2SweepGolden = "495a2f8bc53b42f2"
+// schedule or random stream, and say so in that PR's notes. The curve
+// is serialized with %#v, so adding or removing a metrics.Point field
+// also changes the value; such a change must show the old tree with
+// only that field edited hashing to the new value.
+const pr2SweepGolden = "3f0671922087ab28"
 
 // The PR-2 acceptance regression: a 100-User FRODO sweep with churn is
 // byte-identical across worker counts and matches the recorded golden

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
@@ -171,8 +170,8 @@ func TestAttachRunsOnceAndPerturbsNothing(t *testing.T) {
 }
 
 // TestRunHonoursHardening: a hardened spec's run differs from its
-// baseline, and every built FRODO User carries the hardened config with
-// its capped retry schedules.
+// baseline, and every built FRODO User carries the hardened config (the
+// schedules it derives are frodo's TestHardenedRetryPolicies).
 func TestRunHonoursHardening(t *testing.T) {
 	spec := compactSpec()
 	spec.Lambda, spec.Seed = 0.6, 7
@@ -184,9 +183,8 @@ func TestRunHonoursHardening(t *testing.T) {
 	sc := BuildTopology(Frodo2P, sim.New(7), Topology{Users: 8}, Options{Hardened: true})
 	for _, uid := range sc.UserIDs {
 		cfg := sc.users[uid].(frodoUser).Config()
-		if !cfg.Hardened || cfg.NotifyRetry.Cap != core.HardenedRetryCap || cfg.ControlRetry.Cap != core.HardenedRetryCap {
-			t.Errorf("node %d built with hardened=%v notify=%+v control=%+v",
-				uid, cfg.Hardened, cfg.NotifyRetry, cfg.ControlRetry)
+		if !cfg.Hardened {
+			t.Errorf("node %d built with a baseline config", uid)
 		}
 	}
 }

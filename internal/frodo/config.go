@@ -74,48 +74,48 @@ func (c Class) String() string {
 // (§4.2).
 const ClassAttr = "__frodo_class"
 
-// Config collects the model parameters; DefaultConfig reproduces §5.
-type Config struct {
-	// AnnouncePeriod and AnnounceCopies drive the Central's multicast
-	// announcement train ("the Registry sends 2 multicast announcements
-	// every 1200s").
-	AnnouncePeriod sim.Duration
-	AnnounceCopies int
-	// NodeAnnouncePeriod paces the presence announcements 3D/3C nodes
-	// multicast until the Registry is discovered.
-	NodeAnnouncePeriod sim.Duration
-	// RegistrationLease, SubscriptionLease and CacheLease are the 1800s
-	// leases of §5 Step 4.
-	RegistrationLease sim.Duration
-	SubscriptionLease sim.Duration
-	CacheLease        sim.Duration
+// The §5 FRODO timing that no configuration varies. The Central's
+// announcement copies are core.FrodoAnnounceCopies, and the registration
+// and subscription leases are the 1800s leases of §5 Step 4
+// (core.RegistrationLease, core.SubscriptionLease).
+const (
+	// cacheLease is how long a User keeps a cached service without a
+	// renewal (1800s); the Central's announcement advertises it.
+	cacheLease = core.RegistrationLease
 	// CentralTimeout is how long a node keeps believing in a silent
-	// Central. It exceeds BackupTimeout so the Backup takes over before
+	// Central. It exceeds backupTimeout so the Backup takes over before
 	// the population purges the Central.
-	CentralTimeout sim.Duration
-	// BackupTimeout is how long the Backup waits for Central
+	CentralTimeout = 3000 * sim.Second
+	// backupTimeout is how long the Backup waits for Central
 	// announcements before taking over.
-	BackupTimeout sim.Duration
-	// ElectionWindow is how long a 300D candidate collects competing
+	backupTimeout = 2460 * sim.Second
+	// nodeAnnouncePeriod paces the presence announcements 3D/3C nodes
+	// multicast until the Registry is discovered.
+	nodeAnnouncePeriod = 1200 * sim.Second
+	// electionWindow is how long a 300D candidate collects competing
 	// candidacies before declaring itself Central.
-	ElectionWindow sim.Duration
-	// ElectionRetry restarts a stalled election (the expected winner
+	electionWindow = 5 * sim.Second
+	// electionRetry restarts a stalled election (the expected winner
 	// never announced).
-	ElectionRetry sim.Duration
-	// SearchRetryPeriod is how often a User with an unmet requirement
+	electionRetry = 15 * sim.Second
+	// searchRetryPeriod is how often a User with an unmet requirement
 	// repeats its search (unicast to the Central, multicast when the
 	// Central is not responding — PR5).
-	SearchRetryPeriod sim.Duration
-	// SearchBurst bounds how many searches a purge event triggers.
+	searchRetryPeriod = 1200 * sim.Second
+	// searchBurst bounds how many searches a purge event triggers.
 	// Resource-aware devices do not poll forever: after the burst the
 	// User waits passively for the Registry's notification of the
 	// re-registered service (PR1) or for a Central change. This is the
 	// "weaker recovery with PR5" of §6.2: "Users depend on the Registry".
-	SearchBurst int
-	// NotifyRetry is the SRN1 schedule for update notifications;
-	// ControlRetry covers registrations and subscriptions.
-	NotifyRetry  core.RetryPolicy
-	ControlRetry core.RetryPolicy
+	searchBurst = 3
+)
+
+// Config collects the model parameters a caller varies; DefaultConfig
+// reproduces §5.
+type Config struct {
+	// AnnouncePeriod paces the Central's multicast announcement train
+	// ("the Registry sends 2 multicast announcements every 1200s").
+	AnnouncePeriod sim.Duration
 	// PollPeriod enables CM2, pull-based consistency maintenance (§4.2):
 	// when positive, the User periodically requests the current
 	// description of every cached service from its lessee (or the
@@ -123,15 +123,16 @@ type Config struct {
 	PollPeriod sim.Duration
 	// CriticalUpdates switches the critical-update scenario on: SRC1
 	// (unlimited retransmission) replaces SRN1, updates carry sequence
-	// numbers, receivers monitor gaps (SRC2), and the Manager keeps the
-	// update history until all interested Users confirmed it.
+	// numbers, and receivers monitor gaps (SRC2). A gap request is
+	// answered with the current record, which carries the full
+	// description, so the Manager keeps no update history.
 	CriticalUpdates bool
 	// Techniques enables recovery techniques; ablations flip bits.
 	Techniques core.TechniqueSet
 	// Hardened turns the protocol-hardening layer on: strict holder
-	// lease tables, Central claim retraction and liveness repair, and
-	// retire-time Bye frames. The experiment kit sets it together with
-	// the retry caps; false is the paper-faithful baseline.
+	// lease tables, Central claim retraction and liveness repair,
+	// retire-time Bye frames, and capped jittered retry schedules
+	// (core.HardenedRetryCap). False is the paper-faithful baseline.
 	Hardened bool
 }
 
@@ -139,22 +140,30 @@ type Config struct {
 // subscription topologies.
 func DefaultConfig() Config {
 	return Config{
-		AnnouncePeriod:     core.FrodoAnnouncePeriod,
-		AnnounceCopies:     core.FrodoAnnounceCopies,
-		NodeAnnouncePeriod: 1200 * sim.Second,
-		RegistrationLease:  core.RegistrationLease,
-		SubscriptionLease:  core.SubscriptionLease,
-		CacheLease:         core.RegistrationLease,
-		CentralTimeout:     3000 * sim.Second,
-		BackupTimeout:      2460 * sim.Second,
-		ElectionWindow:     5 * sim.Second,
-		ElectionRetry:      15 * sim.Second,
-		SearchRetryPeriod:  1200 * sim.Second,
-		SearchBurst:        3,
-		NotifyRetry:        core.FrodoNotifyRetry,
-		ControlRetry:       core.FrodoControlRetry,
-		Techniques:         core.FrodoThreePartyTechniques(),
+		AnnouncePeriod: core.FrodoAnnouncePeriod,
+		Techniques:     core.FrodoThreePartyTechniques(),
 	}
+}
+
+// notifyRetry is the schedule for update notifications: SRC1's unlimited
+// one in critical-update mode, else SRN1's.
+func (cfg Config) notifyRetry() core.RetryPolicy {
+	if cfg.CriticalUpdates {
+		return core.FrodoCriticalRetry
+	}
+	return cfg.harden(core.FrodoNotifyRetry)
+}
+
+// controlRetry is the schedule for registrations and subscriptions.
+func (cfg Config) controlRetry() core.RetryPolicy { return cfg.harden(core.FrodoControlRetry) }
+
+// harden caps a hardened node's retry schedule with decorrelated jitter;
+// the baseline keeps the paper's periodic one.
+func (cfg Config) harden(p core.RetryPolicy) core.RetryPolicy {
+	if cfg.Hardened {
+		p.Cap = core.HardenedRetryCap
+	}
+	return p
 }
 
 // TwoPartyConfig returns the configuration for the 2-party subscription

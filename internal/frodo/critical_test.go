@@ -8,8 +8,7 @@ import (
 )
 
 // criticalRig builds a 2-party topology in critical-update mode
-// (SRC1 + SRC2: unlimited retransmission, sequence monitoring, update
-// history).
+// (SRC1 + SRC2: unlimited retransmission, sequence monitoring).
 func criticalRig(t *testing.T, seed int64, nUsers int) *rig {
 	cfg := TwoPartyConfig()
 	cfg.CriticalUpdates = true
@@ -20,7 +19,7 @@ func criticalRig(t *testing.T, seed int64, nUsers int) *rig {
 // update while its receiver is down, then receives the second with a
 // sequence gap and requests the missed state. With the full description
 // carried in every update, receiving the second update alone already
-// restores consistency — the Get then confirms the history path works.
+// restores consistency — the Get then confirms the gap path works.
 func TestSRC2GapDetectionRequestsMissedUpdate(t *testing.T) {
 	r := criticalRig(t, 21, 1)
 	u := r.users[0]
@@ -45,9 +44,9 @@ func TestSRC2GapDetectionRequestsMissedUpdate(t *testing.T) {
 	}
 }
 
-// The manager purges its history only after all interested users
-// confirmed the updates.
-func TestCriticalHistoryRetainedUntilConfirmed(t *testing.T) {
+// A user that is down across two changes reaches the latest version once
+// it recovers: SRC1 keeps retransmitting to it.
+func TestCriticalUserRecoversAcrossTwoMissedChanges(t *testing.T) {
 	r := criticalRig(t, 22, 2)
 	u0 := r.users[0]
 	// User 0 fully down across two changes; SRC1 retransmits forever, so
@@ -58,17 +57,9 @@ func TestCriticalHistoryRetainedUntilConfirmed(t *testing.T) {
 	})
 	r.k.At(1000*sim.Second, r.change) // v2
 	r.k.At(1100*sim.Second, r.change) // v3
-	r.k.At(1400*sim.Second, func() {
-		if got := r.manager.history.Len(); got == 0 {
-			t.Error("history purged while user 0 is still unconfirmed")
-		}
-	})
 	r.k.Run(3000 * sim.Second)
 	if _, ok := r.whenConsistent(u0, 3); !ok {
 		t.Fatal("user 0 never reached v3 despite SRC1")
-	}
-	if got := r.manager.history.Len(); got != 0 {
-		t.Errorf("history holds %d entries after all users confirmed", got)
 	}
 }
 

@@ -116,7 +116,7 @@ func (nd *Node) initElection() {
 	nd.electWindow.Init(nd.k, electionDecide, nd)
 	nd.electWait.Init(nd.k, electionWaitExpired, nd)
 	if nd.cfg.Hardened {
-		nd.electBackoff.Init(nd.k, nd.cfg.ElectionRetry, 8*nd.cfg.ElectionRetry)
+		nd.electBackoff.Init(nd.k, electionRetry, 8*electionRetry)
 	}
 }
 
@@ -164,7 +164,7 @@ func (nd *Node) startElection() {
 	// Small jitter decorrelates candidacies of simultaneously booting
 	// nodes.
 	nd.k.AfterArg(nd.k.UniformDuration(0, sim.Second), electionAnnounce, nd)
-	nd.electWindow.SetAfter(nd.cfg.ElectionWindow)
+	nd.electWindow.SetAfter(electionWindow)
 }
 
 func (nd *Node) announceCandidacy() {
@@ -188,7 +188,7 @@ func (nd *Node) decide() {
 		nd.ensureRegistry().activate()
 		return
 	}
-	wait := nd.cfg.ElectionRetry
+	wait := electionRetry
 	if nd.cfg.Hardened {
 		wait = nd.electBackoff.Next()
 	}

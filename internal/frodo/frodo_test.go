@@ -344,7 +344,7 @@ func TestBackupTakeover(t *testing.T) {
 		Node: r.registryNode.ID(), Mode: netsim.FailBoth,
 		Start: 200 * sim.Second, Duration: 5200 * sim.Second, // down for good
 	})
-	r.k.Run(3500 * sim.Second) // past BackupTimeout after the last announce
+	r.k.Run(3500 * sim.Second) // past backupTimeout after the last announce
 	if !r.backupNode.IsCentral() {
 		t.Fatal("backup did not take over")
 	}
@@ -414,5 +414,31 @@ func TestManagerGonePurgesAndRediscovers(t *testing.T) {
 	}
 	if at < 2800*sim.Second {
 		t.Errorf("recovered at %v, before the manager was back", at)
+	}
+}
+
+// TestHardenedRetryPolicies: a hardened node caps its notify and control
+// retry schedules, a baseline node keeps the paper's periodic ones, and
+// critical-update mode keeps SRC1's unlimited schedule either way.
+func TestHardenedRetryPolicies(t *testing.T) {
+	base := DefaultConfig()
+	if got := base.notifyRetry(); got != core.FrodoNotifyRetry {
+		t.Errorf("baseline notify policy = %+v, want %+v", got, core.FrodoNotifyRetry)
+	}
+	if got := base.controlRetry(); got != core.FrodoControlRetry {
+		t.Errorf("baseline control policy = %+v, want %+v", got, core.FrodoControlRetry)
+	}
+	hard := DefaultConfig()
+	hard.Hardened = true
+	capped := func(p core.RetryPolicy) core.RetryPolicy { p.Cap = core.HardenedRetryCap; return p }
+	if got, want := hard.notifyRetry(), capped(core.FrodoNotifyRetry); got != want {
+		t.Errorf("hardened notify policy = %+v, want %+v", got, want)
+	}
+	if got, want := hard.controlRetry(), capped(core.FrodoControlRetry); got != want {
+		t.Errorf("hardened control policy = %+v, want %+v", got, want)
+	}
+	hard.CriticalUpdates = true
+	if got := hard.notifyRetry(); got != core.FrodoCriticalRetry {
+		t.Errorf("critical notify policy = %+v, want %+v", got, core.FrodoCriticalRetry)
 	}
 }

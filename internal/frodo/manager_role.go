@@ -41,9 +41,6 @@ type ManagerRole struct {
 	subs         discovery.LeaseTable[netsim.NodeID, struct{}]
 	prop         *propagator
 	inconsistent *core.InconsistentSet
-
-	// Critical-update state (SRC2).
-	history *core.UpdateHistory
 }
 
 // Static timer, lease and retry callbacks shared by every Manager role.
@@ -71,15 +68,11 @@ func newManagerRole(nd *Node, sd discovery.ServiceDescription) *ManagerRole {
 	m.sd = m.initial
 	m.subs.Init(nd.k, managerSubscriptionExpired, m)
 	m.subs.SetStrict(nd.cfg.Hardened)
-	retry := nd.cfg.NotifyRetry
-	if nd.cfg.CriticalUpdates {
-		retry = core.FrodoCriticalRetry
-	}
+	retry := nd.cfg.notifyRetry()
 	m.prop = newPropagator(nd.k, nd.nw, nd.n.ID, retry, m.onNotifyExhausted)
 	m.inconsistent = core.NewInconsistentSet()
-	m.history = core.NewUpdateHistory()
-	m.renewTick.Init(nd.k, core.RenewInterval(nd.cfg.RegistrationLease), managerRenewRegistration, m)
-	m.regRetry.Init(nd.k, nd.cfg.ControlRetry, managerSendRegister, managerRegisterExhausted, m)
+	m.renewTick.Init(nd.k, core.RenewInterval(core.RegistrationLease), managerRenewRegistration, m)
+	m.regRetry.Init(nd.k, nd.cfg.controlRetry(), managerSendRegister, managerRegisterExhausted, m)
 	m.centralRetry.Init(nd.k, retry, managerSendCentralUpdate, nil, m)
 	return m
 }
@@ -101,7 +94,6 @@ func (m *ManagerRole) rearm() {
 	m.subs.Rearm()
 	m.prop.Rearm()
 	m.inconsistent.Reset()
-	m.history.Reset()
 }
 
 // ID reports the hosting node's ID.
@@ -157,12 +149,12 @@ func (m *ManagerRole) register() {
 // it stands now.
 func (m *ManagerRole) sendRegister() {
 	p := m.carrying(wire.Register)
-	p.Lease = m.nd.cfg.RegistrationLease
+	p.Lease = core.RegistrationLease
 	m.nd.nw.SendUDP(m.nd.n.ID, m.regCentral, netsim.Outgoing{Counted: true, Packet: p})
 }
 
 func (m *ManagerRole) registerExhausted() {
-	m.regRetryWait = m.nd.k.AfterArg(m.nd.cfg.NodeAnnouncePeriod, managerRegisterRetry, m)
+	m.regRetryWait = m.nd.k.AfterArg(nodeAnnouncePeriod, managerRegisterRetry, m)
 }
 
 func (m *ManagerRole) registerRetry() {
@@ -218,7 +210,7 @@ func (m *ManagerRole) renewRegistration() {
 
 func (m *ManagerRole) sendRenew(central netsim.NodeID) {
 	m.nd.nw.SendUDP(m.nd.n.ID, central, netsim.Outgoing{ // lease upkeep, excluded from update effort
-		Packet: wire.Packet{Kind: wire.Renew, Manager: m.nd.n.ID, Lease: m.nd.cfg.RegistrationLease}})
+		Packet: wire.Packet{Kind: wire.Renew, Manager: m.nd.n.ID, Lease: core.RegistrationLease}})
 }
 
 // onRegistrationRenewAck confirms lease upkeep; nothing further needed.
@@ -241,9 +233,6 @@ func (m *ManagerRole) onRenewError(from netsim.NodeID) {
 // notified directly. Every notification shares the one new snapshot.
 func (m *ManagerRole) ChangeService(mutate func(attrs map[string]string)) {
 	m.sd = m.sd.Mutate(mutate)
-	if m.nd.cfg.CriticalUpdates {
-		m.history.Record(m.record())
-	}
 	m.inconsistent.ResetVersion(m.sd.Version())
 	m.updateCentral()
 	if m.TwoParty() {
@@ -289,12 +278,9 @@ func (m *ManagerRole) onNotifyExhausted(user netsim.NodeID, rec discovery.Servic
 // current state (PR4 recovery restores consistency through it).
 func (m *ManagerRole) onSubscribe(from netsim.NodeID, lease sim.Duration) {
 	if lease <= 0 {
-		lease = m.nd.cfg.SubscriptionLease
+		lease = core.SubscriptionLease
 	}
 	m.subs.Put(from, struct{}{}, lease)
-	if m.nd.cfg.CriticalUpdates {
-		m.history.Interested(from)
-	}
 	m.nd.nw.SendUDP(m.nd.n.ID, from, netsim.Outgoing{Counted: true, Packet: m.carrying(wire.SubscribeAck)})
 }
 
@@ -304,7 +290,7 @@ func (m *ManagerRole) onSubscribe(from netsim.NodeID, lease sim.Duration) {
 // and so, on a hardened (strict) table, does one racing the purge.
 func (m *ManagerRole) onSubscriptionRenew(from netsim.NodeID, lease sim.Duration) {
 	if lease <= 0 {
-		lease = m.nd.cfg.SubscriptionLease
+		lease = core.SubscriptionLease
 	}
 	if m.subs.Renew(from, lease) {
 		m.nd.nw.SendUDP(m.nd.n.ID, from, netsim.Outgoing{ // lease upkeep, excluded from update effort
@@ -325,9 +311,6 @@ func (m *ManagerRole) onSubscriptionRenew(from netsim.NodeID, lease sim.Duration
 func (m *ManagerRole) onSubscriberAck(from netsim.NodeID, version uint64) {
 	m.prop.Ack(from, version)
 	m.inconsistent.AckVersion(from, version)
-	if m.nd.cfg.CriticalUpdates {
-		m.history.Confirm(from, version)
-	}
 }
 
 // onBye evicts a departing 2-party subscriber now instead of at lease
@@ -343,9 +326,6 @@ func (m *ManagerRole) onBye(from netsim.NodeID) {
 func (m *ManagerRole) onSubscriptionExpired(user netsim.NodeID) {
 	m.prop.Cancel(user)
 	m.inconsistent.Forget(user)
-	if m.nd.cfg.CriticalUpdates {
-		m.history.Disinterested(user)
-	}
 }
 
 // onMulticastSearch answers a matching multicast query directly (PR5a).

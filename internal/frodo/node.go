@@ -104,7 +104,7 @@ func newNode(n *netsim.Node, cfg *Config, class Class, power int, rec *ballot) *
 	}
 	rec.reset(nd)
 	nd.centralLease.Init(nd.k, nodeCentralTimeout, nd)
-	nd.nodeAnnounce.Init(nd.k, cfg.NodeAnnouncePeriod, nodeAnnouncePresence, nd)
+	nd.nodeAnnounce.Init(nd.k, nodeAnnouncePeriod, nodeAnnouncePresence, nd)
 	if class == Class300D {
 		nd.initElection()
 		if cfg.Hardened {
@@ -318,7 +318,7 @@ func (nd *Node) announcePresence() {
 // long receivers may cache it.
 func (nd *Node) registryAnnounce() wire.Packet {
 	return wire.Packet{Kind: wire.Announce, Role: wire.RoleRegistry, N: uint64(nd.power),
-		Lease: nd.cfg.CacheLease}
+		Lease: cacheLease}
 }
 
 // setCentral adopts a (possibly new) Central and refreshes its lease.
@@ -328,7 +328,7 @@ func (nd *Node) setCentral(id netsim.NodeID, power int) {
 	}
 	if nd.central == id {
 		nd.centralPower = power
-		nd.centralLease.SetAfter(nd.cfg.CentralTimeout)
+		nd.centralLease.SetAfter(CentralTimeout)
 		nd.nodeAnnounce.Stop()
 		if nd.class == Class300D {
 			nd.electionCentralKnown()
@@ -350,7 +350,7 @@ func (nd *Node) setCentral(id netsim.NodeID, power int) {
 	}
 	nd.central = id
 	nd.centralPower = power
-	nd.centralLease.SetAfter(nd.cfg.CentralTimeout)
+	nd.centralLease.SetAfter(CentralTimeout)
 	nd.nodeAnnounce.Stop()
 	if nd.IsCentral() && id != nd.n.ID {
 		// A more powerful Central exists: demote (§3 keeps a single
@@ -420,7 +420,7 @@ func (nd *Node) Deliver(msg *netsim.Message) {
 		nd.rec.onCandidate(msg.From, p.N)
 	case wire.AppointBackup:
 		if nd.class == Class300D {
-			nd.ensureRegistry().onAppointBackup(msg.From, p.Recs)
+			nd.ensureRegistry().onAppointBackup(p.Recs)
 		}
 	case wire.Announce:
 		nd.onAnnounce(msg, p)

@@ -30,7 +30,6 @@ type RegistryRole struct {
 	// appointed; when we are the Backup, backupRecs is the synced state
 	// and backupMonitor watches the Central's announcements.
 	backup        bool
-	appointedBy   netsim.NodeID
 	backupID      netsim.NodeID
 	backupRecs    []discovery.ServiceRecord
 	backupMonitor sim.Deadline
@@ -81,7 +80,7 @@ func registrySubscriptionExpired(x any, k subKey, _ struct{}) {
 }
 
 func newRegistryRole(nd *Node) *RegistryRole {
-	r := &RegistryRole{nd: nd, backupID: netsim.NoNode, appointedBy: netsim.NoNode}
+	r := &RegistryRole{nd: nd, backupID: netsim.NoNode}
 	r.backupMonitor.Init(nd.k, registryTakeover, r)
 	r.registrations.Init(nd.k, registryRegistrationExpired, r)
 	r.subs.Init(nd.k, registrySubscriptionExpired, r)
@@ -91,14 +90,10 @@ func newRegistryRole(nd *Node) *RegistryRole {
 	r.interests.SetStrict(nd.cfg.Hardened)
 	announceOut := netsim.Outgoing{Counted: true, Packet: nd.registryAnnounce()}
 	r.announcer = core.NewAnnouncer(nd.nw, nd.n.ID, DiscoveryGroup,
-		nd.cfg.AnnouncePeriod, nd.cfg.AnnounceCopies, func() netsim.Outgoing { return announceOut })
-	retry := nd.cfg.NotifyRetry
-	if nd.cfg.CriticalUpdates {
-		retry = core.FrodoCriticalRetry
-	}
+		nd.cfg.AnnouncePeriod, core.FrodoAnnounceCopies, func() netsim.Outgoing { return announceOut })
 	r.inconsistent = map[netsim.NodeID]*core.InconsistentSet{}
 	r.provisional = map[netsim.NodeID]bool{}
-	r.prop = newPropagator(nd.k, nd.nw, nd.n.ID, retry, r.onNotifyExhausted)
+	r.prop = newPropagator(nd.k, nd.nw, nd.n.ID, nd.cfg.notifyRetry(), r.onNotifyExhausted)
 	return r
 }
 
@@ -108,7 +103,6 @@ func newRegistryRole(nd *Node) *RegistryRole {
 func (r *RegistryRole) rearm() {
 	r.active = false
 	r.backup = false
-	r.appointedBy = netsim.NoNode
 	r.backupID = netsim.NoNode
 	r.backupRecs = nil
 	r.backupMonitor.Rearm()
@@ -159,7 +153,7 @@ func (r *RegistryRole) activate() {
 	// Seed the repository with state synced while we were the Backup.
 	for _, rec := range r.backupRecs {
 		if _, ok := r.registrations.Get(rec.Manager); !ok {
-			r.registrations.Put(rec.Manager, rec, r.nd.cfg.RegistrationLease)
+			r.registrations.Put(rec.Manager, rec, core.RegistrationLease)
 			if r.nd.cfg.Hardened {
 				r.provisional[rec.Manager] = true
 			}
@@ -226,7 +220,7 @@ func (r *RegistryRole) quiesce() {
 // life from the Central.
 func (r *RegistryRole) onCentralSeen() {
 	if r.backup && !r.active {
-		r.backupMonitor.SetAfter(r.nd.cfg.BackupTimeout)
+		r.backupMonitor.SetAfter(backupTimeout)
 	}
 }
 
@@ -242,14 +236,13 @@ func (r *RegistryRole) takeover() {
 
 // onAppointBackup installs this node as the Backup and stores the synced
 // registry state.
-func (r *RegistryRole) onAppointBackup(from netsim.NodeID, recs []discovery.ServiceRecord) {
+func (r *RegistryRole) onAppointBackup(recs []discovery.ServiceRecord) {
 	if r.active {
 		return
 	}
 	r.backup = true
-	r.appointedBy = from
 	r.backupRecs = append(r.backupRecs[:0], recs...)
-	r.backupMonitor.SetAfter(r.nd.cfg.BackupTimeout)
+	r.backupMonitor.SetAfter(backupTimeout)
 }
 
 // maybeAppointBackup appoints the most powerful other 300D node this node
@@ -284,7 +277,7 @@ func (r *RegistryRole) onRegister(from netsim.NodeID, p *wire.Packet) {
 	prev, existed := r.registrations.Get(from)
 	lease := p.Lease
 	if lease <= 0 {
-		lease = r.nd.cfg.RegistrationLease
+		lease = core.RegistrationLease
 	}
 	r.registrations.Put(from, p.Record(), lease)
 	delete(r.provisional, from) // a real Register establishes the lease
@@ -344,7 +337,7 @@ func (r *RegistryRole) onUpdate(from netsim.NodeID, rec discovery.ServiceRecord,
 		// notified exactly as for an explicit re-registration (PR1) —
 		// otherwise the healed registration would be invisible to Users
 		// whose only hope is the Registry's push.
-		r.registrations.Put(from, rec, r.nd.cfg.RegistrationLease)
+		r.registrations.Put(from, rec, core.RegistrationLease)
 		healed = true
 	}
 	r.nd.nw.SendUDP(r.nd.n.ID, from, netsim.Outgoing{Counted: true, Packet: wire.Packet{Kind: wire.UpdateAck,
@@ -378,7 +371,7 @@ func (r *RegistryRole) onSubscriberAck(from, manager netsim.NodeID, version uint
 // matches are collected into a reusable scratch, and only a changed match
 // set copies a fresh record list.
 func (r *RegistryRole) onSearch(from netsim.NodeID, q *discovery.Query) {
-	r.interests.Put(from, *q, r.nd.cfg.SubscriptionLease)
+	r.interests.Put(from, *q, core.SubscriptionLease)
 	scratch := r.searchScratch[:0]
 	r.registrations.Each(func(_ netsim.NodeID, rec discovery.ServiceRecord) {
 		if q.Matches(rec.SD) {
@@ -409,7 +402,7 @@ func (r *RegistryRole) onGet(from, manager netsim.NodeID) {
 func (r *RegistryRole) onSubscribe(from netsim.NodeID, p *wire.Packet) {
 	lease := p.Lease
 	if lease <= 0 {
-		lease = r.nd.cfg.SubscriptionLease
+		lease = core.SubscriptionLease
 	}
 	r.subs.Put(subKey{user: from, manager: p.Manager}, struct{}{}, lease)
 	ack := wire.Packet{Kind: wire.SubscribeAck, Manager: p.Manager}
@@ -425,7 +418,7 @@ func (r *RegistryRole) onSubscribe(from netsim.NodeID, p *wire.Packet) {
 func (r *RegistryRole) onSubscriptionRenew(from netsim.NodeID, p *wire.Packet) {
 	lease := p.Lease
 	if lease <= 0 {
-		lease = r.nd.cfg.SubscriptionLease
+		lease = core.SubscriptionLease
 	}
 	if p.Manager == netsim.NoNode {
 		// Interest-only renewal: the User maintains its standing
@@ -465,7 +458,7 @@ func (r *RegistryRole) onSubscriptionRenew(from netsim.NodeID, p *wire.Packet) {
 func (r *RegistryRole) onRegistrationRenew(from netsim.NodeID, p *wire.Packet) {
 	lease := p.Lease
 	if lease <= 0 {
-		lease = r.nd.cfg.RegistrationLease
+		lease = core.RegistrationLease
 	}
 	if !r.provisional[from] && r.registrations.Renew(from, lease) {
 		r.nd.nw.SendUDP(r.nd.n.ID, from, netsim.Outgoing{ // lease upkeep, excluded from update effort

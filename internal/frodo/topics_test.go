@@ -48,8 +48,8 @@ func (nd *Node) digest() string {
 		fmt.Fprintf(&b, " pick=%+v", nd.rec.pick)
 	}
 	if r := nd.registry; r != nil {
-		fmt.Fprintf(&b, " registry{active=%v backup=%v/%d by=%d monitor=%s announcing=%v subs=%d",
-			r.active, r.backup, r.backupID, r.appointedBy, lease(&r.backupMonitor), r.announcer.Running(), r.subs.Len())
+		fmt.Fprintf(&b, " registry{active=%v backup=%v/%d monitor=%s announcing=%v subs=%d",
+			r.active, r.backup, r.backupID, lease(&r.backupMonitor), r.announcer.Running(), r.subs.Len())
 		r.registrations.Each(func(m netsim.NodeID, rec discovery.ServiceRecord) {
 			at, _ := r.registrations.Expiry(m)
 			fmt.Fprintf(&b, " reg[%d]=v%d@%d", m, rec.SD.Version(), at)
@@ -165,7 +165,7 @@ func TestDeclinedTopicsAreNoOps(t *testing.T) {
 						from := w.nodes[(i+1)%nNodes].ID()
 						nd.Deliver(&netsim.Message{From: from, To: nd.ID(), Multicast: true, Topic: topic,
 							Kind: p.Kind.String(), Counted: true, Packet: p,
-							Transport: netsim.UDP, SentAt: w.k.Now()})
+							Transport: netsim.UDP})
 						if got, want := w.digest(), twin.digest(); got != want {
 							t.Errorf("2-party=%v, %s: %s acted on a %v it declines:\n got  %s\n want %s",
 								twoParty, moment.name, kind, p.Kind, got, want)
@@ -203,7 +203,7 @@ func TestListenedTopicsAct(t *testing.T) {
 			twin.k.Run(200 * sim.Second)
 		}
 		nd.Deliver(&netsim.Message{From: w.userNodes[0].ID(), To: nd.ID(), Multicast: true, Topic: topic,
-			Kind: frames[0].Kind.String(), Counted: true, Packet: frames[0], Transport: netsim.UDP, SentAt: w.k.Now()})
+			Kind: frames[0].Kind.String(), Counted: true, Packet: frames[0], Transport: netsim.UDP})
 		if w.digest() == twin.digest() {
 			t.Errorf("a listening %v did nothing with a %v", nd, frames[0].Kind)
 		}

@@ -70,13 +70,13 @@ func newUserRole(nd *Node, q discovery.Query, l discovery.ConsistencyListener) *
 	}
 	u := &UserRole{nd: nd, query: q, listener: l, lessee: netsim.NoNode, subMgr: netsim.NoNode}
 	u.cache.Init(nd.k, userCachePurge, u)
-	u.searchTick.Init(nd.k, nd.cfg.SearchRetryPeriod, userSearch, u)
-	u.renewTick.Init(nd.k, core.RenewInterval(nd.cfg.SubscriptionLease), userRenew, u)
-	u.interestTick.Init(nd.k, core.RenewInterval(nd.cfg.SubscriptionLease), userRenewInterest, u)
+	u.searchTick.Init(nd.k, searchRetryPeriod, userSearch, u)
+	u.renewTick.Init(nd.k, core.RenewInterval(core.SubscriptionLease), userRenew, u)
+	u.interestTick.Init(nd.k, core.RenewInterval(core.SubscriptionLease), userRenewInterest, u)
 	if nd.cfg.PollPeriod > 0 {
 		u.pollTick.Init(nd.k, nd.cfg.PollPeriod, userPoll, u)
 	}
-	u.subRetry.Init(nd.k, nd.cfg.ControlRetry, userSendSubscribe, userSubscribeExhausted, u)
+	u.subRetry.Init(nd.k, nd.cfg.controlRetry(), userSendSubscribe, userSubscribeExhausted, u)
 	return u
 }
 
@@ -125,7 +125,7 @@ func (u *UserRole) renewInterest() {
 		return
 	}
 	u.nd.nw.SendUDP(u.nd.n.ID, central, netsim.Outgoing{ // lease upkeep, excluded from update effort
-		Packet: wire.Packet{Kind: wire.Renew, Manager: netsim.NoNode, Lease: u.nd.cfg.SubscriptionLease}})
+		Packet: wire.Packet{Kind: wire.Renew, Manager: netsim.NoNode, Lease: core.SubscriptionLease}})
 }
 
 // onInterestError reacts to the Central rejecting an interest renewal
@@ -151,7 +151,7 @@ func (u *UserRole) start() {
 
 // startSearchBurst arms a bounded train of searches (PR5's query side).
 func (u *UserRole) startSearchBurst() {
-	u.searchesLeft = u.nd.cfg.SearchBurst
+	u.searchesLeft = searchBurst
 	if u.searchesLeft <= 0 {
 		u.searchesLeft = 1
 	}
@@ -277,14 +277,14 @@ func (u *UserRole) subscribe(lessee, manager netsim.NodeID) {
 // sendSubscribe is the subscription retry's transmission callback.
 func (u *UserRole) sendSubscribe() {
 	u.nd.nw.SendUDP(u.nd.n.ID, u.lessee, netsim.Outgoing{Counted: true, Packet: wire.Packet{
-		Kind: wire.Subscribe, Manager: u.subMgr, Lease: u.nd.cfg.SubscriptionLease}})
+		Kind: wire.Subscribe, Manager: u.subMgr, Lease: core.SubscriptionLease}})
 }
 
 // subscribeExhausted backs off for a node-announce period and retries
 // while the record stays cached and the target has not changed.
 func (u *UserRole) subscribeExhausted() {
 	lessee, manager := u.lessee, u.subMgr
-	u.nd.k.After(u.nd.cfg.NodeAnnouncePeriod, func() {
+	u.nd.k.After(nodeAnnouncePeriod, func() {
 		if !u.subActive && u.cache.Len() > 0 && u.lessee == lessee {
 			u.subscribe(lessee, manager)
 		}
@@ -312,7 +312,7 @@ func (u *UserRole) renew() {
 		return
 	}
 	u.nd.nw.SendUDP(u.nd.n.ID, u.lessee, netsim.Outgoing{ // lease upkeep, excluded from update effort
-		Packet: wire.Packet{Kind: wire.Renew, Manager: u.subMgr, Lease: u.nd.cfg.SubscriptionLease}})
+		Packet: wire.Packet{Kind: wire.Renew, Manager: u.subMgr, Lease: core.SubscriptionLease}})
 }
 
 // onRenewAck refreshes the cached record's lease: a live subscription
@@ -321,7 +321,7 @@ func (u *UserRole) onRenewAck(from netsim.NodeID) {
 	if from != u.lessee {
 		return
 	}
-	u.cache.Renew(u.subMgr, u.nd.cfg.CacheLease)
+	u.cache.Renew(u.subMgr, cacheLease)
 }
 
 // onCentralAnnounce refreshes cached records the Central vouches for:
@@ -334,7 +334,7 @@ func (u *UserRole) onRenewAck(from netsim.NodeID) {
 // fall back to rediscovery through the Registry, the weaker PR5 the
 // paper describes.
 func (u *UserRole) onCentralAnnounce() {
-	u.cache.RenewIf(u.nd.cfg.CacheLease, func(mgr netsim.NodeID) bool {
+	u.cache.RenewIf(cacheLease, func(mgr netsim.NodeID) bool {
 		return !(u.subActive && u.lessee == mgr) // 2-party: vouched by the Manager itself
 	})
 }
@@ -434,6 +434,6 @@ func (u *UserRole) centralLost() {
 // stopped by adopt/onSubscribeAck, not here: a cached record without a
 // reachable subscription target must keep the search alive.
 func (u *UserRole) storeRec(rec discovery.ServiceRecord) {
-	u.cache.Put(rec.Manager, rec, u.nd.cfg.CacheLease)
+	u.cache.Put(rec.Manager, rec, cacheLease)
 	u.listener.CacheUpdated(u.nd.k.Now(), u.nd.n.ID, rec.Manager, rec.SD.Version())
 }

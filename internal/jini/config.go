@@ -28,23 +28,18 @@ const DiscoveryGroup netsim.Group = 1
 // announcement.
 const TopicAnnounce netsim.Topic = 1
 
-// Config collects the model parameters; DefaultConfig reproduces §5.
+// cacheLease is how long a node keeps a discovered Registry, and a User
+// a cached service, without a refresh (1800s). The rest of the §5 Jini
+// timing is core's: each Registry's announcement train ("the Registry
+// sends 6 multicast announcements messages every 120s") is
+// JiniAnnouncePeriod/JiniAnnounceCopies, subscriptions and notification
+// requests hold core.SubscriptionLease, and the Manager's service
+// registration core.RegistrationLease.
+const cacheLease = core.RegistrationLease
+
+// Config collects the model parameters a caller varies; DefaultConfig
+// reproduces §5.
 type Config struct {
-	// AnnouncePeriod and AnnounceCopies drive each Registry's multicast
-	// announcement train ("the Registry sends 6 multicast announcements
-	// messages every 120s").
-	AnnouncePeriod sim.Duration
-	AnnounceCopies int
-	// CacheLease is how long a node keeps a discovered Registry quiet in
-	// its cache, and how long a Registry keeps a registration (1800s).
-	CacheLease sim.Duration
-	// RegistrationLease is the Manager's service registration lease.
-	RegistrationLease sim.Duration
-	// SubscriptionLease covers event subscriptions and notification
-	// requests.
-	SubscriptionLease sim.Duration
-	// TCP is the reliable transport's failure response.
-	TCP netsim.TCPConfig
 	// PollPeriod enables CM2, pull-based consistency maintenance (§4.2):
 	// when positive, the User re-queries every known Registry this often,
 	// persistently. Zero disables polling.
@@ -52,21 +47,14 @@ type Config struct {
 	// Techniques enables recovery techniques; ablations flip bits.
 	Techniques core.TechniqueSet
 	// Hardened turns the protocol-hardening layer on: the Registry's
-	// lease tables are strict, it refuses silent repository heals, and a
-	// retiring User sends a Bye. The experiment kit sets it together with
-	// the bounded TCP transport; false is the paper-faithful baseline.
+	// lease tables are strict, it refuses silent repository heals, a
+	// retiring User sends a Bye, and every node runs the bounded TCP
+	// transport (netsim.TCPTransport). False is the paper-faithful
+	// baseline.
 	Hardened bool
 }
 
 // DefaultConfig returns the paper's Jini parameters.
 func DefaultConfig() Config {
-	return Config{
-		AnnouncePeriod:    core.JiniAnnouncePeriod,
-		AnnounceCopies:    core.JiniAnnounceCopies,
-		CacheLease:        core.RegistrationLease,
-		RegistrationLease: core.RegistrationLease,
-		SubscriptionLease: core.SubscriptionLease,
-		TCP:               netsim.DefaultTCPConfig(),
-		Techniques:        core.JiniTechniques(),
-	}
+	return Config{Techniques: core.JiniTechniques()}
 }

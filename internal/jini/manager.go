@@ -39,7 +39,7 @@ func NewManager(node *netsim.Node, cfg Config, sd discovery.ServiceDescription) 
 	m.initial = sd.Freeze()
 	m.sd = m.initial
 	m.registries.Init(m.k, nil, nil)
-	m.renewTick.Init(m.k, core.RenewInterval(cfg.RegistrationLease), managerRenewAll, m)
+	m.renewTick.Init(m.k, core.RenewInterval(core.RegistrationLease), managerRenewAll, m)
 	m.bind()
 	return m
 }
@@ -86,7 +86,7 @@ func (m *Manager) ChangeService(mutate func(attrs map[string]string)) {
 }
 
 func (m *Manager) sendUpdate(reg netsim.NodeID) {
-	m.nw.SendTCPWith(m.cfg.TCP, m.node.ID, reg, netsim.Outgoing{Counted: true,
+	m.nw.SendTCPWith(netsim.TCPTransport(m.cfg.Hardened), m.node.ID, reg, netsim.Outgoing{Counted: true,
 		Packet: wire.Packet{Kind: wire.Update, Manager: m.node.ID, SD: m.sd, N: m.sd.Version()}}, nil)
 }
 
@@ -113,7 +113,7 @@ func (m *Manager) onAnnounce(from netsim.NodeID, a *wire.Packet) {
 	}
 	lease := a.Lease
 	if lease <= 0 {
-		lease = m.cfg.CacheLease
+		lease = cacheLease
 	}
 	if m.registries.Renew(from, lease) {
 		return
@@ -124,8 +124,8 @@ func (m *Manager) onAnnounce(from netsim.NodeID, a *wire.Packet) {
 
 // register sends the full service record over TCP.
 func (m *Manager) register(reg netsim.NodeID) {
-	m.nw.SendTCPWith(m.cfg.TCP, m.node.ID, reg, netsim.Outgoing{Counted: true, Packet: wire.Packet{
-		Kind: wire.Register, Manager: m.node.ID, SD: m.sd, Lease: m.cfg.RegistrationLease}}, nil)
+	m.nw.SendTCPWith(netsim.TCPTransport(m.cfg.Hardened), m.node.ID, reg, netsim.Outgoing{Counted: true, Packet: wire.Packet{
+		Kind: wire.Register, Manager: m.node.ID, SD: m.sd, Lease: core.RegistrationLease}}, nil)
 }
 
 // renewAll refreshes the registration lease at every known Registry.
@@ -134,7 +134,7 @@ func (m *Manager) register(reg netsim.NodeID) {
 // re-registers — the Jini weakness the paper contrasts with FRODO's SRN2.
 func (m *Manager) renewAll() {
 	m.registries.EachKey(func(reg netsim.NodeID) {
-		m.nw.SendTCPWith(m.cfg.TCP, m.node.ID, reg, netsim.Outgoing{ // lease upkeep, excluded from update effort
-			Packet: wire.Packet{Kind: wire.Renew, Manager: m.node.ID, Lease: m.cfg.RegistrationLease}}, nil)
+		m.nw.SendTCPWith(netsim.TCPTransport(m.cfg.Hardened), m.node.ID, reg, netsim.Outgoing{ // lease upkeep, excluded from update effort
+			Packet: wire.Packet{Kind: wire.Renew, Manager: m.node.ID, Lease: core.RegistrationLease}}, nil)
 	})
 }

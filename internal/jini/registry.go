@@ -52,9 +52,9 @@ func NewRegistry(node *netsim.Node, cfg Config) *Registry {
 	r.subs.SetStrict(cfg.Hardened)
 	r.notifyReqs.SetStrict(cfg.Hardened)
 	announceOut := netsim.Outgoing{Counted: true, Topic: TopicAnnounce, Packet: wire.Packet{
-		Kind: wire.Announce, Role: wire.RoleRegistry, Lease: cfg.CacheLease}}
+		Kind: wire.Announce, Role: wire.RoleRegistry, Lease: cacheLease}}
 	r.announcer = core.NewAnnouncer(r.nw, node.ID, DiscoveryGroup,
-		cfg.AnnouncePeriod, cfg.AnnounceCopies, func() netsim.Outgoing { return announceOut })
+		core.JiniAnnouncePeriod, core.JiniAnnounceCopies, func() netsim.Outgoing { return announceOut })
 	r.bind()
 	return r
 }
@@ -129,7 +129,7 @@ func (r *Registry) onRegister(msg *netsim.Message, p *wire.Packet) {
 	prev, existed := r.registrations.Get(p.Manager)
 	lease := p.Lease
 	if lease <= 0 {
-		lease = r.cfg.RegistrationLease
+		lease = core.RegistrationLease
 	}
 	r.registrations.Put(p.Manager, p.Record(), lease)
 	r.reply(msg, netsim.Outgoing{Counted: true, Packet: wire.Packet{Kind: wire.RegisterAck}})
@@ -177,7 +177,7 @@ func (r *Registry) onUpdate(msg *netsim.Message, rec discovery.ServiceRecord) {
 			return
 		}
 		// Unknown manager: treat as a registration so the system heals.
-		r.registrations.Put(rec.Manager, rec, r.cfg.RegistrationLease)
+		r.registrations.Put(rec.Manager, rec, core.RegistrationLease)
 	}
 	r.reply(msg, netsim.Outgoing{Counted: true, Packet: wire.Packet{Kind: wire.UpdateAck,
 		Manager: rec.Manager, N: rec.SD.Version(), Role: wire.RoleRegistry}})
@@ -192,7 +192,7 @@ func (r *Registry) onUpdate(msg *netsim.Message, rec discovery.ServiceRecord) {
 // sendEvent delivers one remote event over TCP. A REX is final: Jini has
 // no SRN2, so the event is lost while the subscription lives.
 func (r *Registry) sendEvent(user netsim.NodeID, rec discovery.ServiceRecord, seq uint64) {
-	r.nw.SendTCPWith(r.cfg.TCP, r.node.ID, user, netsim.Outgoing{Counted: true, Packet: wire.Packet{
+	r.nw.SendTCPWith(netsim.TCPTransport(r.cfg.Hardened), r.node.ID, user, netsim.Outgoing{Counted: true, Packet: wire.Packet{
 		Kind: wire.Update, Manager: rec.Manager, SD: rec.SD, N: seq}}, nil)
 }
 
@@ -214,7 +214,7 @@ func (r *Registry) onSearch(msg *netsim.Message, q *discovery.Query) {
 func (r *Registry) onSubscribe(msg *netsim.Message, p *wire.Packet) {
 	lease := p.Lease
 	if lease <= 0 {
-		lease = r.cfg.SubscriptionLease
+		lease = core.SubscriptionLease
 	}
 	if p.Manager == netsim.NoNode {
 		q := discovery.Query{}
@@ -241,7 +241,7 @@ func (r *Registry) onSubscribe(msg *netsim.Message, p *wire.Packet) {
 func (r *Registry) onRenew(msg *netsim.Message, p *wire.Packet) {
 	lease := p.Lease
 	if lease <= 0 {
-		lease = r.cfg.SubscriptionLease
+		lease = core.SubscriptionLease
 	}
 	if p.Manager == msg.From {
 		if r.registrations.Renew(msg.From, lease) {

@@ -36,7 +36,7 @@ func TestHardenedRegistryRefusesRenewalsAtExpiry(t *testing.T) {
 		mgr, user := peer("Manager"), peer("User")
 		deliver := func(from netsim.NodeID, p wire.Packet) {
 			reg.Deliver(&netsim.Message{From: from, To: reg.ID(), Kind: p.Kind.String(), Packet: p,
-				Transport: netsim.UDP, SentAt: k.Now()})
+				Transport: netsim.UDP})
 		}
 
 		// Scheduled before the leases are granted, so at the expiry instant

@@ -52,7 +52,7 @@ func (r *rig) registryDigest() string {
 // nothing and changes no table. Otherwise a lookup service that starts
 // acting on its peers (federation, say) would stay silently scoped out.
 func TestDeclinedTopicsAreNoOps(t *testing.T) {
-	announce := wire.Packet{Kind: wire.Announce, Role: wire.RoleRegistry, Lease: DefaultConfig().CacheLease}
+	announce := wire.Packet{Kind: wire.Announce, Role: wire.RoleRegistry, Lease: cacheLease}
 	for _, until := range []sim.Time{0, 1500 * sim.Millisecond, 200 * sim.Second} {
 		// Twins: the same rig twice; one Registry is handed the frame,
 		// the other rig is what "unchanged" means.
@@ -65,7 +65,7 @@ func TestDeclinedTopicsAreNoOps(t *testing.T) {
 		}
 		reg.Deliver(&netsim.Message{From: peer.ID(), To: reg.ID(), Multicast: true, Topic: TopicAnnounce,
 			Kind: announce.Kind.String(), Counted: true, Packet: announce,
-			Transport: netsim.UDP, SentAt: r.k.Now()})
+			Transport: netsim.UDP})
 		if got, want := r.registryDigest(), twin.registryDigest(); got != want {
 			t.Errorf("at %v a Registry acted on a peer's announcement:\n got  %s\n want %s", until, got, want)
 		}

@@ -79,7 +79,7 @@ func NewUser(node *netsim.Node, cfg Config, q discovery.Query, l discovery.Consi
 	}
 	u.registries.Init(u.k, userRegistryPurge, u)
 	u.cache.Init(u.k, userCachePurge, u)
-	u.renewTick.Init(u.k, core.RenewInterval(cfg.SubscriptionLease), userRenewAll, u)
+	u.renewTick.Init(u.k, core.RenewInterval(core.SubscriptionLease), userRenewAll, u)
 	if cfg.PollPeriod > 0 {
 		u.pollTick.Init(u.k, cfg.PollPeriod, userPoll, u)
 	}
@@ -202,7 +202,7 @@ func (u *User) onAnnounce(from netsim.NodeID, a *wire.Packet) {
 	}
 	lease := a.Lease
 	if lease <= 0 {
-		lease = u.cfg.CacheLease
+		lease = cacheLease
 	}
 	if u.registries.Renew(from, lease) {
 		// The Registry vouches for the services discovered through it:
@@ -211,7 +211,7 @@ func (u *User) onAnnounce(from netsim.NodeID, a *wire.Packet) {
 		// rather than by silent cache expiry.
 		for _, key := range u.subscribed {
 			if key.registry == from {
-				u.cache.Renew(key.manager, u.cfg.CacheLease)
+				u.cache.Renew(key.manager, cacheLease)
 			}
 		}
 		return
@@ -234,13 +234,13 @@ func (u *User) join(reg netsim.NodeID) {
 		}
 		return
 	}
-	u.nw.SendTCPWith(u.cfg.TCP, u.node.ID, reg, netsim.Outgoing{Counted: true, Packet: wire.Packet{
-		Kind: wire.Subscribe, Manager: netsim.NoNode, Q: &u.query, Lease: u.cfg.SubscriptionLease}}, nil)
+	u.nw.SendTCPWith(netsim.TCPTransport(u.cfg.Hardened), u.node.ID, reg, netsim.Outgoing{Counted: true, Packet: wire.Packet{
+		Kind: wire.Subscribe, Manager: netsim.NoNode, Q: &u.query, Lease: core.SubscriptionLease}}, nil)
 }
 
 // search queries one Registry for the requirement.
 func (u *User) search(reg netsim.NodeID) {
-	u.nw.SendTCPWith(u.cfg.TCP, u.node.ID, reg, netsim.Outgoing{Counted: true,
+	u.nw.SendTCPWith(netsim.TCPTransport(u.cfg.Hardened), u.node.ID, reg, netsim.Outgoing{Counted: true,
 		Packet: wire.Packet{Kind: wire.Search, Q: &u.query}}, nil)
 }
 
@@ -262,8 +262,8 @@ func (u *User) subscribe(reg, manager netsim.NodeID) {
 		return
 	}
 	u.subscribed = append(u.subscribed, key)
-	u.nw.SendTCPWith(u.cfg.TCP, u.node.ID, reg, netsim.Outgoing{Counted: true, Packet: wire.Packet{
-		Kind: wire.Subscribe, Manager: manager, Lease: u.cfg.SubscriptionLease}}, nil)
+	u.nw.SendTCPWith(netsim.TCPTransport(u.cfg.Hardened), u.node.ID, reg, netsim.Outgoing{Counted: true, Packet: wire.Packet{
+		Kind: wire.Subscribe, Manager: manager, Lease: core.SubscriptionLease}}, nil)
 }
 
 // onEvent stores the updated record from a remote event, ensures the
@@ -295,7 +295,7 @@ func (u *User) onEvent(reg netsim.NodeID, rec discovery.ServiceRecord, seq uint6
 // single renewal covering its notification request and subscriptions.
 func (u *User) renewAll() {
 	u.registries.Each(func(reg netsim.NodeID, _ struct{}) {
-		renew := wire.Packet{Kind: wire.Renew, Manager: netsim.NoNode, Lease: u.cfg.SubscriptionLease}
+		renew := wire.Packet{Kind: wire.Renew, Manager: netsim.NoNode, Lease: core.SubscriptionLease}
 		for _, key := range u.subscribed {
 			if key.registry == reg {
 				renew.Manager = key.manager
@@ -303,7 +303,7 @@ func (u *User) renewAll() {
 			}
 		}
 		// Lease upkeep, excluded from update effort.
-		u.nw.SendTCPWith(u.cfg.TCP, u.node.ID, reg, netsim.Outgoing{Packet: renew}, nil)
+		u.nw.SendTCPWith(netsim.TCPTransport(u.cfg.Hardened), u.node.ID, reg, netsim.Outgoing{Packet: renew}, nil)
 	})
 }
 
@@ -313,7 +313,7 @@ func (u *User) renewAll() {
 func (u *User) onRenewAck(reg netsim.NodeID) {
 	for _, key := range u.subscribed {
 		if key.registry == reg {
-			u.cache.Renew(key.manager, u.cfg.CacheLease)
+			u.cache.Renew(key.manager, cacheLease)
 		}
 	}
 }
@@ -353,6 +353,6 @@ func (u *User) onCachePurge(manager netsim.NodeID) {
 // storeRec caches the record — sharing the immutable snapshot, no copy —
 // and reports it to the consistency listener.
 func (u *User) storeRec(rec discovery.ServiceRecord) {
-	u.cache.Put(rec.Manager, rec, u.cfg.CacheLease)
+	u.cache.Put(rec.Manager, rec, cacheLease)
 	u.listener.CacheUpdated(u.k.Now(), u.node.ID, rec.Manager, rec.SD.Version())
 }

@@ -109,7 +109,7 @@ func (c *Cell) Point(m, mPrime int) Point {
 
 	var resp []float64
 	reached, total := 0, 0
-	var eff, deg, perRunF stats.Welford
+	var eff, deg stats.Welford
 	for i, s := range c.perRun {
 		if !c.have[i] {
 			continue
@@ -117,9 +117,6 @@ func (c *Cell) Point(m, mPrime int) Point {
 		resp = append(resp, s.Resp...)
 		reached += s.Reached
 		total += s.Counted
-		if s.Counted > 0 {
-			perRunF.Add(float64(s.Reached) / float64(s.Counted))
-		}
 		if s.Effort > 0 {
 			eff.Add(float64(m) / float64(s.Effort))
 			deg.Add(float64(mPrime) / float64(s.Effort))
@@ -138,7 +135,6 @@ func (c *Cell) Point(m, mPrime int) Point {
 		// which is "no data", not zero effectiveness.
 		p.Effectiveness = math.NaN()
 	}
-	p.EffectivenessCI = perRunF.CI95()
 	p.Efficiency = stats.Clamp(eff.Mean(), 0, 1)
 	p.Degradation = stats.Clamp(deg.Mean(), 0, 1)
 	return p

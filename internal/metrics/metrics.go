@@ -86,10 +86,6 @@ type Point struct {
 	Effectiveness  float64 // F(λ)
 	Efficiency     float64 // E(λ)
 	Degradation    float64 // G(λ)
-	// EffectivenessCI is the 95% confidence half-width of the
-	// per-run effectiveness mean (not part of the paper's metrics;
-	// reported so sweep consumers can judge noise).
-	EffectivenessCI float64
 }
 
 // Curve is a metric series over failure rates for one system — one line

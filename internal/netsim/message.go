@@ -5,10 +5,7 @@
 // message-accounting machinery behind the Update Efficiency metrics.
 package netsim
 
-import (
-	"repro/internal/sim"
-	"repro/internal/wire"
-)
+import "repro/internal/wire"
 
 // NodeID identifies a node on the simulated LAN: its index in the
 // network's node table.
@@ -102,7 +99,6 @@ type Message struct {
 	// packet's Kind, or the raw name of a frame without one.
 	Kind   string
 	Packet wire.Packet
-	SentAt sim.Time
 	// Conn is the TCP connection a TCPData frame arrived on, letting the
 	// receiver answer over the same connection (HTTP responses, Jini
 	// acknowledgements). Nil for UDP traffic.
@@ -133,13 +129,13 @@ type Outgoing struct {
 }
 
 // frame builds the Message that carries out over tr.
-func (out *Outgoing) frame(from, to NodeID, tr Transport, at sim.Time) Message {
+func (out *Outgoing) frame(from, to NodeID, tr Transport) Message {
 	kind := out.Kind
 	if out.Packet.Kind != 0 {
 		kind = out.Packet.Kind.String()
 	}
-	return Message{From: from, To: to, Kind: kind, Packet: out.Packet, SentAt: at,
-		Counted: out.Counted, Transport: tr}
+	return Message{From: from, To: to, Kind: kind, Packet: out.Packet, Counted: out.Counted,
+		Transport: tr}
 }
 
 // Endpoint is the protocol-side receiver attached to a node.

@@ -19,10 +19,6 @@ type Config struct {
 	// for the paper's interface-failure experiments; nonzero reproduces
 	// the message-loss model of the companion study [25].
 	Loss float64
-	// MulticastStagger separates the redundant copies of one multicast
-	// transmission (Table 3: UPnP and Jini transmit every multicast six
-	// times). Copies are distinct wire transmissions, sent this far apart.
-	MulticastStagger sim.Duration
 	// Link selects the adversarial link-conditioning models (burst loss,
 	// heavy-tailed delay, reordering); the zero value keeps the idealized
 	// network above and changes no random draw.
@@ -45,21 +41,22 @@ func (cfg Config) Validate() error {
 	if cfg.Loss > 0 && cfg.Link.Burst.Enabled() {
 		return fmt.Errorf("netsim: i.i.d. Loss and burst loss are alternatives; set one")
 	}
-	if cfg.MulticastStagger < 0 {
-		return fmt.Errorf("netsim: negative MulticastStagger %v", cfg.MulticastStagger)
-	}
 	return cfg.Link.validate()
 }
 
 // DefaultConfig returns the Table 3 network characteristics.
 func DefaultConfig() Config {
 	return Config{
-		MinDelay:         10 * sim.Microsecond,
-		MaxDelay:         100 * sim.Microsecond,
-		Loss:             0,
-		MulticastStagger: 1 * sim.Millisecond,
+		MinDelay: 10 * sim.Microsecond,
+		MaxDelay: 100 * sim.Microsecond,
+		Loss:     0,
 	}
 }
+
+// multicastStagger separates the redundant copies of one multicast
+// transmission (Table 3: UPnP and Jini transmit every multicast six
+// times). Copies are distinct wire transmissions, sent this far apart.
+const multicastStagger = 1 * sim.Millisecond
 
 // groupSet is a multicast group's membership: a dense slice for ordered,
 // allocation-free fan-out plus a map index so Join and removal are O(1)
@@ -459,7 +456,7 @@ func (nw *Network) deliverNow(m *Message, gen uint32) {
 // and the frame is then silently lost.
 func (nw *Network) SendUDP(from, to NodeID, out Outgoing) {
 	d := nw.deliveries.get()
-	d.nw, d.m, d.gen = nw, out.frame(from, to, UDP, nw.k.Now()), nw.slots[to].gen
+	d.nw, d.m, d.gen = nw, out.frame(from, to, UDP), nw.slots[to].gen
 	nw.accountSend(&d.m)
 	if !nw.slots[from].txUp {
 		nw.drop(&d.m, "tx down")
@@ -480,7 +477,7 @@ func (nw *Network) SendUDP(from, to NodeID, out Outgoing) {
 }
 
 // mcopy is a pending staggered multicast copy (copies 2..n of a
-// transmission, sent MulticastStagger apart), pinned to the sender
+// transmission, sent multicastStagger apart), pinned to the sender
 // slot's tenancy at the time of the original transmission.
 type mcopy struct {
 	nw   *Network
@@ -515,7 +512,7 @@ func (nw *Network) Multicast(from NodeID, g Group, out Outgoing, copies int) {
 	for c := 1; c < copies; c++ {
 		mc := nw.mcopies.get()
 		mc.nw, mc.from, mc.gen, mc.g, mc.out = nw, from, gen, g, out
-		nw.k.AfterArg(sim.Duration(c)*nw.cfg.MulticastStagger, runMulticastCopy, mc)
+		nw.k.AfterArg(sim.Duration(c)*multicastStagger, runMulticastCopy, mc)
 	}
 }
 
@@ -559,7 +556,7 @@ func (f *fanout) recycle() { *f = fanout{entries: f.entries[:0]} }
 func (nw *Network) multicastCopy(from NodeID, g Group, out Outgoing) {
 	f := nw.fanouts.get()
 	f.nw = nw
-	f.wire = out.frame(from, NoNode, UDP, nw.k.Now())
+	f.wire = out.frame(from, NoNode, UDP)
 	f.wire.Multicast, f.wire.Topic = true, out.Topic
 	nw.accountSend(&f.wire)
 

@@ -30,12 +30,10 @@ type TCPConfig struct {
 	// interface failure, so we apply the RFC 6298 1s minimum. Only
 	// uncounted transport frames are affected.
 	MinRTO sim.Duration
-	// Backoff multiplies the data-transfer timeout on every retry.
-	// Table 3: "increasing timeout by 25% on each retry".
-	Backoff float64
 
 	// The remaining knobs are zero in the paper-faithful Table 3 model;
-	// a hardened run sets them to the Hardened* bounds below.
+	// the hardened transport (TCPTransport) sets them to the Hardened*
+	// bounds below.
 
 	// DataRetransmits, when positive, caps how many times an
 	// unacknowledged data frame is retransmitted; the transfer then
@@ -67,14 +65,42 @@ const (
 	HardenedRTOJitter       = 0.5
 )
 
+// rtoBackoff multiplies the data-transfer timeout on every retry.
+// Table 3: "increasing timeout by 25% on each retry".
+const rtoBackoff = 1.25
+
 // DefaultTCPConfig returns the Table 3 TCP failure response.
 func DefaultTCPConfig() TCPConfig {
 	return TCPConfig{
 		SetupRetransmits: []sim.Duration{6 * sim.Second, 24 * sim.Second, 24 * sim.Second, 24 * sim.Second},
 		SetupFinalWait:   24 * sim.Second,
 		MinRTO:           1 * sim.Second,
-		Backoff:          1.25,
 	}
+}
+
+// The two transports a protocol node runs, built once. Every connection
+// shares their setup schedule slice and none writes it.
+var (
+	paperTCP    = DefaultTCPConfig()
+	hardenedTCP = func() TCPConfig {
+		cfg := DefaultTCPConfig()
+		cfg.DataRetransmits = HardenedDataRetransmits
+		cfg.MaxRTO = HardenedMaxRTO
+		cfg.RTOJitter = HardenedRTOJitter
+		cfg.AbortOnRetire = true
+		return cfg
+	}()
+)
+
+// TCPTransport returns the transport of a protocol node: the Table 3
+// failure response, or for a hardened node the same bounded by the
+// Hardened* constants — capped, jittered data retransmission and no
+// transmission once the sender has retired.
+func TCPTransport(hardened bool) TCPConfig {
+	if hardened {
+		return hardenedTCP
+	}
+	return paperTCP
 }
 
 // TCPConn is one reliable transfer: connection setup followed by the
@@ -267,7 +293,7 @@ func tcpFrameArrive(x any) {
 func (c *TCPConn) sendControl(kind tcpFrameKind, name string, from, to NodeID, tr *tcpTransfer, synAt sim.Time) {
 	f := c.nw.allocTCPFrame(c)
 	f.kind, f.tr, f.synAt = kind, tr, synAt
-	f.m = Message{From: from, To: to, Kind: name, Transport: TCPControl, SentAt: c.nw.k.Now()}
+	f.m = Message{From: from, To: to, Kind: name, Transport: TCPControl}
 	c.nw.sendTCPFrame(f)
 }
 
@@ -350,7 +376,7 @@ func (c *TCPConn) queueTransfer(from, to NodeID, out Outgoing, onResult func(err
 	// not the connection ever comes up. (A NOTIFY whose connection REXes
 	// was still effort spent — and counting it here keeps failed runs
 	// from looking spuriously "efficient".)
-	nw.acctScratch = out.frame(from, to, TCPData, nw.k.Now())
+	nw.acctScratch = out.frame(from, to, TCPData)
 	nw.accountSend(&nw.acctScratch)
 	tr := &c.first
 	if c.last != nil {
@@ -465,7 +491,7 @@ func (tr *tcpTransfer) send() {
 	// send was already accounted when the transfer was queued.
 	f := nw.allocTCPFrame(tr.conn)
 	f.kind, f.tr = tcpData, tr
-	f.m = tr.out.frame(tr.from, tr.to, TCPData, nw.k.Now())
+	f.m = tr.out.frame(tr.from, tr.to, TCPData)
 	f.m.Counted, f.m.Retransmit = false, true
 	nw.sendTCPFrame(f)
 
@@ -482,7 +508,7 @@ func (tr *tcpTransfer) send() {
 func tcpRetransmit(x any) {
 	tr := x.(*tcpTransfer)
 	tr.timer = nil // pooled-event ownership: the fired event is gone
-	tr.rto = sim.Duration(float64(tr.rto) * tr.conn.cfg.Backoff)
+	tr.rto = sim.Duration(float64(tr.rto) * rtoBackoff)
 	if max := tr.conn.cfg.MaxRTO; max > 0 && tr.rto > max {
 		tr.rto = max
 	}

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
@@ -8,6 +9,22 @@ import (
 
 // Hardened-transport knobs (a hardened run sets these; the Table 3
 // baseline leaves them zero).
+
+// TestTCPTransportHardening: a protocol node's transport is the Table 3
+// one, or, hardened, the same with the four Hardened* bounds.
+func TestTCPTransportHardening(t *testing.T) {
+	if got := TCPTransport(false); !reflect.DeepEqual(got, DefaultTCPConfig()) {
+		t.Errorf("paper transport = %+v, want DefaultTCPConfig()", got)
+	}
+	want := DefaultTCPConfig()
+	want.DataRetransmits = HardenedDataRetransmits
+	want.MaxRTO = HardenedMaxRTO
+	want.RTOJitter = HardenedRTOJitter
+	want.AbortOnRetire = true
+	if got := TCPTransport(true); !reflect.DeepEqual(got, want) {
+		t.Errorf("hardened transport = %+v, want %+v", got, want)
+	}
+}
 
 func TestTCPDataRetransmitsCapRaisesREX(t *testing.T) {
 	// Setup succeeds, receiver dies before the data lands and never

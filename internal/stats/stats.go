@@ -49,8 +49,7 @@ func Quantile(xs []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// stdDev returns the population standard deviation, NaN for empty input:
-// the two-pass reference the Welford tests check against.
+// stdDev returns the population standard deviation, NaN for empty input.
 func stdDev(xs []float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()

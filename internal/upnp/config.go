@@ -29,51 +29,41 @@ const (
 	TopicAlive
 )
 
-// Config collects the model parameters; DefaultConfig reproduces §5.
-type Config struct {
-	// AnnouncePeriod and AnnounceCopies drive the Manager's ssdp:alive
-	// train ("the Manager sends 6 multicast announcement messages every
-	// 1800s").
-	AnnouncePeriod sim.Duration
-	AnnounceCopies int
-	// CacheLease is how long a User keeps a discovered Manager without
+// The §5 UPnP timing. The announcement train is core's
+// UPnPAnnouncePeriod/UPnPAnnounceCopies ("the Manager sends 6 multicast
+// announcement messages every 1800s") and the eventing lease is
+// core.SubscriptionLease.
+const (
+	// cacheLease is how long a User keeps a discovered Manager without
 	// hearing from it (the registration lease of §5 Step 4: 1800s).
-	CacheLease sim.Duration
-	// SubscriptionLease is the eventing lease (1800s).
-	SubscriptionLease sim.Duration
-	// SearchRetryPeriod is how often a User repeats M-SEARCH while its
+	cacheLease = core.RegistrationLease
+	// searchRetryPeriod is how often a User repeats M-SEARCH while its
 	// required service is missing from the cache (PR5).
-	SearchRetryPeriod sim.Duration
-	// GetRetryPeriod is how often a User that knows it is stale (it
+	searchRetryPeriod = 300 * sim.Second
+	// getRetryPeriod is how often a User that knows it is stale (it
 	// received an invalidation but the GET failed) retries the fetch.
-	GetRetryPeriod sim.Duration
+	getRetryPeriod = 60 * sim.Second
+)
+
+// Config collects the model parameters a caller varies; DefaultConfig
+// reproduces §5.
+type Config struct {
 	// PollPeriod enables CM2, pull-based consistency maintenance (§4.2):
 	// when positive, the User re-fetches the cached description this
 	// often, persistently, regardless of eventing. "Periodic queries from
 	// the User eventually retrieve the updated service description."
 	// Zero disables polling (the paper's notification-only experiments).
 	PollPeriod sim.Duration
-	// TCP is the reliable transport's failure response.
-	TCP netsim.TCPConfig
 	// Techniques enables recovery techniques; ablations flip bits.
 	Techniques core.TechniqueSet
 	// Hardened turns the protocol-hardening layer on: the Manager's
-	// subscription table is strict and a retiring User sends a Bye. The
-	// experiment kit sets it together with the bounded TCP transport;
-	// false is the paper-faithful baseline.
+	// subscription table is strict, a retiring User sends a Bye, and
+	// every node runs the bounded TCP transport (netsim.TCPTransport).
+	// False is the paper-faithful baseline.
 	Hardened bool
 }
 
 // DefaultConfig returns the paper's UPnP parameters.
 func DefaultConfig() Config {
-	return Config{
-		AnnouncePeriod:    core.UPnPAnnouncePeriod,
-		AnnounceCopies:    core.UPnPAnnounceCopies,
-		CacheLease:        core.RegistrationLease,
-		SubscriptionLease: core.SubscriptionLease,
-		SearchRetryPeriod: 300 * sim.Second,
-		GetRetryPeriod:    60 * sim.Second,
-		TCP:               netsim.DefaultTCPConfig(),
-		Techniques:        core.UPnPTechniques(),
-	}
+	return Config{Techniques: core.UPnPTechniques()}
 }

@@ -46,7 +46,7 @@ func NewManager(node *netsim.Node, cfg Config, sd discovery.ServiceDescription) 
 	m.subs.Init(m.k, nil, nil)
 	m.subs.SetStrict(cfg.Hardened)
 	m.announcer = core.NewAnnouncer(m.nw, node.ID, DiscoveryGroup,
-		cfg.AnnouncePeriod, cfg.AnnounceCopies, m.announcement)
+		core.UPnPAnnouncePeriod, core.UPnPAnnounceCopies, m.announcement)
 	// SSDP requires a device to advertise when network connectivity is
 	// (re)established: announce as soon as the transmitter recovers. This
 	// drives PR5's strength at high failure rates — "Users ... can get
@@ -82,7 +82,7 @@ func (m *Manager) Rearm() {
 }
 
 // Start boots the device: the first announcement train leaves after the
-// given delay and repeats every AnnouncePeriod.
+// given delay and repeats every core.UPnPAnnouncePeriod.
 func (m *Manager) Start(bootDelay sim.Duration) { m.announcer.Start(bootDelay) }
 
 // ID reports the Manager's node ID.
@@ -105,13 +105,13 @@ func (m *Manager) ChangeService(mutate func(attrs map[string]string)) {
 // SRN2, so a notification that fails leaves the subscriber inconsistent
 // until a purge-rediscovery technique runs (the §6.2 case study).
 func (m *Manager) notify(user netsim.NodeID) {
-	m.nw.SendTCPWith(m.cfg.TCP, m.node.ID, user, netsim.Outgoing{Counted: true,
+	m.nw.SendTCPWith(netsim.TCPTransport(m.cfg.Hardened), m.node.ID, user, netsim.Outgoing{Counted: true,
 		Packet: wire.Packet{Kind: wire.Invalidate, Manager: m.node.ID, N: m.sd.Version()}}, nil)
 }
 
 func (m *Manager) announcement() netsim.Outgoing {
 	return netsim.Outgoing{Counted: true, Topic: TopicAlive, Packet: wire.Packet{Kind: wire.Announce,
-		Role: wire.RoleManager, Lease: m.cfg.CacheLease}}
+		Role: wire.RoleManager, Lease: cacheLease}}
 }
 
 // Deliver implements netsim.Endpoint.
@@ -153,7 +153,7 @@ func (m *Manager) onGet(msg *netsim.Message) {
 // the current service state, as UPnP's initial event message does. That
 // initial state is what makes PR4 recover consistency.
 func (m *Manager) onSubscribe(msg *netsim.Message) {
-	m.subs.Put(msg.From, struct{}{}, m.cfg.SubscriptionLease)
+	m.subs.Put(msg.From, struct{}{}, core.SubscriptionLease)
 	m.respond(msg, netsim.Outgoing{Counted: true, Packet: m.carrying(wire.SubscribeAck)})
 }
 
@@ -168,7 +168,7 @@ func (m *Manager) carrying(k wire.Kind) wire.Packet {
 // rejected. A hardened (strict) table also refuses a renewal racing the
 // purge, so the User resubscribes.
 func (m *Manager) onRenew(msg *netsim.Message) {
-	if m.subs.Renew(msg.From, m.cfg.SubscriptionLease) {
+	if m.subs.Renew(msg.From, core.SubscriptionLease) {
 		m.respond(msg, netsim.Outgoing{ // lease upkeep, excluded from update effort
 			Packet: wire.Packet{Kind: wire.RenewAck, Manager: m.node.ID}})
 		return

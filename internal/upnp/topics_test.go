@@ -60,7 +60,7 @@ func topicRig(t *testing.T, until sim.Time) *rig {
 // kind would stay silently scoped out of the frames that carry it.
 func TestDeclinedTopicsAreNoOps(t *testing.T) {
 	search := wire.Packet{Kind: wire.Search, Q: &discovery.Query{ServiceType: "ColorPrinter"}}
-	alive := wire.Packet{Kind: wire.Announce, Role: wire.RoleManager, Lease: DefaultConfig().CacheLease}
+	alive := wire.Packet{Kind: wire.Announce, Role: wire.RoleManager, Lease: cacheLease}
 	cases := []struct {
 		who    string
 		ep     func(*rig) (netsim.Endpoint, netsim.NodeID)
@@ -81,7 +81,7 @@ func TestDeclinedTopicsAreNoOps(t *testing.T) {
 			}
 			ep.Deliver(&netsim.Message{From: r.users[1].ID(), To: id, Multicast: true, Topic: c.topic,
 				Kind: c.packet.Kind.String(), Counted: true, Packet: c.packet,
-				Transport: netsim.UDP, SentAt: r.k.Now()})
+				Transport: netsim.UDP})
 			if got, want := r.digest(), twin.digest(); got != want {
 				t.Errorf("at %v the %s acted on a %v it declines:\n got  %s\n want %s", until, c.who, c.packet.Kind, got, want)
 			}
@@ -94,9 +94,9 @@ func TestDeclinedTopicsAreNoOps(t *testing.T) {
 	// The probe has teeth: the listeners of the same frames do act.
 	r, twin := topicRig(t, 2200*sim.Second), topicRig(t, 2200*sim.Second)
 	r.manager.Deliver(&netsim.Message{From: r.users[1].ID(), To: r.manager.ID(), Multicast: true,
-		Topic: TopicSearch, Kind: search.Kind.String(), Counted: true, Packet: search, SentAt: r.k.Now()})
+		Topic: TopicSearch, Kind: search.Kind.String(), Counted: true, Packet: search})
 	r.users[0].Deliver(&netsim.Message{From: r.manager.ID(), To: r.users[0].ID(), Multicast: true,
-		Topic: TopicAlive, Kind: alive.Kind.String(), Counted: true, Packet: alive, SentAt: r.k.Now()})
+		Topic: TopicAlive, Kind: alive.Kind.String(), Counted: true, Packet: alive})
 	if sent := r.nw.Counters().Sends - twin.nw.Counters().Sends; sent < 2 {
 		t.Errorf("a searched Manager and a User hearing a lost Manager's ssdp:alive sent %d frames, want both to answer", sent)
 	}

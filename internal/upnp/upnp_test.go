@@ -231,7 +231,7 @@ func TestInvalidationRetryAfterFailedGet(t *testing.T) {
 	if !ok {
 		t.Fatal("user never recovered despite knowing it was stale")
 	}
-	// GET retries every GetRetryPeriod (60s) plus the REX latency of the
+	// GET retries every getRetryPeriod (60s) plus the REX latency of the
 	// attempt in flight when the Manager recovers (~102s).
 	if at < recoverAt || at > recoverAt+200*sim.Second {
 		t.Errorf("recovered at %v, want within ~200s after Manager recovery at %v", at, recoverAt)

@@ -75,9 +75,9 @@ func NewUser(node *netsim.Node, cfg Config, q discovery.Query, l discovery.Consi
 		subscribedTo: netsim.NoNode,
 	}
 	u.cache.Init(u.k, userCachePurge, u)
-	u.renewTick.Init(u.k, core.RenewInterval(cfg.SubscriptionLease), userRenew, u)
-	u.searchTick.Init(u.k, cfg.SearchRetryPeriod, userSearch, u)
-	u.getTick.Init(u.k, cfg.GetRetryPeriod, userRetryGet, u)
+	u.renewTick.Init(u.k, core.RenewInterval(core.SubscriptionLease), userRenew, u)
+	u.searchTick.Init(u.k, searchRetryPeriod, userSearch, u)
+	u.getTick.Init(u.k, getRetryPeriod, userRetryGet, u)
 	if cfg.PollPeriod > 0 {
 		u.pollTick.Init(u.k, cfg.PollPeriod, userPoll, u)
 	}
@@ -208,7 +208,7 @@ func (u *User) onAnnounce(from netsim.NodeID, a *wire.Packet) {
 	}
 	lease := a.Lease
 	if lease <= 0 {
-		lease = u.cfg.CacheLease
+		lease = cacheLease
 	}
 	if u.cache.Renew(from, lease) {
 		return
@@ -231,7 +231,7 @@ func (u *User) fetch(manager netsim.NodeID) {
 		return
 	}
 	u.getting = true
-	u.nw.SendTCPWith(u.cfg.TCP, u.node.ID, manager, netsim.Outgoing{Counted: true,
+	u.nw.SendTCPWith(netsim.TCPTransport(u.cfg.Hardened), u.node.ID, manager, netsim.Outgoing{Counted: true,
 		Packet: wire.Packet{Kind: wire.Get, Manager: manager}}, u.fetchDone)
 }
 
@@ -253,15 +253,15 @@ func (u *User) onGetReply(rec discovery.ServiceRecord) {
 
 // subscribe opens the eventing subscription.
 func (u *User) subscribe(manager netsim.NodeID) {
-	u.nw.SendTCPWith(u.cfg.TCP, u.node.ID, manager, netsim.Outgoing{Counted: true,
-		Packet: wire.Packet{Kind: wire.Subscribe, Manager: manager, Lease: u.cfg.SubscriptionLease}}, nil)
+	u.nw.SendTCPWith(netsim.TCPTransport(u.cfg.Hardened), u.node.ID, manager, netsim.Outgoing{Counted: true,
+		Packet: wire.Packet{Kind: wire.Subscribe, Manager: manager, Lease: core.SubscriptionLease}}, nil)
 }
 
 // onSubscribeAck records the subscription and stores the initial event
 // state carried with the acceptance.
 func (u *User) onSubscribeAck(from netsim.NodeID, rec discovery.ServiceRecord) {
 	u.subscribedTo = from
-	u.renewTick.Start(core.RenewInterval(u.cfg.SubscriptionLease))
+	u.renewTick.Start(core.RenewInterval(core.SubscriptionLease))
 	if u.query.Matches(rec.SD) {
 		u.storeRec(rec)
 		if rec.SD.Version() >= u.staleVersion {
@@ -278,8 +278,8 @@ func (u *User) renew() {
 	if u.subscribedTo == netsim.NoNode {
 		return
 	}
-	u.nw.SendTCPWith(u.cfg.TCP, u.node.ID, u.subscribedTo, netsim.Outgoing{ // lease upkeep, excluded from update effort
-		Packet: wire.Packet{Kind: wire.Renew, Manager: u.subscribedTo, Lease: u.cfg.SubscriptionLease}}, nil)
+	u.nw.SendTCPWith(netsim.TCPTransport(u.cfg.Hardened), u.node.ID, u.subscribedTo, netsim.Outgoing{ // lease upkeep, excluded from update effort
+		Packet: wire.Packet{Kind: wire.Renew, Manager: u.subscribedTo, Lease: core.SubscriptionLease}}, nil)
 }
 
 // onResubscribeRequest is PR4: the Manager saw our renewal but had purged
@@ -302,7 +302,7 @@ func (u *User) onInvalidate(manager netsim.NodeID, version uint64) {
 	}
 	u.staleVersion = version
 	u.fetch(manager)
-	u.getTick.Start(u.cfg.GetRetryPeriod)
+	u.getTick.Start(getRetryPeriod)
 }
 
 func (u *User) retryGet() {
@@ -344,7 +344,7 @@ func (u *User) search() {
 // ends any active search, and reports the write to the consistency
 // listener.
 func (u *User) storeRec(rec discovery.ServiceRecord) {
-	u.cache.Put(rec.Manager, rec, u.cfg.CacheLease)
+	u.cache.Put(rec.Manager, rec, cacheLease)
 	u.searchTick.Stop()
 	u.listener.CacheUpdated(u.k.Now(), u.node.ID, rec.Manager, rec.SD.Version())
 }

@@ -100,12 +100,12 @@ type OracleConfig struct {
 // DefaultOracleConfig returns the oracle tolerances for one system:
 // lease and election bounds follow the §5 parameters.
 func DefaultOracleConfig(sys experiment.System) OracleConfig {
-	fcfg := frodo.DefaultConfig()
+	announce := frodo.DefaultConfig().AnnouncePeriod
 	return OracleConfig{
 		PurgeSlack:    5 * sim.Second,
 		RetireGrace:   10 * sim.Second,
-		HealSlack:     fcfg.CentralTimeout + fcfg.AnnouncePeriod + 60*sim.Second,
-		CentralWindow: fcfg.AnnouncePeriod + 60*sim.Second,
+		HealSlack:     frodo.CentralTimeout + announce + 60*sim.Second,
+		CentralWindow: announce + 60*sim.Second,
 		ExpectCentral: sys == experiment.Frodo3P || sys == experiment.Frodo2P,
 	}
 }
