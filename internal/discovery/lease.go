@@ -87,12 +87,12 @@ func (t *LeaseTable[K, V]) Init(k *sim.Kernel, onExpire func(owner any, key K, v
 }
 
 // SetStrict marks a lease holder's table strict, right after Init: its
-// Renew then refuses a renewal processed at or after the expiry instant,
-// even if the purge has not fired yet (the kernel can deliver a renewal
-// and the expiry at the same timestamp in either order). The renewal/purge
-// race then always resolves toward re-registration, keeping the holder's
-// view and the oracle's lease ledger in lockstep. Put and RenewIf are
-// unaffected, and Rearm keeps the mark.
+// Renew and RenewIf then refuse a renewal processed at or after the
+// expiry instant, even if the purge has not fired yet (the kernel can
+// deliver a renewal and the expiry at the same timestamp in either
+// order). The renewal/purge race then always resolves toward
+// re-registration, keeping the holder's view and the oracle's lease
+// ledger in lockstep. Put is unaffected, and Rearm keeps the mark.
 func (t *LeaseTable[K, V]) SetStrict(strict bool) { t.strict = strict }
 
 // pool threads a chunk of entries onto the free list, first entry first.
@@ -207,11 +207,17 @@ func (t *LeaseTable[K, V]) Put(key K, v V, lease sim.Duration) {
 // table, a renewal of a spent lease.
 func (t *LeaseTable[K, V]) Renew(key K, lease sim.Duration) bool {
 	e := t.lookup(key)
-	if e == nil || t.strict && t.k.Now() >= e.deadline.When() {
+	if e == nil || t.spent(e) {
 		return false
 	}
 	e.deadline.SetAfter(lease)
 	return true
+}
+
+// spent reports whether a strict table refuses to renew e: its lease ran
+// out, though the purge may not have fired yet.
+func (t *LeaseTable[K, V]) spent(e *leaseEntry[K, V]) bool {
+	return t.strict && t.k.Now() >= e.deadline.When()
 }
 
 // Get returns the live value for key.
@@ -329,14 +335,18 @@ func (t *LeaseTable[K, V]) Each(fn func(K, V)) {
 }
 
 // RenewIf extends the lease of every entry whose key satisfies want, in
-// insertion order. want must not touch the table: the walk reads the live
-// order directly, no snapshot, no lookups.
-func (t *LeaseTable[K, V]) RenewIf(lease sim.Duration, want func(K) bool) {
+// insertion order, and reports whether it renewed any: Renew for each such
+// key, strictness included, in one walk. want must not touch the table:
+// the walk reads the live order directly, no snapshot, no lookups.
+func (t *LeaseTable[K, V]) RenewIf(lease sim.Duration, want func(K) bool) bool {
+	renewed := false
 	for e := t.head; e != nil; e = e.next {
-		if want(e.key) {
+		if want(e.key) && !t.spent(e) {
 			e.deadline.SetAfter(lease)
+			renewed = true
 		}
 	}
+	return renewed
 }
 
 // EachKey calls fn for every live key in insertion order, with the same

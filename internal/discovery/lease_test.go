@@ -315,33 +315,48 @@ func TestQuickLeaseLifecycle(t *testing.T) {
 }
 
 // RenewIf is EachKey + Renew without the snapshot and the second lookup:
-// the same entries move, in the same insertion order, so two kernels
-// driven either way fire the same expiries at the same instants in the
-// same order.
+// the same entries move, in the same insertion order, a strict table
+// refuses the same spent lease, and RenewIf reports whether any Renew
+// would have succeeded. So two kernels driven either way fire the same
+// expiries at the same instants in the same order.
 func TestRenewIfMatchesEachKeyRenew(t *testing.T) {
-	run := func(renew func(tbl *LeaseTable[string, int])) (log []string) {
+	run := func(strict bool, renew func(tbl *LeaseTable[string, int]) bool) (log []string) {
 		k := sim.New(1)
 		tbl := newTable[string, int](k, func(key string, _ int) {
 			log = append(log, fmt.Sprintf("%s@%v", key, k.Now()))
 		})
+		tbl.SetStrict(strict)
+		// Scheduled before the Puts, the renewal reaches "a" at its expiry
+		// instant ahead of the purge: present, but spent.
+		k.At(50*sim.Second, func() { log = append(log, fmt.Sprintf("renewed=%v", renew(tbl))) })
 		for i, key := range []string{"a", "b", "c", "d"} {
-			tbl.Put(key, i, 100*sim.Second)
+			lease := 100 * sim.Second
+			if key == "a" {
+				lease = 50 * sim.Second
+			}
+			tbl.Put(key, i, lease)
 		}
 		tbl.Drop("c")
-		k.At(50*sim.Second, func() { renew(tbl) })
 		k.Run(1000 * sim.Second)
 		return log
 	}
-	want := func(key string) bool { return key != "b" }
-	viaEachKey := run(func(tbl *LeaseTable[string, int]) {
-		tbl.EachKey(func(key string) {
-			if want(key) {
-				tbl.Renew(key, 100*sim.Second)
+	for _, strict := range []bool{false, true} {
+		for name, want := range map[string]func(string) bool{
+			"all but b": func(key string) bool { return key != "b" },
+			"a and c":   func(key string) bool { return key == "a" || key == "c" },
+		} {
+			viaEachKey := run(strict, func(tbl *LeaseTable[string, int]) (any bool) {
+				tbl.EachKey(func(key string) {
+					if want(key) && tbl.Renew(key, 100*sim.Second) {
+						any = true
+					}
+				})
+				return any
+			})
+			viaRenewIf := run(strict, func(tbl *LeaseTable[string, int]) bool { return tbl.RenewIf(100*sim.Second, want) })
+			if !reflect.DeepEqual(viaRenewIf, viaEachKey) || len(viaRenewIf) != 4 {
+				t.Errorf("strict=%v, %s: RenewIf log %v, EachKey+Renew %v", strict, name, viaRenewIf, viaEachKey)
 			}
-		})
-	})
-	viaRenewIf := run(func(tbl *LeaseTable[string, int]) { tbl.RenewIf(100*sim.Second, want) })
-	if !reflect.DeepEqual(viaRenewIf, viaEachKey) || len(viaRenewIf) != 3 {
-		t.Errorf("RenewIf expiries %v, EachKey+Renew %v", viaRenewIf, viaEachKey)
+		}
 	}
 }

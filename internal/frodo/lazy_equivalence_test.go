@@ -123,17 +123,21 @@ func TestLazyRegistryMatchesEager(t *testing.T) {
 }
 
 // The ballot mirrors two bits of its Node, which stays authoritative: the
-// Central bit is IsCentral and the running bit the Node's own. After
-// every delivery of every lazy-equivalence arm — churn, a flash crowd, a
-// bisect partition, rack failures, Backup takeovers at λ = 0.6, hardened
-// or not, cold and rearmed — the receiver's record agrees with its Node.
+// Central bit is IsCentral and the running bit the Node's own. The Node's
+// vouched bit in turn mirrors its User's cache: it is set exactly when
+// the renewal walk of a Central announcement would find a record to
+// renew. After every delivery of every lazy-equivalence arm — churn, a
+// flash crowd, a bisect partition, rack failures, Backup takeovers at
+// λ = 0.6, hardened or not, cold and rearmed — the receiver's record
+// agrees with its Node, and its vouched bit with its walk; each arm sees
+// the bit both set and clear.
 func TestBallotMirrorsNode(t *testing.T) {
 	for _, sys := range []experiment.System{experiment.Frodo3P, experiment.Frodo2P} {
 		for _, harden := range []bool{false, true} {
 			for _, dynamics := range []string{"static", "takeover", "churn", "churn+flash+bisect+racks"} {
 				name := fmt.Sprintf("%s/harden=%v/%s", sys.Short(), harden, dynamics)
 				spec := lazySpec(sys, dynamics, 42, harden)
-				checked, centrals := 0, 0
+				checked, centrals, vouched := 0, 0, 0
 				var mirror *mirrorCheck
 				spec.Attach = func(sc *experiment.Scenario) {
 					mirror = &mirrorCheck{t: t, name: name, nw: sc.Net, prev: netsim.NoNode}
@@ -145,9 +149,11 @@ func TestBallotMirrorsNode(t *testing.T) {
 					mirror.check(mirror.prev)
 					checked += mirror.checked
 					centrals += mirror.centrals
+					vouched += mirror.vouched
 				}
-				if checked == 0 || centrals == 0 {
-					t.Errorf("%s: checked %d deliveries, %d of them to a Central", name, checked, centrals)
+				if checked == 0 || centrals == 0 || vouched == 0 || vouched == checked {
+					t.Errorf("%s: checked %d deliveries, %d of them to a Central, %d to a vouched User",
+						name, checked, centrals, vouched)
 				}
 			}
 		}
@@ -157,11 +163,11 @@ func TestBallotMirrorsNode(t *testing.T) {
 // mirrorCheck checks the receiver of each delivery once the delivery has
 // been handled: at the next delivery, or at the end of the run.
 type mirrorCheck struct {
-	t                 *testing.T
-	name              string
-	nw                *netsim.Network
-	prev              netsim.NodeID
-	checked, centrals int
+	t                          *testing.T
+	name                       string
+	nw                         *netsim.Network
+	prev                       netsim.NodeID
+	checked, centrals, vouched int
 }
 
 func (m *mirrorCheck) check(id netsim.NodeID) {
@@ -176,6 +182,12 @@ func (m *mirrorCheck) check(id netsim.NodeID) {
 	if central != nd.IsCentral() || running != nodeRunning {
 		m.t.Fatalf("%s: node %d at %v: ballot central=%v running=%v, Node central=%v running=%v",
 			m.name, id, m.nw.Kernel().Now(), central, running, nd.IsCentral(), nodeRunning)
+	}
+	if bit, walk := nd.VouchBits(); bit != walk {
+		m.t.Fatalf("%s: node %d at %v: vouched bit %v, but the renewal walk finds a record to renew: %v",
+			m.name, id, m.nw.Kernel().Now(), bit, walk)
+	} else if bit {
+		m.vouched++
 	}
 	m.checked++
 	if central {

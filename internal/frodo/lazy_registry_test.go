@@ -81,7 +81,7 @@ func TestRearmKeepsPristineRegistry(t *testing.T) {
 			t.Fatalf("node %d lost its Registry capability across Rearm", nd.ID())
 		}
 		if nd.IsCentral() || nd.IsBackup() || reg.registrations.Len() != 0 || reg.subs.Len() != 0 ||
-			reg.announcer.Running() || reg.backupMonitor.Armed() {
+			reg.announcer.Running() || reg.backupMonitor.When() != 0 {
 			t.Errorf("node %d's Registry capability is not pristine after Rearm", nd.ID())
 		}
 	}
@@ -124,10 +124,22 @@ func TestReceivePathLayout(t *testing.T) {
 		{"cfg", unsafe.Offsetof(nd.cfg), unsafe.Sizeof(nd.cfg)},
 		{"class", unsafe.Offsetof(nd.class), unsafe.Sizeof(nd.class)},
 		{"running", unsafe.Offsetof(nd.running), unsafe.Sizeof(nd.running)},
+		{"vouched", unsafe.Offsetof(nd.vouched), unsafe.Sizeof(nd.vouched)},
 	} {
 		if end := f.off + f.len; end > line {
 			t.Errorf("Node.%s ends at byte %d, past the first cache line", f.name, end)
 		}
 	}
 	t.Logf("Node is %d bytes, ballot %d", unsafe.Sizeof(nd), unsafe.Sizeof(ballot{}))
+}
+
+// TestUserRoleSizeClass: the User role fits the runtime's 704-byte
+// allocation class, which holds 696 bytes of an object with pointers
+// past 512 bytes (the rest is the allocation header). The next class is
+// 768 bytes, 64 more per User in every cold build, which at N=10k is
+// mostly allocation.
+func TestUserRoleSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(UserRole{}); size > 696 {
+		t.Errorf("UserRole is %d bytes, past the 704-byte allocation class", size)
+	}
 }

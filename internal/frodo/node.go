@@ -23,8 +23,9 @@ type Node struct {
 	// The first cache line holds what the Central's announcement train
 	// reads at every node it reaches (onAnnounce, setCentral and the
 	// User's renewal pass): the own ID behind n, the roles, the Central
-	// belief, the configuration, the class and the election bit. A
-	// candidacy reads the node's ballot instead (TestReceivePathLayout).
+	// belief, the configuration, the class, the election bit and the
+	// vouched bit. A candidacy reads the node's ballot instead
+	// (TestReceivePathLayout).
 	n *netsim.Node
 
 	// registry is the 300D Registry capability. It stays nil until the
@@ -44,6 +45,14 @@ type Node struct {
 	// running marks an election in progress (300D only; see election.go).
 	// The ballot mirrors it.
 	running bool
+	// vouched marks a User that caches a record the Central vouches for,
+	// one that a Central announcement renews (UserRole.vouchedFor). The
+	// UserRole keeps it wherever its cache, subActive or lessee change
+	// (syncVouched), so an announcement enters the role only when it has
+	// something to renew: a subscribed 2-party User caches just the
+	// record its Manager vouches for, and finding that out in the cache
+	// costs the announcement its cache misses.
+	vouched bool
 
 	started bool
 	// detached marks a quiesced device (Detach): late events — notably a
@@ -505,7 +514,7 @@ func (nd *Node) onBye(from netsim.NodeID, role wire.Role) {
 func (nd *Node) onAnnounce(msg *netsim.Message, a *wire.Packet) {
 	if a.Role == wire.RoleRegistry {
 		nd.setCentral(msg.From, int(a.N))
-		if nd.user != nil && msg.From == nd.central {
+		if nd.vouched && msg.From == nd.central {
 			nd.user.onCentralAnnounce()
 		}
 		return

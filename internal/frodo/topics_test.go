@@ -26,7 +26,7 @@ var topicFrames = map[netsim.Topic][]wire.Packet{
 
 // lease renders a deadline as "-" or its expiry.
 func lease(d *sim.Deadline) string {
-	if !d.Armed() {
+	if d.When() == 0 {
 		return "-"
 	}
 	return fmt.Sprint(d.When())

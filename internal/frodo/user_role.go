@@ -43,8 +43,10 @@ type UserRole struct {
 	interestTick sim.Ticker
 
 	// pollTick drives CM2 when configured (cfg.PollPeriod > 0):
-	// persistent periodic Get requests for every cached service.
-	pollTick sim.Ticker
+	// persistent periodic Get requests for every cached service. It is
+	// nil otherwise, so a User that does not poll does not carry it: the
+	// role then fits a 704-byte allocation (TestUserRoleSizeClass).
+	pollTick *sim.Ticker
 
 	// monitor detects missed sequenced updates (SRC2, critical mode).
 	monitor core.SeqMonitor
@@ -74,6 +76,7 @@ func newUserRole(nd *Node, q discovery.Query, l discovery.ConsistencyListener) *
 	u.renewTick.Init(nd.k, core.RenewInterval(core.SubscriptionLease), userRenew, u)
 	u.interestTick.Init(nd.k, core.RenewInterval(core.SubscriptionLease), userRenewInterest, u)
 	if nd.cfg.PollPeriod > 0 {
+		u.pollTick = new(sim.Ticker)
 		u.pollTick.Init(nd.k, nd.cfg.PollPeriod, userPoll, u)
 	}
 	u.subRetry.Init(nd.k, nd.cfg.controlRetry(), userSendSubscribe, userSubscribeExhausted, u)
@@ -87,13 +90,16 @@ func (u *UserRole) rearm() {
 	u.searchTick.Rearm()
 	u.renewTick.Rearm()
 	u.interestTick.Rearm()
-	u.pollTick.Rearm()
+	if u.pollTick != nil {
+		u.pollTick.Rearm()
+	}
 	u.subRetry.Rearm()
 	u.searchesLeft = 0
 	u.lessee = netsim.NoNode
 	u.subMgr = netsim.NoNode
 	u.subActive = false
 	u.monitor.Reset()
+	u.syncVouched()
 }
 
 // poll is CM2: request the current description of every cached service
@@ -144,7 +150,7 @@ func (u *UserRole) start() {
 		u.startSearchBurst()
 	}
 	u.interestTick.Start(u.interestTick.Period())
-	if u.nd.cfg.PollPeriod > 0 {
+	if u.pollTick != nil {
 		u.pollTick.Start(u.pollTick.Period())
 	}
 }
@@ -172,13 +178,16 @@ func (u *UserRole) stop() {
 	u.searchTick.Stop()
 	u.renewTick.Stop()
 	u.interestTick.Stop()
-	u.pollTick.Stop()
+	if u.pollTick != nil {
+		u.pollTick.Stop()
+	}
 	u.subRetry.Stop()
 	u.cache.Clear()
 	u.subActive = false
 	u.subMgr = netsim.NoNode
 	u.lessee = netsim.NoNode
 	u.searchesLeft = 0
+	u.syncVouched()
 }
 
 // sendByes emits best-effort goodbyes to every holder of this User's
@@ -271,6 +280,7 @@ func (u *UserRole) subscribe(lessee, manager netsim.NodeID) {
 	u.subActive = false
 	u.lessee = lessee
 	u.subMgr = manager
+	u.syncVouched()
 	u.subRetry.Start()
 }
 
@@ -298,6 +308,7 @@ func (u *UserRole) onSubscribeAck(from netsim.NodeID, rec discovery.ServiceRecor
 	}
 	u.subRetry.Stop()
 	u.subActive = true
+	u.syncVouched()
 	u.searchTick.Stop()
 	u.renewTick.Start(u.renewTick.Period())
 	if u.query.Matches(rec.SD) {
@@ -334,9 +345,27 @@ func (u *UserRole) onRenewAck(from netsim.NodeID) {
 // fall back to rediscovery through the Registry, the weaker PR5 the
 // paper describes.
 func (u *UserRole) onCentralAnnounce() {
-	u.cache.RenewIf(cacheLease, func(mgr netsim.NodeID) bool {
-		return !(u.subActive && u.lessee == mgr) // 2-party: vouched by the Manager itself
-	})
+	u.cache.RenewIf(cacheLease, u.vouchedFor)
+}
+
+// vouchedFor reports whether the Central's announcement renews the cached
+// record of a Manager: every record but a 2-party subscription's, which
+// its Manager vouches for itself.
+func (u *UserRole) vouchedFor(mgr netsim.NodeID) bool {
+	return !(u.subActive && u.lessee == mgr)
+}
+
+// syncVouched sets the Node's vouched bit to whether any cached record is
+// vouchedFor. Keys are distinct, so only a single cached record can be the
+// subscription's own.
+func (u *UserRole) syncVouched() {
+	n := u.cache.Len()
+	if n == 1 && u.subActive {
+		if _, own := u.cache.Get(u.lessee); own {
+			n = 0
+		}
+	}
+	u.nd.vouched = n > 0
 }
 
 // onResubscribeRequest complies with PR3 (from the Central) or PR4 (from
@@ -392,6 +421,7 @@ func (u *UserRole) purgeManager(manager netsim.NodeID) {
 		u.subRetry.Stop()
 		u.renewTick.Stop()
 	}
+	u.syncVouched()
 	u.monitor.Reset()
 	if u.nd.cfg.Techniques.Has(core.PR5) {
 		u.startSearchBurst()
@@ -426,6 +456,7 @@ func (u *UserRole) centralLost() {
 	if u.subMgr != netsim.NoNode && u.lessee != u.subMgr {
 		u.subActive = false
 		u.renewTick.Stop()
+		u.syncVouched()
 	}
 }
 
@@ -435,5 +466,6 @@ func (u *UserRole) centralLost() {
 // reachable subscription target must keep the search alive.
 func (u *UserRole) storeRec(rec discovery.ServiceRecord) {
 	u.cache.Put(rec.Manager, rec, cacheLease)
+	u.syncVouched()
 	u.listener.CacheUpdated(u.nd.k.Now(), u.nd.n.ID, rec.Manager, rec.SD.Version())
 }

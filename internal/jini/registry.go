@@ -252,11 +252,9 @@ func (r *Registry) onRenew(msg *netsim.Message, p *wire.Packet) {
 		return
 	}
 	alive := r.notifyReqs.Renew(msg.From, lease)
-	r.subs.Each(func(k subKey, _ *subState) {
-		if k.user == msg.From && r.subs.Renew(k, lease) {
-			alive = true
-		}
-	})
+	if r.subs.RenewIf(lease, func(k subKey) bool { return k.user == msg.From }) {
+		alive = true
+	}
 	if alive {
 		r.ack(msg, p.Manager)
 		return

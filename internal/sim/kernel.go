@@ -30,19 +30,19 @@ import (
 //
 // The struct is exactly one 64-byte cache line (TestEventFitsCacheLine).
 type Event struct {
-	// at and seq are the event's true key; Postpone moves them ahead of
-	// the key its queue slot was sifted with.
+	// at and seq are the key the event was scheduled under. A Deadline's
+	// event (keyed) may fall behind its true key, which the Deadline
+	// holds: a renewal writes only its owner's memory, and the kernel
+	// copies the key in when the event's stale slot comes up (settled).
 	at       Time
 	seq      uint64 // tie-breaker: same-time events fire in schedule order
 	fn       func()
 	argFn    func(any)
 	arg      any
 	canceled bool
+	keyed    bool   // arg is the *Deadline that holds the true key
 	next     *Event // free-list link while recycled
 }
-
-// At reports the virtual time the event is scheduled for.
-func (e *Event) At() Time { return e.at }
 
 // Cancel prevents the event from firing. Canceling an event that has
 // already been canceled, or canceling from inside the event's own
@@ -55,15 +55,12 @@ func (e *Event) Cancel() {
 	}
 }
 
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e != nil && e.canceled }
-
 // heapSlot is one queue entry: the (time, seq) key the entry was sifted
 // into place with, and the event. Keeping the key in the slot lets sift
-// compare neighbouring slots without dereferencing their events, and lets
-// Postpone move an event's true key (Event.at, Event.seq) ahead of the
-// slot's: a slot whose seq differs from its event's is stale, and is
-// re-sifted under the true key when it reaches the head.
+// compare neighbouring slots without dereferencing their events. A
+// Deadline renewal moves the true key (Deadline.at, Deadline.seq) ahead of
+// the slot's: a keyed slot whose seq differs from its Deadline's is stale,
+// and is re-sifted under the true key when it reaches the head.
 type heapSlot struct {
 	at  Time
 	seq uint64
@@ -85,8 +82,12 @@ type heapSlot struct {
 // schedule calls, so steady-state scheduling allocates nothing; the pool
 // grows in chunks (see alloc), not one event per miss. Cancellation and
 // postponement are lazy — a canceled event stays queued until its time
-// comes and is then discarded and recycled; a postponed event stays where
-// it is until its old time comes and is then re-queued under its new one.
+// comes and is then discarded and recycled; a renewed Deadline's event
+// stays where it is until its old time comes and is then re-queued under
+// the key its Deadline holds. The true key lives in the Deadline, not the
+// event, so that a renewal — one per Central announcement per node, the
+// bulk of a large run — writes only memory its owner has already loaded,
+// never the pooled event, which lies nowhere near it.
 type Kernel struct {
 	now  Time
 	seq  uint64
@@ -167,9 +168,8 @@ func (k *Kernel) Fired() uint64 { return k.fired }
 // alloc takes an event from the free list, or else the next unused one
 // of the pool's last chunk, growing the pool by a chunk of 16 to 1,024
 // events when both are empty (a paper-scale kernel stays in its first).
-// The canceled flag is cleared here, on reuse, rather than on release, so
-// a caller that retained a canceled event's pointer still reads
-// Canceled() == true until the slot is actually handed out again.
+// The flags are cleared here, on reuse, rather than on release, so a
+// canceled event keeps its mark until its slot is handed out again.
 func (k *Kernel) alloc() *Event {
 	e := k.free
 	if e == nil {
@@ -181,7 +181,7 @@ func (k *Kernel) alloc() *Event {
 	}
 	k.free = e.next
 	e.next = nil
-	e.canceled = false
+	e.canceled, e.keyed = false, false
 	return e
 }
 
@@ -227,32 +227,6 @@ func (k *Kernel) schedule(t Time) *Event {
 	k.seq++
 	k.push(e)
 	return e
-}
-
-// Postpone moves the pending event e to the later instant t (t == e.At()
-// is allowed). It is exact: firing order, Fired() and every sequence
-// number come out as if the caller had canceled e and scheduled the same
-// callback at t — e takes a fresh sequence number, so it fires after
-// everything already scheduled for t — but e stays where it is in the
-// queue and is sifted to its new place only when its old instant comes
-// up, so a timer renewed many times per expiry (a lease) costs O(1) per
-// renewal and one queue entry in total, instead of one dead entry per
-// renewal. Its slot keeps the old key, which sorts no later than the new
-// one, so both tiers stay ordered.
-//
-// e must be pending: not canceled, and not the event whose callback is
-// running (that one has left the queue; schedule a new event instead).
-// Moving an event earlier is not supported — cancel and reschedule.
-func (k *Kernel) Postpone(e *Event, t Time) {
-	if e.canceled {
-		panic("sim: postponing a canceled event")
-	}
-	if t < e.at || t < k.now {
-		panic(fmt.Sprintf("sim: postponing event at %v to %v (now %v)", e.at, t, k.now))
-	}
-	e.at = t
-	e.seq = k.seq
-	k.seq++
 }
 
 // After schedules fn to run d from now. Negative d panics.
@@ -382,25 +356,32 @@ func (k *Kernel) head() (*Event, bool) {
 
 // settled reports whether the front slot s is the next event to fire. If
 // it is not it is dealt with — a canceled event is discarded and recycled,
-// a postponed one re-queued under its true key (re-sifted in place at the
-// heap's root) — and the caller looks at the new front. Neither is a
-// fired event, and neither consumes a sequence number.
+// a stale Deadline event takes its Deadline's key and is re-queued under
+// it (re-sifted in place at the heap's root) — and the caller looks at the
+// new front. Neither is a fired event, and neither consumes a sequence
+// number.
 func (k *Kernel) settled(s *heapSlot, near bool) bool {
-	switch e := s.e; {
-	case e.canceled:
+	e := s.e
+	if e.canceled {
 		k.pop(near)
 		k.release(e)
 		return false
-	case e.seq != s.seq:
-		if near {
-			k.pop(true)
-			k.push(e)
-		} else {
-			k.siftDown(0, heapSlot{at: e.at, seq: e.seq, e: e})
-		}
-		return false
 	}
-	return true
+	if !e.keyed {
+		return true
+	}
+	d := e.arg.(*Deadline)
+	if d.seq == s.seq {
+		return true
+	}
+	e.at, e.seq = d.at, d.seq
+	if near {
+		k.pop(true)
+		k.push(e)
+	} else {
+		k.siftDown(0, heapSlot{at: e.at, seq: e.seq, e: e})
+	}
+	return false
 }
 
 // drainTo fires events with at <= limit in (time, seq) order until the
@@ -472,8 +453,8 @@ func (k *Kernel) fire(e *Event) {
 }
 
 // Pending reports the number of queued events: every live event once,
-// however often it was postponed, plus canceled events that have not yet
-// been discarded.
+// however often its Deadline was renewed, plus canceled events that have
+// not yet been discarded.
 func (k *Kernel) Pending() int { return len(k.heap) + k.nearN }
 
 // slotLess orders queue entries by (time, seq): schedule order breaks

@@ -52,8 +52,8 @@ func TestKernelCancel(t *testing.T) {
 	if fired {
 		t.Error("canceled event fired")
 	}
-	if !e.Canceled() {
-		t.Error("Canceled() = false after Cancel")
+	if !e.canceled {
+		t.Error("not marked canceled after Cancel")
 	}
 	// Double cancel and nil cancel must be safe.
 	e.Cancel()
@@ -252,12 +252,12 @@ func TestKernelEventPoolRecycles(t *testing.T) {
 	// A canceled event is recycled once popped.
 	e2.Cancel()
 	k.Run(4 * Second)
-	if !e2.Canceled() {
+	if !e2.canceled {
 		t.Error("canceled flag lost before slot reuse")
 	}
 	if e3 := k.After(Second, fn); e3 != e2 {
 		t.Error("canceled+popped event was not recycled")
-	} else if e3.Canceled() {
+	} else if e3.canceled {
 		t.Error("recycled event still marked canceled")
 	}
 }

@@ -19,8 +19,8 @@ func TestEventFitsCacheLine(t *testing.T) {
 
 // scheduler is what the property test drives: the kernel under test and
 // the lazy-cancel reference, each behind handles the test owns. postpone on
-// the reference is the definition Postpone must match — cancel, then
-// schedule the same callback again.
+// the reference is the definition a Deadline renewal must match — cancel,
+// then schedule the same callback again.
 type scheduler interface {
 	Now() Time
 	Fired() uint64
@@ -39,24 +39,63 @@ type scheduler interface {
 	at(id int) Time    // its instant
 }
 
+// realSched holds each event either as a plain At event or behind a
+// Deadline: the arg form schedules through a Deadline, and postponing a
+// plain event cancels it and arms a Deadline in its place (one fresh
+// sequence number, as the reference's cancel-and-schedule), so every
+// later postponement of it is a lazy Deadline renewal.
 type realSched struct {
 	*Kernel
 	ev map[int]*Event
+	dl map[int]*Deadline
+	fn map[int]func(int)
 }
 
-func (s *realSched) reset() { s.Kernel.Reset(1); clear(s.ev) }
+func (s *realSched) reset() { s.Kernel.Reset(1); clear(s.ev); clear(s.dl); clear(s.fn) }
 func (s *realSched) schedule(id int, t Time, arg bool, fire func(int)) {
+	s.fn[id] = fire
 	if arg {
-		s.ev[id] = s.AtArg(t, func(x any) { fire(x.(int)) }, id)
+		s.arm(id, t)
 	} else {
 		s.ev[id] = s.At(t, func() { fire(id) })
 	}
 }
-func (s *realSched) cancel(id int)           { s.ev[id].Cancel(); s.forget(id) }
-func (s *realSched) postpone(id int, t Time) { s.Postpone(s.ev[id], t) }
-func (s *realSched) forget(id int)           { delete(s.ev, id) }
-func (s *realSched) seq(id int) uint64       { return s.ev[id].seq }
-func (s *realSched) at(id int) Time          { return s.ev[id].At() }
+func (s *realSched) arm(id int, t Time) {
+	d := &Deadline{}
+	d.Init(s.Kernel, func(x any) { s.fn[id](x.(int)) }, id)
+	d.Set(t)
+	s.dl[id] = d
+}
+func (s *realSched) cancel(id int) {
+	if d := s.dl[id]; d != nil {
+		d.Clear()
+	} else {
+		s.ev[id].Cancel()
+	}
+	s.forget(id)
+}
+func (s *realSched) postpone(id int, t Time) {
+	if d := s.dl[id]; d != nil {
+		d.Set(t)
+		return
+	}
+	s.ev[id].Cancel()
+	delete(s.ev, id)
+	s.arm(id, t)
+}
+func (s *realSched) forget(id int) { delete(s.ev, id); delete(s.dl, id); delete(s.fn, id) }
+func (s *realSched) seq(id int) uint64 {
+	if d := s.dl[id]; d != nil {
+		return d.seq
+	}
+	return s.ev[id].seq
+}
+func (s *realSched) at(id int) Time {
+	if d := s.dl[id]; d != nil {
+		return d.at
+	}
+	return s.ev[id].at
+}
 
 type refSched struct {
 	*refKernel
@@ -215,7 +254,7 @@ func kernelProgram(s scheduler, seed int64, steps int, straddle bool) []string {
 // lazy-cancel reference and fails at the first line their logs differ.
 func matchReference(t *testing.T, seed int64, steps int, straddle bool) {
 	t.Helper()
-	real := &realSched{Kernel: New(1), ev: map[int]*Event{}}
+	real := &realSched{Kernel: New(1), ev: map[int]*Event{}, dl: map[int]*Deadline{}, fn: map[int]func(int){}}
 	ref := &refSched{refKernel: &refKernel{}, ev: map[int]*refEvent{}, fn: map[int]func(int){}, arg: map[int]bool{}}
 	got := kernelProgram(real, seed, steps, straddle)
 	want := kernelProgram(ref, seed, steps, straddle)
@@ -248,20 +287,21 @@ func FuzzKernelMatchesReference(f *testing.F) {
 	})
 }
 
-// TestPostponeKeepsOneQueueEntry: however often an event is postponed it
-// owns one queue entry, where Cancel plus At leaves one dead entry each.
+// TestPostponeKeepsOneQueueEntry: however often a Deadline is postponed
+// it owns one queue entry, where Cancel plus At leaves one dead entry each.
 func TestPostponeKeepsOneQueueEntry(t *testing.T) {
 	k := New(1)
 	fired := Time(-1)
-	e := k.At(10, func() { fired = k.Now() })
+	d := newDeadline(k, func() { fired = k.Now() })
+	d.Set(10)
 	for i := 0; i < 1000; i++ {
-		k.Postpone(e, Time(10+i))
+		d.Set(Time(10 + i))
 	}
 	if k.Pending() != 1 {
 		t.Fatalf("Pending() = %d after 1000 postponements, want 1", k.Pending())
 	}
-	if e.At() != 1009 {
-		t.Errorf("At() = %v, want the postponed instant 1009", e.At())
+	if d.When() != 1009 {
+		t.Errorf("When() = %v, want the postponed instant 1009", d.When())
 	}
 	k.Run(2000)
 	if fired != 1009 {
@@ -272,14 +312,16 @@ func TestPostponeKeepsOneQueueEntry(t *testing.T) {
 	}
 }
 
-// TestPostponeTakesFreshSequence: a postponed event fires after everything
-// already scheduled for its new instant, exactly as a rescheduled one.
+// TestPostponeTakesFreshSequence: a postponed Deadline fires after
+// everything already scheduled for its new instant, exactly as a
+// rescheduled event.
 func TestPostponeTakesFreshSequence(t *testing.T) {
 	k := New(1)
 	var order []string
-	a := k.At(5, func() { order = append(order, "a") })
+	a := newDeadline(k, func() { order = append(order, "a") })
+	a.Set(5)
 	k.At(9, func() { order = append(order, "b") })
-	k.Postpone(a, 9) // lands behind b
+	a.Set(9) // lands behind b
 	k.At(9, func() { order = append(order, "c") })
 	k.Run(20)
 	if got := strings.Join(order, ""); got != "bac" {
@@ -287,15 +329,20 @@ func TestPostponeTakesFreshSequence(t *testing.T) {
 	}
 	// Equal-instant postponement still moves the event to the back.
 	order = order[:0]
-	a = k.At(30, func() { order = append(order, "a") })
+	a.Set(30)
 	k.At(30, func() { order = append(order, "b") })
-	k.Postpone(a, 30)
+	a.Set(30)
 	k.Run(40)
 	if got := strings.Join(order, ""); got != "ba" {
 		t.Errorf("equal-instant order %q, want ba", got)
 	}
 }
 
+// TestPostponePanics: a Deadline cannot be set behind the clock, whether
+// the new instant lies after its expiry (a lazy postponement) or before it
+// (a fresh schedule), and a refused Set leaves it armed as it was. A
+// Deadline never holds a canceled event (Clear drops it), so there is no
+// canceled-event case.
 func TestPostponePanics(t *testing.T) {
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
@@ -307,17 +354,58 @@ func TestPostponePanics(t *testing.T) {
 		fn()
 	}
 	k := New(1)
-	e := k.At(10, func() {})
-	mustPanic("postponing to an earlier instant", func() { k.Postpone(e, 9) })
-	c := k.At(10, func() {})
-	c.Cancel()
-	mustPanic("postponing a canceled event", func() { k.Postpone(c, 20) })
-	// An overdue event (left behind the clock by a stopped drain) cannot be
-	// postponed into the past either, like any schedule call.
+	var fired []int64
+	d := newDeadline(k, func() { fired = append(fired, int64(k.Now())) })
+	d.Set(10)
+	// An overdue expiry (left behind the clock by a stopped drain) cannot
+	// be postponed into the past, like any schedule call.
 	k.At(1, func() { k.Stop() })
 	k.Run(50)
-	mustPanic("postponing behind the clock", func() { k.Postpone(e, 20) })
-	k.Postpone(e, 50) // to the current instant is fine
+	mustPanic("postponing behind the clock", func() { d.Set(20) })
+	mustPanic("setting earlier, behind the clock", func() { d.Set(9) })
+	if d.When() != 10 || k.Pending() != 1 {
+		t.Fatalf("a refused Set changed the deadline: when=%v pending=%d", d.When(), k.Pending())
+	}
+	d.Set(50) // to the current instant is fine
+	k.Run(60)
+	if fmt.Sprint(fired) != "[50]" {
+		t.Errorf("fires %v, want [50]", fired)
+	}
+}
+
+// TestDeadlineRenewLeavesEventAlone: a renewal writes the Deadline only.
+// The queued event keeps every byte until its old key comes up, and is
+// then given the Deadline's key and re-queued without firing.
+func TestDeadlineRenewLeavesEventAlone(t *testing.T) {
+	k := New(1)
+	fired := Time(-1)
+	d := newDeadline(k, func() { fired = k.Now() })
+	d.Set(10)
+	e := d.pending
+	if !e.keyed {
+		t.Fatal("a Deadline's event is not marked as keyed by its Deadline")
+	}
+	before := *(*[unsafe.Sizeof(Event{})]byte)(unsafe.Pointer(e))
+	d.Set(20)
+	d.SetAfter(30)
+	if after := *(*[unsafe.Sizeof(Event{})]byte)(unsafe.Pointer(e)); after != before {
+		t.Fatal("a renewal wrote the queued event")
+	}
+	if e.at != 10 || d.at != 30 || d.seq == e.seq {
+		t.Fatalf("event key (%v, %d), deadline key (%v, %d): want the event at 10 behind the deadline at 30",
+			e.at, e.seq, d.at, d.seq)
+	}
+	k.Run(15) // the stale slot comes up at 10
+	if k.Fired() != 0 || fired != -1 || k.Pending() != 1 {
+		t.Fatalf("settling the stale slot fired %d events (pending %d)", k.Fired(), k.Pending())
+	}
+	if e.at != 30 || e.seq != d.seq || d.pending != e {
+		t.Fatalf("after its old key came up the event is at (%v, %d), want the deadline's (30, %d)", e.at, e.seq, d.seq)
+	}
+	k.Run(40)
+	if fired != 30 || k.Fired() != 1 {
+		t.Errorf("fired at %v (%d events), want once at 30", fired, k.Fired())
+	}
 }
 
 // TestNextEventTimeAndAdvanceToSettleTheHead: the questions AdvanceTo and
@@ -328,10 +416,11 @@ func TestPostponePanics(t *testing.T) {
 func TestNextEventTimeAndAdvanceToSettleTheHead(t *testing.T) {
 	k := New(1)
 	canceled := k.At(3, func() { t.Error("canceled event fired") })
-	postponed := k.At(4, func() {})
+	postponed := newDeadline(k, func() {})
+	postponed.Set(4)
 	k.At(20, func() {})
 	canceled.Cancel()
-	k.Postpone(postponed, 12)
+	postponed.Set(12)
 	if next, ok := k.NextEventTime(); !ok || next != 12 {
 		t.Fatalf("NextEventTime = %v,%v, want 12 (canceled head discarded, postponed head moved)", next, ok)
 	}
@@ -344,7 +433,7 @@ func TestNextEventTimeAndAdvanceToSettleTheHead(t *testing.T) {
 
 	// From inside a drain: a walker at 5 may advance to 11 (nothing due
 	// first), not to 12 (the postponed event is due at 12 and was there
-	// first), and its stale slot key 4 must not make 11 look blocked.
+	// first), and its stale slot key 6 must not make 11 look blocked.
 	k.Reset(1)
 	var reached []int64
 	k.At(5, func() {
@@ -354,8 +443,9 @@ func TestNextEventTimeAndAdvanceToSettleTheHead(t *testing.T) {
 			}
 		}
 	})
-	postponed = k.At(6, func() { reached = append(reached, -int64(k.Now())) })
-	k.Postpone(postponed, 12)
+	postponed = newDeadline(k, func() { reached = append(reached, -int64(k.Now())) })
+	postponed.Set(6)
+	postponed.Set(12)
 	dead := k.At(7, func() { t.Error("canceled event fired") })
 	dead.Cancel()
 	k.Run(30)
@@ -370,9 +460,10 @@ func TestNextEventTimeAndAdvanceToSettleTheHead(t *testing.T) {
 func TestStepFiresPostponedEventAtItsNewInstant(t *testing.T) {
 	k := New(1)
 	var order []int64
-	a := k.At(2, func() { order = append(order, int64(k.Now())) })
+	a := newDeadline(k, func() { order = append(order, int64(k.Now())) })
+	a.Set(2)
 	k.At(5, func() { order = append(order, int64(k.Now())) })
-	k.Postpone(a, 8)
+	a.Set(8)
 	for k.Step() {
 	}
 	if fmt.Sprint(order) != "[5 8]" {
@@ -395,20 +486,20 @@ func TestDeadlineSetLaterEarlierAndFromItsOwnCallback(t *testing.T) {
 
 	d.Set(10)
 	d.Set(30) // later: postponed in place
-	if k.Pending() != 1 || d.When() != 30 || !d.Armed() {
-		t.Fatalf("after Set(10), Set(30): pending=%d when=%v armed=%v", k.Pending(), d.When(), d.Armed())
+	if k.Pending() != 1 || d.When() != 30 || d.pending == nil {
+		t.Fatalf("after Set(10), Set(30): pending=%d when=%v armed=%v", k.Pending(), d.When(), d.pending != nil)
 	}
 	d.Set(20) // earlier: cancel and reschedule
-	if d.When() != 20 || !d.Armed() {
-		t.Fatalf("after Set(20): when=%v armed=%v", d.When(), d.Armed())
+	if d.When() != 20 || d.pending == nil {
+		t.Fatalf("after Set(20): when=%v armed=%v", d.When(), d.pending != nil)
 	}
 	k.Run(25)
 	if fmt.Sprint(fires) != "[20]" {
 		t.Fatalf("fires %v, want [20] (not the superseded 10 or 30)", fires)
 	}
 	k.Run(40)
-	if len(fires) != 1 || d.Armed() {
-		t.Fatalf("superseded expiry fired or deadline still armed: %v %v", fires, d.Armed())
+	if len(fires) != 1 || d.pending != nil {
+		t.Fatalf("superseded expiry fired or deadline still armed: %v %v", fires, d.pending != nil)
 	}
 
 	rearmInCallback = true
@@ -438,12 +529,12 @@ func TestDeadlineSetAfterRearm(t *testing.T) {
 	k.Reset(2)
 	other := k.At(5, func() { fires = append(fires, -int64(k.Now())) })
 	d.Rearm()
-	if d.Armed() {
+	if d.pending != nil {
 		t.Error("armed after Rearm")
 	}
 	d.Set(40) // must not postpone the recycled event `other` now owns
-	if other.At() != 5 {
-		t.Fatalf("Set after Rearm moved an unrelated event to %v", other.At())
+	if other.at != 5 {
+		t.Fatalf("Set after Rearm moved an unrelated event to %v", other.at)
 	}
 	k.Run(200)
 	if fmt.Sprint(fires) != "[-5 40]" {

@@ -1,5 +1,7 @@
 package sim
 
+import "fmt"
+
 // noCopy marks a type that must not be copied after first use: `go vet`'s
 // copylocks check flags any assignment, argument or range copy of a value
 // containing one. Embedded timers are armed with a pointer to themselves
@@ -78,17 +80,30 @@ func (t *Ticker) Running() bool { return t.pending != nil }
 func (t *Ticker) Period() Duration { return t.period }
 
 // Deadline is a single-shot timer that can be pushed into the future, which
-// is exactly the behaviour of a lease: each renewal moves the expiry event
-// (Kernel.Postpone), so a lease renewed many times per expiry still owns
-// one queue entry. Like Ticker it is an embedded value prepared once with
-// Init — never copied, Rearm after Kernel.Reset — and arming it allocates
-// nothing.
+// is exactly the behaviour of a lease. Like Ticker it is an embedded value
+// prepared once with Init — never copied, Rearm after Kernel.Reset — and
+// arming it allocates nothing.
+//
+// A renewal to a later (or the same) instant is lazy and touches only the
+// Deadline: it stores the new key — the instant and a fresh sequence
+// number, so the expiry fires after everything already scheduled for that
+// instant, exactly as if it had been canceled and scheduled again — and
+// leaves the queued event where it is, under its old key. The kernel reads
+// the true key from here when that stale slot reaches the front of the
+// queue and re-queues the event under it (Kernel.settled). So a lease
+// renewed many times per expiry owns one queue entry, and a renewal never
+// writes the pooled event, which lies nowhere near the lease's owner. A
+// renewal to an earlier instant cancels the event and schedules a new one.
 type Deadline struct {
 	_       noCopy
 	k       *Kernel
 	fn      func(any)
 	arg     any
-	pending *Event
+	pending *Event // nil ⇔ not armed
+	// at and seq are the pending expiry's true key; the event's own key
+	// may lag behind them.
+	at  Time
+	seq uint64
 }
 
 // Init prepares an unarmed deadline that runs fn(arg) when it expires.
@@ -99,15 +114,23 @@ func (d *Deadline) Init(k *Kernel, fn func(any), arg any) {
 // deadlineFire is the static kernel callback shared by every deadline.
 func deadlineFire(x any) { x.(*Deadline).fire() }
 
-// Set arms (or re-arms) the deadline to fire at absolute time t.
+// Set arms (or re-arms) the deadline to fire at absolute time t. Setting it
+// behind the clock panics, as scheduling there does.
 func (d *Deadline) Set(t Time) {
 	// pending is non-nil only while the event is live: fire and Clear nil it.
-	if d.pending != nil && t >= d.pending.at {
-		d.k.Postpone(d.pending, t)
+	if d.pending != nil && t >= d.at {
+		k := d.k
+		if t < k.now {
+			panic(fmt.Sprintf("sim: renewing deadline at %v to %v (now %v)", d.at, t, k.now))
+		}
+		d.at, d.seq = t, k.seq
+		k.seq++
 		return
 	}
+	e := d.k.AtArg(t, deadlineFire, d)
+	e.keyed = true
 	d.pending.Cancel()
-	d.pending = d.k.AtArg(t, deadlineFire, d)
+	d.pending, d.at, d.seq = e, e.at, e.seq
 }
 
 // SetAfter arms (or re-arms) the deadline to fire dur from now.
@@ -123,15 +146,12 @@ func (d *Deadline) Clear() {
 // for workspace reuse after a Kernel.Reset.
 func (d *Deadline) Rearm() { d.pending = nil }
 
-// Armed reports whether the deadline is set and has not fired.
-func (d *Deadline) Armed() bool { return d.pending != nil && !d.pending.Canceled() }
-
-// When reports the expiry instant; valid only while Armed.
+// When reports the expiry instant, 0 if the deadline is not armed.
 func (d *Deadline) When() Time {
 	if d.pending == nil {
 		return 0
 	}
-	return d.pending.At()
+	return d.at
 }
 
 func (d *Deadline) fire() {

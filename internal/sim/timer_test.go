@@ -83,7 +83,7 @@ func TestDeadlineRenewal(t *testing.T) {
 	if len(expired) != 1 || expired[0] != 22*Second {
 		t.Errorf("expired at %v, want [22s]", expired)
 	}
-	if d.Armed() {
+	if d.pending != nil {
 		t.Error("deadline still armed after firing")
 	}
 }
@@ -93,7 +93,7 @@ func TestDeadlineClear(t *testing.T) {
 	fired := false
 	d := newDeadline(k, func() { fired = true })
 	d.SetAfter(10 * Second)
-	if !d.Armed() {
+	if d.pending == nil {
 		t.Fatal("deadline not armed after Set")
 	}
 	if d.When() != 10*Second {
