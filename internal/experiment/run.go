@@ -321,7 +321,6 @@ func (s *Scenario) scheduleChanges(p Params) sim.Time {
 func (s *Scenario) result(spec RunSpec, changeAt, deadline sim.Time) metrics.RunResult {
 	retired := s.RetiredOutcomes()
 	res := metrics.RunResult{
-		Lambda:   spec.Lambda,
 		Seed:     spec.Seed,
 		ChangeAt: changeAt,
 		Deadline: deadline,

@@ -36,10 +36,6 @@ type SweepResult struct {
 	// minimum across systems (the paper's m = 7).
 	MPrime map[System]int
 	M      int
-	// Cells holds the streaming per-cell accumulators, indexed
-	// [system][lambdaIdx] — per-run summaries slotted by run index, so
-	// derived statistics are identical at any worker count.
-	Cells map[System][]*metrics.Cell
 	// Raw keeps every run's observations, indexed [system][lambdaIdx][run].
 	// Nil unless SweepConfig.RetainRaw is set.
 	Raw map[System][][]metrics.RunResult
@@ -118,8 +114,8 @@ func Sweep(cfg SweepConfig) SweepResult {
 		if cfg.RetainRaw {
 			raw[sys] = make([][]metrics.RunResult, lambdas)
 		}
-		for li, l := range cfg.Params.Lambdas {
-			cells[sys][li] = metrics.NewCell(l, runs)
+		for li := range cfg.Params.Lambdas {
+			cells[sys][li] = metrics.NewCell(runs)
 			if cfg.RetainRaw {
 				raw[sys][li] = make([]metrics.RunResult, runs)
 			}
@@ -165,7 +161,6 @@ func aggregate(cfg SweepConfig, cells map[System][]*metrics.Cell, raw map[System
 		Params:  cfg.Params,
 		Curves:  map[System]metrics.Curve{},
 		MPrime:  map[System]int{},
-		Cells:   cells,
 		Raw:     raw,
 	}
 
@@ -183,9 +178,9 @@ func aggregate(cfg SweepConfig, cells map[System][]*metrics.Cell, raw map[System
 	}
 
 	for _, sys := range cfg.Systems {
-		curve := metrics.Curve{System: sys.String()}
+		var curve metrics.Curve
 		for li := range cfg.Params.Lambdas {
-			curve.Points = append(curve.Points, cells[sys][li].Point(res.M, res.MPrime[sys]))
+			curve.Points = append(curve.Points, cells[sys][li].Point(res.MPrime[sys]))
 		}
 		res.Curves[sys] = curve
 	}

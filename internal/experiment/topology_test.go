@@ -137,12 +137,13 @@ func TestSweepByteIdenticalAcrossWorkers(t *testing.T) {
 // Raw run results are retained only on request.
 func TestSweepRawIsOptIn(t *testing.T) {
 	p := fastParams(2, []float64{0})
-	lean := Sweep(SweepConfig{Systems: []System{UPnP}, Params: p})
+	var added int
+	lean := Sweep(SweepConfig{Systems: []System{UPnP}, Params: p, Progress: func(done, _ int) { added = done }})
 	if lean.Raw != nil {
 		t.Error("Raw retained without RetainRaw")
 	}
-	if lean.Cells[UPnP][0].Runs() != 2 {
-		t.Errorf("cell holds %d runs, want 2", lean.Cells[UPnP][0].Runs())
+	if added != 2 {
+		t.Errorf("cell holds %d runs, want 2", added)
 	}
 	full := Sweep(SweepConfig{Systems: []System{UPnP}, Params: p, RetainRaw: true})
 	if len(full.Raw[UPnP][0]) != 2 {
@@ -157,8 +158,10 @@ func TestSweepRawIsOptIn(t *testing.T) {
 // A sweep given only Topology/Churn (no Runs etc.) must default the
 // unset design fields without discarding the scenario shape.
 func TestSweepPreservesTopologyWhenDefaulting(t *testing.T) {
+	var added int
 	res := Sweep(SweepConfig{
-		Systems: []System{UPnP},
+		Progress: func(done, _ int) { added = done },
+		Systems:  []System{UPnP},
 		Params: Params{
 			Runs:     1,
 			Lambdas:  []float64{0},
@@ -171,8 +174,8 @@ func TestSweepPreservesTopologyWhenDefaulting(t *testing.T) {
 	if res.Params.Topology.Users != 9 {
 		t.Fatalf("Topology discarded by defaulting: %+v", res.Params.Topology)
 	}
-	if got := res.Cells[UPnP][0].Runs(); got != 1 {
-		t.Fatalf("cell runs = %d", got)
+	if added != 1 {
+		t.Fatalf("cell runs = %d", added)
 	}
 	// The run really had 9 users: check via a retained-raw repeat.
 	raw := Sweep(SweepConfig{Systems: []System{UPnP},

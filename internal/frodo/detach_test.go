@@ -26,7 +26,7 @@ func TestDetachBeforeBootStaysQuiet(t *testing.T) {
 		}
 		nw.Retire(n.ID)
 	})
-	k.Run(10 * sim.Minute)
+	k.Run(600 * sim.Second)
 	if c := nw.Counters(); c.Sends != 0 {
 		t.Errorf("detached node transmitted %d frames", c.Sends)
 	}
@@ -40,7 +40,7 @@ func TestDetachRefusedForCentral(t *testing.T) {
 	n := nw.AddNode("c")
 	nd := NewNode(n, shared(TwoPartyConfig()), Class300D, 9)
 	nd.Start(0)
-	k.Run(2 * sim.Minute) // alone on the LAN: wins the election
+	k.Run(120 * sim.Second) // alone on the LAN: wins the election
 	if !nd.IsCentral() {
 		t.Skip("node did not become Central; election config changed")
 	}

@@ -25,3 +25,22 @@ func (nd *Node) VouchBits() (bit, walk bool) {
 	}
 	return nd.vouched, walk
 }
+
+// Class reports the device class.
+func (nd *Node) Class() Class { return nd.class }
+
+// Registry returns the 300D Registry capability: nil for other classes,
+// and for a 300D node that has never been Central or Backup.
+func (nd *Node) Registry() *RegistryRole { return nd.registry }
+
+// cachedVersion reports the cached description version for a Manager.
+func (u *UserRole) cachedVersion(manager netsim.NodeID) uint64 {
+	rec, ok := u.cache.Get(manager)
+	if !ok {
+		return 0
+	}
+	return rec.SD.Version()
+}
+
+// Outstanding reports how many notifications are still unacknowledged.
+func (p *propagator) Outstanding() int { return len(p.pending) }

@@ -286,9 +286,6 @@ func (nd *Node) Detach() bool {
 // ID reports the device's network node ID.
 func (nd *Node) ID() netsim.NodeID { return nd.n.ID }
 
-// Class reports the device class.
-func (nd *Node) Class() Class { return nd.class }
-
 // Config reports the configuration the node was built with.
 func (nd *Node) Config() Config { return *nd.cfg }
 
@@ -306,10 +303,6 @@ func (nd *Node) Manager() *ManagerRole { return nd.manager }
 
 // User returns the attached User role, nil if none.
 func (nd *Node) User() *UserRole { return nd.user }
-
-// Registry returns the 300D Registry capability: nil for other classes,
-// and for a 300D node that has never been Central or Backup.
-func (nd *Node) Registry() *RegistryRole { return nd.registry }
 
 // announcePresence multicasts a presence announcement. The Central
 // answers with unicast Registry info, which "allows faster discovery of

@@ -154,6 +154,3 @@ func (p *propagator) Rearm() {
 		p.release(pn)
 	}
 }
-
-// Outstanding reports how many notifications are still unacknowledged.
-func (p *propagator) Outstanding() int { return len(p.pending) }

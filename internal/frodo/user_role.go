@@ -206,15 +206,6 @@ func (u *UserRole) sendByes() {
 	}
 }
 
-// cachedVersion reports the cached description version for a Manager.
-func (u *UserRole) cachedVersion(manager netsim.NodeID) uint64 {
-	rec, ok := u.cache.Get(manager)
-	if !ok {
-		return 0
-	}
-	return rec.SD.Version()
-}
-
 // EachCached visits every cached service record — the live gateway's
 // read path. The records share immutable snapshots and may be retained.
 func (u *UserRole) EachCached(fn func(discovery.ServiceRecord)) {

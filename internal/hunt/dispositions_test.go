@@ -7,6 +7,28 @@ import (
 	"testing"
 )
 
+// dispositions is the decision for each committed hunted-* fixture under
+// testdata, one row per (system, invariant): either the protocol was
+// hardened (mechanism names the fix) or the invariant was weakened to a
+// fault-conditional bound (mechanism names the bound). Every finding
+// proved fixable at the protocol layer; no invariant needed a bound.
+var dispositions = []struct{ system, invariant, decision, mechanism string }{
+	{"upnp", "lease-purge", "hardened",
+		"bounded TCP data retransmission (8 tries, 60s RTO cap): stale RenewAcks can no longer arrive hours late"},
+	{"jini1", "lease-purge", "hardened",
+		"bounded TCP data retransmission + strict renew + no silent onUpdate repository heal (Registry answers RenewError; Manager re-registers on the wire)"},
+	{"jini2", "lease-purge", "hardened",
+		"same as jini1; both Registries enforce strict leases"},
+	{"jini2", "retired-silence", "hardened",
+		"retire-aware transport (SYN/data sends abort once the sender retired) + best-effort Bye on User stop"},
+	{"frodo3p", "lease-purge", "hardened",
+		"strict renew at the Central + backup-seeded registrations held provisional until the Manager re-registers"},
+	{"frodo2p", "lease-purge", "hardened",
+		"strict renew at 300D Managers and the Central; renewals after expiry answered with RenewError, re-registration follows"},
+	{"frodo2p", "single-central", "hardened",
+		"demoted Central retracts its claim with Bye; sitting Central reasserts against weaker claims; announcements pause while either own interface is down; election re-arms with decorrelated backoff"},
+}
+
 // Every committed hunted-* fixture is a finding: its (system, invariant)
 // pair needs exactly one disposition row, and the fixture exactly one
 // hardened-* twin — the same scenario with hardened: true, expected
@@ -28,13 +50,13 @@ func TestDispositionsCoverTheHuntedFindings(t *testing.T) {
 	}
 
 	rows := map[string]int{}
-	for _, d := range dispositions() {
-		key := d.System + "/" + d.Invariant
+	for _, d := range dispositions {
+		key := d.system + "/" + d.invariant
 		rows[key]++
-		if d.Decision != "hardened" && d.Decision != "bounded" {
-			t.Errorf("%s: unknown decision %q", key, d.Decision)
+		if d.decision != "hardened" && d.decision != "bounded" {
+			t.Errorf("%s: unknown decision %q", key, d.decision)
 		}
-		if d.Mechanism == "" {
+		if d.mechanism == "" {
 			t.Errorf("%s: empty mechanism", key)
 		}
 	}

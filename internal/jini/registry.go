@@ -82,12 +82,6 @@ func (r *Registry) Start(bootDelay sim.Duration) { r.announcer.Start(bootDelay) 
 // ID reports the Registry's node ID.
 func (r *Registry) ID() netsim.NodeID { return r.node.ID }
 
-// registered reports whether the Manager currently holds a registration.
-func (r *Registry) registered(manager netsim.NodeID) bool {
-	_, ok := r.registrations.Get(manager)
-	return ok
-}
-
 // Deliver implements netsim.Endpoint.
 func (r *Registry) Deliver(msg *netsim.Message) {
 	p := &msg.Packet

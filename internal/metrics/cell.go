@@ -44,19 +44,18 @@ func SummarizeInto(r RunResult, resp []float64) RunSummary {
 // the order workers complete runs in: floating-point folds happen in run
 // order at Point time, never in arrival order.
 type Cell struct {
-	Lambda float64
 	perRun []RunSummary
 	have   []bool
 	filled int
 }
 
-// NewCell creates an accumulator for up to runs runs at failure rate
-// lambda. Adding beyond runs grows the cell.
-func NewCell(lambda float64, runs int) *Cell {
+// NewCell creates an accumulator for up to runs runs. Adding beyond runs
+// grows the cell.
+func NewCell(runs int) *Cell {
 	if runs < 0 {
 		runs = 0
 	}
-	return &Cell{Lambda: lambda, perRun: make([]RunSummary, runs), have: make([]bool, runs)}
+	return &Cell{perRun: make([]RunSummary, runs), have: make([]bool, runs)}
 }
 
 // AddResult summarizes one run straight into its slot, recycling the
@@ -98,18 +97,16 @@ func (c *Cell) MinPositiveEffort() int {
 	return min
 }
 
-// Point aggregates the cell into the paper's metrics. m is the global
-// minimum zero-failure effort; mPrime the system's own.
-func (c *Cell) Point(m, mPrime int) Point {
+// Point aggregates the cell into the paper's metrics; mPrime is the
+// system's own minimum zero-failure effort.
+func (c *Cell) Point(mPrime int) Point {
 	if c.filled == 0 {
-		return Point{Lambda: c.Lambda, Responsiveness: math.NaN(), Effectiveness: math.NaN(),
-			Efficiency: math.NaN(), Degradation: math.NaN()}
+		return Point{Responsiveness: math.NaN(), Effectiveness: math.NaN(), Degradation: math.NaN()}
 	}
-	p := Point{Lambda: c.Lambda, Runs: c.filled}
-
+	var p Point
 	var resp []float64
 	reached, total := 0, 0
-	var eff, deg stats.Welford
+	var deg stats.Welford
 	for i, s := range c.perRun {
 		if !c.have[i] {
 			continue
@@ -118,12 +115,10 @@ func (c *Cell) Point(m, mPrime int) Point {
 		reached += s.Reached
 		total += s.Counted
 		if s.Effort > 0 {
-			eff.Add(float64(m) / float64(s.Effort))
 			deg.Add(float64(mPrime) / float64(s.Effort))
 		} else {
 			// No effort spent can only mean nothing was propagated at
 			// all; treat as fully efficient to avoid division by zero.
-			eff.Add(1)
 			deg.Add(1)
 		}
 	}
@@ -135,7 +130,6 @@ func (c *Cell) Point(m, mPrime int) Point {
 		// which is "no data", not zero effectiveness.
 		p.Effectiveness = math.NaN()
 	}
-	p.Efficiency = stats.Clamp(eff.Mean(), 0, 1)
 	p.Degradation = stats.Clamp(deg.Mean(), 0, 1)
 	return p
 }

@@ -26,9 +26,9 @@ func TestSummarizeAllExcluded(t *testing.T) {
 	if len(s.Resp) != 0 {
 		t.Errorf("excluded users produced %d responsiveness samples", len(s.Resp))
 	}
-	c := NewCell(0, 1)
+	c := NewCell(1)
 	c.AddResult(0, r)
-	p := c.Point(7, 7)
+	p := c.Point(7)
 	if !math.IsNaN(p.Effectiveness) {
 		t.Errorf("all-excluded effectiveness = %v, want NaN", p.Effectiveness)
 	}
@@ -64,14 +64,14 @@ func TestMeasureMPrime(t *testing.T) {
 		run(0, sim.Second, 7),
 		run(0, sim.Second, 8),
 	}
-	c := NewCell(0, len(runs))
+	c := NewCell(len(runs))
 	for i, r := range runs {
 		c.AddResult(i, r)
 	}
 	if got := c.MinPositiveEffort(); got != 7 {
 		t.Errorf("m' = %d, want 7", got)
 	}
-	if got := NewCell(0, 0).MinPositiveEffort(); got != 1 {
+	if got := NewCell(0).MinPositiveEffort(); got != 1 {
 		t.Errorf("m' fallback = %d, want 1", got)
 	}
 }

@@ -6,7 +6,8 @@
 //	    reaches consistency before the deadline scores 0.
 //	Update Effectiveness F(λ): the fraction of (i,j) with U < D.
 //	Update Efficiency E(λ): mean over runs of m/y, with m the minimum
-//	    zero-failure effort across all systems (m = 7 in the paper).
+//	    zero-failure effort across all systems (m = 7 in the paper). No
+//	    figure reads E, so only the tests keep it (Cell.efficiency).
 //	Efficiency Degradation G(λ): mean over runs of m′/y, with m′ the
 //	    system's own zero-failure effort.
 package metrics
@@ -33,7 +34,6 @@ type UserOutcome struct {
 
 // RunResult is the raw observation of a single simulation run.
 type RunResult struct {
-	Lambda   float64
 	Seed     int64
 	ChangeAt sim.Time // C(i): when the service changed
 	Deadline sim.Time // D: the end of the run
@@ -80,18 +80,14 @@ func (r RunResult) AppendResponsivenesses(dst []float64) []float64 {
 // Point is the aggregated metric values of one system at one failure
 // rate.
 type Point struct {
-	Lambda         float64
-	Runs           int
 	Responsiveness float64 // R(λ)
 	Effectiveness  float64 // F(λ)
-	Efficiency     float64 // E(λ)
 	Degradation    float64 // G(λ)
 }
 
 // Curve is a metric series over failure rates for one system — one line
 // in the paper's Figures 4–7.
 type Curve struct {
-	System string
 	Points []Point
 }
 

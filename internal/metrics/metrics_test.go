@@ -44,12 +44,13 @@ func TestComputeEffectiveness(t *testing.T) {
 		run(1000*sim.Second, 5400*sim.Second, 7, 1001*sim.Second, -1),
 		run(1000*sim.Second, 5400*sim.Second, 7, 1001*sim.Second, 1002*sim.Second),
 	}
-	p := compute(runs, 7, 7)
+	c := cellOf(runs)
+	p := c.Point(7)
 	if !almost(p.Effectiveness, 0.75) {
 		t.Errorf("F = %v, want 0.75", p.Effectiveness)
 	}
-	if p.Runs != 2 {
-		t.Errorf("Runs = %d", p.Runs)
+	if c.Runs() != 2 {
+		t.Errorf("Runs = %d", c.Runs())
 	}
 }
 
@@ -63,7 +64,7 @@ func TestComputeResponsivenessIsMedian(t *testing.T) {
 		20*sim.Second, // 0.8
 		90*sim.Second, // 0.1
 	)}
-	p := compute(runs, 7, 7)
+	p := cellOf(runs).Point(7)
 	if !almost(p.Responsiveness, 0.8) {
 		t.Errorf("R = %v, want median 0.8", p.Responsiveness)
 	}
@@ -74,10 +75,11 @@ func TestComputeEfficiencyAndDegradation(t *testing.T) {
 		run(0, 100*sim.Second, 14, 1*sim.Second),
 		run(0, 100*sim.Second, 28, 1*sim.Second),
 	}
-	p := compute(runs, 7, 14)
+	c := cellOf(runs)
+	p := c.Point(14)
 	// E = mean(7/14, 7/28) = mean(0.5, 0.25) = 0.375
-	if !almost(p.Efficiency, 0.375) {
-		t.Errorf("E = %v, want 0.375", p.Efficiency)
+	if e := c.efficiency(7); !almost(e, 0.375) {
+		t.Errorf("E = %v, want 0.375", e)
 	}
 	// G = mean(14/14, 14/28) = 0.75
 	if !almost(p.Degradation, 0.75) {
@@ -86,21 +88,21 @@ func TestComputeEfficiencyAndDegradation(t *testing.T) {
 }
 
 func TestComputeZeroEffort(t *testing.T) {
-	p := compute([]RunResult{run(0, 100*sim.Second, 0, -1)}, 7, 7)
-	if p.Efficiency != 1 || p.Degradation != 1 {
-		t.Errorf("zero-effort run E=%v G=%v, want 1", p.Efficiency, p.Degradation)
+	c := cellOf([]RunResult{run(0, 100*sim.Second, 0, -1)})
+	if e, g := c.efficiency(7), c.Point(7).Degradation; e != 1 || g != 1 {
+		t.Errorf("zero-effort run E=%v G=%v, want 1", e, g)
 	}
 }
 
 func TestComputeEmpty(t *testing.T) {
-	p := compute(nil, 7, 7)
+	p := cellOf(nil).Point(7)
 	if !math.IsNaN(p.Responsiveness) || !math.IsNaN(p.Effectiveness) {
 		t.Error("empty compute should be NaN")
 	}
 }
 
 func TestCurveAverage(t *testing.T) {
-	c := Curve{System: "x", Points: []Point{
+	c := Curve{Points: []Point{
 		{Responsiveness: 1.0, Effectiveness: 1.0, Degradation: 1.0},
 		{Responsiveness: 0.5, Effectiveness: 0.8, Degradation: 0.6},
 	}}
@@ -130,16 +132,12 @@ func TestQuickResponsivenessBounded(t *testing.T) {
 	}
 }
 
-// compute aggregates the runs of one (system, λ) cell through the
-// streaming Cell a sweep uses.
-func compute(runs []RunResult, m, mPrime int) Point {
-	var lambda float64
-	if len(runs) > 0 {
-		lambda = runs[0].Lambda
-	}
-	c := NewCell(lambda, len(runs))
+// cellOf folds the runs of one (system, λ) cell into the streaming Cell
+// a sweep uses.
+func cellOf(runs []RunResult) *Cell {
+	c := NewCell(len(runs))
 	for i, r := range runs {
 		c.AddResult(i, r)
 	}
-	return c.Point(m, mPrime)
+	return c
 }

@@ -97,9 +97,6 @@ func (c *Counters) recordDelivery(m *Message) { c.Delivered++ }
 
 func (c *Counters) recordDrop(m *Message) { c.Drops++ }
 
-// Counted reports the total number of counted discovery sends.
-func (c *Counters) Counted() int { return len(c.countedTimes) }
-
 // CountedInWindow reports the number of counted discovery sends with
 // from ≤ t ≤ to. This is the y of the Update Efficiency metrics when the
 // window is the recovery interval.

@@ -13,8 +13,7 @@ import (
 // that grows by chunks and leaks one record per run reads 0 there.
 func CheckPoolsDrained(t *testing.T, nw *Network) {
 	t.Helper()
-	for nw.k.Step() {
-	}
+	drain(nw.k)
 	for name, n := range recordsInUse(t, nw) {
 		if n != 0 {
 			t.Errorf("%d %s records still out with the kernel drained", n, name)
@@ -140,4 +139,26 @@ func tcpConnPool(nw *Network) (free, made, releases int, dup bool) {
 		}
 	}
 	return free, made, releases, false
+}
+
+// Counted reports the total number of counted discovery sends.
+func (c *Counters) Counted() int { return len(c.countedTimes) }
+
+// Has reports whether the set holds the topic.
+func (s TopicSet) Has(t Topic) bool { return s&t.bit() != 0 }
+
+// stationaryLoss reports the chain's long-run average loss rate.
+func (b BurstConfig) stationaryLoss() float64 {
+	if b.GoodToBad+b.BadToGood == 0 {
+		return b.GoodLoss
+	}
+	piB := b.GoodToBad / (b.GoodToBad + b.BadToGood)
+	return piB*b.BadLoss + (1-piB)*b.GoodLoss
+}
+
+// drain fires every pending event, leaving the clock at the last one.
+func drain(k *sim.Kernel) {
+	for at, ok := k.NextEventTime(); ok; at, ok = k.NextEventTime() {
+		k.Run(at)
+	}
 }

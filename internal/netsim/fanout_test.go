@@ -25,14 +25,14 @@ func TestSortByArrivalMatchesStableSort(t *testing.T) {
 		"table3":    func() sim.Duration { return 10*sim.Microsecond + sim.Duration(rng.Int63n(int64(90*sim.Microsecond)+1)) },
 		"few-ties":  func() sim.Duration { return sim.Duration(rng.Intn(4)) * sim.Microsecond },
 		"all-equal": func() sim.Duration { return 0 },
-		"one-byte":  func() sim.Duration { return sim.Duration(rng.Intn(3)) << 40 },               // only a high byte varies
-		"wide":      func() sim.Duration { return sim.Duration(rng.Int63n(int64(3 * sim.Hour))) }, // 44 bits
+		"one-byte":  func() sim.Duration { return sim.Duration(rng.Intn(3)) << 40 },                        // only a high byte varies
+		"wide":      func() sim.Duration { return sim.Duration(rng.Int63n(int64(3 * 3600 * sim.Second))) }, // 44 bits
 		"full":      func() sim.Duration { return sim.Duration(rng.Int63()) },
 	}
 	var tmp []fanEntry
 	for name, delay := range delays {
 		for _, n := range sizes {
-			now := sim.Time(rng.Int63n(int64(sim.Hour)))
+			now := sim.Time(rng.Int63n(int64(3600 * sim.Second)))
 			if name == "full" {
 				now = 0 // keep now+delay inside int64
 			}

@@ -261,7 +261,7 @@ func TestNetworkResetDeterminism(t *testing.T) {
 			nw.Multicast(0, Group(1), Outgoing{Kind: "a", Counted: true}, 3)
 			nw.SendUDP(1, 2, Outgoing{Kind: "b"})
 		}
-		k.Run(sim.Minute)
+		k.Run(60 * sim.Second)
 		return ep.n, nw.Counters().Delivered, last
 	}
 	kA := sim.New(5)
@@ -348,7 +348,7 @@ func TestRecycledSenderDropsStaggeredMulticastCopy(t *testing.T) {
 	if s2.ID != s.ID {
 		t.Fatalf("slot not recycled")
 	}
-	k.Run(sim.Minute)
+	k.Run(60 * sim.Second)
 	// Copies 2 and 3 were pending at retirement: the recycled slot must
 	// not have transmitted them (no new accounted sends), and only copy
 	// 1 was delivered.

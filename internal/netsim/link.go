@@ -32,11 +32,6 @@ type LinkConfig struct {
 	Reorder ReorderConfig
 }
 
-// enabled reports whether any conditioning model is active.
-func (l LinkConfig) enabled() bool {
-	return l.Burst.Enabled() || l.Delay.Dist != DelayUniform || l.Reorder.Prob > 0
-}
-
 // validate is folded into Config.validate.
 func (l LinkConfig) validate() error {
 	if err := l.Burst.validate(); err != nil {
@@ -87,15 +82,6 @@ func (b BurstConfig) validate() error {
 		return fmt.Errorf("netsim: burst BadToGood must be positive (bursts would never end)")
 	}
 	return nil
-}
-
-// stationaryLoss reports the chain's long-run average loss rate.
-func (b BurstConfig) stationaryLoss() float64 {
-	if b.GoodToBad+b.BadToGood == 0 {
-		return b.GoodLoss
-	}
-	piB := b.GoodToBad / (b.GoodToBad + b.BadToGood)
-	return piB*b.BadLoss + (1-piB)*b.GoodLoss
 }
 
 // BurstForAverage builds a Gilbert–Elliott chain whose stationary loss

@@ -164,7 +164,7 @@ func delaySample(seed int64, cfg Config, n int) []sim.Duration {
 	for i := 0; i < n; i++ {
 		start := k.Now()
 		nw.SendUDP(a.ID, b.ID, Outgoing{Kind: "x"})
-		k.Run(k.Now() + sim.Minute)
+		k.Run(k.Now() + 60*sim.Second)
 		out = append(out, sim.Duration(arrival-start))
 	}
 	return out
@@ -237,7 +237,7 @@ func TestReorderInvertsDeliveryOrder(t *testing.T) {
 			nw.SendUDP(a.ID, b.ID, Outgoing{Kind: "seq", Packet: wire.Packet{N: uint64(i)}})
 		})
 	}
-	k.Run(sim.Minute)
+	k.Run(60 * sim.Second)
 	inversions := 0
 	for i := 1; i < len(got); i++ {
 		if got[i] < got[i-1] {
@@ -393,7 +393,7 @@ func TestLinkStateResetDeterminism(t *testing.T) {
 				nw.SendUDP(1, 2, Outgoing{Kind: "b"})
 			})
 		}
-		k.Run(sim.Minute)
+		k.Run(60 * sim.Second)
 		return ep.n, nw.Counters().Drops
 	}
 	kA := sim.New(9)
@@ -427,7 +427,7 @@ func TestZeroLinkConfigMatchesUnconditioned(t *testing.T) {
 			nw.Multicast(0, Group(1), Outgoing{Kind: "a"}, 3)
 			nw.SendUDP(1, 2, Outgoing{Kind: "b"})
 		}
-		k.Run(sim.Minute)
+		k.Run(60 * sim.Second)
 		return ep.n, nw.Counters().Drops, last
 	}
 	lossy := DefaultConfig()

@@ -46,9 +46,6 @@ func Topics(ts ...Topic) TopicSet {
 	return set
 }
 
-// Has reports whether the set holds the topic.
-func (s TopicSet) Has(t Topic) bool { return s&t.bit() != 0 }
-
 func (t Topic) bit() TopicSet {
 	if t >= MaxTopics {
 		panic("netsim: topic id out of range")

@@ -53,7 +53,7 @@ func TestQuickTCPExactlyOnce(t *testing.T) {
 				}
 			})
 		}
-		k.Run(10 * sim.Hour)
+		k.Run(10 * 3600 * sim.Second)
 		if delivered > 1 {
 			return false
 		}
@@ -87,7 +87,7 @@ func TestQuickUDPAtMostOnce(t *testing.T) {
 		for i := 0; i < n; i++ {
 			nw.SendUDP(a.ID, b.ID, Outgoing{Kind: "x"})
 		}
-		k.Run(sim.Minute)
+		k.Run(60 * sim.Second)
 		c := nw.Counters()
 		if delivered > n {
 			return false

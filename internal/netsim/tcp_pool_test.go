@@ -110,8 +110,7 @@ func TestTCPConnPoolBalance(t *testing.T) {
 				return dialTCP(h.nw, cfg, 0, 1, out, func(error) { results++ })
 			}
 			c.setup(h, open)
-			for h.k.Step() {
-			}
+			drain(h.k)
 			if opened == 0 || results != opened {
 				t.Fatalf("%d conversations opened, %d finished", opened, results)
 			}

@@ -299,20 +299,6 @@ func (k *Kernel) Run(horizon Time) {
 	}
 }
 
-// Step executes the single next pending event, advancing the clock to
-// its time (or holding the clock if the event is overdue — see Run's
-// re-entrancy invariant). It reports whether an event fired; false
-// means the queue held nothing but canceled events, which it discards.
-func (k *Kernel) Step() bool {
-	e, near := k.head()
-	if e == nil {
-		return false
-	}
-	k.pop(near)
-	k.fire(e)
-	return true
-}
-
 // NextEventTime reports the virtual time of the earliest pending
 // non-canceled event. Canceled heads are discarded and postponed
 // ones moved on the way, so the answer is exact, not a bound. The live

@@ -49,20 +49,6 @@ func Quantile(xs []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// stdDev returns the population standard deviation, NaN for empty input.
-func stdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	mean := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - mean
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(xs)))
-}
-
 // Clamp limits x to [lo, hi].
 func Clamp(x, lo, hi float64) float64 {
 	if x < lo {

@@ -67,13 +67,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := stdDev(xs); !almost(got, 2) {
-		t.Errorf("stdDev = %v, want 2", got)
-	}
-}
-
 func TestClamp(t *testing.T) {
 	if Clamp(-1, 0, 1) != 0 || Clamp(2, 0, 1) != 1 || Clamp(0.5, 0, 1) != 0.5 {
 		t.Error("Clamp misbehaves")

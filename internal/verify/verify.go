@@ -105,7 +105,6 @@ func cell(sys experiment.System, spec experiment.ScenarioSpec) string {
 
 // Result aggregates a grid check.
 type Result struct {
-	System     experiment.System
 	Scenarios  int
 	Violations []Violation
 	// Oracle sums the oracle's breaches over the grid per invariant;
@@ -161,7 +160,7 @@ func Check(sys experiment.System, cells []experiment.ScenarioSpec) Result {
 			specs = append(specs, spec.RunSpec(sys))
 		}
 	}
-	res := Result{System: sys, Scenarios: len(kept)}
+	res := Result{Scenarios: len(kept)}
 	for i, a := range Audit(specs, 0, nil) {
 		spec := kept[i]
 		if !a.Report.Clean() {

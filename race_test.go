@@ -2,5 +2,5 @@
 
 package repro_test
 
-// raceBuild reports a -race build, where TestEveryExportHasACaller skips.
+// raceBuild reports a -race build, where TestEveryDeclarationIsReached skips.
 const raceBuild = true

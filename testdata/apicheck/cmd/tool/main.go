@@ -7,6 +7,5 @@ import (
 )
 
 func main() {
-	lib.ReadByCmd()
-	println(other.Use(lib.Shape{}), lib.Box[int]{}.Get())
+	println(lib.ReadByCmd().Kept, other.Use(lib.Shape{}), lib.Box[int]{}.Get())
 }

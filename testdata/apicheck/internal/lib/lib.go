@@ -1,24 +1,45 @@
-// Package lib declares one export for each case the unused-API gate
-// decides; TestUnusedExportsFixture lists the ones it must report.
+// Package lib declares one case for each decision of the reachability
+// gate; TestUnreachedFixture lists the names it must report.
 package lib
 
 // Unused has no reference anywhere: reported.
 func Unused() {}
 
-// OwnTestOnly is read only by lib's in-package test: reported.
+// OwnTestOnly is called only by lib's in-package test: reported.
 func OwnTestOnly() {}
 
-// XTestOnly is read only by lib's external test, which sits in lib's
+// XTestOnly is called only by lib's external test, which sits in lib's
 // directory: reported.
 func XTestOnly() {}
 
-// ReadByOtherTest is read by the test of another package: kept.
-func ReadByOtherTest() {}
+// OtherTestOnly is called only by the test of another package: reported.
+func OtherTestOnly() {}
 
-// ReadByCmd is read by a command: kept.
-func ReadByCmd() {}
+// helper is unexported and called only by lib's test: reported.
+func helper() int { return 1 }
 
-// Shape is an exported type, so its exported methods are checked.
+// ReadByCmd is called by a command: kept.
+func ReadByCmd() Record {
+	r := Record{written: 1, Name: "r"}
+	r.written = 2
+	r.Kept = len(index)
+	return r
+}
+
+// Record has one field for each way a field is kept or reported.
+type Record struct {
+	Kept     int    // read by the command: kept
+	written  int    // only written, by a literal and an assignment: reported
+	testRead int    // read only by lib's test: reported
+	Name     string `json:"name"` // tagged, so encoding/json reads it: kept
+}
+
+// key is a map key, so a lookup compares, and reads, every field: kept.
+type key struct{ a, b int }
+
+var index = map[key]int{}
+
+// Shape's methods are kept or reported by how they are reached.
 type Shape struct{}
 
 // Area is called only through an interface: kept.
@@ -30,13 +51,9 @@ func (Shape) String() string { return "shape" }
 // Unused has no reference anywhere: reported.
 func (Shape) Unused() {}
 
-// Box is generic; its methods are reached through instantiations.
+// Box is generic; its methods and fields are reached through
+// instantiations.
 type Box[T any] struct{ v T }
 
 // Get is called on Box[int]: kept.
 func (b Box[T]) Get() T { return b.v }
-
-type hidden struct{}
-
-// Method belongs to an unexported type, so it is not checked.
-func (hidden) Method() {}

@@ -4,4 +4,7 @@ package lib
 // export_test.go file exports internals; it is not part of the package.
 func Helper() Shape { return Shape{} }
 
-func ownTest() { OwnTestOnly() }
+func ownTest() int {
+	OwnTestOnly()
+	return helper() + Record{}.testRead
+}

@@ -2,4 +2,4 @@ package other
 
 import "example.com/apicheck/internal/lib"
 
-func otherTest() { lib.ReadByOtherTest() }
+func otherTest() { lib.OtherTestOnly() }
